@@ -12,7 +12,6 @@
 #include "runtime/batch_executor.h"
 #include "relational/database.h"
 #include "relational/exec_context.h"
-#include "relational/batch_ops.h"
 #include "relational/ops.h"
 
 namespace ppr {
@@ -148,29 +147,6 @@ void BM_CompiledPlanExecuteTraced(benchmark::State& state) {
 }
 BENCHMARK(BM_CompiledPlanExecuteTraced)->Range(1 << 8, 1 << 13);
 
-// Columnar twin of BM_CompiledPlanExecute: the same compiled plan pushed
-// through the batch kernels inline (single morsel at the default size).
-// The contract this pair checks: the columnar single-thread path is no
-// slower than the row path — any gap here is pure batch-layer overhead,
-// since the parallel win only exists on top of parity.
-void BM_CompiledPlanExecuteColumnar(benchmark::State& state) {
-  const int64_t rows = state.range(0);
-  Database db;
-  db.Put("R", RandomRelation({0, 1}, rows, 100, 11));
-  db.Put("S", RandomRelation({1, 2}, rows, 100, 12));
-  ConjunctiveQuery query({{"R", {0, 1}}, {"S", {1, 2}}}, {0, 2});
-  const Plan plan = EarlyProjectionPlan(query);
-  auto compiled = PhysicalPlan::Compile(query, plan, db);
-  int64_t produced = 0;
-  for (auto _ : state) {
-    ExecutionResult result = compiled->ExecuteColumnar();
-    produced += static_cast<int64_t>(result.stats.tuples_produced);
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetItemsProcessed(produced);
-}
-BENCHMARK(BM_CompiledPlanExecuteColumnar)->Range(1 << 8, 1 << 13);
-
 // Telemetry twins: the BM_CompiledPlanExecute workload submitted through
 // BatchExecutor one job at a time, with the query log off (the disabled
 // path costs one null-check branch per job) and on (record assembly,
@@ -223,48 +199,6 @@ void BM_BatchExecuteTelemetryOn(benchmark::State& state) {
   DisableQueryLog();
 }
 BENCHMARK(BM_BatchExecuteTelemetryOn)->Range(1 << 8, 1 << 13);
-
-void BM_NaturalJoinColumnar(benchmark::State& state) {
-  const int64_t rows = state.range(0);
-  Relation left = RandomRelation({0, 1}, rows, 100, 1);
-  Relation right = RandomRelation({1, 2}, rows, 100, 2);
-  const MorselExec mx;  // inline, env-default morsel size
-  int64_t produced = 0;
-  for (auto _ : state) {
-    ExecContext ctx;
-    Relation out = NaturalJoinColumnar(left, right, ctx, mx);
-    produced += out.size();
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(produced);
-}
-BENCHMARK(BM_NaturalJoinColumnar)->Range(1 << 8, 1 << 14);
-
-void BM_ProjectDistinctColumnar(benchmark::State& state) {
-  const int64_t rows = state.range(0);
-  Relation input = RandomRelation({0, 1, 2, 3}, rows, 3, 5);
-  const MorselExec mx;
-  for (auto _ : state) {
-    ExecContext ctx;
-    Relation out = ProjectColumnar(input, {0, 2}, ctx, mx);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * rows);
-}
-BENCHMARK(BM_ProjectDistinctColumnar)->Range(1 << 8, 1 << 18);
-
-void BM_BindAtomColumnar(benchmark::State& state) {
-  const int64_t rows = state.range(0);
-  Relation stored = RandomRelation({0, 1}, rows, 10, 8);
-  const MorselExec mx;
-  for (auto _ : state) {
-    ExecContext ctx;
-    Relation out = BindAtomColumnar(stored, {7, 7}, ctx, mx);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * rows);
-}
-BENCHMARK(BM_BindAtomColumnar)->Range(1 << 8, 1 << 14);
 
 void BM_BindAtom(benchmark::State& state) {
   const int64_t rows = state.range(0);

@@ -1,13 +1,14 @@
 // Thread-scaling harness for morsel-driven intra-query parallelism: one
 // heavy 3-COLOR query (bucket-elimination plan), executed by the
-// MorselDriver at each requested worker count, against the row-kernel
-// baseline. Every sweep point's answer relation is checked byte-identical
-// to the row path — the determinism contract, enforced, not sampled —
-// and the summary metrics land in BENCH_morsel.json.
+// MorselDriver at each requested worker count, against the serial run
+// (PhysicalPlan::Execute: every kernel call one morsel). Every sweep
+// point's answer relation is checked byte-identical to the serial run —
+// the determinism contract, enforced, not sampled — and the summary
+// metrics land in BENCH_morsel.json.
 //
 // On machines with >= 8 hardware threads the sweep enforces the
 // acceptance gate: >= 3x speedup at 8 workers over the single-thread
-// columnar run. Below that the gate is reported as skipped (the same
+// driver run. Below that the gate is reported as skipped (the same
 // hardware-gating policy as the batch-runtime scaling tests).
 //
 // Flags:
@@ -124,32 +125,31 @@ int main(int argc, char** argv) {
   }
   PhysicalPlan& physical = *compiled;
 
-  // Row-kernel baseline: the oracle every sweep point is checked against.
-  double row_seconds = 1e100;
-  ExecutionResult row;
+  // Serial baseline: the oracle every sweep point is checked against.
+  double serial_seconds = 1e100;
+  ExecutionResult serial;
   for (int rep = 0; rep < repeats; ++rep) {
-    row = physical.Execute(budget);
-    if (!row.status.ok()) {
-      std::fprintf(stderr, "row baseline: %s (raise --budget?)\n",
-                   row.status.ToString().c_str());
+    serial = physical.Execute(budget);
+    if (!serial.status.ok()) {
+      std::fprintf(stderr, "serial baseline: %s (raise --budget?)\n",
+                   serial.status.ToString().c_str());
       return 1;
     }
-    row_seconds = std::min(row_seconds, row.seconds);
+    serial_seconds = std::min(serial_seconds, serial.seconds);
   }
   std::printf("morsel scaling: 3-COLOR on %d vertices (density %.2f), "
               "%lld answer rows, morsel size %lld\n\n",
-              vertices, density, static_cast<long long>(row.output.size()),
+              vertices, density,
+              static_cast<long long>(serial.output.size()),
               static_cast<long long>(morsel_size > 0
                                          ? morsel_size
                                          : ProcessEnv().morsel_rows));
 
-  SeriesTable table("threads", {"seconds", "speedup_vs_row",
+  SeriesTable table("threads", {"seconds", "speedup_vs_serial",
                                 "speedup_vs_1thr", "identical"});
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f", 1.0);
-  table.AddRow("row path", {FormatSeconds(row_seconds), "1.000", "-", "-"});
+  table.AddRow("serial", {FormatSeconds(serial_seconds), "1.000", "-", "-"});
 
-  double columnar_base = 0.0;
+  double driver_base = 0.0;
   double best_at_8 = 0.0;
   bool all_identical = true;
   for (const int threads : ThreadCounts(argc, argv)) {
@@ -165,17 +165,17 @@ int main(int argc, char** argv) {
       }
       best = std::min(best, result.seconds);
     }
-    const bool identical = SameRows(row.output, result.output);
+    const bool identical = SameRows(serial.output, result.output);
     all_identical &= identical;
-    if (columnar_base == 0.0) columnar_base = best;
+    if (driver_base == 0.0) driver_base = best;
     if (threads == 8) best_at_8 = best;
 
-    char vs_row[32];
-    std::snprintf(vs_row, sizeof(vs_row), "%.3f", row_seconds / best);
+    char vs_serial[32];
+    std::snprintf(vs_serial, sizeof(vs_serial), "%.3f", serial_seconds / best);
     char vs_one[32];
-    std::snprintf(vs_one, sizeof(vs_one), "%.3f", columnar_base / best);
+    std::snprintf(vs_one, sizeof(vs_one), "%.3f", driver_base / best);
     table.AddRow(std::to_string(threads),
-                 {FormatSeconds(best), vs_row, vs_one,
+                 {FormatSeconds(best), vs_serial, vs_one,
                   identical ? "yes" : "NO"});
 
     MutexLock lock(GlobalObsMutex());
@@ -192,17 +192,17 @@ int main(int argc, char** argv) {
 
   if (!all_identical) {
     std::fprintf(stderr,
-                 "\nFAIL: a sweep point's answer differed from the row "
-                 "path — the determinism contract is broken\n");
+                 "\nFAIL: a sweep point's answer differed from the serial "
+                 "run — the determinism contract is broken\n");
     return 1;
   }
-  std::printf("\nall sweep points byte-identical to the row path\n");
+  std::printf("\nall sweep points byte-identical to the serial run\n");
 
   {
     MutexLock lock(GlobalObsMutex());
-    GlobalMetrics().RaiseMax("morsel.answer_rows", row.output.size());
-    GlobalMetrics().RaiseMax("morsel.row_path_ns",
-                             static_cast<int64_t>(row_seconds * 1e9));
+    GlobalMetrics().RaiseMax("morsel.answer_rows", serial.output.size());
+    GlobalMetrics().RaiseMax("morsel.serial_ns",
+                             static_cast<int64_t>(serial_seconds * 1e9));
     GlobalMetrics().AddCounter("morsel.bench.runs", 1);
   }
   const Status written = WriteBenchMetrics("BENCH_morsel.json");
@@ -215,8 +215,8 @@ int main(int argc, char** argv) {
 
   // Acceptance gate, hardware-gated like the runtime scaling tests.
   const int hw = ThreadPool::HardwareThreads();
-  if (hw >= 8 && best_at_8 > 0.0 && columnar_base > 0.0) {
-    const double speedup = columnar_base / best_at_8;
+  if (hw >= 8 && best_at_8 > 0.0 && driver_base > 0.0) {
+    const double speedup = driver_base / best_at_8;
     if (speedup < 3.0) {
       std::fprintf(stderr,
                    "FAIL: %.3fx speedup at 8 workers (gate: >= 3x)\n",

@@ -244,7 +244,7 @@ Status VerifyNode(const ConjunctiveQuery& query, const PlanNode* logical,
 
 // Batch-schema shape of one plan node, re-derived from the logical
 // labels alone (first principles, like VerifyNode): which operator
-// arities a columnar run may legally report against this node.
+// arities a run may legally report against this node.
 struct MorselNodeShape {
   bool leaf = false;
   int scan_arity = 0;             // leaf: the atom's distinct attributes

@@ -35,8 +35,8 @@ namespace ppr {
 Status VerifyPhysicalPlan(const ConjunctiveQuery& query, const Plan& plan,
                           const Database& db, const PhysicalPlan& physical);
 
-/// Post-run verifier for morsel-driven columnar execution: checks the
-/// per-operator accounting a columnar run reported (one MorselOpAccount
+/// Post-run verifier for morsel-driven execution: checks the
+/// per-operator accounting a run reported (one MorselOpAccount
 /// per kernel invocation, exec/physical_plan.h) against the logical plan
 /// and the width analyzer's static bounds. Like VerifyPhysicalPlan it
 /// re-derives everything from first principles — batch schema arities

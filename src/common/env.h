@@ -35,12 +35,13 @@ struct EnvConfig {
   /// own default, typically 1 or hardware_concurrency).
   int default_threads = 0;
 
-  /// PPR_MORSEL_SIZE: rows per morsel for the columnar batch kernels
-  /// (relational/batch_ops.h) and the morsel driver (src/runtime).
-  /// Defaults to 64K rows — a probe-side morsel of that size keeps the
-  /// gathered key columns L2-resident on common hardware. The morsel
-  /// partition is a *semantic* knob only for performance: results and
-  /// merged metrics are byte-identical for any positive value.
+  /// PPR_MORSEL_SIZE: rows per morsel for the morsel driver
+  /// (src/runtime/morsel_driver.h) only; serial runs treat each kernel
+  /// input as one morsel. Defaults to 64K rows — a probe-side morsel of
+  /// that size keeps the gathered key columns L2-resident on common
+  /// hardware. The partition is a knob for performance only: results and
+  /// every merged statistic but peak_bytes are identical for any
+  /// positive value.
   int64_t morsel_rows = 65536;
 
   /// PPR_QUERY_LOG: non-empty path enables the structured query log

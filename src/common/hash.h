@@ -24,24 +24,6 @@ inline uint64_t HashPackedKey(const Value* key, int width) {
   return h;
 }
 
-/// HashPackedKey over a column-major key: value i comes from cols[i][row]
-/// instead of key[i]. Must mix identically to HashPackedKey — a flat
-/// hash table rehashes its (row-major) key store with HashPackedKey, so
-/// a key inserted through the column-major path has to land on the same
-/// probe sequence after a grow.
-inline uint64_t HashColsKey(const Value* const* cols, int64_t row,
-                            int width) {
-  uint64_t h = 0x9E3779B97F4A7C15ULL ^ static_cast<uint64_t>(width);
-  for (int i = 0; i < width; ++i) {
-    h ^= static_cast<uint32_t>(cols[i][row]);
-    h *= 0xBF58476D1CE4E5B9ULL;
-    h ^= h >> 27;
-  }
-  h *= 0x94D049BB133111EBULL;
-  h ^= h >> 31;
-  return h;
-}
-
 }  // namespace ppr
 
 #endif  // PPR_COMMON_HASH_H_

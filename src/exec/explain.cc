@@ -10,7 +10,6 @@
 #include "common/check.h"
 #include "exec/verify_hook.h"
 #include "obs/trace.h"
-#include "relational/batch_ops.h"
 #include "relational/exec_context.h"
 #include "relational/ops.h"
 
@@ -38,12 +37,11 @@ double EstimateRows(const Estimate& est, size_t projected_arity,
 }
 
 // Recursive profiled evaluation; appends this node's profile (pre-order)
-// and returns its output relation plus estimation state. A non-null
-// `mx` routes every kernel through its columnar batch variant.
+// and returns its output relation plus estimation state.
 Relation EvalProfiled(const ConjunctiveQuery& query, const PlanNode* node,
                       const Database& db, double domain, int depth,
-                      ExecContext& ctx, const MorselExec* mx,
-                      std::vector<NodeProfile>* out, Estimate* est) {
+                      ExecContext& ctx, std::vector<NodeProfile>* out,
+                      Estimate* est) {
   const size_t my_index = out->size();
   out->push_back(NodeProfile{});
 
@@ -59,12 +57,9 @@ Relation EvalProfiled(const ConjunctiveQuery& query, const PlanNode* node,
     est->selectivity =
         static_cast<double>(stored->size()) /
         std::pow(domain, static_cast<double>(atom.args.size()));
-    result = mx != nullptr ? BindAtomColumnar(*stored, atom.args, ctx, *mx)
-                           : BindAtom(*stored, atom.args, ctx);
+    result = BindAtom(*stored, atom.args, ctx);
     if (node->Projects() && !ctx.exhausted()) {
-      result = mx != nullptr
-                   ? ProjectColumnar(result, node->projected, ctx, *mx)
-                   : Project(result, node->projected, ctx);
+      result = Project(result, node->projected, ctx);
     }
     (*out)[my_index].label = atom.ToString();
   } else {
@@ -75,7 +70,7 @@ Relation EvalProfiled(const ConjunctiveQuery& query, const PlanNode* node,
       if (ctx.exhausted()) break;
       Estimate child_est;
       Relation child_rel = EvalProfiled(query, child.get(), db, domain,
-                                        depth + 1, ctx, mx, out, &child_est);
+                                        depth + 1, ctx, out, &child_est);
       if (first) {
         acc = std::move(child_rel);
         acc_est = std::move(child_est);
@@ -83,8 +78,7 @@ Relation EvalProfiled(const ConjunctiveQuery& query, const PlanNode* node,
       } else {
         if (ctx.exhausted()) break;
         ctx.set_trace_node(static_cast<int32_t>(my_index));
-        acc = mx != nullptr ? NaturalJoinColumnar(acc, child_rel, ctx, *mx)
-                            : NaturalJoin(acc, child_rel, ctx);
+        acc = NaturalJoin(acc, child_rel, ctx);
         std::vector<AttrId> merged;
         std::set_union(acc_est.attrs.begin(), acc_est.attrs.end(),
                        child_est.attrs.begin(), child_est.attrs.end(),
@@ -95,8 +89,7 @@ Relation EvalProfiled(const ConjunctiveQuery& query, const PlanNode* node,
     }
     if (node->Projects() && !ctx.exhausted()) {
       ctx.set_trace_node(static_cast<int32_t>(my_index));
-      acc = mx != nullptr ? ProjectColumnar(acc, node->projected, ctx, *mx)
-                          : Project(acc, node->projected, ctx);
+      acc = Project(acc, node->projected, ctx);
     }
     result = std::move(acc);
     *est = std::move(acc_est);
@@ -129,7 +122,6 @@ std::string ExplainResult::ToString() const {
         out << "  predicted arity<=" << p.predicted_arity_bound
             << " rows<=" << p.predicted_rows_bound;
       }
-      if (p.morsel_fanout > 0) out << " morsels=" << p.morsel_fanout;
       if (p.arity_violation) out << "  !! arity bound violated";
     }
     out << "\n";
@@ -166,7 +158,7 @@ double ExplainResult::WorstEstimateRatio() const {
 
 ExplainResult ExplainPlan(const ConjunctiveQuery& query, const Plan& plan,
                           const Database& db, double domain_size,
-                          Counter tuple_budget, bool analyze, bool columnar) {
+                          Counter tuple_budget, bool analyze) {
   ExplainResult result;
   PPR_CHECK(domain_size >= 1.0);
   if (plan.empty()) {
@@ -213,10 +205,9 @@ ExplainResult ExplainPlan(const ConjunctiveQuery& query, const Plan& plan,
   TraceSink sink(static_cast<size_t>(
       std::max(4 * plan.NumNodes(), 1024)));
   if (analyze) ctx.set_tracer(&sink);
-  const MorselExec mx;  // inline, sequential, env-default morsel size
   Estimate est;
-  EvalProfiled(query, plan.root(), db, domain_size, 0, ctx,
-               columnar ? &mx : nullptr, &result.nodes, &est);
+  EvalProfiled(query, plan.root(), db, domain_size, 0, ctx, &result.nodes,
+               &est);
   result.stats = ctx.stats();
   if (ctx.exhausted()) {
     result.status = Status::ResourceExhausted("tuple budget exceeded");
@@ -233,7 +224,6 @@ ExplainResult ExplainPlan(const ConjunctiveQuery& query, const Plan& plan,
     p.actual_ns += span.duration_ns;
     p.actual_bytes = std::max(p.actual_bytes, span.bytes);
     p.actual_max_arity = std::max(p.actual_max_arity, span.arity_out);
-    if (span.morsel_id >= 0) p.morsel_fanout++;
   }
 
   // The predicted side: the width analyzer's per-node bounds, via the

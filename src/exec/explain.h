@@ -47,12 +47,6 @@ struct NodeProfile {
   // True when the measured arity exceeds the predicted bound — the
   // analyzer's proof is wrong, which ANALYZE escalates to an error.
   bool arity_violation = false;
-
-  // Morsel fan-out of a columnar ANALYZE run: the number of per-morsel
-  // operator spans attributed to this node (each span covers one
-  // ColumnBatch-wide morsel). 0 for row-path runs and for nodes whose
-  // operators bypassed the morsel partition.
-  int64_t morsel_fanout = 0;
 };
 
 /// Result of profiling one plan execution.
@@ -110,16 +104,10 @@ struct ExplainResult {
 /// status becomes Internal: the static proof was wrong. The analyze=false
 /// rendering is byte-identical whether or not process-wide tracing
 /// (PPR_TRACE) is on.
-///
-/// With `columnar` set the run goes through the batch kernels of
-/// relational/batch_ops.h (inline, env-default morsel size) instead of
-/// the row kernels; ANALYZE then additionally reports each node's morsel
-/// fan-out ("morsels=N") from the per-morsel spans. Estimates, actual
-/// row counts, and the budget behavior are identical either way.
 ExplainResult ExplainPlan(const ConjunctiveQuery& query, const Plan& plan,
                           const Database& db, double domain_size,
                           Counter tuple_budget = kCounterMax,
-                          bool analyze = false, bool columnar = false);
+                          bool analyze = false);
 
 }  // namespace ppr
 

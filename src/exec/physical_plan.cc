@@ -9,6 +9,7 @@
 #include "obs/exporters.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "relational/batch_ops.h"
 #include "relational/sort_merge.h"
 
 namespace ppr {
@@ -56,42 +57,10 @@ std::unique_ptr<PhysicalNode> CompileNode(const ConjunctiveQuery& query,
   return phys;
 }
 
-// Bottom-up evaluation with the exact control flow of the seed
-// interpreter (executor.cc's EvalNode), so budget-exhaustion skip
-// behavior — and therefore every statistic — is preserved bit for bit.
-Relation Exec(const PhysicalNode& node, JoinAlgorithm join_algorithm,
-              ExecContext& ctx) {
-  if (node.IsLeaf()) {
-    ctx.set_trace_node(node.node_id);
-    Relation bound = ScanAtom(*node.stored, node.scan, ctx);
-    if (node.has_project && !ctx.exhausted()) {
-      return ProjectColumns(bound, node.project, ctx);
-    }
-    return bound;
-  }
-
-  Relation acc = Exec(*node.children.front(), join_algorithm, ctx);
-  for (size_t i = 1; i < node.children.size() && !ctx.exhausted(); ++i) {
-    Relation next = Exec(*node.children[i], join_algorithm, ctx);
-    if (ctx.exhausted()) break;
-    // Children retargeted the span attribution; point it back at this
-    // node for the fold step's join (and the projection below).
-    ctx.set_trace_node(node.node_id);
-    acc = join_algorithm == JoinAlgorithm::kSortMerge
-              ? SortMergeJoin(acc, next, ctx)
-              : HashJoin(acc, next, node.joins[i - 1], ctx);
-  }
-  if (node.has_project && !ctx.exhausted()) {
-    ctx.set_trace_node(node.node_id);
-    return ProjectColumns(acc, node.project, ctx);
-  }
-  return acc;
-}
-
-// Appends one kernel's accounting entry. Kernels that bypassed the
-// morsel partition pass a null `morsel_rows` and get one pseudo morsel
-// holding the whole output (none when empty), preserving the invariant
-// sum(morsel_rows) == output_rows.
+// Appends one kernel's accounting entry. The sort-merge join, which has
+// no morsel partition, passes a null `morsel_rows` and gets one pseudo
+// morsel holding the whole output (none when empty), preserving the
+// invariant sum(morsel_rows) == output_rows.
 void Account(MorselAccounting* acct, int32_t node_id, MorselOp op,
              const Relation& out, std::vector<int64_t>* morsel_rows) {
   if (acct == nullptr) return;
@@ -108,47 +77,45 @@ void Account(MorselAccounting* acct, int32_t node_id, MorselOp op,
   acct->ops.push_back(std::move(entry));
 }
 
-// Columnar twin of Exec(): identical control flow (budget-exhaustion
-// skips included) with the batch kernels substituted, so the output and
-// every statistic except peak_bytes match the row walk bit for bit.
-// kSortMerge joins have no columnar variant and run the row kernel.
-Relation ExecColumnar(const PhysicalNode& node, JoinAlgorithm join_algorithm,
-                      ExecContext& ctx, const MorselExec& mx,
-                      MorselAccounting* acct) {
+// Bottom-up evaluation with the exact control flow of the seed
+// interpreter (executor.cc's EvalNode), so budget-exhaustion skip
+// behavior — and therefore every statistic — is preserved bit for bit.
+// kSortMerge joins run the sort-merge kernel (the Section-2 ablation),
+// which has no morsel partition.
+Relation Exec(const PhysicalNode& node, JoinAlgorithm join_algorithm,
+              ExecContext& ctx, const MorselExec& mx, MorselAccounting* acct) {
   std::vector<int64_t> morsels;
   std::vector<int64_t>* mr = acct != nullptr ? &morsels : nullptr;
   if (node.IsLeaf()) {
     ctx.set_trace_node(node.node_id);
-    Relation bound = ScanAtomColumnar(*node.stored, node.scan, ctx, mx, mr);
+    Relation bound = ScanAtom(*node.stored, node.scan, ctx, mx, mr);
     Account(acct, node.node_id, MorselOp::kScan, bound, mr);
     if (node.has_project && !ctx.exhausted()) {
-      Relation projected =
-          ProjectColumnsColumnar(bound, node.project, ctx, mx, mr);
+      Relation projected = ProjectColumns(bound, node.project, ctx, mx, mr);
       Account(acct, node.node_id, MorselOp::kProject, projected, mr);
       return projected;
     }
     return bound;
   }
 
-  Relation acc = ExecColumnar(*node.children.front(), join_algorithm, ctx,
-                              mx, acct);
+  Relation acc = Exec(*node.children.front(), join_algorithm, ctx, mx, acct);
   for (size_t i = 1; i < node.children.size() && !ctx.exhausted(); ++i) {
-    Relation next =
-        ExecColumnar(*node.children[i], join_algorithm, ctx, mx, acct);
+    Relation next = Exec(*node.children[i], join_algorithm, ctx, mx, acct);
     if (ctx.exhausted()) break;
+    // Children retargeted the span attribution; point it back at this
+    // node for the fold step's join (and the projection below).
     ctx.set_trace_node(node.node_id);
     if (join_algorithm == JoinAlgorithm::kSortMerge) {
       acc = SortMergeJoin(acc, next, ctx);
       Account(acct, node.node_id, MorselOp::kJoin, acc, nullptr);
     } else {
-      acc = HashJoinColumnar(acc, next, node.joins[i - 1], ctx, mx, mr);
+      acc = HashJoin(acc, next, node.joins[i - 1], ctx, mx, mr);
       Account(acct, node.node_id, MorselOp::kJoin, acc, mr);
     }
   }
   if (node.has_project && !ctx.exhausted()) {
     ctx.set_trace_node(node.node_id);
-    Relation projected = ProjectColumnsColumnar(acc, node.project, ctx, mx,
-                                                mr);
+    Relation projected = ProjectColumns(acc, node.project, ctx, mx, mr);
     Account(acct, node.node_id, MorselOp::kProject, projected, mr);
     return projected;
   }
@@ -221,54 +188,8 @@ ExecutionResult PhysicalPlan::Execute(Counter tuple_budget,
 ExecutionResult PhysicalPlan::ExecuteShared(ExecArena* arena,
                                             Counter tuple_budget,
                                             TraceSink* trace,
-                                            MetricsRegistry* metrics) const {
-  ExecutionResult result;
-  if (arena != nullptr) arena->Reset();
-  ExecContext ctx(tuple_budget, arena);
-  const uint64_t span_mark = trace != nullptr ? trace->total_recorded() : 0;
-  ctx.set_tracer(trace);
-  WallTimer timer;
-  Relation output = Exec(*root_, join_algorithm_, ctx);
-  result.seconds = timer.ElapsedSeconds();
-  result.stats = ctx.stats();
-  if (metrics != nullptr) {
-    ctx.stats().PublishTo(metrics);
-    if (trace != nullptr) {
-      PublishSpanMetrics(trace->SnapshotSince(span_mark), metrics);
-    }
-  }
-  if (ctx.exhausted()) {
-    result.status = Status::ResourceExhausted("tuple budget exceeded");
-  } else {
-    result.status = Status::Ok();
-    result.output = std::move(output);
-  }
-  return result;
-}
-
-ExecutionResult PhysicalPlan::ExecuteColumnar(Counter tuple_budget,
-                                              TraceSink* trace) {
-  TraceSink* sink = trace != nullptr ? trace : GlobalTraceSinkIfEnabled();
-  MetricsRegistry* metrics = nullptr;
-  if (sink != nullptr) {
-    MutexLock lock(GlobalObsMutex());
-    metrics = &GlobalMetrics();
-  }
-  const MorselExec mx;  // inline, sequential, env-default morsel size
-  ExecutionResult result =
-      ExecuteMorsel(mx, &arena_, tuple_budget, sink, metrics);
-  if (sink != nullptr && sink == GlobalTraceSinkIfEnabled()) {
-    MutexLock lock(GlobalObsMutex());
-    (void)FlushTraceArtifacts();
-  }
-  return result;
-}
-
-ExecutionResult PhysicalPlan::ExecuteMorsel(const MorselExec& mx,
-                                            ExecArena* arena,
-                                            Counter tuple_budget,
-                                            TraceSink* trace,
                                             MetricsRegistry* metrics,
+                                            const MorselExec& mx,
                                             MorselAccounting* accounting)
     const {
   ExecutionResult result;
@@ -277,8 +198,7 @@ ExecutionResult PhysicalPlan::ExecuteMorsel(const MorselExec& mx,
   const uint64_t span_mark = trace != nullptr ? trace->total_recorded() : 0;
   ctx.set_tracer(trace);
   WallTimer timer;
-  Relation output = ExecColumnar(*root_, join_algorithm_, ctx, mx,
-                                 accounting);
+  Relation output = Exec(*root_, join_algorithm_, ctx, mx, accounting);
   result.seconds = timer.ElapsedSeconds();
   result.stats = ctx.stats();
   if (metrics != nullptr) {

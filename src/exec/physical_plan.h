@@ -54,12 +54,12 @@ struct PhysicalNode {
   bool IsLeaf() const { return children.empty(); }
 };
 
-/// Operator kinds appearing in a columnar run's morsel accounting.
-/// Mirrors the four kernels without pulling the obs tracing types into
-/// the execution API.
+/// Operator kinds appearing in a run's morsel accounting. Mirrors the
+/// plan kernels without pulling the obs tracing types into the execution
+/// API.
 enum class MorselOp : uint8_t { kScan = 0, kJoin = 1, kProject = 2 };
 
-/// Row accounting of one columnar kernel invocation: the per-morsel
+/// Row accounting of one kernel invocation: the per-morsel
 /// emitted row counts (morsel-index order) and the output they add up
 /// to. The invariant every entry must satisfy — sum(morsel_rows) ==
 /// output_rows — is what the `morsel_accounting` verifier hook
@@ -73,14 +73,14 @@ struct MorselOpAccount {
   int arity = 0;
   /// Output rows materialized (post budget truncation).
   int64_t output_rows = 0;
-  /// Rows each morsel contributed, in morsel-index order. Degenerate
-  /// operators that bypass the morsel partition (nullary schemas,
-  /// sort-merge joins, Boolean projections) report one pseudo morsel
-  /// holding the whole output, or none when the output is empty.
+  /// Rows each morsel contributed, in morsel-index order. Kernels on
+  /// nullary schemas run as one morsel; the sort-merge join, which has no
+  /// morsel partition, reports one pseudo morsel holding the whole
+  /// output, or none when the output is empty.
   std::vector<int64_t> morsel_rows;
 };
 
-/// Per-operator accounting of one columnar run, in execution order.
+/// Per-operator accounting of one run, in execution order.
 struct MorselAccounting {
   std::vector<MorselOpAccount> ops;
 };
@@ -88,9 +88,16 @@ struct MorselAccounting {
 /// A plan compiled once against (query, plan, database) and executable
 /// many times. Compilation precomputes, per node, the output schema,
 /// build/probe key columns, payload copy maps, and projection masks;
-/// Execute() is then pure data movement through the flat-hash kernels of
-/// relational/ops.h, with operator scratch bump-allocated from an arena
-/// whose blocks are recycled across operators *and* across runs.
+/// execution is then pure data movement through the kernels of
+/// relational/batch_ops.h, with operator scratch bump-allocated from an
+/// arena whose blocks are recycled across operators *and* across runs.
+///
+/// There is one plan walker and one const entry point, ExecuteShared().
+/// A serial run (the default MorselExec) runs every kernel call as one
+/// morsel on the calling thread; the morsel driver (src/runtime) passes
+/// its own MorselExec to split kernel inputs into morsels across a
+/// thread pool. Execute() is the convenience wrapper that adds the
+/// PPR_TRACE process-wide sink.
 ///
 /// The logical plan's semantics are untouched: Execute() performs the
 /// same operators in the same order with the same budget/statistics
@@ -113,9 +120,9 @@ class PhysicalPlan {
       const ConjunctiveQuery& query, const Plan& plan, const Database& db,
       JoinAlgorithm join_algorithm = JoinAlgorithm::kHash);
 
-  /// Runs the compiled plan under `tuple_budget`. Scratch memory from
-  /// prior runs is reused, so steady-state executions make no heap
-  /// allocations outside the output relations.
+  /// Runs the compiled plan serially under `tuple_budget`. Scratch
+  /// memory from prior runs is reused, so steady-state executions make no
+  /// heap allocations outside the output relations.
   ///
   /// Operator spans are recorded into `trace` when non-null, otherwise
   /// into the process-wide sink when PPR_TRACE is enabled
@@ -138,33 +145,19 @@ class PhysicalPlan {
   /// when non-null (never to the process-wide sink), per-run stats (and,
   /// when traced, span histograms) publish into `metrics` when non-null
   /// (never to GlobalMetrics()), and no trace artifacts are flushed.
+  ///
+  /// `mx` decides how each kernel call is partitioned into morsels and
+  /// where they run; the default runs every call as one morsel inline.
+  /// The answer relation and every statistic but peak_bytes are the same
+  /// for any MorselExec; for a fixed morsel size peak_bytes is too,
+  /// whatever the worker count. When `accounting` is non-null it
+  /// receives one MorselOpAccount per kernel invocation, in execution
+  /// order, for the morsel-accounting verifier hook.
   ExecutionResult ExecuteShared(ExecArena* arena,
                                 Counter tuple_budget = kCounterMax,
                                 TraceSink* trace = nullptr,
-                                MetricsRegistry* metrics = nullptr) const;
-
-  /// Columnar execution through the batch kernels of
-  /// relational/batch_ops.h, inline on the calling thread (a default
-  /// MorselExec). Oracle-equal to Execute(): same answer relation, same
-  /// ExecStats except peak_bytes, same budget behavior. Observability
-  /// resolution matches Execute() (explicit sink, else PPR_TRACE).
-  ExecutionResult ExecuteColumnar(Counter tuple_budget = kCounterMax,
-                                  TraceSink* trace = nullptr);
-
-  /// Morsel-driven columnar execution — the ExecuteShared of the batch
-  /// world, with the same caller-owned arena/trace/metrics design, plus
-  /// the MorselExec that decides how morsels run (the morsel driver of
-  /// src/runtime installs a ThreadPool-backed parallel_for and
-  /// per-worker arenas; the default runs inline). For a fixed morsel
-  /// size the answer relation and every merged statistic are
-  /// byte-identical across worker counts. When `accounting` is non-null
-  /// it receives one MorselOpAccount per kernel invocation, in
-  /// execution order, for the morsel-accounting verifier hook and the
-  /// EXPLAIN ANALYZE fan-out report.
-  ExecutionResult ExecuteMorsel(const MorselExec& mx, ExecArena* arena,
-                                Counter tuple_budget = kCounterMax,
-                                TraceSink* trace = nullptr,
                                 MetricsRegistry* metrics = nullptr,
+                                const MorselExec& mx = {},
                                 MorselAccounting* accounting = nullptr) const;
 
   /// Schema of the answer relation (the root's projected label).

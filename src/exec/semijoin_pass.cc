@@ -6,6 +6,7 @@
 #include "common/mutex.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "relational/batch_ops.h"
 #include "relational/ops.h"
 
 namespace ppr {

@@ -51,7 +51,7 @@ struct PlanVerifierHooks {
   std::function<Status(const ConjunctiveQuery&, const Plan&, const Database&,
                        std::vector<PlanNodeBound>*)>
       node_bounds;
-  /// Validates the per-operator morsel accounting of one columnar run
+  /// Validates the per-operator morsel accounting of one run
   /// (exec/physical_plan.h's MorselAccounting): re-derives the batch
   /// schemas from the logical plan, checks each operator's per-morsel
   /// rows sum to its output, and checks outputs against the width

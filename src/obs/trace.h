@@ -14,7 +14,7 @@
 namespace ppr {
 
 /// Kind of traced operator. Mirrors the engine's four kernels
-/// (relational/ops.h); sort-merge joins trace as kJoin.
+/// (relational/batch_ops.h); sort-merge joins trace as kJoin.
 enum class TraceOp : uint8_t {
   kScan = 0,
   kJoin = 1,
@@ -47,7 +47,10 @@ struct TraceSpan {
   int32_t arity_in = 0;
   int32_t arity_out = 0;
   /// Operator footprint: arena scratch high-water mark plus materialized
-  /// output bytes (the quantity ExecStats::NotePeakBytes maximizes).
+  /// output bytes (the quantity ExecStats::NotePeakBytes maximizes). The
+  /// spans of one kernel call split it: each carries its morsel's scratch
+  /// and output slice, and morsel 0's also the shared build structures,
+  /// so the span of a one-morsel call carries the whole footprint.
   int64_t bytes = 0;
   /// Rows inserted into the operator's hash structure (join build side,
   /// semijoin filter keys, projection dedup inserts).
@@ -55,13 +58,15 @@ struct TraceSpan {
   /// Lookup operations against the hash structure (join probe passes,
   /// semijoin membership tests). 0 for operators without a probe phase.
   int64_t ht_probe_ops = 0;
-  /// Morsel index when the span covers one morsel of a columnar
-  /// batch-at-a-time operator (relational/batch_ops.h); -1 for whole
-  /// operator spans (the row kernels). Per-morsel spans from one
-  /// operator are merged into the run's sink in morsel-index order.
+  /// Morsel index of the span within its kernel call
+  /// (relational/batch_ops.h); 0 for a one-morsel call, which is every
+  /// call of a serial run. -1 for operators without a morsel partition
+  /// (the sort-merge join). A morsel's span covers its work in every
+  /// phase of the call (morsel 0's also the shared build), and one
+  /// call's spans are recorded in morsel-index order.
   int32_t morsel_id = -1;
-  /// Column batches processed by the span (0 for row-kernel spans, 1 for
-  /// per-morsel columnar spans — each morsel is one ColumnBatch wide).
+  /// Morsels processed by the span: 1 for a kernel span (one span per
+  /// morsel), 0 for spans without a morsel.
   int64_t batches = 0;
 };
 

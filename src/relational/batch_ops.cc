@@ -1,34 +1,29 @@
 #include "relational/batch_ops.h"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <utility>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "obs/trace.h"
-#include "relational/column_batch.h"
 #include "relational/flat_hash.h"
 
 namespace ppr {
 
-int64_t MorselExec::effective_morsel_rows() const {
-  return morsel_rows > 0 ? morsel_rows : ProcessEnv().morsel_rows;
+int64_t MorselExec::MorselRows(int64_t rows) const {
+  return morsel_rows > 0 ? morsel_rows : std::max<int64_t>(rows, 1);
 }
 
 int64_t MorselExec::NumMorsels(int64_t rows) const {
   if (rows <= 0) return 0;
-  const int64_t mr = effective_morsel_rows();
+  const int64_t mr = MorselRows(rows);
   return (rows + mr - 1) / mr;
 }
 
-void MorselExec::ForEachMorsel(
+void MorselExec::ForEachMorselParallel(
     int64_t count, const std::function<void(int64_t, int)>& body) const {
   if (count <= 0) return;
-  if (!parallel_for) {
-    for (int64_t m = 0; m < count; ++m) body(m, 0);
-    return;
-  }
   // Concurrent morsels sharing the context arena would race; a driver
   // that installs a parallel_for must bring per-worker arenas along.
   PPR_CHECK(num_workers >= 1 &&
@@ -38,7 +33,10 @@ void MorselExec::ForEachMorsel(
 
 namespace {
 
-// Mirrors the reservation cap of the row kernels (relational/ops.cc).
+// Output vectors that cannot be sized exactly up front (projection) are
+// reserved from the input size, clamped by the remaining tuple budget and
+// by a fixed cap so a pessimistic estimate can never balloon the
+// reservation past what a truncated run could actually emit.
 constexpr int64_t kMaxReserveRows = int64_t{1} << 21;
 
 int64_t CappedReserveRows(double estimated_rows, ExecContext& ctx) {
@@ -66,8 +64,8 @@ ExecArena& WorkerArena(const MorselExec& mx, ExecContext& ctx, int w) {
 }
 
 // Clamps a kernel's exact output size to what the budget still allows.
-// min(total, headroom) is the same row the sequential kernel stops at:
-// it emits headroom rows before the charge latches exhausted(), and
+// min(total, headroom) is the row a tuple-at-a-time loop stops at: it
+// emits headroom rows before the charge latches exhausted(), and
 // ChargeTuples(min(total, headroom)) latches iff total >= headroom.
 int64_t ClampToHeadroom(int64_t total, ExecContext& ctx) {
   const Counter headroom = ctx.budget_headroom();
@@ -77,74 +75,322 @@ int64_t ClampToHeadroom(int64_t total, ExecContext& ctx) {
   return total;
 }
 
-// Private per-morsel trace shards, folded into the run's sink in
-// morsel-index order once all morsels finished — worker threads never
-// touch the shared sink, and the merged span order is schedule-free.
-class MorselTraceShards {
+// Zeroed per-morsel counters (offsets, scratch sizes): stored inline for
+// the two a one-morsel call needs, so serial calls never allocate them
+// on the heap.
+class MorselSlots {
  public:
-  MorselTraceShards(TraceSink* target, int64_t num_morsels)
-      : target_(target) {
-    if (target_ == nullptr) return;
-    shards_.reserve(static_cast<size_t>(num_morsels));
-    for (int64_t m = 0; m < num_morsels; ++m) shards_.emplace_back(2);
+  explicit MorselSlots(int64_t n) : size_(n) {
+    if (n > kInline) {
+      heap_.assign(static_cast<size_t>(n), 0);
+      data_ = heap_.data();
+    }
+  }
+  MorselSlots(const MorselSlots&) = delete;
+  MorselSlots& operator=(const MorselSlots&) = delete;
+
+  int64_t& operator[](int64_t i) { return data_[i]; }
+  int64_t operator[](int64_t i) const { return data_[i]; }
+  int64_t size() const { return size_; }
+
+ private:
+  static constexpr int64_t kInline = 2;
+  int64_t size_;
+  int64_t inline_[kInline] = {0, 0};
+  std::vector<int64_t> heap_;
+  int64_t* data_ = inline_;
+};
+
+// Turns per-morsel output counts, stored at offsets[m + 1] by phase A,
+// into prefix sums (morsel m's output starts at offsets[m]) and returns
+// the truncation point.
+int64_t PrefixSumsClamped(MorselSlots& offsets, ExecContext& ctx) {
+  for (int64_t m = 1; m < offsets.size(); ++m) offsets[m] += offsets[m - 1];
+  return ClampToHeadroom(offsets[offsets.size() - 1], ctx);
+}
+
+// Morsel m's slice [begin, end) of an output truncated at `limit`.
+MorselRange OutputSlice(const MorselSlots& offsets, int64_t m,
+                        int64_t limit) {
+  return {std::min(offsets[m], limit), std::min(offsets[m + 1], limit)};
+}
+
+// One trace span per morsel of a kernel call, covering that morsel's
+// work in every phase (morsel 0's also covers any shared build). Only the
+// worker running morsel m writes span m; once all morsels finished, the
+// calling thread records the spans into the run's sink in morsel-index
+// order, so workers never touch the sink and the span order does not
+// depend on the schedule. Inert without a sink.
+class MorselSpans {
+ public:
+  MorselSpans(TraceSink* sink, TraceOp op, int32_t node_id,
+              int64_t num_morsels)
+      : sink_(sink) {
+    if (sink_ == nullptr) return;
+    spans_.resize(static_cast<size_t>(num_morsels));
+    for (int64_t m = 0; m < num_morsels; ++m) {
+      TraceSpan& span = spans_[static_cast<size_t>(m)];
+      span.op = op;
+      span.node_id = node_id;
+      span.start_ns = -1;
+      span.morsel_id = static_cast<int32_t>(m);
+      span.batches = 1;
+    }
   }
 
-  TraceSink* shard(int64_t m) {
-    return target_ == nullptr ? nullptr : &shards_[static_cast<size_t>(m)];
-  }
+  bool enabled() const { return sink_ != nullptr; }
+  TraceSpan& span(int64_t m) { return spans_[static_cast<size_t>(m)]; }
 
-  void MergeInOrder() {
-    if (target_ == nullptr) return;
-    for (const TraceSink& s : shards_) target_->Merge(s);
+  // Adds the enclosing scope's wall time to morsel m's span; the first
+  // timed scope stamps the span's start.
+  class Timer {
+   public:
+    Timer(MorselSpans& spans, int64_t m) : spans_(spans), m_(m) {
+      if (spans_.enabled()) start_ns_ = spans_.sink_->NowNs();
+    }
+    ~Timer() {
+      if (!spans_.enabled()) return;
+      TraceSpan& span = spans_.span(m_);
+      if (span.start_ns < 0) span.start_ns = start_ns_;
+      span.duration_ns += spans_.sink_->NowNs() - start_ns_;
+    }
+    Timer(const Timer&) = delete;
+    Timer& operator=(const Timer&) = delete;
+
+   private:
+    MorselSpans& spans_;
+    int64_t m_;
+    int64_t start_ns_ = 0;
+  };
+
+  void RecordInOrder() {
+    for (const TraceSpan& span : spans_) sink_->Record(span);
   }
 
  private:
-  TraceSink* target_;
-  std::vector<TraceSink> shards_;
+  TraceSink* sink_;
+  std::vector<TraceSpan> spans_;
 };
 
 // Per-morsel emitted rows implied by the pre-truncation prefix sums
 // `offsets` and the truncation point `limit`.
-void FillAccounts(std::vector<int64_t>* accounts,
-                  const std::vector<int64_t>& offsets, int64_t limit) {
+void FillAccounts(std::vector<int64_t>* accounts, const MorselSlots& offsets,
+                  int64_t limit) {
   if (accounts == nullptr) return;
   accounts->clear();
-  const size_t num_morsels = offsets.size() - 1;
-  accounts->reserve(num_morsels);
-  for (size_t m = 0; m < num_morsels; ++m) {
+  const int64_t num_morsels = offsets.size() - 1;
+  accounts->reserve(static_cast<size_t>(num_morsels));
+  for (int64_t m = 0; m < num_morsels; ++m) {
     accounts->push_back(std::min(offsets[m + 1], limit) -
                         std::min(offsets[m], limit));
   }
 }
 
-// Delegated degenerate cases (nullary schemas) report as one pseudo
-// morsel so sum(accounts) == output size still holds.
-void FillDelegatedAccount(std::vector<int64_t>* accounts,
-                          const Relation& out) {
-  if (accounts == nullptr) return;
-  if (!out.empty()) accounts->push_back(out.size());
+// Whether a stored row satisfies the scan's repeated-attribute checks.
+bool PassesChecks(const Value* row, const ScanSpec& spec) {
+  for (const auto& [col, first] : spec.equal_checks) {
+    if (row[col] != row[first]) return false;
+  }
+  return true;
+}
+
+// Records in `sel` the offsets (from `begin`) of the stored rows among
+// [begin, end) that pass the scan's checks; returns how many there are.
+int64_t SelectScanRows(const Value* base, int in_arity, const ScanSpec& spec,
+                       int64_t begin, int64_t end, int32_t* sel) {
+  int64_t kept = 0;
+  for (int64_t i = begin; i < end; ++i) {
+    if (PassesChecks(base + i * in_arity, spec)) {
+      sel[kept++] = static_cast<int32_t>(i - begin);
+    }
+  }
+  return kept;
+}
+
+// Writes `quota` stored rows, bound to the output columns, to `cursor`:
+// the rows at offsets sel[0, quota) from row `begin`, or with no
+// selection (an atom without repeated attributes) rows [begin,
+// begin + quota) as a pure column gather, one strided loop per column.
+void EmitScanRows(const Value* base, int in_arity, const ScanSpec& spec,
+                  int64_t begin, const int32_t* sel, int64_t quota,
+                  Value* cursor) {
+  const int out_arity = spec.out_schema.arity();
+  const int* source = spec.source_cols.data();
+  if (sel == nullptr) {
+    for (int c = 0; c < out_arity; ++c) {
+      const Value* src = base + begin * in_arity + source[c];
+      Value* dst = cursor + c;
+      for (int64_t i = 0; i < quota; ++i) {
+        dst[i * out_arity] = src[i * in_arity];
+      }
+    }
+    return;
+  }
+  for (int64_t j = 0; j < quota; ++j) {
+    const Value* row = base + (begin + sel[j]) * in_arity;
+    for (int c = 0; c < out_arity; ++c) cursor[c] = row[source[c]];
+    cursor += out_arity;
+  }
+}
+
+// Marks a span as covering the single morsel of a one-morsel call.
+void TagOneMorsel(SpanRecorder& rec) {
+  rec.span().morsel_id = 0;
+  rec.span().batches = 1;
+}
+
+// Nullary outputs hold at most the empty tuple: emits it when the budget
+// has headroom, recording the call as one morsel (span and account).
+void EmitNullary(TraceOp op, Relation& out, ExecContext& ctx,
+                 std::vector<int64_t>* morsel_rows_out) {
+  SpanRecorder rec(ctx.tracer(), op, ctx.trace_node());
+  if (ClampToHeadroom(1, ctx) > 0) {
+    out.AddTuple(std::span<const Value>{});
+    ctx.ChargeTuples(1);
+  }
+  if (rec.enabled()) {
+    rec.span().rows_in = 1;
+    rec.span().rows_out = out.size();
+    TagOneMorsel(rec);
+  }
+  if (morsel_rows_out != nullptr) morsel_rows_out->assign(1, out.size());
+  ctx.stats().NoteIntermediate(0, out.size());
+}
+
+// The column layout of one hash join, shared read-only by its morsels:
+// the build-side index, the probe side (the larger input), and where
+// each output column comes from.
+struct JoinProbe {
+  JoinProbe(const JoinIndex& index, const Relation& left,
+            const Relation& right, const JoinSpec& spec, bool build_left)
+      : index(index),
+        build_left(build_left),
+        probe_base(build_left ? right.data() : left.data()),
+        probe_arity(build_left ? right.arity() : left.arity()),
+        probe_key(build_left ? spec.right_key_cols.data()
+                             : spec.left_key_cols.data()),
+        key_width(static_cast<int>(spec.left_key_cols.size())),
+        left_base(left.data()),
+        right_base(right.data()),
+        left_arity(left.arity()),
+        right_arity(right.arity()),
+        carry(spec.right_carry_cols.data()),
+        num_carry(static_cast<int>(spec.right_carry_cols.size())),
+        out_arity(spec.out_schema.arity()) {}
+
+  const JoinIndex& index;
+  bool build_left;
+  const Value* probe_base;
+  int probe_arity;
+  const int* probe_key;
+  int key_width;
+  const Value* left_base;
+  const Value* right_base;
+  int left_arity;
+  int right_arity;
+  const int* carry;
+  int num_carry;
+  int out_arity;
+};
+
+// Output rows of probe rows [begin, end). Each probe key is assembled in
+// place in `key` (key_width values of scratch) — no gathered or packed
+// copy of the probe keys.
+int64_t CountJoinRows(const JoinProbe& j, int64_t begin, int64_t end,
+                      Value* key) {
+  int64_t total = 0;
+  for (int64_t i = begin; i < end; ++i) {
+    const Value* probe_row = j.probe_base + i * j.probe_arity;
+    for (int c = 0; c < j.key_width; ++c) key[c] = probe_row[j.probe_key[c]];
+    total += static_cast<int64_t>(j.index.Probe(key).size());
+  }
+  return total;
+}
+
+// Writes the first `quota` output rows of probe rows [begin, end) to
+// `cursor`, in probe-row then build-row order, and returns the number of
+// probe rows probed. The caller sized `quota` from CountJoinRows.
+int64_t EmitJoinRows(const JoinProbe& j, int64_t begin, int64_t end,
+                     int64_t quota, Value* key, Value* cursor) {
+  const int left_arity = j.left_arity;
+  const int out_arity = j.out_arity;
+  const int num_carry = j.num_carry;
+  const int* carry = j.carry;
+  int64_t emitted = 0;
+  int64_t i = begin;
+  for (; i < end && emitted < quota; ++i) {
+    const Value* probe_row = j.probe_base + i * j.probe_arity;
+    for (int c = 0; c < j.key_width; ++c) key[c] = probe_row[j.probe_key[c]];
+    const std::span<const int64_t> matches = j.index.Probe(key);
+    if (j.build_left) {
+      // Probe side is the right input: its carry columns repeat across
+      // every match of this probe row.
+      for (int64_t b : matches) {
+        const Value* left_row = j.left_base + b * left_arity;
+        for (int c = 0; c < left_arity; ++c) cursor[c] = left_row[c];
+        for (int c = 0; c < num_carry; ++c) {
+          cursor[left_arity + c] = probe_row[carry[c]];
+        }
+        cursor += out_arity;
+        if (++emitted == quota) break;
+      }
+    } else {
+      for (int64_t b : matches) {
+        const Value* right_row = j.right_base + b * j.right_arity;
+        for (int c = 0; c < left_arity; ++c) cursor[c] = probe_row[c];
+        for (int c = 0; c < num_carry; ++c) {
+          cursor[left_arity + c] = right_row[carry[c]];
+        }
+        cursor += out_arity;
+        if (++emitted == quota) break;
+      }
+    }
+  }
+  return i - begin;
+}
+
+// Appends to `out` the distinct keys among rows [0, rows) of a
+// row-major store (`stride` values per row; the key is columns `cols`)
+// that `seen` does not hold yet, in first-occurrence order, charging each
+// against the budget; stops once the budget is exhausted. Returns the
+// rows probed. Serves the one-morsel projection and the merge of
+// morsel-local indexes alike.
+int64_t AppendDistinct(const Value* base, int stride, const int* cols,
+                       int64_t rows, FlatKeyIndex& seen, Value* key,
+                       Relation& out, ExecContext& ctx) {
+  const int key_width = seen.key_width();
+  int64_t i = 0;
+  while (i < rows && !ctx.exhausted()) {
+    const Value* row = base + i * stride;
+    ++i;
+    for (int c = 0; c < key_width; ++c) key[c] = row[cols[c]];
+    bool inserted;
+    seen.InsertOrFind(key, &inserted);
+    if (inserted) {
+      out.AppendRaw(key);
+      ctx.ChargeTuples(1);
+    }
+  }
+  return i;
 }
 
 }  // namespace
 
-Relation ScanAtomColumnar(const Relation& stored, const ScanSpec& spec,
-                          ExecContext& ctx, const MorselExec& mx,
-                          std::vector<int64_t>* morsel_rows_out) {
+Relation ScanAtom(const Relation& stored, const ScanSpec& spec,
+                  ExecContext& ctx, const MorselExec& mx,
+                  std::vector<int64_t>* morsel_rows_out) {
   if (morsel_rows_out != nullptr) morsel_rows_out->clear();
-  if (spec.out_schema.arity() == 0) {
-    // Nullary binding (the stored relation is nullary): the row kernel's
-    // slow path flips the nonempty bit; at most one row, nothing to
-    // partition.
-    Relation out = ScanAtom(stored, spec, ctx);
-    FillDelegatedAccount(morsel_rows_out, out);
-    return out;
-  }
-
   Relation out{spec.out_schema};
   if (stored.empty()) {
-    // Mirror the row kernel: no scratch for empty inputs, so peak_bytes
-    // stays an honest 0 on runs against empty databases.
+    // No scratch for empty inputs, so peak_bytes stays an honest 0 on
+    // runs against empty databases.
     ctx.stats().NoteIntermediate(out.arity(), 0);
+    return out;
+  }
+  if (out.arity() == 0) {
+    // Nullary binding: the stored relation is nullary and holds the
+    // empty tuple.
+    EmitNullary(TraceOp::kScan, out, ctx, morsel_rows_out);
     return out;
   }
 
@@ -152,430 +398,171 @@ Relation ScanAtomColumnar(const Relation& stored, const ScanSpec& spec,
   const int out_arity = out.arity();
   const int64_t in_rows = stored.size();
   const Value* base = stored.data();
-  const int num_checks = static_cast<int>(spec.equal_checks.size());
 
-  // Extended gather map: the output columns first, then one column per
-  // equality check gathering the *repeated* stored column, so the filter
-  // below compares batch columns against batch columns. check_first[t]
-  // is the batch column holding the check's first-occurrence side.
-  std::vector<int> ext_cols = spec.source_cols;
-  std::vector<int> check_first;
-  ext_cols.reserve(spec.source_cols.size() + spec.equal_checks.size());
-  check_first.reserve(spec.equal_checks.size());
-  for (const auto& [col, first] : spec.equal_checks) {
-    ext_cols.push_back(col);
-    int d = -1;
-    for (size_t i = 0; i < spec.source_cols.size(); ++i) {
-      if (spec.source_cols[i] == first) {
-        d = static_cast<int>(i);
-        break;
-      }
-    }
-    PPR_CHECK(d >= 0);
-    check_first.push_back(d);
-  }
-
-  const int64_t morsel_rows = mx.effective_morsel_rows();
+  const int64_t morsel_rows = mx.MorselRows(in_rows);
   const int64_t num_morsels = mx.NumMorsels(in_rows);
+  MorselSpans spans(ctx.tracer(), TraceOp::kScan, ctx.trace_node(),
+                    num_morsels);
 
-  // Single-morsel fast path: with a one-morsel partition the offsets
-  // dance degenerates — phase A would read every row only to learn the
-  // single offset (0). Gather, filter and clamp in one pass instead.
-  // Rows, stats and accounts match the general path at any worker count
-  // because one morsel leaves the scheduler nothing to permute.
-  if (num_morsels == 1) {
-    ArenaScope scope(ctx.arena());
-    SpanRecorder mrec(ctx.tracer(), TraceOp::kScan, ctx.trace_node());
-    if (mrec.enabled()) {
-      mrec.span().rows_in = in_rows;
-      mrec.span().arity_in = in_arity;
-      mrec.span().arity_out = out_arity;
-      mrec.span().morsel_id = 0;
-      mrec.span().batches = 1;
-    }
-    int64_t limit = 0;
-    if (num_checks == 0) {
-      // No repeated-attribute checks: the scan is a pure column gather,
-      // written straight into the output with no batch round trip.
-      limit = ClampToHeadroom(in_rows, ctx);
-      Value* out_base = out.GrowRows(limit);
-      for (int c = 0; c < out_arity; ++c) {
-        const Value* src = base + spec.source_cols[static_cast<size_t>(c)];
-        Value* dst = out_base + c;
-        for (int64_t i = 0; i < limit; ++i) {
-          dst[i * out_arity] = src[i * in_arity];
-        }
-      }
-    } else {
-      ColumnBatch batch(out_arity + num_checks, in_rows, ctx.arena());
-      batch.GatherRows(base, in_arity, 0, in_rows, ext_cols.data());
-      for (int t = 0; t < num_checks; ++t) {
-        const Value* a = batch.column(check_first[static_cast<size_t>(t)]);
-        const Value* b = batch.column(out_arity + t);
-        int32_t* sel = batch.selection();
-        const int64_t alive = batch.num_selected();
-        int64_t kept = 0;
-        for (int64_t j = 0; j < alive; ++j) {
-          const int32_t r = sel[j];
-          sel[kept] = r;
-          kept += (a[r] == b[r]) ? 1 : 0;
-        }
-        batch.SetSelected(kept);
-      }
-      // Budget truncation keeps the first survivors, in row order.
-      limit = ClampToHeadroom(batch.num_selected(), ctx);
-      batch.SetSelected(limit);
-      batch.ScatterSelectedTo(out.GrowRows(limit), out_arity);
-    }
-    if (limit > 0) ctx.ChargeTuples(limit);
-    if (morsel_rows_out != nullptr) morsel_rows_out->assign(1, limit);
-    const auto scratch_bytes = static_cast<int64_t>(scope.bytes_allocated());
-    if (mrec.enabled()) {
-      mrec.span().rows_out = limit;
-      mrec.span().bytes = scratch_bytes;
-    }
-    ctx.stats().NotePeakBytes(static_cast<Counter>(scratch_bytes) +
-                              out.byte_size());
-    ctx.stats().NoteIntermediate(out.arity(), out.size());
-    return out;
+  // Phase A: exact per-morsel surviving-row counts. An atom with
+  // repeated attributes checks each row once here and records the
+  // survivors' offsets within their morsel in a selection array allocated
+  // on the calling thread (morsel m owns the entries of its own input
+  // range), which phase B copies from.
+  ArenaScope shared_scope(ctx.arena());
+  int32_t* sel = nullptr;
+  if (!spec.equal_checks.empty()) {
+    PPR_CHECK(morsel_rows <= std::numeric_limits<int32_t>::max());
+    sel = ctx.arena().AllocSpan<int32_t>(in_rows).data();
   }
-
-  // Phase A: exact per-morsel surviving-row counts (predicate only, no
-  // data movement). Counts depend only on the data and the partition.
-  std::vector<int64_t> counts(static_cast<size_t>(num_morsels), 0);
+  MorselSlots offsets(num_morsels + 1);
   mx.ForEachMorsel(num_morsels, [&](int64_t m, int /*w*/) {
+    MorselSpans::Timer timer(spans, m);
     const auto [begin, end] = RangeOf(m, morsel_rows, in_rows);
-    if (num_checks == 0) {
-      counts[static_cast<size_t>(m)] = end - begin;
-      return;
-    }
-    int64_t kept = 0;
-    for (int64_t i = begin; i < end; ++i) {
-      const Value* row = base + i * in_arity;
-      bool keep = true;
-      for (const auto& [col, first] : spec.equal_checks) {
-        if (row[col] != row[first]) {
-          keep = false;
-          break;
-        }
-      }
-      kept += keep ? 1 : 0;
-    }
-    counts[static_cast<size_t>(m)] = kept;
+    offsets[m + 1] =
+        sel == nullptr
+            ? end - begin
+            : SelectScanRows(base, in_arity, spec, begin, end, sel + begin);
   });
-
-  std::vector<int64_t> offsets(static_cast<size_t>(num_morsels) + 1, 0);
-  for (int64_t m = 0; m < num_morsels; ++m) {
-    offsets[static_cast<size_t>(m) + 1] =
-        offsets[static_cast<size_t>(m)] + counts[static_cast<size_t>(m)];
-  }
-  const int64_t total = offsets[static_cast<size_t>(num_morsels)];
-  const int64_t limit = ClampToHeadroom(total, ctx);
-
+  const int64_t limit = PrefixSumsClamped(offsets, ctx);
   Value* out_base = out.GrowRows(limit);
-  std::vector<int64_t> scratch(static_cast<size_t>(num_morsels), 0);
-  MorselTraceShards shards(ctx.tracer(), num_morsels);
 
-  // Phase B: gather -> filter (selection refinement) -> scatter into the
-  // morsel's precomputed slice of the output.
-  mx.ForEachMorsel(num_morsels, [&](int64_t m, int w) {
-    const int64_t off = std::min(offsets[static_cast<size_t>(m)], limit);
-    const int64_t quota =
-        std::min(offsets[static_cast<size_t>(m) + 1], limit) - off;
-    if (quota <= 0) return;
+  // Phase B: copy the morsel's first survivors, in row order, into its
+  // slice of the output.
+  mx.ForEachMorsel(num_morsels, [&](int64_t m, int /*w*/) {
+    MorselSpans::Timer timer(spans, m);
     const auto [begin, end] = RangeOf(m, morsel_rows, in_rows);
-    const int64_t n = end - begin;
-    ExecArena& warena = WorkerArena(mx, ctx, w);
-    ArenaScope scope(warena);
-    SpanRecorder mrec(shards.shard(m), TraceOp::kScan, ctx.trace_node());
-    if (mrec.enabled()) {
-      mrec.span().rows_in = n;
-      mrec.span().arity_in = in_arity;
-      mrec.span().arity_out = out_arity;
-      mrec.span().morsel_id = static_cast<int32_t>(m);
-      mrec.span().batches = 1;
-    }
-    ColumnBatch batch(out_arity + num_checks, n, warena);
-    batch.GatherRows(base, in_arity, begin, n, ext_cols.data());
-    for (int t = 0; t < num_checks; ++t) {
-      const Value* a = batch.column(check_first[static_cast<size_t>(t)]);
-      const Value* b = batch.column(out_arity + t);
-      int32_t* sel = batch.selection();
-      const int64_t alive = batch.num_selected();
-      int64_t kept = 0;
-      for (int64_t j = 0; j < alive; ++j) {
-        const int32_t r = sel[j];
-        sel[kept] = r;
-        kept += (a[r] == b[r]) ? 1 : 0;
-      }
-      batch.SetSelected(kept);
-    }
-    PPR_DCHECK(batch.num_selected() == counts[static_cast<size_t>(m)]);
-    // Budget truncation keeps the first quota survivors, in row order.
-    batch.SetSelected(quota);
-    batch.ScatterSelectedTo(out_base + off * out_arity, out_arity);
-    scratch[static_cast<size_t>(m)] =
-        static_cast<int64_t>(scope.bytes_allocated());
-    if (mrec.enabled()) {
-      mrec.span().rows_out = quota;
-      mrec.span().bytes = scratch[static_cast<size_t>(m)];
+    const auto [off, off_end] = OutputSlice(offsets, m, limit);
+    EmitScanRows(base, in_arity, spec, begin,
+                 sel == nullptr ? nullptr : sel + begin, off_end - off,
+                 out_base + off * out_arity);
+    if (spans.enabled()) {
+      TraceSpan& span = spans.span(m);
+      span.rows_in = end - begin;
+      span.rows_out = off_end - off;
+      span.arity_in = in_arity;
+      span.arity_out = out_arity;
+      span.bytes = (off_end - off) * out_arity *
+                   static_cast<int64_t>(sizeof(Value));
     }
   });
 
   if (limit > 0) ctx.ChargeTuples(limit);
-  shards.MergeInOrder();
+  const Counter shared = static_cast<Counter>(shared_scope.bytes_allocated());
+  if (spans.enabled()) spans.span(0).bytes += shared;
+  spans.RecordInOrder();
   FillAccounts(morsel_rows_out, offsets, limit);
-
-  Counter footprint = out.byte_size();
-  for (int64_t m = 0; m < num_morsels; ++m) {
-    footprint += scratch[static_cast<size_t>(m)];
-  }
+  const Counter footprint = shared + out.byte_size();
   ctx.stats().NotePeakBytes(footprint);
   ctx.stats().NoteIntermediate(out.arity(), out.size());
   return out;
 }
 
-Relation HashJoinColumnar(const Relation& left, const Relation& right,
-                          const JoinSpec& spec, ExecContext& ctx,
-                          const MorselExec& mx,
-                          std::vector<int64_t>* morsel_rows_out) {
+Relation HashJoin(const Relation& left, const Relation& right,
+                  const JoinSpec& spec, ExecContext& ctx,
+                  const MorselExec& mx,
+                  std::vector<int64_t>* morsel_rows_out) {
   if (morsel_rows_out != nullptr) morsel_rows_out->clear();
-  if (spec.out_schema.arity() == 0) {
-    // Both inputs nullary: at most one output row; the row kernel's
-    // AddTuple slow path handles the nonempty bit.
-    Relation out = HashJoin(left, right, spec, ctx);
-    FillDelegatedAccount(morsel_rows_out, out);
-    return out;
-  }
-
   ctx.stats().num_joins++;
   Relation out{spec.out_schema};
   if (left.empty() || right.empty()) {
     ctx.stats().NoteIntermediate(out.arity(), 0);
     return out;
   }
-
-  // Shared build phase on the calling thread; the index is read-only
-  // once constructed, so morsel workers probe it without locks.
-  ArenaScope shared_scope(ctx.arena());
-  const bool build_left = left.size() <= right.size();
-  const Relation& build = build_left ? left : right;
-  const Relation& probe = build_left ? right : left;
-  const std::vector<int>& build_key_cols =
-      build_left ? spec.left_key_cols : spec.right_key_cols;
-  const std::vector<int>& probe_key_cols =
-      build_left ? spec.right_key_cols : spec.left_key_cols;
-  const JoinIndex index(build, build_key_cols, ctx.arena());
-
-  const int key_width = static_cast<int>(spec.left_key_cols.size());
-  const int left_arity = left.arity();
-  const int right_arity = right.arity();
-  const int out_arity = out.arity();
-  const int probe_arity = probe.arity();
-  const int64_t probe_rows = probe.size();
-  const Value* left_base = left.data();
-  const Value* right_base = right.data();
-  const Value* probe_base = probe.data();
-  const int* probe_key = probe_key_cols.data();
-  const int* carry = spec.right_carry_cols.data();
-  const int num_carry = static_cast<int>(spec.right_carry_cols.size());
-
-  const int64_t morsel_rows = mx.effective_morsel_rows();
-  const int64_t num_morsels = mx.NumMorsels(probe_rows);
-
-  // Single-morsel fast path: the per-morsel bookkeeping (counts,
-  // offsets, trace shards) exists to stitch independent morsels back
-  // together; with one morsel it is pure overhead, and the probe keys
-  // only need to be gathered and packed once for both probe passes.
-  // Identical rows, stats and accounts at any worker count — a
-  // one-morsel partition leaves the scheduler nothing to permute.
-  if (num_morsels == 1) {
-    SpanRecorder mrec(ctx.tracer(), TraceOp::kJoin, ctx.trace_node());
-    if (mrec.enabled()) {
-      mrec.span().rows_in = probe_rows;
-      mrec.span().arity_in = std::max(left_arity, right_arity);
-      mrec.span().arity_out = static_cast<int32_t>(out_arity);
-      mrec.span().morsel_id = 0;
-      mrec.span().batches = 1;
-      mrec.span().ht_build_rows = build.size();
-    }
-    ArenaScope scope(ctx.arena());
-    ColumnBatch keys(key_width, probe_rows, ctx.arena());
-    keys.GatherRows(probe_base, probe_arity, 0, probe_rows, probe_key);
-    Value* packed =
-        ctx.arena()
-            .AllocSpan<Value>(std::max<int64_t>(probe_rows * key_width, 1))
-            .data();
-    keys.ScatterSelectedTo(packed, key_width);
-    int64_t total = 0;
-    for (int64_t i = 0; i < probe_rows; ++i) {
-      total +=
-          static_cast<int64_t>(index.Probe(packed + i * key_width).size());
-    }
-    const int64_t limit = ClampToHeadroom(total, ctx);
-    Value* cursor = out.GrowRows(limit);
-    int64_t emitted = 0;
-    int64_t probes = 0;
-    for (int64_t i = 0; i < probe_rows && emitted < limit; ++i) {
-      const std::span<const int64_t> matches =
-          index.Probe(packed + i * key_width);
-      ++probes;
-      if (matches.empty()) continue;
-      const Value* probe_row = probe_base + i * probe_arity;
-      if (build_left) {
-        for (int64_t b : matches) {
-          const Value* left_row = left_base + b * left_arity;
-          for (int c = 0; c < left_arity; ++c) cursor[c] = left_row[c];
-          for (int c = 0; c < num_carry; ++c) {
-            cursor[left_arity + c] = probe_row[carry[c]];
-          }
-          cursor += out_arity;
-          if (++emitted == limit) break;
-        }
-      } else {
-        for (int64_t b : matches) {
-          const Value* right_row = right_base + b * right_arity;
-          for (int c = 0; c < left_arity; ++c) cursor[c] = probe_row[c];
-          for (int c = 0; c < num_carry; ++c) {
-            cursor[left_arity + c] = right_row[carry[c]];
-          }
-          cursor += out_arity;
-          if (++emitted == limit) break;
-        }
-      }
-    }
-    if (limit > 0) ctx.ChargeTuples(limit);
-    if (morsel_rows_out != nullptr) morsel_rows_out->assign(1, limit);
-    if (mrec.enabled()) {
-      mrec.span().rows_out = emitted;
-      mrec.span().bytes = static_cast<int64_t>(scope.bytes_allocated());
-      mrec.span().ht_probe_ops = probe_rows + probes;
-    }
-    ctx.stats().NotePeakBytes(
-        static_cast<Counter>(shared_scope.bytes_allocated()) +
-        out.byte_size());
-    ctx.stats().NoteIntermediate(out.arity(), out.size());
+  if (out.arity() == 0) {
+    // Both inputs nullary and nonempty: the empty tuple.
+    EmitNullary(TraceOp::kJoin, out, ctx, morsel_rows_out);
     return out;
   }
 
-  // Phase A: counting probe per morsel — gather the probe keys
-  // column-wise, pack them row-major, and sum match counts.
-  std::vector<int64_t> counts(static_cast<size_t>(num_morsels), 0);
-  std::vector<int64_t> scratch_a(static_cast<size_t>(num_morsels), 0);
+  const bool build_left = left.size() <= right.size();
+  const Relation& build = build_left ? left : right;
+  const Relation& probe = build_left ? right : left;
+  const int64_t probe_rows = probe.size();
+  const int64_t morsel_rows = mx.MorselRows(probe_rows);
+  const int64_t num_morsels = mx.NumMorsels(probe_rows);
+  MorselSpans spans(ctx.tracer(), TraceOp::kJoin, ctx.trace_node(),
+                    num_morsels);
+
+  // Shared build phase on the calling thread, timed into morsel 0's
+  // span; the index is read-only once constructed, so morsel workers
+  // probe it without locks.
+  ArenaScope shared_scope(ctx.arena());
+  const JoinIndex index = [&] {
+    MorselSpans::Timer timer(spans, 0);
+    return JoinIndex(build,
+                     build_left ? spec.left_key_cols : spec.right_key_cols,
+                     ctx.arena());
+  }();
+  const JoinProbe join{index, left, right, spec, build_left};
+  const int key_width = static_cast<int>(spec.left_key_cols.size());
+  const int32_t arity_in = std::max(left.arity(), right.arity());
+
+  // Phase A: counting probe per morsel. A hash + find per probe row costs
+  // far less than the emit work it sizes, and the exact sizes remove
+  // realloc copies and per-emit capacity checks from the emit loop.
+  MorselSlots offsets(num_morsels + 1);
+  MorselSlots scratch(num_morsels);
   mx.ForEachMorsel(num_morsels, [&](int64_t m, int w) {
+    MorselSpans::Timer timer(spans, m);
     const auto [begin, end] = RangeOf(m, morsel_rows, probe_rows);
-    const int64_t n = end - begin;
     ExecArena& warena = WorkerArena(mx, ctx, w);
     ArenaScope scope(warena);
-    ColumnBatch keys(key_width, n, warena);
-    keys.GatherRows(probe_base, probe_arity, begin, n, probe_key);
-    Value* packed =
-        warena.AllocSpan<Value>(std::max<int64_t>(n * key_width, 1)).data();
-    keys.ScatterSelectedTo(packed, key_width);
-    int64_t c = 0;
-    for (int64_t i = 0; i < n; ++i) {
-      c += static_cast<int64_t>(index.Probe(packed + i * key_width).size());
-    }
-    counts[static_cast<size_t>(m)] = c;
-    scratch_a[static_cast<size_t>(m)] =
+    Value* key = warena.AllocSpan<Value>(std::max(key_width, 1)).data();
+    offsets[m + 1] = CountJoinRows(join, begin, end, key);
+    scratch[m] =
         static_cast<int64_t>(scope.bytes_allocated());
   });
-
-  std::vector<int64_t> offsets(static_cast<size_t>(num_morsels) + 1, 0);
-  for (int64_t m = 0; m < num_morsels; ++m) {
-    offsets[static_cast<size_t>(m) + 1] =
-        offsets[static_cast<size_t>(m)] + counts[static_cast<size_t>(m)];
-  }
-  const int64_t total = offsets[static_cast<size_t>(num_morsels)];
-  const int64_t limit = ClampToHeadroom(total, ctx);
-
+  const int64_t limit = PrefixSumsClamped(offsets, ctx);
   Value* out_base = out.GrowRows(limit);
-  std::vector<int64_t> scratch_b(static_cast<size_t>(num_morsels), 0);
-  MorselTraceShards shards(ctx.tracer(), num_morsels);
 
   // Phase B: re-probe and materialize into the morsel's disjoint range.
-  // Emit order within a morsel is probe-row order then build-row order —
-  // the sequential kernel's order — so the concatenation is identical.
+  // Emit order within a morsel is probe-row order then build-row order,
+  // so the concatenation does not depend on the partition.
   mx.ForEachMorsel(num_morsels, [&](int64_t m, int w) {
-    const int64_t off = std::min(offsets[static_cast<size_t>(m)], limit);
-    const int64_t quota =
-        std::min(offsets[static_cast<size_t>(m) + 1], limit) - off;
-    if (quota <= 0) return;
+    MorselSpans::Timer timer(spans, m);
     const auto [begin, end] = RangeOf(m, morsel_rows, probe_rows);
-    const int64_t n = end - begin;
-    ExecArena& warena = WorkerArena(mx, ctx, w);
-    ArenaScope scope(warena);
-    SpanRecorder mrec(shards.shard(m), TraceOp::kJoin, ctx.trace_node());
-    if (mrec.enabled()) {
-      mrec.span().rows_in = n;
-      mrec.span().arity_in = std::max(left_arity, right_arity);
-      mrec.span().arity_out = static_cast<int32_t>(out_arity);
-      mrec.span().morsel_id = static_cast<int32_t>(m);
-      mrec.span().batches = 1;
-    }
-    ColumnBatch keys(key_width, n, warena);
-    keys.GatherRows(probe_base, probe_arity, begin, n, probe_key);
-    Value* packed =
-        warena.AllocSpan<Value>(std::max<int64_t>(n * key_width, 1)).data();
-    keys.ScatterSelectedTo(packed, key_width);
-    Value* cursor = out_base + off * out_arity;
-    int64_t emitted = 0;
+    const auto [off, off_end] = OutputSlice(offsets, m, limit);
     int64_t probes = 0;
-    for (int64_t i = 0; i < n && emitted < quota; ++i) {
-      const std::span<const int64_t> matches =
-          index.Probe(packed + i * key_width);
-      ++probes;
-      if (matches.empty()) continue;
-      const Value* probe_row = probe_base + (begin + i) * probe_arity;
-      if (build_left) {
-        for (int64_t b : matches) {
-          const Value* left_row = left_base + b * left_arity;
-          for (int c = 0; c < left_arity; ++c) cursor[c] = left_row[c];
-          for (int c = 0; c < num_carry; ++c) {
-            cursor[left_arity + c] = probe_row[carry[c]];
-          }
-          cursor += out_arity;
-          if (++emitted == quota) break;
-        }
-      } else {
-        for (int64_t b : matches) {
-          const Value* right_row = right_base + b * right_arity;
-          for (int c = 0; c < left_arity; ++c) cursor[c] = probe_row[c];
-          for (int c = 0; c < num_carry; ++c) {
-            cursor[left_arity + c] = right_row[carry[c]];
-          }
-          cursor += out_arity;
-          if (++emitted == quota) break;
-        }
-      }
+    if (off_end > off) {
+      ExecArena& warena = WorkerArena(mx, ctx, w);
+      ArenaScope scope(warena);
+      Value* key = warena.AllocSpan<Value>(std::max(key_width, 1)).data();
+      probes = EmitJoinRows(join, begin, end, off_end - off, key,
+                            out_base + off * join.out_arity);
     }
-    scratch_b[static_cast<size_t>(m)] =
-        static_cast<int64_t>(scope.bytes_allocated());
-    if (mrec.enabled()) {
-      mrec.span().rows_out = emitted;
-      mrec.span().bytes = scratch_b[static_cast<size_t>(m)];
-      mrec.span().ht_probe_ops = n + probes;
+    if (spans.enabled()) {
+      TraceSpan& span = spans.span(m);
+      span.rows_in = end - begin;
+      span.rows_out = off_end - off;
+      span.arity_in = arity_in;
+      span.arity_out = join.out_arity;
+      span.bytes = scratch[m] +
+                   (off_end - off) * join.out_arity *
+                       static_cast<int64_t>(sizeof(Value));
+      span.ht_probe_ops = (end - begin) + probes;
     }
   });
 
   if (limit > 0) ctx.ChargeTuples(limit);
-  shards.MergeInOrder();
+  const Counter shared = static_cast<Counter>(shared_scope.bytes_allocated());
+  if (spans.enabled()) {
+    spans.span(0).ht_build_rows = build.size();
+    spans.span(0).bytes += shared;
+  }
+  spans.RecordInOrder();
   FillAccounts(morsel_rows_out, offsets, limit);
 
-  Counter footprint =
-      static_cast<Counter>(shared_scope.bytes_allocated()) + out.byte_size();
-  for (int64_t m = 0; m < num_morsels; ++m) {
-    footprint += std::max(scratch_a[static_cast<size_t>(m)],
-                          scratch_b[static_cast<size_t>(m)]);
-  }
+  Counter footprint = shared + out.byte_size();
+  for (int64_t m = 0; m < num_morsels; ++m) footprint += scratch[m];
   ctx.stats().NotePeakBytes(footprint);
   ctx.stats().NoteIntermediate(out.arity(), out.size());
   return out;
 }
 
-Relation ProjectColumnsColumnar(const Relation& input, const ProjectSpec& spec,
-                                ExecContext& ctx, const MorselExec& mx,
-                                std::vector<int64_t>* morsel_rows_out) {
+Relation ProjectColumns(const Relation& input, const ProjectSpec& spec,
+                        ExecContext& ctx, const MorselExec& mx,
+                        std::vector<int64_t>* morsel_rows_out) {
   if (morsel_rows_out != nullptr) morsel_rows_out->clear();
   ctx.stats().num_projections++;
   Relation out{spec.out_schema};
@@ -586,13 +573,14 @@ Relation ProjectColumnsColumnar(const Relation& input, const ProjectSpec& spec,
       rec.span().rows_in = input.size();
       rec.span().arity_in = input.arity();
       rec.span().arity_out = 0;
+      TagOneMorsel(rec);
     }
     if (!input.empty()) {
       out.AddTuple(std::span<const Value>{});
       ctx.ChargeTuples(1);
     }
     if (rec.enabled()) rec.span().rows_out = out.size();
-    FillDelegatedAccount(morsel_rows_out, out);
+    if (morsel_rows_out != nullptr) morsel_rows_out->assign(1, out.size());
     ctx.stats().NoteIntermediate(0, out.size());
     return out;
   }
@@ -607,109 +595,84 @@ Relation ProjectColumnsColumnar(const Relation& input, const ProjectSpec& spec,
   const Value* base = input.data();
   const int* cols = spec.cols.data();
 
-  const int64_t morsel_rows = mx.effective_morsel_rows();
+  const int64_t morsel_rows = mx.MorselRows(in_rows);
   const int64_t num_morsels = mx.NumMorsels(in_rows);
 
-  // Single-morsel fast path: one morsel means the morsel-local index IS
-  // the global dedup — the merge pass would re-hash every distinct key
-  // into a second index just to recover an order it already has. Build
-  // one index over the packed keys and append survivors directly.
+  // Single-morsel path (every serial call): one morsel means the
+  // morsel-local index IS the global dedup — the merge pass would
+  // re-hash every distinct key into a second index just to recover an
+  // order it already has. Build one index and append survivors directly.
   if (num_morsels == 1) {
     ArenaScope scope(ctx.arena());
     SpanRecorder mrec(ctx.tracer(), TraceOp::kProject, ctx.trace_node());
-    if (mrec.enabled()) {
-      mrec.span().rows_in = in_rows;
-      mrec.span().arity_in = in_arity;
-      mrec.span().arity_out = key_width;
-      mrec.span().morsel_id = 0;
-      mrec.span().batches = 1;
-    }
-    // Zero-copy column view of the morsel: column c is the strided
-    // sequence base[cols[c]], base[cols[c] + in_arity], ... — the
-    // column-major InsertOrFind walks it with row index i * in_arity,
-    // so the morsel is deduplicated in one pass with no gather copy
-    // (a project reads each input value exactly once either way; the
-    // materialized batch would only double the traffic).
-    const Value** col_ptrs =
-        ctx.arena().AllocSpan<const Value*>(key_width).data();
-    for (int c = 0; c < key_width; ++c) col_ptrs[c] = base + cols[c];
+    // Key scratch before the index: the allocation order decides which
+    // arena blocks the index's growing slot arrays land in, and this
+    // order kept the paper sweep's peak RSS 3% lower.
+    Value* key = ctx.arena().AllocSpan<Value>(key_width).data();
     FlatKeyIndex seen(in_rows, key_width, ctx.arena());
     out.Reserve(CappedReserveRows(static_cast<double>(in_rows), ctx));
-    int64_t probed = 0;
-    for (int64_t i = 0; i < in_rows && !ctx.exhausted(); ++i) {
-      bool inserted;
-      const int64_t id =
-          seen.InsertOrFindCols(col_ptrs, i * in_arity, &inserted);
-      ++probed;
-      if (inserted) {
-        out.AppendRaw(seen.key_data() + id * key_width);
-        if (!ctx.ChargeTuples(1)) break;
-      }
-    }
+    const int64_t probed = AppendDistinct(base, in_arity, cols, in_rows,
+                                          seen, key, out, ctx);
     if (morsel_rows_out != nullptr) morsel_rows_out->assign(1, out.size());
+    const Counter footprint =
+        static_cast<Counter>(scope.bytes_allocated()) + out.byte_size();
     if (mrec.enabled()) {
+      mrec.span().rows_in = in_rows;
       mrec.span().rows_out = out.size();
+      mrec.span().arity_in = in_arity;
+      mrec.span().arity_out = key_width;
+      mrec.span().bytes = footprint;
       mrec.span().ht_build_rows = out.size();
       mrec.span().ht_probe_ops = probed;
-      mrec.span().bytes = static_cast<int64_t>(scope.bytes_allocated());
+      TagOneMorsel(mrec);
     }
-    ctx.stats().NotePeakBytes(
-        static_cast<Counter>(scope.bytes_allocated()) + out.byte_size());
+    ctx.stats().NotePeakBytes(footprint);
     ctx.stats().NoteIntermediate(out.arity(), out.size());
     return out;
   }
 
   // Phase A: morsel-local dedup. Each morsel builds its own FlatKeyIndex
   // in a per-morsel arena (the index must outlive the phase for the
-  // merge to read its packed keys); the small column-view scratch comes
-  // from the worker arena and is released per morsel.
+  // merge to read its packed keys); the key scratch comes from the worker
+  // arena and is released per morsel.
   std::vector<ExecArena> local_arenas(static_cast<size_t>(num_morsels));
   std::vector<std::optional<FlatKeyIndex>> locals(
       static_cast<size_t>(num_morsels));
   std::vector<int64_t> local_counts(static_cast<size_t>(num_morsels), 0);
   std::vector<int64_t> scratch_a(static_cast<size_t>(num_morsels), 0);
-  MorselTraceShards shards(ctx.tracer(), num_morsels);
+  MorselSpans spans(ctx.tracer(), TraceOp::kProject, ctx.trace_node(),
+                    num_morsels);
   mx.ForEachMorsel(num_morsels, [&](int64_t m, int w) {
+    MorselSpans::Timer timer(spans, m);
     const auto [begin, end] = RangeOf(m, morsel_rows, in_rows);
     const int64_t n = end - begin;
     ExecArena& warena = WorkerArena(mx, ctx, w);
     ArenaScope scope(warena);
-    SpanRecorder mrec(shards.shard(m), TraceOp::kProject, ctx.trace_node());
-    if (mrec.enabled()) {
-      mrec.span().rows_in = n;
-      mrec.span().arity_in = in_arity;
-      mrec.span().arity_out = key_width;
-      mrec.span().morsel_id = static_cast<int32_t>(m);
-      mrec.span().batches = 1;
-    }
-    // Zero-copy column view of the morsel (see the single-morsel path):
-    // the column-major InsertOrFind hashes straight out of the strided
-    // input columns, and the local index's key store becomes the packed
-    // row-major copy the merge reads — one pass, no gather scratch.
-    const Value** col_ptrs = warena.AllocSpan<const Value*>(key_width).data();
-    for (int c = 0; c < key_width; ++c) {
-      col_ptrs[c] = base + begin * in_arity + cols[c];
-    }
+    // The local index's key store is the packed row-major copy of the
+    // morsel's distinct keys the merge reads.
+    Value* key = warena.AllocSpan<Value>(key_width).data();
     locals[static_cast<size_t>(m)].emplace(
         n, key_width, local_arenas[static_cast<size_t>(m)]);
     FlatKeyIndex& local = *locals[static_cast<size_t>(m)];
-    for (int64_t i = 0; i < n; ++i) {
+    for (int64_t i = begin; i < end; ++i) {
+      const Value* row = base + i * in_arity;
+      for (int c = 0; c < key_width; ++c) key[c] = row[cols[c]];
       bool inserted;
-      local.InsertOrFindCols(col_ptrs, i * in_arity, &inserted);
+      local.InsertOrFind(key, &inserted);
     }
     local_counts[static_cast<size_t>(m)] = local.num_keys();
     scratch_a[static_cast<size_t>(m)] =
         static_cast<int64_t>(scope.bytes_allocated());
-    if (mrec.enabled()) {
-      // rows_out of a project morsel is the morsel-local distinct count;
-      // the globally-new contribution is only known at merge time.
-      mrec.span().rows_out = local.num_keys();
-      mrec.span().ht_build_rows = local.num_keys();
-      mrec.span().ht_probe_ops = n;
-      mrec.span().bytes =
-          scratch_a[static_cast<size_t>(m)] +
-          static_cast<int64_t>(
-              local_arenas[static_cast<size_t>(m)].bytes_in_use());
+    if (spans.enabled()) {
+      TraceSpan& span = spans.span(m);
+      span.rows_in = n;
+      span.arity_in = in_arity;
+      span.arity_out = key_width;
+      span.ht_build_rows = local.num_keys();
+      span.ht_probe_ops = n;
+      span.bytes = scratch_a[static_cast<size_t>(m)] +
+                   static_cast<int64_t>(
+                       local_arenas[static_cast<size_t>(m)].bytes_in_use());
     }
   });
 
@@ -718,35 +681,40 @@ Relation ProjectColumnsColumnar(const Relation& input, const ProjectSpec& spec,
 
   // Merge in morsel-index order: concatenating the morsel-local
   // first-occurrence orders and deduplicating sequentially reproduces
-  // the row kernel's global first-occurrence order exactly.
+  // the global first-occurrence order exactly. Each morsel's merge is
+  // part of its span: its rows_out is the rows it adds to the output.
   ArenaScope merge_scope(ctx.arena());
   FlatKeyIndex seen(sum_local, key_width, ctx.arena());
+  Value* key = ctx.arena().AllocSpan<Value>(key_width).data();
+  int* packed_cols = ctx.arena().AllocSpan<int>(key_width).data();
+  for (int c = 0; c < key_width; ++c) packed_cols[c] = c;
   out.Reserve(CappedReserveRows(static_cast<double>(sum_local), ctx));
   if (morsel_rows_out != nullptr) {
     morsel_rows_out->assign(static_cast<size_t>(num_morsels), 0);
   }
-  bool stop = false;
-  for (int64_t m = 0; m < num_morsels && !stop; ++m) {
-    const Value* kd = locals[static_cast<size_t>(m)]->key_data();
-    const int64_t n = local_counts[static_cast<size_t>(m)];
-    for (int64_t r = 0; r < n; ++r) {
-      bool inserted;
-      seen.InsertOrFind(kd + r * key_width, &inserted);
-      if (!inserted) continue;
-      out.AppendRaw(kd + r * key_width);
-      if (morsel_rows_out != nullptr) {
-        (*morsel_rows_out)[static_cast<size_t>(m)]++;
-      }
-      if (!ctx.ChargeTuples(1)) {
-        stop = true;
-        break;
-      }
+  for (int64_t m = 0; m < num_morsels && !ctx.exhausted(); ++m) {
+    MorselSpans::Timer timer(spans, m);
+    const int64_t before = out.size();
+    const int64_t probed = AppendDistinct(
+        locals[static_cast<size_t>(m)]->key_data(), key_width, packed_cols,
+        local_counts[static_cast<size_t>(m)], seen, key, out, ctx);
+    const int64_t added = out.size() - before;
+    if (morsel_rows_out != nullptr) {
+      (*morsel_rows_out)[static_cast<size_t>(m)] = added;
+    }
+    if (spans.enabled()) {
+      TraceSpan& span = spans.span(m);
+      span.rows_out = added;
+      span.ht_build_rows += added;
+      span.ht_probe_ops += probed;
+      span.bytes += added * key_width * static_cast<int64_t>(sizeof(Value));
     }
   }
-  shards.MergeInOrder();
 
-  Counter footprint =
-      static_cast<Counter>(merge_scope.bytes_allocated()) + out.byte_size();
+  const Counter shared = static_cast<Counter>(merge_scope.bytes_allocated());
+  if (spans.enabled()) spans.span(0).bytes += shared;
+  spans.RecordInOrder();
+  Counter footprint = shared + out.byte_size();
   for (int64_t m = 0; m < num_morsels; ++m) {
     footprint +=
         scratch_a[static_cast<size_t>(m)] +
@@ -757,19 +725,11 @@ Relation ProjectColumnsColumnar(const Relation& input, const ProjectSpec& spec,
   return out;
 }
 
-Relation SemiJoinColumnarFiltered(const Relation& left, const Relation& right,
-                                  const SemiJoinSpec& spec, ExecContext& ctx,
-                                  const MorselExec& mx,
-                                  std::vector<int64_t>* morsel_rows_out) {
+Relation SemiJoinFiltered(const Relation& left, const Relation& right,
+                          const SemiJoinSpec& spec, ExecContext& ctx,
+                          const MorselExec& mx,
+                          std::vector<int64_t>* morsel_rows_out) {
   if (morsel_rows_out != nullptr) morsel_rows_out->clear();
-  if (left.arity() == 0) {
-    // Nullary left: at most one row, and the output needs the nonempty
-    // bit — the row kernel's Emit slow path.
-    Relation out = SemiJoinFiltered(left, right, spec, ctx);
-    FillDelegatedAccount(morsel_rows_out, out);
-    return out;
-  }
-
   ctx.stats().num_semijoins++;
   Relation out{left.schema()};
   if (left.empty()) return out;
@@ -778,13 +738,30 @@ Relation SemiJoinColumnarFiltered(const Relation& left, const Relation& right,
     // No shared attributes: semijoin keeps everything iff right is nonempty.
     return out;
   }
+  if (left.arity() == 0) {
+    // Nullary left (so no shared attributes) against a nonempty right:
+    // the empty tuple survives.
+    EmitNullary(TraceOp::kSemiJoin, out, ctx, morsel_rows_out);
+    return out;
+  }
 
-  // Shared filter build on the calling thread; read-only afterwards.
+  const int left_arity = left.arity();
+  const int64_t left_rows = left.size();
+  const Value* left_base = left.data();
+  const int* left_key = spec.left_key_cols.data();
+  const int key_width = static_cast<int>(spec.left_key_cols.size());
+  const int64_t morsel_rows = mx.MorselRows(left_rows);
+  const int64_t num_morsels = mx.NumMorsels(left_rows);
+  MorselSpans spans(ctx.tracer(), TraceOp::kSemiJoin, ctx.trace_node(),
+                    num_morsels);
+
+  // Shared filter build on the calling thread, timed into morsel 0's
+  // span; read-only afterwards.
   ArenaScope shared_scope(ctx.arena());
-  const int key_width = static_cast<int>(spec.right_key_cols.size());
   FlatKeyIndex keys(right.size(), key_width, ctx.arena());
+  Value* key = ctx.arena().AllocSpan<Value>(std::max(key_width, 1)).data();
   {
-    Value* key = ctx.arena().AllocSpan<Value>(std::max(key_width, 1)).data();
+    MorselSpans::Timer timer(spans, 0);
     const int right_arity = right.arity();
     const int64_t right_rows = right.size();
     const Value* right_base = right.data();
@@ -797,133 +774,128 @@ Relation SemiJoinColumnarFiltered(const Relation& left, const Relation& right,
     }
   }
 
-  const int left_arity = left.arity();
-  const int64_t left_rows = left.size();
-  const Value* left_base = left.data();
-  const int* left_key = spec.left_key_cols.data();
+  // Single-morsel path (every serial call): one pass that probes each
+  // left key in place and appends the survivors, as a tuple-at-a-time
+  // loop would. On BM_SemiJoin/16384 (2-column rows, all surviving; one
+  // pinned Xeon core) the two phases below took 1.5-1.9 ms in some heap
+  // layouts and this pass 0.35-0.47 ms, so serial calls skip the
+  // selection round trip.
+  if (num_morsels == 1) {
+    out.Reserve(CappedReserveRows(static_cast<double>(left_rows), ctx));
+    int64_t i = 0;
+    {
+      MorselSpans::Timer timer(spans, 0);
+      while (i < left_rows && !ctx.exhausted()) {
+        const Value* row = left_base + i * left_arity;
+        ++i;
+        if (!no_common) {
+          for (int c = 0; c < key_width; ++c) key[c] = row[left_key[c]];
+          if (keys.Find(key) < 0) continue;
+        }
+        out.AppendRaw(row);
+        ctx.ChargeTuples(1);
+      }
+    }
+    if (morsel_rows_out != nullptr) morsel_rows_out->assign(1, out.size());
+    const Counter footprint =
+        static_cast<Counter>(shared_scope.bytes_allocated()) +
+        out.byte_size();
+    if (spans.enabled()) {
+      TraceSpan& span = spans.span(0);
+      span.rows_in = left_rows;
+      span.rows_out = out.size();
+      span.arity_in = std::max(left_arity, right.arity());
+      span.arity_out = left_arity;
+      span.bytes = footprint;
+      span.ht_build_rows = right.size();
+      span.ht_probe_ops = no_common ? 0 : i;
+    }
+    spans.RecordInOrder();
+    ctx.stats().NotePeakBytes(footprint);
+    ctx.stats().NoteIntermediate(out.arity(), out.size());
+    return out;
+  }
 
-  const int64_t morsel_rows = mx.effective_morsel_rows();
-  const int64_t num_morsels = mx.NumMorsels(left_rows);
-
-  // Phase A: probe per morsel, recording survivors in a per-morsel
-  // selection vector (persisted in a per-morsel arena so phase B, which
-  // may run on a different worker, can scatter them).
-  std::vector<ExecArena> sel_arenas(static_cast<size_t>(num_morsels));
-  std::vector<const int32_t*> sels(static_cast<size_t>(num_morsels), nullptr);
-  std::vector<int64_t> counts(static_cast<size_t>(num_morsels), 0);
-  std::vector<int64_t> scratch_a(static_cast<size_t>(num_morsels), 0);
+  // Phase A: probe per morsel, each left key assembled in place, and
+  // record the survivors' offsets within the morsel. The selection array
+  // is allocated here on the calling thread: morsel m owns the entries of
+  // its own input range, so phase B, which may run on another worker,
+  // can read them.
+  PPR_CHECK(morsel_rows <= std::numeric_limits<int32_t>::max());
+  int32_t* sel =
+      no_common ? nullptr : ctx.arena().AllocSpan<int32_t>(left_rows).data();
+  MorselSlots offsets(num_morsels + 1);
+  MorselSlots scratch(num_morsels);
   mx.ForEachMorsel(num_morsels, [&](int64_t m, int w) {
+    MorselSpans::Timer timer(spans, m);
     const auto [begin, end] = RangeOf(m, morsel_rows, left_rows);
-    const int64_t n = end - begin;
     if (no_common) {
       // Right is nonempty: every left row survives (identity selection,
       // not materialized).
-      counts[static_cast<size_t>(m)] = n;
+      offsets[m + 1] = end - begin;
       return;
     }
     ExecArena& warena = WorkerArena(mx, ctx, w);
     ArenaScope scope(warena);
-    ColumnBatch keysb(key_width, n, warena);
-    keysb.GatherRows(left_base, left_arity, begin, n, left_key);
-    Value* packed =
-        warena.AllocSpan<Value>(std::max<int64_t>(n * key_width, 1)).data();
-    keysb.ScatterSelectedTo(packed, key_width);
-    int32_t* sel =
-        sel_arenas[static_cast<size_t>(m)].AllocSpan<int32_t>(n).data();
+    Value* mkey = warena.AllocSpan<Value>(key_width).data();
+    int32_t* msel = sel + begin;
     int64_t kept = 0;
-    for (int64_t i = 0; i < n; ++i) {
-      if (keys.Find(packed + i * key_width) >= 0) {
-        sel[kept++] = static_cast<int32_t>(i);
-      }
+    for (int64_t i = begin; i < end; ++i) {
+      const Value* row = left_base + i * left_arity;
+      for (int c = 0; c < key_width; ++c) mkey[c] = row[left_key[c]];
+      if (keys.Find(mkey) >= 0) msel[kept++] = static_cast<int32_t>(i - begin);
     }
-    counts[static_cast<size_t>(m)] = kept;
-    sels[static_cast<size_t>(m)] = sel;
-    scratch_a[static_cast<size_t>(m)] =
+    offsets[m + 1] = kept;
+    scratch[m] =
         static_cast<int64_t>(scope.bytes_allocated());
   });
-
-  std::vector<int64_t> offsets(static_cast<size_t>(num_morsels) + 1, 0);
-  for (int64_t m = 0; m < num_morsels; ++m) {
-    offsets[static_cast<size_t>(m) + 1] =
-        offsets[static_cast<size_t>(m)] + counts[static_cast<size_t>(m)];
-  }
-  const int64_t total = offsets[static_cast<size_t>(num_morsels)];
-  const int64_t limit = ClampToHeadroom(total, ctx);
-
+  const int64_t limit = PrefixSumsClamped(offsets, ctx);
   Value* out_base = out.GrowRows(limit);
-  MorselTraceShards shards(ctx.tracer(), num_morsels);
 
-  // Phase B: scatter the surviving left rows into the disjoint ranges.
+  // Phase B: copy the surviving left rows into the disjoint ranges.
   mx.ForEachMorsel(num_morsels, [&](int64_t m, int /*w*/) {
-    const int64_t off = std::min(offsets[static_cast<size_t>(m)], limit);
-    const int64_t quota =
-        std::min(offsets[static_cast<size_t>(m) + 1], limit) - off;
-    if (quota <= 0) return;
+    MorselSpans::Timer timer(spans, m);
     const auto [begin, end] = RangeOf(m, morsel_rows, left_rows);
-    SpanRecorder mrec(shards.shard(m), TraceOp::kSemiJoin, ctx.trace_node());
-    if (mrec.enabled()) {
-      mrec.span().rows_in = end - begin;
-      mrec.span().arity_in = std::max(left_arity, right.arity());
-      mrec.span().arity_out = left_arity;
-      mrec.span().morsel_id = static_cast<int32_t>(m);
-      mrec.span().batches = 1;
-      mrec.span().ht_probe_ops = no_common ? 0 : end - begin;
-      mrec.span().bytes = scratch_a[static_cast<size_t>(m)];
-    }
+    const auto [off, off_end] = OutputSlice(offsets, m, limit);
+    const int64_t quota = off_end - off;
     Value* cursor = out_base + off * left_arity;
     if (no_common) {
       const Value* src = left_base + begin * left_arity;
       std::copy(src, src + quota * left_arity, cursor);
     } else {
-      const int32_t* sel = sels[static_cast<size_t>(m)];
+      const int32_t* msel = sel + begin;
       for (int64_t j = 0; j < quota; ++j) {
-        const Value* row = left_base + (begin + sel[j]) * left_arity;
+        const Value* row = left_base + (begin + msel[j]) * left_arity;
         for (int c = 0; c < left_arity; ++c) cursor[c] = row[c];
         cursor += left_arity;
       }
     }
-    if (mrec.enabled()) mrec.span().rows_out = quota;
+    if (spans.enabled()) {
+      TraceSpan& span = spans.span(m);
+      span.rows_in = end - begin;
+      span.rows_out = quota;
+      span.arity_in = std::max(left_arity, right.arity());
+      span.arity_out = left_arity;
+      span.bytes = scratch[m] +
+                   quota * left_arity * static_cast<int64_t>(sizeof(Value));
+      span.ht_probe_ops = no_common ? 0 : end - begin;
+    }
   });
 
   if (limit > 0) ctx.ChargeTuples(limit);
-  shards.MergeInOrder();
+  const Counter shared = static_cast<Counter>(shared_scope.bytes_allocated());
+  if (spans.enabled()) {
+    spans.span(0).ht_build_rows = right.size();
+    spans.span(0).bytes += shared;
+  }
+  spans.RecordInOrder();
   FillAccounts(morsel_rows_out, offsets, limit);
 
-  Counter footprint =
-      static_cast<Counter>(shared_scope.bytes_allocated()) + out.byte_size();
-  for (int64_t m = 0; m < num_morsels; ++m) {
-    footprint +=
-        scratch_a[static_cast<size_t>(m)] +
-        static_cast<Counter>(sel_arenas[static_cast<size_t>(m)].bytes_in_use());
-  }
+  Counter footprint = shared + out.byte_size();
+  for (int64_t m = 0; m < num_morsels; ++m) footprint += scratch[m];
   ctx.stats().NotePeakBytes(footprint);
   ctx.stats().NoteIntermediate(out.arity(), out.size());
   return out;
-}
-
-Relation NaturalJoinColumnar(const Relation& left, const Relation& right,
-                             ExecContext& ctx, const MorselExec& mx) {
-  return HashJoinColumnar(left, right,
-                          PlanJoin(left.schema(), right.schema()), ctx, mx);
-}
-
-Relation ProjectColumnar(const Relation& input,
-                         const std::vector<AttrId>& attrs, ExecContext& ctx,
-                         const MorselExec& mx) {
-  return ProjectColumnsColumnar(input, PlanProject(input.schema(), attrs),
-                                ctx, mx);
-}
-
-Relation SemiJoinColumnar(const Relation& left, const Relation& right,
-                          ExecContext& ctx, const MorselExec& mx) {
-  return SemiJoinColumnarFiltered(
-      left, right, PlanSemiJoin(left.schema(), right.schema()), ctx, mx);
-}
-
-Relation BindAtomColumnar(const Relation& stored,
-                          const std::vector<AttrId>& args, ExecContext& ctx,
-                          const MorselExec& mx) {
-  return ScanAtomColumnar(stored, PlanScan(stored.arity(), args), ctx, mx);
 }
 
 }  // namespace ppr

@@ -13,42 +13,66 @@
 
 namespace ppr {
 
-/// Columnar, morsel-driven variants of the four operator kernels
-/// (relational/ops.h). Each kernel partitions its probe/input side into
-/// fixed-size morsels, runs the per-morsel work through a ColumnBatch
-/// (column_batch.h) — gather, filter via selection vector, scatter — and
-/// materializes every morsel into a precomputed disjoint slice of the
-/// output.
+/// The operator kernels — the engine's only kernel set. Each kernel
+/// partitions its probe/input side into morsels as its MorselExec (below)
+/// says, runs the per-morsel work, and materializes every morsel into a
+/// precomputed disjoint slice of the output.
+///
+/// Serial callers pass the default MorselExec: the whole input is one
+/// morsel, and only the morsel driver (runtime/morsel_driver.h) splits
+/// inputs into several. Scan and join run the same two phases (below)
+/// at any morsel count, with every key assembled in place from its row;
+/// one morsel makes them a count pass and a copy pass. Semijoin and
+/// projection have a one-morsel pass of their own: semijoin probes and
+/// appends in one loop, and projection deduplicates into a single hash
+/// index instead of merging morsel-local ones.
 ///
 /// Determinism contract (the property tests and the morsel driver rely
-/// on it): for the same inputs, spec, and morsel size, the output
-/// relation and every ExecStats field are byte-identical regardless of
-/// how many workers run the morsels — including under tuple-budget
-/// truncation. The recipe:
+/// on it):
+///
+///  - For the same inputs, spec, and morsel size, the output relation
+///    and every ExecStats field are byte-identical regardless of how
+///    many workers run the morsels — including under tuple-budget
+///    truncation.
+///  - Across morsel sizes, the output rows (and their order) and every
+///    ExecStats field except peak_bytes are identical. peak_bytes is one
+///    accounting — shared build scratch + the sum of per-morsel scratch
+///    + output bytes — so it depends on how the input was partitioned.
+///
+/// The recipe:
 ///
 ///  - The morsel partition depends only on the row count and morsel
 ///    size, never on the worker count.
 ///  - A counting phase computes exact per-morsel output sizes; prefix
 ///    sums turn them into disjoint output ranges, and the truncation
-///    point is min(total, budget_headroom()) — the same row the
-///    sequential kernel would stop at.
+///    point is min(total, budget_headroom()) — the row a sequential
+///    tuple-at-a-time loop would stop at.
 ///  - Per-morsel scratch is measured per morsel and folded in
-///    morsel-index order; per-morsel trace spans are recorded into
-///    private shards and merged in morsel-index order.
+///    morsel-index order. Each morsel has one trace span (carrying its
+///    morsel_id, 0 for a one-morsel call) covering its work in every
+///    phase, morsel 0's also the shared build; only the worker running
+///    the morsel writes it, and the calling thread records a call's
+///    spans in morsel-index order.
 ///
-/// The one intentional difference from the row kernels: peak_bytes
-/// composes differently (shared build scratch + the sum of per-morsel
-/// scratch + output bytes, instead of one sequential scope), so its
-/// value may differ from the row path's — it is still identical across
-/// worker counts and morsel schedules for a fixed morsel size.
+/// Nullary schemas (Boolean queries) hold at most the empty tuple; their
+/// kernels run as one morsel whatever the MorselExec says.
 ///
-/// Layering: this header knows nothing about threads. MorselExec is a
-/// dependency-free seam — the morsel driver in src/runtime fills in a
-/// ThreadPool-backed parallel_for and per-worker arenas; with the
-/// defaults everything runs inline on the calling thread.
+/// When `morsel_rows_out` is non-null it receives the per-morsel emitted
+/// row counts in morsel order — the accounting the physical verifier
+/// checks: their sum equals the output size.
+
+/// How a kernel call partitions its probe/input side into morsels and
+/// where the morsels run. The default is the serial configuration: one
+/// morsel covering the whole input, run inline on the calling thread
+/// with the context arena.
+///
+/// Layering: this struct knows nothing about threads. It is a
+/// dependency-free seam; the morsel driver in src/runtime fills in its
+/// resolved morsel size, a ThreadPool-backed parallel_for, and per-worker
+/// arenas.
 struct MorselExec {
-  /// Rows per morsel; 0 means "use ProcessEnv().morsel_rows"
-  /// (PPR_MORSEL_SIZE, default 64K).
+  /// Rows per morsel; 0 (the default) runs each kernel call as a single
+  /// morsel, whatever its input size.
   int64_t morsel_rows = 0;
 
   /// Number of worker slots parallel_for may use (worker indices passed
@@ -71,64 +95,61 @@ struct MorselExec {
   /// arena (safe only inline).
   std::vector<ExecArena*> worker_arenas;
 
-  /// morsel_rows with the 0 default resolved from the environment.
-  int64_t effective_morsel_rows() const;
+  /// Rows per morsel for an input of `rows` rows: morsel_rows, or the
+  /// whole input when morsel_rows is 0.
+  int64_t MorselRows(int64_t rows) const;
 
   /// Number of morsels covering `rows` input rows.
   int64_t NumMorsels(int64_t rows) const;
 
-  /// Runs body(m, w) for all m in [0, count) — through parallel_for when
-  /// set, inline otherwise.
-  void ForEachMorsel(int64_t count,
-                     const std::function<void(int64_t, int)>& body) const;
+  /// Runs body(m, w) for all m in [0, count): through parallel_for when
+  /// set, otherwise inline, in order, on the calling thread with worker
+  /// slot 0 (without wrapping `body` in a std::function).
+  template <typename Body>
+  void ForEachMorsel(int64_t count, const Body& body) const {
+    if (!parallel_for) {
+      for (int64_t m = 0; m < count; ++m) body(m, 0);
+      return;
+    }
+    ForEachMorselParallel(count, body);
+  }
+
+ private:
+  void ForEachMorselParallel(
+      int64_t count, const std::function<void(int64_t, int)>& body) const;
 };
 
-/// Columnar scan kernel. Oracle-equal to ScanAtom: same output (rows and
-/// order), same stats except peak_bytes, same budget truncation. When
-/// `morsel_rows_out` is non-null it receives the per-morsel emitted row
-/// counts in morsel order (the accounting the physical verifier checks:
-/// their sum equals the output size).
-Relation ScanAtomColumnar(const Relation& stored, const ScanSpec& spec,
-                          ExecContext& ctx, const MorselExec& mx,
+/// Scan kernel: instantiates a stored relation under an atom binding.
+Relation ScanAtom(const Relation& stored, const ScanSpec& spec,
+                  ExecContext& ctx, const MorselExec& mx = {},
+                  std::vector<int64_t>* morsel_rows_out = nullptr);
+
+/// Hash-join kernel: the build-side index (the smaller input) is
+/// constructed once on the calling thread, the larger input is probed
+/// per morsel (two-phase: counting probe, then materialization into
+/// exact disjoint ranges). Emit order is probe-row order, then
+/// build-row order.
+Relation HashJoin(const Relation& left, const Relation& right,
+                  const JoinSpec& spec, ExecContext& ctx,
+                  const MorselExec& mx = {},
+                  std::vector<int64_t>* morsel_rows_out = nullptr);
+
+/// Projection kernel (DISTINCT): morsel-local dedup into per-morsel
+/// FlatKeyIndexes, then a sequential merge in morsel-index order, which
+/// keeps the global first-occurrence emit order. An empty column list
+/// yields a nullary relation that is nonempty iff the input is (Boolean
+/// queries).
+Relation ProjectColumns(const Relation& input, const ProjectSpec& spec,
+                        ExecContext& ctx, const MorselExec& mx = {},
+                        std::vector<int64_t>* morsel_rows_out = nullptr);
+
+/// Semijoin kernel: left tuples with at least one match in right. A
+/// shared key filter is built from the right side, and the left side is
+/// probed per morsel.
+Relation SemiJoinFiltered(const Relation& left, const Relation& right,
+                          const SemiJoinSpec& spec, ExecContext& ctx,
+                          const MorselExec& mx = {},
                           std::vector<int64_t>* morsel_rows_out = nullptr);
-
-/// Columnar hash-join kernel: shared build-side index constructed once on
-/// the calling thread, probe side partitioned into morsels (two-phase:
-/// counting probe, then materialization into exact disjoint ranges).
-/// Oracle-equal to HashJoin (see ScanAtomColumnar).
-Relation HashJoinColumnar(const Relation& left, const Relation& right,
-                          const JoinSpec& spec, ExecContext& ctx,
-                          const MorselExec& mx,
-                          std::vector<int64_t>* morsel_rows_out = nullptr);
-
-/// Columnar projection kernel (DISTINCT): morsel-local dedup into
-/// per-morsel FlatKeyIndexes, then a sequential merge in morsel-index
-/// order — which reproduces the sequential kernel's first-occurrence
-/// emit order exactly. Oracle-equal to ProjectColumns.
-Relation ProjectColumnsColumnar(const Relation& input, const ProjectSpec& spec,
-                                ExecContext& ctx, const MorselExec& mx,
-                                std::vector<int64_t>* morsel_rows_out = nullptr);
-
-/// Columnar semijoin kernel: shared key filter built from the right side,
-/// left side probed per morsel with survivors recorded in selection
-/// vectors. Oracle-equal to SemiJoinFiltered.
-Relation SemiJoinColumnarFiltered(
-    const Relation& left, const Relation& right, const SemiJoinSpec& spec,
-    ExecContext& ctx, const MorselExec& mx,
-    std::vector<int64_t>* morsel_rows_out = nullptr);
-
-/// Schema-level one-shot wrappers, mirroring NaturalJoin / Project /
-/// SemiJoin / BindAtom from relational/ops.h.
-Relation NaturalJoinColumnar(const Relation& left, const Relation& right,
-                             ExecContext& ctx, const MorselExec& mx);
-Relation ProjectColumnar(const Relation& input,
-                         const std::vector<AttrId>& attrs, ExecContext& ctx,
-                         const MorselExec& mx);
-Relation SemiJoinColumnar(const Relation& left, const Relation& right,
-                          ExecContext& ctx, const MorselExec& mx);
-Relation BindAtomColumnar(const Relation& stored,
-                          const std::vector<AttrId>& args, ExecContext& ctx,
-                          const MorselExec& mx);
 
 }  // namespace ppr
 

@@ -67,45 +67,6 @@ class FlatKeyIndex {
     }
   }
 
-  /// Column-major InsertOrFind: the key of row `row` is
-  /// (cols[0][row], ..., cols[width-1][row]). Equivalent to packing the
-  /// row into a scratch buffer and calling InsertOrFind, minus the pack:
-  /// the columnar projection kernel feeds ColumnBatch columns straight
-  /// in, so a morsel is hashed in one pass over the gathered columns
-  /// instead of a gather + row-major scatter round trip. The key store
-  /// stays row-major (keys_ layout is unchanged), so key_data() readers
-  /// and the row-major InsertOrFind interoperate with ids from here.
-  int64_t InsertOrFindCols(const Value* const* cols, int64_t row,
-                           bool* inserted) {
-    if (num_keys_ >= grow_at_) Grow();
-    uint64_t slot = HashColsKey(cols, row, width_) & mask_;
-    while (true) {
-      const int64_t id = slots_[slot];
-      if (id < 0) {
-        const int64_t fresh = num_keys_++;
-        PPR_DCHECK(static_cast<size_t>(fresh * width_) <= keys_.size());
-        slots_[slot] = fresh;
-        Value* dst = keys_.data() + fresh * width_;
-        for (int c = 0; c < width_; ++c) dst[c] = cols[c][row];
-        *inserted = true;
-        return fresh;
-      }
-      const Value* stored = keys_.data() + id * width_;
-      bool equal = true;
-      for (int c = 0; c < width_; ++c) {
-        if (stored[c] != cols[c][row]) {
-          equal = false;
-          break;
-        }
-      }
-      if (equal) {
-        *inserted = false;
-        return id;
-      }
-      slot = (slot + 1) & mask_;
-    }
-  }
-
   /// Returns the id of `key`, or -1 when absent.
   int64_t Find(const Value* key) const {
     uint64_t slot = HashPackedKey(key, width_) & mask_;
@@ -123,10 +84,10 @@ class FlatKeyIndex {
   int key_width() const { return width_; }
 
   /// The packed key store: num_keys() rows of key_width() values in
-  /// first-insertion order. The columnar projection kernel reads a
-  /// morsel-local index's keys straight out of here — morsel-local
-  /// distinct keys in first-occurrence order — so the global merge can
-  /// reproduce the sequential kernel's emit order exactly.
+  /// first-insertion order. The projection kernel reads a morsel-local
+  /// index's keys straight out of here — morsel-local distinct keys in
+  /// first-occurrence order — so the global merge can reproduce the
+  /// one-morsel emit order exactly.
   const Value* key_data() const { return keys_.data(); }
 
  private:

@@ -1,30 +1,13 @@
 #include "relational/ops.h"
 
-#include <algorithm>
 #include <cstddef>
 #include <utility>
 
 #include "common/check.h"
-#include "obs/trace.h"
-#include "relational/flat_hash.h"
+#include "relational/batch_ops.h"
 
 namespace ppr {
 namespace {
-
-// Output vectors are reserved upfront (build x probe for joins, input
-// size elsewhere), clamped by the remaining tuple budget and by a fixed
-// cap so a pessimistic estimate can never balloon the reservation past
-// what a truncated run could actually emit.
-constexpr int64_t kMaxReserveRows = int64_t{1} << 21;
-
-int64_t CappedReserveRows(double estimated_rows, ExecContext& ctx) {
-  double rows = std::min(estimated_rows, static_cast<double>(kMaxReserveRows));
-  const Counter headroom = ctx.budget_headroom();
-  if (headroom < static_cast<Counter>(rows)) {
-    rows = static_cast<double>(headroom);
-  }
-  return static_cast<int64_t>(rows);
-}
 
 std::vector<int> ColumnIndices(const Schema& schema,
                                const std::vector<AttrId>& attrs) {
@@ -36,16 +19,6 @@ std::vector<int> ColumnIndices(const Schema& schema,
     cols.push_back(idx);
   }
   return cols;
-}
-
-// Appends one assembled tuple; nullary outputs go through the slow path
-// that flips the nonempty bit.
-inline void Emit(Relation& out, const Value* tuple, int arity) {
-  if (arity > 0) {
-    out.AppendRaw(tuple);
-  } else {
-    out.AddTuple(std::span<const Value>{});
-  }
 }
 
 }  // namespace
@@ -103,313 +76,6 @@ ScanSpec PlanScan(int stored_arity, const std::vector<AttrId>& args) {
   }
   spec.out_schema = Schema(std::move(distinct));
   return spec;
-}
-
-Relation HashJoin(const Relation& left, const Relation& right,
-                  const JoinSpec& spec, ExecContext& ctx) {
-  ctx.stats().num_joins++;
-  SpanRecorder rec(ctx.tracer(), TraceOp::kJoin, ctx.trace_node());
-  if (rec.enabled()) {
-    rec.span().rows_in = left.size() + right.size();
-    rec.span().arity_in = std::max(left.arity(), right.arity());
-    rec.span().arity_out = static_cast<int32_t>(spec.out_schema.arity());
-  }
-
-  Relation out{spec.out_schema};
-  if (left.empty() || right.empty()) {
-    ctx.stats().NoteIntermediate(out.arity(), 0);
-    return out;
-  }
-
-  ArenaScope scope(ctx.arena());
-
-  // Build on the smaller side, probe with the larger.
-  const bool build_left = left.size() <= right.size();
-  const Relation& build = build_left ? left : right;
-  const Relation& probe = build_left ? right : left;
-  const std::vector<int>& build_key_cols =
-      build_left ? spec.left_key_cols : spec.right_key_cols;
-  const std::vector<int>& probe_key_cols =
-      build_left ? spec.right_key_cols : spec.left_key_cols;
-
-  const JoinIndex index(build, build_key_cols, ctx.arena());
-
-  const int key_width = static_cast<int>(spec.left_key_cols.size());
-  const int left_arity = left.arity();
-  const int right_arity = right.arity();
-  const int out_arity = out.arity();
-  const int probe_arity = probe.arity();
-  const int64_t probe_rows = probe.size();
-  const Value* left_base = left.data();
-  const Value* right_base = right.data();
-  const Value* probe_base = probe.data();
-  const int* probe_key = probe_key_cols.data();
-  const int* carry = spec.right_carry_cols.data();
-  const int num_carry = static_cast<int>(spec.right_carry_cols.size());
-
-  Value* key =
-      ctx.arena().AllocSpan<Value>(std::max(key_width, 1)).data();
-
-  // Exact output size via a counting probe pass: a hash + find per probe
-  // row costs far less than the emit work it sizes, and an exact
-  // reservation removes both realloc copies and per-emit capacity checks
-  // from the loop below.
-  int64_t exact_rows = 0;
-  for (int64_t p = 0; p < probe_rows; ++p) {
-    const Value* probe_row = probe_base + p * probe_arity;
-    for (int c = 0; c < key_width; ++c) key[c] = probe_row[probe_key[c]];
-    exact_rows += static_cast<int64_t>(index.Probe(key).size());
-  }
-
-  int64_t emit_probes = 0;
-  if (out_arity == 0) {
-    // Nullary output (both inputs nullary): at most the one empty tuple.
-    for (int64_t p = 0; p < probe_rows && !ctx.exhausted(); ++p) {
-      for (int64_t b = 0; b < exact_rows; ++b) {
-        out.AddTuple(std::span<const Value>{});
-        if (!ctx.ChargeTuples(1)) break;
-      }
-    }
-  } else {
-    // A truncated run emits at most budget_headroom() rows before the
-    // outer loop sees the exhausted latch, so the cursor never overruns.
-    int64_t reserve_rows = exact_rows;
-    const Counter headroom = ctx.budget_headroom();
-    if (static_cast<Counter>(reserve_rows) > headroom) {
-      reserve_rows = static_cast<int64_t>(headroom);
-    }
-    Value* cursor = out.GrowRows(reserve_rows);
-    int64_t emitted = 0;
-    int64_t p = 0;
-    for (; p < probe_rows && !ctx.exhausted(); ++p) {
-      const Value* probe_row = probe_base + p * probe_arity;
-      for (int c = 0; c < key_width; ++c) key[c] = probe_row[probe_key[c]];
-      const std::span<const int64_t> matches = index.Probe(key);
-      if (build_left) {
-        // Probe side is the right input: its carry columns repeat across
-        // every match of this probe row.
-        for (int64_t b : matches) {
-          const Value* left_row = left_base + b * left_arity;
-          for (int c = 0; c < left_arity; ++c) cursor[c] = left_row[c];
-          for (int c = 0; c < num_carry; ++c) {
-            cursor[left_arity + c] = probe_row[carry[c]];
-          }
-          cursor += out_arity;
-          ++emitted;
-          if (!ctx.ChargeTuples(1)) break;
-        }
-      } else {
-        for (int64_t b : matches) {
-          const Value* right_row = right_base + b * right_arity;
-          for (int c = 0; c < left_arity; ++c) cursor[c] = probe_row[c];
-          for (int c = 0; c < num_carry; ++c) {
-            cursor[left_arity + c] = right_row[carry[c]];
-          }
-          cursor += out_arity;
-          ++emitted;
-          if (!ctx.ChargeTuples(1)) break;
-        }
-      }
-    }
-    out.TruncateRows(emitted);
-    emit_probes = p;
-  }
-
-  const Counter footprint =
-      static_cast<Counter>(scope.bytes_allocated()) + out.byte_size();
-  if (rec.enabled()) {
-    rec.span().rows_out = out.size();
-    rec.span().bytes = footprint;
-    rec.span().ht_build_rows = build.size();
-    rec.span().ht_probe_ops = probe_rows + emit_probes;
-  }
-  ctx.stats().NotePeakBytes(footprint);
-  ctx.stats().NoteIntermediate(out.arity(), out.size());
-  return out;
-}
-
-Relation ProjectColumns(const Relation& input, const ProjectSpec& spec,
-                        ExecContext& ctx) {
-  ctx.stats().num_projections++;
-  SpanRecorder rec(ctx.tracer(), TraceOp::kProject, ctx.trace_node());
-  if (rec.enabled()) {
-    rec.span().rows_in = input.size();
-    rec.span().arity_in = input.arity();
-    rec.span().arity_out = spec.out_schema.arity();
-  }
-
-  Relation out{spec.out_schema};
-  if (spec.cols.empty()) {
-    // Boolean projection: nonempty input -> the single empty tuple.
-    if (!input.empty()) {
-      out.AddTuple(std::span<const Value>{});
-      ctx.ChargeTuples(1);
-    }
-    if (rec.enabled()) rec.span().rows_out = out.size();
-    ctx.stats().NoteIntermediate(0, out.size());
-    return out;
-  }
-
-  if (input.empty()) {
-    // No scratch is allocated for an empty input, so peak_bytes stays an
-    // honest 0 on runs against empty databases.
-    ctx.stats().NoteIntermediate(out.arity(), 0);
-    return out;
-  }
-
-  ArenaScope scope(ctx.arena());
-  const int key_width = static_cast<int>(spec.cols.size());
-  FlatKeyIndex seen(input.size(), key_width, ctx.arena());
-  out.Reserve(CappedReserveRows(static_cast<double>(input.size()), ctx));
-
-  const int in_arity = input.arity();
-  const int64_t in_rows = input.size();
-  const Value* base = input.data();
-  const int* cols = spec.cols.data();
-  Value* key = ctx.arena().AllocSpan<Value>(key_width).data();
-
-  int64_t i = 0;
-  for (; i < in_rows && !ctx.exhausted(); ++i) {
-    const Value* row = base + i * in_arity;
-    for (int c = 0; c < key_width; ++c) key[c] = row[cols[c]];
-    bool inserted;
-    seen.InsertOrFind(key, &inserted);
-    if (inserted) {
-      out.AppendRaw(key);
-      if (!ctx.ChargeTuples(1)) break;
-    }
-  }
-
-  const Counter footprint =
-      static_cast<Counter>(scope.bytes_allocated()) + out.byte_size();
-  if (rec.enabled()) {
-    rec.span().rows_out = out.size();
-    rec.span().bytes = footprint;
-    rec.span().ht_build_rows = out.size();  // distinct keys inserted
-    rec.span().ht_probe_ops = i;            // InsertOrFind per input row
-  }
-  ctx.stats().NotePeakBytes(footprint);
-  ctx.stats().NoteIntermediate(out.arity(), out.size());
-  return out;
-}
-
-Relation SemiJoinFiltered(const Relation& left, const Relation& right,
-                          const SemiJoinSpec& spec, ExecContext& ctx) {
-  ctx.stats().num_semijoins++;
-  SpanRecorder rec(ctx.tracer(), TraceOp::kSemiJoin, ctx.trace_node());
-  if (rec.enabled()) {
-    rec.span().rows_in = left.size() + right.size();
-    rec.span().arity_in = std::max(left.arity(), right.arity());
-    rec.span().arity_out = left.arity();
-  }
-
-  Relation out{left.schema()};
-  if (left.empty()) return out;
-  const bool no_common = spec.left_key_cols.empty();
-  if (no_common && right.empty()) {
-    // No shared attributes: semijoin keeps everything iff right is nonempty.
-    return out;
-  }
-
-  ArenaScope scope(ctx.arena());
-  const int key_width = static_cast<int>(spec.right_key_cols.size());
-  FlatKeyIndex keys(right.size(), key_width, ctx.arena());
-  Value* key = ctx.arena().AllocSpan<Value>(std::max(key_width, 1)).data();
-
-  const int right_arity = right.arity();
-  const int64_t right_rows = right.size();
-  const Value* right_base = right.data();
-  const int* right_key = spec.right_key_cols.data();
-  for (int64_t i = 0; i < right_rows; ++i) {
-    const Value* row = right_base + i * right_arity;
-    for (int c = 0; c < key_width; ++c) key[c] = row[right_key[c]];
-    bool inserted;
-    keys.InsertOrFind(key, &inserted);
-  }
-
-  out.Reserve(CappedReserveRows(static_cast<double>(left.size()), ctx));
-  const int left_arity = left.arity();
-  const int64_t left_rows = left.size();
-  const Value* left_base = left.data();
-  const int* left_key = spec.left_key_cols.data();
-  int64_t i = 0;
-  for (; i < left_rows && !ctx.exhausted(); ++i) {
-    const Value* row = left_base + i * left_arity;
-    bool match = no_common;
-    if (!match) {
-      for (int c = 0; c < key_width; ++c) key[c] = row[left_key[c]];
-      match = keys.Find(key) >= 0;
-    }
-    if (match) {
-      Emit(out, row, left_arity);
-      if (!ctx.ChargeTuples(1)) break;
-    }
-  }
-
-  const Counter footprint =
-      static_cast<Counter>(scope.bytes_allocated()) + out.byte_size();
-  if (rec.enabled()) {
-    rec.span().rows_out = out.size();
-    rec.span().bytes = footprint;
-    rec.span().ht_build_rows = right_rows;
-    rec.span().ht_probe_ops = no_common ? 0 : i;
-  }
-  ctx.stats().NotePeakBytes(footprint);
-  ctx.stats().NoteIntermediate(out.arity(), out.size());
-  return out;
-}
-
-Relation ScanAtom(const Relation& stored, const ScanSpec& spec,
-                  ExecContext& ctx) {
-  SpanRecorder rec(ctx.tracer(), TraceOp::kScan, ctx.trace_node());
-  if (rec.enabled()) {
-    rec.span().rows_in = stored.size();
-    rec.span().arity_in = stored.arity();
-    rec.span().arity_out = spec.out_schema.arity();
-  }
-
-  Relation out{spec.out_schema};
-  if (stored.empty()) {
-    // Skip the tuple-assembly scratch: peak_bytes must report 0 when a
-    // plan runs against an empty database.
-    ctx.stats().NoteIntermediate(out.arity(), 0);
-    return out;
-  }
-  out.Reserve(CappedReserveRows(static_cast<double>(stored.size()), ctx));
-
-  ArenaScope scope(ctx.arena());
-  const int in_arity = stored.arity();
-  const int out_arity = out.arity();
-  const int64_t in_rows = stored.size();
-  const Value* base = stored.data();
-  const int* source = spec.source_cols.data();
-  Value* tuple = ctx.arena().AllocSpan<Value>(std::max(out_arity, 1)).data();
-
-  for (int64_t i = 0; i < in_rows && !ctx.exhausted(); ++i) {
-    const Value* row = base + i * in_arity;
-    // Repeated attributes must agree with their first occurrence.
-    bool keep = true;
-    for (const auto& [col, first] : spec.equal_checks) {
-      if (row[col] != row[first]) {
-        keep = false;
-        break;
-      }
-    }
-    if (!keep) continue;
-    for (int d = 0; d < out_arity; ++d) tuple[d] = row[source[d]];
-    Emit(out, tuple, out_arity);
-    if (!ctx.ChargeTuples(1)) break;
-  }
-
-  const Counter footprint =
-      static_cast<Counter>(scope.bytes_allocated()) + out.byte_size();
-  if (rec.enabled()) {
-    rec.span().rows_out = out.size();
-    rec.span().bytes = footprint;
-  }
-  ctx.stats().NotePeakBytes(footprint);
-  ctx.stats().NoteIntermediate(out.arity(), out.size());
-  return out;
 }
 
 Relation NaturalJoin(const Relation& left, const Relation& right,

@@ -16,15 +16,19 @@ namespace ppr {
 ///    everything derivable from schemas alone: output schema, key column
 ///    indices, payload copy maps, projection masks. A compiled
 ///    PhysicalPlan (exec/physical_plan.h) builds them once per plan node.
-///  - *Kernels* (HashJoin, ProjectColumns, SemiJoinFiltered, ScanAtom)
-///    execute a spec against relations: pure data movement over flat
-///    open-addressing hash tables (relational/flat_hash.h) with all
-///    scratch bump-allocated from the context's ExecArena — zero heap
-///    allocations per probed or emitted row.
+///  - *Kernels* (HashJoin, ProjectColumns, SemiJoinFiltered, ScanAtom in
+///    relational/batch_ops.h) execute a spec against relations. There is
+///    one kernel set: columnar, morsel-partitioned data movement over
+///    flat open-addressing hash tables (relational/flat_hash.h), with all
+///    scratch bump-allocated from ExecArenas. A MorselExec (also in
+///    batch_ops.h) says how a call is partitioned and scheduled; the
+///    default runs the whole input as one morsel inline on the calling
+///    thread, which is how every serial caller runs.
 ///
 /// The schema-level wrappers below (NaturalJoin, Project, SemiJoin,
-/// BindAtom) build the spec on the fly and invoke the kernel; one-shot
-/// callers (semijoin pass, minibuckets, tests) use those.
+/// BindAtom) build the spec on the fly and invoke the kernel serially;
+/// one-shot callers (semijoin pass, minibuckets, csp, explain, tests) use
+/// those.
 
 /// Precomputed column mappings of a natural join with output schema
 /// `left's attributes ++ right-only attributes`.
@@ -72,24 +76,6 @@ struct ScanSpec {
 
 /// Derives the scan spec; `args.size()` must equal the stored arity.
 ScanSpec PlanScan(int stored_arity, const std::vector<AttrId>& args);
-
-/// Hash-join kernel: build on the smaller input, probe with the larger.
-/// Respects the tuple budget of `ctx` (output truncated once exhausted).
-Relation HashJoin(const Relation& left, const Relation& right,
-                  const JoinSpec& spec, ExecContext& ctx);
-
-/// Projection kernel (DISTINCT). An empty column list yields a nullary
-/// relation that is nonempty iff the input is (Boolean queries).
-Relation ProjectColumns(const Relation& input, const ProjectSpec& spec,
-                        ExecContext& ctx);
-
-/// Semijoin kernel: left tuples with at least one match in right.
-Relation SemiJoinFiltered(const Relation& left, const Relation& right,
-                          const SemiJoinSpec& spec, ExecContext& ctx);
-
-/// Scan kernel: instantiates a stored relation under an atom binding.
-Relation ScanAtom(const Relation& stored, const ScanSpec& spec,
-                  ExecContext& ctx);
 
 /// Natural join: combines tuples of `left` and `right` that agree on all
 /// common attributes. Output schema is left's attributes followed by

@@ -38,7 +38,7 @@ int64_t MorselDriver::morsel_rows() const {
 
 MorselExec MorselDriver::PrepareExec() {
   MorselExec mx;
-  mx.morsel_rows = options_.morsel_rows;
+  mx.morsel_rows = morsel_rows();
   mx.num_workers = num_threads_;
   mx.worker_arenas.reserve(worker_arenas_.size());
   for (const auto& arena : worker_arenas_) {
@@ -80,9 +80,8 @@ ExecutionResult MorselDriver::Run(const PhysicalPlan& plan,
   if (acct == nullptr && verify) acct = &local_accounting;
 
   const MorselExec mx = PrepareExec();
-  ExecutionResult result = plan.ExecuteMorsel(mx, &control_arena_,
-                                              tuple_budget, trace, metrics,
-                                              acct);
+  ExecutionResult result = plan.ExecuteShared(&control_arena_, tuple_budget,
+                                              trace, metrics, mx, acct);
   if (verify) {
     PPR_CHECK(verify_ctx->query != nullptr && verify_ctx->plan != nullptr &&
               verify_ctx->db != nullptr);

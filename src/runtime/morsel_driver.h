@@ -23,8 +23,9 @@ struct MorselDriverOptions {
   /// otherwise the hardware thread count).
   int num_threads = 0;
   /// Rows per morsel; 0 uses PPR_MORSEL_SIZE (default 64K). Purely a
-  /// performance knob: results and merged metrics are byte-identical for
-  /// any positive value at any worker count.
+  /// performance knob: results and every merged statistic but peak_bytes
+  /// are identical for any positive value; for a fixed value peak_bytes
+  /// is too, at any worker count.
   int64_t morsel_rows = 0;
 };
 
@@ -39,18 +40,22 @@ struct MorselQueryContext {
 
 /// Morsel-driven intra-query parallelism over one compiled plan: the
 /// complement of BatchExecutor (which parallelizes *across* queries).
-/// Operators run through the columnar batch kernels
-/// (relational/batch_ops.h); shared build structures are constructed on
-/// the calling thread, then the probe/input side of each operator is
-/// partitioned into cache-sized morsels executed across a ThreadPool.
+/// The driver runs the plan through PhysicalPlan::ExecuteShared — the
+/// same walker and kernels (relational/batch_ops.h) as a serial run —
+/// with a MorselExec of its own: shared build structures are constructed
+/// on the calling thread, then the probe/input side of each operator is
+/// partitioned into morsels of morsel_rows() rows executed across a
+/// ThreadPool. PPR_MORSEL_SIZE sets that grain for the driver only; a
+/// serial run always treats each kernel input as one morsel.
 ///
 /// Worker-state ownership follows the BatchExecutor design: each worker
 /// slot owns a private ExecArena (reused across runs, reset per run,
-/// never shared), per-morsel trace spans are recorded into private
-/// shards and merged in morsel-index order, and per-morsel stats fold in
-/// morsel-index order — so for a fixed morsel size the answer relation
+/// never shared), each morsel's trace span is written only by the worker
+/// running it and recorded into the run's sink in morsel-index order,
+/// and per-morsel stats fold in morsel-index order — so for a fixed morsel size the answer relation
 /// and every statistic (peak_bytes included) are byte-identical across
-/// worker counts, including under tuple-budget truncation.
+/// worker counts, including under tuple-budget truncation. Against a
+/// serial run the answer and every statistic but peak_bytes match.
 ///
 /// A driver instance runs one query at a time on one thread (the same
 /// single-owner contract as ExecContext); distinct drivers are fully
@@ -91,8 +96,7 @@ class MorselDriver {
   int num_threads_ = 1;
   /// Workers outlive runs (spawned once); null when num_threads_ == 1 —
   /// a single-threaded driver runs morsels inline with zero pool
-  /// overhead, which is what keeps the columnar path no slower than the
-  /// row path at one thread.
+  /// overhead.
   std::unique_ptr<ThreadPool> pool_;
   /// Control-side scratch (shared hash builds, merge phases), reused
   /// across runs like PhysicalPlan's internal arena.

@@ -255,51 +255,5 @@ TEST(ExplainTest, AnalyzeActualArityWithinPredictedBoundOnSat) {
   ExpectActualsWithinBounds(SatQuery(RandomKSat(10, 20, 3, rng)), db, 2.0);
 }
 
-TEST(ExplainTest, ColumnarRunMatchesRowRun) {
-  Database db = ThreeColorDb();
-  ConjunctiveQuery q = PentagonQuery();
-  const Plan plan = BucketEliminationPlanMcs(q, nullptr);
-  ExplainResult row = ExplainPlan(q, plan, db, 3.0);
-  ExplainResult col = ExplainPlan(q, plan, db, 3.0,
-                                  /*tuple_budget=*/kCounterMax,
-                                  /*analyze=*/false, /*columnar=*/true);
-  ASSERT_TRUE(row.status.ok());
-  ASSERT_TRUE(col.status.ok());
-  ASSERT_EQ(row.nodes.size(), col.nodes.size());
-  for (size_t i = 0; i < row.nodes.size(); ++i) {
-    EXPECT_EQ(row.nodes[i].actual_rows, col.nodes[i].actual_rows)
-        << "node " << i;
-    EXPECT_DOUBLE_EQ(row.nodes[i].estimated_rows, col.nodes[i].estimated_rows)
-        << "node " << i;
-  }
-  EXPECT_EQ(row.stats.tuples_produced, col.stats.tuples_produced);
-  EXPECT_EQ(row.stats.max_intermediate_rows, col.stats.max_intermediate_rows);
-}
-
-TEST(ExplainTest, AnalyzeColumnarReportsMorselFanout) {
-  Database db = ThreeColorDb();
-  ConjunctiveQuery q = PentagonQuery();
-  const Plan plan = BucketEliminationPlanMcs(q, nullptr);
-  ExplainResult r = ExplainPlan(q, plan, db, 3.0,
-                                /*tuple_budget=*/kCounterMax,
-                                /*analyze=*/true, /*columnar=*/true);
-  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-  ASSERT_TRUE(r.analyzed);
-  // Every leaf scans a six-row stored relation through the morsel
-  // partition, so at least the leaves must report fan-out.
-  int64_t total_fanout = 0;
-  for (const NodeProfile& p : r.nodes) total_fanout += p.morsel_fanout;
-  EXPECT_GT(total_fanout, 0);
-  EXPECT_NE(r.ToString().find("morsels="), std::string::npos);
-
-  // Row-path ANALYZE must not report any fan-out.
-  ExplainResult row = ExplainPlan(q, plan, db, 3.0,
-                                  /*tuple_budget=*/kCounterMax,
-                                  /*analyze=*/true);
-  ASSERT_TRUE(row.status.ok());
-  for (const NodeProfile& p : row.nodes) EXPECT_EQ(p.morsel_fanout, 0);
-  EXPECT_EQ(row.ToString().find("morsels="), std::string::npos);
-}
-
 }  // namespace
 }  // namespace ppr

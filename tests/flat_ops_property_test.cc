@@ -1,7 +1,8 @@
 // Property tests for the flat-hash operator kernels: on randomized
 // relations (including empty, nullary, and repeated-attribute inputs) the
 // hash-based operators, naive row-at-a-time references, and the
-// sort-merge join must all agree up to set equality.
+// sort-merge join must all agree up to set equality, and a kernel's
+// output must not depend on its morsel partition.
 
 #include <gtest/gtest.h>
 
@@ -12,8 +13,8 @@
 
 #include "common/arena.h"
 #include "common/rng.h"
+#include "obs/trace.h"
 #include "relational/batch_ops.h"
-#include "relational/column_batch.h"
 #include "relational/exec_context.h"
 #include "relational/ops.h"
 #include "relational/sort_merge.h"
@@ -214,32 +215,34 @@ TEST(FlatOpsPropertyTest, BindAtomAgreesWithReference) {
   }
 }
 
-// Exact (row-order, not just set) equality: the columnar kernels promise
-// byte-identical output to the row kernels.
-void ExpectSameRows(const Relation& row, const Relation& columnar,
+// Exact (row-order, not just set) equality: a kernel's output must not
+// depend on how its input was split into morsels.
+void ExpectSameRows(const Relation& serial, const Relation& morsel,
                     int trial) {
-  ASSERT_EQ(row.arity(), columnar.arity()) << "trial " << trial;
-  ASSERT_EQ(row.size(), columnar.size()) << "trial " << trial;
-  for (int64_t i = 0; i < row.size(); ++i) {
-    for (int c = 0; c < row.arity(); ++c) {
-      ASSERT_EQ(row.at(i, c), columnar.at(i, c))
+  ASSERT_EQ(serial.arity(), morsel.arity()) << "trial " << trial;
+  ASSERT_EQ(serial.size(), morsel.size()) << "trial " << trial;
+  for (int64_t i = 0; i < serial.size(); ++i) {
+    for (int c = 0; c < serial.arity(); ++c) {
+      ASSERT_EQ(serial.at(i, c), morsel.at(i, c))
           << "trial " << trial << " row " << i << " col " << c;
     }
   }
 }
 
-// Every ExecStats field except peak_bytes must match the row kernel's:
-// the columnar path accounts scratch differently by design (shared build
-// plus per-morsel batches), but the work counters are the oracle.
-void ExpectSameStatsExceptPeak(const ExecStats& row, const ExecStats& col,
+// Every ExecStats field except peak_bytes must match the serial run's:
+// scratch accounting depends on the partition by design (shared build
+// plus per-morsel batches), but the work counters do not.
+void ExpectSameStatsExceptPeak(const ExecStats& serial, const ExecStats& morsel,
                                int trial) {
-  EXPECT_EQ(row.tuples_produced, col.tuples_produced) << "trial " << trial;
-  EXPECT_EQ(row.num_joins, col.num_joins) << "trial " << trial;
-  EXPECT_EQ(row.num_projections, col.num_projections) << "trial " << trial;
-  EXPECT_EQ(row.num_semijoins, col.num_semijoins) << "trial " << trial;
-  EXPECT_EQ(row.max_intermediate_arity, col.max_intermediate_arity)
+  EXPECT_EQ(serial.tuples_produced, morsel.tuples_produced)
       << "trial " << trial;
-  EXPECT_EQ(row.max_intermediate_rows, col.max_intermediate_rows)
+  EXPECT_EQ(serial.num_joins, morsel.num_joins) << "trial " << trial;
+  EXPECT_EQ(serial.num_projections, morsel.num_projections)
+      << "trial " << trial;
+  EXPECT_EQ(serial.num_semijoins, morsel.num_semijoins) << "trial " << trial;
+  EXPECT_EQ(serial.max_intermediate_arity, morsel.max_intermediate_arity)
+      << "trial " << trial;
+  EXPECT_EQ(serial.max_intermediate_rows, morsel.max_intermediate_rows)
       << "trial " << trial;
 }
 
@@ -251,24 +254,51 @@ MorselExec Morsels(int64_t rows) {
   return mx;
 }
 
-TEST(FlatOpsPropertyTest, ColumnarJoinIsRowJoinExactly) {
+// The kernels under `mx`, with specs built from the input schemas (the
+// schema-level wrappers of ops.h always run as one morsel).
+Relation JoinIn(const Relation& left, const Relation& right, ExecContext& ctx,
+                const MorselExec& mx) {
+  return HashJoin(left, right, PlanJoin(left.schema(), right.schema()), ctx,
+                  mx);
+}
+
+Relation ProjectIn(const Relation& input, const std::vector<AttrId>& attrs,
+                   ExecContext& ctx, const MorselExec& mx) {
+  return ProjectColumns(input, PlanProject(input.schema(), attrs), ctx, mx);
+}
+
+Relation SemiJoinIn(const Relation& left, const Relation& right,
+                    ExecContext& ctx, const MorselExec& mx) {
+  return SemiJoinFiltered(
+      left, right, PlanSemiJoin(left.schema(), right.schema()), ctx, mx);
+}
+
+Relation BindIn(const Relation& stored, const std::vector<AttrId>& args,
+                ExecContext& ctx, const MorselExec& mx) {
+  return ScanAtom(stored, PlanScan(stored.arity(), args), ctx, mx);
+}
+
+// The serial run (default MorselExec: one morsel per call) is the
+// reference; the naive Ref* oracles above check its answers.
+TEST(FlatOpsPropertyTest, MorselJoinIsSerialJoinExactly) {
   Rng rng(505);
   for (int trial = 0; trial < 200; ++trial) {
     const Relation left = RandomRelation(RandomSchema(rng, 3), rng);
     const Relation right = RandomRelation(RandomSchema(rng, 3), rng);
-    ExecContext row_ctx;
-    const Relation row_out = NaturalJoin(left, right, row_ctx);
+    ExecContext serial_ctx;
+    const Relation serial_out = NaturalJoin(left, right, serial_ctx);
     for (const int64_t morsel : {int64_t{1}, int64_t{3}, int64_t{1024}}) {
-      ExecContext col_ctx;
-      const Relation col_out =
-          NaturalJoinColumnar(left, right, col_ctx, Morsels(morsel));
-      ExpectSameRows(row_out, col_out, trial);
-      ExpectSameStatsExceptPeak(row_ctx.stats(), col_ctx.stats(), trial);
+      ExecContext morsel_ctx;
+      const Relation morsel_out =
+          JoinIn(left, right, morsel_ctx, Morsels(morsel));
+      ExpectSameRows(serial_out, morsel_out, trial);
+      ExpectSameStatsExceptPeak(serial_ctx.stats(), morsel_ctx.stats(),
+                                trial);
     }
   }
 }
 
-TEST(FlatOpsPropertyTest, ColumnarProjectIsRowProjectExactly) {
+TEST(FlatOpsPropertyTest, MorselProjectIsSerialProjectExactly) {
   Rng rng(606);
   for (int trial = 0; trial < 200; ++trial) {
     const Relation input = RandomRelation(RandomSchema(rng, 4), rng);
@@ -276,38 +306,40 @@ TEST(FlatOpsPropertyTest, ColumnarProjectIsRowProjectExactly) {
     for (AttrId a : input.schema().attrs()) {
       if (rng.NextBounded(2) == 0) keep.push_back(a);
     }
-    ExecContext row_ctx;
-    const Relation row_out = Project(input, keep, row_ctx);
+    ExecContext serial_ctx;
+    const Relation serial_out = Project(input, keep, serial_ctx);
     for (const int64_t morsel : {int64_t{1}, int64_t{3}, int64_t{1024}}) {
-      ExecContext col_ctx;
-      const Relation col_out =
-          ProjectColumnar(input, keep, col_ctx, Morsels(morsel));
+      ExecContext morsel_ctx;
+      const Relation morsel_out =
+          ProjectIn(input, keep, morsel_ctx, Morsels(morsel));
       // Distinct-order preservation across morsel merges is part of the
       // contract, so the comparison is exact, not SetEquals.
-      ExpectSameRows(row_out, col_out, trial);
-      ExpectSameStatsExceptPeak(row_ctx.stats(), col_ctx.stats(), trial);
+      ExpectSameRows(serial_out, morsel_out, trial);
+      ExpectSameStatsExceptPeak(serial_ctx.stats(), morsel_ctx.stats(),
+                                trial);
     }
   }
 }
 
-TEST(FlatOpsPropertyTest, ColumnarSemiJoinIsRowSemiJoinExactly) {
+TEST(FlatOpsPropertyTest, MorselSemiJoinIsSerialSemiJoinExactly) {
   Rng rng(707);
   for (int trial = 0; trial < 200; ++trial) {
     const Relation left = RandomRelation(RandomSchema(rng, 3), rng);
     const Relation right = RandomRelation(RandomSchema(rng, 3), rng);
-    ExecContext row_ctx;
-    const Relation row_out = SemiJoin(left, right, row_ctx);
+    ExecContext serial_ctx;
+    const Relation serial_out = SemiJoin(left, right, serial_ctx);
     for (const int64_t morsel : {int64_t{1}, int64_t{3}, int64_t{1024}}) {
-      ExecContext col_ctx;
-      const Relation col_out =
-          SemiJoinColumnar(left, right, col_ctx, Morsels(morsel));
-      ExpectSameRows(row_out, col_out, trial);
-      ExpectSameStatsExceptPeak(row_ctx.stats(), col_ctx.stats(), trial);
+      ExecContext morsel_ctx;
+      const Relation morsel_out =
+          SemiJoinIn(left, right, morsel_ctx, Morsels(morsel));
+      ExpectSameRows(serial_out, morsel_out, trial);
+      ExpectSameStatsExceptPeak(serial_ctx.stats(), morsel_ctx.stats(),
+                                trial);
     }
   }
 }
 
-TEST(FlatOpsPropertyTest, ColumnarBindAtomIsRowBindAtomExactly) {
+TEST(FlatOpsPropertyTest, MorselBindAtomIsSerialBindAtomExactly) {
   Rng rng(808);
   for (int trial = 0; trial < 200; ++trial) {
     const Relation stored = RandomRelation(RandomSchema(rng, 3), rng);
@@ -317,19 +349,20 @@ TEST(FlatOpsPropertyTest, ColumnarBindAtomIsRowBindAtomExactly) {
     for (int c = 0; c < stored.arity(); ++c) {
       args.push_back(static_cast<AttrId>(20 + rng.NextBounded(3)));
     }
-    ExecContext row_ctx;
-    const Relation row_out = BindAtom(stored, args, row_ctx);
+    ExecContext serial_ctx;
+    const Relation serial_out = BindAtom(stored, args, serial_ctx);
     for (const int64_t morsel : {int64_t{1}, int64_t{3}, int64_t{1024}}) {
-      ExecContext col_ctx;
-      const Relation col_out =
-          BindAtomColumnar(stored, args, col_ctx, Morsels(morsel));
-      ExpectSameRows(row_out, col_out, trial);
-      ExpectSameStatsExceptPeak(row_ctx.stats(), col_ctx.stats(), trial);
+      ExecContext morsel_ctx;
+      const Relation morsel_out =
+          BindIn(stored, args, morsel_ctx, Morsels(morsel));
+      ExpectSameRows(serial_out, morsel_out, trial);
+      ExpectSameStatsExceptPeak(serial_ctx.stats(), morsel_ctx.stats(),
+                                trial);
     }
   }
 }
 
-TEST(FlatOpsPropertyTest, ColumnarEmptyAndSingleRowEdges) {
+TEST(FlatOpsPropertyTest, EmptyAndSingleRowEdgesAcrossMorselSizes) {
   const Schema ab{std::vector<AttrId>{0, 1}};
   const Schema bc{std::vector<AttrId>{1, 2}};
   Relation empty_ab{ab};
@@ -339,36 +372,113 @@ TEST(FlatOpsPropertyTest, ColumnarEmptyAndSingleRowEdges) {
   Relation one_bc{bc};
   one_bc.AddTuple({2, 3});
 
-  for (const int64_t morsel : {int64_t{1}, int64_t{64}}) {
+  for (const int64_t morsel : {int64_t{0}, int64_t{1}, int64_t{64}}) {
     const MorselExec mx = Morsels(morsel);
     ExecContext ctx;
-    EXPECT_TRUE(NaturalJoinColumnar(empty_ab, empty_bc, ctx, mx).empty());
-    EXPECT_TRUE(NaturalJoinColumnar(one_ab, empty_bc, ctx, mx).empty());
-    EXPECT_TRUE(NaturalJoinColumnar(empty_ab, one_bc, ctx, mx).empty());
-    const Relation joined = NaturalJoinColumnar(one_ab, one_bc, ctx, mx);
+    EXPECT_TRUE(JoinIn(empty_ab, empty_bc, ctx, mx).empty());
+    EXPECT_TRUE(JoinIn(one_ab, empty_bc, ctx, mx).empty());
+    EXPECT_TRUE(JoinIn(empty_ab, one_bc, ctx, mx).empty());
+    const Relation joined = JoinIn(one_ab, one_bc, ctx, mx);
     ASSERT_EQ(joined.size(), 1);
     EXPECT_EQ(joined.at(0, 0), 1);
     EXPECT_EQ(joined.at(0, 1), 2);
     EXPECT_EQ(joined.at(0, 2), 3);
 
-    EXPECT_TRUE(ProjectColumnar(empty_ab, {0}, ctx, mx).empty());
-    const Relation projected = ProjectColumnar(one_ab, {1}, ctx, mx);
+    EXPECT_TRUE(ProjectIn(empty_ab, {0}, ctx, mx).empty());
+    const Relation projected = ProjectIn(one_ab, {1}, ctx, mx);
     ASSERT_EQ(projected.size(), 1);
     EXPECT_EQ(projected.at(0, 0), 2);
 
-    EXPECT_TRUE(SemiJoinColumnar(empty_ab, one_bc, ctx, mx).empty());
-    EXPECT_TRUE(SemiJoinColumnar(one_ab, empty_bc, ctx, mx).empty());
-    EXPECT_EQ(SemiJoinColumnar(one_ab, one_bc, ctx, mx).size(), 1);
+    EXPECT_TRUE(SemiJoinIn(empty_ab, one_bc, ctx, mx).empty());
+    EXPECT_TRUE(SemiJoinIn(one_ab, empty_bc, ctx, mx).empty());
+    EXPECT_EQ(SemiJoinIn(one_ab, one_bc, ctx, mx).size(), 1);
 
-    EXPECT_TRUE(BindAtomColumnar(empty_ab, {7, 7}, ctx, mx).empty());
+    EXPECT_TRUE(BindIn(empty_ab, {7, 7}, ctx, mx).empty());
     // Repeated attribute on a single row: 1 != 2, so the binding fails.
-    EXPECT_TRUE(BindAtomColumnar(one_ab, {7, 7}, ctx, mx).empty());
-    const Relation bound = BindAtomColumnar(one_ab, {7, 8}, ctx, mx);
+    EXPECT_TRUE(BindIn(one_ab, {7, 7}, ctx, mx).empty());
+    const Relation bound = BindIn(one_ab, {7, 8}, ctx, mx);
     ASSERT_EQ(bound.size(), 1);
   }
 }
 
-TEST(FlatOpsPropertyTest, ColumnarNullarySchemasDelegate) {
+// The spans of one kernel call split it: one span per morsel, in morsel
+// order, whose rows_out add up to the output and whose bytes add up to
+// the call's footprint (its peak_bytes on a fresh context). Morsel 0's
+// span also carries the shared build, when `build_rows` is not -1.
+void ExpectSpansSplitCall(const TraceSink& sink, const ExecContext& ctx,
+                          const Relation& out, int64_t build_rows,
+                          int trial) {
+  const std::vector<TraceSpan> spans = sink.Snapshot();
+  ASSERT_FALSE(spans.empty()) << "trial " << trial;
+  int64_t rows = 0;
+  int64_t bytes = 0;
+  for (size_t m = 0; m < spans.size(); ++m) {
+    EXPECT_EQ(spans[m].morsel_id, static_cast<int32_t>(m))
+        << "trial " << trial;
+    rows += spans[m].rows_out;
+    bytes += spans[m].bytes;
+  }
+  EXPECT_EQ(rows, out.size()) << "trial " << trial;
+  EXPECT_EQ(bytes, static_cast<int64_t>(ctx.stats().peak_bytes))
+      << "trial " << trial;
+  if (build_rows >= 0) {
+    EXPECT_EQ(spans[0].ht_build_rows, build_rows) << "trial " << trial;
+  }
+}
+
+TEST(FlatOpsPropertyTest, MorselSpansSplitEachCall) {
+  Rng rng(909);
+  for (int trial = 0; trial < 200; ++trial) {
+    const Relation left = RandomRelation(RandomSchema(rng, 3), rng);
+    const Relation right = RandomRelation(RandomSchema(rng, 3), rng);
+    // Empty inputs record no span; nullary ones one span of their own.
+    if (left.empty() || right.empty() || left.arity() == 0 ||
+        right.arity() == 0) {
+      continue;
+    }
+    std::vector<AttrId> args;
+    for (int c = 0; c < left.arity(); ++c) {
+      args.push_back(static_cast<AttrId>(20 + rng.NextBounded(2)));
+    }
+    for (const int64_t morsel : {int64_t{0}, int64_t{3}}) {
+      const MorselExec mx = Morsels(morsel);
+      {
+        TraceSink sink;
+        ExecContext ctx;
+        ctx.set_tracer(&sink);
+        const Relation out = JoinIn(left, right, ctx, mx);
+        ExpectSpansSplitCall(sink, ctx, out,
+                             std::min(left.size(), right.size()), trial);
+      }
+      {
+        TraceSink sink;
+        ExecContext ctx;
+        ctx.set_tracer(&sink);
+        const Relation out = SemiJoinIn(left, right, ctx, mx);
+        ExpectSpansSplitCall(sink, ctx, out, right.size(), trial);
+      }
+      {
+        TraceSink sink;
+        ExecContext ctx;
+        ctx.set_tracer(&sink);
+        const Relation out =
+            ProjectIn(left, {left.schema().attrs()[0]}, ctx, mx);
+        ExpectSpansSplitCall(sink, ctx, out, -1, trial);
+      }
+      {
+        TraceSink sink;
+        ExecContext ctx;
+        ctx.set_tracer(&sink);
+        const Relation out = BindIn(left, args, ctx, mx);
+        ExpectSpansSplitCall(sink, ctx, out, -1, trial);
+      }
+    }
+  }
+}
+
+// Nullary schemas hold at most the empty tuple, so the kernels handle
+// them inline as one morsel whatever the MorselExec asks for.
+TEST(FlatOpsPropertyTest, NullarySchemasRunAsOneMorsel) {
   const Schema nullary{std::vector<AttrId>{}};
   Relation empty_n{nullary};
   Relation full_n{nullary};
@@ -377,63 +487,34 @@ TEST(FlatOpsPropertyTest, ColumnarNullarySchemasDelegate) {
   unary.AddTuple({7});
   unary.AddTuple({9});
 
-  const MorselExec mx = Morsels(1);
-  ExecContext ctx;
-  EXPECT_TRUE(NaturalJoinColumnar(full_n, full_n, ctx, mx).SetEquals(full_n));
-  EXPECT_TRUE(
-      NaturalJoinColumnar(full_n, empty_n, ctx, mx).SetEquals(empty_n));
-  EXPECT_TRUE(NaturalJoinColumnar(unary, full_n, ctx, mx).SetEquals(unary));
-  EXPECT_TRUE(NaturalJoinColumnar(full_n, unary, ctx, mx).SetEquals(unary));
-  EXPECT_TRUE(NaturalJoinColumnar(unary, empty_n, ctx, mx).empty());
-  // Boolean projection: nonempty input yields the single empty tuple.
-  const Relation truth = ProjectColumnar(unary, {}, ctx, mx);
-  EXPECT_TRUE(truth.SetEquals(full_n));
-  EXPECT_TRUE(ProjectColumnar(Relation{Schema({3})}, {}, ctx, mx).empty());
-  EXPECT_TRUE(SemiJoinColumnar(unary, full_n, ctx, mx).SetEquals(unary));
-  EXPECT_TRUE(SemiJoinColumnar(unary, empty_n, ctx, mx).empty());
-}
+  for (const int64_t morsel : {int64_t{0}, int64_t{1}}) {
+    const MorselExec mx = Morsels(morsel);
+    ExecContext ctx;
+    EXPECT_TRUE(JoinIn(full_n, full_n, ctx, mx).SetEquals(full_n));
+    EXPECT_TRUE(JoinIn(full_n, empty_n, ctx, mx).SetEquals(empty_n));
+    EXPECT_TRUE(JoinIn(unary, full_n, ctx, mx).SetEquals(unary));
+    EXPECT_TRUE(JoinIn(full_n, unary, ctx, mx).SetEquals(unary));
+    EXPECT_TRUE(JoinIn(unary, empty_n, ctx, mx).empty());
+    // Boolean projection: nonempty input yields the single empty tuple.
+    const Relation truth = ProjectIn(unary, {}, ctx, mx);
+    EXPECT_TRUE(truth.SetEquals(full_n));
+    EXPECT_TRUE(ProjectIn(Relation{Schema({3})}, {}, ctx, mx).empty());
+    EXPECT_TRUE(SemiJoinIn(unary, full_n, ctx, mx).SetEquals(unary));
+    EXPECT_TRUE(SemiJoinIn(unary, empty_n, ctx, mx).empty());
+    EXPECT_TRUE(SemiJoinIn(full_n, unary, ctx, mx).SetEquals(full_n));
+    EXPECT_TRUE(SemiJoinIn(full_n, empty_n, ctx, mx).empty());
+    EXPECT_TRUE(BindIn(full_n, {}, ctx, mx).SetEquals(full_n));
+    EXPECT_TRUE(BindIn(empty_n, {}, ctx, mx).empty());
 
-TEST(FlatOpsPropertyTest, ColumnBatchSelectionAllFalse) {
-  ExecArena arena;
-  ColumnBatch batch(2, 8, arena);
-  const Value rows[] = {1, 2, 3, 4, 5, 6};  // three row-major (a, b) rows
-  const int identity[] = {0, 1};
-  batch.GatherRows(rows, 2, 0, 3, identity);
-  ASSERT_EQ(batch.num_rows(), 3);
-  ASSERT_EQ(batch.num_selected(), 3);  // gather resets to identity
-
-  // Kill every row; the scatter must write nothing.
-  batch.SetSelected(0);
-  Value sink[6] = {-1, -1, -1, -1, -1, -1};
-  batch.ScatterSelectedTo(sink);
-  for (const Value v : sink) EXPECT_EQ(v, -1);
-
-  // Select the last row only; a partial scatter of column 0 alone
-  // writes exactly one value at stride 1.
-  batch.selection()[0] = 2;
-  batch.SetSelected(1);
-  batch.ScatterSelectedTo(sink, 1);
-  EXPECT_EQ(sink[0], 5);
-  EXPECT_EQ(sink[1], -1);
-}
-
-TEST(FlatOpsPropertyTest, ColumnBatchEmitTupleAdapter) {
-  ExecArena arena;
-  ColumnBatch batch(3, 4, arena);
-  const Value t0[] = {1, 2, 3};
-  const Value t1[] = {4, 5, 6};
-  batch.EmitTuple(t0);
-  batch.EmitTuple(t1);
-  ASSERT_EQ(batch.num_rows(), 2);
-  ASSERT_EQ(batch.num_selected(), 2);
-  Value out[6] = {};
-  batch.ScatterSelectedTo(out);
-  EXPECT_EQ(out[0], 1);
-  EXPECT_EQ(out[1], 2);
-  EXPECT_EQ(out[2], 3);
-  EXPECT_EQ(out[3], 4);
-  EXPECT_EQ(out[4], 5);
-  EXPECT_EQ(out[5], 6);
+    // The one-tuple outputs still respect the budget: an exhausted
+    // context emits nothing more.
+    ExecContext spent(/*tuple_budget=*/0);
+    ASSERT_FALSE(spent.ChargeTuples(1));
+    EXPECT_TRUE(JoinIn(full_n, full_n, spent, mx).empty());
+    EXPECT_TRUE(SemiJoinIn(full_n, unary, spent, mx).empty());
+    EXPECT_TRUE(BindIn(full_n, {}, spent, mx).empty());
+    EXPECT_EQ(spent.stats().tuples_produced, 1);
+  }
 }
 
 TEST(FlatOpsPropertyTest, NullaryJoinCombinations) {

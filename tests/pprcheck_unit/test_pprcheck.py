@@ -316,7 +316,7 @@ class ArenaEscapeTest(unittest.TestCase):
         self.assertIn("Cache::saved_", hits[0].message)
 
     def test_member_store_without_scope_is_callers_lifetime(self):
-        """The FlatHash/ColumnBatch constructor pattern: no ArenaScope in
+        """The JoinIndex/FlatKeyIndex constructor pattern: no ArenaScope in
         the function means the caller owns the storage lifetime."""
         store = {"kind": "BinaryOperator", "opcode": "=",
                  "inner": [this_member("saved_", "0xfs"),

@@ -67,10 +67,6 @@ class RuleFiringTest(unittest.TestCase):
         # allow(raw-sync) on a naked-new line suppresses nothing.
         self.assertIn("g_wrong_marker", texts)
 
-    def test_row_emit_fires(self):
-        self.assert_single("row-emit", "src/core/violations.cc",
-                           "batch.EmitTuple")
-
     def test_hook_coverage_flags_untested_member_only(self):
         hits = by_rule(self.findings, "hook-coverage")
         self.assertEqual(len(hits), 1, hits)
@@ -102,7 +98,6 @@ class SilenceTest(unittest.TestCase):
         files = {f[0] for f in self.findings}
         self.assertNotIn("src/common/mutex.h", files)
         self.assertNotIn("src/common/env.cc", files)
-        self.assertNotIn("src/relational/column_batch.h", files)
 
     def test_allow_marker_suppresses_matching_rule(self):
         self.assertNotIn("g_suppressed", self.texts)
@@ -133,7 +128,7 @@ class RuleFilterTest(unittest.TestCase):
         names = [rule.name for rule in pprlint.RULES]
         self.assertEqual(sorted(names), sorted(set(names)))
         self.assertEqual(set(names), {
-            "raw-sync", "raw-getenv", "naked-new", "row-emit",
+            "raw-sync", "raw-getenv", "naked-new",
             "hook-coverage", "telemetry-sync", "obs-lock",
         })
 

@@ -4,21 +4,15 @@
 #include <mutex>
 #include <string>
 
-#include "relational/column_batch.h"
-
 namespace fx {
 
 // std::mutex in this comment must not count.
-const char* kDecoy = "std::mutex getenv( new EmitTuple(";
+const char* kDecoy = "std::mutex getenv( new";
 
 std::mutex g_raw_mutex;  // seeded: raw-sync
 
 const char* ReadHome() { return getenv("FX_HOME"); }  // seeded: raw-getenv
 
 int* LeakyAlloc() { return new int(7); }  // seeded: naked-new
-
-void RowLoop(ColumnBatch& batch) {
-  batch.EmitTuple(0);  // seeded: row-emit
-}
 
 }  // namespace fx

@@ -29,8 +29,8 @@ arena-escape
     (always wrong), nor into members/member containers or returned
     while an `ArenaScope` is active in the same function (the scope's
     destructor frees the storage).  Member stores in functions without
-    an ArenaScope are the caller-owns-lifetime pattern (FlatHash,
-    ColumnBatch) and are accepted.
+    an ArenaScope are the caller-owns-lifetime pattern (JoinIndex,
+    FlatKeyIndex) and are accepted.
 
 obs-lock-ast
     Scope-accurate successor of pprlint's regex obs-lock rule: every
