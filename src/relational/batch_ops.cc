@@ -33,21 +33,6 @@ void MorselExec::ForEachMorselParallel(
 
 namespace {
 
-// Output vectors that cannot be sized exactly up front (projection) are
-// reserved from the input size, clamped by the remaining tuple budget and
-// by a fixed cap so a pessimistic estimate can never balloon the
-// reservation past what a truncated run could actually emit.
-constexpr int64_t kMaxReserveRows = int64_t{1} << 21;
-
-int64_t CappedReserveRows(double estimated_rows, ExecContext& ctx) {
-  double rows = std::min(estimated_rows, static_cast<double>(kMaxReserveRows));
-  const Counter headroom = ctx.budget_headroom();
-  if (headroom < static_cast<Counter>(rows)) {
-    rows = static_cast<double>(headroom);
-  }
-  return static_cast<int64_t>(rows);
-}
-
 struct MorselRange {
   int64_t begin;
   int64_t end;
@@ -63,16 +48,32 @@ ExecArena& WorkerArena(const MorselExec& mx, ExecContext& ctx, int w) {
   return *mx.worker_arenas[static_cast<size_t>(w)];
 }
 
-// Clamps a kernel's exact output size to what the budget still allows.
-// min(total, headroom) is the row a tuple-at-a-time loop stops at: it
-// emits headroom rows before the charge latches exhausted(), and
-// ChargeTuples(min(total, headroom)) latches iff total >= headroom.
-int64_t ClampToHeadroom(int64_t total, ExecContext& ctx) {
+// Clamps a row count to what the budget still allows. min(rows,
+// headroom) is the row a tuple-at-a-time loop stops at: it emits
+// headroom rows before the charge latches exhausted(), and
+// ChargeTuples(min(rows, headroom)) latches iff rows >= headroom.
+int64_t ClampToHeadroom(int64_t rows, ExecContext& ctx) {
   const Counter headroom = ctx.budget_headroom();
-  if (static_cast<Counter>(total) > headroom) {
+  if (static_cast<Counter>(rows) > headroom) {
     return static_cast<int64_t>(headroom);
   }
-  return total;
+  return rows;
+}
+
+// Charges a call's exact output of `total` rows against the budget and
+// returns the rows the call keeps: all of them, or none when they reach
+// the headroom. The exhausting call materializes nothing, since every
+// budgeted caller discards an exhausted run's output, yet it charges and
+// notes min(total, headroom) rows, as a tuple-at-a-time loop stopping at
+// the budget would: every ExecStats field but peak_bytes matches that
+// loop's.
+int64_t ChargeOutput(int64_t total, int arity, ExecContext& ctx) {
+  const int64_t charged = ClampToHeadroom(total, ctx);
+  const bool exhausts =
+      static_cast<Counter>(total) >= ctx.budget_headroom();
+  if (charged > 0) ctx.ChargeTuples(charged);
+  ctx.stats().NoteIntermediate(arity, charged);
+  return exhausts ? 0 : total;
 }
 
 // Zeroed per-morsel counters (offsets, scratch sizes): stored inline for
@@ -102,17 +103,18 @@ class MorselSlots {
 };
 
 // Turns per-morsel output counts, stored at offsets[m + 1] by phase A,
-// into prefix sums (morsel m's output starts at offsets[m]) and returns
-// the truncation point.
-int64_t PrefixSumsClamped(MorselSlots& offsets, ExecContext& ctx) {
-  for (int64_t m = 1; m < offsets.size(); ++m) offsets[m] += offsets[m - 1];
-  return ClampToHeadroom(offsets[offsets.size() - 1], ctx);
-}
-
-// Morsel m's slice [begin, end) of an output truncated at `limit`.
-MorselRange OutputSlice(const MorselSlots& offsets, int64_t m,
-                        int64_t limit) {
-  return {std::min(offsets[m], limit), std::min(offsets[m + 1], limit)};
+// into prefix sums (morsel m's output starts at offsets[m]) and charges
+// their total (ChargeOutput). A call that exhausts the budget keeps no
+// rows: its offsets become all zero, so no morsel emits anything.
+// Returns the output rows.
+int64_t PrefixSumsCharged(MorselSlots& offsets, int arity, ExecContext& ctx) {
+  const int64_t last = offsets.size() - 1;
+  for (int64_t m = 1; m <= last; ++m) offsets[m] += offsets[m - 1];
+  const int64_t rows = ChargeOutput(offsets[last], arity, ctx);
+  if (rows == 0) {
+    for (int64_t m = 0; m <= last; ++m) offsets[m] = 0;
+  }
+  return rows;
 }
 
 // One trace span per morsel of a kernel call, covering that morsel's
@@ -172,17 +174,14 @@ class MorselSpans {
   std::vector<TraceSpan> spans_;
 };
 
-// Per-morsel emitted rows implied by the pre-truncation prefix sums
-// `offsets` and the truncation point `limit`.
-void FillAccounts(std::vector<int64_t>* accounts, const MorselSlots& offsets,
-                  int64_t limit) {
+// Per-morsel emitted rows implied by the prefix sums `offsets`.
+void FillAccounts(std::vector<int64_t>* accounts, const MorselSlots& offsets) {
   if (accounts == nullptr) return;
   accounts->clear();
   const int64_t num_morsels = offsets.size() - 1;
   accounts->reserve(static_cast<size_t>(num_morsels));
   for (int64_t m = 0; m < num_morsels; ++m) {
-    accounts->push_back(std::min(offsets[m + 1], limit) -
-                        std::min(offsets[m], limit));
+    accounts->push_back(offsets[m + 1] - offsets[m]);
   }
 }
 
@@ -239,22 +238,19 @@ void TagOneMorsel(SpanRecorder& rec) {
   rec.span().batches = 1;
 }
 
-// Nullary outputs hold at most the empty tuple: emits it when the budget
-// has headroom, recording the call as one morsel (span and account).
+// Nullary outputs hold at most the empty tuple: emits it unless that
+// exhausts the budget (ChargeOutput), recording the call as one morsel
+// (span and account).
 void EmitNullary(TraceOp op, Relation& out, ExecContext& ctx,
                  std::vector<int64_t>* morsel_rows_out) {
   SpanRecorder rec(ctx.tracer(), op, ctx.trace_node());
-  if (ClampToHeadroom(1, ctx) > 0) {
-    out.AddTuple(std::span<const Value>{});
-    ctx.ChargeTuples(1);
-  }
+  if (ChargeOutput(1, 0, ctx) > 0) out.AddTuple(std::span<const Value>{});
   if (rec.enabled()) {
     rec.span().rows_in = 1;
     rec.span().rows_out = out.size();
     TagOneMorsel(rec);
   }
   if (morsel_rows_out != nullptr) morsel_rows_out->assign(1, out.size());
-  ctx.stats().NoteIntermediate(0, out.size());
 }
 
 // The column layout of one hash join, shared read-only by its morsels:
@@ -349,27 +345,22 @@ int64_t EmitJoinRows(const JoinProbe& j, int64_t begin, int64_t end,
   return i - begin;
 }
 
-// Appends to `out` the distinct keys among rows [0, rows) of a
-// row-major store (`stride` values per row; the key is columns `cols`)
-// that `seen` does not hold yet, in first-occurrence order, charging each
-// against the budget; stops once the budget is exhausted. Returns the
-// rows probed. Serves the one-morsel projection and the merge of
-// morsel-local indexes alike.
-int64_t AppendDistinct(const Value* base, int stride, const int* cols,
-                       int64_t rows, FlatKeyIndex& seen, Value* key,
-                       Relation& out, ExecContext& ctx) {
+// Inserts into `seen` the keys of rows [0, rows) of a row-major store
+// (`stride` values per row; the key is columns `cols`), in row order,
+// until `seen` holds `cap` keys. Each key is assembled at
+// seen.next_key(), so a new key is written once, in place in seen's key
+// store. Returns the rows probed. Serves the one-morsel projection, the
+// morsel-local indexes and their merge alike.
+int64_t InsertDistinct(const Value* base, int stride, const int* cols,
+                       int64_t rows, int64_t cap, FlatKeyIndex& seen) {
   const int key_width = seen.key_width();
   int64_t i = 0;
-  while (i < rows && !ctx.exhausted()) {
+  while (i < rows && seen.num_keys() < cap) {
     const Value* row = base + i * stride;
     ++i;
+    Value* key = seen.next_key();
     for (int c = 0; c < key_width; ++c) key[c] = row[cols[c]];
-    bool inserted;
-    seen.InsertOrFind(key, &inserted);
-    if (inserted) {
-      out.AppendRaw(key);
-      ctx.ChargeTuples(1);
-    }
+    seen.InsertNext();
   }
   return i;
 }
@@ -423,38 +414,38 @@ Relation ScanAtom(const Relation& stored, const ScanSpec& spec,
         sel == nullptr
             ? end - begin
             : SelectScanRows(base, in_arity, spec, begin, end, sel + begin);
-  });
-  const int64_t limit = PrefixSumsClamped(offsets, ctx);
-  Value* out_base = out.GrowRows(limit);
-
-  // Phase B: copy the morsel's first survivors, in row order, into its
-  // slice of the output.
-  mx.ForEachMorsel(num_morsels, [&](int64_t m, int /*w*/) {
-    MorselSpans::Timer timer(spans, m);
-    const auto [begin, end] = RangeOf(m, morsel_rows, in_rows);
-    const auto [off, off_end] = OutputSlice(offsets, m, limit);
-    EmitScanRows(base, in_arity, spec, begin,
-                 sel == nullptr ? nullptr : sel + begin, off_end - off,
-                 out_base + off * out_arity);
     if (spans.enabled()) {
       TraceSpan& span = spans.span(m);
       span.rows_in = end - begin;
-      span.rows_out = off_end - off;
       span.arity_in = in_arity;
       span.arity_out = out_arity;
-      span.bytes = (off_end - off) * out_arity *
-                   static_cast<int64_t>(sizeof(Value));
     }
   });
 
-  if (limit > 0) ctx.ChargeTuples(limit);
+  // Phase B: copy the morsel's survivors, in row order, into its slice of
+  // the output. A call that exhausts the budget skips it.
+  if (PrefixSumsCharged(offsets, out_arity, ctx) > 0) {
+    Value* out_base = out.GrowRows(offsets[num_morsels]);
+    mx.ForEachMorsel(num_morsels, [&](int64_t m, int /*w*/) {
+      MorselSpans::Timer timer(spans, m);
+      const int64_t begin = RangeOf(m, morsel_rows, in_rows).begin;
+      const int64_t kept = offsets[m + 1] - offsets[m];
+      EmitScanRows(base, in_arity, spec, begin,
+                   sel == nullptr ? nullptr : sel + begin, kept,
+                   out_base + offsets[m] * out_arity);
+      if (spans.enabled()) {
+        TraceSpan& span = spans.span(m);
+        span.rows_out = kept;
+        span.bytes = kept * out_arity * static_cast<int64_t>(sizeof(Value));
+      }
+    });
+  }
+
   const Counter shared = static_cast<Counter>(shared_scope.bytes_allocated());
   if (spans.enabled()) spans.span(0).bytes += shared;
   spans.RecordInOrder();
-  FillAccounts(morsel_rows_out, offsets, limit);
-  const Counter footprint = shared + out.byte_size();
-  ctx.stats().NotePeakBytes(footprint);
-  ctx.stats().NoteIntermediate(out.arity(), out.size());
+  FillAccounts(morsel_rows_out, offsets);
+  ctx.stats().NotePeakBytes(shared + out.byte_size());
   return out;
 }
 
@@ -510,53 +501,55 @@ Relation HashJoin(const Relation& left, const Relation& right,
     ArenaScope scope(warena);
     Value* key = warena.AllocSpan<Value>(std::max(key_width, 1)).data();
     offsets[m + 1] = CountJoinRows(join, begin, end, key);
-    scratch[m] =
-        static_cast<int64_t>(scope.bytes_allocated());
-  });
-  const int64_t limit = PrefixSumsClamped(offsets, ctx);
-  Value* out_base = out.GrowRows(limit);
-
-  // Phase B: re-probe and materialize into the morsel's disjoint range.
-  // Emit order within a morsel is probe-row order then build-row order,
-  // so the concatenation does not depend on the partition.
-  mx.ForEachMorsel(num_morsels, [&](int64_t m, int w) {
-    MorselSpans::Timer timer(spans, m);
-    const auto [begin, end] = RangeOf(m, morsel_rows, probe_rows);
-    const auto [off, off_end] = OutputSlice(offsets, m, limit);
-    int64_t probes = 0;
-    if (off_end > off) {
-      ExecArena& warena = WorkerArena(mx, ctx, w);
-      ArenaScope scope(warena);
-      Value* key = warena.AllocSpan<Value>(std::max(key_width, 1)).data();
-      probes = EmitJoinRows(join, begin, end, off_end - off, key,
-                            out_base + off * join.out_arity);
-    }
+    scratch[m] = static_cast<int64_t>(scope.bytes_allocated());
     if (spans.enabled()) {
       TraceSpan& span = spans.span(m);
       span.rows_in = end - begin;
-      span.rows_out = off_end - off;
       span.arity_in = arity_in;
       span.arity_out = join.out_arity;
-      span.bytes = scratch[m] +
-                   (off_end - off) * join.out_arity *
-                       static_cast<int64_t>(sizeof(Value));
-      span.ht_probe_ops = (end - begin) + probes;
+      span.bytes = scratch[m];
+      span.ht_probe_ops = end - begin;
     }
   });
 
-  if (limit > 0) ctx.ChargeTuples(limit);
+  // Phase B: re-probe and materialize into the morsel's disjoint range.
+  // Emit order within a morsel is probe-row order then build-row order,
+  // so the concatenation does not depend on the partition. A call that
+  // exhausts the budget skips it.
+  if (PrefixSumsCharged(offsets, join.out_arity, ctx) > 0) {
+    Value* out_base = out.GrowRows(offsets[num_morsels]);
+    mx.ForEachMorsel(num_morsels, [&](int64_t m, int w) {
+      MorselSpans::Timer timer(spans, m);
+      const int64_t quota = offsets[m + 1] - offsets[m];
+      if (quota == 0) return;
+      const auto [begin, end] = RangeOf(m, morsel_rows, probe_rows);
+      ExecArena& warena = WorkerArena(mx, ctx, w);
+      ArenaScope scope(warena);
+      Value* key = warena.AllocSpan<Value>(std::max(key_width, 1)).data();
+      const int64_t probes =
+          EmitJoinRows(join, begin, end, quota, key,
+                       out_base + offsets[m] * join.out_arity);
+      if (spans.enabled()) {
+        TraceSpan& span = spans.span(m);
+        span.rows_out = quota;
+        span.bytes +=
+            quota * join.out_arity * static_cast<int64_t>(sizeof(Value));
+        span.ht_probe_ops += probes;
+      }
+    });
+  }
+
   const Counter shared = static_cast<Counter>(shared_scope.bytes_allocated());
   if (spans.enabled()) {
     spans.span(0).ht_build_rows = build.size();
     spans.span(0).bytes += shared;
   }
   spans.RecordInOrder();
-  FillAccounts(morsel_rows_out, offsets, limit);
+  FillAccounts(morsel_rows_out, offsets);
 
   Counter footprint = shared + out.byte_size();
   for (int64_t m = 0; m < num_morsels; ++m) footprint += scratch[m];
   ctx.stats().NotePeakBytes(footprint);
-  ctx.stats().NoteIntermediate(out.arity(), out.size());
   return out;
 }
 
@@ -598,21 +591,25 @@ Relation ProjectColumns(const Relation& input, const ProjectSpec& spec,
   const int64_t morsel_rows = mx.MorselRows(in_rows);
   const int64_t num_morsels = mx.NumMorsels(in_rows);
 
+  // Projection cannot know its output size before it deduplicates, so
+  // it sizes its output for the rows the budget still allows, inserts
+  // each distinct key straight into that output (the index's key store),
+  // and truncates to the keys it found. A run that exhausts the budget
+  // keeps its first-occurrence prefix.
+  //
   // Single-morsel path (every serial call): one morsel means the
   // morsel-local index IS the global dedup — the merge pass would
   // re-hash every distinct key into a second index just to recover an
-  // order it already has. Build one index and append survivors directly.
+  // order it already has.
   if (num_morsels == 1) {
     ArenaScope scope(ctx.arena());
     SpanRecorder mrec(ctx.tracer(), TraceOp::kProject, ctx.trace_node());
-    // Key scratch before the index: the allocation order decides which
-    // arena blocks the index's growing slot arrays land in, and this
-    // order kept the paper sweep's peak RSS 3% lower.
-    Value* key = ctx.arena().AllocSpan<Value>(key_width).data();
-    FlatKeyIndex seen(in_rows, key_width, ctx.arena());
-    out.Reserve(CappedReserveRows(static_cast<double>(in_rows), ctx));
-    const int64_t probed = AppendDistinct(base, in_arity, cols, in_rows,
-                                          seen, key, out, ctx);
+    const int64_t cap = ClampToHeadroom(in_rows, ctx);
+    FlatKeyIndex seen(cap, key_width, out.GrowRows(cap), ctx.arena());
+    const int64_t probed =
+        InsertDistinct(base, in_arity, cols, in_rows, cap, seen);
+    out.TruncateRows(seen.num_keys());
+    if (!out.empty()) ctx.ChargeTuples(out.size());
     if (morsel_rows_out != nullptr) morsel_rows_out->assign(1, out.size());
     const Counter footprint =
         static_cast<Counter>(scope.bytes_allocated()) + out.byte_size();
@@ -631,38 +628,22 @@ Relation ProjectColumns(const Relation& input, const ProjectSpec& spec,
     return out;
   }
 
-  // Phase A: morsel-local dedup. Each morsel builds its own FlatKeyIndex
-  // in a per-morsel arena (the index must outlive the phase for the
-  // merge to read its packed keys); the key scratch comes from the worker
-  // arena and is released per morsel.
+  // Phase A: morsel-local dedup. Each morsel builds its own FlatKeyIndex,
+  // slots and key store, in a per-morsel arena: the index must outlive
+  // the phase for the merge to read its packed keys.
   std::vector<ExecArena> local_arenas(static_cast<size_t>(num_morsels));
   std::vector<std::optional<FlatKeyIndex>> locals(
       static_cast<size_t>(num_morsels));
-  std::vector<int64_t> local_counts(static_cast<size_t>(num_morsels), 0);
-  std::vector<int64_t> scratch_a(static_cast<size_t>(num_morsels), 0);
   MorselSpans spans(ctx.tracer(), TraceOp::kProject, ctx.trace_node(),
                     num_morsels);
-  mx.ForEachMorsel(num_morsels, [&](int64_t m, int w) {
+  mx.ForEachMorsel(num_morsels, [&](int64_t m, int /*w*/) {
     MorselSpans::Timer timer(spans, m);
     const auto [begin, end] = RangeOf(m, morsel_rows, in_rows);
     const int64_t n = end - begin;
-    ExecArena& warena = WorkerArena(mx, ctx, w);
-    ArenaScope scope(warena);
-    // The local index's key store is the packed row-major copy of the
-    // morsel's distinct keys the merge reads.
-    Value* key = warena.AllocSpan<Value>(key_width).data();
-    locals[static_cast<size_t>(m)].emplace(
-        n, key_width, local_arenas[static_cast<size_t>(m)]);
-    FlatKeyIndex& local = *locals[static_cast<size_t>(m)];
-    for (int64_t i = begin; i < end; ++i) {
-      const Value* row = base + i * in_arity;
-      for (int c = 0; c < key_width; ++c) key[c] = row[cols[c]];
-      bool inserted;
-      local.InsertOrFind(key, &inserted);
-    }
-    local_counts[static_cast<size_t>(m)] = local.num_keys();
-    scratch_a[static_cast<size_t>(m)] =
-        static_cast<int64_t>(scope.bytes_allocated());
+    ExecArena& arena = local_arenas[static_cast<size_t>(m)];
+    FlatKeyIndex& local = locals[static_cast<size_t>(m)].emplace(
+        n, key_width, arena.AllocSpan<Value>(n * key_width).data(), arena);
+    InsertDistinct(base + begin * in_arity, in_arity, cols, n, n, local);
     if (spans.enabled()) {
       TraceSpan& span = spans.span(m);
       span.rows_in = n;
@@ -670,35 +651,33 @@ Relation ProjectColumns(const Relation& input, const ProjectSpec& spec,
       span.arity_out = key_width;
       span.ht_build_rows = local.num_keys();
       span.ht_probe_ops = n;
-      span.bytes = scratch_a[static_cast<size_t>(m)] +
-                   static_cast<int64_t>(
-                       local_arenas[static_cast<size_t>(m)].bytes_in_use());
+      span.bytes = static_cast<int64_t>(arena.bytes_in_use());
     }
   });
 
   int64_t sum_local = 0;
-  for (int64_t c : local_counts) sum_local += c;
+  for (const auto& local : locals) sum_local += local->num_keys();
 
   // Merge in morsel-index order: concatenating the morsel-local
   // first-occurrence orders and deduplicating sequentially reproduces
   // the global first-occurrence order exactly. Each morsel's merge is
   // part of its span: its rows_out is the rows it adds to the output.
   ArenaScope merge_scope(ctx.arena());
-  FlatKeyIndex seen(sum_local, key_width, ctx.arena());
-  Value* key = ctx.arena().AllocSpan<Value>(key_width).data();
+  const int64_t cap = ClampToHeadroom(sum_local, ctx);
+  FlatKeyIndex seen(cap, key_width, out.GrowRows(cap), ctx.arena());
   int* packed_cols = ctx.arena().AllocSpan<int>(key_width).data();
   for (int c = 0; c < key_width; ++c) packed_cols[c] = c;
-  out.Reserve(CappedReserveRows(static_cast<double>(sum_local), ctx));
   if (morsel_rows_out != nullptr) {
     morsel_rows_out->assign(static_cast<size_t>(num_morsels), 0);
   }
-  for (int64_t m = 0; m < num_morsels && !ctx.exhausted(); ++m) {
+  for (int64_t m = 0; m < num_morsels && seen.num_keys() < cap; ++m) {
     MorselSpans::Timer timer(spans, m);
-    const int64_t before = out.size();
-    const int64_t probed = AppendDistinct(
-        locals[static_cast<size_t>(m)]->key_data(), key_width, packed_cols,
-        local_counts[static_cast<size_t>(m)], seen, key, out, ctx);
-    const int64_t added = out.size() - before;
+    const FlatKeyIndex& local = *locals[static_cast<size_t>(m)];
+    const int64_t before = seen.num_keys();
+    const int64_t probed = InsertDistinct(local.key_data(), key_width,
+                                          packed_cols, local.num_keys(), cap,
+                                          seen);
+    const int64_t added = seen.num_keys() - before;
     if (morsel_rows_out != nullptr) {
       (*morsel_rows_out)[static_cast<size_t>(m)] = added;
     }
@@ -710,15 +689,15 @@ Relation ProjectColumns(const Relation& input, const ProjectSpec& spec,
       span.bytes += added * key_width * static_cast<int64_t>(sizeof(Value));
     }
   }
+  out.TruncateRows(seen.num_keys());
+  if (!out.empty()) ctx.ChargeTuples(out.size());
 
   const Counter shared = static_cast<Counter>(merge_scope.bytes_allocated());
   if (spans.enabled()) spans.span(0).bytes += shared;
   spans.RecordInOrder();
   Counter footprint = shared + out.byte_size();
-  for (int64_t m = 0; m < num_morsels; ++m) {
-    footprint +=
-        scratch_a[static_cast<size_t>(m)] +
-        static_cast<Counter>(local_arenas[static_cast<size_t>(m)].bytes_in_use());
+  for (const ExecArena& arena : local_arenas) {
+    footprint += static_cast<Counter>(arena.bytes_in_use());
   }
   ctx.stats().NotePeakBytes(footprint);
   ctx.stats().NoteIntermediate(out.arity(), out.size());
@@ -758,8 +737,9 @@ Relation SemiJoinFiltered(const Relation& left, const Relation& right,
   // Shared filter build on the calling thread, timed into morsel 0's
   // span; read-only afterwards.
   ArenaScope shared_scope(ctx.arena());
-  FlatKeyIndex keys(right.size(), key_width, ctx.arena());
-  Value* key = ctx.arena().AllocSpan<Value>(std::max(key_width, 1)).data();
+  Value* right_keys =
+      ctx.arena().AllocSpan<Value>(right.size() * key_width).data();
+  FlatKeyIndex keys(right.size(), key_width, right_keys, ctx.arena());
   {
     MorselSpans::Timer timer(spans, 0);
     const int right_arity = right.arity();
@@ -768,34 +748,40 @@ Relation SemiJoinFiltered(const Relation& left, const Relation& right,
     const int* right_key = spec.right_key_cols.data();
     for (int64_t i = 0; i < right_rows; ++i) {
       const Value* row = right_base + i * right_arity;
+      Value* key = keys.next_key();
       for (int c = 0; c < key_width; ++c) key[c] = row[right_key[c]];
-      bool inserted;
-      keys.InsertOrFind(key, &inserted);
+      keys.InsertNext();
     }
   }
 
   // Single-morsel path (every serial call): one pass that probes each
-  // left key in place and appends the survivors, as a tuple-at-a-time
-  // loop would. On BM_SemiJoin/16384 (2-column rows, all surviving; one
-  // pinned Xeon core) the two phases below took 1.5-1.9 ms in some heap
-  // layouts and this pass 0.35-0.47 ms, so serial calls skip the
-  // selection round trip.
+  // left key in place and copies the survivors, as a tuple-at-a-time
+  // loop would, into an output sized for the rows the budget still
+  // allows; a pass that exhausts the budget keeps none of them. On
+  // BM_SemiJoin/16384 (2-column rows, all surviving; one pinned Xeon
+  // core) the two phases below took 1.5-1.9 ms in some heap layouts and
+  // this pass 0.35-0.47 ms, so serial calls skip the selection round
+  // trip.
   if (num_morsels == 1) {
-    out.Reserve(CappedReserveRows(static_cast<double>(left_rows), ctx));
+    Value* key = ctx.arena().AllocSpan<Value>(std::max(key_width, 1)).data();
+    const int64_t cap = ClampToHeadroom(left_rows, ctx);
+    Value* cursor = out.GrowRows(cap);
+    int64_t kept = 0;
     int64_t i = 0;
     {
       MorselSpans::Timer timer(spans, 0);
-      while (i < left_rows && !ctx.exhausted()) {
+      while (i < left_rows && kept < cap) {
         const Value* row = left_base + i * left_arity;
         ++i;
         if (!no_common) {
           for (int c = 0; c < key_width; ++c) key[c] = row[left_key[c]];
           if (keys.Find(key) < 0) continue;
         }
-        out.AppendRaw(row);
-        ctx.ChargeTuples(1);
+        std::copy(row, row + left_arity, cursor + kept * left_arity);
+        ++kept;
       }
     }
+    out.TruncateRows(ChargeOutput(kept, left_arity, ctx));
     if (morsel_rows_out != nullptr) morsel_rows_out->assign(1, out.size());
     const Counter footprint =
         static_cast<Counter>(shared_scope.bytes_allocated()) +
@@ -812,7 +798,6 @@ Relation SemiJoinFiltered(const Relation& left, const Relation& right,
     }
     spans.RecordInOrder();
     ctx.stats().NotePeakBytes(footprint);
-    ctx.stats().NoteIntermediate(out.arity(), out.size());
     return out;
   }
 
@@ -833,68 +818,71 @@ Relation SemiJoinFiltered(const Relation& left, const Relation& right,
       // Right is nonempty: every left row survives (identity selection,
       // not materialized).
       offsets[m + 1] = end - begin;
-      return;
-    }
-    ExecArena& warena = WorkerArena(mx, ctx, w);
-    ArenaScope scope(warena);
-    Value* mkey = warena.AllocSpan<Value>(key_width).data();
-    int32_t* msel = sel + begin;
-    int64_t kept = 0;
-    for (int64_t i = begin; i < end; ++i) {
-      const Value* row = left_base + i * left_arity;
-      for (int c = 0; c < key_width; ++c) mkey[c] = row[left_key[c]];
-      if (keys.Find(mkey) >= 0) msel[kept++] = static_cast<int32_t>(i - begin);
-    }
-    offsets[m + 1] = kept;
-    scratch[m] =
-        static_cast<int64_t>(scope.bytes_allocated());
-  });
-  const int64_t limit = PrefixSumsClamped(offsets, ctx);
-  Value* out_base = out.GrowRows(limit);
-
-  // Phase B: copy the surviving left rows into the disjoint ranges.
-  mx.ForEachMorsel(num_morsels, [&](int64_t m, int /*w*/) {
-    MorselSpans::Timer timer(spans, m);
-    const auto [begin, end] = RangeOf(m, morsel_rows, left_rows);
-    const auto [off, off_end] = OutputSlice(offsets, m, limit);
-    const int64_t quota = off_end - off;
-    Value* cursor = out_base + off * left_arity;
-    if (no_common) {
-      const Value* src = left_base + begin * left_arity;
-      std::copy(src, src + quota * left_arity, cursor);
     } else {
-      const int32_t* msel = sel + begin;
-      for (int64_t j = 0; j < quota; ++j) {
-        const Value* row = left_base + (begin + msel[j]) * left_arity;
-        for (int c = 0; c < left_arity; ++c) cursor[c] = row[c];
-        cursor += left_arity;
+      ExecArena& warena = WorkerArena(mx, ctx, w);
+      ArenaScope scope(warena);
+      Value* mkey = warena.AllocSpan<Value>(key_width).data();
+      int32_t* msel = sel + begin;
+      int64_t kept = 0;
+      for (int64_t i = begin; i < end; ++i) {
+        const Value* row = left_base + i * left_arity;
+        for (int c = 0; c < key_width; ++c) mkey[c] = row[left_key[c]];
+        if (keys.Find(mkey) >= 0) {
+          msel[kept++] = static_cast<int32_t>(i - begin);
+        }
       }
+      offsets[m + 1] = kept;
+      scratch[m] = static_cast<int64_t>(scope.bytes_allocated());
     }
     if (spans.enabled()) {
       TraceSpan& span = spans.span(m);
       span.rows_in = end - begin;
-      span.rows_out = quota;
       span.arity_in = std::max(left_arity, right.arity());
       span.arity_out = left_arity;
-      span.bytes = scratch[m] +
-                   quota * left_arity * static_cast<int64_t>(sizeof(Value));
+      span.bytes = scratch[m];
       span.ht_probe_ops = no_common ? 0 : end - begin;
     }
   });
 
-  if (limit > 0) ctx.ChargeTuples(limit);
+  // Phase B: copy the surviving left rows into the disjoint ranges. A
+  // call that exhausts the budget skips it.
+  if (PrefixSumsCharged(offsets, left_arity, ctx) > 0) {
+    Value* out_base = out.GrowRows(offsets[num_morsels]);
+    mx.ForEachMorsel(num_morsels, [&](int64_t m, int /*w*/) {
+      MorselSpans::Timer timer(spans, m);
+      const int64_t begin = RangeOf(m, morsel_rows, left_rows).begin;
+      const int64_t quota = offsets[m + 1] - offsets[m];
+      Value* cursor = out_base + offsets[m] * left_arity;
+      if (no_common) {
+        const Value* src = left_base + begin * left_arity;
+        std::copy(src, src + quota * left_arity, cursor);
+      } else {
+        const int32_t* msel = sel + begin;
+        for (int64_t j = 0; j < quota; ++j) {
+          const Value* row = left_base + (begin + msel[j]) * left_arity;
+          for (int c = 0; c < left_arity; ++c) cursor[c] = row[c];
+          cursor += left_arity;
+        }
+      }
+      if (spans.enabled()) {
+        TraceSpan& span = spans.span(m);
+        span.rows_out = quota;
+        span.bytes += quota * left_arity * static_cast<int64_t>(sizeof(Value));
+      }
+    });
+  }
+
   const Counter shared = static_cast<Counter>(shared_scope.bytes_allocated());
   if (spans.enabled()) {
     spans.span(0).ht_build_rows = right.size();
     spans.span(0).bytes += shared;
   }
   spans.RecordInOrder();
-  FillAccounts(morsel_rows_out, offsets, limit);
+  FillAccounts(morsel_rows_out, offsets);
 
   Counter footprint = shared + out.byte_size();
   for (int64_t m = 0; m < num_morsels; ++m) footprint += scratch[m];
   ctx.stats().NotePeakBytes(footprint);
-  ctx.stats().NoteIntermediate(out.arity(), out.size());
   return out;
 }
 

@@ -24,8 +24,9 @@ namespace ppr {
 /// at any morsel count, with every key assembled in place from its row;
 /// one morsel makes them a count pass and a copy pass. Semijoin and
 /// projection have a one-morsel pass of their own: semijoin probes and
-/// appends in one loop, and projection deduplicates into a single hash
-/// index instead of merging morsel-local ones.
+/// copies in one loop, and projection deduplicates into a single hash
+/// index, whose key store is the output, instead of merging morsel-local
+/// ones.
 ///
 /// Determinism contract (the property tests and the morsel driver rely
 /// on it):
@@ -43,10 +44,17 @@ namespace ppr {
 ///
 ///  - The morsel partition depends only on the row count and morsel
 ///    size, never on the worker count.
-///  - A counting phase computes exact per-morsel output sizes; prefix
-///    sums turn them into disjoint output ranges, and the truncation
-///    point is min(total, budget_headroom()) — the row a sequential
-///    tuple-at-a-time loop would stop at.
+///  - A counting phase computes exact per-morsel output sizes, and
+///    prefix sums turn them into disjoint output ranges.
+///  - A call whose total output reaches budget_headroom() exhausts the
+///    budget. It charges and notes min(total, headroom) rows — the row a
+///    sequential tuple-at-a-time loop would stop at — and returns an
+///    empty relation with zero morsel accounts, writing no output: every
+///    budgeted caller discards an exhausted run's output. The one-morsel
+///    semijoin, which learns its size as it copies, truncates what it
+///    wrote to nothing. Projection learns its size only by deduplicating:
+///    it keeps its first min(distinct, headroom) keys in first-occurrence
+///    order.
 ///  - Per-morsel scratch is measured per morsel and folded in
 ///    morsel-index order. Each morsel has one trace span (carrying its
 ///    morsel_id, 0 for a one-morsel call) covering its work in every

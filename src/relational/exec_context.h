@@ -109,9 +109,9 @@ class ExecContext {
 
   /// Upper bound on rows any single operator can still emit before the
   /// budget latches (operators emit one row past the budget, then stop).
-  /// Used to cap output Reserve() calls; kCounterMax when unbudgeted and
-  /// 0 once the budget is exhausted (an exhausted run emits nothing
-  /// more, so reservations must not be padded past zero).
+  /// Kernels size their outputs by it, and a kernel call whose output
+  /// reaches it exhausts the budget; kCounterMax when unbudgeted and 0
+  /// once the budget is exhausted (an exhausted run emits nothing more).
   Counter budget_headroom() const {
     if (tuple_budget_ == kCounterMax) return kCounterMax;
     if (exhausted_) return 0;

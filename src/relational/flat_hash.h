@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
 
 #include "common/arena.h"
@@ -15,21 +16,35 @@ namespace ppr {
 
 /// Flat open-addressing hash table over fixed-width keys.
 ///
-/// Keys are rows of `key_width` values packed contiguously into an
-/// arena-backed store sized for the caller's upper bound on distinct
-/// keys (operators know it exactly: a key per input row at most). The
-/// slot array holds key ids (-1 = empty), is probed linearly, and starts
-/// small, doubling when load exceeds ~0.7 — distinct counts are usually
-/// far below the upper bound, and a rehash only re-seats ids (keys are
-/// never copied). No per-key heap allocation — the replacement for the
-/// seed's unordered_{map,set}<std::vector<Value>>.
+/// Keys are rows of `key_width` values packed contiguously into a key
+/// store the caller provides, with room for the caller's upper bound on
+/// distinct keys (operators know one: a key per input row at most, or the
+/// rows the tuple budget still allows). A key is inserted where the
+/// caller assembled it, in the store's next free row (next_key()), so a
+/// distinct key is written exactly once. Projection passes its output
+/// rows as the store: the distinct keys are the output, in
+/// first-insertion order.
+///
+/// Slot layout: each slot is one 64-bit word, 32 bits of the key's hash
+/// (the tag) above the key's 32-bit id; an all-ones word marks an empty
+/// slot. The slot index comes from the tag, so a probe compares tags and
+/// reads the key store only on a tag match, and a rehash re-seats slots
+/// without reading any key. The array is probed linearly and starts
+/// small, doubling when load exceeds ~0.7: distinct counts are usually
+/// far below the upper bound. Slots come from an arena; no per-key heap
+/// allocation.
 class FlatKeyIndex {
  public:
-  /// Accepts up to `max_keys` distinct keys of `key_width` values each;
-  /// all storage comes from `arena`, which must outlive the index.
-  FlatKeyIndex(int64_t max_keys, int key_width, ExecArena& arena)
-      : arena_(&arena), width_(key_width) {
+  /// Accepts up to `max_keys` distinct keys of `key_width` values each,
+  /// stored in `keys` (room for max_keys * key_width values; the caller
+  /// keeps it alive). Slots come from `arena`, which must outlive the
+  /// index.
+  FlatKeyIndex(int64_t max_keys, int key_width, Value* keys, ExecArena& arena)
+      : arena_(&arena), width_(key_width), max_keys_(max_keys), keys_(keys) {
     PPR_DCHECK(max_keys >= 0 && key_width >= 0);
+    // Ids are 32 bits, and so are the tags the slot index comes from:
+    // at most 2^32 slots, which the load factor keeps above 2^31 keys.
+    PPR_CHECK(max_keys <= std::numeric_limits<int32_t>::max());
     // Next power of two keeping load factor under ~0.7, but never more
     // than 2048 slots upfront: the common case holds far fewer distinct
     // keys than max_keys, and doubling from a small table costs less
@@ -37,45 +52,46 @@ class FlatKeyIndex {
     const int64_t hinted = std::min<int64_t>(max_keys, 1024);
     int64_t capacity = 16;
     while (capacity * 2 < hinted * 3) capacity <<= 1;
-    mask_ = static_cast<uint64_t>(capacity - 1);
-    grow_at_ = capacity * 2 / 3;
-    slots_ = arena.AllocSpan<int64_t>(capacity);
-    std::fill(slots_.begin(), slots_.end(), int64_t{-1});
-    keys_ = arena.AllocSpan<Value>(max_keys * key_width);
+    AllocSlots(capacity);
   }
 
-  /// Returns the id of `key` (dense, in first-insertion order), inserting
-  /// it when new; `*inserted` reports whether this call created it.
-  int64_t InsertOrFind(const Value* key, bool* inserted) {
+  /// The store row where the caller assembles the next key to insert
+  /// (key_width() values). It becomes the key's home if InsertNext()
+  /// finds the key new; otherwise the next candidate overwrites it. Valid
+  /// while num_keys() < the index's max_keys.
+  Value* next_key() {
+    PPR_DCHECK(num_keys_ < max_keys_);
+    return keys_ + num_keys_ * width_;
+  }
+
+  /// Returns the id (dense, in first-insertion order) of the key
+  /// assembled at next_key(), inserting it when new: it then stays in the
+  /// store as row num_keys() - 1, and next_key() moves past it.
+  int64_t InsertNext() {
     if (num_keys_ >= grow_at_) Grow();
-    uint64_t slot = HashPackedKey(key, width_) & mask_;
+    const Value* key = keys_ + num_keys_ * width_;
+    const uint32_t tag = Tag(key, width_);
+    uint64_t slot = tag & mask_;
     while (true) {
-      const int64_t id = slots_[slot];
-      if (id < 0) {
-        const int64_t fresh = num_keys_++;
-        PPR_DCHECK(static_cast<size_t>(fresh * width_) <= keys_.size());
-        slots_[slot] = fresh;
-        std::copy(key, key + width_, keys_.data() + fresh * width_);
-        *inserted = true;
-        return fresh;
+      const uint64_t entry = slots_[slot];
+      if (entry == kEmpty) {
+        PPR_DCHECK(num_keys_ < max_keys_);
+        slots_[slot] = (uint64_t{tag} << 32) | static_cast<uint64_t>(num_keys_);
+        return num_keys_++;
       }
-      if (std::equal(key, key + width_, keys_.data() + id * width_)) {
-        *inserted = false;
-        return id;
-      }
+      if (Matches(entry, tag, key)) return IdOf(entry);
       slot = (slot + 1) & mask_;
     }
   }
 
   /// Returns the id of `key`, or -1 when absent.
   int64_t Find(const Value* key) const {
-    uint64_t slot = HashPackedKey(key, width_) & mask_;
+    const uint32_t tag = Tag(key, width_);
+    uint64_t slot = tag & mask_;
     while (true) {
-      const int64_t id = slots_[slot];
-      if (id < 0) return -1;
-      if (std::equal(key, key + width_, keys_.data() + id * width_)) {
-        return id;
-      }
+      const uint64_t entry = slots_[slot];
+      if (entry == kEmpty) return -1;
+      if (Matches(entry, tag, key)) return IdOf(entry);
       slot = (slot + 1) & mask_;
     }
   }
@@ -83,36 +99,62 @@ class FlatKeyIndex {
   int64_t num_keys() const { return num_keys_; }
   int key_width() const { return width_; }
 
-  /// The packed key store: num_keys() rows of key_width() values in
+  /// The 32 hash bits a slot keeps for `key` (`width` values): its tag,
+  /// whose low bits are also its home slot.
+  static uint32_t Tag(const Value* key, int width) {
+    return static_cast<uint32_t>(HashPackedKey(key, width));
+  }
+
+  /// The key store: num_keys() rows of key_width() values in
   /// first-insertion order. The projection kernel reads a morsel-local
   /// index's keys straight out of here — morsel-local distinct keys in
   /// first-occurrence order — so the global merge can reproduce the
   /// one-morsel emit order exactly.
-  const Value* key_data() const { return keys_.data(); }
+  const Value* key_data() const { return keys_; }
 
  private:
-  // Doubles the slot array and re-seats existing ids from the packed key
-  // store. The old slot array stays behind in the arena until the
-  // enclosing scope releases it (bounded by 2x the final table size).
+  static constexpr uint64_t kEmpty = ~uint64_t{0};
+
+  static int64_t IdOf(uint64_t entry) {
+    return static_cast<int64_t>(static_cast<uint32_t>(entry));
+  }
+
+  // Whether slot word `entry` holds `key`, whose tag is `tag`: the key
+  // store is read only when the tags agree.
+  bool Matches(uint64_t entry, uint32_t tag, const Value* key) const {
+    if (static_cast<uint32_t>(entry >> 32) != tag) return false;
+    const Value* stored = keys_ + IdOf(entry) * width_;
+    return std::equal(key, key + width_, stored);
+  }
+
+  void AllocSlots(int64_t capacity) {
+    mask_ = static_cast<uint64_t>(capacity - 1);
+    grow_at_ = capacity * 2 / 3;
+    slots_ = arena_->AllocSpan<uint64_t>(capacity);
+    std::fill(slots_.begin(), slots_.end(), kEmpty);
+  }
+
+  // Doubles the slot array and re-seats every slot word by its tag. The
+  // old slot array stays behind in the arena until the enclosing scope
+  // releases it (bounded by 2x the final table size).
   void Grow() {
-    const int64_t new_cap = static_cast<int64_t>(mask_ + 1) * 2;
-    mask_ = static_cast<uint64_t>(new_cap - 1);
-    grow_at_ = new_cap * 2 / 3;
-    slots_ = arena_->AllocSpan<int64_t>(new_cap);
-    std::fill(slots_.begin(), slots_.end(), int64_t{-1});
-    for (int64_t id = 0; id < num_keys_; ++id) {
-      uint64_t slot = HashPackedKey(keys_.data() + id * width_, width_) & mask_;
-      while (slots_[slot] >= 0) slot = (slot + 1) & mask_;
-      slots_[slot] = id;
+    const std::span<const uint64_t> old = slots_;
+    AllocSlots(static_cast<int64_t>(mask_ + 1) * 2);
+    for (const uint64_t entry : old) {
+      if (entry == kEmpty) continue;
+      uint64_t slot = (entry >> 32) & mask_;
+      while (slots_[slot] != kEmpty) slot = (slot + 1) & mask_;
+      slots_[slot] = entry;
     }
   }
 
   ExecArena* arena_;
   int width_;
+  int64_t max_keys_;
+  Value* keys_;
   uint64_t mask_ = 0;
   int64_t grow_at_ = 0;
-  std::span<int64_t> slots_;
-  std::span<Value> keys_;
+  std::span<uint64_t> slots_;
   int64_t num_keys_ = 0;
 };
 
@@ -126,20 +168,23 @@ class JoinIndex {
   /// valid until the enclosing ArenaScope releases it.
   JoinIndex(const Relation& build, std::span<const int> key_cols,
             ExecArena& arena)
-      : index_(build.size(), static_cast<int>(key_cols.size()), arena) {
+      : index_(build.size(), static_cast<int>(key_cols.size()),
+               arena.AllocSpan<Value>(build.size() *
+                                      static_cast<int64_t>(key_cols.size()))
+                   .data(),
+               arena) {
     const int64_t n = build.size();
     const int k = static_cast<int>(key_cols.size());
     const int arity = build.arity();
     const Value* base = build.data();
 
     std::span<int64_t> group_of = arena.AllocSpan<int64_t>(n);
-    Value* key = arena.AllocSpan<Value>(std::max(k, 1)).data();
     const int* kc = key_cols.data();
     for (int64_t i = 0; i < n; ++i) {
       const Value* row = base + i * arity;
+      Value* key = index_.next_key();
       for (int c = 0; c < k; ++c) key[c] = row[kc[c]];
-      bool inserted;
-      group_of[i] = index_.InsertOrFind(key, &inserted);
+      group_of[i] = index_.InsertNext();
     }
 
     const int64_t groups = index_.num_keys();

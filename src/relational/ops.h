@@ -84,7 +84,8 @@ ScanSpec PlanScan(int stored_arity, const std::vector<AttrId>& args);
 ///
 /// Implemented as a hash join — the paper selected hash joins in PostgreSQL
 /// as "most efficient in our setting". The smaller input is the build side.
-/// Respects the tuple budget of `ctx` (output truncated once exhausted).
+/// Respects the tuple budget of `ctx`: a call whose output would exhaust
+/// it returns an empty relation, which the caller must discard.
 Relation NaturalJoin(const Relation& left, const Relation& right,
                      ExecContext& ctx);
 

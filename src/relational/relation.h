@@ -1,8 +1,10 @@
 #ifndef PPR_RELATIONAL_RELATION_H_
 #define PPR_RELATIONAL_RELATION_H_
 
+#include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -10,6 +12,25 @@
 #include "relational/schema.h"
 
 namespace ppr {
+
+/// std::allocator whose argument-less construct() default-initializes, so
+/// growing a vector of trivial values leaves the new elements
+/// uninitialized instead of writing zeros.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>& /*other*/) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept {
+    std::uninitialized_default_construct_n(p, 1);
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    std::construct_at(p, std::forward<Args>(args)...);
+  }
+};
 
 /// An in-memory relation: a schema plus a row-major flat tuple store.
 ///
@@ -65,9 +86,12 @@ class Relation {
   /// Raw row-major tuple storage (size() * arity() values).
   const Value* data() const { return data_.data(); }
 
-  /// Appends `rows` zero-initialized tuples and returns a mutable pointer
-  /// to the first of them, for operators that know their output size and
-  /// fill rows through a raw cursor. Invalid for nullary relations.
+  /// Appends `rows` uninitialized tuples and returns a mutable pointer to
+  /// the first of them, for operators that fill rows through a raw
+  /// cursor. Nothing is written here: the caller writes every row it
+  /// keeps and truncates the rest away (TruncateRows), so the pages of
+  /// rows it never writes are never touched. Invalid for nullary
+  /// relations.
   Value* GrowRows(int64_t rows) {
     PPR_DCHECK(arity() > 0 && rows >= 0);
     const size_t old = data_.size();
@@ -113,7 +137,7 @@ class Relation {
   std::vector<std::vector<Value>> CanonicalRows() const;
 
   Schema schema_;
-  std::vector<Value> data_;
+  std::vector<Value, DefaultInitAllocator<Value>> data_;
   /// Nullary relations (arity 0) carry one bit of information: whether
   /// they contain the empty tuple. Boolean query results live here.
   bool nullary_nonempty_ = false;

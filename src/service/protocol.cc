@@ -241,6 +241,11 @@ Result<ReplyHeader> DecodeReplyHeaderPayload(std::string_view payload) {
   }
   header.status = static_cast<ServiceStatus>(status);
   header.cache_hit = cache_hit != 0;
+  // Check the declared arity against the bytes left before sizing the
+  // schema from it: a hostile header must not make the decoder allocate.
+  if (arity > cur.remaining() / sizeof(int32_t)) {
+    return Status::InvalidArgument("malformed reply header schema");
+  }
   header.attrs.resize(arity);
   for (uint32_t i = 0; i < arity; ++i) {
     if (!cur.ReadI32(&header.attrs[i])) {

@@ -92,6 +92,22 @@ Relation RefProject(const Relation& input, const std::vector<AttrId>& attrs) {
   return out;
 }
 
+// Naive distinct projection in first-occurrence order: the emit order the
+// projection kernel promises, and so the prefix a budget-truncated
+// projection keeps.
+Relation RefProjectInOrder(const Relation& input,
+                           const std::vector<AttrId>& attrs) {
+  const ProjectSpec spec = PlanProject(input.schema(), attrs);
+  std::set<std::vector<Value>> seen;
+  Relation out{spec.out_schema};
+  for (int64_t i = 0; i < input.size(); ++i) {
+    std::vector<Value> tuple;
+    for (int c : spec.cols) tuple.push_back(input.at(i, c));
+    if (seen.insert(tuple).second) out.AddTuple(tuple);
+  }
+  return out;
+}
+
 // Naive semijoin: keep left rows with at least one matching right row on
 // the shared attributes (all right rows match when nothing is shared).
 Relation RefSemiJoin(const Relation& left, const Relation& right) {
@@ -471,6 +487,167 @@ TEST(FlatOpsPropertyTest, MorselSpansSplitEachCall) {
         ctx.set_tracer(&sink);
         const Relation out = BindIn(left, args, ctx, mx);
         ExpectSpansSplitCall(sink, ctx, out, -1, trial);
+      }
+    }
+  }
+}
+
+// One kernel call on a fresh, traced context whose budget leaves
+// `headroom` rows: its output, its stats, and the rows its spans and its
+// per-morsel accounts say it emitted.
+struct BudgetedCall {
+  Relation out;
+  ExecStats stats;
+  int64_t span_rows = 0;
+  int64_t account_rows = 0;
+};
+
+template <typename Kernel>
+BudgetedCall CallWithHeadroom(Counter headroom, const Kernel& kernel) {
+  TraceSink sink(/*capacity=*/64);
+  ExecContext ctx(/*tuple_budget=*/headroom - 1);
+  EXPECT_EQ(ctx.budget_headroom(), headroom);
+  ctx.set_tracer(&sink);
+  std::vector<int64_t> accounts;
+  BudgetedCall call;
+  call.out = kernel(ctx, &accounts);
+  call.stats = ctx.stats();
+  for (const TraceSpan& span : sink.Snapshot()) call.span_rows += span.rows_out;
+  for (const int64_t rows : accounts) call.account_rows += rows;
+  return call;
+}
+
+// The exhausting-call contract of scan, join and semijoin, whose exact
+// output is `expected` (the unbudgeted serial run, itself checked against
+// `oracle`). For every headroom from 1 to one past the output size and
+// every morsel size: a call whose output reaches the headroom returns
+// nothing, yet charges and notes min(total, headroom) rows, as a
+// tuple-at-a-time loop that stopped there would; any other call returns
+// `expected` exactly. Spans and morsel accounts add up to what was
+// returned.
+template <typename Kernel>
+void ExpectExhaustingCallContract(const Relation& expected,
+                                  const Relation& oracle, const Kernel& kernel,
+                                  int trial) {
+  ASSERT_TRUE(expected.SetEquals(oracle)) << "trial " << trial;
+  const Counter total = oracle.size();
+  ASSERT_EQ(expected.size(), total) << "trial " << trial;
+  for (const int64_t morsel : {int64_t{0}, int64_t{1}, int64_t{3},
+                               int64_t{1024}}) {
+    const MorselExec mx = Morsels(morsel);
+    for (Counter headroom = 1; headroom <= total + 1; ++headroom) {
+      const BudgetedCall call = CallWithHeadroom(
+          headroom, [&](ExecContext& ctx, std::vector<int64_t>* accounts) {
+            return kernel(ctx, mx, accounts);
+          });
+      const bool exhausts = total >= headroom;
+      const Counter charged = std::min(total, headroom);
+      SCOPED_TRACE(::testing::Message()
+                   << "trial " << trial << " morsel " << morsel
+                   << " headroom " << headroom << " total " << total);
+      EXPECT_EQ(call.out.size(), exhausts ? 0 : total);
+      EXPECT_EQ(call.stats.tuples_produced, charged);
+      EXPECT_EQ(call.stats.max_intermediate_rows, charged);
+      EXPECT_EQ(call.span_rows, call.out.size());
+      EXPECT_EQ(call.account_rows, call.out.size());
+      if (!exhausts) ExpectSameRows(expected, call.out, trial);
+    }
+  }
+}
+
+TEST(FlatOpsPropertyTest, ExhaustingScanReturnsNothing) {
+  Rng rng(1001);
+  for (int trial = 0; trial < 60; ++trial) {
+    const Relation stored = RandomRelation(RandomSchema(rng, 3), rng);
+    // Odd trials repeat attributes (the selection path), even ones bind
+    // distinct attributes (the pure column gather).
+    std::vector<AttrId> args;
+    for (int c = 0; c < stored.arity(); ++c) {
+      args.push_back(static_cast<AttrId>(
+          trial % 2 == 1 ? 20 + rng.NextBounded(2) : 20 + c));
+    }
+    ExecContext serial_ctx;
+    ExpectExhaustingCallContract(
+        BindAtom(stored, args, serial_ctx), RefBindAtom(stored, args),
+        [&](ExecContext& ctx, const MorselExec& mx,
+            std::vector<int64_t>* accounts) {
+          return ScanAtom(stored, PlanScan(stored.arity(), args), ctx, mx,
+                          accounts);
+        },
+        trial);
+  }
+}
+
+TEST(FlatOpsPropertyTest, ExhaustingJoinReturnsNothing) {
+  Rng rng(1002);
+  for (int trial = 0; trial < 60; ++trial) {
+    const Relation left = RandomRelation(RandomSchema(rng, 3), rng);
+    const Relation right = RandomRelation(RandomSchema(rng, 3), rng);
+    const JoinSpec spec = PlanJoin(left.schema(), right.schema());
+    ExecContext serial_ctx;
+    ExpectExhaustingCallContract(
+        NaturalJoin(left, right, serial_ctx), RefJoin(left, right),
+        [&](ExecContext& ctx, const MorselExec& mx,
+            std::vector<int64_t>* accounts) {
+          return HashJoin(left, right, spec, ctx, mx, accounts);
+        },
+        trial);
+  }
+}
+
+TEST(FlatOpsPropertyTest, ExhaustingSemiJoinReturnsNothing) {
+  Rng rng(1003);
+  for (int trial = 0; trial < 60; ++trial) {
+    const Relation left = RandomRelation(RandomSchema(rng, 3), rng);
+    const Relation right = RandomRelation(RandomSchema(rng, 3), rng);
+    const SemiJoinSpec spec = PlanSemiJoin(left.schema(), right.schema());
+    ExecContext serial_ctx;
+    ExpectExhaustingCallContract(
+        SemiJoin(left, right, serial_ctx), RefSemiJoin(left, right),
+        [&](ExecContext& ctx, const MorselExec& mx,
+            std::vector<int64_t>* accounts) {
+          return SemiJoinFiltered(left, right, spec, ctx, mx, accounts);
+        },
+        trial);
+  }
+}
+
+// Projection cannot know its output size before it deduplicates: a
+// budget-truncated projection keeps the first-occurrence prefix of its
+// distinct keys, min(distinct, headroom) rows, at every morsel size.
+TEST(FlatOpsPropertyTest, TruncatedProjectionKeepsFirstOccurrencePrefix) {
+  Rng rng(1004);
+  for (int trial = 0; trial < 100; ++trial) {
+    const Relation input = RandomRelation(RandomSchema(rng, 4), rng);
+    std::vector<AttrId> keep;
+    for (AttrId a : input.schema().attrs()) {
+      if (rng.NextBounded(2) == 0) keep.push_back(a);
+    }
+    const ProjectSpec spec = PlanProject(input.schema(), keep);
+    const Relation oracle = RefProjectInOrder(input, keep);
+    const Counter distinct = oracle.size();
+    for (const int64_t morsel : {int64_t{0}, int64_t{1}, int64_t{3},
+                                 int64_t{1024}}) {
+      const MorselExec mx = Morsels(morsel);
+      for (Counter headroom = 1; headroom <= distinct + 1; ++headroom) {
+        const BudgetedCall call = CallWithHeadroom(
+            headroom, [&](ExecContext& ctx, std::vector<int64_t>* accounts) {
+              return ProjectColumns(input, spec, ctx, mx, accounts);
+            });
+        const Counter kept = std::min(distinct, headroom);
+        SCOPED_TRACE(::testing::Message()
+                     << "trial " << trial << " morsel " << morsel
+                     << " headroom " << headroom << " distinct " << distinct);
+        ASSERT_EQ(call.out.size(), kept);
+        for (int64_t i = 0; i < kept; ++i) {
+          for (int c = 0; c < oracle.arity(); ++c) {
+            ASSERT_EQ(call.out.at(i, c), oracle.at(i, c)) << "row " << i;
+          }
+        }
+        EXPECT_EQ(call.stats.tuples_produced, kept);
+        EXPECT_EQ(call.stats.max_intermediate_rows, kept);
+        EXPECT_EQ(call.span_rows, call.out.size());
+        EXPECT_EQ(call.account_rows, call.out.size());
       }
     }
   }

@@ -107,6 +107,23 @@ TEST(ProtocolTest, ReplyHeaderFrameRoundTrips) {
   EXPECT_EQ(back->message, header.message);
 }
 
+TEST(ProtocolTest, ReplyHeaderWithOversizedArityIsRejected) {
+  // status, status_code, cache_hit, predicted_width, then an arity of
+  // 0xFFFFFFFF with 3 payload bytes behind it: the decoder must refuse
+  // the header before sizing the schema from the declared arity.
+  std::string payload;
+  payload.push_back(static_cast<char>(ServiceStatus::kOk));
+  payload.append(4, '\0');
+  payload.push_back('\0');
+  payload.append(4, '\0');
+  payload.append(4, '\xff');
+  payload.append(3, '\0');
+  ASSERT_EQ(payload.size(), 17u);
+  const Result<ReplyHeader> decoded = DecodeReplyHeaderPayload(payload);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(ProtocolTest, TrailerFrameRoundTrips) {
   ReplyTrailer trailer;
   trailer.nonempty = true;
