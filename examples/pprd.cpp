@@ -31,7 +31,9 @@
 // Observability: the PPR_* env vars work as everywhere else —
 // PPR_STATS_PORT serves /metrics (pprstat serve renders it),
 // PPR_QUERY_LOG exports the per-request JSONL, PPR_FLIGHT_DIR arms the
-// flight recorder (shed/deadline anomalies dump evidence).
+// flight recorder (shed/deadline anomalies dump evidence), and
+// PPR_VERIFY_PLANS / PPR_VERIFY_SEMANTICS verify every plan the daemon
+// compiles (a rejected plan is answered as an error).
 
 #include <csignal>
 #include <cstdio>
@@ -39,6 +41,7 @@
 #include <cstring>
 #include <string>
 
+#include "analysis/verifier.h"
 #include "encode/kcolor.h"
 #include "relational/database.h"
 #include "service/server.h"
@@ -89,6 +92,10 @@ int main(int argc, char** argv) {
   sigaddset(&signals, SIGINT);
   sigaddset(&signals, SIGTERM);
   pthread_sigmask(SIG_BLOCK, &signals, nullptr);
+
+  // The verifier gates were read from the environment; their hooks must
+  // be in place before the service compiles anything.
+  InstallPlanVerifierFromEnv();
 
   Database db;
   AddColoringRelations(static_cast<int>(FlagValue(argc, argv, "colors", 3)),

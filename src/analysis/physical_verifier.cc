@@ -254,7 +254,7 @@ struct MorselNodeShape {
   std::vector<AttrId> out_attrs;  // output label, sorted
 };
 
-// Fills `shapes` in the pre-order numbering shared with MorselOpAccount
+// Fills `shapes` in the pre-order numbering shared with trace spans'
 // node ids (root = 0, node before its children, children left to right).
 void DeriveShapes(const ConjunctiveQuery& query, const PlanNode* node,
                   std::vector<MorselNodeShape>* shapes) {
@@ -308,9 +308,10 @@ Status VerifyPhysicalPlan(const ConjunctiveQuery& query, const Plan& plan,
   return VerifyNode(query, plan.root(), physical.root(), db);
 }
 
-Status VerifyMorselAccounting(const ConjunctiveQuery& query, const Plan& plan,
-                              const Database& db,
-                              const MorselAccounting& accounting) {
+Status VerifyMorselSpans(const ConjunctiveQuery& query, const Plan& plan,
+                         const Database& db,
+                         const std::vector<TraceSpan>& spans,
+                         const ExecStats& stats, Counter tuple_budget) {
   if (plan.empty()) {
     return Status::InvalidArgument("empty logical plan");
   }
@@ -325,93 +326,127 @@ Status VerifyMorselAccounting(const ConjunctiveQuery& query, const Plan& plan,
   const bool have_bounds =
       bound_status.ok() && bounds.size() == shapes.size();
 
-  for (size_t i = 0; i < accounting.ops.size(); ++i) {
-    const MorselOpAccount& op = accounting.ops[i];
-    const std::string where = "morsel account " + std::to_string(i) +
-                              " (node " + std::to_string(op.node_id) +
-                              "): ";
-    if (op.node_id < 0 ||
-        static_cast<size_t>(op.node_id) >= shapes.size()) {
+  int64_t span_rows = 0;
+  size_t begin = 0;
+  while (begin < spans.size()) {
+    // One kernel call: a span with morsel_id 0 (or the sort-merge join's
+    // -1) and every span after it up to the next such span.
+    size_t end = begin + 1;
+    while (end < spans.size() && spans[end].morsel_id != 0 &&
+           spans[end].morsel_id != -1) {
+      ++end;
+    }
+    const TraceSpan& call = spans[begin];
+    const std::string where = "kernel call at span " + std::to_string(begin) +
+                              " (" + TraceOpName(call.op) + ", node " +
+                              std::to_string(call.node_id) + "): ";
+
+    // Morsels: ids 0..n-1 in order (a lone -1 for the sort-merge join),
+    // every one for the same operator at the same node and arity. A
+    // dropped, duplicated, or reordered morsel breaks the sequence.
+    int64_t call_rows = 0;
+    for (size_t s = begin; s < end; ++s) {
+      const TraceSpan& span = spans[s];
+      const int32_t due =
+          call.morsel_id == -1 ? -1 : static_cast<int32_t>(s - begin);
+      if (span.morsel_id != due) {
+        return Status::InvalidArgument(
+            where + "morsel id " + std::to_string(span.morsel_id) +
+            " where " + std::to_string(due) + " was due");
+      }
+      if (span.op != call.op || span.node_id != call.node_id ||
+          span.arity_out != call.arity_out) {
+        return Status::InvalidArgument(
+            where + "morsel " + std::to_string(span.morsel_id) +
+            " reports another operator, node, or arity");
+      }
+      if (span.rows_out < 0) {
+        return Status::InvalidArgument(where + "negative morsel row count");
+      }
+      call_rows += span.rows_out;
+    }
+
+    if (call.node_id < 0 ||
+        static_cast<size_t>(call.node_id) >= shapes.size()) {
       return Status::InvalidArgument(where + "node id out of range");
     }
-    const MorselNodeShape& shape =
-        shapes[static_cast<size_t>(op.node_id)];
-
-    // Row accounting: non-negative per-morsel counts summing to exactly
-    // the rows the operator materialized. A mismatch means morsels were
-    // dropped, double-counted, or merged against the wrong operator.
-    int64_t sum = 0;
-    for (const int64_t rows : op.morsel_rows) {
-      if (rows < 0) {
-        return Status::InvalidArgument(where +
-                                       "negative morsel row count");
-      }
-      sum += rows;
-    }
-    if (sum != op.output_rows) {
-      return Status::InvalidArgument(
-          where + "morsel rows sum to " + std::to_string(sum) + " but " +
-          std::to_string(op.output_rows) + " rows were materialized");
-    }
+    const MorselNodeShape& shape = shapes[static_cast<size_t>(call.node_id)];
 
     // Batch schema: the reported arity must be one the logical labels
     // imply for this node and operator kind.
-    switch (op.op) {
-      case MorselOp::kScan:
+    const int arity = call.arity_out;
+    switch (call.op) {
+      case TraceOp::kScan:
         if (!shape.leaf) {
           return Status::InvalidArgument(where + "scan on a join node");
         }
-        if (op.arity != shape.scan_arity) {
+        if (arity != shape.scan_arity) {
           return Status::InvalidArgument(
-              where + "scan arity " + std::to_string(op.arity) +
+              where + "scan arity " + std::to_string(arity) +
               " != atom's distinct-attribute count " +
               std::to_string(shape.scan_arity));
         }
         break;
-      case MorselOp::kJoin:
+      case TraceOp::kJoin:
         if (shape.leaf) {
           return Status::InvalidArgument(where + "join on a leaf node");
         }
-        if (std::find(shape.join_arities.begin(),
-                      shape.join_arities.end(),
-                      op.arity) == shape.join_arities.end()) {
+        if (std::find(shape.join_arities.begin(), shape.join_arities.end(),
+                      arity) == shape.join_arities.end()) {
           return Status::InvalidArgument(
-              where + "join arity " + std::to_string(op.arity) +
+              where + "join arity " + std::to_string(arity) +
               " matches no fold step of the node's child labels");
         }
         break;
-      case MorselOp::kProject:
+      case TraceOp::kProject:
         if (!shape.projects) {
           return Status::InvalidArgument(
               where + "projection on a non-projecting node");
         }
-        if (op.arity != shape.project_arity) {
+        if (arity != shape.project_arity) {
           return Status::InvalidArgument(
-              where + "projection arity " + std::to_string(op.arity) +
+              where + "projection arity " + std::to_string(arity) +
               " != projected-label arity " +
               std::to_string(shape.project_arity));
         }
         break;
+      case TraceOp::kSemiJoin:
+        return Status::InvalidArgument(where +
+                                       "semijoin in a plan run, which has none");
     }
 
-    // Static bounds: a reported output above the analyzer's per-node
-    // bound means the proof, or the kernel's accounting, is wrong.
+    // Static bounds: an output above the analyzer's per-node bound means
+    // the proof, or the kernel's row counts, are wrong.
     if (have_bounds) {
-      const PlanNodeBound& bound =
-          bounds[static_cast<size_t>(op.node_id)];
+      const PlanNodeBound& bound = bounds[static_cast<size_t>(call.node_id)];
       if (bound.arity_bound != PlanNodeBound::kUnbounded &&
-          op.arity > bound.arity_bound) {
+          arity > bound.arity_bound) {
         return Status::Internal(
-            where + "arity " + std::to_string(op.arity) +
+            where + "arity " + std::to_string(arity) +
             " exceeds static bound " + std::to_string(bound.arity_bound));
       }
       if (std::isfinite(bound.rows_bound) &&
-          static_cast<double>(op.output_rows) > bound.rows_bound) {
+          static_cast<double>(call_rows) > bound.rows_bound) {
         return Status::Internal(
-            where + "output rows " + std::to_string(op.output_rows) +
+            where + "output rows " + std::to_string(call_rows) +
             " exceed static bound " + std::to_string(bound.rows_bound));
       }
     }
+    span_rows += call_rows;
+    begin = end;
+  }
+
+  // Every row a kernel writes is charged against the budget, so the span
+  // rows add up to tuples_produced. A budget-exhausted run's last call
+  // charges up to its headroom but writes nothing (relational/batch_ops.h),
+  // so there the spans may only fall short.
+  const Counter produced = stats.tuples_produced;
+  const bool completed = produced <= tuple_budget;
+  if (completed ? span_rows != produced : span_rows > produced) {
+    return Status::InvalidArgument(
+        "kernel spans report " + std::to_string(span_rows) + " rows but the " +
+        (completed ? "completed" : "budget-exhausted") + " run charged " +
+        std::to_string(produced));
   }
   return Status::Ok();
 }

@@ -1,11 +1,16 @@
 #ifndef PPR_ANALYSIS_PHYSICAL_VERIFIER_H_
 #define PPR_ANALYSIS_PHYSICAL_VERIFIER_H_
 
+#include <vector>
+
 #include "common/status.h"
+#include "common/types.h"
 #include "core/plan.h"
 #include "exec/physical_plan.h"
+#include "obs/trace.h"
 #include "query/conjunctive_query.h"
 #include "relational/database.h"
+#include "relational/exec_context.h"
 
 namespace ppr {
 
@@ -35,34 +40,43 @@ namespace ppr {
 Status VerifyPhysicalPlan(const ConjunctiveQuery& query, const Plan& plan,
                           const Database& db, const PhysicalPlan& physical);
 
-/// Post-run verifier for morsel-driven execution: checks the
-/// per-operator accounting a run reported (one MorselOpAccount
-/// per kernel invocation, exec/physical_plan.h) against the logical plan
-/// and the width analyzer's static bounds. Like VerifyPhysicalPlan it
-/// re-derives everything from first principles — batch schema arities
-/// come from the logical labels, never from the compiled specs — so a
-/// kernel that partitioned, merged, or counted wrongly is caught rather
-/// than trusted. Rejects:
+/// Post-run verifier for morsel-driven execution: checks the kernel
+/// spans of one run (obs/trace.h; one span per morsel, in execution
+/// order) against the logical plan, the width analyzer's static bounds,
+/// and the run's budget charges. The span stream splits into kernel
+/// calls: a span with morsel_id 0, or the sort-merge join's -1, starts a
+/// call. Like VerifyPhysicalPlan it re-derives everything from first
+/// principles — batch schema arities come from the logical labels, never
+/// from the compiled specs — so a kernel that partitioned, merged, or
+/// counted wrongly is caught rather than trusted. Rejects:
 ///  - a node id outside the plan's pre-order numbering;
-///  - row-accounting damage: a negative per-morsel row count, or morsel
-///    counts that do not sum to the rows the operator materialized
-///    (morsels dropped, double-counted, or merged out of order);
-///  - batch-schema drift: a scan on a non-leaf, a join or projection
-///    whose reported arity differs from the arity the logical labels
-///    imply for that node (scans emit the atom's distinct attributes,
-///    fold joins the running union of child output labels, projections
-///    the projected label);
+///  - morsel damage: a call whose morsel ids do not run 0..n-1 in order,
+///    or whose spans disagree on the operator or node (morsels dropped,
+///    duplicated, or recorded out of order);
+///  - operator misplacement: a scan on a non-leaf, a join on a leaf, a
+///    projection on a non-projecting node, or any semijoin (plans run
+///    none);
+///  - batch-schema drift: a span whose arity_out differs from the arity
+///    the logical labels imply for that node (scans emit the atom's
+///    distinct attributes, fold joins the running union of child output
+///    labels, projections the projected label);
 ///  - bound violations: an operator arity above the node's static arity
-///    bound, or materialized rows above a finite static row bound
-///    (NodeBoundsPreOrder) — meaning the analyzer's proof is wrong.
+///    bound, or a call's rows above a finite static row bound
+///    (NodeBoundsPreOrder) — meaning the analyzer's proof is wrong;
+///  - row-accounting damage: span rows that do not add up to the tuples
+///    the run charged against its budget (`stats.tuples_produced`). A
+///    completed run (tuples_produced <= tuple_budget) must match
+///    exactly; a budget-exhausted one may not exceed it, since its
+///    exhausting call charges rows it never writes.
 ///
 /// Sound under budget truncation: a truncated run executes a prefix of
 /// the operators and materializes fewer rows, both of which still pass.
 /// This is the `morsel_accounting` hook (exec/verify_hook.h) the runtime
 /// morsel driver invokes after a verified run.
-Status VerifyMorselAccounting(const ConjunctiveQuery& query, const Plan& plan,
-                              const Database& db,
-                              const MorselAccounting& accounting);
+Status VerifyMorselSpans(const ConjunctiveQuery& query, const Plan& plan,
+                         const Database& db,
+                         const std::vector<TraceSpan>& spans,
+                         const ExecStats& stats, Counter tuple_budget);
 
 }  // namespace ppr
 

@@ -78,8 +78,9 @@ void InstallPlanVerifier(bool enable) {
   };
   hooks.morsel_accounting = [](const ConjunctiveQuery& query,
                                const Plan& plan, const Database& db,
-                               const MorselAccounting& accounting) {
-    return VerifyMorselAccounting(query, plan, db, accounting);
+                               const std::vector<TraceSpan>& spans,
+                               const ExecStats& stats, Counter tuple_budget) {
+    return VerifyMorselSpans(query, plan, db, spans, stats, tuple_budget);
   };
   // Semantic tier: fires only while EnableSemanticVerification /
   // PPR_VERIFY_SEMANTICS is on (exec gates it independently of `enable`).

@@ -57,67 +57,38 @@ std::unique_ptr<PhysicalNode> CompileNode(const ConjunctiveQuery& query,
   return phys;
 }
 
-// Appends one kernel's accounting entry. The sort-merge join, which has
-// no morsel partition, passes a null `morsel_rows` and gets one pseudo
-// morsel holding the whole output (none when empty), preserving the
-// invariant sum(morsel_rows) == output_rows.
-void Account(MorselAccounting* acct, int32_t node_id, MorselOp op,
-             const Relation& out, std::vector<int64_t>* morsel_rows) {
-  if (acct == nullptr) return;
-  MorselOpAccount entry;
-  entry.node_id = node_id;
-  entry.op = op;
-  entry.arity = out.arity();
-  entry.output_rows = out.size();
-  if (morsel_rows != nullptr) {
-    entry.morsel_rows = std::move(*morsel_rows);
-  } else if (!out.empty()) {
-    entry.morsel_rows.push_back(out.size());
-  }
-  acct->ops.push_back(std::move(entry));
-}
-
 // Bottom-up evaluation with the exact control flow of the seed
 // interpreter (executor.cc's EvalNode), so budget-exhaustion skip
 // behavior — and therefore every statistic — is preserved bit for bit.
 // kSortMerge joins run the sort-merge kernel (the Section-2 ablation),
 // which has no morsel partition.
 Relation Exec(const PhysicalNode& node, JoinAlgorithm join_algorithm,
-              ExecContext& ctx, const MorselExec& mx, MorselAccounting* acct) {
-  std::vector<int64_t> morsels;
-  std::vector<int64_t>* mr = acct != nullptr ? &morsels : nullptr;
+              ExecContext& ctx, const MorselExec& mx) {
   if (node.IsLeaf()) {
     ctx.set_trace_node(node.node_id);
-    Relation bound = ScanAtom(*node.stored, node.scan, ctx, mx, mr);
-    Account(acct, node.node_id, MorselOp::kScan, bound, mr);
+    Relation bound = ScanAtom(*node.stored, node.scan, ctx, mx);
     if (node.has_project && !ctx.exhausted()) {
-      Relation projected = ProjectColumns(bound, node.project, ctx, mx, mr);
-      Account(acct, node.node_id, MorselOp::kProject, projected, mr);
-      return projected;
+      return ProjectColumns(bound, node.project, ctx, mx);
     }
     return bound;
   }
 
-  Relation acc = Exec(*node.children.front(), join_algorithm, ctx, mx, acct);
+  Relation acc = Exec(*node.children.front(), join_algorithm, ctx, mx);
   for (size_t i = 1; i < node.children.size() && !ctx.exhausted(); ++i) {
-    Relation next = Exec(*node.children[i], join_algorithm, ctx, mx, acct);
+    Relation next = Exec(*node.children[i], join_algorithm, ctx, mx);
     if (ctx.exhausted()) break;
     // Children retargeted the span attribution; point it back at this
     // node for the fold step's join (and the projection below).
     ctx.set_trace_node(node.node_id);
     if (join_algorithm == JoinAlgorithm::kSortMerge) {
       acc = SortMergeJoin(acc, next, ctx);
-      Account(acct, node.node_id, MorselOp::kJoin, acc, nullptr);
     } else {
-      acc = HashJoin(acc, next, node.joins[i - 1], ctx, mx, mr);
-      Account(acct, node.node_id, MorselOp::kJoin, acc, mr);
+      acc = HashJoin(acc, next, node.joins[i - 1], ctx, mx);
     }
   }
   if (node.has_project && !ctx.exhausted()) {
     ctx.set_trace_node(node.node_id);
-    Relation projected = ProjectColumns(acc, node.project, ctx, mx, mr);
-    Account(acct, node.node_id, MorselOp::kProject, projected, mr);
-    return projected;
+    return ProjectColumns(acc, node.project, ctx, mx);
   }
   return acc;
 }
@@ -189,16 +160,14 @@ ExecutionResult PhysicalPlan::ExecuteShared(ExecArena* arena,
                                             Counter tuple_budget,
                                             TraceSink* trace,
                                             MetricsRegistry* metrics,
-                                            const MorselExec& mx,
-                                            MorselAccounting* accounting)
-    const {
+                                            const MorselExec& mx) const {
   ExecutionResult result;
   if (arena != nullptr) arena->Reset();
   ExecContext ctx(tuple_budget, arena);
   const uint64_t span_mark = trace != nullptr ? trace->total_recorded() : 0;
   ctx.set_tracer(trace);
   WallTimer timer;
-  Relation output = Exec(*root_, join_algorithm_, ctx, mx, accounting);
+  Relation output = Exec(*root_, join_algorithm_, ctx, mx);
   result.seconds = timer.ElapsedSeconds();
   result.stats = ctx.stats();
   if (metrics != nullptr) {

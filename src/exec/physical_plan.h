@@ -54,37 +54,6 @@ struct PhysicalNode {
   bool IsLeaf() const { return children.empty(); }
 };
 
-/// Operator kinds appearing in a run's morsel accounting. Mirrors the
-/// plan kernels without pulling the obs tracing types into the execution
-/// API.
-enum class MorselOp : uint8_t { kScan = 0, kJoin = 1, kProject = 2 };
-
-/// Row accounting of one kernel invocation: the per-morsel
-/// emitted row counts (morsel-index order) and the output they add up
-/// to. The invariant every entry must satisfy — sum(morsel_rows) ==
-/// output_rows — is what the `morsel_accounting` verifier hook
-/// (exec/verify_hook.h) checks against the width analyzer's static
-/// bounds after a morsel-driven run.
-struct MorselOpAccount {
-  /// Pre-order plan-node id the operator ran for.
-  int32_t node_id = -1;
-  MorselOp op = MorselOp::kScan;
-  /// Output arity of the operator (its batch schema width).
-  int arity = 0;
-  /// Output rows materialized (post budget truncation).
-  int64_t output_rows = 0;
-  /// Rows each morsel contributed, in morsel-index order. Kernels on
-  /// nullary schemas run as one morsel; the sort-merge join, which has no
-  /// morsel partition, reports one pseudo morsel holding the whole
-  /// output, or none when the output is empty.
-  std::vector<int64_t> morsel_rows;
-};
-
-/// Per-operator accounting of one run, in execution order.
-struct MorselAccounting {
-  std::vector<MorselOpAccount> ops;
-};
-
 /// A plan compiled once against (query, plan, database) and executable
 /// many times. Compilation precomputes, per node, the output schema,
 /// build/probe key columns, payload copy maps, and projection masks;
@@ -150,15 +119,14 @@ class PhysicalPlan {
   /// where they run; the default runs every call as one morsel inline.
   /// The answer relation and every statistic but peak_bytes are the same
   /// for any MorselExec; for a fixed morsel size peak_bytes is too,
-  /// whatever the worker count. When `accounting` is non-null it
-  /// receives one MorselOpAccount per kernel invocation, in execution
-  /// order, for the morsel-accounting verifier hook.
+  /// whatever the worker count. The kernels' spans, when traced, are the
+  /// run's per-operator record (one per morsel, in execution order),
+  /// which the morsel-accounting verifier hook checks.
   ExecutionResult ExecuteShared(ExecArena* arena,
                                 Counter tuple_budget = kCounterMax,
                                 TraceSink* trace = nullptr,
                                 MetricsRegistry* metrics = nullptr,
-                                const MorselExec& mx = {},
-                                MorselAccounting* accounting = nullptr) const;
+                                const MorselExec& mx = {}) const;
 
   /// Schema of the answer relation (the root's projected label).
   const Schema& output_schema() const { return root_->output_schema; }

@@ -7,6 +7,7 @@
 
 #include "common/annotations.h"
 #include "common/status.h"
+#include "common/types.h"
 #include "core/plan.h"
 #include "query/conjunctive_query.h"
 #include "relational/database.h"
@@ -14,7 +15,8 @@
 namespace ppr {
 
 class PhysicalPlan;
-struct MorselAccounting;
+struct ExecStats;
+struct TraceSpan;
 
 /// Static bounds the width analyzer proves for one plan node, in the
 /// shared pre-order numbering (root = 0, node before its children,
@@ -51,14 +53,17 @@ struct PlanVerifierHooks {
   std::function<Status(const ConjunctiveQuery&, const Plan&, const Database&,
                        std::vector<PlanNodeBound>*)>
       node_bounds;
-  /// Validates the per-operator morsel accounting of one run
-  /// (exec/physical_plan.h's MorselAccounting): re-derives the batch
-  /// schemas from the logical plan, checks each operator's per-morsel
-  /// rows sum to its output, and checks outputs against the width
-  /// analyzer's static bounds. The morsel driver (src/runtime) calls it
-  /// after every morsel-driven run while verification is enabled.
+  /// Validates the per-operator morsel accounting of one run: its kernel
+  /// spans (obs/trace.h, one per morsel, in execution order), its stats,
+  /// and the tuple budget it ran under. Re-derives the batch schemas from
+  /// the logical plan, checks each call's morsel ids, arities and rows
+  /// against them and the width analyzer's static bounds, and the span
+  /// rows against the budget charges. The morsel driver (src/runtime)
+  /// calls it after every morsel-driven run while verification is
+  /// enabled.
   std::function<Status(const ConjunctiveQuery&, const Plan&, const Database&,
-                       const MorselAccounting&)>
+                       const std::vector<TraceSpan>&, const ExecStats&,
+                       Counter tuple_budget)>
       morsel_accounting;
   /// Semantic translation validation (analysis/semantic/certify.h): a
   /// third verifier tier beyond structural checks — extracts the

@@ -23,8 +23,7 @@ std::string SpansToChromeTrace(const std::vector<TraceSpan>& spans) {
         << ",\"arity_out\":" << s.arity_out << ",\"bytes\":" << s.bytes
         << ",\"ht_build_rows\":" << s.ht_build_rows
         << ",\"ht_probe_ops\":" << s.ht_probe_ops
-        << ",\"morsel\":" << s.morsel_id
-        << ",\"batches\":" << s.batches << "}}";
+        << ",\"morsel\":" << s.morsel_id << "}}";
   }
   out << "\n]}\n";
   return out.str();

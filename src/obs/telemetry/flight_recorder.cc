@@ -18,7 +18,7 @@ void AppendSpanJson(std::ostringstream& out, const TraceSpan& s) {
       << ",\"arity_in\":" << s.arity_in << ",\"arity_out\":" << s.arity_out
       << ",\"bytes\":" << s.bytes << ",\"ht_build_rows\":" << s.ht_build_rows
       << ",\"ht_probe_ops\":" << s.ht_probe_ops
-      << ",\"morsel\":" << s.morsel_id << ",\"batches\":" << s.batches << "}";
+      << ",\"morsel\":" << s.morsel_id << "}";
 }
 
 }  // namespace

@@ -63,11 +63,9 @@ struct TraceSpan {
   /// call of a serial run. -1 for operators without a morsel partition
   /// (the sort-merge join). A morsel's span covers its work in every
   /// phase of the call (morsel 0's also the shared build), and one
-  /// call's spans are recorded in morsel-index order.
+  /// call's spans are recorded in morsel-index order, so a span with
+  /// morsel_id 0 or -1 starts a new call.
   int32_t morsel_id = -1;
-  /// Morsels processed by the span: 1 for a kernel span (one span per
-  /// morsel), 0 for spans without a morsel.
-  int64_t batches = 0;
 };
 
 /// Fixed-capacity ring buffer of spans. Recording never allocates once
@@ -83,6 +81,8 @@ struct TraceSpan {
 class TraceSink {
  public:
   static constexpr size_t kDefaultCapacity = 8192;
+  /// A capacity no run reaches: the sink grows instead of overwriting.
+  static constexpr size_t kUnbounded = SIZE_MAX;
 
   explicit TraceSink(size_t capacity = kDefaultCapacity);
 

@@ -136,7 +136,6 @@ class MorselSpans {
       span.node_id = node_id;
       span.start_ns = -1;
       span.morsel_id = static_cast<int32_t>(m);
-      span.batches = 1;
     }
   }
 
@@ -173,17 +172,6 @@ class MorselSpans {
   TraceSink* sink_;
   std::vector<TraceSpan> spans_;
 };
-
-// Per-morsel emitted rows implied by the prefix sums `offsets`.
-void FillAccounts(std::vector<int64_t>* accounts, const MorselSlots& offsets) {
-  if (accounts == nullptr) return;
-  accounts->clear();
-  const int64_t num_morsels = offsets.size() - 1;
-  accounts->reserve(static_cast<size_t>(num_morsels));
-  for (int64_t m = 0; m < num_morsels; ++m) {
-    accounts->push_back(offsets[m + 1] - offsets[m]);
-  }
-}
 
 // Whether a stored row satisfies the scan's repeated-attribute checks.
 bool PassesChecks(const Value* row, const ScanSpec& spec) {
@@ -232,25 +220,16 @@ void EmitScanRows(const Value* base, int in_arity, const ScanSpec& spec,
   }
 }
 
-// Marks a span as covering the single morsel of a one-morsel call.
-void TagOneMorsel(SpanRecorder& rec) {
-  rec.span().morsel_id = 0;
-  rec.span().batches = 1;
-}
-
 // Nullary outputs hold at most the empty tuple: emits it unless that
-// exhausts the budget (ChargeOutput), recording the call as one morsel
-// (span and account).
-void EmitNullary(TraceOp op, Relation& out, ExecContext& ctx,
-                 std::vector<int64_t>* morsel_rows_out) {
+// exhausts the budget (ChargeOutput), recording the call as one morsel.
+void EmitNullary(TraceOp op, Relation& out, ExecContext& ctx) {
   SpanRecorder rec(ctx.tracer(), op, ctx.trace_node());
   if (ChargeOutput(1, 0, ctx) > 0) out.AddTuple(std::span<const Value>{});
   if (rec.enabled()) {
     rec.span().rows_in = 1;
     rec.span().rows_out = out.size();
-    TagOneMorsel(rec);
+    rec.span().morsel_id = 0;
   }
-  if (morsel_rows_out != nullptr) morsel_rows_out->assign(1, out.size());
 }
 
 // The column layout of one hash join, shared read-only by its morsels:
@@ -368,9 +347,7 @@ int64_t InsertDistinct(const Value* base, int stride, const int* cols,
 }  // namespace
 
 Relation ScanAtom(const Relation& stored, const ScanSpec& spec,
-                  ExecContext& ctx, const MorselExec& mx,
-                  std::vector<int64_t>* morsel_rows_out) {
-  if (morsel_rows_out != nullptr) morsel_rows_out->clear();
+                  ExecContext& ctx, const MorselExec& mx) {
   Relation out{spec.out_schema};
   if (stored.empty()) {
     // No scratch for empty inputs, so peak_bytes stays an honest 0 on
@@ -381,7 +358,7 @@ Relation ScanAtom(const Relation& stored, const ScanSpec& spec,
   if (out.arity() == 0) {
     // Nullary binding: the stored relation is nullary and holds the
     // empty tuple.
-    EmitNullary(TraceOp::kScan, out, ctx, morsel_rows_out);
+    EmitNullary(TraceOp::kScan, out, ctx);
     return out;
   }
 
@@ -444,16 +421,13 @@ Relation ScanAtom(const Relation& stored, const ScanSpec& spec,
   const Counter shared = static_cast<Counter>(shared_scope.bytes_allocated());
   if (spans.enabled()) spans.span(0).bytes += shared;
   spans.RecordInOrder();
-  FillAccounts(morsel_rows_out, offsets);
   ctx.stats().NotePeakBytes(shared + out.byte_size());
   return out;
 }
 
 Relation HashJoin(const Relation& left, const Relation& right,
                   const JoinSpec& spec, ExecContext& ctx,
-                  const MorselExec& mx,
-                  std::vector<int64_t>* morsel_rows_out) {
-  if (morsel_rows_out != nullptr) morsel_rows_out->clear();
+                  const MorselExec& mx) {
   ctx.stats().num_joins++;
   Relation out{spec.out_schema};
   if (left.empty() || right.empty()) {
@@ -462,7 +436,7 @@ Relation HashJoin(const Relation& left, const Relation& right,
   }
   if (out.arity() == 0) {
     // Both inputs nullary and nonempty: the empty tuple.
-    EmitNullary(TraceOp::kJoin, out, ctx, morsel_rows_out);
+    EmitNullary(TraceOp::kJoin, out, ctx);
     return out;
   }
 
@@ -545,7 +519,6 @@ Relation HashJoin(const Relation& left, const Relation& right,
     spans.span(0).bytes += shared;
   }
   spans.RecordInOrder();
-  FillAccounts(morsel_rows_out, offsets);
 
   Counter footprint = shared + out.byte_size();
   for (int64_t m = 0; m < num_morsels; ++m) footprint += scratch[m];
@@ -554,9 +527,7 @@ Relation HashJoin(const Relation& left, const Relation& right,
 }
 
 Relation ProjectColumns(const Relation& input, const ProjectSpec& spec,
-                        ExecContext& ctx, const MorselExec& mx,
-                        std::vector<int64_t>* morsel_rows_out) {
-  if (morsel_rows_out != nullptr) morsel_rows_out->clear();
+                        ExecContext& ctx, const MorselExec& mx) {
   ctx.stats().num_projections++;
   Relation out{spec.out_schema};
   if (spec.cols.empty()) {
@@ -566,14 +537,13 @@ Relation ProjectColumns(const Relation& input, const ProjectSpec& spec,
       rec.span().rows_in = input.size();
       rec.span().arity_in = input.arity();
       rec.span().arity_out = 0;
-      TagOneMorsel(rec);
+      rec.span().morsel_id = 0;
     }
     if (!input.empty()) {
       out.AddTuple(std::span<const Value>{});
       ctx.ChargeTuples(1);
     }
     if (rec.enabled()) rec.span().rows_out = out.size();
-    if (morsel_rows_out != nullptr) morsel_rows_out->assign(1, out.size());
     ctx.stats().NoteIntermediate(0, out.size());
     return out;
   }
@@ -610,7 +580,6 @@ Relation ProjectColumns(const Relation& input, const ProjectSpec& spec,
         InsertDistinct(base, in_arity, cols, in_rows, cap, seen);
     out.TruncateRows(seen.num_keys());
     if (!out.empty()) ctx.ChargeTuples(out.size());
-    if (morsel_rows_out != nullptr) morsel_rows_out->assign(1, out.size());
     const Counter footprint =
         static_cast<Counter>(scope.bytes_allocated()) + out.byte_size();
     if (mrec.enabled()) {
@@ -621,7 +590,7 @@ Relation ProjectColumns(const Relation& input, const ProjectSpec& spec,
       mrec.span().bytes = footprint;
       mrec.span().ht_build_rows = out.size();
       mrec.span().ht_probe_ops = probed;
-      TagOneMorsel(mrec);
+      mrec.span().morsel_id = 0;
     }
     ctx.stats().NotePeakBytes(footprint);
     ctx.stats().NoteIntermediate(out.arity(), out.size());
@@ -629,21 +598,32 @@ Relation ProjectColumns(const Relation& input, const ProjectSpec& spec,
   }
 
   // Phase A: morsel-local dedup. Each morsel builds its own FlatKeyIndex,
-  // slots and key store, in a per-morsel arena: the index must outlive
-  // the phase for the merge to read its packed keys.
-  std::vector<ExecArena> local_arenas(static_cast<size_t>(num_morsels));
+  // slots and key store, in its worker slot's arena. The index must
+  // outlive the phase for the merge to read its packed keys, so one scope
+  // per worker arena, opened here on the calling thread, keeps every
+  // local index until the call returns. A morsel's scratch is the bytes
+  // it allocated, whichever slot ran it, so peak_bytes does not depend on
+  // the worker count.
+  std::vector<std::optional<ArenaScope>> local_scopes(
+      std::max<size_t>(mx.worker_arenas.size(), 1));
+  for (size_t w = 0; w < local_scopes.size(); ++w) {
+    local_scopes[w].emplace(WorkerArena(mx, ctx, static_cast<int>(w)));
+  }
   std::vector<std::optional<FlatKeyIndex>> locals(
       static_cast<size_t>(num_morsels));
+  MorselSlots scratch(num_morsels);
   MorselSpans spans(ctx.tracer(), TraceOp::kProject, ctx.trace_node(),
                     num_morsels);
-  mx.ForEachMorsel(num_morsels, [&](int64_t m, int /*w*/) {
+  mx.ForEachMorsel(num_morsels, [&](int64_t m, int w) {
     MorselSpans::Timer timer(spans, m);
     const auto [begin, end] = RangeOf(m, morsel_rows, in_rows);
     const int64_t n = end - begin;
-    ExecArena& arena = local_arenas[static_cast<size_t>(m)];
+    ExecArena& arena = WorkerArena(mx, ctx, w);
+    const size_t before = arena.bytes_in_use();
     FlatKeyIndex& local = locals[static_cast<size_t>(m)].emplace(
         n, key_width, arena.AllocSpan<Value>(n * key_width).data(), arena);
     InsertDistinct(base + begin * in_arity, in_arity, cols, n, n, local);
+    scratch[m] = static_cast<int64_t>(arena.bytes_in_use() - before);
     if (spans.enabled()) {
       TraceSpan& span = spans.span(m);
       span.rows_in = n;
@@ -651,7 +631,7 @@ Relation ProjectColumns(const Relation& input, const ProjectSpec& spec,
       span.arity_out = key_width;
       span.ht_build_rows = local.num_keys();
       span.ht_probe_ops = n;
-      span.bytes = static_cast<int64_t>(arena.bytes_in_use());
+      span.bytes = scratch[m];
     }
   });
 
@@ -667,9 +647,6 @@ Relation ProjectColumns(const Relation& input, const ProjectSpec& spec,
   FlatKeyIndex seen(cap, key_width, out.GrowRows(cap), ctx.arena());
   int* packed_cols = ctx.arena().AllocSpan<int>(key_width).data();
   for (int c = 0; c < key_width; ++c) packed_cols[c] = c;
-  if (morsel_rows_out != nullptr) {
-    morsel_rows_out->assign(static_cast<size_t>(num_morsels), 0);
-  }
   for (int64_t m = 0; m < num_morsels && seen.num_keys() < cap; ++m) {
     MorselSpans::Timer timer(spans, m);
     const FlatKeyIndex& local = *locals[static_cast<size_t>(m)];
@@ -678,9 +655,6 @@ Relation ProjectColumns(const Relation& input, const ProjectSpec& spec,
                                           packed_cols, local.num_keys(), cap,
                                           seen);
     const int64_t added = seen.num_keys() - before;
-    if (morsel_rows_out != nullptr) {
-      (*morsel_rows_out)[static_cast<size_t>(m)] = added;
-    }
     if (spans.enabled()) {
       TraceSpan& span = spans.span(m);
       span.rows_out = added;
@@ -696,9 +670,7 @@ Relation ProjectColumns(const Relation& input, const ProjectSpec& spec,
   if (spans.enabled()) spans.span(0).bytes += shared;
   spans.RecordInOrder();
   Counter footprint = shared + out.byte_size();
-  for (const ExecArena& arena : local_arenas) {
-    footprint += static_cast<Counter>(arena.bytes_in_use());
-  }
+  for (int64_t m = 0; m < num_morsels; ++m) footprint += scratch[m];
   ctx.stats().NotePeakBytes(footprint);
   ctx.stats().NoteIntermediate(out.arity(), out.size());
   return out;
@@ -706,9 +678,7 @@ Relation ProjectColumns(const Relation& input, const ProjectSpec& spec,
 
 Relation SemiJoinFiltered(const Relation& left, const Relation& right,
                           const SemiJoinSpec& spec, ExecContext& ctx,
-                          const MorselExec& mx,
-                          std::vector<int64_t>* morsel_rows_out) {
-  if (morsel_rows_out != nullptr) morsel_rows_out->clear();
+                          const MorselExec& mx) {
   ctx.stats().num_semijoins++;
   Relation out{left.schema()};
   if (left.empty()) return out;
@@ -720,7 +690,7 @@ Relation SemiJoinFiltered(const Relation& left, const Relation& right,
   if (left.arity() == 0) {
     // Nullary left (so no shared attributes) against a nonempty right:
     // the empty tuple survives.
-    EmitNullary(TraceOp::kSemiJoin, out, ctx, morsel_rows_out);
+    EmitNullary(TraceOp::kSemiJoin, out, ctx);
     return out;
   }
 
@@ -782,7 +752,6 @@ Relation SemiJoinFiltered(const Relation& left, const Relation& right,
       }
     }
     out.TruncateRows(ChargeOutput(kept, left_arity, ctx));
-    if (morsel_rows_out != nullptr) morsel_rows_out->assign(1, out.size());
     const Counter footprint =
         static_cast<Counter>(shared_scope.bytes_allocated()) +
         out.byte_size();
@@ -878,7 +847,6 @@ Relation SemiJoinFiltered(const Relation& left, const Relation& right,
     spans.span(0).bytes += shared;
   }
   spans.RecordInOrder();
-  FillAccounts(morsel_rows_out, offsets);
 
   Counter footprint = shared + out.byte_size();
   for (int64_t m = 0; m < num_morsels; ++m) footprint += scratch[m];

@@ -49,25 +49,27 @@ namespace ppr {
 ///  - A call whose total output reaches budget_headroom() exhausts the
 ///    budget. It charges and notes min(total, headroom) rows — the row a
 ///    sequential tuple-at-a-time loop would stop at — and returns an
-///    empty relation with zero morsel accounts, writing no output: every
-///    budgeted caller discards an exhausted run's output. The one-morsel
-///    semijoin, which learns its size as it copies, truncates what it
-///    wrote to nothing. Projection learns its size only by deduplicating:
-///    it keeps its first min(distinct, headroom) keys in first-occurrence
+///    empty relation, writing no output: every budgeted caller discards
+///    an exhausted run's output. The one-morsel semijoin, which learns
+///    its size as it copies, truncates what it wrote to nothing.
+///    Projection learns its size only by deduplicating: it keeps its
+///    first min(distinct, headroom) keys in first-occurrence order.
+///  - Per-morsel scratch is measured per morsel, as the bytes the morsel
+///    allocated, and folded in morsel-index order. Scratch that must
+///    outlive its morsel (the multi-morsel projection's local indexes)
+///    stays in the worker slot's arena until the call returns. Each
+///    morsel has one trace span (carrying its morsel_id, 0 for a
+///    one-morsel call) covering its work in every phase, morsel 0's also
+///    the shared build; only the worker running the morsel writes it,
+///    and the calling thread records a call's spans in morsel-index
 ///    order.
-///  - Per-morsel scratch is measured per morsel and folded in
-///    morsel-index order. Each morsel has one trace span (carrying its
-///    morsel_id, 0 for a one-morsel call) covering its work in every
-///    phase, morsel 0's also the shared build; only the worker running
-///    the morsel writes it, and the calling thread records a call's
-///    spans in morsel-index order.
 ///
 /// Nullary schemas (Boolean queries) hold at most the empty tuple; their
 /// kernels run as one morsel whatever the MorselExec says.
 ///
-/// When `morsel_rows_out` is non-null it receives the per-morsel emitted
-/// row counts in morsel order — the accounting the physical verifier
-/// checks: their sum equals the output size.
+/// The spans are the kernels' only per-morsel record: their rows_out add
+/// up to the call's output, which is what the morsel-accounting verifier
+/// (exec/verify_hook.h) checks after a morsel-driven run.
 
 /// How a kernel call partitions its probe/input side into morsels and
 /// where the morsels run. The default is the serial configuration: one
@@ -129,8 +131,7 @@ struct MorselExec {
 
 /// Scan kernel: instantiates a stored relation under an atom binding.
 Relation ScanAtom(const Relation& stored, const ScanSpec& spec,
-                  ExecContext& ctx, const MorselExec& mx = {},
-                  std::vector<int64_t>* morsel_rows_out = nullptr);
+                  ExecContext& ctx, const MorselExec& mx = {});
 
 /// Hash-join kernel: the build-side index (the smaller input) is
 /// constructed once on the calling thread, the larger input is probed
@@ -139,8 +140,7 @@ Relation ScanAtom(const Relation& stored, const ScanSpec& spec,
 /// build-row order.
 Relation HashJoin(const Relation& left, const Relation& right,
                   const JoinSpec& spec, ExecContext& ctx,
-                  const MorselExec& mx = {},
-                  std::vector<int64_t>* morsel_rows_out = nullptr);
+                  const MorselExec& mx = {});
 
 /// Projection kernel (DISTINCT): morsel-local dedup into per-morsel
 /// FlatKeyIndexes, then a sequential merge in morsel-index order, which
@@ -148,16 +148,14 @@ Relation HashJoin(const Relation& left, const Relation& right,
 /// yields a nullary relation that is nonempty iff the input is (Boolean
 /// queries).
 Relation ProjectColumns(const Relation& input, const ProjectSpec& spec,
-                        ExecContext& ctx, const MorselExec& mx = {},
-                        std::vector<int64_t>* morsel_rows_out = nullptr);
+                        ExecContext& ctx, const MorselExec& mx = {});
 
 /// Semijoin kernel: left tuples with at least one match in right. A
 /// shared key filter is built from the right side, and the left side is
 /// probed per morsel.
 Relation SemiJoinFiltered(const Relation& left, const Relation& right,
                           const SemiJoinSpec& spec, ExecContext& ctx,
-                          const MorselExec& mx = {},
-                          std::vector<int64_t>* morsel_rows_out = nullptr);
+                          const MorselExec& mx = {});
 
 }  // namespace ppr
 

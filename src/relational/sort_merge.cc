@@ -58,6 +58,7 @@ Relation SortMergeJoin(const Relation& left, const Relation& right,
   const std::vector<int>& right_carry = spec.right_carry_cols;
 
   Relation out{spec.out_schema};
+  if (rec.enabled()) rec.span().arity_out = out.arity();
   if (left.empty() || right.empty()) {
     ctx.stats().NoteIntermediate(out.arity(), 0);
     return out;
@@ -124,7 +125,6 @@ Relation SortMergeJoin(const Relation& left, const Relation& right,
   const Counter footprint =
       static_cast<Counter>(scope.bytes_allocated()) + out.byte_size();
   if (rec.enabled()) {
-    rec.span().arity_out = out.arity();
     rec.span().rows_out = out.size();
     rec.span().bytes = footprint;
   }

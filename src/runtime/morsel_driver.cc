@@ -63,8 +63,7 @@ MorselExec MorselDriver::PrepareExec() {
 ExecutionResult MorselDriver::Run(const PhysicalPlan& plan,
                                   Counter tuple_budget, TraceSink* trace,
                                   MetricsRegistry* metrics,
-                                  const MorselQueryContext* verify_ctx,
-                                  MorselAccounting* accounting) {
+                                  const MorselQueryContext* verify_ctx) {
   // Force lazily-initialized process-wide state on this thread before
   // any worker touches it (the BatchExecutor::Run pattern).
   (void)ProcessEnv();
@@ -75,19 +74,29 @@ ExecutionResult MorselDriver::Run(const PhysicalPlan& plan,
 
   const bool verify = verify_ctx != nullptr && verification_on &&
                       hooks->morsel_accounting != nullptr;
-  MorselAccounting local_accounting;
-  MorselAccounting* acct = accounting;
-  if (acct == nullptr && verify) acct = &local_accounting;
 
   const MorselExec mx = PrepareExec();
-  ExecutionResult result = plan.ExecuteShared(&control_arena_, tuple_budget,
-                                              trace, metrics, mx, acct);
-  if (verify) {
+  ExecutionResult result;
+  if (!verify) {
+    result = plan.ExecuteShared(&control_arena_, tuple_budget, trace, metrics,
+                                mx);
+  } else {
     PPR_CHECK(verify_ctx->query != nullptr && verify_ctx->plan != nullptr &&
               verify_ctx->db != nullptr);
+    // The verifier needs every span of the run, so they go to a sink that
+    // never overwrites. Span metrics publish only when the caller traces,
+    // as they would unverified.
+    TraceSink spans(TraceSink::kUnbounded);
+    result = plan.ExecuteShared(&control_arena_, tuple_budget, &spans,
+                                trace != nullptr ? metrics : nullptr, mx);
+    if (trace == nullptr && metrics != nullptr) {
+      result.stats.PublishTo(metrics);
+    }
     Status verdict = hooks->morsel_accounting(
-        *verify_ctx->query, *verify_ctx->plan, *verify_ctx->db, *acct);
+        *verify_ctx->query, *verify_ctx->plan, *verify_ctx->db,
+        spans.Snapshot(), result.stats, tuple_budget);
     if (!verdict.ok()) result.status = std::move(verdict);
+    if (trace != nullptr) trace->Merge(spans);
   }
 
   // Query-log drain (the BatchExecutor pattern, one record per run).

@@ -30,7 +30,7 @@ struct MorselDriverOptions {
 };
 
 /// The (query, plan, db) triple a compiled plan was built from, supplied
-/// when the caller wants the post-run morsel-accounting verification
+/// when the caller wants the post-run verification of the kernel spans
 /// (the `morsel_accounting` hook of exec/verify_hook.h) to run.
 struct MorselQueryContext {
   const ConjunctiveQuery* query = nullptr;
@@ -75,16 +75,16 @@ class MorselDriver {
   ///
   /// When `verify_ctx` is supplied and plan verification is enabled
   /// (PPR_VERIFY_PLANS / EnablePlanVerification) with a
-  /// `morsel_accounting` hook installed, the run's per-operator morsel
-  /// accounting is verified afterwards and a failed verdict replaces the
-  /// result status. `accounting`, when non-null, receives the
-  /// per-operator accounts regardless.
+  /// `morsel_accounting` hook installed, the run's kernel spans are
+  /// verified afterwards and a failed verdict replaces the result
+  /// status. A verified run records its spans into a private sink that
+  /// never overwrites, then merges them into `trace`, so the caller (and
+  /// its flight dumps) see the same spans as an unverified run.
   ExecutionResult Run(const PhysicalPlan& plan,
                       Counter tuple_budget = kCounterMax,
                       TraceSink* trace = nullptr,
                       MetricsRegistry* metrics = nullptr,
-                      const MorselQueryContext* verify_ctx = nullptr,
-                      MorselAccounting* accounting = nullptr);
+                      const MorselQueryContext* verify_ctx = nullptr);
 
   /// The MorselExec handed to the kernels on the next Run() — exposed so
   /// tests and benchmarks can execute kernels directly under the

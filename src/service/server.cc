@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 namespace ppr {
@@ -88,9 +89,25 @@ void ServiceServer::AcceptLoop() {
     (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     connections_accepted_.fetch_add(1, std::memory_order_acq_rel);
     auto conn = std::make_shared<Conn>(fd);
-    MutexLock lock(mu_);
-    conns_.push_back(conn);
-    conn_threads_.emplace_back([this, conn] { ConnLoop(conn); });
+    // Reap the connections that finished since the last accept: their
+    // threads are joined below, outside mu_, and each fd closes with its
+    // Conn's last reference.
+    std::vector<ConnThread> finished;
+    {
+      MutexLock lock(mu_);
+      const auto done = std::partition(
+          conns_.begin(), conns_.end(), [](const ConnThread& c) {
+            return !c.conn->finished.load(std::memory_order_acquire);
+          });
+      finished.assign(std::make_move_iterator(done),
+                      std::make_move_iterator(conns_.end()));
+      conns_.erase(done, conns_.end());
+      conns_.push_back({conn, std::thread([this, conn] {
+                          ConnLoop(conn);
+                          conn->finished.store(true, std::memory_order_release);
+                        })});
+    }
+    for (ConnThread& c : finished) c.thread.join();
   }
 }
 
@@ -214,18 +231,14 @@ void ServiceServer::Stop() {
 
   // 3. Unblock connection threads stuck in recv and join them. The Conn
   // objects (and their fds) die with the last shared_ptr.
-  std::vector<std::shared_ptr<Conn>> conns;
-  std::vector<std::thread> threads;
+  std::vector<ConnThread> conns;
   {
     MutexLock lock(mu_);
     conns.swap(conns_);
-    threads.swap(conn_threads_);
   }
-  for (const std::shared_ptr<Conn>& conn : conns) {
-    (void)::shutdown(conn->fd, SHUT_RDWR);
-  }
-  for (std::thread& thread : threads) {
-    if (thread.joinable()) thread.join();
+  for (const ConnThread& c : conns) (void)::shutdown(c.conn->fd, SHUT_RDWR);
+  for (ConnThread& c : conns) {
+    if (c.thread.joinable()) c.thread.join();
   }
 }
 

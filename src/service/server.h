@@ -81,6 +81,15 @@ class ServiceServer {
     ~Conn();
     const int fd;
     Mutex write_mu;
+    /// Set by the connection thread as its last step: the thread is
+    /// about to exit and may be joined without blocking.
+    std::atomic<bool> finished{false};
+  };
+
+  /// A connection and the thread serving it.
+  struct ConnThread {
+    std::shared_ptr<Conn> conn;
+    std::thread thread;
   };
 
   void AcceptLoop();
@@ -101,8 +110,8 @@ class ServiceServer {
 
   Mutex mu_;
   bool stopped_ GUARDED_BY(mu_) = false;
-  std::vector<std::shared_ptr<Conn>> conns_ GUARDED_BY(mu_);
-  std::vector<std::thread> conn_threads_ GUARDED_BY(mu_);
+  /// Live connections; finished ones are reaped at the next accept.
+  std::vector<ConnThread> conns_ GUARDED_BY(mu_);
 };
 
 }  // namespace ppr

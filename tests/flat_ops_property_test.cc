@@ -5,10 +5,14 @@
 // output must not depend on its morsel partition.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <fstream>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/arena.h"
@@ -493,13 +497,12 @@ TEST(FlatOpsPropertyTest, MorselSpansSplitEachCall) {
 }
 
 // One kernel call on a fresh, traced context whose budget leaves
-// `headroom` rows: its output, its stats, and the rows its spans and its
-// per-morsel accounts say it emitted.
+// `headroom` rows: its output, its stats, and the rows its spans say it
+// emitted.
 struct BudgetedCall {
   Relation out;
   ExecStats stats;
   int64_t span_rows = 0;
-  int64_t account_rows = 0;
 };
 
 template <typename Kernel>
@@ -508,12 +511,10 @@ BudgetedCall CallWithHeadroom(Counter headroom, const Kernel& kernel) {
   ExecContext ctx(/*tuple_budget=*/headroom - 1);
   EXPECT_EQ(ctx.budget_headroom(), headroom);
   ctx.set_tracer(&sink);
-  std::vector<int64_t> accounts;
   BudgetedCall call;
-  call.out = kernel(ctx, &accounts);
+  call.out = kernel(ctx);
   call.stats = ctx.stats();
   for (const TraceSpan& span : sink.Snapshot()) call.span_rows += span.rows_out;
-  for (const int64_t rows : accounts) call.account_rows += rows;
   return call;
 }
 
@@ -523,8 +524,7 @@ BudgetedCall CallWithHeadroom(Counter headroom, const Kernel& kernel) {
 // every morsel size: a call whose output reaches the headroom returns
 // nothing, yet charges and notes min(total, headroom) rows, as a
 // tuple-at-a-time loop that stopped there would; any other call returns
-// `expected` exactly. Spans and morsel accounts add up to what was
-// returned.
+// `expected` exactly. The spans add up to what was returned.
 template <typename Kernel>
 void ExpectExhaustingCallContract(const Relation& expected,
                                   const Relation& oracle, const Kernel& kernel,
@@ -537,9 +537,7 @@ void ExpectExhaustingCallContract(const Relation& expected,
     const MorselExec mx = Morsels(morsel);
     for (Counter headroom = 1; headroom <= total + 1; ++headroom) {
       const BudgetedCall call = CallWithHeadroom(
-          headroom, [&](ExecContext& ctx, std::vector<int64_t>* accounts) {
-            return kernel(ctx, mx, accounts);
-          });
+          headroom, [&](ExecContext& ctx) { return kernel(ctx, mx); });
       const bool exhausts = total >= headroom;
       const Counter charged = std::min(total, headroom);
       SCOPED_TRACE(::testing::Message()
@@ -549,7 +547,6 @@ void ExpectExhaustingCallContract(const Relation& expected,
       EXPECT_EQ(call.stats.tuples_produced, charged);
       EXPECT_EQ(call.stats.max_intermediate_rows, charged);
       EXPECT_EQ(call.span_rows, call.out.size());
-      EXPECT_EQ(call.account_rows, call.out.size());
       if (!exhausts) ExpectSameRows(expected, call.out, trial);
     }
   }
@@ -569,10 +566,8 @@ TEST(FlatOpsPropertyTest, ExhaustingScanReturnsNothing) {
     ExecContext serial_ctx;
     ExpectExhaustingCallContract(
         BindAtom(stored, args, serial_ctx), RefBindAtom(stored, args),
-        [&](ExecContext& ctx, const MorselExec& mx,
-            std::vector<int64_t>* accounts) {
-          return ScanAtom(stored, PlanScan(stored.arity(), args), ctx, mx,
-                          accounts);
+        [&](ExecContext& ctx, const MorselExec& mx) {
+          return ScanAtom(stored, PlanScan(stored.arity(), args), ctx, mx);
         },
         trial);
   }
@@ -587,9 +582,8 @@ TEST(FlatOpsPropertyTest, ExhaustingJoinReturnsNothing) {
     ExecContext serial_ctx;
     ExpectExhaustingCallContract(
         NaturalJoin(left, right, serial_ctx), RefJoin(left, right),
-        [&](ExecContext& ctx, const MorselExec& mx,
-            std::vector<int64_t>* accounts) {
-          return HashJoin(left, right, spec, ctx, mx, accounts);
+        [&](ExecContext& ctx, const MorselExec& mx) {
+          return HashJoin(left, right, spec, ctx, mx);
         },
         trial);
   }
@@ -604,9 +598,8 @@ TEST(FlatOpsPropertyTest, ExhaustingSemiJoinReturnsNothing) {
     ExecContext serial_ctx;
     ExpectExhaustingCallContract(
         SemiJoin(left, right, serial_ctx), RefSemiJoin(left, right),
-        [&](ExecContext& ctx, const MorselExec& mx,
-            std::vector<int64_t>* accounts) {
-          return SemiJoinFiltered(left, right, spec, ctx, mx, accounts);
+        [&](ExecContext& ctx, const MorselExec& mx) {
+          return SemiJoinFiltered(left, right, spec, ctx, mx);
         },
         trial);
   }
@@ -631,8 +624,8 @@ TEST(FlatOpsPropertyTest, TruncatedProjectionKeepsFirstOccurrencePrefix) {
       const MorselExec mx = Morsels(morsel);
       for (Counter headroom = 1; headroom <= distinct + 1; ++headroom) {
         const BudgetedCall call = CallWithHeadroom(
-            headroom, [&](ExecContext& ctx, std::vector<int64_t>* accounts) {
-              return ProjectColumns(input, spec, ctx, mx, accounts);
+            headroom, [&](ExecContext& ctx) {
+              return ProjectColumns(input, spec, ctx, mx);
             });
         const Counter kept = std::min(distinct, headroom);
         SCOPED_TRACE(::testing::Message()
@@ -647,7 +640,6 @@ TEST(FlatOpsPropertyTest, TruncatedProjectionKeepsFirstOccurrencePrefix) {
         EXPECT_EQ(call.stats.tuples_produced, kept);
         EXPECT_EQ(call.stats.max_intermediate_rows, kept);
         EXPECT_EQ(call.span_rows, call.out.size());
-        EXPECT_EQ(call.account_rows, call.out.size());
       }
     }
   }
@@ -692,6 +684,67 @@ TEST(FlatOpsPropertyTest, NullarySchemasRunAsOneMorsel) {
     EXPECT_TRUE(BindIn(full_n, {}, spent, mx).empty());
     EXPECT_EQ(spent.stats().tuples_produced, 1);
   }
+}
+
+// Address-space size of this process in bytes (VmSize), or -1.
+int64_t AddressSpaceBytes() {
+  std::ifstream status("/proc/self/status");
+  std::string field;
+  while (status >> field) {
+    if (field == "VmSize:") {
+      int64_t kib = -1;
+      status >> kib;
+      return kib * 1024;
+    }
+  }
+  return -1;
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kShadowMemory = true;
+#elif defined(__has_feature)
+constexpr bool kShadowMemory = __has_feature(address_sanitizer) ||
+                               __has_feature(thread_sanitizer) ||
+                               __has_feature(memory_sanitizer);
+#else
+constexpr bool kShadowMemory = false;
+#endif
+
+// Runs `spec` over `input` in 1-row morsels with the address space
+// capped 512 MiB above what the process already maps, then exits: 0 when
+// the projection kept `distinct` rows.
+[[noreturn]] void ProjectInOneRowMorselsUnderCap(const Relation& input,
+                                                 const ProjectSpec& spec,
+                                                 int64_t distinct) {
+  const int64_t mapped = AddressSpaceBytes();
+  if (mapped < 0) std::_Exit(2);
+  rlimit limit;
+  limit.rlim_cur = static_cast<rlim_t>(mapped + (int64_t{512} << 20));
+  limit.rlim_max = limit.rlim_cur;
+  if (setrlimit(RLIMIT_AS, &limit) != 0) std::_Exit(3);
+  ExecContext ctx;
+  const Relation out = ProjectColumns(input, spec, ctx, Morsels(1));
+  std::_Exit(out.size() == distinct ? 0 : 1);
+}
+
+// A multi-morsel projection keeps every morsel-local index until its
+// merge. They must share the worker slots' arenas: with an arena per
+// morsel, each reserving a 64 KiB first block, 1-row morsels over 40K
+// rows reserved about 2.5 GiB. A forked child runs that call under a
+// cap that fits the shared arenas many times over.
+TEST(FlatOpsPropertyTest, OneRowMorselProjectionScratchIsBounded) {
+  if (kShadowMemory) {
+    GTEST_SKIP() << "sanitizer shadow memory does not fit an RLIMIT_AS cap";
+  }
+  constexpr int64_t kRows = 40000;
+  constexpr Value kDistinct = 97;
+  Relation input{Schema({0, 1})};
+  for (int64_t i = 0; i < kRows; ++i) {
+    input.AddTuple({static_cast<Value>(i), static_cast<Value>(i) % kDistinct});
+  }
+  const ProjectSpec spec = PlanProject(input.schema(), {1});
+  EXPECT_EXIT(ProjectInOneRowMorselsUnderCap(input, spec, kDistinct),
+              ::testing::ExitedWithCode(0), "");
 }
 
 TEST(FlatOpsPropertyTest, NullaryJoinCombinations) {

@@ -1,13 +1,14 @@
 // Tests for morsel-driven execution: the MorselDriver's results and
 // merged statistics must match the serial run (one morsel per kernel
 // call) and be byte-identical across worker counts and morsel sizes,
-// including under budget truncation; the per-operator morsel accounting
-// must verify against the static analyzer.
+// including under budget truncation; the kernel spans of a run must
+// verify against the static analyzer and the run's budget charges.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "graph/generators.h"
 #include "obs/trace.h"
 #include "query/conjunctive_query.h"
+#include "query/parser.h"
 #include "relational/database.h"
 #include "runtime/morsel_driver.h"
 #include "runtime/thread_pool.h"
@@ -147,13 +149,13 @@ TEST(MorselDriverTest, SerialRunIsOneMorselPerKernelCall) {
 
   MorselDriver driver({.num_threads = 1});
   ASSERT_EQ(driver.morsel_rows(), 5);
-  MorselAccounting accounting;
-  const ExecutionResult split = driver.Run(c.physical, kCounterMax, nullptr,
-                                           nullptr, nullptr, &accounting);
+  TraceSink split_sink(TraceSink::kUnbounded);
+  const ExecutionResult split =
+      driver.Run(c.physical, kCounterMax, &split_sink);
   ASSERT_TRUE(split.status.ok());
   bool saw_multi_morsel = false;
-  for (const MorselOpAccount& op : accounting.ops) {
-    saw_multi_morsel |= op.morsel_rows.size() > 1;
+  for (const TraceSpan& s : split_sink.Snapshot()) {
+    saw_multi_morsel |= s.morsel_id > 0;
   }
   EXPECT_TRUE(saw_multi_morsel);
   ExpectSameRows(serial.output, split.output);
@@ -183,6 +185,19 @@ TEST(MorselDriverTest, ByteIdenticalAcrossWorkerCountsAndMorselSizes) {
   }
 }
 
+// Every span field but the wall-clock ones, which must be reproducible.
+auto SpanFields(const std::vector<TraceSpan>& spans) {
+  std::vector<std::tuple<TraceOp, int32_t, int64_t, int64_t, int32_t,
+                         int32_t, int64_t, int64_t, int64_t, int32_t>>
+      fields;
+  for (const TraceSpan& s : spans) {
+    fields.emplace_back(s.op, s.node_id, s.rows_in, s.rows_out, s.arity_in,
+                        s.arity_out, s.bytes, s.ht_build_rows, s.ht_probe_ops,
+                        s.morsel_id);
+  }
+  return fields;
+}
+
 TEST(MorselDriverTest, TraceMergeIsDeterministicAcrossWorkerCounts) {
   Database db = ThreeColorDb();
   Compiled c = CompilePentagon(db);
@@ -192,17 +207,7 @@ TEST(MorselDriverTest, TraceMergeIsDeterministicAcrossWorkerCounts) {
     TraceSink sink(4096);
     const ExecutionResult r = driver.Run(c.physical, kCounterMax, &sink);
     PPR_CHECK(r.status.ok());
-    // Everything but the wall-clock fields must be reproducible.
-    std::vector<std::tuple<TraceOp, int32_t, int64_t, int64_t, int32_t,
-                           int32_t, int64_t, int64_t, int64_t, int32_t,
-                           int64_t>>
-        spans;
-    for (const TraceSpan& s : sink.Snapshot()) {
-      spans.emplace_back(s.op, s.node_id, s.rows_in, s.rows_out, s.arity_in,
-                         s.arity_out, s.bytes, s.ht_build_rows,
-                         s.ht_probe_ops, s.morsel_id, s.batches);
-    }
-    return spans;
+    return SpanFields(sink.Snapshot());
   };
 
   const auto want = spans_at(1);
@@ -210,13 +215,11 @@ TEST(MorselDriverTest, TraceMergeIsDeterministicAcrossWorkerCounts) {
   EXPECT_EQ(spans_at(2), want);
   EXPECT_EQ(spans_at(4), want);
 
-  // Every kernel span carries its morsel id and batch count; the six-row
-  // stored relations split into 2-row morsels, so multi-morsel fan-out
-  // exists.
+  // Every kernel span carries its morsel id; the six-row stored relations
+  // split into 2-row morsels, so multi-morsel fan-out exists.
   int32_t max_morsel_id = -1;
   for (const auto& s : want) {
     EXPECT_GE(std::get<9>(s), 0);
-    EXPECT_EQ(std::get<10>(s), 1);  // one batch per morsel
     max_morsel_id = std::max(max_morsel_id, std::get<9>(s));
   }
   EXPECT_GT(max_morsel_id, 0);
@@ -244,50 +247,122 @@ TEST(MorselDriverTest, BudgetTruncationMatchesSerialRun) {
   }
 }
 
-TEST(MorselDriverTest, AccountingSumsToOperatorOutputs) {
+// One past the last span of the kernel call whose first span is at
+// `first`: the next span that starts a call (morsel_id 0 or -1).
+size_t CallEnd(const std::vector<TraceSpan>& spans, size_t first) {
+  size_t end = first + 1;
+  while (end < spans.size() && spans[end].morsel_id > 0) ++end;
+  return end;
+}
+
+// The verifier reads a run's kernel spans: it accepts a real run's and
+// rejects each kind of damage a kernel could do to them.
+TEST(MorselDriverTest, SpanVerifierRejectsTamperedSpans) {
   Database db = ThreeColorDb();
   Compiled c = CompilePentagon(db);
   MorselDriver driver({.num_threads = 2, .morsel_rows = 2});
-  MorselAccounting accounting;
-  const ExecutionResult r =
-      driver.Run(c.physical, kCounterMax, nullptr, nullptr, nullptr,
-                 &accounting);
+  TraceSink sink(TraceSink::kUnbounded);
+  const ExecutionResult r = driver.Run(c.physical, kCounterMax, &sink);
   ASSERT_TRUE(r.status.ok());
-  ASSERT_FALSE(accounting.ops.empty());
+  const std::vector<TraceSpan> spans = sink.Snapshot();
+  auto verify = [&](const std::vector<TraceSpan>& tampered) {
+    return VerifyMorselSpans(c.query, c.plan, db, tampered, r.stats,
+                             kCounterMax);
+  };
+  ASSERT_TRUE(verify(spans).ok()) << verify(spans).ToString();
 
-  bool saw_multi_morsel = false;
-  for (const MorselOpAccount& op : accounting.ops) {
-    int64_t sum = 0;
-    for (const int64_t rows : op.morsel_rows) {
-      EXPECT_GE(rows, 0);
-      sum += rows;
-    }
-    EXPECT_EQ(sum, op.output_rows) << "node " << op.node_id;
-    saw_multi_morsel |= op.morsel_rows.size() > 1;
+  // A call of three or more morsels, to drop, duplicate and swap within.
+  size_t middle = 0;
+  for (size_t i = 1; i + 1 < spans.size() && middle == 0; ++i) {
+    if (spans[i].morsel_id > 0 && spans[i + 1].morsel_id > 0) middle = i;
   }
-  // 2-row morsels over six-row stored relations: some operator must have
-  // run a genuine multi-morsel partition.
-  EXPECT_TRUE(saw_multi_morsel);
+  ASSERT_GT(middle, 0u) << "no call of three or more morsels";
+  // The first scan call, moved as a whole to the (internal) root.
+  size_t scan = spans.size();
+  for (size_t i = 0; i < spans.size() && scan == spans.size(); ++i) {
+    if (spans[i].op == TraceOp::kScan) scan = i;
+  }
+  ASSERT_LT(scan, spans.size());
+  ASSERT_FALSE(c.plan.root()->IsLeaf());
 
-  // The analysis-layer verifier accepts the real accounting...
-  ASSERT_TRUE(
-      VerifyMorselAccounting(c.query, c.plan, db, accounting).ok());
-  // ...and rejects tampered row counts, arities, and node ids.
-  {
-    MorselAccounting bad = accounting;
-    bad.ops.front().output_rows += 1;
-    EXPECT_FALSE(VerifyMorselAccounting(c.query, c.plan, db, bad).ok());
-  }
-  {
-    MorselAccounting bad = accounting;
-    bad.ops.front().arity += 1;
-    EXPECT_FALSE(VerifyMorselAccounting(c.query, c.plan, db, bad).ok());
-  }
-  {
-    MorselAccounting bad = accounting;
-    bad.ops.front().node_id = 999;
-    EXPECT_FALSE(VerifyMorselAccounting(c.query, c.plan, db, bad).ok());
-  }
+  // An edit to a call's node or arity applies to all of its spans, so the
+  // check under test rejects it, not the per-call consistency check.
+  auto tamper = [&](const auto& edit) {
+    std::vector<TraceSpan> bad = spans;
+    edit(bad);
+    return verify(bad);
+  };
+  auto every_span_of_call = [](std::vector<TraceSpan>& bad, size_t first,
+                               const auto& edit) {
+    for (size_t i = first; i < CallEnd(bad, first); ++i) edit(bad[i]);
+  };
+  auto expect_rejected = [](const Status& status, const std::string& what,
+                            const std::string& fragment) {
+    EXPECT_FALSE(status.ok()) << what;
+    EXPECT_NE(status.message().find(fragment), std::string::npos)
+        << what << ": " << status.ToString();
+  };
+
+  expect_rejected(tamper([](std::vector<TraceSpan>& bad) {
+                    bad.front().rows_out += 1;
+                  }),
+                  "rows_out + 1", "rows");
+  expect_rejected(tamper([&](std::vector<TraceSpan>& bad) {
+                    every_span_of_call(bad, 0, [](TraceSpan& s) {
+                      s.arity_out += 1;
+                    });
+                  }),
+                  "arity_out + 1", "arity");
+  expect_rejected(tamper([&](std::vector<TraceSpan>& bad) {
+                    every_span_of_call(bad, 0, [](TraceSpan& s) {
+                      s.node_id = 999;
+                    });
+                  }),
+                  "node id 999", "node id out of range");
+  expect_rejected(tamper([&](std::vector<TraceSpan>& bad) {
+                    bad.erase(bad.begin() + static_cast<ptrdiff_t>(middle));
+                  }),
+                  "dropped morsel", "was due");
+  expect_rejected(tamper([&](std::vector<TraceSpan>& bad) {
+                    bad.insert(bad.begin() + static_cast<ptrdiff_t>(middle),
+                               bad[middle]);
+                  }),
+                  "duplicated morsel", "was due");
+  expect_rejected(tamper([&](std::vector<TraceSpan>& bad) {
+                    std::swap(bad[middle], bad[middle + 1]);
+                  }),
+                  "swapped morsels", "was due");
+  expect_rejected(tamper([&](std::vector<TraceSpan>& bad) {
+                    every_span_of_call(bad, scan, [](TraceSpan& s) {
+                      s.node_id = 0;
+                    });
+                  }),
+                  "scan on an internal node", "scan on a join node");
+  expect_rejected(tamper([](std::vector<TraceSpan>& bad) {
+                    TraceSpan semijoin;
+                    semijoin.op = TraceOp::kSemiJoin;
+                    semijoin.node_id = 0;
+                    semijoin.morsel_id = 0;
+                    bad.push_back(semijoin);
+                  }),
+                  "semijoin span", "semijoin");
+
+  // The span rows must add up to the run's charges: exactly on a
+  // completed run, at most on a budget-exhausted one.
+  ExecStats fewer = r.stats;
+  fewer.tuples_produced -= 1;
+  EXPECT_FALSE(
+      VerifyMorselSpans(c.query, c.plan, db, spans, fewer, kCounterMax).ok());
+  EXPECT_FALSE(VerifyMorselSpans(c.query, c.plan, db, spans, fewer,
+                                 fewer.tuples_produced - 1)
+                   .ok());
+  ExecStats more = r.stats;
+  more.tuples_produced += 1;
+  EXPECT_FALSE(
+      VerifyMorselSpans(c.query, c.plan, db, spans, more, kCounterMax).ok());
+  EXPECT_TRUE(VerifyMorselSpans(c.query, c.plan, db, spans, more,
+                                more.tuples_produced - 1)
+                  .ok());
 }
 
 // RAII guard mirroring explain_test: installs the analysis verifier and
@@ -298,21 +373,119 @@ class ScopedVerifier {
   ~ScopedVerifier() { EnablePlanVerification(false); }
 };
 
-TEST(MorselDriverTest, VerifierHookRunsAfterVerifiedRun) {
+// Verified runs pass the span verifier at every partition and worker
+// count, completed and budget-truncated alike; a failed verdict would
+// replace the status.
+TEST(MorselDriverTest, VerifiedRunsPassTheSpanVerifier) {
   ScopedVerifier verifier;
+  Database db = ThreeColorDb();
+  Compiled c = CompileRandomColoring(db, 8, 12, 21);
+  const MorselQueryContext ctx{&c.query, &c.plan, &db};
+  const ExecutionResult full = c.physical.Execute();
+  ASSERT_TRUE(full.status.ok());
+  const Counter truncated_budget = full.stats.tuples_produced / 2;
+
+  for (const int64_t morsel :
+       {int64_t{1}, int64_t{2}, int64_t{3}, int64_t{64}}) {
+    for (const int threads : {1, 2, 8}) {
+      MorselDriver driver({.num_threads = threads, .morsel_rows = morsel});
+      const ExecutionResult r =
+          driver.Run(c.physical, kCounterMax, nullptr, nullptr, &ctx);
+      EXPECT_TRUE(r.status.ok())
+          << "morsel " << morsel << " threads " << threads << ": "
+          << r.status.ToString();
+      const ExecutionResult truncated =
+          driver.Run(c.physical, truncated_budget, nullptr, nullptr, &ctx);
+      EXPECT_EQ(truncated.status.code(), StatusCode::kResourceExhausted)
+          << "morsel " << morsel << " threads " << threads << ": "
+          << truncated.status.ToString();
+    }
+  }
+}
+
+// The hook receives every span of the run, however small the caller's
+// sink, and a rejecting verdict replaces the run's status.
+TEST(MorselDriverTest, VerifierHookSeesEverySpanAndCanFailTheRun) {
+  Database db = ThreeColorDb();
+  Compiled c = CompileRandomColoring(db, 8, 12, 21);
+  const MorselQueryContext ctx{&c.query, &c.plan, &db};
+  size_t hook_spans = 0;
+  PlanVerifierHooks hooks;
+  hooks.morsel_accounting =
+      [&hook_spans](const ConjunctiveQuery&, const Plan&, const Database&,
+                    const std::vector<TraceSpan>& spans, const ExecStats&,
+                    Counter) {
+        hook_spans = spans.size();
+        return Status::Internal("rejected by the test hook");
+      };
+  SetPlanVerifierHooks(std::move(hooks));
+  EnablePlanVerification(true);
+  MorselDriver driver({.num_threads = 2, .morsel_rows = 1});
+  TraceSink small(16);
+  const ExecutionResult r =
+      driver.Run(c.physical, kCounterMax, &small, nullptr, &ctx);
+  EnablePlanVerification(false);
+  ClearPlanVerifierHooks();  // the hook captures a local
+
+  EXPECT_EQ(r.status.code(), StatusCode::kInternal) << r.status.ToString();
+  EXPECT_EQ(hook_spans, small.total_recorded());
+  EXPECT_GT(hook_spans, small.capacity());
+}
+
+// Verification records into a private sink and hands the caller the
+// same spans an unverified run would have recorded.
+TEST(MorselDriverTest, VerifiedRunHandsTheCallerItsSpans) {
   Database db = ThreeColorDb();
   Compiled c = CompilePentagon(db);
   const MorselQueryContext ctx{&c.query, &c.plan, &db};
   MorselDriver driver({.num_threads = 2, .morsel_rows = 2});
-  const ExecutionResult r =
-      driver.Run(c.physical, kCounterMax, nullptr, nullptr, &ctx);
-  EXPECT_TRUE(r.status.ok()) << r.status.ToString();
 
-  // A truncated verified run still passes: the verifier is sound under
-  // budget exhaustion (prefix of operators, fewer rows).
-  const ExecutionResult truncated =
-      driver.Run(c.physical, /*tuple_budget=*/5, nullptr, nullptr, &ctx);
-  EXPECT_EQ(truncated.status.code(), StatusCode::kResourceExhausted);
+  TraceSink plain(4096);
+  ASSERT_TRUE(driver.Run(c.physical, kCounterMax, &plain).status.ok());
+  ScopedVerifier verifier;
+  TraceSink verified(4096);
+  const ExecutionResult r =
+      driver.Run(c.physical, kCounterMax, &verified, nullptr, &ctx);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  ASSERT_FALSE(plain.Snapshot().empty());
+  EXPECT_EQ(SpanFields(verified.Snapshot()), SpanFields(plain.Snapshot()));
+}
+
+// The sort-merge join has no morsel partition: one span with morsel_id
+// -1 per call, including a call whose input is empty.
+TEST(MorselDriverTest, VerifiedSortMergeRunWithAnEmptyIntermediate) {
+  ScopedVerifier verifier;
+  Database db;
+  AddColoringRelations(2, &db);
+  // A triangle is not 2-colorable, so the third atom's join leaves an
+  // empty intermediate that the fourth atom's join then takes as input.
+  Result<ParsedQuery> parsed = ParseQuery(
+      "pi{} edge(X, Y) & edge(Y, Z) & edge(Z, X) & edge(X, W)");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const ConjunctiveQuery& q = parsed->query;
+  const Plan plan = StraightforwardPlan(q);
+  Result<PhysicalPlan> physical =
+      PhysicalPlan::Compile(q, plan, db, JoinAlgorithm::kSortMerge);
+  ASSERT_TRUE(physical.ok()) << physical.status().ToString();
+  const MorselQueryContext ctx{&q, &plan, &db};
+
+  for (const int threads : {1, 2}) {
+    MorselDriver driver({.num_threads = threads, .morsel_rows = 1});
+    TraceSink sink(4096);
+    const ExecutionResult r =
+        driver.Run(*physical, kCounterMax, &sink, nullptr, &ctx);
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_TRUE(r.output.empty());
+    // The empty-input join span still reports its arity.
+    bool saw_empty_input_join = false;
+    for (const TraceSpan& s : sink.Snapshot()) {
+      if (s.op != TraceOp::kJoin) continue;
+      EXPECT_EQ(s.morsel_id, -1);
+      saw_empty_input_join |= s.rows_out == 0 && s.bytes == 0;
+      EXPECT_GT(s.arity_out, 0);
+    }
+    EXPECT_TRUE(saw_empty_input_join);
+  }
 }
 
 // Acceptance gate: >= 3x single-thread throughput at 8 workers on one

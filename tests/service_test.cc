@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <optional>
 #include <string>
@@ -665,6 +666,49 @@ TEST(ServiceServerTest, ConcurrentConnectionsAllAnswered) {
   const ServiceCounters counters = service.counters();
   EXPECT_EQ(counters.requests, kClients * kPerClient);
   EXPECT_EQ(counters.ok, kClients * kPerClient);
+}
+
+// Open file descriptors of this process.
+int64_t OpenFds() {
+  int64_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+// A closed connection gives back its fd and its thread: the server reaps
+// finished connections as it accepts new ones, so sequential churn holds
+// the fd count flat instead of growing it by one per connection.
+TEST(ServiceServerTest, ClosedConnectionsAreReaped) {
+  const Database db = ThreeColorDb();
+  ServiceConfig config;
+  config.num_workers = 1;
+  QueryService service(db, config);
+  ServiceServer server(&service, ServerConfig{});
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr int kCycles = 300;
+  const int64_t fds_before = OpenFds();
+  for (int i = 0; i < kCycles; ++i) {
+    Result<ServiceClient> client =
+        ServiceClient::Connect("127.0.0.1", server.port());
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    const Result<ServiceReply> reply =
+        client->Call(MakeRequest("pi{} edge(X, Y)", static_cast<uint64_t>(i)));
+    ASSERT_TRUE(reply.ok() && reply->ok()) << "cycle " << i;
+    client->Close();
+  }
+  const int64_t fds_after = OpenFds();
+  server.Stop();
+
+  EXPECT_EQ(server.connections_accepted(), kCycles);
+  // The last connections may still be open: each is reaped at the accept
+  // after it finished.
+  EXPECT_LE(fds_after - fds_before, 8)
+      << "fds before " << fds_before << " after " << fds_after;
 }
 
 }  // namespace

@@ -130,25 +130,24 @@ TEST(ChromeTraceGoldenTest, SingleSpanRendersAllArgs) {
       "{\"name\":\"join\",\"cat\":\"op\",\"ph\":\"X\",\"pid\":1,\"tid\":1,"
       "\"ts\":1.5,\"dur\":2.5,\"args\":{\"node\":2,\"rows_in\":10,"
       "\"rows_out\":4,\"arity_in\":3,\"arity_out\":2,\"bytes\":256,"
-      "\"ht_build_rows\":6,\"ht_probe_ops\":10,\"morsel\":-1,\"batches\":0}}\n"
+      "\"ht_build_rows\":6,\"ht_probe_ops\":10,\"morsel\":-1}}\n"
       "]}\n";
   EXPECT_EQ(SpansToChromeTrace({s}), golden);
 }
 
-TEST(ChromeTraceGoldenTest, MorselSpanCarriesMorselIdAndBatches) {
+TEST(ChromeTraceGoldenTest, MorselSpanCarriesMorselId) {
   TraceSpan s;
   s.op = TraceOp::kScan;
   s.node_id = 0;
   s.start_ns = 1000;
   s.duration_ns = 1000;
   s.morsel_id = 3;
-  s.batches = 1;
   const std::string golden =
       "{\"traceEvents\":[\n"
       "{\"name\":\"scan\",\"cat\":\"op\",\"ph\":\"X\",\"pid\":1,\"tid\":1,"
       "\"ts\":1,\"dur\":1,\"args\":{\"node\":0,\"rows_in\":0,"
       "\"rows_out\":0,\"arity_in\":0,\"arity_out\":0,\"bytes\":0,"
-      "\"ht_build_rows\":0,\"ht_probe_ops\":0,\"morsel\":3,\"batches\":1}}\n"
+      "\"ht_build_rows\":0,\"ht_probe_ops\":0,\"morsel\":3}}\n"
       "]}\n";
   EXPECT_EQ(SpansToChromeTrace({s}), golden);
 }
