@@ -436,10 +436,11 @@ Status VerifyMorselSpans(const ConjunctiveQuery& query, const Plan& plan,
     begin = end;
   }
 
-  // Every row a kernel writes is charged against the budget, so the span
-  // rows add up to tuples_produced. A budget-exhausted run's last call
-  // charges up to its headroom but writes nothing (relational/batch_ops.h),
-  // so there the spans may only fall short.
+  // Every row a kernel produces, written or read unwritten by the next
+  // kernel, is charged against the budget, so the span rows add up to
+  // tuples_produced. A budget-exhausted run's last call charges up to its
+  // headroom but keeps nothing (relational/batch_ops.h), so there the
+  // spans may only fall short.
   const Counter produced = stats.tuples_produced;
   const bool completed = produced <= tuple_budget;
   if (completed ? span_rows != produced : span_rows > produced) {

@@ -1,5 +1,6 @@
 #include "exec/physical_plan.h"
 
+#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -62,8 +63,17 @@ std::unique_ptr<PhysicalNode> CompileNode(const ConjunctiveQuery& query,
 // behavior — and therefore every statistic — is preserved bit for bit.
 // kSortMerge joins run the sort-merge kernel (the Section-2 ablation),
 // which has no morsel partition.
+//
+// A hash fold step is counted first and written only when its rows are
+// read (CountedJoin, relational/batch_ops.h): the node's projection
+// streams its last one, and the next fold step may count through it. A
+// node whose output is an unprojected join leaves it unwritten in
+// `*unwritten` when that is non-null — for the first child, whose output
+// the parent's first fold step reads; the node's fold steps then work in
+// that slot. Everything else reads the join written.
 Relation Exec(const PhysicalNode& node, JoinAlgorithm join_algorithm,
-              ExecContext& ctx, const MorselExec& mx) {
+              ExecContext& ctx, const MorselExec& mx,
+              std::optional<CountedJoin>* unwritten) {
   if (node.IsLeaf()) {
     ctx.set_trace_node(node.node_id);
     Relation bound = ScanAtom(*node.stored, node.scan, ctx, mx);
@@ -73,24 +83,40 @@ Relation Exec(const PhysicalNode& node, JoinAlgorithm join_algorithm,
     return bound;
   }
 
-  Relation acc = Exec(*node.children.front(), join_algorithm, ctx, mx);
+  const bool hash = join_algorithm == JoinAlgorithm::kHash;
+  std::optional<CountedJoin> own;
+  std::optional<CountedJoin>& join = unwritten != nullptr ? *unwritten : own;
+  Relation acc = Exec(*node.children.front(), join_algorithm, ctx, mx,
+                      hash ? &join : nullptr);
   for (size_t i = 1; i < node.children.size() && !ctx.exhausted(); ++i) {
-    Relation next = Exec(*node.children[i], join_algorithm, ctx, mx);
+    Relation next = Exec(*node.children[i], join_algorithm, ctx, mx, nullptr);
     if (ctx.exhausted()) break;
     // Children retargeted the span attribution; point it back at this
     // node for the fold step's join (and the projection below).
     ctx.set_trace_node(node.node_id);
-    if (join_algorithm == JoinAlgorithm::kSortMerge) {
+    const JoinSpec& spec = node.joins[i - 1];
+    if (!hash) {
       acc = SortMergeJoin(acc, next, ctx);
+    } else if (join) {
+      *join = CountJoin(std::move(*join), std::move(next), spec, ctx, mx);
     } else {
-      acc = HashJoin(acc, next, node.joins[i - 1], ctx, mx);
+      join.emplace(std::move(acc), std::move(next), spec, ctx, mx);
     }
   }
-  if (node.has_project && !ctx.exhausted()) {
-    ctx.set_trace_node(node.node_id);
-    return ProjectColumns(acc, node.project, ctx, mx);
+  if (ctx.exhausted()) {
+    // The run's output is discarded; an unread counted join just closes.
+    join.reset();
+    return acc;
   }
-  return acc;
+  if (node.has_project) {
+    ctx.set_trace_node(node.node_id);
+    if (!join) return ProjectColumns(acc, node.project, ctx, mx);
+    Relation out = ProjectColumns(std::move(*join), node.project, ctx, mx);
+    join.reset();
+    return out;
+  }
+  if (!join || unwritten != nullptr) return acc;
+  return std::move(*join).Write();
 }
 
 int CountNodes(const PhysicalNode& node) {
@@ -167,7 +193,7 @@ ExecutionResult PhysicalPlan::ExecuteShared(ExecArena* arena,
   const uint64_t span_mark = trace != nullptr ? trace->total_recorded() : 0;
   ctx.set_tracer(trace);
   WallTimer timer;
-  Relation output = Exec(*root_, join_algorithm_, ctx, mx);
+  Relation output = Exec(*root_, join_algorithm_, ctx, mx, nullptr);
   result.seconds = timer.ElapsedSeconds();
   result.stats = ctx.stats();
   if (metrics != nullptr) {

@@ -41,7 +41,10 @@ struct TraceSpan {
   int64_t duration_ns = 0;
   /// Total input rows (both sides for joins/semijoins).
   int64_t rows_in = 0;
-  /// Output rows materialized (post budget truncation).
+  /// Output rows the operator produced: charged against the budget and
+  /// kept, whether written or read unwritten by the next operator (a
+  /// counted join, relational/batch_ops.h). A call that exhausts the
+  /// budget keeps none.
   int64_t rows_out = 0;
   /// Widest input arity / output arity.
   int32_t arity_in = 0;
@@ -55,8 +58,10 @@ struct TraceSpan {
   /// Rows inserted into the operator's hash structure (join build side,
   /// semijoin filter keys, projection dedup inserts).
   int64_t ht_build_rows = 0;
-  /// Lookup operations against the hash structure (join probe passes,
-  /// semijoin membership tests). 0 for operators without a probe phase.
+  /// Lookup operations against the hash structures (join probe passes,
+  /// semijoin membership tests, projection dedup lookups, and the probes
+  /// a projection or join makes into a counted join it reads unwritten).
+  /// 0 for operators without a probe phase.
   int64_t ht_probe_ops = 0;
   /// Morsel index of the span within its kernel call
   /// (relational/batch_ops.h); 0 for a one-morsel call, which is every

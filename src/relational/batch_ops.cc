@@ -31,7 +31,45 @@ void MorselExec::ForEachMorselParallel(
   parallel_for(count, body);
 }
 
+namespace batch_internal {
+
+MorselSpans::MorselSpans(TraceSink* sink, TraceOp op, int32_t node_id,
+                         int64_t num_morsels)
+    : sink_(sink) {
+  if (sink_ == nullptr) return;
+  spans_.resize(static_cast<size_t>(num_morsels));
+  for (int64_t m = 0; m < num_morsels; ++m) {
+    TraceSpan& span = spans_[static_cast<size_t>(m)];
+    span.op = op;
+    span.node_id = node_id;
+    span.start_ns = -1;
+    span.morsel_id = static_cast<int32_t>(m);
+  }
+}
+
+void MorselSpans::AddTimeOf(const MorselSpans& other) {
+  if (!enabled() || spans_.empty()) return;
+  for (size_t k = 0; k < other.spans_.size(); ++k) {
+    const TraceSpan& from = other.spans_[k];
+    if (from.start_ns < 0) continue;
+    TraceSpan& to = spans_[std::min(k, spans_.size() - 1)];
+    if (to.start_ns < 0 || from.start_ns < to.start_ns) {
+      to.start_ns = from.start_ns;
+    }
+    to.duration_ns += from.duration_ns;
+  }
+}
+
+void MorselSpans::RecordInOrder() {
+  for (const TraceSpan& span : spans_) sink_->Record(span);
+}
+
+}  // namespace batch_internal
+
 namespace {
+
+using batch_internal::MorselSlots;
+using batch_internal::MorselSpans;
 
 struct MorselRange {
   int64_t begin;
@@ -76,32 +114,6 @@ int64_t ChargeOutput(int64_t total, int arity, ExecContext& ctx) {
   return exhausts ? 0 : total;
 }
 
-// Zeroed per-morsel counters (offsets, scratch sizes): stored inline for
-// the two a one-morsel call needs, so serial calls never allocate them
-// on the heap.
-class MorselSlots {
- public:
-  explicit MorselSlots(int64_t n) : size_(n) {
-    if (n > kInline) {
-      heap_.assign(static_cast<size_t>(n), 0);
-      data_ = heap_.data();
-    }
-  }
-  MorselSlots(const MorselSlots&) = delete;
-  MorselSlots& operator=(const MorselSlots&) = delete;
-
-  int64_t& operator[](int64_t i) { return data_[i]; }
-  int64_t operator[](int64_t i) const { return data_[i]; }
-  int64_t size() const { return size_; }
-
- private:
-  static constexpr int64_t kInline = 2;
-  int64_t size_;
-  int64_t inline_[kInline] = {0, 0};
-  std::vector<int64_t> heap_;
-  int64_t* data_ = inline_;
-};
-
 // Turns per-morsel output counts, stored at offsets[m + 1] by phase A,
 // into prefix sums (morsel m's output starts at offsets[m]) and charges
 // their total (ChargeOutput). A call that exhausts the budget keeps no
@@ -116,62 +128,6 @@ int64_t PrefixSumsCharged(MorselSlots& offsets, int arity, ExecContext& ctx) {
   }
   return rows;
 }
-
-// One trace span per morsel of a kernel call, covering that morsel's
-// work in every phase (morsel 0's also covers any shared build). Only the
-// worker running morsel m writes span m; once all morsels finished, the
-// calling thread records the spans into the run's sink in morsel-index
-// order, so workers never touch the sink and the span order does not
-// depend on the schedule. Inert without a sink.
-class MorselSpans {
- public:
-  MorselSpans(TraceSink* sink, TraceOp op, int32_t node_id,
-              int64_t num_morsels)
-      : sink_(sink) {
-    if (sink_ == nullptr) return;
-    spans_.resize(static_cast<size_t>(num_morsels));
-    for (int64_t m = 0; m < num_morsels; ++m) {
-      TraceSpan& span = spans_[static_cast<size_t>(m)];
-      span.op = op;
-      span.node_id = node_id;
-      span.start_ns = -1;
-      span.morsel_id = static_cast<int32_t>(m);
-    }
-  }
-
-  bool enabled() const { return sink_ != nullptr; }
-  TraceSpan& span(int64_t m) { return spans_[static_cast<size_t>(m)]; }
-
-  // Adds the enclosing scope's wall time to morsel m's span; the first
-  // timed scope stamps the span's start.
-  class Timer {
-   public:
-    Timer(MorselSpans& spans, int64_t m) : spans_(spans), m_(m) {
-      if (spans_.enabled()) start_ns_ = spans_.sink_->NowNs();
-    }
-    ~Timer() {
-      if (!spans_.enabled()) return;
-      TraceSpan& span = spans_.span(m_);
-      if (span.start_ns < 0) span.start_ns = start_ns_;
-      span.duration_ns += spans_.sink_->NowNs() - start_ns_;
-    }
-    Timer(const Timer&) = delete;
-    Timer& operator=(const Timer&) = delete;
-
-   private:
-    MorselSpans& spans_;
-    int64_t m_;
-    int64_t start_ns_ = 0;
-  };
-
-  void RecordInOrder() {
-    for (const TraceSpan& span : spans_) sink_->Record(span);
-  }
-
- private:
-  TraceSink* sink_;
-  std::vector<TraceSpan> spans_;
-};
 
 // Whether a stored row satisfies the scan's repeated-attribute checks.
 bool PassesChecks(const Value* row, const ScanSpec& spec) {
@@ -232,26 +188,49 @@ void EmitNullary(TraceOp op, Relation& out, ExecContext& ctx) {
   }
 }
 
-// The column layout of one hash join, shared read-only by its morsels:
-// the build-side index, the probe side (the larger input), and where
-// each output column comes from.
-struct JoinProbe {
-  JoinProbe(const JoinIndex& index, const Relation& left,
-            const Relation& right, const JoinSpec& spec, bool build_left)
-      : index(index),
-        build_left(build_left),
-        probe_base(build_left ? right.data() : left.data()),
-        probe_arity(build_left ? right.arity() : left.arity()),
-        probe_key(build_left ? spec.right_key_cols.data()
-                             : spec.left_key_cols.data()),
-        key_width(static_cast<int>(spec.left_key_cols.size())),
-        left_base(left.data()),
-        right_base(right.data()),
-        left_arity(left.arity()),
-        right_arity(right.arity()),
-        carry(spec.right_carry_cols.data()),
-        num_carry(static_cast<int>(spec.right_carry_cols.size())),
-        out_arity(spec.out_schema.arity()) {}
+}  // namespace
+
+// The column layout of one counted hash join, shared read-only by its
+// morsels: the build-side index, the probe side (the larger input), and
+// where each output column comes from.
+class JoinRows {
+ public:
+  explicit JoinRows(const CountedJoin& j)
+      : index(*j.index_),
+        build_left(j.build_left_),
+        probe_base(j.build_left_ ? j.right_base_ : j.left_base_),
+        probe_arity(j.build_left_ ? j.right_arity_ : j.left_arity_),
+        probe_key(j.build_left_ ? j.spec_->right_key_cols.data()
+                                : j.spec_->left_key_cols.data()),
+        key_width(static_cast<int>(j.spec_->left_key_cols.size())),
+        build_base(j.build_left_ ? j.left_base_ : j.right_base_),
+        build_arity(j.build_left_ ? j.left_arity_ : j.right_arity_),
+        left_arity(j.left_arity_),
+        carry(j.spec_->right_carry_cols.data()),
+        num_carry(static_cast<int>(j.spec_->right_carry_cols.size())),
+        out_arity(j.spec_->out_schema.arity()) {}
+
+  const Value* probe_row(int64_t i) const {
+    return probe_base + i * probe_arity;
+  }
+  const Value* build_row(int64_t b) const {
+    return build_base + b * build_arity;
+  }
+
+  // The build rows matching `row` of the probe side, its key assembled
+  // in place in `key` (key_width values of scratch) — no gathered or
+  // packed copy of the probe keys.
+  std::span<const int64_t> Probe(const Value* row, Value* key) const {
+    for (int c = 0; c < key_width; ++c) key[c] = row[probe_key[c]];
+    return index.Probe(key);
+  }
+
+  // Output column k comes from the probe row (else the build row), from
+  // its column SourceColumn(k).
+  bool FromProbe(int k) const { return (k < left_arity) != build_left; }
+  int SourceColumn(int k) const {
+    return k < left_arity ? k : carry[k - left_arity];
+  }
 
   const JoinIndex& index;
   bool build_left;
@@ -259,25 +238,22 @@ struct JoinProbe {
   int probe_arity;
   const int* probe_key;
   int key_width;
-  const Value* left_base;
-  const Value* right_base;
+  const Value* build_base;
+  int build_arity;
   int left_arity;
-  int right_arity;
   const int* carry;
   int num_carry;
   int out_arity;
 };
 
-// Output rows of probe rows [begin, end). Each probe key is assembled in
-// place in `key` (key_width values of scratch) — no gathered or packed
-// copy of the probe keys.
-int64_t CountJoinRows(const JoinProbe& j, int64_t begin, int64_t end,
+namespace {
+
+// Output rows of probe rows [begin, end).
+int64_t CountJoinRows(const JoinRows& j, int64_t begin, int64_t end,
                       Value* key) {
   int64_t total = 0;
   for (int64_t i = begin; i < end; ++i) {
-    const Value* probe_row = j.probe_base + i * j.probe_arity;
-    for (int c = 0; c < j.key_width; ++c) key[c] = probe_row[j.probe_key[c]];
-    total += static_cast<int64_t>(j.index.Probe(key).size());
+    total += static_cast<int64_t>(j.Probe(j.probe_row(i), key).size());
   }
   return total;
 }
@@ -285,7 +261,7 @@ int64_t CountJoinRows(const JoinProbe& j, int64_t begin, int64_t end,
 // Writes the first `quota` output rows of probe rows [begin, end) to
 // `cursor`, in probe-row then build-row order, and returns the number of
 // probe rows probed. The caller sized `quota` from CountJoinRows.
-int64_t EmitJoinRows(const JoinProbe& j, int64_t begin, int64_t end,
+int64_t EmitJoinRows(const JoinRows& j, int64_t begin, int64_t end,
                      int64_t quota, Value* key, Value* cursor) {
   const int left_arity = j.left_arity;
   const int out_arity = j.out_arity;
@@ -294,14 +270,13 @@ int64_t EmitJoinRows(const JoinProbe& j, int64_t begin, int64_t end,
   int64_t emitted = 0;
   int64_t i = begin;
   for (; i < end && emitted < quota; ++i) {
-    const Value* probe_row = j.probe_base + i * j.probe_arity;
-    for (int c = 0; c < j.key_width; ++c) key[c] = probe_row[j.probe_key[c]];
-    const std::span<const int64_t> matches = j.index.Probe(key);
+    const Value* probe_row = j.probe_row(i);
+    const std::span<const int64_t> matches = j.Probe(probe_row, key);
     if (j.build_left) {
       // Probe side is the right input: its carry columns repeat across
       // every match of this probe row.
       for (int64_t b : matches) {
-        const Value* left_row = j.left_base + b * left_arity;
+        const Value* left_row = j.build_row(b);
         for (int c = 0; c < left_arity; ++c) cursor[c] = left_row[c];
         for (int c = 0; c < num_carry; ++c) {
           cursor[left_arity + c] = probe_row[carry[c]];
@@ -311,7 +286,7 @@ int64_t EmitJoinRows(const JoinProbe& j, int64_t begin, int64_t end,
       }
     } else {
       for (int64_t b : matches) {
-        const Value* right_row = j.right_base + b * j.right_arity;
+        const Value* right_row = j.build_row(b);
         for (int c = 0; c < left_arity; ++c) cursor[c] = probe_row[c];
         for (int c = 0; c < num_carry; ++c) {
           cursor[left_arity + c] = right_row[carry[c]];
@@ -322,6 +297,50 @@ int64_t EmitJoinRows(const JoinProbe& j, int64_t begin, int64_t end,
     }
   }
   return i - begin;
+}
+
+// A key over some of a counted join's output columns, assembled from a
+// (probe row, build row) pair instead of a written output row: (key
+// column, source column) pairs for the columns the probe row supplies,
+// then for those the build row supplies. Derived once per call into
+// arena memory.
+struct PairKey {
+  const int* probe_pairs;
+  int num_probe;
+  const int* build_pairs;
+  int num_build;
+
+  void Assemble(const Value* probe_row, const Value* build_row,
+                Value* key) const {
+    for (int p = 0; p < num_probe; ++p) {
+      key[probe_pairs[2 * p]] = probe_row[probe_pairs[2 * p + 1]];
+    }
+    for (int p = 0; p < num_build; ++p) {
+      key[build_pairs[2 * p]] = build_row[build_pairs[2 * p + 1]];
+    }
+  }
+};
+
+// The PairKey of output columns `cols` (`width` of them) of join `j`.
+PairKey MakePairKey(const JoinRows& j, const int* cols, int width,
+                    ExecArena& arena) {
+  int* pairs = arena.AllocSpan<int>(2 * std::max(width, 1)).data();
+  int num_probe = 0;
+  for (int c = 0; c < width; ++c) {
+    if (!j.FromProbe(cols[c])) continue;
+    pairs[2 * num_probe] = c;
+    pairs[2 * num_probe + 1] = j.SourceColumn(cols[c]);
+    ++num_probe;
+  }
+  int* build_pairs = pairs + 2 * num_probe;
+  int num_build = 0;
+  for (int c = 0; c < width; ++c) {
+    if (j.FromProbe(cols[c])) continue;
+    build_pairs[2 * num_build] = c;
+    build_pairs[2 * num_build + 1] = j.SourceColumn(cols[c]);
+    ++num_build;
+  }
+  return {pairs, num_probe, build_pairs, num_build};
 }
 
 // Inserts into `seen` the keys of rows [0, rows) of a row-major store
@@ -343,6 +362,247 @@ int64_t InsertDistinct(const Value* base, int stride, const int* cols,
   }
   return i;
 }
+
+// The rows a projection deduplicates, in morsels: a written relation's
+// rows, partitioned by the projection's MorselExec.
+class RelationRows {
+ public:
+  RelationRows(const Relation& input, const ProjectSpec& spec,
+               const MorselExec& mx)
+      : base_(input.data()),
+        arity_(input.arity()),
+        rows_(input.size()),
+        cols_(spec.cols.data()),
+        morsel_rows_(mx.MorselRows(rows_)),
+        num_morsels_(mx.NumMorsels(rows_)) {}
+
+  int64_t rows() const { return rows_; }
+  int arity() const { return arity_; }
+  int64_t num_morsels() const { return num_morsels_; }
+  int64_t morsel_input(int64_t m) const {
+    const auto [begin, end] = RangeOf(m, morsel_rows_, rows_);
+    return end - begin;
+  }
+  // Values of per-morsel scratch Insert needs.
+  int scratch_width() const { return 0; }
+
+  // Inserts the keys of morsel m's rows into `seen`, in row order, until
+  // it holds `cap` keys; returns the lookups made.
+  int64_t Insert(int64_t m, int64_t cap, FlatKeyIndex& seen,
+                 Value* /*scratch*/) const {
+    const auto [begin, end] = RangeOf(m, morsel_rows_, rows_);
+    return InsertDistinct(base_ + begin * arity_, arity_, cols_, end - begin,
+                          cap, seen);
+  }
+
+ private:
+  const Value* base_;
+  int arity_;
+  int64_t rows_;
+  const int* cols_;
+  int64_t morsel_rows_;
+  int64_t num_morsels_;
+};
+
+// A counted join's unwritten rows, in the morsels of its probe side:
+// each morsel probes again and assembles the projected key of every
+// match, in the order the join would have written the rows.
+class JoinPairRows {
+ public:
+  JoinPairRows(const JoinRows& join, const PairKey& key,
+               const MorselSlots& offsets, int64_t probe_rows,
+               int64_t morsel_rows)
+      : join_(join),
+        key_(key),
+        offsets_(offsets),
+        probe_rows_(probe_rows),
+        morsel_rows_(morsel_rows) {}
+
+  int64_t rows() const { return offsets_[num_morsels()]; }
+  int arity() const { return join_.out_arity; }
+  int64_t num_morsels() const { return offsets_.size() - 1; }
+  int64_t morsel_input(int64_t m) const {
+    return offsets_[m + 1] - offsets_[m];
+  }
+  int scratch_width() const { return std::max(join_.key_width, 1); }
+
+  // As RelationRows::Insert; `scratch` holds the join's probe key.
+  int64_t Insert(int64_t m, int64_t cap, FlatKeyIndex& seen,
+                 Value* scratch) const {
+    const auto [begin, end] = RangeOf(m, morsel_rows_, probe_rows_);
+    int64_t lookups = 0;
+    for (int64_t i = begin; i < end && seen.num_keys() < cap; ++i) {
+      const Value* probe_row = join_.probe_row(i);
+      ++lookups;
+      for (const int64_t b : join_.Probe(probe_row, scratch)) {
+        if (seen.num_keys() == cap) break;
+        key_.Assemble(probe_row, join_.build_row(b), seen.next_key());
+        seen.InsertNext();
+        ++lookups;
+      }
+    }
+    return lookups;
+  }
+
+ private:
+  const JoinRows& join_;
+  const PairKey& key_;
+  const MorselSlots& offsets_;
+  int64_t probe_rows_;
+  int64_t morsel_rows_;
+};
+
+// The projection kernel over either row source: one index whose key
+// store is the output for a one-morsel input, morsel-local indexes
+// merged in morsel-index order otherwise.
+template <typename Rows>
+Relation ProjectRows(const Rows& input, const ProjectSpec& spec,
+                     ExecContext& ctx, const MorselExec& mx) {
+  ctx.stats().num_projections++;
+  Relation out{spec.out_schema};
+  if (spec.cols.empty()) {
+    // Boolean projection: nonempty input -> the single empty tuple.
+    SpanRecorder rec(ctx.tracer(), TraceOp::kProject, ctx.trace_node());
+    if (rec.enabled()) {
+      rec.span().rows_in = input.rows();
+      rec.span().arity_in = input.arity();
+      rec.span().arity_out = 0;
+      rec.span().morsel_id = 0;
+    }
+    if (input.rows() > 0) {
+      out.AddTuple(std::span<const Value>{});
+      ctx.ChargeTuples(1);
+    }
+    if (rec.enabled()) rec.span().rows_out = out.size();
+    ctx.stats().NoteIntermediate(0, out.size());
+    return out;
+  }
+  if (input.rows() == 0) {
+    ctx.stats().NoteIntermediate(out.arity(), 0);
+    return out;
+  }
+
+  const int key_width = static_cast<int>(spec.cols.size());
+  const int in_arity = input.arity();
+  const int64_t in_rows = input.rows();
+  const int64_t num_morsels = input.num_morsels();
+
+  // Projection cannot know its output size before it deduplicates, so
+  // it sizes its output for the rows the budget still allows, inserts
+  // each distinct key straight into that output (the index's key store),
+  // and truncates to the keys it found. A run that exhausts the budget
+  // keeps its first-occurrence prefix.
+  //
+  // Single-morsel path (every serial call): one morsel means the
+  // morsel-local index IS the global dedup — the merge pass would
+  // re-hash every distinct key into a second index just to recover an
+  // order it already has.
+  if (num_morsels == 1) {
+    Value* scratch =
+        ctx.arena().AllocSpan<Value>(input.scratch_width()).data();
+    ArenaScope scope(ctx.arena());
+    SpanRecorder mrec(ctx.tracer(), TraceOp::kProject, ctx.trace_node());
+    const int64_t cap = ClampToHeadroom(in_rows, ctx);
+    FlatKeyIndex seen(cap, key_width, out.GrowRows(cap), ctx.arena());
+    const int64_t probed = input.Insert(0, cap, seen, scratch);
+    out.TruncateRows(seen.num_keys());
+    if (!out.empty()) ctx.ChargeTuples(out.size());
+    const Counter footprint =
+        static_cast<Counter>(scope.bytes_allocated()) + out.byte_size();
+    if (mrec.enabled()) {
+      mrec.span().rows_in = in_rows;
+      mrec.span().rows_out = out.size();
+      mrec.span().arity_in = in_arity;
+      mrec.span().arity_out = key_width;
+      mrec.span().bytes = footprint;
+      mrec.span().ht_build_rows = out.size();
+      mrec.span().ht_probe_ops = probed;
+      mrec.span().morsel_id = 0;
+    }
+    ctx.stats().NotePeakBytes(footprint);
+    ctx.stats().NoteIntermediate(out.arity(), out.size());
+    return out;
+  }
+
+  // Phase A: morsel-local dedup. Each morsel builds its own FlatKeyIndex,
+  // slots and key store, in its worker slot's arena. The index must
+  // outlive the phase for the merge to read its packed keys, so one scope
+  // per worker arena, opened here on the calling thread, keeps every
+  // local index until the call returns. A morsel's scratch is the bytes
+  // it allocated, whichever slot ran it, so peak_bytes does not depend on
+  // the worker count.
+  std::vector<std::optional<ArenaScope>> local_scopes(
+      std::max<size_t>(mx.worker_arenas.size(), 1));
+  for (size_t w = 0; w < local_scopes.size(); ++w) {
+    local_scopes[w].emplace(WorkerArena(mx, ctx, static_cast<int>(w)));
+  }
+  std::vector<std::optional<FlatKeyIndex>> locals(
+      static_cast<size_t>(num_morsels));
+  MorselSlots scratch(num_morsels);
+  MorselSpans spans(ctx.tracer(), TraceOp::kProject, ctx.trace_node(),
+                    num_morsels);
+  mx.ForEachMorsel(num_morsels, [&](int64_t m, int w) {
+    MorselSpans::Timer timer(spans, m);
+    const int64_t n = input.morsel_input(m);
+    ExecArena& arena = WorkerArena(mx, ctx, w);
+    const size_t before = arena.bytes_in_use();
+    FlatKeyIndex& local = locals[static_cast<size_t>(m)].emplace(
+        n, key_width, arena.AllocSpan<Value>(n * key_width).data(), arena);
+    const int64_t lookups = input.Insert(
+        m, n, local, arena.AllocSpan<Value>(input.scratch_width()).data());
+    scratch[m] = static_cast<int64_t>(arena.bytes_in_use() - before);
+    if (spans.enabled()) {
+      TraceSpan& span = spans.span(m);
+      span.rows_in = n;
+      span.arity_in = in_arity;
+      span.arity_out = key_width;
+      span.ht_build_rows = local.num_keys();
+      span.ht_probe_ops = lookups;
+      span.bytes = scratch[m];
+    }
+  });
+
+  int64_t sum_local = 0;
+  for (const auto& local : locals) sum_local += local->num_keys();
+
+  // Merge in morsel-index order: concatenating the morsel-local
+  // first-occurrence orders and deduplicating sequentially reproduces
+  // the global first-occurrence order exactly. Each morsel's merge is
+  // part of its span: its rows_out is the rows it adds to the output.
+  ArenaScope merge_scope(ctx.arena());
+  const int64_t cap = ClampToHeadroom(sum_local, ctx);
+  FlatKeyIndex seen(cap, key_width, out.GrowRows(cap), ctx.arena());
+  int* packed_cols = ctx.arena().AllocSpan<int>(key_width).data();
+  for (int c = 0; c < key_width; ++c) packed_cols[c] = c;
+  for (int64_t m = 0; m < num_morsels && seen.num_keys() < cap; ++m) {
+    MorselSpans::Timer timer(spans, m);
+    const FlatKeyIndex& local = *locals[static_cast<size_t>(m)];
+    const int64_t before = seen.num_keys();
+    const int64_t probed = InsertDistinct(local.key_data(), key_width,
+                                          packed_cols, local.num_keys(), cap,
+                                          seen);
+    const int64_t added = seen.num_keys() - before;
+    if (spans.enabled()) {
+      TraceSpan& span = spans.span(m);
+      span.rows_out = added;
+      span.ht_build_rows += added;
+      span.ht_probe_ops += probed;
+      span.bytes += added * key_width * static_cast<int64_t>(sizeof(Value));
+    }
+  }
+  out.TruncateRows(seen.num_keys());
+  if (!out.empty()) ctx.ChargeTuples(out.size());
+
+  const Counter shared = static_cast<Counter>(merge_scope.bytes_allocated());
+  if (spans.enabled()) spans.span(0).bytes += shared;
+  spans.RecordInOrder();
+  Counter footprint = shared + out.byte_size();
+  for (int64_t m = 0; m < num_morsels; ++m) footprint += scratch[m];
+  ctx.stats().NotePeakBytes(footprint);
+  ctx.stats().NoteIntermediate(out.arity(), out.size());
+  return out;
+}
+
 
 }  // namespace
 
@@ -425,254 +685,346 @@ Relation ScanAtom(const Relation& stored, const ScanSpec& spec,
   return out;
 }
 
-Relation HashJoin(const Relation& left, const Relation& right,
-                  const JoinSpec& spec, ExecContext& ctx,
-                  const MorselExec& mx) {
-  ctx.stats().num_joins++;
-  Relation out{spec.out_schema};
-  if (left.empty() || right.empty()) {
-    ctx.stats().NoteIntermediate(out.arity(), 0);
-    return out;
-  }
-  if (out.arity() == 0) {
-    // Both inputs nullary and nonempty: the empty tuple.
-    EmitNullary(TraceOp::kJoin, out, ctx);
-    return out;
-  }
+struct CountedJoin::Prebuilt {
+  std::optional<JoinIndex> index;
+  // Scratch bytes of the index.
+  Counter bytes = 0;
+  // The call's work so far, in the morsels of the counted join's probe
+  // side: the build (morsel 0) and any counting through that join.
+  MorselSpans time;
+};
 
-  const bool build_left = left.size() <= right.size();
-  const Relation& build = build_left ? left : right;
-  const Relation& probe = build_left ? right : left;
-  const int64_t probe_rows = probe.size();
-  const int64_t morsel_rows = mx.MorselRows(probe_rows);
-  const int64_t num_morsels = mx.NumMorsels(probe_rows);
-  MorselSpans spans(ctx.tracer(), TraceOp::kJoin, ctx.trace_node(),
-                    num_morsels);
+CountedJoin::CountedJoin(const Relation& left, const Relation& right,
+                         const JoinSpec& spec, ExecContext& ctx,
+                         const MorselExec& mx, const Prebuilt* prebuilt)
+    : ctx_(&ctx),
+      mx_(&mx),
+      spec_(&spec),
+      arena_(prebuilt == nullptr ? &ctx.arena() : nullptr),
+      mark_(ctx.arena().Save()),
+      out_(spec.out_schema),
+      build_left_(left.size() <= right.size()),
+      left_base_(left.data()),
+      right_base_(right.data()),
+      left_arity_(left.arity()),
+      right_arity_(right.arity()),
+      probe_rows_(build_left_ ? right.size() : left.size()),
+      morsel_rows_(mx.MorselRows(probe_rows_)),
+      num_morsels_(left.empty() || right.empty() || out_.arity() == 0
+                       ? 0
+                       : mx.NumMorsels(probe_rows_)),
+      offsets_(num_morsels_ + 1),
+      scratch_(num_morsels_),
+      spans_(ctx.tracer(), TraceOp::kJoin, ctx.trace_node(), num_morsels_) {
+  ctx.stats().num_joins++;
+  if (left.empty() || right.empty()) {
+    ctx.stats().NoteIntermediate(out_.arity(), 0);
+    return;
+  }
+  if (out_.arity() == 0) {
+    // Both inputs nullary and nonempty: the empty tuple.
+    EmitNullary(TraceOp::kJoin, out_, ctx);
+    rows_ = out_.size();
+    return;
+  }
+  open_ = true;
+  const Relation& build = build_left_ ? left : right;
 
   // Shared build phase on the calling thread, timed into morsel 0's
   // span; the index is read-only once constructed, so morsel workers
   // probe it without locks.
-  ArenaScope shared_scope(ctx.arena());
-  const JoinIndex index = [&] {
-    MorselSpans::Timer timer(spans, 0);
-    return JoinIndex(build,
-                     build_left ? spec.left_key_cols : spec.right_key_cols,
-                     ctx.arena());
-  }();
-  const JoinProbe join{index, left, right, spec, build_left};
-  const int key_width = static_cast<int>(spec.left_key_cols.size());
+  if (prebuilt != nullptr) {
+    PPR_DCHECK(!build_left_);
+    index_.emplace(*prebuilt->index);
+    shared_bytes_ = prebuilt->bytes;
+    spans_.AddTimeOf(prebuilt->time);
+  } else {
+    MorselSpans::Timer timer(spans_, 0);
+    index_.emplace(build,
+                   build_left_ ? spec.left_key_cols : spec.right_key_cols,
+                   ctx.arena());
+    shared_bytes_ =
+        static_cast<Counter>(ctx.arena().bytes_in_use() - mark_.used);
+  }
+  const JoinRows join(*this);
+  const int key_width = join.key_width;
   const int32_t arity_in = std::max(left.arity(), right.arity());
 
   // Phase A: counting probe per morsel. A hash + find per probe row costs
   // far less than the emit work it sizes, and the exact sizes remove
   // realloc copies and per-emit capacity checks from the emit loop.
-  MorselSlots offsets(num_morsels + 1);
-  MorselSlots scratch(num_morsels);
-  mx.ForEachMorsel(num_morsels, [&](int64_t m, int w) {
-    MorselSpans::Timer timer(spans, m);
-    const auto [begin, end] = RangeOf(m, morsel_rows, probe_rows);
+  mx.ForEachMorsel(num_morsels_, [&](int64_t m, int w) {
+    MorselSpans::Timer timer(spans_, m);
+    const auto [begin, end] = RangeOf(m, morsel_rows_, probe_rows_);
     ExecArena& warena = WorkerArena(mx, ctx, w);
     ArenaScope scope(warena);
     Value* key = warena.AllocSpan<Value>(std::max(key_width, 1)).data();
-    offsets[m + 1] = CountJoinRows(join, begin, end, key);
-    scratch[m] = static_cast<int64_t>(scope.bytes_allocated());
-    if (spans.enabled()) {
-      TraceSpan& span = spans.span(m);
+    offsets_[m + 1] = CountJoinRows(join, begin, end, key);
+    scratch_[m] = static_cast<int64_t>(scope.bytes_allocated());
+    if (spans_.enabled()) {
+      TraceSpan& span = spans_.span(m);
       span.rows_in = end - begin;
       span.arity_in = arity_in;
       span.arity_out = join.out_arity;
-      span.bytes = scratch[m];
+      span.bytes = scratch_[m];
       span.ht_probe_ops = end - begin;
     }
   });
 
+  // The call charges its rows now, written or not; each morsel's span
+  // reports the rows it produced. A call that exhausts the budget keeps
+  // none, and one that keeps none is resolved.
+  rows_ = PrefixSumsCharged(offsets_, join.out_arity, ctx);
+  if (spans_.enabled()) {
+    for (int64_t m = 0; m < num_morsels_; ++m) {
+      spans_.span(m).rows_out = offsets_[m + 1] - offsets_[m];
+    }
+    spans_.span(0).ht_build_rows = build.size();
+    spans_.span(0).bytes += shared_bytes_;
+  }
+  if (rows_ == 0) Close(0);
+}
+
+CountedJoin::CountedJoin(const JoinSpec& spec, ExecContext& ctx,
+                         const MorselExec& mx)
+    : ctx_(&ctx),
+      mx_(&mx),
+      spec_(&spec),
+      out_(spec.out_schema),
+      offsets_(1),
+      scratch_(0),
+      spans_(nullptr, TraceOp::kJoin, -1, 0) {}
+
+CountedJoin::CountedJoin(CountedJoin&& other) noexcept
+    : offsets_(0), scratch_(0), spans_(nullptr, TraceOp::kJoin, -1, 0) {
+  *this = std::move(other);
+}
+
+CountedJoin& CountedJoin::operator=(CountedJoin&& other) noexcept {
+  if (this == &other) return *this;
+  Close(0);
+  Release();
+  ctx_ = other.ctx_;
+  mx_ = other.mx_;
+  spec_ = other.spec_;
+  arena_ = std::exchange(other.arena_, nullptr);
+  mark_ = other.mark_;
+  owned_left_ = std::move(other.owned_left_);
+  owned_right_ = std::move(other.owned_right_);
+  out_ = std::move(other.out_);
+  build_left_ = other.build_left_;
+  left_base_ = other.left_base_;
+  right_base_ = other.right_base_;
+  left_arity_ = other.left_arity_;
+  right_arity_ = other.right_arity_;
+  probe_rows_ = other.probe_rows_;
+  index_ = std::move(other.index_);
+  rows_ = other.rows_;
+  morsel_rows_ = other.morsel_rows_;
+  num_morsels_ = other.num_morsels_;
+  offsets_ = std::move(other.offsets_);
+  scratch_ = std::move(other.scratch_);
+  spans_ = std::move(other.spans_);
+  shared_bytes_ = other.shared_bytes_;
+  open_ = std::exchange(other.open_, false);
+  return *this;
+}
+
+CountedJoin::~CountedJoin() {
+  Close(0);
+  Release();
+}
+
+void CountedJoin::Close(int64_t out_bytes) {
+  if (!open_) return;
+  open_ = false;
+  spans_.RecordInOrder();
+  Counter footprint = shared_bytes_ + out_bytes;
+  for (int64_t m = 0; m < num_morsels_; ++m) footprint += scratch_[m];
+  ctx_->stats().NotePeakBytes(footprint);
+}
+
+void CountedJoin::Release() {
+  if (arena_ == nullptr) return;
+  arena_->Restore(mark_);
+  arena_ = nullptr;
+}
+
+Relation CountedJoin::Write() && {
+  if (!open_) return std::move(out_);
   // Phase B: re-probe and materialize into the morsel's disjoint range.
   // Emit order within a morsel is probe-row order then build-row order,
-  // so the concatenation does not depend on the partition. A call that
-  // exhausts the budget skips it.
-  if (PrefixSumsCharged(offsets, join.out_arity, ctx) > 0) {
-    Value* out_base = out.GrowRows(offsets[num_morsels]);
-    mx.ForEachMorsel(num_morsels, [&](int64_t m, int w) {
-      MorselSpans::Timer timer(spans, m);
-      const int64_t quota = offsets[m + 1] - offsets[m];
-      if (quota == 0) return;
-      const auto [begin, end] = RangeOf(m, morsel_rows, probe_rows);
+  // so the concatenation does not depend on the partition.
+  ExecContext& ctx = *ctx_;
+  const MorselExec& mx = *mx_;
+  const JoinRows join(*this);
+  Value* out_base = out_.GrowRows(rows_);
+  mx.ForEachMorsel(num_morsels_, [&](int64_t m, int w) {
+    MorselSpans::Timer timer(spans_, m);
+    const int64_t quota = offsets_[m + 1] - offsets_[m];
+    if (quota == 0) return;
+    const auto [begin, end] = RangeOf(m, morsel_rows_, probe_rows_);
+    ExecArena& warena = WorkerArena(mx, ctx, w);
+    ArenaScope scope(warena);
+    Value* key = warena.AllocSpan<Value>(std::max(join.key_width, 1)).data();
+    const int64_t probes =
+        EmitJoinRows(join, begin, end, quota, key,
+                     out_base + offsets_[m] * join.out_arity);
+    if (spans_.enabled()) {
+      TraceSpan& span = spans_.span(m);
+      span.bytes +=
+          quota * join.out_arity * static_cast<int64_t>(sizeof(Value));
+      span.ht_probe_ops += probes;
+    }
+  });
+  Close(out_.byte_size());
+  return std::move(out_);
+}
+
+CountedJoin::CountedJoin(Relation left, Relation right, const JoinSpec& spec,
+                         ExecContext& ctx, const MorselExec& mx)
+    : CountedJoin(left, right, spec, ctx, mx, nullptr) {
+  // Moving a relation keeps its rows where they are.
+  owned_left_ = std::move(left);
+  owned_right_ = std::move(right);
+}
+
+CountedJoin CountJoin(CountedJoin&& left, Relation right,
+                      const JoinSpec& spec, ExecContext& ctx,
+                      const MorselExec& mx) {
+  // This join can exhaust the budget only if |P| times the largest group
+  // of its index reaches the headroom; |right| bounds that group.
+  const auto may_exhaust = [&](int64_t group) {
+    return static_cast<Counter>(left.rows()) * group >= ctx.budget_headroom();
+  };
+  if (!left.streamable() || left.rows() <= right.size() ||
+      !may_exhaust(right.size())) {
+    // P is this join's build side, or the join cannot exhaust: P is read
+    // as it stands, as HashJoin reads its inputs.
+    Relation rows = std::move(left).Write();
+    left.Release();
+    return CountedJoin(std::move(rows), std::move(right), spec, ctx, mx);
+  }
+
+  // Build this join's index over `right` (its build side, the smaller
+  // input) above P's scratch, timed as this call's work.
+  const JoinRows p(left);
+  const int64_t p_morsels = left.num_morsels_;
+  CountedJoin::Prebuilt pre{
+      std::nullopt, 0,
+      MorselSpans(ctx.tracer(), TraceOp::kJoin, ctx.trace_node(), p_morsels)};
+  {
+    const size_t before = ctx.arena().bytes_in_use();
+    MorselSpans::Timer timer(pre.time, 0);
+    pre.index.emplace(right, spec.right_key_cols, ctx.arena());
+    pre.bytes = static_cast<Counter>(ctx.arena().bytes_in_use() - before);
+  }
+
+  if (may_exhaust(pre.index->max_group())) {
+    // Count the output through P's (probe row, build row) pairs, per
+    // morsel of P's probe side; a morsel stops once its count alone
+    // reaches the headroom, which decides the call.
+    const Counter headroom = ctx.budget_headroom();
+    const int key_width = static_cast<int>(spec.left_key_cols.size());
+    const PairKey key =
+        MakePairKey(p, spec.left_key_cols.data(), key_width, ctx.arena());
+    const int32_t arity_in = std::max(p.out_arity, right.arity());
+    const int out_arity = spec.out_schema.arity();
+    MorselSlots counts(p_morsels);
+    MorselSlots scratch(p_morsels);
+    mx.ForEachMorsel(p_morsels, [&](int64_t m, int w) {
+      MorselSpans::Timer timer(pre.time, m);
+      const auto [begin, end] =
+          RangeOf(m, left.morsel_rows_, left.probe_rows_);
       ExecArena& warena = WorkerArena(mx, ctx, w);
       ArenaScope scope(warena);
-      Value* key = warena.AllocSpan<Value>(std::max(key_width, 1)).data();
-      const int64_t probes =
-          EmitJoinRows(join, begin, end, quota, key,
-                       out_base + offsets[m] * join.out_arity);
-      if (spans.enabled()) {
-        TraceSpan& span = spans.span(m);
-        span.rows_out = quota;
-        span.bytes +=
-            quota * join.out_arity * static_cast<int64_t>(sizeof(Value));
-        span.ht_probe_ops += probes;
+      Value* p_key = warena.AllocSpan<Value>(std::max(p.key_width, 1)).data();
+      Value* j_key = warena.AllocSpan<Value>(std::max(key_width, 1)).data();
+      int64_t total = 0;
+      int64_t pairs = 0;
+      for (int64_t i = begin; i < end && total < headroom; ++i) {
+        const Value* row = p.probe_row(i);
+        for (const int64_t b : p.Probe(row, p_key)) {
+          key.Assemble(row, p.build_row(b), j_key);
+          total += static_cast<int64_t>(pre.index->Probe(j_key).size());
+          ++pairs;
+        }
+      }
+      counts[m] = total;
+      scratch[m] = static_cast<int64_t>(scope.bytes_allocated());
+      if (pre.time.enabled()) {
+        TraceSpan& span = pre.time.span(m);
+        span.rows_in = left.offsets_[m + 1] - left.offsets_[m];
+        span.arity_in = arity_in;
+        span.arity_out = out_arity;
+        span.bytes = scratch[m];
+        span.ht_probe_ops = pairs;
       }
     });
+    int64_t total = 0;
+    for (int64_t m = 0; m < p_morsels; ++m) total += counts[m];
+    if (static_cast<Counter>(total) >= headroom) {
+      // Exhausts, as HashJoin over the written P would: P's call ends with
+      // its count, this one charges and notes min(total, headroom) rows,
+      // and neither writes anything. Its spans are the counting morsels.
+      left.Close(0);
+      ctx.stats().num_joins++;
+      ChargeOutput(total, out_arity, ctx);
+      Counter footprint = pre.bytes;
+      for (int64_t m = 0; m < p_morsels; ++m) footprint += scratch[m];
+      if (pre.time.enabled()) {
+        pre.time.span(0).ht_build_rows = right.size();
+        pre.time.span(0).bytes += pre.bytes;
+      }
+      pre.time.RecordInOrder();
+      ctx.stats().NotePeakBytes(footprint);
+      left.Release();
+      return CountedJoin(spec, ctx, mx);
+    }
   }
 
-  const Counter shared = static_cast<Counter>(shared_scope.bytes_allocated());
-  if (spans.enabled()) {
-    spans.span(0).ht_build_rows = build.size();
-    spans.span(0).bytes += shared;
-  }
-  spans.RecordInOrder();
+  // It does not exhaust: write P and count over it with the index built
+  // above, which sits on P's scratch, so this call takes over P's
+  // checkpoint.
+  Relation rows = std::move(left).Write();
+  CountedJoin join(rows, right, spec, ctx, mx, &pre);
+  join.owned_left_ = std::move(rows);
+  join.owned_right_ = std::move(right);
+  join.arena_ = std::exchange(left.arena_, nullptr);
+  join.mark_ = left.mark_;
+  return join;
+}
 
-  Counter footprint = shared + out.byte_size();
-  for (int64_t m = 0; m < num_morsels; ++m) footprint += scratch[m];
-  ctx.stats().NotePeakBytes(footprint);
-  return out;
+Relation HashJoin(const Relation& left, const Relation& right,
+                  const JoinSpec& spec, ExecContext& ctx,
+                  const MorselExec& mx) {
+  return CountedJoin(left, right, spec, ctx, mx, nullptr).Write();
 }
 
 Relation ProjectColumns(const Relation& input, const ProjectSpec& spec,
                         ExecContext& ctx, const MorselExec& mx) {
-  ctx.stats().num_projections++;
-  Relation out{spec.out_schema};
-  if (spec.cols.empty()) {
-    // Boolean projection: nonempty input -> the single empty tuple.
-    SpanRecorder rec(ctx.tracer(), TraceOp::kProject, ctx.trace_node());
-    if (rec.enabled()) {
-      rec.span().rows_in = input.size();
-      rec.span().arity_in = input.arity();
-      rec.span().arity_out = 0;
-      rec.span().morsel_id = 0;
-    }
-    if (!input.empty()) {
-      out.AddTuple(std::span<const Value>{});
-      ctx.ChargeTuples(1);
-    }
-    if (rec.enabled()) rec.span().rows_out = out.size();
-    ctx.stats().NoteIntermediate(0, out.size());
-    return out;
+  return ProjectRows(RelationRows(input, spec, mx), spec, ctx, mx);
+}
+
+Relation ProjectColumns(CountedJoin&& input, const ProjectSpec& spec,
+                        ExecContext& ctx, const MorselExec& mx) {
+  if (!input.streamable()) {
+    return ProjectColumns(std::move(input).Write(), spec, ctx, mx);
   }
-  if (input.empty()) {
-    ctx.stats().NoteIntermediate(out.arity(), 0);
-    return out;
-  }
-
-  const int key_width = static_cast<int>(spec.cols.size());
-  const int in_arity = input.arity();
-  const int64_t in_rows = input.size();
-  const Value* base = input.data();
-  const int* cols = spec.cols.data();
-
-  const int64_t morsel_rows = mx.MorselRows(in_rows);
-  const int64_t num_morsels = mx.NumMorsels(in_rows);
-
-  // Projection cannot know its output size before it deduplicates, so
-  // it sizes its output for the rows the budget still allows, inserts
-  // each distinct key straight into that output (the index's key store),
-  // and truncates to the keys it found. A run that exhausts the budget
-  // keeps its first-occurrence prefix.
-  //
-  // Single-morsel path (every serial call): one morsel means the
-  // morsel-local index IS the global dedup — the merge pass would
-  // re-hash every distinct key into a second index just to recover an
-  // order it already has.
-  if (num_morsels == 1) {
-    ArenaScope scope(ctx.arena());
-    SpanRecorder mrec(ctx.tracer(), TraceOp::kProject, ctx.trace_node());
-    const int64_t cap = ClampToHeadroom(in_rows, ctx);
-    FlatKeyIndex seen(cap, key_width, out.GrowRows(cap), ctx.arena());
-    const int64_t probed =
-        InsertDistinct(base, in_arity, cols, in_rows, cap, seen);
-    out.TruncateRows(seen.num_keys());
-    if (!out.empty()) ctx.ChargeTuples(out.size());
-    const Counter footprint =
-        static_cast<Counter>(scope.bytes_allocated()) + out.byte_size();
-    if (mrec.enabled()) {
-      mrec.span().rows_in = in_rows;
-      mrec.span().rows_out = out.size();
-      mrec.span().arity_in = in_arity;
-      mrec.span().arity_out = key_width;
-      mrec.span().bytes = footprint;
-      mrec.span().ht_build_rows = out.size();
-      mrec.span().ht_probe_ops = probed;
-      mrec.span().morsel_id = 0;
-    }
-    ctx.stats().NotePeakBytes(footprint);
-    ctx.stats().NoteIntermediate(out.arity(), out.size());
-    return out;
-  }
-
-  // Phase A: morsel-local dedup. Each morsel builds its own FlatKeyIndex,
-  // slots and key store, in its worker slot's arena. The index must
-  // outlive the phase for the merge to read its packed keys, so one scope
-  // per worker arena, opened here on the calling thread, keeps every
-  // local index until the call returns. A morsel's scratch is the bytes
-  // it allocated, whichever slot ran it, so peak_bytes does not depend on
-  // the worker count.
-  std::vector<std::optional<ArenaScope>> local_scopes(
-      std::max<size_t>(mx.worker_arenas.size(), 1));
-  for (size_t w = 0; w < local_scopes.size(); ++w) {
-    local_scopes[w].emplace(WorkerArena(mx, ctx, static_cast<int>(w)));
-  }
-  std::vector<std::optional<FlatKeyIndex>> locals(
-      static_cast<size_t>(num_morsels));
-  MorselSlots scratch(num_morsels);
-  MorselSpans spans(ctx.tracer(), TraceOp::kProject, ctx.trace_node(),
-                    num_morsels);
-  mx.ForEachMorsel(num_morsels, [&](int64_t m, int w) {
-    MorselSpans::Timer timer(spans, m);
-    const auto [begin, end] = RangeOf(m, morsel_rows, in_rows);
-    const int64_t n = end - begin;
-    ExecArena& arena = WorkerArena(mx, ctx, w);
-    const size_t before = arena.bytes_in_use();
-    FlatKeyIndex& local = locals[static_cast<size_t>(m)].emplace(
-        n, key_width, arena.AllocSpan<Value>(n * key_width).data(), arena);
-    InsertDistinct(base + begin * in_arity, in_arity, cols, n, n, local);
-    scratch[m] = static_cast<int64_t>(arena.bytes_in_use() - before);
-    if (spans.enabled()) {
-      TraceSpan& span = spans.span(m);
-      span.rows_in = n;
-      span.arity_in = in_arity;
-      span.arity_out = key_width;
-      span.ht_build_rows = local.num_keys();
-      span.ht_probe_ops = n;
-      span.bytes = scratch[m];
-    }
-  });
-
-  int64_t sum_local = 0;
-  for (const auto& local : locals) sum_local += local->num_keys();
-
-  // Merge in morsel-index order: concatenating the morsel-local
-  // first-occurrence orders and deduplicating sequentially reproduces
-  // the global first-occurrence order exactly. Each morsel's merge is
-  // part of its span: its rows_out is the rows it adds to the output.
-  ArenaScope merge_scope(ctx.arena());
-  const int64_t cap = ClampToHeadroom(sum_local, ctx);
-  FlatKeyIndex seen(cap, key_width, out.GrowRows(cap), ctx.arena());
-  int* packed_cols = ctx.arena().AllocSpan<int>(key_width).data();
-  for (int c = 0; c < key_width; ++c) packed_cols[c] = c;
-  for (int64_t m = 0; m < num_morsels && seen.num_keys() < cap; ++m) {
-    MorselSpans::Timer timer(spans, m);
-    const FlatKeyIndex& local = *locals[static_cast<size_t>(m)];
-    const int64_t before = seen.num_keys();
-    const int64_t probed = InsertDistinct(local.key_data(), key_width,
-                                          packed_cols, local.num_keys(), cap,
-                                          seen);
-    const int64_t added = seen.num_keys() - before;
-    if (spans.enabled()) {
-      TraceSpan& span = spans.span(m);
-      span.rows_out = added;
-      span.ht_build_rows += added;
-      span.ht_probe_ops += probed;
-      span.bytes += added * key_width * static_cast<int64_t>(sizeof(Value));
-    }
-  }
-  out.TruncateRows(seen.num_keys());
-  if (!out.empty()) ctx.ChargeTuples(out.size());
-
-  const Counter shared = static_cast<Counter>(merge_scope.bytes_allocated());
-  if (spans.enabled()) spans.span(0).bytes += shared;
-  spans.RecordInOrder();
-  Counter footprint = shared + out.byte_size();
-  for (int64_t m = 0; m < num_morsels; ++m) footprint += scratch[m];
-  ctx.stats().NotePeakBytes(footprint);
-  ctx.stats().NoteIntermediate(out.arity(), out.size());
+  // The join's call ends with its count: its spans and footprint go on
+  // record as they stand, and the projection's spans time the probes
+  // that stream its rows. The key map sits on the join's scratch and is
+  // released with it.
+  input.Close(0);
+  const JoinRows join(input);
+  const PairKey key = MakePairKey(join, spec.cols.data(),
+                                  static_cast<int>(spec.cols.size()),
+                                  ctx.arena());
+  Relation out = ProjectRows(JoinPairRows(join, key, input.offsets_,
+                                          input.probe_rows_,
+                                          input.morsel_rows_),
+                             spec, ctx, mx);
+  input.Release();
   return out;
 }
 

@@ -2,12 +2,17 @@
 #define PPR_RELATIONAL_BATCH_OPS_H_
 
 #include <cstdint>
+#include <algorithm>
 #include <functional>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/arena.h"
 #include "common/types.h"
+#include "obs/trace.h"
 #include "relational/exec_context.h"
+#include "relational/flat_hash.h"
 #include "relational/ops.h"
 #include "relational/relation.h"
 
@@ -16,7 +21,12 @@ namespace ppr {
 /// The operator kernels — the engine's only kernel set. Each kernel
 /// partitions its probe/input side into morsels as its MorselExec (below)
 /// says, runs the per-morsel work, and materializes every morsel into a
-/// precomputed disjoint slice of the output.
+/// precomputed disjoint slice of the output. A hash join writes its
+/// output only when it is read: a CountedJoin counts and charges it, and a
+/// consumer either writes it (CountedJoin::Write, which is HashJoin) or
+/// reads it unwritten — a projection deduplicating straight from the
+/// probe, or the next join counting through it when it may exhaust the
+/// budget.
 ///
 /// Serial callers pass the default MorselExec: the whole input is one
 /// morsel, and only the morsel driver (runtime/morsel_driver.h) splits
@@ -68,8 +78,10 @@ namespace ppr {
 /// kernels run as one morsel whatever the MorselExec says.
 ///
 /// The spans are the kernels' only per-morsel record: their rows_out add
-/// up to the call's output, which is what the morsel-accounting verifier
-/// (exec/verify_hook.h) checks after a morsel-driven run.
+/// up to the rows the call produced, written or read unwritten, which is
+/// what the morsel-accounting verifier (exec/verify_hook.h) checks after
+/// a morsel-driven run. A counted join's spans record its count; work a
+/// consumer does on its unwritten rows is timed in the consumer's spans.
 
 /// How a kernel call partitions its probe/input side into morsels and
 /// where the morsels run. The default is the serial configuration: one
@@ -133,11 +145,215 @@ struct MorselExec {
 Relation ScanAtom(const Relation& stored, const ScanSpec& spec,
                   ExecContext& ctx, const MorselExec& mx = {});
 
-/// Hash-join kernel: the build-side index (the smaller input) is
-/// constructed once on the calling thread, the larger input is probed
-/// per morsel (two-phase: counting probe, then materialization into
-/// exact disjoint ranges). Emit order is probe-row order, then
-/// build-row order.
+namespace batch_internal {
+
+// Zeroed per-morsel counters (offsets, scratch sizes): stored inline for
+// the two a one-morsel call needs, so serial calls never allocate them
+// on the heap.
+class MorselSlots {
+ public:
+  explicit MorselSlots(int64_t n) : size_(n) {
+    if (n > kInline) {
+      heap_.assign(static_cast<size_t>(n), 0);
+      data_ = heap_.data();
+    }
+  }
+  MorselSlots(MorselSlots&& other) noexcept { *this = std::move(other); }
+  MorselSlots& operator=(MorselSlots&& other) noexcept {
+    size_ = other.size_;
+    heap_ = std::move(other.heap_);
+    std::copy(other.inline_, other.inline_ + kInline, inline_);
+    data_ = size_ > kInline ? heap_.data() : inline_;
+    return *this;
+  }
+  MorselSlots(const MorselSlots&) = delete;
+  MorselSlots& operator=(const MorselSlots&) = delete;
+
+  int64_t& operator[](int64_t i) { return data_[i]; }
+  int64_t operator[](int64_t i) const { return data_[i]; }
+  int64_t size() const { return size_; }
+
+ private:
+  static constexpr int64_t kInline = 2;
+  int64_t size_ = 0;
+  int64_t inline_[kInline] = {0, 0};
+  std::vector<int64_t> heap_;
+  int64_t* data_ = inline_;
+};
+
+// One trace span per morsel of a kernel call, covering that morsel's
+// work in every phase (morsel 0's also covers any shared build). Only the
+// worker running morsel m writes span m; once all morsels finished, the
+// calling thread records the spans into the run's sink in morsel-index
+// order, so workers never touch the sink and the span order does not
+// depend on the schedule. Inert without a sink.
+class MorselSpans {
+ public:
+  MorselSpans(TraceSink* sink, TraceOp op, int32_t node_id,
+              int64_t num_morsels);
+
+  bool enabled() const { return sink_ != nullptr; }
+  TraceSpan& span(int64_t m) { return spans_[static_cast<size_t>(m)]; }
+
+  // Adds the enclosing scope's wall time to morsel m's span; the first
+  // timed scope stamps the span's start.
+  class Timer {
+   public:
+    Timer(MorselSpans& spans, int64_t m) : spans_(spans), m_(m) {
+      if (spans_.enabled()) start_ns_ = spans_.sink_->NowNs();
+    }
+    ~Timer() {
+      if (!spans_.enabled()) return;
+      TraceSpan& span = spans_.span(m_);
+      if (span.start_ns < 0) span.start_ns = start_ns_;
+      span.duration_ns += spans_.sink_->NowNs() - start_ns_;
+    }
+    Timer(const Timer&) = delete;
+    Timer& operator=(const Timer&) = delete;
+
+   private:
+    MorselSpans& spans_;
+    int64_t m_;
+    int64_t start_ns_ = 0;
+  };
+
+  // Adds the time of `other`'s spans, a partition of the same call's
+  // work into other.size() morsels, to this call's spans: other's span k
+  // to span min(k, size() - 1). Runs on the calling thread.
+  void AddTimeOf(const MorselSpans& other);
+
+  void RecordInOrder();
+
+ private:
+  TraceSink* sink_;
+  std::vector<TraceSpan> spans_;
+};
+
+}  // namespace batch_internal
+
+/// Hash join, counting half: builds the index over the smaller input on
+/// the calling thread, counts each probe morsel's matches (phase A),
+/// then charges and notes the exact output as HashJoin does, all in the
+/// constructor. The rows
+/// stay unwritten until a consumer resolves the call:
+///
+///  - Write() runs phase B into exact disjoint ranges, which is HashJoin;
+///  - ProjectColumns(CountedJoin&&, ...) deduplicates the projected key
+///    of every (probe row, build row) pair straight from the inputs;
+///  - CountJoin(CountedJoin&&, ...) counts the next fold step's output
+///    through those pairs when it may exhaust the budget, and writes
+///    this join only when it does not.
+///
+/// A join whose rows nobody reads is never written: its spans say what
+/// it produced (rows_out is the rows charged and kept, written or not)
+/// and its footprint is its scratch. An exhausting call, or one
+/// with an empty or nullary input, resolves at once; rows() is then what
+/// it returns. The index and phase-A scratch live in the context arena
+/// from the count until the consumer resolves the call, above the
+/// checkpoint taken when counting started, and the destructor restores
+/// that checkpoint (closing the call's spans first if no consumer did).
+/// The object owns its inputs; the spec and the MorselExec must outlive
+/// it.
+class CountedJoin {
+ public:
+  /// Counts the join of two written inputs, which it owns from then on.
+  CountedJoin(Relation left, Relation right, const JoinSpec& spec,
+              ExecContext& ctx, const MorselExec& mx = {});
+  CountedJoin(CountedJoin&& other) noexcept;
+  /// Resolves this call as the destructor does, then takes `other`'s.
+  CountedJoin& operator=(CountedJoin&& other) noexcept;
+  CountedJoin(const CountedJoin&) = delete;
+  CountedJoin& operator=(const CountedJoin&) = delete;
+  ~CountedJoin();
+
+  /// Rows the join produced and keeps: its exact output, or 0 when it
+  /// exhausted the budget.
+  int64_t rows() const { return rows_; }
+
+  /// Phase B: writes the counted rows, in probe-row then build-row order,
+  /// and closes the call.
+  Relation Write() &&;
+
+ private:
+  friend class JoinRows;
+  friend CountedJoin CountJoin(CountedJoin&&, Relation, const JoinSpec&,
+                               ExecContext&, const MorselExec&);
+  friend Relation HashJoin(const Relation&, const Relation&, const JoinSpec&,
+                           ExecContext&, const MorselExec&);
+  friend Relation ProjectColumns(CountedJoin&&, const ProjectSpec&,
+                                 ExecContext&, const MorselExec&);
+
+  // An index built, and maybe counted through, before the probe side was
+  // written (CountJoin over a counted join).
+  struct Prebuilt;
+
+  // Counts the join of `left` and `right`, which must outlive the object
+  // (or be moved into owned_left_ / owned_right_). With `prebuilt`, its
+  // index over `right` is reused and its time is this call's; the
+  // caller hands the object a checkpoint to restore.
+  CountedJoin(const Relation& left, const Relation& right,
+              const JoinSpec& spec, ExecContext& ctx, const MorselExec& mx,
+              const Prebuilt* prebuilt);
+  // A call that resolved elsewhere, keeping nothing.
+  CountedJoin(const JoinSpec& spec, ExecContext& ctx, const MorselExec& mx);
+
+  // Whether the rows are still unwritten, so a consumer can stream them.
+  bool streamable() const { return open_; }
+  // Records the call's spans and footprint (scratch plus `out_bytes`).
+  void Close(int64_t out_bytes);
+  // Restores the arena checkpoint the call's scratch began at.
+  void Release();
+
+  ExecContext* ctx_ = nullptr;
+  const MorselExec* mx_ = nullptr;
+  const JoinSpec* spec_ = nullptr;
+  // The arena holding the call's scratch from mark_ on; null once the
+  // scratch is released or another call took the checkpoint over.
+  ExecArena* arena_ = nullptr;
+  ExecArena::Checkpoint mark_;
+  // Inputs handed over with the call (their rows do not move with them).
+  Relation owned_left_;
+  Relation owned_right_;
+  // Whole output of a call that resolved while counting, then the
+  // written rows.
+  Relation out_;
+  bool build_left_ = false;
+  const Value* left_base_ = nullptr;
+  const Value* right_base_ = nullptr;
+  int left_arity_ = 0;
+  int right_arity_ = 0;
+  int64_t probe_rows_ = 0;
+  std::optional<JoinIndex> index_;
+  int64_t rows_ = 0;
+  int64_t morsel_rows_ = 0;
+  int64_t num_morsels_ = 0;
+  batch_internal::MorselSlots offsets_;
+  batch_internal::MorselSlots scratch_;
+  batch_internal::MorselSpans spans_;
+  Counter shared_bytes_ = 0;
+  // Counted with rows to keep, and not yet written or closed.
+  bool open_ = false;
+};
+
+/// Counts a join whose left input is a counted, unwritten join P. When P
+/// is this join's probe side and |P| times the largest group of this
+/// join's index reaches budget_headroom(), the output is counted through
+/// P's (probe row, build row) pairs, per morsel of P's probe side; if
+/// that total reaches the headroom this join charges and notes
+/// min(total, headroom) rows as an exhausting HashJoin does, and P is
+/// never written. Otherwise P is written and this join counts over it,
+/// reusing its index. Either way P is resolved, and the rows, every stat
+/// but peak_bytes, the exhaustion point and each call's span rows equal
+/// CountedJoin(P.Write(), right)'s.
+CountedJoin CountJoin(CountedJoin&& left, Relation right,
+                      const JoinSpec& spec, ExecContext& ctx,
+                      const MorselExec& mx = {});
+
+/// Hash-join kernel: a CountedJoin, then Write(). The build-side index (the
+/// smaller input) is constructed once on the calling thread, the larger
+/// input is probed per morsel (two-phase: counting probe, then
+/// materialization into exact disjoint ranges). Emit order is probe-row
+/// order, then build-row order.
 Relation HashJoin(const Relation& left, const Relation& right,
                   const JoinSpec& spec, ExecContext& ctx,
                   const MorselExec& mx = {});
@@ -148,6 +364,15 @@ Relation HashJoin(const Relation& left, const Relation& right,
 /// yields a nullary relation that is nonempty iff the input is (Boolean
 /// queries).
 Relation ProjectColumns(const Relation& input, const ProjectSpec& spec,
+                        ExecContext& ctx, const MorselExec& mx = {});
+
+/// The same projection over a counted join's unwritten rows: each of the
+/// join's probe morsels probes again and assembles every match's
+/// projected key, from the probe row and the build row, straight into
+/// the dedup index. Rows, order, stats and the stop at the headroom
+/// equal ProjectColumns(input.Write(), ...); the join's spans record
+/// its count, and the projection's spans time the streamed probes.
+Relation ProjectColumns(CountedJoin&& input, const ProjectSpec& spec,
                         ExecContext& ctx, const MorselExec& mx = {});
 
 /// Semijoin kernel: left tuples with at least one match in right. A

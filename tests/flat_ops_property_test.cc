@@ -11,8 +11,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <set>
+#include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/arena.h"
@@ -22,6 +25,7 @@
 #include "relational/exec_context.h"
 #include "relational/ops.h"
 #include "relational/sort_merge.h"
+#include "runtime/morsel_driver.h"
 
 namespace ppr {
 namespace {
@@ -684,6 +688,281 @@ TEST(FlatOpsPropertyTest, NullarySchemasRunAsOneMorsel) {
     EXPECT_TRUE(BindIn(full_n, {}, spent, mx).empty());
     EXPECT_EQ(spent.stats().tuples_produced, 1);
   }
+}
+
+// The MorselExecs of the consumer grid: the serial configuration
+// (morsel size 0), then 1-, 3- and 1024-row morsels on 1, 2 and 4
+// worker threads.
+class ConsumerGrid {
+ public:
+  struct Config {
+    int64_t morsel;
+    int workers;
+    MorselDriver* driver;  // null for the serial configuration
+  };
+
+  ConsumerGrid() {
+    configs_.push_back({0, 1, nullptr});
+    for (const int64_t morsel : {int64_t{1}, int64_t{3}, int64_t{1024}}) {
+      for (const int workers : {1, 2, 4}) {
+        drivers_.push_back(std::make_unique<MorselDriver>(
+            MorselDriverOptions{.num_threads = workers,
+                                .morsel_rows = morsel}));
+        configs_.push_back({morsel, workers, drivers_.back().get()});
+      }
+    }
+  }
+
+  const std::vector<Config>& configs() const { return configs_; }
+
+  static MorselExec ExecOf(const Config& c) {
+    return c.driver == nullptr ? MorselExec{} : c.driver->PrepareExec();
+  }
+
+ private:
+  std::vector<std::unique_ptr<MorselDriver>> drivers_;
+  std::vector<Config> configs_;
+};
+
+// A pipeline run on a fresh traced context whose budget leaves
+// `headroom` rows (kCounterMax: unbudgeted).
+struct PipelineRun {
+  Relation out;
+  bool exhausted = false;
+  ExecStats stats;
+  std::vector<TraceSpan> spans;
+};
+
+template <typename Pipeline>
+PipelineRun RunPipeline(Counter headroom, const Pipeline& pipeline) {
+  TraceSink sink(TraceSink::kUnbounded);
+  ExecContext ctx(headroom == kCounterMax ? kCounterMax : headroom - 1);
+  ctx.set_tracer(&sink);
+  PipelineRun run;
+  run.out = pipeline(ctx);
+  run.exhausted = ctx.exhausted();
+  run.stats = ctx.stats();
+  run.spans = sink.Snapshot();
+  return run;
+}
+
+// One kernel call's spans, summed.
+struct CallSummary {
+  TraceOp op;
+  int64_t morsels;
+  int64_t rows_in;
+  int64_t rows_out;
+  int64_t probes;
+};
+
+std::vector<CallSummary> Calls(const std::vector<TraceSpan>& spans) {
+  std::vector<CallSummary> calls;
+  for (const TraceSpan& s : spans) {
+    if (s.morsel_id == 0) calls.push_back({s.op, 0, 0, 0, 0});
+    CallSummary& call = calls.back();
+    EXPECT_EQ(s.morsel_id, call.morsels);
+    EXPECT_EQ(s.op, call.op);
+    ++call.morsels;
+    call.rows_in += s.rows_in;
+    call.rows_out += s.rows_out;
+    call.probes += s.ht_probe_ops;
+  }
+  return calls;
+}
+
+// A join call that produced rows but never wrote them: writing probes
+// again, so a written join's probes outnumber its probe rows.
+bool Unwritten(const CallSummary& call) {
+  return call.op == TraceOp::kJoin && call.rows_out > 0 &&
+         call.probes == call.rows_in;
+}
+
+// Every span field but the wall-clock ones.
+auto SpanFieldsOf(const std::vector<TraceSpan>& spans) {
+  std::vector<std::tuple<TraceOp, int64_t, int64_t, int32_t, int32_t,
+                         int64_t, int64_t, int64_t, int32_t>>
+      fields;
+  for (const TraceSpan& s : spans) {
+    fields.emplace_back(s.op, s.rows_in, s.rows_out, s.arity_in, s.arity_out,
+                        s.bytes, s.ht_build_rows, s.ht_probe_ops,
+                        s.morsel_id);
+  }
+  return fields;
+}
+
+// The consumer contract: at every grid point the counted pipeline
+// returns the written one's rows, exhaustion and every stat but
+// peak_bytes; its spans are the same kernel calls with the same rows;
+// and on a completed call sequence the span rows add up to the charges
+// (an exhausting join charges rows it never writes). For a fixed morsel
+// size the whole run, peak_bytes and spans included, does not depend on
+// the worker count. Returns how many runs left a join unwritten for the
+// next call to read.
+template <typename Written, typename Counted>
+int ExpectConsumerContract(const ConsumerGrid& grid, Counter max_headroom,
+                           const Written& written, const Counted& counted,
+                           int trial) {
+  int unwritten = 0;
+  std::vector<Counter> headrooms;
+  for (Counter h = 1; h <= max_headroom; ++h) headrooms.push_back(h);
+  headrooms.push_back(kCounterMax);
+  for (const Counter headroom : headrooms) {
+    std::optional<PipelineRun> one_worker;
+    for (const ConsumerGrid::Config& c : grid.configs()) {
+      SCOPED_TRACE(::testing::Message()
+                   << "trial " << trial << " headroom " << headroom
+                   << " morsel " << c.morsel << " workers " << c.workers);
+      const MorselExec mx = ConsumerGrid::ExecOf(c);
+      const PipelineRun want = RunPipeline(
+          headroom, [&](ExecContext& ctx) { return written(ctx, mx); });
+      const PipelineRun got = RunPipeline(
+          headroom, [&](ExecContext& ctx) { return counted(ctx, mx); });
+      EXPECT_EQ(want.exhausted, got.exhausted);
+      ExpectSameRows(want.out, got.out, trial);
+      ExpectSameStatsExceptPeak(want.stats, got.stats, trial);
+      const std::vector<CallSummary> want_calls = Calls(want.spans);
+      const std::vector<CallSummary> got_calls = Calls(got.spans);
+      EXPECT_EQ(want_calls.size(), got_calls.size());
+      if (want_calls.size() != got_calls.size()) return unwritten;
+      int64_t span_rows = 0;
+      for (size_t k = 0; k < got_calls.size(); ++k) {
+        EXPECT_EQ(want_calls[k].op, got_calls[k].op) << "call " << k;
+        EXPECT_EQ(want_calls[k].rows_out, got_calls[k].rows_out)
+            << "call " << k;
+        span_rows += got_calls[k].rows_out;
+        if (k + 1 < got_calls.size() && Unwritten(got_calls[k])) ++unwritten;
+      }
+      if (!got.exhausted) {
+        EXPECT_EQ(span_rows, got.stats.tuples_produced);
+      } else {
+        EXPECT_LE(span_rows, got.stats.tuples_produced);
+      }
+      if (c.workers == 1) {
+        one_worker = got;
+      } else {
+        ExpectSameRows(one_worker->out, got.out, trial);
+        EXPECT_EQ(one_worker->stats.peak_bytes, got.stats.peak_bytes);
+        ExpectSameStatsExceptPeak(one_worker->stats, got.stats, trial);
+        EXPECT_EQ(SpanFieldsOf(one_worker->spans), SpanFieldsOf(got.spans));
+      }
+    }
+  }
+  return unwritten;
+}
+
+// Random relation of up to `max_rows` rows over values 1..domain.
+Relation RandomRows(const Schema& schema, int64_t max_rows, uint64_t domain,
+                    Rng& rng) {
+  Relation rel{schema};
+  if (schema.arity() == 0) {
+    if (rng.NextBounded(2) == 0) rel.AddTuple(std::span<const Value>{});
+    return rel;
+  }
+  const int64_t rows = static_cast<int64_t>(
+      rng.NextBounded(static_cast<uint64_t>(max_rows + 1)));
+  std::vector<Value> tuple(static_cast<size_t>(schema.arity()));
+  for (int64_t i = 0; i < rows; ++i) {
+    for (auto& v : tuple) v = static_cast<Value>(1 + rng.NextBounded(domain));
+    rel.AddTuple(tuple);
+  }
+  return rel;
+}
+
+// Schema of the same arity as `schema` over attributes shared with
+// nothing the pool of RandomSchema holds: its joins are cross products.
+Schema Disjoint(const Schema& schema) {
+  std::vector<AttrId> attrs;
+  for (const AttrId a : schema.attrs()) attrs.push_back(a + 10);
+  return Schema(std::move(attrs));
+}
+
+// A projection of a counted join, streamed from the probe, equals the
+// projection of the written join: cross products, nullary and Boolean
+// projections, columns from one side only, and heavy duplication.
+TEST(FlatOpsPropertyTest, StreamedProjectionIsProjectionOfWrittenJoin) {
+  const ConsumerGrid grid;
+  Rng rng(1101);
+  int unwritten = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    const uint64_t domain = trial % 3 == 0 ? 1 : 3;
+    const Schema left_schema = RandomSchema(rng, 3);
+    const Schema right_schema =
+        trial % 4 == 1 ? Disjoint(RandomSchema(rng, 2)) : RandomSchema(rng, 3);
+    const Relation left = RandomRows(left_schema, 8, domain, rng);
+    const Relation right = RandomRows(right_schema, 8, domain, rng);
+    const JoinSpec join_spec = PlanJoin(left.schema(), right.schema());
+    // Projected columns: none (Boolean), the left input's only, the
+    // right-only ones only, or a random subset.
+    std::vector<AttrId> keep;
+    const std::vector<AttrId>& out_attrs = join_spec.out_schema.attrs();
+    for (size_t c = 0; c < out_attrs.size(); ++c) {
+      const bool from_left = static_cast<int>(c) < left.arity();
+      const bool take = trial % 4 == 0   ? false
+                        : trial % 4 == 1 ? from_left
+                        : trial % 4 == 2 ? !from_left
+                                         : rng.NextBounded(2) == 0;
+      if (take) keep.push_back(out_attrs[c]);
+    }
+    const ProjectSpec project_spec = PlanProject(join_spec.out_schema, keep);
+    ExecContext plain;
+    const Counter total = HashJoin(left, right, join_spec, plain).size();
+    unwritten += ExpectConsumerContract(
+        grid, 2 * total + 1,
+        [&](ExecContext& ctx, const MorselExec& mx) {
+          const Relation joined = HashJoin(left, right, join_spec, ctx, mx);
+          if (ctx.exhausted()) return Relation{project_spec.out_schema};
+          return ProjectColumns(joined, project_spec, ctx, mx);
+        },
+        [&](ExecContext& ctx, const MorselExec& mx) {
+          CountedJoin joined(left, right, join_spec, ctx, mx);
+          if (ctx.exhausted()) return Relation{project_spec.out_schema};
+          return ProjectColumns(std::move(joined), project_spec, ctx, mx);
+        },
+        trial);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(unwritten, 0) << "no projection streamed its join";
+}
+
+// A join counted through an unwritten join P equals the join over the
+// written P, below the gate, above it, and at the exhaustion boundary:
+// the third input is small, so P is the probe side.
+TEST(FlatOpsPropertyTest, JoinCountedThroughUnwrittenJoinIsJoinOfWrittenJoin) {
+  const ConsumerGrid grid;
+  Rng rng(1102);
+  int unwritten = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const uint64_t domain = trial % 3 == 0 ? 1 : 4;
+    const Relation a = RandomRows(RandomSchema(rng, 3), 7, domain, rng);
+    const Relation b = RandomRows(
+        trial % 4 == 1 ? Disjoint(RandomSchema(rng, 2)) : RandomSchema(rng, 3),
+        7, domain, rng);
+    const JoinSpec p_spec = PlanJoin(a.schema(), b.schema());
+    const Relation c = RandomRows(
+        trial % 4 == 2 ? Disjoint(RandomSchema(rng, 2)) : RandomSchema(rng, 3),
+        3, domain, rng);
+    const JoinSpec j_spec = PlanJoin(p_spec.out_schema, c.schema());
+    ExecContext plain;
+    const Relation p = HashJoin(a, b, p_spec, plain);
+    const Counter total = p.size() + HashJoin(p, c, j_spec, plain).size();
+    unwritten += ExpectConsumerContract(
+        grid, total + 1,
+        [&](ExecContext& ctx, const MorselExec& mx) {
+          const Relation joined = HashJoin(a, b, p_spec, ctx, mx);
+          if (ctx.exhausted()) return Relation{j_spec.out_schema};
+          return HashJoin(joined, c, j_spec, ctx, mx);
+        },
+        [&](ExecContext& ctx, const MorselExec& mx) {
+          CountedJoin joined(a, b, p_spec, ctx, mx);
+          if (ctx.exhausted()) return Relation{j_spec.out_schema};
+          CountedJoin next = CountJoin(std::move(joined), c, j_spec, ctx, mx);
+          if (ctx.exhausted()) return Relation{j_spec.out_schema};
+          return std::move(next).Write();
+        },
+        trial);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(unwritten, 0) << "no join was counted through an unwritten one";
 }
 
 // Address-space size of this process in bytes (VmSize), or -1.

@@ -73,6 +73,46 @@ Compiled CompileRandomColoring(const Database& db, int vertices, int edges,
   return Compiled{std::move(q), std::move(plan), std::move(*compiled)};
 }
 
+// The straightforward chain of joins over the Boolean augmented ladder
+// of order 4 (101,883 tuples unbudgeted), run under half that budget: a
+// join exhausts it by counting through the unwritten join before it.
+Compiled CompileLadderChain(const Database& db) {
+  ConjunctiveQuery q = KColorQuery(AugmentedLadder(4));
+  Plan plan = StraightforwardPlan(q);
+  Result<PhysicalPlan> compiled = PhysicalPlan::Compile(q, plan, db);
+  PPR_CHECK(compiled.ok());
+  return Compiled{std::move(q), std::move(plan), std::move(*compiled)};
+}
+constexpr Counter kLadderChainBudget = 50000;
+
+// Whether a run's spans show a join call that produced rows but never
+// wrote them, read by the next call, an operator `reader`: writing
+// probes again, so a written join's probes outnumber its probe rows.
+bool UnwrittenJoinReadBy(const std::vector<TraceSpan>& spans,
+                         TraceOp reader) {
+  struct Call {
+    TraceOp op;
+    int64_t rows_in = 0;
+    int64_t rows_out = 0;
+    int64_t probes = 0;
+  };
+  std::vector<Call> calls;
+  for (const TraceSpan& s : spans) {
+    if (s.morsel_id <= 0) calls.push_back({s.op});
+    calls.back().rows_in += s.rows_in;
+    calls.back().rows_out += s.rows_out;
+    calls.back().probes += s.ht_probe_ops;
+  }
+  for (size_t k = 0; k + 1 < calls.size(); ++k) {
+    const Call& c = calls[k];
+    if (c.op == TraceOp::kJoin && calls[k + 1].op == reader &&
+        c.rows_out > 0 && c.probes == c.rows_in) {
+      return true;
+    }
+  }
+  return false;
+}
+
 auto StatsTuple(const ExecStats& s) {
   return std::tuple(s.tuples_produced, s.num_joins, s.num_projections,
                     s.num_semijoins, s.max_intermediate_arity,
@@ -163,24 +203,44 @@ TEST(MorselDriverTest, SerialRunIsOneMorselPerKernelCall) {
             StatsTupleExceptPeak(split.stats));
 }
 
+// Three plans: a bucket-elimination plan and the pentagon's, whose
+// projecting nodes stream their last join, and the ladder chain, whose
+// budget a join exhausts by counting through an unwritten join.
 TEST(MorselDriverTest, ByteIdenticalAcrossWorkerCountsAndMorselSizes) {
   Database db = ThreeColorDb();
-  Compiled c = CompileRandomColoring(db, 8, 12, 21);
-
-  for (const int64_t morsel : {int64_t{1}, int64_t{3}, int64_t{64}}) {
-    MorselDriver baseline({.num_threads = 1, .morsel_rows = morsel});
-    const ExecutionResult want = baseline.Run(c.physical);
-    ASSERT_TRUE(want.status.ok());
-    for (const int threads : {2, 4, 8}) {
-      MorselDriver driver({.num_threads = threads, .morsel_rows = morsel});
-      const ExecutionResult got = driver.Run(c.physical);
-      ASSERT_TRUE(got.status.ok())
-          << "threads " << threads << " morsel " << morsel;
-      ExpectSameRows(want.output, got.output);
-      // For a fixed morsel size the *full* statistics — peak_bytes
-      // included — must not depend on the worker count.
-      EXPECT_EQ(StatsTuple(want.stats), StatsTuple(got.stats))
-          << "threads " << threads << " morsel " << morsel;
+  Compiled coloring = CompileRandomColoring(db, 8, 12, 21);
+  Compiled pentagon = CompilePentagon(db);
+  Compiled chain = CompileLadderChain(db);
+  struct Case {
+    Compiled* c;
+    Counter budget;
+    StatusCode status;
+  };
+  for (const Case& k : {Case{&coloring, kCounterMax, StatusCode::kOk},
+                        Case{&pentagon, kCounterMax, StatusCode::kOk},
+                        Case{&chain, kLadderChainBudget,
+                             StatusCode::kResourceExhausted}}) {
+    const ExecutionResult serial = k.c->physical.Execute(k.budget);
+    ASSERT_EQ(serial.status.code(), k.status);
+    for (const int64_t morsel : {int64_t{1}, int64_t{3}, int64_t{64}}) {
+      MorselDriver baseline({.num_threads = 1, .morsel_rows = morsel});
+      const ExecutionResult want = baseline.Run(k.c->physical, k.budget);
+      ASSERT_EQ(want.status.code(), k.status);
+      ExpectSameRows(serial.output, want.output);
+      EXPECT_EQ(StatsTupleExceptPeak(serial.stats),
+                StatsTupleExceptPeak(want.stats))
+          << "morsel " << morsel;
+      for (const int threads : {2, 4, 8}) {
+        MorselDriver driver({.num_threads = threads, .morsel_rows = morsel});
+        const ExecutionResult got = driver.Run(k.c->physical, k.budget);
+        ASSERT_EQ(got.status.code(), k.status)
+            << "threads " << threads << " morsel " << morsel;
+        ExpectSameRows(want.output, got.output);
+        // For a fixed morsel size the *full* statistics — peak_bytes
+        // included — must not depend on the worker count.
+        EXPECT_EQ(StatsTuple(want.stats), StatsTuple(got.stats))
+            << "threads " << threads << " morsel " << morsel;
+      }
     }
   }
 }
@@ -375,7 +435,11 @@ class ScopedVerifier {
 
 // Verified runs pass the span verifier at every partition and worker
 // count, completed and budget-truncated alike; a failed verdict would
-// replace the status.
+// replace the status. The same holds for both consumers of a counted
+// join: the pentagon's projecting nodes stream their last join, and the
+// ladder chain's budget is exhausted by a join counting through an
+// unwritten one. Their rows and every stat but peak_bytes equal the
+// serial run's.
 TEST(MorselDriverTest, VerifiedRunsPassTheSpanVerifier) {
   ScopedVerifier verifier;
   Database db = ThreeColorDb();
@@ -399,6 +463,38 @@ TEST(MorselDriverTest, VerifiedRunsPassTheSpanVerifier) {
       EXPECT_EQ(truncated.status.code(), StatusCode::kResourceExhausted)
           << "morsel " << morsel << " threads " << threads << ": "
           << truncated.status.ToString();
+    }
+  }
+
+  Compiled pentagon = CompilePentagon(db);
+  Compiled chain = CompileLadderChain(db);
+  struct Case {
+    Compiled* c;
+    Counter budget;
+    TraceOp reader;
+  };
+  for (const Case& k : {Case{&pentagon, kCounterMax, TraceOp::kProject},
+                        Case{&chain, kLadderChainBudget, TraceOp::kJoin}}) {
+    const MorselQueryContext kctx{&k.c->query, &k.c->plan, &db};
+    TraceSink serial_sink(TraceSink::kUnbounded);
+    const ExecutionResult serial =
+        k.c->physical.Execute(k.budget, &serial_sink);
+    EXPECT_TRUE(UnwrittenJoinReadBy(serial_sink.Snapshot(), k.reader));
+    for (const int64_t morsel : {int64_t{1}, int64_t{3}, int64_t{64}}) {
+      for (const int threads : {1, 2, 8}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "morsel " << morsel << " threads " << threads);
+        MorselDriver driver({.num_threads = threads, .morsel_rows = morsel});
+        TraceSink sink(TraceSink::kUnbounded);
+        const ExecutionResult r =
+            driver.Run(k.c->physical, k.budget, &sink, nullptr, &kctx);
+        EXPECT_EQ(r.status.code(), serial.status.code())
+            << r.status.ToString();
+        ExpectSameRows(serial.output, r.output);
+        EXPECT_EQ(StatsTupleExceptPeak(serial.stats),
+                  StatsTupleExceptPeak(r.stats));
+        EXPECT_TRUE(UnwrittenJoinReadBy(sink.Snapshot(), k.reader));
+      }
     }
   }
 }

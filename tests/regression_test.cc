@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "encode/kcolor.h"
 #include "encode/sat.h"
+#include "exec/physical_plan.h"
 #include "graph/generators.h"
 
 namespace ppr {
@@ -104,6 +105,84 @@ TEST(RegressionTest, SeededSatCounters) {
                    {StrategyKind::kTreewidth, 1571, 8},
                },
                /*seed=*/3, /*expect_nonempty=*/true);
+}
+
+// Fig. 8's TIMEOUT cells: a budget-bound run stops at a deterministic
+// point, so its status and every ExecStats field but peak_bytes are
+// pinned like the unbudgeted counters above.
+struct BudgetGolden {
+  StrategyKind kind;
+  StatusCode status;
+  Counter tuples;
+  Counter joins;
+  Counter projections;
+  int max_arity;
+  Counter max_rows;
+};
+
+constexpr Counter kFig8Budget = 2000000;
+
+// A budget-bound straightforward or reordering run must not write a join
+// nobody reads: the widest such join on these instances is 39.8 MB
+// (straightforward) or 55.3 MB (reordering) when written.
+constexpr Counter kBudgetBoundPeakBytes = Counter{24} << 20;
+
+void CheckBudgetGoldens(const ConjunctiveQuery& query,
+                        const std::vector<BudgetGolden>& goldens) {
+  Database db;
+  AddColoringRelations(3, &db);
+  for (const BudgetGolden& g : goldens) {
+    SCOPED_TRACE(StrategyName(g.kind));
+    const Plan plan = BuildStrategyPlan(g.kind, query, /*seed=*/0);
+    Result<PhysicalPlan> compiled = PhysicalPlan::Compile(query, plan, db);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    const ExecutionResult run =
+        compiled->ExecuteShared(nullptr, kFig8Budget);
+    EXPECT_EQ(run.status.code(), g.status);
+    EXPECT_EQ(run.stats.tuples_produced, g.tuples);
+    EXPECT_EQ(run.stats.num_joins, g.joins);
+    EXPECT_EQ(run.stats.num_projections, g.projections);
+    EXPECT_EQ(run.stats.num_semijoins, 0);
+    EXPECT_EQ(run.stats.max_intermediate_arity, g.max_arity);
+    EXPECT_EQ(run.stats.max_intermediate_rows, g.max_rows);
+    if (g.kind == StrategyKind::kStraightforward ||
+        g.kind == StrategyKind::kReordering) {
+      EXPECT_LT(run.stats.peak_bytes, kBudgetBoundPeakBytes);
+    }
+  }
+}
+
+TEST(RegressionTest, Fig8BudgetBoundBooleanLadder) {
+  CheckBudgetGoldens(
+      KColorQuery(AugmentedLadder(7)),
+      {
+          {StrategyKind::kStraightforward, StatusCode::kResourceExhausted,
+           2000001, 23, 0, 21, 778341},
+          {StrategyKind::kEarlyProjection, StatusCode::kOk, 1650, 32, 25, 4,
+           54},
+          {StrategyKind::kReordering, StatusCode::kResourceExhausted, 2000001,
+           11, 12, 13, 1062882},
+          {StrategyKind::kBucketElimination, StatusCode::kOk, 774, 32, 27, 4,
+           54},
+      });
+}
+
+// Reordering exhausts the budget in a join over an unprojected
+// 1,062,882-row join (Rng(1) gives the projection shape instead).
+TEST(RegressionTest, Fig8BudgetBoundFreeLadder) {
+  Rng rng(2);
+  CheckBudgetGoldens(
+      KColorQueryNonBoolean(AugmentedLadder(7), 0.2, rng),
+      {
+          {StrategyKind::kStraightforward, StatusCode::kResourceExhausted,
+           2000001, 23, 0, 21, 778341},
+          {StrategyKind::kEarlyProjection, StatusCode::kOk, 7317, 32, 22, 7,
+           648},
+          {StrategyKind::kReordering, StatusCode::kResourceExhausted, 2000001,
+           12, 11, 15, 1062882},
+          {StrategyKind::kBucketElimination, StatusCode::kOk, 9177, 32, 23, 8,
+           2916},
+      });
 }
 
 TEST(RegressionTest, RngStreamIsPinned) {
