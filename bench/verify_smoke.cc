@@ -12,7 +12,8 @@
 // *disabled* — the default configuration must not pay for the proof it
 // is not running. With an argument, writes the metrics registry
 // (certification counters and wall-ns histograms) to that path as the
-// BENCH_verify.json CI artifact.
+// BENCH_verify.json CI artifact. The structural sweep also counts the
+// plans it proved that carry a keyed projection, and fails at zero.
 
 #include <cstdio>
 #include <string>
@@ -82,8 +83,19 @@ std::vector<Workload> SatWorkloads() {
   return workloads;
 }
 
-// Verifies all strategies on one workload; returns the failure count.
-int RunWorkload(const Workload& workload, const Database& db) {
+// Whether a compiled subtree carries a keyed projection (one that keeps
+// a distinct join input whole and deduplicates once per key group).
+bool HasKeyedProjection(const PhysicalNode& node) {
+  if (node.keyed != KeyedSide::kNone) return true;
+  for (const auto& child : node.children) {
+    if (HasKeyedProjection(*child)) return true;
+  }
+  return false;
+}
+
+// Verifies all strategies on one workload; returns the failure count and
+// adds to `keyed` the verified plans that carry a keyed projection.
+int RunWorkload(const Workload& workload, const Database& db, int* keyed) {
   int failures = 0;
   for (StrategyKind kind : AllStrategies()) {
     const Plan plan = BuildStrategyPlan(kind, workload.query, 1);
@@ -97,9 +109,12 @@ int RunWorkload(const Workload& workload, const Database& db) {
       verdict.physical = compiled.status();
     }
     if (verdict.ok()) {
-      std::printf("OK    %-42s %-10s width=%d rows<=%.3g\n",
+      const bool has_keyed = HasKeyedProjection(compiled->root());
+      *keyed += has_keyed ? 1 : 0;
+      std::printf("OK    %-42s %-10s width=%d rows<=%.3g%s\n",
                   workload.name.c_str(), StrategyName(kind), plan.Width(),
-                  verdict.analysis.max_intermediate_rows_bound);
+                  verdict.analysis.max_intermediate_rows_bound,
+                  has_keyed ? " keyed" : "");
     } else {
       ++failures;
       std::printf("FAIL  %-42s %-10s\n%s\n", workload.name.c_str(),
@@ -179,10 +194,22 @@ int Run(const std::string& metrics_path) {
   std::vector<Suite> suites = BuildSuites();
 
   std::printf("== structural sweep ==\n");
+  int plans = 0;
+  int keyed = 0;
   for (const Suite& suite : suites) {
     for (const Workload& workload : suite.workloads) {
-      failures += RunWorkload(workload, suite.db);
+      failures += RunWorkload(workload, suite.db, &keyed);
+      plans += static_cast<int>(AllStrategies().size());
     }
+  }
+  // The physical verifier re-derives every keyed flag from the labels, so
+  // each of these plans had its keyed projections proved; none at all
+  // would mean the sweep no longer reaches the keyed path.
+  std::printf("\n%d of %d plans proved with a keyed projection\n", keyed,
+              plans);
+  if (keyed == 0) {
+    ++failures;
+    std::printf("FAIL  no plan carries a keyed projection\n");
   }
 
   std::printf("\n== semantic sweep (PPR_VERIFY_SEMANTICS) ==\n");

@@ -168,9 +168,67 @@ Status VerifyProject(const Schema& input, const ProjectSpec& spec,
   return Status::Ok();
 }
 
+// Re-derives the projection-pushing flags of a compiled node from the
+// logical labels: a node's output is distinct iff it projects or joins
+// distinct children (scans never count), and a projecting node's last
+// join has a keyed input when that input is distinct and the projected
+// label holds all of its attributes. A wrongly set flag returns
+// duplicate rows; a wrongly cleared one only costs time, but both mean
+// the compiler and this derivation disagree.
+Status VerifyProjectionFlags(const PlanNode* logical, const PhysicalNode& phys,
+                             const std::vector<bool>& child_distinct,
+                             bool* distinct) {
+  const bool all_children_distinct =
+      std::find(child_distinct.begin(), child_distinct.end(), false) ==
+      child_distinct.end();
+  *distinct = logical->Projects() ||
+              (!logical->IsLeaf() && all_children_distinct);
+  if (phys.distinct != *distinct) {
+    return Status::InvalidArgument(
+        phys.distinct ? "node marked distinct, but its labels allow "
+                        "duplicate rows"
+                      : "node's distinct output is not marked distinct");
+  }
+  KeyedSide keyed = KeyedSide::kNone;
+  if (logical->Projects() && logical->children.size() >= 2) {
+    const std::vector<AttrId>& kept = logical->projected;
+    const auto all_projected = [&kept](const PlanNode& child) {
+      return std::all_of(child.projected.begin(), child.projected.end(),
+                         [&kept](AttrId a) {
+                           return std::find(kept.begin(), kept.end(), a) !=
+                                  kept.end();
+                         });
+    };
+    bool left = std::find(child_distinct.begin(), child_distinct.end() - 1,
+                          false) == child_distinct.end() - 1;
+    for (size_t i = 0; left && i + 1 < logical->children.size(); ++i) {
+      left = all_projected(*logical->children[i]);
+    }
+    if (left) {
+      keyed = KeyedSide::kLeft;
+    } else if (child_distinct.back() &&
+               all_projected(*logical->children.back())) {
+      keyed = KeyedSide::kRight;
+    }
+  }
+  if (phys.keyed != keyed) {
+    const auto name = [](KeyedSide side) {
+      return side == KeyedSide::kLeft    ? "left"
+             : side == KeyedSide::kRight ? "right"
+                                         : "none";
+    };
+    return Status::InvalidArgument(
+        std::string("projection's keyed join input is ") + name(phys.keyed) +
+        ", but the labels imply " + name(keyed));
+  }
+  return Status::Ok();
+}
+
 Status VerifyNode(const ConjunctiveQuery& query, const PlanNode* logical,
-                  const PhysicalNode& phys, const Database& db) {
+                  const PhysicalNode& phys, const Database& db,
+                  bool* distinct) {
   Schema working;
+  std::vector<bool> child_distinct;
   if (logical->IsLeaf()) {
     if (!phys.IsLeaf() || phys.stored == nullptr) {
       return Status::InvalidArgument(
@@ -202,10 +260,13 @@ Status VerifyNode(const ConjunctiveQuery& query, const PlanNode* logical,
           "internal node needs children - 1 join specs, has " +
           std::to_string(phys.joins.size()));
     }
+    child_distinct.resize(phys.children.size());
     for (size_t i = 0; i < phys.children.size(); ++i) {
+      bool child_is_distinct = false;
       Status child = VerifyNode(query, logical->children[i].get(),
-                                *phys.children[i], db);
+                                *phys.children[i], db, &child_is_distinct);
       if (!child.ok()) return child;
+      child_distinct[i] = child_is_distinct;
     }
     working = phys.children.front()->output_schema;
     for (size_t i = 1; i < phys.children.size(); ++i) {
@@ -239,7 +300,7 @@ Status VerifyNode(const ConjunctiveQuery& query, const PlanNode* logical,
     return Status::InvalidArgument(
         "node output schema != compiled working schema");
   }
-  return Status::Ok();
+  return VerifyProjectionFlags(logical, phys, child_distinct, distinct);
 }
 
 // Batch-schema shape of one plan node, re-derived from the logical
@@ -305,7 +366,8 @@ Status VerifyPhysicalPlan(const ConjunctiveQuery& query, const Plan& plan,
   if (plan.empty()) {
     return Status::InvalidArgument("empty logical plan");
   }
-  return VerifyNode(query, plan.root(), physical.root(), db);
+  bool distinct = false;
+  return VerifyNode(query, plan.root(), physical.root(), db, &distinct);
 }
 
 Status VerifyMorselSpans(const ConjunctiveQuery& query, const Plan& plan,

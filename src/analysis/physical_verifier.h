@@ -32,7 +32,13 @@ namespace ppr {
 ///  - projection damage: a mask column out of bounds, a mask inconsistent
 ///    with the output schema, a projection present where the logical node
 ///    has none (or vice versa), or an output schema differing from the
-///    node's projected label.
+///    node's projected label;
+///  - projection-pushing flags the labels do not imply, in either
+///    direction: a node marked distinct that is neither projecting nor a
+///    join of distinct children (a scan never is), or the reverse; or a
+///    keyed join input (PhysicalNode::keyed) other than the one that is
+///    distinct with every attribute in the projected label. A wrongly
+///    set flag makes the keyed projection return duplicate rows.
 ///
 /// OK means Execute() performs exactly the logical plan's operators: all
 /// raw column accesses are in bounds and every operator's output schema

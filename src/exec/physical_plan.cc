@@ -1,7 +1,10 @@
 #include "exec/physical_plan.h"
 
+#include <algorithm>
 #include <optional>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/mutex.h"
@@ -15,6 +18,33 @@
 
 namespace ppr {
 namespace {
+
+// The input of projecting node `node`'s last join that the projection
+// keeps whole and whose rows are distinct (PhysicalNode::keyed). The
+// check is by attribute, so a join key the projection keeps covers the
+// partner column on the other input too. Allocates nothing: plans are
+// compiled per request.
+KeyedSide KeyedSideOf(const PhysicalNode& node) {
+  if (node.joins.empty()) return KeyedSide::kNone;
+  const Schema& kept = node.project.out_schema;
+  const auto all_kept = [&kept](std::span<const AttrId> attrs) {
+    return std::all_of(attrs.begin(), attrs.end(),
+                       [&kept](AttrId a) { return kept.Contains(a); });
+  };
+  const JoinSpec& last = node.joins.back();
+  const std::vector<AttrId>& joined = last.out_schema.attrs();
+  const std::span<const AttrId> left(
+      joined.data(), joined.size() - last.right_carry_cols.size());
+  const bool left_distinct =
+      std::all_of(node.children.begin(), node.children.end() - 1,
+                  [](const auto& child) { return child->distinct; });
+  if (left_distinct && all_kept(left)) return KeyedSide::kLeft;
+  const PhysicalNode& right = *node.children.back();
+  if (right.distinct && all_kept(right.output_schema.attrs())) {
+    return KeyedSide::kRight;
+  }
+  return KeyedSide::kNone;
+}
 
 // Lowers one logical node. Schemas are derived exactly as the seed
 // interpreter derived them at runtime: a leaf's schema is the atom's
@@ -52,9 +82,15 @@ std::unique_ptr<PhysicalNode> CompileNode(const ConjunctiveQuery& query,
     phys->has_project = true;
     phys->project = PlanProject(working, node->projected);
     phys->output_schema = phys->project.out_schema;
+    phys->keyed = KeyedSideOf(*phys);
   } else {
     phys->output_schema = std::move(working);
   }
+  phys->distinct =
+      phys->has_project ||
+      (!phys->IsLeaf() &&
+       std::all_of(phys->children.begin(), phys->children.end(),
+                   [](const auto& child) { return child->distinct; }));
   return phys;
 }
 
@@ -66,7 +102,8 @@ std::unique_ptr<PhysicalNode> CompileNode(const ConjunctiveQuery& query,
 //
 // A hash fold step is counted first and written only when its rows are
 // read (CountedJoin, relational/batch_ops.h): the node's projection
-// streams its last one, and the next fold step may count through it. A
+// streams its last one (once per key group when the node keys the side
+// that join probes), and the next fold step may count through it. A
 // node whose output is an unprojected join leaves it unwritten in
 // `*unwritten` when that is non-null — for the first child, whose output
 // the parent's first fold step reads; the node's fold steps then work in
@@ -111,7 +148,8 @@ Relation Exec(const PhysicalNode& node, JoinAlgorithm join_algorithm,
   if (node.has_project) {
     ctx.set_trace_node(node.node_id);
     if (!join) return ProjectColumns(acc, node.project, ctx, mx);
-    Relation out = ProjectColumns(std::move(*join), node.project, ctx, mx);
+    Relation out =
+        ProjectColumns(std::move(*join), node.project, ctx, mx, node.keyed);
     join.reset();
     return out;
   }

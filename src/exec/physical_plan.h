@@ -46,6 +46,16 @@ struct PhysicalNode {
   /// Trailing projection for nodes whose projected label is a strict
   /// subset of the working label.
   bool has_project = false;
+  /// Whether this node's output rows are pairwise distinct: it projects
+  /// (DISTINCT), or it joins children whose outputs are. A scan is never
+  /// assumed distinct, since a stored relation may hold duplicates.
+  bool distinct = false;
+  /// For a projecting node with a fold step: the input of its last join
+  /// that is distinct and has every attribute in the projected label,
+  /// which the projection then deduplicates once per key group when that
+  /// input is the join's probe side (relational/batch_ops.h). The flags
+  /// sit in padding, so compiled plans are no larger.
+  KeyedSide keyed = KeyedSide::kNone;
   ProjectSpec project;
 
   /// Schema of this node's output relation.

@@ -217,12 +217,19 @@ class JoinRows {
     return build_base + b * build_arity;
   }
 
-  // The build rows matching `row` of the probe side, its key assembled
-  // in place in `key` (key_width values of scratch) — no gathered or
-  // packed copy of the probe keys.
-  std::span<const int64_t> Probe(const Value* row, Value* key) const {
+  // The id of the key group matching `row` of the probe side, or -1, its
+  // key assembled in place in `key` (key_width values of scratch) — no
+  // gathered or packed copy of the probe keys.
+  int64_t FindGroup(const Value* row, Value* key) const {
     for (int c = 0; c < key_width; ++c) key[c] = row[probe_key[c]];
-    return index.Probe(key);
+    return index.FindGroup(key);
+  }
+
+  // The build rows matching `row` of the probe side (FindGroup).
+  std::span<const int64_t> Probe(const Value* row, Value* key) const {
+    const int64_t g = FindGroup(row, key);
+    if (g < 0) return {};
+    return index.Group(g);
   }
 
   // Output column k comes from the probe row (else the build row), from
@@ -315,6 +322,11 @@ struct PairKey {
     for (int p = 0; p < num_probe; ++p) {
       key[probe_pairs[2 * p]] = probe_row[probe_pairs[2 * p + 1]];
     }
+    AssembleBuild(build_row, key);
+  }
+
+  // The build row's columns of the key only.
+  void AssembleBuild(const Value* build_row, Value* key) const {
     for (int p = 0; p < num_build; ++p) {
       key[build_pairs[2 * p]] = build_row[build_pairs[2 * p + 1]];
     }
@@ -603,6 +615,156 @@ Relation ProjectRows(const Rows& input, const ProjectSpec& spec,
   return out;
 }
 
+// The representatives of a join's key groups under a PairKey: each
+// group's first build row for every distinct value of the key's
+// build-row share, in build-row order. Group g's are rows[offsets[g],
+// offsets[g + 1]).
+struct GroupRepresentatives {
+  std::span<const int64_t> offsets;
+  std::span<const int64_t> rows;
+
+  int64_t count(int64_t g) const { return offsets[g + 1] - offsets[g]; }
+};
+
+// Walks join `j`'s key groups once, deduplicating (group id, build-row
+// share of `key`) in one index whose scratch comes from `arena`.
+GroupRepresentatives Representatives(const JoinRows& j, const PairKey& key,
+                                     ExecArena& arena) {
+  const JoinIndex& index = j.index;
+  const int64_t build_rows = index.num_rows();
+  const int64_t groups = index.num_groups();
+  const int width = 1 + key.num_build;
+  FlatKeyIndex seen(build_rows, width,
+                    arena.AllocSpan<Value>(build_rows * width).data(), arena);
+  std::span<int64_t> offsets = arena.AllocSpan<int64_t>(groups + 1);
+  std::span<int64_t> rows = arena.AllocSpan<int64_t>(build_rows);
+  offsets[0] = 0;
+  for (int64_t g = 0; g < groups; ++g) {
+    for (const int64_t b : index.Group(g)) {
+      const Value* row = j.build_row(b);
+      Value* share = seen.next_key();
+      share[0] = static_cast<Value>(g);
+      for (int p = 0; p < key.num_build; ++p) {
+        share[1 + p] = row[key.build_pairs[2 * p + 1]];
+      }
+      const int64_t id = seen.num_keys();
+      if (seen.InsertNext() == id) rows[id] = b;
+    }
+    offsets[g + 1] = seen.num_keys();
+  }
+  return {offsets, rows.first(static_cast<size_t>(seen.num_keys()))};
+}
+
+// The projection of counted join `j` when its probe rows are pairwise
+// distinct and the projection keeps every probe attribute (KeyedSide):
+// keys of different probe rows never collide, so a probe row's distinct
+// keys are its group's representatives, met in the order the dedup
+// would first meet them. Phase A counts each probe morsel's keys; phase
+// B writes the first min(distinct, headroom) into exact disjoint ranges,
+// with no index over the output and no merge. `join_offsets` are the
+// join's per-morsel output ranges over its probe morsels.
+Relation ProjectKeyed(const JoinRows& j, const PairKey& key,
+                      const MorselSlots& join_offsets, int64_t probe_rows,
+                      int64_t morsel_rows, const ProjectSpec& spec,
+                      ExecContext& ctx, const MorselExec& mx) {
+  ctx.stats().num_projections++;
+  Relation out{spec.out_schema};
+  const int key_width = out.arity();
+  const int64_t num_morsels = join_offsets.size() - 1;
+  MorselSpans spans(ctx.tracer(), TraceOp::kProject, ctx.trace_node(),
+                    num_morsels);
+
+  // Shared pass on the calling thread, timed into morsel 0's span.
+  ArenaScope shared_scope(ctx.arena());
+  GroupRepresentatives reps;
+  {
+    MorselSpans::Timer timer(spans, 0);
+    reps = Representatives(j, key, ctx.arena());
+  }
+
+  // Phase A: the keys of each probe morsel's rows.
+  MorselSlots offsets(num_morsels + 1);
+  MorselSlots scratch(num_morsels);
+  mx.ForEachMorsel(num_morsels, [&](int64_t m, int w) {
+    MorselSpans::Timer timer(spans, m);
+    const auto [begin, end] = RangeOf(m, morsel_rows, probe_rows);
+    ExecArena& warena = WorkerArena(mx, ctx, w);
+    ArenaScope scope(warena);
+    Value* probe_key =
+        warena.AllocSpan<Value>(std::max(j.key_width, 1)).data();
+    int64_t keys = 0;
+    for (int64_t i = begin; i < end; ++i) {
+      const int64_t g = j.FindGroup(j.probe_row(i), probe_key);
+      if (g >= 0) keys += reps.count(g);
+    }
+    offsets[m + 1] = keys;
+    scratch[m] = static_cast<int64_t>(scope.bytes_allocated());
+    if (spans.enabled()) {
+      TraceSpan& span = spans.span(m);
+      span.rows_in = join_offsets[m + 1] - join_offsets[m];
+      span.arity_in = j.out_arity;
+      span.arity_out = key_width;
+      span.bytes = scratch[m];
+      span.ht_probe_ops = end - begin;
+    }
+  });
+  for (int64_t m = 1; m <= num_morsels; ++m) offsets[m] += offsets[m - 1];
+
+  // Phase B: each morsel writes its share of the kept prefix.
+  const int64_t kept = ClampToHeadroom(offsets[num_morsels], ctx);
+  Value* out_base = out.GrowRows(kept);
+  mx.ForEachMorsel(num_morsels, [&](int64_t m, int w) {
+    const int64_t first = std::min(offsets[m], kept);
+    const int64_t quota = std::min(offsets[m + 1], kept) - first;
+    if (quota == 0) return;
+    MorselSpans::Timer timer(spans, m);
+    const auto [begin, end] = RangeOf(m, morsel_rows, probe_rows);
+    ExecArena& warena = WorkerArena(mx, ctx, w);
+    ArenaScope scope(warena);
+    Value* probe_key =
+        warena.AllocSpan<Value>(std::max(j.key_width, 1)).data();
+    Value* cursor = out_base + first * key_width;
+    int64_t written = 0;
+    int64_t i = begin;
+    for (; i < end && written < quota; ++i) {
+      const Value* row = j.probe_row(i);
+      const int64_t g = j.FindGroup(row, probe_key);
+      if (g < 0) continue;
+      // A group has a representative at least; the keys after its first
+      // share their probe columns with the key before them.
+      const int64_t n = std::min(reps.count(g), quota - written);
+      const int64_t* rep = reps.rows.data() + reps.offsets[g];
+      key.Assemble(row, j.build_row(rep[0]), cursor);
+      for (int64_t r = 1; r < n; ++r) {
+        std::copy(cursor, cursor + key_width, cursor + key_width);
+        cursor += key_width;
+        key.AssembleBuild(j.build_row(rep[r]), cursor);
+      }
+      cursor += key_width;
+      written += n;
+    }
+    if (spans.enabled()) {
+      TraceSpan& span = spans.span(m);
+      span.rows_out = quota;
+      span.bytes += quota * key_width * static_cast<int64_t>(sizeof(Value));
+      span.ht_probe_ops += i - begin;
+    }
+  });
+  if (kept > 0) ctx.ChargeTuples(kept);
+
+  const Counter shared = static_cast<Counter>(shared_scope.bytes_allocated());
+  if (spans.enabled()) {
+    spans.span(0).ht_build_rows = static_cast<int64_t>(reps.rows.size());
+    spans.span(0).ht_probe_ops += j.index.num_rows();
+    spans.span(0).bytes += shared;
+  }
+  spans.RecordInOrder();
+  Counter footprint = shared + out.byte_size();
+  for (int64_t m = 0; m < num_morsels; ++m) footprint += scratch[m];
+  ctx.stats().NotePeakBytes(footprint);
+  ctx.stats().NoteIntermediate(key_width, kept);
+  return out;
+}
 
 }  // namespace
 
@@ -1007,23 +1169,30 @@ Relation ProjectColumns(const Relation& input, const ProjectSpec& spec,
 }
 
 Relation ProjectColumns(CountedJoin&& input, const ProjectSpec& spec,
-                        ExecContext& ctx, const MorselExec& mx) {
+                        ExecContext& ctx, const MorselExec& mx,
+                        KeyedSide keyed) {
   if (!input.streamable()) {
     return ProjectColumns(std::move(input).Write(), spec, ctx, mx);
   }
   // The join's call ends with its count: its spans and footprint go on
   // record as they stand, and the projection's spans time the probes
   // that stream its rows. The key map sits on the join's scratch and is
-  // released with it.
+  // released with it; the projection's own scratch is released first.
   input.Close(0);
   const JoinRows join(input);
   const PairKey key = MakePairKey(join, spec.cols.data(),
                                   static_cast<int>(spec.cols.size()),
                                   ctx.arena());
-  Relation out = ProjectRows(JoinPairRows(join, key, input.offsets_,
-                                          input.probe_rows_,
-                                          input.morsel_rows_),
-                             spec, ctx, mx);
+  // A Boolean projection keeps at most the empty tuple and reads no row.
+  const KeyedSide probe =
+      join.build_left ? KeyedSide::kRight : KeyedSide::kLeft;
+  Relation out =
+      keyed == probe && !spec.cols.empty()
+          ? ProjectKeyed(join, key, input.offsets_, input.probe_rows_,
+                         input.morsel_rows_, spec, ctx, mx)
+          : ProjectRows(JoinPairRows(join, key, input.offsets_,
+                                     input.probe_rows_, input.morsel_rows_),
+                        spec, ctx, mx);
   input.Release();
   return out;
 }

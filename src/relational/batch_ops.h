@@ -25,8 +25,9 @@ namespace ppr {
 /// output only when it is read: a CountedJoin counts and charges it, and a
 /// consumer either writes it (CountedJoin::Write, which is HashJoin) or
 /// reads it unwritten — a projection deduplicating straight from the
-/// probe, or the next join counting through it when it may exhaust the
-/// budget.
+/// probe (once per key group when the plan says the probe side is keyed,
+/// see KeyedSide), or the next join counting through it when it may
+/// exhaust the budget.
 ///
 /// Serial callers pass the default MorselExec: the whole input is one
 /// morsel, and only the morsel driver (runtime/morsel_driver.h) splits
@@ -36,7 +37,8 @@ namespace ppr {
 /// projection have a one-morsel pass of their own: semijoin probes and
 /// copies in one loop, and projection deduplicates into a single hash
 /// index, whose key store is the output, instead of merging morsel-local
-/// ones.
+/// ones. A keyed projection over a counted join needs no dedup of its
+/// output and runs the two phases too.
 ///
 /// Determinism contract (the property tests and the morsel driver rely
 /// on it):
@@ -62,8 +64,9 @@ namespace ppr {
 ///    empty relation, writing no output: every budgeted caller discards
 ///    an exhausted run's output. The one-morsel semijoin, which learns
 ///    its size as it copies, truncates what it wrote to nothing.
-///    Projection learns its size only by deduplicating: it keeps its
-///    first min(distinct, headroom) keys in first-occurrence order.
+///    Projection learns its size only by deduplicating (a keyed one by
+///    counting): it keeps its first min(distinct, headroom) keys in
+///    first-occurrence order.
 ///  - Per-morsel scratch is measured per morsel, as the bytes the morsel
 ///    allocated, and folded in morsel-index order. Scratch that must
 ///    outlive its morsel (the multi-morsel projection's local indexes)
@@ -231,6 +234,12 @@ class MorselSpans {
 
 }  // namespace batch_internal
 
+/// The input of a join that a projection over it keeps whole when that
+/// input's rows are pairwise distinct: every one of its attributes is in
+/// the projected key, so two of its rows never give the same key. Only
+/// the plan knows it (exec/physical_plan.h derives it per node).
+enum class KeyedSide : uint8_t { kNone, kLeft, kRight };
+
 /// Hash join, counting half: builds the index over the smaller input on
 /// the calling thread, counts each probe morsel's matches (phase A),
 /// then charges and notes the exact output as HashJoin does, all in the
@@ -281,7 +290,7 @@ class CountedJoin {
   friend Relation HashJoin(const Relation&, const Relation&, const JoinSpec&,
                            ExecContext&, const MorselExec&);
   friend Relation ProjectColumns(CountedJoin&&, const ProjectSpec&,
-                                 ExecContext&, const MorselExec&);
+                                 ExecContext&, const MorselExec&, KeyedSide);
 
   // An index built, and maybe counted through, before the probe side was
   // written (CountJoin over a counted join).
@@ -369,11 +378,27 @@ Relation ProjectColumns(const Relation& input, const ProjectSpec& spec,
 /// The same projection over a counted join's unwritten rows: each of the
 /// join's probe morsels probes again and assembles every match's
 /// projected key, from the probe row and the build row, straight into
-/// the dedup index. Rows, order, stats and the stop at the headroom
-/// equal ProjectColumns(input.Write(), ...); the join's spans record
-/// its count, and the projection's spans time the streamed probes.
+/// the dedup index.
+///
+/// When `keyed` names the join's probe side (and the projection keeps
+/// some column), keys of different probe rows never collide, so the
+/// projection deduplicates once per key group instead: it keeps each
+/// group's first build row for every distinct value of the key's
+/// build-row share (one small index over the build side), then counts
+/// each probe morsel's keys (phase A) and writes the first
+/// min(distinct, headroom) of them into exact disjoint ranges (phase B),
+/// with no index over the output. A keyed side that is the build side
+/// streams as above.
+///
+/// Either way the rows, their first-occurrence order, every stat but
+/// peak_bytes and the stop at the headroom equal
+/// ProjectColumns(input.Write(), ...); the join's spans record its
+/// count, the projection has one span per probe morsel timing the work
+/// on the join's rows, and its scratch sits above the join's and is
+/// released first.
 Relation ProjectColumns(CountedJoin&& input, const ProjectSpec& spec,
-                        ExecContext& ctx, const MorselExec& mx = {});
+                        ExecContext& ctx, const MorselExec& mx = {},
+                        KeyedSide keyed = KeyedSide::kNone);
 
 /// Semijoin kernel: left tuples with at least one match in right. A
 /// shared key filter is built from the right side, and the left side is

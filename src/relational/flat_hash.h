@@ -161,7 +161,9 @@ class FlatKeyIndex {
 /// Hash index over the build side of a join: a FlatKeyIndex over the key
 /// columns plus a CSR layout grouping build-row ids by key, so probing
 /// yields each key's matches as a contiguous span in build-row order
-/// (the same emit order as the seed interpreter's bucket vectors).
+/// (the same emit order as the seed interpreter's bucket vectors). The
+/// groups are addressable by id too, for a consumer that works once per
+/// group instead of once per match.
 class JoinIndex {
  public:
   /// Indexes `build` on `key_cols`; scratch comes from `arena` and stays
@@ -207,11 +209,25 @@ class JoinIndex {
 
   /// Build-row ids matching `key`, ascending; empty span when none.
   std::span<const int64_t> Probe(const Value* key) const {
-    const int64_t g = index_.Find(key);
+    const int64_t g = FindGroup(key);
     if (g < 0) return {};
+    return Group(g);
+  }
+
+  /// Id of the group of build rows keyed `key`, or -1 when none. Group
+  /// ids are dense, in order of their keys' first build row.
+  int64_t FindGroup(const Value* key) const { return index_.Find(key); }
+
+  int64_t num_groups() const { return index_.num_keys(); }
+
+  /// Build-row ids of group `g`, ascending.
+  std::span<const int64_t> Group(int64_t g) const {
     return {rows_.data() + offsets_[g],
             static_cast<size_t>(offsets_[g + 1] - offsets_[g])};
   }
+
+  /// Build rows indexed (the build side's size).
+  int64_t num_rows() const { return static_cast<int64_t>(rows_.size()); }
 
   /// Build rows sharing the most common key: no probe row matches more.
   int64_t max_group() const { return max_group_; }

@@ -275,6 +275,26 @@ TEST_F(PhysicalVerifierTest, RejectsDroppedProjection) {
   EXPECT_FALSE(VerifyPhysicalPlan(query_, plan_, db_, compiled_).ok());
 }
 
+// A scan marked distinct could key a projection over a stored bag, which
+// would then return duplicate rows; a projection not marked distinct
+// only keys less. The verifier rejects both.
+TEST_F(PhysicalVerifierTest, RejectsDistinctFlagsTheLabelsDoNotImply) {
+  PhysicalNode* leaf = FirstLeaf(compiled_.mutable_root());
+  ASSERT_FALSE(leaf->distinct);
+  leaf->distinct = true;
+  Status s = VerifyPhysicalPlan(query_, plan_, db_, compiled_);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("marked distinct"), std::string::npos)
+      << s.ToString();
+  leaf->distinct = false;
+
+  PhysicalNode* projecting = FirstProjection(compiled_.mutable_root());
+  ASSERT_NE(projecting, nullptr);
+  ASSERT_TRUE(projecting->distinct);
+  projecting->distinct = false;
+  EXPECT_FALSE(VerifyPhysicalPlan(query_, plan_, db_, compiled_).ok());
+}
+
 TEST_F(PhysicalVerifierTest, RejectsForeignStoredRelation) {
   db_.Put("other", ColoringEdgeRelation(3));
   PhysicalNode* leaf = FirstLeaf(compiled_.mutable_root());

@@ -924,6 +924,136 @@ TEST(FlatOpsPropertyTest, StreamedProjectionIsProjectionOfWrittenJoin) {
   EXPECT_GT(unwritten, 0) << "no projection streamed its join";
 }
 
+// Exactly `rows` random rows over values 1..domain (a nullary schema
+// holds at most the empty tuple).
+Relation ExactRows(const Schema& schema, int64_t rows, uint64_t domain,
+                   Rng& rng) {
+  Relation rel{schema};
+  std::vector<Value> tuple(static_cast<size_t>(schema.arity()));
+  for (int64_t i = 0; i < rows && (i == 0 || schema.arity() > 0); ++i) {
+    for (auto& v : tuple) v = static_cast<Value>(1 + rng.NextBounded(domain));
+    rel.AddTuple(tuple);
+  }
+  return rel;
+}
+
+// The inputs of a keyed projection: `keyed` names the input whose rows
+// are distinct and whose attributes `keep` all holds.
+struct KeyedTrial {
+  Relation left;
+  Relation right;
+  KeyedSide keyed;
+  std::vector<AttrId> keep;
+};
+
+// Trial shapes, by trial % 5: random schemas (0, 1); a cross product (2);
+// one join attribute whose build groups hold one row each, or are one
+// group of equal rows (3); and a keyed input that is the smaller one, so
+// the join builds on it and the projection must stream as before (4).
+// The keyed input is the left one on even trials, and otherwise the
+// larger (probe) input. The other input's values come from 1..1 on every
+// third trial, making every build group all-equal rows.
+KeyedTrial MakeKeyedTrial(int trial, Rng& rng) {
+  const int shape = trial % 5;
+  const bool on_left = trial % 2 == 0;
+  Schema keyed_schema = RandomSchema(rng, 3);
+  Schema other_schema =
+      shape == 2 ? Disjoint(RandomSchema(rng, 2)) : RandomSchema(rng, 3);
+  if (shape == 3) {
+    keyed_schema = Schema({0, 1});
+    other_schema = Schema({1, 2});
+  }
+  const Relation keyed = RefProjectInOrder(
+      RandomRows(keyed_schema, 10, 4, rng), keyed_schema.attrs());
+  // The join builds on the left input iff it is no larger than the right.
+  const int64_t n = keyed.size();
+  const int64_t other_rows =
+      shape == 4 ? n + 2
+                 : static_cast<int64_t>(rng.NextBounded(static_cast<uint64_t>(
+                       on_left ? std::max<int64_t>(n, 1) : n + 1)));
+  Relation other{other_schema};
+  if (shape == 3 && (trial / 5) % 2 == 0) {
+    for (int64_t i = 0; i < other_rows; ++i) {
+      other.AddTuple({static_cast<Value>(i + 1),
+                      static_cast<Value>(1 + rng.NextBounded(3))});
+    }
+  } else {
+    other = ExactRows(other_schema, other_rows, trial % 3 == 0 ? 1 : 3, rng);
+  }
+  std::vector<AttrId> keep = keyed_schema.attrs();
+  for (const AttrId a : other_schema.attrs()) {
+    if (!keyed_schema.Contains(a) && rng.NextBounded(2) == 0) {
+      keep.push_back(a);
+    }
+  }
+  if (on_left) return {keyed, other, KeyedSide::kLeft, std::move(keep)};
+  return {other, keyed, KeyedSide::kRight, std::move(keep)};
+}
+
+// A projection that keeps a distinct join input whole deduplicates once
+// per key group when that input is the probe side, and equals the
+// projection of the written join: rows, order, stats but peak_bytes and
+// per-call span rows, at every headroom, morsel size and worker count.
+// Its spans differ from the streamed dedup's, which shows the keyed path
+// ran; on a keyed build side they are the streamed dedup's.
+TEST(FlatOpsPropertyTest, KeyedProjectionIsProjectionOfWrittenJoin) {
+  const ConsumerGrid grid;
+  Rng rng(1103);
+  int probe_keyed = 0;
+  int keyed_ran = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const KeyedTrial t = MakeKeyedTrial(trial, rng);
+    const JoinSpec join_spec = PlanJoin(t.left.schema(), t.right.schema());
+    const ProjectSpec project_spec = PlanProject(join_spec.out_schema, t.keep);
+    const auto counted = [&](KeyedSide keyed) {
+      return [&, keyed](ExecContext& ctx, const MorselExec& mx) {
+        CountedJoin joined(t.left, t.right, join_spec, ctx, mx);
+        if (ctx.exhausted()) return Relation{project_spec.out_schema};
+        return ProjectColumns(std::move(joined), project_spec, ctx, mx,
+                              keyed);
+      };
+    };
+    ExecContext plain;
+    const Counter total = HashJoin(t.left, t.right, join_spec, plain).size();
+    ExpectConsumerContract(
+        grid, 2 * total + 1,
+        [&](ExecContext& ctx, const MorselExec& mx) {
+          const Relation joined =
+              HashJoin(t.left, t.right, join_spec, ctx, mx);
+          if (ctx.exhausted()) return Relation{project_spec.out_schema};
+          return ProjectColumns(joined, project_spec, ctx, mx);
+        },
+        counted(t.keyed), trial);
+    if (HasFatalFailure()) return;
+
+    for (const ConsumerGrid::Config& c : grid.configs()) {
+      SCOPED_TRACE(::testing::Message() << "trial " << trial << " morsel "
+                                        << c.morsel << " workers "
+                                        << c.workers);
+      const MorselExec mx = ConsumerGrid::ExecOf(c);
+      const PipelineRun keyed = RunPipeline(kCounterMax, [&](ExecContext& ctx) {
+        return counted(t.keyed)(ctx, mx);
+      });
+      const PipelineRun streamed =
+          RunPipeline(kCounterMax, [&](ExecContext& ctx) {
+            return counted(KeyedSide::kNone)(ctx, mx);
+          });
+      const bool probe = (t.keyed == KeyedSide::kLeft) ==
+                         (t.left.size() > t.right.size());
+      if (!probe || total == 0 || t.keep.empty()) {
+        EXPECT_EQ(SpanFieldsOf(keyed.spans), SpanFieldsOf(streamed.spans));
+        continue;
+      }
+      ++probe_keyed;
+      if (SpanFieldsOf(keyed.spans) != SpanFieldsOf(streamed.spans)) {
+        ++keyed_ran;
+      }
+    }
+  }
+  EXPECT_GT(probe_keyed, 0);
+  EXPECT_EQ(keyed_ran, probe_keyed) << "a keyed probe side was deduplicated";
+}
+
 // A join counted through an unwritten join P equals the join over the
 // written P, below the gate, above it, and at the exhaustion boundary:
 // the third input is small, so P is the probe side.

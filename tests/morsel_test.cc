@@ -85,6 +85,34 @@ Compiled CompileLadderChain(const Database& db) {
 }
 constexpr Counter kLadderChainBudget = 50000;
 
+// Reordering over the Boolean augmented ladder of order 3 (4,797 tuples
+// unbudgeted): it joins each pendant edge as a cross product and projects
+// the pendant away at once, a projection that keeps its join's whole
+// distinct probe row and so deduplicates once per key group.
+Compiled CompileLadderReordering(const Database& db) {
+  ConjunctiveQuery q = KColorQuery(AugmentedLadder(3));
+  Plan plan = ReorderingPlan(q, nullptr);
+  Result<PhysicalPlan> compiled = PhysicalPlan::Compile(q, plan, db);
+  PPR_CHECK(compiled.ok());
+  return Compiled{std::move(q), std::move(plan), std::move(*compiled)};
+}
+constexpr Counter kLadderReorderingBudget = 2400;
+
+// The same plan with every keyed projection cleared, which streams its
+// join through the dedup instead.
+PhysicalPlan Unkeyed(const Compiled& c, const Database& db) {
+  Result<PhysicalPlan> compiled = PhysicalPlan::Compile(c.query, c.plan, db);
+  PPR_CHECK(compiled.ok());
+  std::vector<PhysicalNode*> stack = {&compiled->mutable_root()};
+  while (!stack.empty()) {
+    PhysicalNode* node = stack.back();
+    stack.pop_back();
+    node->keyed = KeyedSide::kNone;
+    for (auto& child : node->children) stack.push_back(child.get());
+  }
+  return std::move(*compiled);
+}
+
 // Whether a run's spans show a join call that produced rows but never
 // wrote them, read by the next call, an operator `reader`: writing
 // probes again, so a written join's probes outnumber its probe rows.
@@ -203,14 +231,17 @@ TEST(MorselDriverTest, SerialRunIsOneMorselPerKernelCall) {
             StatsTupleExceptPeak(split.stats));
 }
 
-// Three plans: a bucket-elimination plan and the pentagon's, whose
-// projecting nodes stream their last join, and the ladder chain, whose
-// budget a join exhausts by counting through an unwritten join.
+// Four plans: a bucket-elimination plan and the pentagon's, whose
+// projecting nodes stream their last join, the ladder chain, whose
+// budget a join exhausts by counting through an unwritten join, and the
+// ladder reordering, whose keyed projections run to completion and to
+// a truncated budget.
 TEST(MorselDriverTest, ByteIdenticalAcrossWorkerCountsAndMorselSizes) {
   Database db = ThreeColorDb();
   Compiled coloring = CompileRandomColoring(db, 8, 12, 21);
   Compiled pentagon = CompilePentagon(db);
   Compiled chain = CompileLadderChain(db);
+  Compiled reordering = CompileLadderReordering(db);
   struct Case {
     Compiled* c;
     Counter budget;
@@ -219,6 +250,9 @@ TEST(MorselDriverTest, ByteIdenticalAcrossWorkerCountsAndMorselSizes) {
   for (const Case& k : {Case{&coloring, kCounterMax, StatusCode::kOk},
                         Case{&pentagon, kCounterMax, StatusCode::kOk},
                         Case{&chain, kLadderChainBudget,
+                             StatusCode::kResourceExhausted},
+                        Case{&reordering, kCounterMax, StatusCode::kOk},
+                        Case{&reordering, kLadderReorderingBudget,
                              StatusCode::kResourceExhausted}}) {
     const ExecutionResult serial = k.c->physical.Execute(k.budget);
     ASSERT_EQ(serial.status.code(), k.status);
@@ -468,18 +502,35 @@ TEST(MorselDriverTest, VerifiedRunsPassTheSpanVerifier) {
 
   Compiled pentagon = CompilePentagon(db);
   Compiled chain = CompileLadderChain(db);
+  Compiled reordering = CompileLadderReordering(db);
   struct Case {
     Compiled* c;
     Counter budget;
     TraceOp reader;
   };
-  for (const Case& k : {Case{&pentagon, kCounterMax, TraceOp::kProject},
-                        Case{&chain, kLadderChainBudget, TraceOp::kJoin}}) {
+  for (const Case& k :
+       {Case{&pentagon, kCounterMax, TraceOp::kProject},
+        Case{&chain, kLadderChainBudget, TraceOp::kJoin},
+        Case{&reordering, kCounterMax, TraceOp::kProject},
+        Case{&reordering, kLadderReorderingBudget, TraceOp::kProject}}) {
     const MorselQueryContext kctx{&k.c->query, &k.c->plan, &db};
     TraceSink serial_sink(TraceSink::kUnbounded);
     const ExecutionResult serial =
         k.c->physical.Execute(k.budget, &serial_sink);
     EXPECT_TRUE(UnwrittenJoinReadBy(serial_sink.Snapshot(), k.reader));
+    if (k.c == &reordering) {
+      // The keyed projections ran: with them cleared, the plan returns
+      // the same rows and stats through spans of its own.
+      PhysicalPlan unkeyed = Unkeyed(*k.c, db);
+      TraceSink unkeyed_sink(TraceSink::kUnbounded);
+      const ExecutionResult streamed = unkeyed.Execute(k.budget, &unkeyed_sink);
+      EXPECT_EQ(streamed.status.code(), serial.status.code());
+      ExpectSameRows(serial.output, streamed.output);
+      EXPECT_EQ(StatsTupleExceptPeak(serial.stats),
+                StatsTupleExceptPeak(streamed.stats));
+      EXPECT_NE(SpanFields(serial_sink.Snapshot()),
+                SpanFields(unkeyed_sink.Snapshot()));
+    }
     for (const int64_t morsel : {int64_t{1}, int64_t{3}, int64_t{64}}) {
       for (const int threads : {1, 2, 8}) {
         SCOPED_TRACE(::testing::Message()

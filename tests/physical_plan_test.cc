@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "benchlib/harness.h"
 #include "common/rng.h"
+#include "core/plan.h"
 #include "core/strategies.h"
 #include "exec/executor.h"
 #include "exec/physical_plan.h"
@@ -214,6 +217,64 @@ TEST(PhysicalPlanTest, EmptyRelationGivesEmptyAnswer) {
     const ExecutionResult r = ExecutePlan(q, plan, db);
     ASSERT_TRUE(r.status.ok()) << StrategyName(kind);
     EXPECT_TRUE(r.output.empty()) << StrategyName(kind);
+  }
+}
+
+// A projection keyed on a join input that holds duplicate rows would
+// return each duplicate's keys again. A stored relation may hold
+// duplicates, so a bare scan never keys a projection, whatever it keeps;
+// a projecting child does.
+TEST(PhysicalPlanTest, OnlyDistinctInputsKeyAProjection) {
+  const AttrId x = 0, y = 1, z = 2, u = 3;
+  Database db;
+  Relation r{Schema({10, 11})};
+  for (const auto& [a, b] : {std::pair{1, 1}, {1, 1}, {2, 1}, {2, 2}, {3, 2},
+                             {3, 2}, {1, 3}}) {
+    r.AddTuple({a, b});
+  }
+  Relation s{Schema({10, 11})};
+  for (const auto& [a, b] : {std::pair{1, 7}, {1, 8}, {2, 7}}) {
+    s.AddTuple({a, b});
+  }
+  Relation t{Schema({10, 11})};
+  for (const auto& [a, b] : {std::pair{1, 5}, {1, 6}, {2, 5}, {3, 5}}) {
+    t.AddTuple({a, b});
+  }
+  db.Put("R", std::move(r));
+  db.Put("S", std::move(s));
+  db.Put("T", std::move(t));
+  const ConjunctiveQuery q({{"R", {x, y}}, {"S", {y, z}}, {"T", {y, u}}},
+                           {x, y});
+  const Relation oracle = OracleAnswer(q, db);
+  ASSERT_EQ(oracle.size(), 4);
+
+  const auto leaf = [&q](int atom) { return MakeLeaf(q, atom); };
+  const auto join = [](std::unique_ptr<PlanNode> a,
+                       std::unique_ptr<PlanNode> b,
+                       std::vector<AttrId> projected) {
+    std::vector<std::unique_ptr<PlanNode>> children;
+    children.push_back(std::move(a));
+    children.push_back(std::move(b));
+    return MakeJoin(std::move(children), std::move(projected));
+  };
+  // R (7 rows, duplicates) probes S and T (the smaller inputs), and the
+  // projection onto {x, y} keeps every attribute of R.
+  const Plan bare(join(join(leaf(0), leaf(1), {x, y}), leaf(2), {x, y}));
+  const Plan projected(join(join(leaf(0), leaf(2), {x, y}), leaf(1), {x, y}));
+  for (const Plan* plan : {&bare, &projected}) {
+    ASSERT_TRUE(ValidatePlan(q, *plan).ok());
+    Result<PhysicalPlan> compiled = PhysicalPlan::Compile(q, *plan, db);
+    ASSERT_TRUE(compiled.ok());
+    const PhysicalNode& root = compiled->root();
+    EXPECT_EQ(root.children[0]->keyed, KeyedSide::kNone);
+    EXPECT_TRUE(root.children[0]->distinct);
+    EXPECT_FALSE(root.children[0]->children[0]->distinct);
+    EXPECT_EQ(root.keyed, KeyedSide::kLeft);
+    const ExecutionResult run = compiled->Execute();
+    ASSERT_TRUE(run.status.ok());
+    // SetEquals ignores duplicate rows; the row count does not.
+    EXPECT_EQ(run.output.size(), oracle.size());
+    EXPECT_TRUE(run.output.SetEquals(oracle)) << run.output.ToString();
   }
 }
 

@@ -302,6 +302,23 @@ bool CorruptOutputSchema(PhysicalPlan& plan, Rng& rng) {
   return true;
 }
 
+// A keyed side the labels do not imply makes the keyed projection return
+// duplicate rows (set wrongly) or dedup the slow way (cleared wrongly):
+// moves a projecting fold node's keyed side to one of the other two.
+bool ToggleKeyedSide(PhysicalPlan& plan, Rng& rng) {
+  std::vector<PhysicalNode*> candidates;
+  for (PhysicalNode* node : ProjectNodes(plan)) {
+    if (!node->joins.empty()) candidates.push_back(node);
+  }
+  if (candidates.empty()) return false;
+  PhysicalNode* node = candidates[rng.NextBounded(candidates.size())];
+  const KeyedSide sides[] = {KeyedSide::kNone, KeyedSide::kLeft,
+                             KeyedSide::kRight};
+  const size_t current = static_cast<size_t>(node->keyed);
+  node->keyed = sides[(current + 1 + rng.NextBounded(2)) % 3];
+  return true;
+}
+
 struct NamedPhysicalMutator {
   const char* name;
   PhysicalMutator apply;
@@ -315,6 +332,7 @@ constexpr NamedPhysicalMutator kPhysicalMutators[] = {
     {"permute-projection-mask", PermuteProjectionMask},
     {"drop-projection", DropProjection},
     {"corrupt-output-schema", CorruptOutputSchema},
+    {"toggle-keyed-side", ToggleKeyedSide},
 };
 
 // ---------------------------------------------------------------------
