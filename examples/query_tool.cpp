@@ -159,7 +159,8 @@ int main(int argc, char** argv) {
     const double domain = db_name.rfind("colors", 0) == 0
                               ? (db_name == "colors2" ? 2.0 : 3.0)
                               : 2.0;
-    ExplainResult r = ExplainPlan(query, plan, db, domain);
+    ExplainResult r = ExplainPlan(query, plan, db, domain, kCounterMax,
+                                  /*analyze=*/true);
     std::printf("\n-- EXPLAIN ANALYZE (%s), worst estimate ratio %.2f --\n%s",
                 StrategyName(chosen), r.WorstEstimateRatio(),
                 r.ToString().c_str());

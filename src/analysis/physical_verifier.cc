@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -389,28 +390,21 @@ Status VerifyMorselSpans(const ConjunctiveQuery& query, const Plan& plan,
       bound_status.ok() && bounds.size() == shapes.size();
 
   int64_t span_rows = 0;
-  size_t begin = 0;
-  while (begin < spans.size()) {
-    // One kernel call: a span with morsel_id 0 (or the sort-merge join's
-    // -1) and every span after it up to the next such span.
-    size_t end = begin + 1;
-    while (end < spans.size() && spans[end].morsel_id != 0 &&
-           spans[end].morsel_id != -1) {
-      ++end;
-    }
-    const TraceSpan& call = spans[begin];
-    const std::string where = "kernel call at span " + std::to_string(begin) +
-                              " (" + TraceOpName(call.op) + ", node " +
-                              std::to_string(call.node_id) + "): ";
+  for (const std::span<const TraceSpan> morsels : SplitKernelCalls(spans)) {
+    const TraceSpan& call = morsels.front();
+    const std::string where =
+        "kernel call at span " +
+        std::to_string(morsels.data() - spans.data()) + " (" +
+        TraceOpName(call.op) + ", node " + std::to_string(call.node_id) +
+        "): ";
 
     // Morsels: ids 0..n-1 in order (a lone -1 for the sort-merge join),
     // every one for the same operator at the same node and arity. A
     // dropped, duplicated, or reordered morsel breaks the sequence.
     int64_t call_rows = 0;
-    for (size_t s = begin; s < end; ++s) {
-      const TraceSpan& span = spans[s];
-      const int32_t due =
-          call.morsel_id == -1 ? -1 : static_cast<int32_t>(s - begin);
+    for (size_t s = 0; s < morsels.size(); ++s) {
+      const TraceSpan& span = morsels[s];
+      const int32_t due = call.morsel_id == -1 ? -1 : static_cast<int32_t>(s);
       if (span.morsel_id != due) {
         return Status::InvalidArgument(
             where + "morsel id " + std::to_string(span.morsel_id) +
@@ -495,7 +489,6 @@ Status VerifyMorselSpans(const ConjunctiveQuery& query, const Plan& plan,
       }
     }
     span_rows += call_rows;
-    begin = end;
   }
 
   // Every row a kernel produces, written or read unwritten by the next

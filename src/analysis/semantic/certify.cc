@@ -94,15 +94,11 @@ bool CertificationInProgress() { return tls_certifying; }
 
 Status CertifyForVerifierHook(const ConjunctiveQuery& query, const Plan& plan,
                               const Database& db,
-                              const PhysicalPlan* physical) {
+                              const PhysicalPlan& physical) {
   if (tls_certifying) return Status::Ok();
   CertificationReport logical = CertifyPlan(query, plan);
   if (!logical.ok()) return logical.verdict;
-  if (physical != nullptr) {
-    CertificationReport compiled = CertifyCompiledPlan(query, db, *physical);
-    if (!compiled.ok()) return compiled.verdict;
-  }
-  return Status::Ok();
+  return CertifyCompiledPlan(query, db, physical).verdict;
 }
 
 }  // namespace ppr

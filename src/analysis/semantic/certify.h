@@ -50,13 +50,13 @@ CertificationReport CertifyCompiledPlan(const ConjunctiveQuery& query,
 bool CertificationInProgress();
 
 /// Hook-adapter entry point (registered by InstallPlanVerifier as the
-/// `semantic` member of exec/verify_hook.h): certifies the logical plan
-/// and, when `physical` is non-null, the compiled plan too. Returns OK
-/// without doing anything when called re-entrantly from inside a
-/// certification's own canonical-database evaluation.
+/// `semantic` member of exec/verify_hook.h): certifies the logical plan,
+/// then the compiled plan. Returns OK without doing anything when called
+/// re-entrantly from inside a certification's own canonical-database
+/// evaluation.
 Status CertifyForVerifierHook(const ConjunctiveQuery& query, const Plan& plan,
                               const Database& db,
-                              const PhysicalPlan* physical);
+                              const PhysicalPlan& physical);
 
 }  // namespace ppr
 

@@ -87,7 +87,7 @@ void InstallPlanVerifier(bool enable) {
   // The adapter passes re-entrant calls through — the equivalence proof
   // itself compiles plans over canonical databases.
   hooks.semantic = [](const ConjunctiveQuery& query, const Plan& plan,
-                      const Database& db, const PhysicalPlan* physical) {
+                      const Database& db, const PhysicalPlan& physical) {
     return CertifyForVerifierHook(query, plan, db, physical);
   };
   SetPlanVerifierHooks(std::move(hooks));

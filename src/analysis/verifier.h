@@ -48,7 +48,7 @@ PlanVerdict VerifyCompiledPlan(const ConjunctiveQuery& query,
                                const PhysicalPlan& physical);
 
 /// Registers the analysis passes as exec's verification hooks
-/// (exec/verify_hook.h): every PhysicalPlan::Compile and ExplainPlan run
+/// (exec/verify_hook.h): every PhysicalPlan::Compile (ExplainPlan's too)
 /// while verification is enabled then proves the plan before touching
 /// data. `enable` additionally turns the verification flag on.
 void InstallPlanVerifier(bool enable = true);

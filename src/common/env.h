@@ -26,7 +26,7 @@ struct EnvConfig {
   /// PPR_VERIFY_SEMANTICS: set (and not "0") additionally runs the
   /// semantic certification tier — plan→query extraction plus a
   /// Chandra–Merlin equivalence proof (analysis/semantic/certify.h) —
-  /// inside PhysicalPlan::Compile and ExplainPlan. Independent of
+  /// inside PhysicalPlan::Compile (ExplainPlan's too). Independent of
   /// PPR_VERIFY_PLANS; either tier can run alone.
   bool verify_semantics = false;
 

@@ -44,6 +44,9 @@ struct ExecutionResult {
   ExecStats stats;
   /// Wall-clock execution time in seconds.
   double seconds = 0.0;
+  /// Pre-order id of the plan node whose kernel call exhausted the tuple
+  /// budget; -1 when the run did not exhaust it.
+  int32_t exhausted_node = -1;
 
   /// The Boolean answer: nonempty result. Only meaningful when OK.
   bool nonempty() const { return !output.empty(); }

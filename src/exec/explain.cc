@@ -1,17 +1,17 @@
 #include "exec/explain.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
+#include <iterator>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/check.h"
+#include "exec/physical_plan.h"
 #include "exec/verify_hook.h"
 #include "obs/trace.h"
-#include "relational/exec_context.h"
-#include "relational/ops.h"
 
 namespace ppr {
 namespace {
@@ -36,74 +36,89 @@ double EstimateRows(const Estimate& est, size_t projected_arity,
   return std::min(full, cap);
 }
 
-// Recursive profiled evaluation; appends this node's profile (pre-order)
-// and returns its output relation plus estimation state.
-Relation EvalProfiled(const ConjunctiveQuery& query, const PlanNode* node,
-                      const Database& db, double domain, int depth,
-                      ExecContext& ctx, std::vector<NodeProfile>* out,
-                      Estimate* est) {
-  const size_t my_index = out->size();
-  out->push_back(NodeProfile{});
+// What one plan node's kernel calls produced in a run, from its spans.
+struct NodeCalls {
+  int64_t scan_rows = 0;
+  int64_t project_rows = 0;
+  int64_t last_join_rows = 0;
+  int joins = 0;
+};
 
-  Relation result;
-  // Attribute this node's operator spans to its pre-order index (the
-  // recursion below retargets it for the children, so it is restored
-  // before every kernel call on this node's behalf).
-  ctx.set_trace_node(static_cast<int32_t>(my_index));
-  if (node->IsLeaf()) {
-    const Atom& atom = query.atoms()[static_cast<size_t>(node->atom_index)];
-    const Relation* stored = *db.Get(atom.relation);
-    est->attrs = node->working;
-    est->selectivity =
-        static_cast<double>(stored->size()) /
-        std::pow(domain, static_cast<double>(atom.args.size()));
-    result = BindAtom(*stored, atom.args, ctx);
-    if (node->Projects() && !ctx.exhausted()) {
-      result = Project(result, node->projected, ctx);
-    }
-    (*out)[my_index].label = atom.ToString();
-  } else {
-    Estimate acc_est;
-    Relation acc;
-    bool first = true;
-    for (const auto& child : node->children) {
-      if (ctx.exhausted()) break;
-      Estimate child_est;
-      Relation child_rel = EvalProfiled(query, child.get(), db, domain,
-                                        depth + 1, ctx, out, &child_est);
-      if (first) {
-        acc = std::move(child_rel);
-        acc_est = std::move(child_est);
-        first = false;
-      } else {
-        if (ctx.exhausted()) break;
-        ctx.set_trace_node(static_cast<int32_t>(my_index));
-        acc = NaturalJoin(acc, child_rel, ctx);
+// Builds the node profiles by a pre-order walk of the logical plan.
+struct ProfileWalk {
+  const ConjunctiveQuery& query;
+  const Database& db;
+  double domain;
+  const std::vector<NodeCalls>& calls;  // by node id
+  // The node whose call exhausted the budget (-1 for a completed run) and
+  // the last node the run reached.
+  int32_t exhausted_node;
+  int32_t last_reached;
+  std::vector<NodeProfile>* out;
+
+  // Appends the profiles of `node`'s subtree and returns its estimation
+  // state. The estimate comes from the plan alone. The actual rows are
+  // those the node's output call produced: its projection, else its last
+  // fold step's join, else its scan (a call over an empty input records
+  // no span and produces nothing); an unprojected node with one child
+  // passes on its child's rows.
+  Estimate Visit(const PlanNode* node, int depth) {
+    const size_t id = out->size();
+    out->push_back(NodeProfile{});
+    const NodeCalls& call = calls[id];
+    Estimate est;
+    int64_t rows = 0;
+    if (node->IsLeaf()) {
+      const Atom& atom = query.atoms()[static_cast<size_t>(node->atom_index)];
+      const Relation* stored = *db.Get(atom.relation);
+      est.attrs = node->working;
+      est.selectivity =
+          static_cast<double>(stored->size()) /
+          std::pow(domain, static_cast<double>(atom.args.size()));
+      rows = call.scan_rows;
+      (*out)[id].label = atom.ToString();
+    } else {
+      for (const auto& child : node->children) {
+        Estimate child_est = Visit(child.get(), depth + 1);
+        if (&child == &node->children.front()) {
+          est = std::move(child_est);
+          continue;
+        }
         std::vector<AttrId> merged;
-        std::set_union(acc_est.attrs.begin(), acc_est.attrs.end(),
+        std::set_union(est.attrs.begin(), est.attrs.end(),
                        child_est.attrs.begin(), child_est.attrs.end(),
                        std::back_inserter(merged));
-        acc_est.attrs = std::move(merged);
-        acc_est.selectivity *= child_est.selectivity;
+        est.attrs = std::move(merged);
+        est.selectivity *= child_est.selectivity;
       }
+      const int fold_steps = static_cast<int>(node->children.size()) - 1;
+      if (fold_steps == 0) {
+        rows = (*out)[id + 1].actual_rows;
+      } else {
+        rows = call.joins == fold_steps ? call.last_join_rows : 0;
+      }
+      (*out)[id].label = "join";
     }
-    if (node->Projects() && !ctx.exhausted()) {
-      ctx.set_trace_node(static_cast<int32_t>(my_index));
-      acc = Project(acc, node->projected, ctx);
-    }
-    result = std::move(acc);
-    *est = std::move(acc_est);
-    (*out)[my_index].label = "join";
-  }
+    if (node->Projects()) rows = call.project_rows;
 
-  NodeProfile& profile = (*out)[my_index];
-  profile.depth = depth;
-  profile.working_arity = static_cast<int>(node->working.size());
-  profile.projected_arity = static_cast<int>(node->projected.size());
-  profile.estimated_rows = EstimateRows(*est, node->projected.size(), domain);
-  profile.actual_rows = ctx.exhausted() ? -1 : result.size();
-  return result;
-}
+    // A budget-exhausted run finished neither the node whose call
+    // exhausted it nor that node's ancestors (the nodes whose subtree,
+    // ids [id, out->size()), holds it), nor any node it never reached.
+    const auto self = static_cast<int32_t>(id);
+    const bool unfinished =
+        exhausted_node >= 0 &&
+        (self > last_reached ||
+         (self <= exhausted_node &&
+          exhausted_node < static_cast<int32_t>(out->size())));
+    NodeProfile& profile = (*out)[id];
+    profile.depth = depth;
+    profile.working_arity = static_cast<int>(node->working.size());
+    profile.projected_arity = static_cast<int>(node->projected.size());
+    profile.estimated_rows = EstimateRows(est, node->projected.size(), domain);
+    profile.actual_rows = unfinished ? -1 : rows;
+    return est;
+  }
+};
 
 }  // namespace
 
@@ -161,91 +176,79 @@ ExplainResult ExplainPlan(const ConjunctiveQuery& query, const Plan& plan,
                           Counter tuple_budget, bool analyze) {
   ExplainResult result;
   PPR_CHECK(domain_size >= 1.0);
-  if (plan.empty()) {
-    result.status = Status::InvalidArgument("empty plan");
+  // Compilation runs every enabled verifier tier; a rejected plan is
+  // reported, not executed.
+  VerifierReport report;
+  Result<PhysicalPlan> compiled = PhysicalPlan::Compile(
+      query, plan, db, JoinAlgorithm::kHash, &report);
+  result.verifier_verdict = std::move(report.structural);
+  result.semantic_verdict = std::move(report.semantic);
+  result.semantic_ns = report.semantic_ns;
+  if (!compiled.ok()) {
+    result.status = compiled.status();
     return result;
   }
-  result.status = query.Validate(db);
-  if (!result.status.ok()) return result;
 
-  // Surface the static-analysis verdict when verification is enabled; a
-  // rejected plan is reported, not executed.
-  const std::shared_ptr<const PlanVerifierHooks> hooks =
-      GetPlanVerifierHooks();
-  const bool verify = PlanVerificationEnabled();
-  if (verify && hooks->logical) {
-    Status verdict = hooks->logical(query, plan, db);
-    result.verifier_verdict = verdict.ok() ? "OK" : verdict.ToString();
-    if (!verdict.ok()) {
-      result.status = verdict;
-      return result;
-    }
-  }
-  // Semantic tier (independently gated): certify the plan denotes the
-  // query, and surface what the proof cost beside its verdict.
-  if (SemanticVerificationEnabled() && hooks->semantic) {
-    const auto start = std::chrono::steady_clock::now();
-    Status verdict = hooks->semantic(query, plan, db, nullptr);
-    result.semantic_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-    result.semantic_verdict = verdict.ok() ? "OK" : verdict.ToString();
-    if (!verdict.ok()) {
-      result.status = verdict;
-      return result;
-    }
-  }
+  // The engine's own run, traced into a private sink (never the PPR_TRACE
+  // one: the profile must not depend on process-wide state).
+  TraceSink sink(TraceSink::kUnbounded);
+  const ExecutionResult run =
+      compiled->ExecuteShared(nullptr, tuple_budget, &sink);
+  result.status = run.status;
+  result.stats = run.stats;
+  const std::vector<TraceSpan> spans = sink.Snapshot();
 
-  ExecContext ctx(tuple_budget);
-  // ANALYZE profiles through a private sink (never the PPR_TRACE one:
-  // the annotations must not depend on process-wide state). Sized so one
-  // run can never wrap: each node executes at most its child-count many
-  // joins plus a scan and a projection, and the plan is a tree, so 4
-  // spans per node over-provisions.
-  TraceSink sink(static_cast<size_t>(
-      std::max(4 * plan.NumNodes(), 1024)));
-  if (analyze) ctx.set_tracer(&sink);
-  Estimate est;
-  EvalProfiled(query, plan.root(), db, domain_size, 0, ctx, &result.nodes,
-               &est);
-  result.stats = ctx.stats();
-  if (ctx.exhausted()) {
-    result.status = Status::ResourceExhausted("tuple budget exceeded");
+  // Every kernel call of a plan run belongs to a plan node. A run that
+  // exhausts the budget reached every node up to the highest id with a
+  // call: its exhausting call read rows of the last subtree it ran (or is
+  // that subtree's scan), so the subtree's rightmost leaf, its highest
+  // id, made a scan call.
+  std::vector<NodeCalls> calls(static_cast<size_t>(compiled->NumNodes()));
+  int32_t last_reached = -1;
+  for (const std::span<const TraceSpan> morsels : SplitKernelCalls(spans)) {
+    const TraceSpan& first = morsels.front();
+    int64_t rows = 0;
+    for (const TraceSpan& span : morsels) rows += span.rows_out;
+    NodeCalls& call = calls[static_cast<size_t>(first.node_id)];
+    if (first.op == TraceOp::kJoin) {
+      call.last_join_rows = rows;
+      ++call.joins;
+    } else if (first.op == TraceOp::kProject) {
+      call.project_rows = rows;
+    } else {
+      call.scan_rows = rows;
+    }
+    last_reached = std::max(last_reached, first.node_id);
   }
+  ProfileWalk walk{query, db, domain_size, calls, run.exhausted_node,
+                   last_reached, &result.nodes};
+  walk.Visit(plan.root(), 0);
   if (!analyze) return result;
 
   result.analyzed = true;
-  for (const TraceSpan& span : sink.Snapshot()) {
-    if (span.node_id < 0 ||
-        static_cast<size_t>(span.node_id) >= result.nodes.size()) {
-      continue;
-    }
+  for (const TraceSpan& span : spans) {
     NodeProfile& p = result.nodes[static_cast<size_t>(span.node_id)];
     p.actual_ns += span.duration_ns;
     p.actual_bytes = std::max(p.actual_bytes, span.bytes);
     p.actual_max_arity = std::max(p.actual_max_arity, span.arity_out);
   }
 
-  // The predicted side: the width analyzer's per-node bounds, via the
-  // verifier registration. A measured arity above a predicted bound
-  // means the static proof is wrong — escalate like a verifier failure.
-  if (verify && hooks->node_bounds) {
-    std::vector<PlanNodeBound> bounds;
-    Status bound_status = hooks->node_bounds(query, plan, db, &bounds);
-    if (bound_status.ok() && bounds.size() == result.nodes.size()) {
-      for (size_t i = 0; i < bounds.size(); ++i) {
-        NodeProfile& p = result.nodes[i];
-        p.predicted_arity_bound = bounds[i].arity_bound;
-        p.predicted_rows_bound = bounds[i].rows_bound;
-        if (p.predicted_arity_bound >= 0 &&
-            p.actual_max_arity > p.predicted_arity_bound) {
-          p.arity_violation = true;
-          result.verifier_verdict =
-              "arity bound violated at node " + std::to_string(i) +
-              ": actual " + std::to_string(p.actual_max_arity) +
-              " > predicted " + std::to_string(p.predicted_arity_bound);
-          result.status = Status::Internal(result.verifier_verdict);
-        }
+  // The predicted side: the width analyzer's per-node bounds, from the
+  // compile. A measured arity above a predicted bound means the static
+  // proof is wrong — escalate like a verifier failure.
+  if (report.node_bounds.size() == result.nodes.size()) {
+    for (size_t i = 0; i < report.node_bounds.size(); ++i) {
+      NodeProfile& p = result.nodes[i];
+      p.predicted_arity_bound = report.node_bounds[i].arity_bound;
+      p.predicted_rows_bound = report.node_bounds[i].rows_bound;
+      if (p.predicted_arity_bound >= 0 &&
+          p.actual_max_arity > p.predicted_arity_bound) {
+        p.arity_violation = true;
+        result.verifier_verdict =
+            "arity bound violated at node " + std::to_string(i) +
+            ": actual " + std::to_string(p.actual_max_arity) +
+            " > predicted " + std::to_string(p.predicted_arity_bound);
+        result.status = Status::Internal(result.verifier_verdict);
       }
     }
   }

@@ -14,7 +14,7 @@
 namespace ppr {
 
 /// Per-node execution profile: what the textbook cardinality model
-/// predicted versus what the engine actually materialized. The
+/// predicted versus what the engine actually produced. The
 /// estimate-vs-actual gap is exactly why the paper walks away from
 /// cost-based optimization on these queries — on tiny domains with heavy
 /// correlation, independence-based estimates drift by orders of
@@ -25,22 +25,27 @@ struct NodeProfile {
   int working_arity = 0;   // |L_w|
   int projected_arity = 0; // |L_p|
   double estimated_rows = 0.0;  // independence-assumption estimate
-  int64_t actual_rows = 0;      // measured output rows
+  // Rows the node's output call produced in the compiled run (its
+  // projection, else its last join, else its scan); -1 when the node did
+  // not finish: the node whose call exhausted the budget, its ancestors,
+  // and the nodes the run never reached.
+  int64_t actual_rows = 0;
 
-  // ANALYZE-mode actuals, aggregated from the node's operator spans
+  // ANALYZE-mode actuals, aggregated from the node's kernel spans
   // (obs/trace.h): total operator time, the largest single-operator
   // footprint (arena scratch + output bytes), and the widest operator
-  // output actually materialized while evaluating the node. Zero when
-  // the run was not analyzed.
+  // output produced while evaluating the node. Zero when the run was not
+  // analyzed.
   int64_t actual_ns = 0;
   int64_t actual_bytes = 0;
   int actual_max_arity = 0;
 
-  // Static predictions from the width analyzer, via the `node_bounds`
-  // verifier hook. predicted_arity_bound is -1 ("no prediction") when
-  // verification is off, no verifier is installed, or the analyzer
-  // attributed no operator to this node; predicted_rows_bound may be
-  // +infinity when the analyzer proved no finite row bound.
+  // Static predictions from the width analyzer, which the compile's
+  // structural tier hands back (VerifierReport::node_bounds).
+  // predicted_arity_bound is -1 ("no prediction") when verification is
+  // off, no verifier is installed, or the analyzer attributed no operator
+  // to this node; predicted_rows_bound may be +infinity when the analyzer
+  // proved no finite row bound.
   int predicted_arity_bound = -1;
   double predicted_rows_bound = 0.0;
 
@@ -49,20 +54,22 @@ struct NodeProfile {
   bool arity_violation = false;
 };
 
-/// Result of profiling one plan execution.
+/// Result of profiling one compiled run of a plan.
 struct ExplainResult {
   Status status;
-  /// Pre-order (root first) node profiles.
+  /// One profile per plan node, pre-order (root first); empty when the
+  /// plan failed to compile and was never executed.
   std::vector<NodeProfile> nodes;
-  /// Aggregate work counters of the profiled run (tuples produced,
-  /// largest intermediate, peak operator scratch+output bytes).
+  /// The run's ExecStats, as PhysicalPlan::ExecuteShared returned them
+  /// (peak_bytes included).
   ExecStats stats;
-  /// Static-analysis verdict ("OK" or the first violation) when plan
-  /// verification is enabled and a verifier is installed
-  /// (exec/verify_hook.h); empty when verification did not run. A
-  /// failing verdict also fails `status` — the plan is never executed.
-  /// An ANALYZE run whose measured arity beats a predicted bound also
-  /// reports the violation here (and fails `status` with Internal).
+  /// The structural verifier tiers' verdict from the compile ("OK" or the
+  /// first violation) when plan verification is enabled and a verifier
+  /// is installed (exec/verify_hook.h); empty when verification did not
+  /// run. A failing verdict also fails `status` — the plan is never
+  /// executed. An ANALYZE run whose measured arity beats a predicted
+  /// bound also reports the violation here (and fails `status` with
+  /// Internal).
   std::string verifier_verdict;
 
   /// Semantic-certification verdict ("OK" or the failure) when semantic
@@ -90,14 +97,17 @@ struct ExplainResult {
   double WorstEstimateRatio() const;
 };
 
-/// Executes `plan` while recording, for every node, the estimated output
-/// cardinality (uniform attributes over a domain of `domain_size` values,
-/// independent predicates — the model of optsearch/cost_model.h) and the
-/// actual row count.
+/// Compiles `plan` through PhysicalPlan::Compile, which runs every
+/// enabled verifier tier, and runs it once with ExecuteShared under
+/// `tuple_budget`, tracing its kernel spans into a private sink. Every
+/// node gets the estimated output cardinality (uniform attributes over a
+/// domain of `domain_size` values, independent predicates — the model of
+/// optsearch/cost_model.h), computed from the plan alone, and its actual
+/// row count, read from the spans. The stats and spans are the engine's
+/// own: EXPLAIN runs what every other execution path runs.
 ///
-/// With `analyze` set (EXPLAIN ANALYZE) the run additionally records
-/// per-operator spans into a private sink and annotates every node with
-/// measured time, bytes, and widest materialized arity beside the width
+/// With `analyze` set (EXPLAIN ANALYZE) every node is also annotated with
+/// measured time, bytes, and widest produced arity beside the width
 /// analyzer's static predictions (when plan verification is enabled and
 /// a verifier with a `node_bounds` hook is installed). A node whose
 /// measured arity exceeds its predicted bound is flagged and the result

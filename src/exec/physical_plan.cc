@@ -168,7 +168,8 @@ int CountNodes(const PhysicalNode& node) {
 Result<PhysicalPlan> PhysicalPlan::Compile(const ConjunctiveQuery& query,
                                            const Plan& plan,
                                            const Database& db,
-                                           JoinAlgorithm join_algorithm) {
+                                           JoinAlgorithm join_algorithm,
+                                           VerifierReport* report) {
   if (plan.empty()) return Status::InvalidArgument("empty plan");
   Status valid = query.Validate(db);
   if (!valid.ok()) return valid;
@@ -176,11 +177,17 @@ Result<PhysicalPlan> PhysicalPlan::Compile(const ConjunctiveQuery& query,
   // Debug-mode static analysis (exec/verify_hook.h): prove the logical
   // plan well-formed before lowering and the compiled plan faithful to it
   // after, failing compilation instead of executing a corrupt plan.
+  VerifierReport unreported;
+  VerifierReport& said = report != nullptr ? *report : unreported;
+  const auto verdict_of = [](const Status& verdict) {
+    return verdict.ok() ? std::string("OK") : verdict.ToString();
+  };
   const std::shared_ptr<const PlanVerifierHooks> hooks =
       GetPlanVerifierHooks();
   const bool verify = PlanVerificationEnabled();
   if (verify && hooks->logical) {
     Status verdict = hooks->logical(query, plan, db);
+    said.structural = verdict_of(verdict);
     if (!verdict.ok()) return verdict;
   }
   int32_t next_node_id = 0;
@@ -188,13 +195,22 @@ Result<PhysicalPlan> PhysicalPlan::Compile(const ConjunctiveQuery& query,
                         join_algorithm);
   if (verify && hooks->compiled) {
     Status verdict = hooks->compiled(query, plan, db, compiled);
+    said.structural = verdict_of(verdict);
     if (!verdict.ok()) return verdict;
+  }
+  // The width analyzer's per-node bounds, for a caller that shows them.
+  if (verify && hooks->node_bounds && report != nullptr) {
+    Status bounds = hooks->node_bounds(query, plan, db, &report->node_bounds);
+    if (!bounds.ok()) report->node_bounds.clear();
   }
   // Third tier, independently gated: prove the plan (logical and
   // compiled) still *denotes the query* — the structural passes above
   // only prove the tree well-formed.
   if (SemanticVerificationEnabled() && hooks->semantic) {
-    Status verdict = hooks->semantic(query, plan, db, &compiled);
+    WallTimer timer;
+    Status verdict = hooks->semantic(query, plan, db, compiled);
+    said.semantic_ns = static_cast<int64_t>(timer.ElapsedSeconds() * 1e9);
+    said.semantic = verdict_of(verdict);
     if (!verdict.ok()) return verdict;
   }
   return compiled;
@@ -242,6 +258,8 @@ ExecutionResult PhysicalPlan::ExecuteShared(ExecArena* arena,
   }
   if (ctx.exhausted()) {
     result.status = Status::ResourceExhausted("tuple budget exceeded");
+    // Nothing retargets the span attribution once the budget latches.
+    result.exhausted_node = ctx.trace_node();
   } else {
     result.status = Status::Ok();
     result.output = std::move(output);

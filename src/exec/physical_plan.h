@@ -20,6 +20,7 @@ namespace ppr {
 
 class MetricsRegistry;
 class TraceSink;
+struct VerifierReport;
 
 /// One logical plan node lowered to physical form: stored-relation
 /// pointers, scan bindings, join column maps, and projection masks are
@@ -95,9 +96,13 @@ class PhysicalPlan {
 
   /// Compiles `plan` for `query` against `db`. Fails with InvalidArgument
   /// on an empty plan and propagates query/database validation errors.
+  /// Runs every enabled verifier tier (exec/verify_hook.h) and fails with
+  /// the first rejection; `report`, when non-null, receives what each
+  /// tier said.
   static Result<PhysicalPlan> Compile(
       const ConjunctiveQuery& query, const Plan& plan, const Database& db,
-      JoinAlgorithm join_algorithm = JoinAlgorithm::kHash);
+      JoinAlgorithm join_algorithm = JoinAlgorithm::kHash,
+      VerifierReport* report = nullptr);
 
   /// Runs the compiled plan serially under `tuple_budget`. Scratch
   /// memory from prior runs is reused, so steady-state executions make no
@@ -130,8 +135,9 @@ class PhysicalPlan {
   /// The answer relation and every statistic but peak_bytes are the same
   /// for any MorselExec; for a fixed morsel size peak_bytes is too,
   /// whatever the worker count. The kernels' spans, when traced, are the
-  /// run's per-operator record (one per morsel, in execution order),
-  /// which the morsel-accounting verifier hook checks.
+  /// run's per-operator record (one per morsel, each call's recorded
+  /// when it ends, a counted join's when it is resolved), which the
+  /// morsel-accounting verifier hook and EXPLAIN read.
   ExecutionResult ExecuteShared(ExecArena* arena,
                                 Counter tuple_budget = kCounterMax,
                                 TraceSink* trace = nullptr,

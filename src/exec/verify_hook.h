@@ -1,8 +1,10 @@
 #ifndef PPR_EXEC_VERIFY_HOOK_H_
 #define PPR_EXEC_VERIFY_HOOK_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/annotations.h"
@@ -37,11 +39,13 @@ struct PlanNodeBound {
 /// Verification callbacks the static-analysis layer installs into the
 /// execution layer (exec cannot depend on analysis — analysis depends on
 /// exec for the physical plan types — so the wiring is a registration).
-/// When verification is enabled, PhysicalPlan::Compile runs `logical`
-/// before and `compiled` after lowering and fails compilation on a
-/// non-OK verdict; ExplainPlan runs `logical` and surfaces the verdict
-/// in its rendering, and uses `node_bounds` for the predicted side of
-/// EXPLAIN ANALYZE.
+/// PhysicalPlan::Compile is the one caller of `logical`, `compiled`,
+/// `node_bounds` and `semantic`: when verification is enabled it runs
+/// `logical` before and `compiled` after lowering and fails compilation
+/// on a non-OK verdict, and it hands a caller that asks what every tier
+/// said (VerifierReport). ExplainPlan compiles through it, so its
+/// `-- verifier:` line and the predicted side of EXPLAIN ANALYZE are the
+/// compile's.
 struct PlanVerifierHooks {
   std::function<Status(const ConjunctiveQuery&, const Plan&,
                        const Database&)>
@@ -68,14 +72,30 @@ struct PlanVerifierHooks {
   /// Semantic translation validation (analysis/semantic/certify.h): a
   /// third verifier tier beyond structural checks — extracts the
   /// conjunctive query the plan *denotes* and proves it Chandra–Merlin
-  /// equivalent to the original. `physical` is the compiled plan when one
-  /// exists (PhysicalPlan::Compile) and null on logical-only paths
-  /// (ExplainPlan). Gated independently by PPR_VERIFY_SEMANTICS /
+  /// equivalent to the original, for the logical plan and the compiled
+  /// one. Gated independently by PPR_VERIFY_SEMANTICS /
   /// EnableSemanticVerification, so it composes with — but does not
   /// require — the structural tier.
   std::function<Status(const ConjunctiveQuery&, const Plan&, const Database&,
-                       const PhysicalPlan* physical)>
+                       const PhysicalPlan&)>
       semantic;
+};
+
+/// What the verifier tiers said about one PhysicalPlan::Compile, for a
+/// caller that shows it (EXPLAIN). A verdict is "OK" or the tier's
+/// failure, and empty when the tier did not run.
+struct VerifierReport {
+  /// The structural tiers: `logical` before lowering, then `compiled`
+  /// (the first failure, when one fails).
+  std::string structural;
+  /// The width analyzer's bounds per plan node (`node_bounds`), once the
+  /// structural tiers passed; empty when they did not run or the
+  /// analyzer proved none.
+  std::vector<PlanNodeBound> node_bounds;
+  /// The semantic tier, and what it cost in wall ns (-1 when it did not
+  /// run).
+  std::string semantic;
+  int64_t semantic_ns = -1;
 };
 
 /// Installs the hooks (replacing any previous ones). Safe to call while
@@ -95,7 +115,7 @@ void ClearPlanVerifierHooks();
 /// callbacks out from under them.
 std::shared_ptr<const PlanVerifierHooks> GetPlanVerifierHooks();
 
-/// Debug flag gating verification at compile/explain time. Starts ON
+/// Debug flag gating verification at compile time. Starts ON
 /// when the environment sets PPR_VERIFY_PLANS to anything but "0",
 /// OFF otherwise; toggled programmatically by tests and tools (an
 /// atomic, so toggling while worker threads compile is a stale read at

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,7 +24,7 @@ enum class TraceOp : uint8_t {
 };
 
 /// Short stable name ("scan", "join", "project", "semijoin") used by the
-/// exporters and the EXPLAIN ANALYZE rendering.
+/// exporters and the span verifier's messages.
 const char* TraceOpName(TraceOp op);
 
 /// One operator execution, recorded by the kernels when a TraceSink is
@@ -72,6 +73,12 @@ struct TraceSpan {
   /// morsel_id 0 or -1 starts a new call.
   int32_t morsel_id = -1;
 };
+
+/// Splits a run's spans, in recorded order, into kernel calls: the first
+/// span, or one with morsel_id 0 or -1, and every span after it up to the
+/// next such span. Each returned call views a contiguous slice of `spans`.
+std::vector<std::span<const TraceSpan>> SplitKernelCalls(
+    std::span<const TraceSpan> spans);
 
 /// Fixed-capacity ring buffer of spans. Recording never allocates once
 /// the buffer is full: the oldest span is overwritten and counted as

@@ -1198,8 +1198,7 @@ Relation ProjectColumns(CountedJoin&& input, const ProjectSpec& spec,
 }
 
 Relation SemiJoinFiltered(const Relation& left, const Relation& right,
-                          const SemiJoinSpec& spec, ExecContext& ctx,
-                          const MorselExec& mx) {
+                          const SemiJoinSpec& spec, ExecContext& ctx) {
   ctx.stats().num_semijoins++;
   Relation out{left.schema()};
   if (left.empty()) return out;
@@ -1220,157 +1219,54 @@ Relation SemiJoinFiltered(const Relation& left, const Relation& right,
   const Value* left_base = left.data();
   const int* left_key = spec.left_key_cols.data();
   const int key_width = static_cast<int>(spec.left_key_cols.size());
-  const int64_t morsel_rows = mx.MorselRows(left_rows);
-  const int64_t num_morsels = mx.NumMorsels(left_rows);
-  MorselSpans spans(ctx.tracer(), TraceOp::kSemiJoin, ctx.trace_node(),
-                    num_morsels);
+  SpanRecorder rec(ctx.tracer(), TraceOp::kSemiJoin, ctx.trace_node());
 
-  // Shared filter build on the calling thread, timed into morsel 0's
-  // span; read-only afterwards.
-  ArenaScope shared_scope(ctx.arena());
+  // Key filter over the right side, then one pass that probes each left
+  // key in place and copies the survivors, as a tuple-at-a-time loop
+  // would, into an output sized for the rows the budget still allows; a
+  // pass that exhausts the budget keeps none of them.
+  ArenaScope scope(ctx.arena());
   Value* right_keys =
       ctx.arena().AllocSpan<Value>(right.size() * key_width).data();
   FlatKeyIndex keys(right.size(), key_width, right_keys, ctx.arena());
-  {
-    MorselSpans::Timer timer(spans, 0);
-    const int right_arity = right.arity();
-    const int64_t right_rows = right.size();
-    const Value* right_base = right.data();
-    const int* right_key = spec.right_key_cols.data();
-    for (int64_t i = 0; i < right_rows; ++i) {
-      const Value* row = right_base + i * right_arity;
-      Value* key = keys.next_key();
-      for (int c = 0; c < key_width; ++c) key[c] = row[right_key[c]];
-      keys.InsertNext();
-    }
+  const int right_arity = right.arity();
+  const Value* right_base = right.data();
+  const int* right_key = spec.right_key_cols.data();
+  for (int64_t r = 0; r < right.size(); ++r) {
+    const Value* row = right_base + r * right_arity;
+    Value* key = keys.next_key();
+    for (int c = 0; c < key_width; ++c) key[c] = row[right_key[c]];
+    keys.InsertNext();
   }
 
-  // Single-morsel path (every serial call): one pass that probes each
-  // left key in place and copies the survivors, as a tuple-at-a-time
-  // loop would, into an output sized for the rows the budget still
-  // allows; a pass that exhausts the budget keeps none of them. On
-  // BM_SemiJoin/16384 (2-column rows, all surviving; one pinned Xeon
-  // core) the two phases below took 1.5-1.9 ms in some heap layouts and
-  // this pass 0.35-0.47 ms, so serial calls skip the selection round
-  // trip.
-  if (num_morsels == 1) {
-    Value* key = ctx.arena().AllocSpan<Value>(std::max(key_width, 1)).data();
-    const int64_t cap = ClampToHeadroom(left_rows, ctx);
-    Value* cursor = out.GrowRows(cap);
-    int64_t kept = 0;
-    int64_t i = 0;
-    {
-      MorselSpans::Timer timer(spans, 0);
-      while (i < left_rows && kept < cap) {
-        const Value* row = left_base + i * left_arity;
-        ++i;
-        if (!no_common) {
-          for (int c = 0; c < key_width; ++c) key[c] = row[left_key[c]];
-          if (keys.Find(key) < 0) continue;
-        }
-        std::copy(row, row + left_arity, cursor + kept * left_arity);
-        ++kept;
-      }
+  Value* key = ctx.arena().AllocSpan<Value>(std::max(key_width, 1)).data();
+  const int64_t cap = ClampToHeadroom(left_rows, ctx);
+  Value* cursor = out.GrowRows(cap);
+  int64_t kept = 0;
+  int64_t i = 0;
+  while (i < left_rows && kept < cap) {
+    const Value* row = left_base + i * left_arity;
+    ++i;
+    if (!no_common) {
+      for (int c = 0; c < key_width; ++c) key[c] = row[left_key[c]];
+      if (keys.Find(key) < 0) continue;
     }
-    out.TruncateRows(ChargeOutput(kept, left_arity, ctx));
-    const Counter footprint =
-        static_cast<Counter>(shared_scope.bytes_allocated()) +
-        out.byte_size();
-    if (spans.enabled()) {
-      TraceSpan& span = spans.span(0);
-      span.rows_in = left_rows;
-      span.rows_out = out.size();
-      span.arity_in = std::max(left_arity, right.arity());
-      span.arity_out = left_arity;
-      span.bytes = footprint;
-      span.ht_build_rows = right.size();
-      span.ht_probe_ops = no_common ? 0 : i;
-    }
-    spans.RecordInOrder();
-    ctx.stats().NotePeakBytes(footprint);
-    return out;
+    std::copy(row, row + left_arity, cursor + kept * left_arity);
+    ++kept;
   }
-
-  // Phase A: probe per morsel, each left key assembled in place, and
-  // record the survivors' offsets within the morsel. The selection array
-  // is allocated here on the calling thread: morsel m owns the entries of
-  // its own input range, so phase B, which may run on another worker,
-  // can read them.
-  PPR_CHECK(morsel_rows <= std::numeric_limits<int32_t>::max());
-  int32_t* sel =
-      no_common ? nullptr : ctx.arena().AllocSpan<int32_t>(left_rows).data();
-  MorselSlots offsets(num_morsels + 1);
-  MorselSlots scratch(num_morsels);
-  mx.ForEachMorsel(num_morsels, [&](int64_t m, int w) {
-    MorselSpans::Timer timer(spans, m);
-    const auto [begin, end] = RangeOf(m, morsel_rows, left_rows);
-    if (no_common) {
-      // Right is nonempty: every left row survives (identity selection,
-      // not materialized).
-      offsets[m + 1] = end - begin;
-    } else {
-      ExecArena& warena = WorkerArena(mx, ctx, w);
-      ArenaScope scope(warena);
-      Value* mkey = warena.AllocSpan<Value>(key_width).data();
-      int32_t* msel = sel + begin;
-      int64_t kept = 0;
-      for (int64_t i = begin; i < end; ++i) {
-        const Value* row = left_base + i * left_arity;
-        for (int c = 0; c < key_width; ++c) mkey[c] = row[left_key[c]];
-        if (keys.Find(mkey) >= 0) {
-          msel[kept++] = static_cast<int32_t>(i - begin);
-        }
-      }
-      offsets[m + 1] = kept;
-      scratch[m] = static_cast<int64_t>(scope.bytes_allocated());
-    }
-    if (spans.enabled()) {
-      TraceSpan& span = spans.span(m);
-      span.rows_in = end - begin;
-      span.arity_in = std::max(left_arity, right.arity());
-      span.arity_out = left_arity;
-      span.bytes = scratch[m];
-      span.ht_probe_ops = no_common ? 0 : end - begin;
-    }
-  });
-
-  // Phase B: copy the surviving left rows into the disjoint ranges. A
-  // call that exhausts the budget skips it.
-  if (PrefixSumsCharged(offsets, left_arity, ctx) > 0) {
-    Value* out_base = out.GrowRows(offsets[num_morsels]);
-    mx.ForEachMorsel(num_morsels, [&](int64_t m, int /*w*/) {
-      MorselSpans::Timer timer(spans, m);
-      const int64_t begin = RangeOf(m, morsel_rows, left_rows).begin;
-      const int64_t quota = offsets[m + 1] - offsets[m];
-      Value* cursor = out_base + offsets[m] * left_arity;
-      if (no_common) {
-        const Value* src = left_base + begin * left_arity;
-        std::copy(src, src + quota * left_arity, cursor);
-      } else {
-        const int32_t* msel = sel + begin;
-        for (int64_t j = 0; j < quota; ++j) {
-          const Value* row = left_base + (begin + msel[j]) * left_arity;
-          for (int c = 0; c < left_arity; ++c) cursor[c] = row[c];
-          cursor += left_arity;
-        }
-      }
-      if (spans.enabled()) {
-        TraceSpan& span = spans.span(m);
-        span.rows_out = quota;
-        span.bytes += quota * left_arity * static_cast<int64_t>(sizeof(Value));
-      }
-    });
+  out.TruncateRows(ChargeOutput(kept, left_arity, ctx));
+  const Counter footprint =
+      static_cast<Counter>(scope.bytes_allocated()) + out.byte_size();
+  if (rec.enabled()) {
+    rec.span().rows_in = left_rows;
+    rec.span().rows_out = out.size();
+    rec.span().arity_in = std::max(left_arity, right_arity);
+    rec.span().arity_out = left_arity;
+    rec.span().bytes = footprint;
+    rec.span().ht_build_rows = right.size();
+    rec.span().ht_probe_ops = no_common ? 0 : i;
+    rec.span().morsel_id = 0;
   }
-
-  const Counter shared = static_cast<Counter>(shared_scope.bytes_allocated());
-  if (spans.enabled()) {
-    spans.span(0).ht_build_rows = right.size();
-    spans.span(0).bytes += shared;
-  }
-  spans.RecordInOrder();
-
-  Counter footprint = shared + out.byte_size();
-  for (int64_t m = 0; m < num_morsels; ++m) footprint += scratch[m];
   ctx.stats().NotePeakBytes(footprint);
   return out;
 }

@@ -18,10 +18,11 @@
 
 namespace ppr {
 
-/// The operator kernels — the engine's only kernel set. Each kernel
-/// partitions its probe/input side into morsels as its MorselExec (below)
-/// says, runs the per-morsel work, and materializes every morsel into a
-/// precomputed disjoint slice of the output. A hash join writes its
+/// The operator kernels — the engine's only kernel set. Scan, join and
+/// projection partition their probe/input side into morsels as their
+/// MorselExec (below) says, run the per-morsel work, and materialize
+/// every morsel into a precomputed disjoint slice of the output; the
+/// semijoin, which only the semijoin pass runs, is one serial pass. A hash join writes its
 /// output only when it is read: a CountedJoin counts and charges it, and a
 /// consumer either writes it (CountedJoin::Write, which is HashJoin) or
 /// reads it unwritten — a projection deduplicating straight from the
@@ -33,11 +34,10 @@ namespace ppr {
 /// morsel, and only the morsel driver (runtime/morsel_driver.h) splits
 /// inputs into several. Scan and join run the same two phases (below)
 /// at any morsel count, with every key assembled in place from its row;
-/// one morsel makes them a count pass and a copy pass. Semijoin and
-/// projection have a one-morsel pass of their own: semijoin probes and
-/// copies in one loop, and projection deduplicates into a single hash
-/// index, whose key store is the output, instead of merging morsel-local
-/// ones. A keyed projection over a counted join needs no dedup of its
+/// one morsel makes them a count pass and a copy pass. Projection has a
+/// one-morsel pass of its own: it deduplicates into a single hash index,
+/// whose key store is the output, instead of merging morsel-local ones.
+/// The semijoin probes and copies in one loop. A keyed projection over a counted join needs no dedup of its
 /// output and runs the two phases too.
 ///
 /// Determinism contract (the property tests and the morsel driver rely
@@ -62,8 +62,8 @@ namespace ppr {
 ///    budget. It charges and notes min(total, headroom) rows — the row a
 ///    sequential tuple-at-a-time loop would stop at — and returns an
 ///    empty relation, writing no output: every budgeted caller discards
-///    an exhausted run's output. The one-morsel semijoin, which learns
-///    its size as it copies, truncates what it wrote to nothing.
+///    an exhausted run's output. The semijoin, which learns its size as
+///    it copies, truncates what it wrote to nothing.
 ///    Projection learns its size only by deduplicating (a keyed one by
 ///    counting): it keeps its first min(distinct, headroom) keys in
 ///    first-occurrence order.
@@ -400,12 +400,12 @@ Relation ProjectColumns(CountedJoin&& input, const ProjectSpec& spec,
                         ExecContext& ctx, const MorselExec& mx = {},
                         KeyedSide keyed = KeyedSide::kNone);
 
-/// Semijoin kernel: left tuples with at least one match in right. A
-/// shared key filter is built from the right side, and the left side is
-/// probed per morsel.
+/// Semijoin kernel: left tuples with at least one match in right, in
+/// left order. A key filter is built from the right side, and one pass
+/// over the left side probes and copies; a call is always one morsel
+/// (nothing morsel-drives a semijoin: plan runs contain none).
 Relation SemiJoinFiltered(const Relation& left, const Relation& right,
-                          const SemiJoinSpec& spec, ExecContext& ctx,
-                          const MorselExec& mx = {});
+                          const SemiJoinSpec& spec, ExecContext& ctx);
 
 }  // namespace ppr
 

@@ -21,14 +21,15 @@ namespace ppr {
 ///    one kernel set: columnar, morsel-partitioned data movement over
 ///    flat open-addressing hash tables (relational/flat_hash.h), with all
 ///    scratch bump-allocated from ExecArenas. A MorselExec (also in
-///    batch_ops.h) says how a call is partitioned and scheduled; the
-///    default runs the whole input as one morsel inline on the calling
-///    thread, which is how every serial caller runs.
+///    batch_ops.h) says how a scan, join or projection call is
+///    partitioned and scheduled; the default runs the whole input as one
+///    morsel inline on the calling thread, which is how every serial
+///    caller runs. A semijoin call is always one morsel.
 ///
 /// The schema-level wrappers below (NaturalJoin, Project, SemiJoin,
 /// BindAtom) build the spec on the fly and invoke the kernel serially;
-/// one-shot callers (semijoin pass, minibuckets, csp, explain, tests) use
-/// those.
+/// one-shot callers (semijoin pass, minibuckets, csp, tests) use those.
+/// Plan runs, EXPLAIN's included, go through compiled plans instead.
 
 /// Precomputed column mappings of a natural join with output schema
 /// `left's attributes ++ right-only attributes`.

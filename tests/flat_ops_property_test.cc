@@ -279,7 +279,8 @@ MorselExec Morsels(int64_t rows) {
 }
 
 // The kernels under `mx`, with specs built from the input schemas (the
-// schema-level wrappers of ops.h always run as one morsel).
+// schema-level wrappers of ops.h always run as one morsel). The semijoin
+// kernel has no morsel partition, so the tests call its wrapper.
 Relation JoinIn(const Relation& left, const Relation& right, ExecContext& ctx,
                 const MorselExec& mx) {
   return HashJoin(left, right, PlanJoin(left.schema(), right.schema()), ctx,
@@ -289,12 +290,6 @@ Relation JoinIn(const Relation& left, const Relation& right, ExecContext& ctx,
 Relation ProjectIn(const Relation& input, const std::vector<AttrId>& attrs,
                    ExecContext& ctx, const MorselExec& mx) {
   return ProjectColumns(input, PlanProject(input.schema(), attrs), ctx, mx);
-}
-
-Relation SemiJoinIn(const Relation& left, const Relation& right,
-                    ExecContext& ctx, const MorselExec& mx) {
-  return SemiJoinFiltered(
-      left, right, PlanSemiJoin(left.schema(), right.schema()), ctx, mx);
 }
 
 Relation BindIn(const Relation& stored, const std::vector<AttrId>& args,
@@ -345,24 +340,6 @@ TEST(FlatOpsPropertyTest, MorselProjectIsSerialProjectExactly) {
   }
 }
 
-TEST(FlatOpsPropertyTest, MorselSemiJoinIsSerialSemiJoinExactly) {
-  Rng rng(707);
-  for (int trial = 0; trial < 200; ++trial) {
-    const Relation left = RandomRelation(RandomSchema(rng, 3), rng);
-    const Relation right = RandomRelation(RandomSchema(rng, 3), rng);
-    ExecContext serial_ctx;
-    const Relation serial_out = SemiJoin(left, right, serial_ctx);
-    for (const int64_t morsel : {int64_t{1}, int64_t{3}, int64_t{1024}}) {
-      ExecContext morsel_ctx;
-      const Relation morsel_out =
-          SemiJoinIn(left, right, morsel_ctx, Morsels(morsel));
-      ExpectSameRows(serial_out, morsel_out, trial);
-      ExpectSameStatsExceptPeak(serial_ctx.stats(), morsel_ctx.stats(),
-                                trial);
-    }
-  }
-}
-
 TEST(FlatOpsPropertyTest, MorselBindAtomIsSerialBindAtomExactly) {
   Rng rng(808);
   for (int trial = 0; trial < 200; ++trial) {
@@ -396,6 +373,11 @@ TEST(FlatOpsPropertyTest, EmptyAndSingleRowEdgesAcrossMorselSizes) {
   Relation one_bc{bc};
   one_bc.AddTuple({2, 3});
 
+  ExecContext serial;
+  EXPECT_TRUE(SemiJoin(empty_ab, one_bc, serial).empty());
+  EXPECT_TRUE(SemiJoin(one_ab, empty_bc, serial).empty());
+  EXPECT_EQ(SemiJoin(one_ab, one_bc, serial).size(), 1);
+
   for (const int64_t morsel : {int64_t{0}, int64_t{1}, int64_t{64}}) {
     const MorselExec mx = Morsels(morsel);
     ExecContext ctx;
@@ -412,10 +394,6 @@ TEST(FlatOpsPropertyTest, EmptyAndSingleRowEdgesAcrossMorselSizes) {
     const Relation projected = ProjectIn(one_ab, {1}, ctx, mx);
     ASSERT_EQ(projected.size(), 1);
     EXPECT_EQ(projected.at(0, 0), 2);
-
-    EXPECT_TRUE(SemiJoinIn(empty_ab, one_bc, ctx, mx).empty());
-    EXPECT_TRUE(SemiJoinIn(one_ab, empty_bc, ctx, mx).empty());
-    EXPECT_EQ(SemiJoinIn(one_ab, one_bc, ctx, mx).size(), 1);
 
     EXPECT_TRUE(BindIn(empty_ab, {7, 7}, ctx, mx).empty());
     // Repeated attribute on a single row: 1 != 2, so the binding fails.
@@ -464,6 +442,13 @@ TEST(FlatOpsPropertyTest, MorselSpansSplitEachCall) {
     for (int c = 0; c < left.arity(); ++c) {
       args.push_back(static_cast<AttrId>(20 + rng.NextBounded(2)));
     }
+    {
+      TraceSink sink;
+      ExecContext ctx;
+      ctx.set_tracer(&sink);
+      const Relation out = SemiJoin(left, right, ctx);
+      ExpectSpansSplitCall(sink, ctx, out, right.size(), trial);
+    }
     for (const int64_t morsel : {int64_t{0}, int64_t{3}}) {
       const MorselExec mx = Morsels(morsel);
       {
@@ -473,13 +458,6 @@ TEST(FlatOpsPropertyTest, MorselSpansSplitEachCall) {
         const Relation out = JoinIn(left, right, ctx, mx);
         ExpectSpansSplitCall(sink, ctx, out,
                              std::min(left.size(), right.size()), trial);
-      }
-      {
-        TraceSink sink;
-        ExecContext ctx;
-        ctx.set_tracer(&sink);
-        const Relation out = SemiJoinIn(left, right, ctx, mx);
-        ExpectSpansSplitCall(sink, ctx, out, right.size(), trial);
       }
       {
         TraceSink sink;
@@ -602,8 +580,8 @@ TEST(FlatOpsPropertyTest, ExhaustingSemiJoinReturnsNothing) {
     ExecContext serial_ctx;
     ExpectExhaustingCallContract(
         SemiJoin(left, right, serial_ctx), RefSemiJoin(left, right),
-        [&](ExecContext& ctx, const MorselExec& mx) {
-          return SemiJoinFiltered(left, right, spec, ctx, mx);
+        [&](ExecContext& ctx, const MorselExec& /*one morsel*/) {
+          return SemiJoinFiltered(left, right, spec, ctx);
         },
         trial);
   }
@@ -672,10 +650,10 @@ TEST(FlatOpsPropertyTest, NullarySchemasRunAsOneMorsel) {
     const Relation truth = ProjectIn(unary, {}, ctx, mx);
     EXPECT_TRUE(truth.SetEquals(full_n));
     EXPECT_TRUE(ProjectIn(Relation{Schema({3})}, {}, ctx, mx).empty());
-    EXPECT_TRUE(SemiJoinIn(unary, full_n, ctx, mx).SetEquals(unary));
-    EXPECT_TRUE(SemiJoinIn(unary, empty_n, ctx, mx).empty());
-    EXPECT_TRUE(SemiJoinIn(full_n, unary, ctx, mx).SetEquals(full_n));
-    EXPECT_TRUE(SemiJoinIn(full_n, empty_n, ctx, mx).empty());
+    EXPECT_TRUE(SemiJoin(unary, full_n, ctx).SetEquals(unary));
+    EXPECT_TRUE(SemiJoin(unary, empty_n, ctx).empty());
+    EXPECT_TRUE(SemiJoin(full_n, unary, ctx).SetEquals(full_n));
+    EXPECT_TRUE(SemiJoin(full_n, empty_n, ctx).empty());
     EXPECT_TRUE(BindIn(full_n, {}, ctx, mx).SetEquals(full_n));
     EXPECT_TRUE(BindIn(empty_n, {}, ctx, mx).empty());
 
@@ -684,7 +662,7 @@ TEST(FlatOpsPropertyTest, NullarySchemasRunAsOneMorsel) {
     ExecContext spent(/*tuple_budget=*/0);
     ASSERT_FALSE(spent.ChargeTuples(1));
     EXPECT_TRUE(JoinIn(full_n, full_n, spent, mx).empty());
-    EXPECT_TRUE(SemiJoinIn(full_n, unary, spent, mx).empty());
+    EXPECT_TRUE(SemiJoin(full_n, unary, spent).empty());
     EXPECT_TRUE(BindIn(full_n, {}, spent, mx).empty());
     EXPECT_EQ(spent.stats().tuples_produced, 1);
   }
