@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "analysis/schedule.h"
 #include "analysis/width_analyzer.h"
-#include "exec/verify_hook.h"
 
 namespace ppr {
 namespace {
@@ -304,62 +303,6 @@ Status VerifyNode(const ConjunctiveQuery& query, const PlanNode* logical,
   return VerifyProjectionFlags(logical, phys, child_distinct, distinct);
 }
 
-// Batch-schema shape of one plan node, re-derived from the logical
-// labels alone (first principles, like VerifyNode): which operator
-// arities a run may legally report against this node.
-struct MorselNodeShape {
-  bool leaf = false;
-  int scan_arity = 0;             // leaf: the atom's distinct attributes
-  std::vector<int> join_arities;  // internal: fold joins, left to right
-  bool projects = false;
-  int project_arity = 0;
-  std::vector<AttrId> out_attrs;  // output label, sorted
-};
-
-// Fills `shapes` in the pre-order numbering shared with trace spans'
-// node ids (root = 0, node before its children, children left to right).
-void DeriveShapes(const ConjunctiveQuery& query, const PlanNode* node,
-                  std::vector<MorselNodeShape>* shapes) {
-  const size_t my_index = shapes->size();
-  shapes->push_back(MorselNodeShape{});
-  std::vector<AttrId> out;
-  if (node->IsLeaf()) {
-    const Atom& atom = query.atoms()[static_cast<size_t>(node->atom_index)];
-    (*shapes)[my_index].leaf = true;
-    (*shapes)[my_index].scan_arity =
-        static_cast<int>(atom.DistinctAttrs().size());
-    out = node->working;
-    std::sort(out.begin(), out.end());
-  } else {
-    bool first = true;
-    for (const auto& child : node->children) {
-      const size_t child_index = shapes->size();
-      DeriveShapes(query, child.get(), shapes);
-      const std::vector<AttrId>& child_out =
-          (*shapes)[child_index].out_attrs;
-      if (first) {
-        out = child_out;
-        first = false;
-      } else {
-        std::vector<AttrId> merged;
-        std::set_union(out.begin(), out.end(), child_out.begin(),
-                       child_out.end(), std::back_inserter(merged));
-        out = std::move(merged);
-        (*shapes)[my_index].join_arities.push_back(
-            static_cast<int>(out.size()));
-      }
-    }
-  }
-  if (node->Projects()) {
-    (*shapes)[my_index].projects = true;
-    (*shapes)[my_index].project_arity =
-        static_cast<int>(node->projected.size());
-    out = node->projected;
-    std::sort(out.begin(), out.end());
-  }
-  (*shapes)[my_index].out_attrs = std::move(out);
-}
-
 }  // namespace
 
 Status VerifyPhysicalPlan(const ConjunctiveQuery& query, const Plan& plan,
@@ -375,19 +318,10 @@ Status VerifyMorselSpans(const ConjunctiveQuery& query, const Plan& plan,
                          const Database& db,
                          const std::vector<TraceSpan>& spans,
                          const ExecStats& stats, Counter tuple_budget) {
-  if (plan.empty()) {
-    return Status::InvalidArgument("empty logical plan");
-  }
-  std::vector<MorselNodeShape> shapes;
-  shapes.reserve(static_cast<size_t>(plan.NumNodes()));
-  DeriveShapes(query, plan.root(), &shapes);
-
-  // Static per-node bounds; when the analyzer cannot produce them the
-  // schema/accounting checks still run, just without the bound gate.
-  std::vector<PlanNodeBound> bounds;
-  const Status bound_status = NodeBoundsPreOrder(query, plan, db, &bounds);
-  const bool have_bounds =
-      bound_status.ok() && bounds.size() == shapes.size();
+  // The operators each node may run, with their arities, and the node's
+  // static bounds, from the width analyzer's schedule of the plan.
+  const StaticAnalysis analysis = AnalyzePlan(query, plan, db);
+  if (!analysis.status.ok()) return analysis.status;
 
   int64_t span_rows = 0;
   for (const std::span<const TraceSpan> morsels : SplitKernelCalls(spans)) {
@@ -423,47 +357,67 @@ Status VerifyMorselSpans(const ConjunctiveQuery& query, const Plan& plan,
     }
 
     if (call.node_id < 0 ||
-        static_cast<size_t>(call.node_id) >= shapes.size()) {
+        static_cast<size_t>(call.node_id) >= analysis.per_node.size()) {
       return Status::InvalidArgument(where + "node id out of range");
     }
-    const MorselNodeShape& shape = shapes[static_cast<size_t>(call.node_id)];
+    // The node's scheduled operators: a leaf runs one scan, an internal
+    // node one join per fold step, and a projecting node a projection.
+    bool leaf = false;
+    bool projects = false;
+    bool join_fits = false;
+    int scan_arity = 0;
+    int project_arity = 0;
+    for (const OpBound& op : analysis.per_op) {
+      if (op.node_id != call.node_id) continue;
+      switch (op.kind) {
+        case OpKind::kScan:
+          leaf = true;
+          scan_arity = op.arity;
+          break;
+        case OpKind::kJoin:
+          join_fits = join_fits || op.arity == call.arity_out;
+          break;
+        case OpKind::kProject:
+          projects = true;
+          project_arity = op.arity;
+          break;
+      }
+    }
 
-    // Batch schema: the reported arity must be one the logical labels
-    // imply for this node and operator kind.
+    // Batch schema: the reported arity must be one the schedule gives
+    // this node for this operator kind.
     const int arity = call.arity_out;
     switch (call.op) {
       case TraceOp::kScan:
-        if (!shape.leaf) {
+        if (!leaf) {
           return Status::InvalidArgument(where + "scan on a join node");
         }
-        if (arity != shape.scan_arity) {
+        if (arity != scan_arity) {
           return Status::InvalidArgument(
               where + "scan arity " + std::to_string(arity) +
               " != atom's distinct-attribute count " +
-              std::to_string(shape.scan_arity));
+              std::to_string(scan_arity));
         }
         break;
       case TraceOp::kJoin:
-        if (shape.leaf) {
+        if (leaf) {
           return Status::InvalidArgument(where + "join on a leaf node");
         }
-        if (std::find(shape.join_arities.begin(), shape.join_arities.end(),
-                      arity) == shape.join_arities.end()) {
+        if (!join_fits) {
           return Status::InvalidArgument(
               where + "join arity " + std::to_string(arity) +
               " matches no fold step of the node's child labels");
         }
         break;
       case TraceOp::kProject:
-        if (!shape.projects) {
+        if (!projects) {
           return Status::InvalidArgument(
               where + "projection on a non-projecting node");
         }
-        if (arity != shape.project_arity) {
+        if (arity != project_arity) {
           return Status::InvalidArgument(
               where + "projection arity " + std::to_string(arity) +
-              " != projected-label arity " +
-              std::to_string(shape.project_arity));
+              " != projected-label arity " + std::to_string(project_arity));
         }
         break;
       case TraceOp::kSemiJoin:
@@ -471,22 +425,17 @@ Status VerifyMorselSpans(const ConjunctiveQuery& query, const Plan& plan,
                                        "semijoin in a plan run, which has none");
     }
 
-    // Static bounds: an output above the analyzer's per-node bound means
-    // the proof, or the kernel's row counts, are wrong.
-    if (have_bounds) {
-      const PlanNodeBound& bound = bounds[static_cast<size_t>(call.node_id)];
-      if (bound.arity_bound != PlanNodeBound::kUnbounded &&
-          arity > bound.arity_bound) {
-        return Status::Internal(
-            where + "arity " + std::to_string(arity) +
-            " exceeds static bound " + std::to_string(bound.arity_bound));
-      }
-      if (std::isfinite(bound.rows_bound) &&
-          static_cast<double>(call_rows) > bound.rows_bound) {
-        return Status::Internal(
-            where + "output rows " + std::to_string(call_rows) +
-            " exceed static bound " + std::to_string(bound.rows_bound));
-      }
+    // Static row bound: an output above the analyzer's per-node bound
+    // means the proof, or the kernel's row counts, are wrong. (The arity
+    // is one of the node's scheduled arities, so it is within the node's
+    // arity bound, their maximum.)
+    const double rows_bound =
+        analysis.per_node[static_cast<size_t>(call.node_id)].rows_bound;
+    if (std::isfinite(rows_bound) &&
+        static_cast<double>(call_rows) > rows_bound) {
+      return Status::Internal(
+          where + "output rows " + std::to_string(call_rows) +
+          " exceed static bound " + std::to_string(rows_bound));
     }
     span_rows += call_rows;
   }

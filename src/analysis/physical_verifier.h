@@ -48,13 +48,15 @@ Status VerifyPhysicalPlan(const ConjunctiveQuery& query, const Plan& plan,
 
 /// Post-run verifier for morsel-driven execution: checks the kernel
 /// spans of one run (obs/trace.h; one span per morsel, in execution
-/// order) against the logical plan, the width analyzer's static bounds,
-/// and the run's budget charges. The span stream splits into kernel
-/// calls: a span with morsel_id 0, or the sort-merge join's -1, starts a
-/// call. Like VerifyPhysicalPlan it re-derives everything from first
-/// principles — batch schema arities come from the logical labels, never
-/// from the compiled specs — so a kernel that partitioned, merged, or
-/// counted wrongly is caught rather than trusted. Rejects:
+/// order) against the operator schedule and static bounds of one
+/// AnalyzePlan of the plan, and the run's budget charges. The span
+/// stream splits into kernel calls: a span with morsel_id 0, or the
+/// sort-merge join's -1, starts a call. Like VerifyPhysicalPlan it takes
+/// nothing from the compiler — operator arities come from the schedule
+/// the analyzer derives from the logical labels, never from the compiled
+/// specs — so a kernel that partitioned, merged, or counted wrongly is
+/// caught rather than trusted. Returns the analysis's status when it
+/// fails. Rejects:
 ///  - a node id outside the plan's pre-order numbering;
 ///  - morsel damage: a call whose morsel ids do not run 0..n-1 in order,
 ///    or whose spans disagree on the operator or node (morsels dropped,
@@ -62,13 +64,13 @@ Status VerifyPhysicalPlan(const ConjunctiveQuery& query, const Plan& plan,
 ///  - operator misplacement: a scan on a non-leaf, a join on a leaf, a
 ///    projection on a non-projecting node, or any semijoin (plans run
 ///    none);
-///  - batch-schema drift: a span whose arity_out differs from the arity
-///    the logical labels imply for that node (scans emit the atom's
-///    distinct attributes, fold joins the running union of child output
-///    labels, projections the projected label);
-///  - bound violations: an operator arity above the node's static arity
-///    bound, or a call's rows above a finite static row bound
-///    (NodeBoundsPreOrder) — meaning the analyzer's proof is wrong;
+///  - batch-schema drift: a span whose arity_out is not the arity the
+///    schedule gives that node's operator of its kind (scans emit the
+///    atom's distinct attributes, fold joins the running union of child
+///    output labels, projections the projected label);
+///  - bound violations: a call's rows above its node's finite static row
+///    bound (StaticAnalysis::per_node) — meaning the analyzer's proof is
+///    wrong;
 ///  - row-accounting damage: span rows that do not add up to the tuples
 ///    the run charged against its budget (`stats.tuples_produced`). A
 ///    completed run (tuples_produced <= tuple_budget) must match

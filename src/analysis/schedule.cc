@@ -9,15 +9,17 @@ namespace ppr {
 namespace {
 
 // Appends the operators of `node` (post-order, children left to right,
-// fold joins interleaved, optional trailing projection) and returns the
-// index of the operator producing the node's output.
+// fold joins interleaved, optional trailing projection), numbering the
+// nodes pre-order as it enters them, and returns the index of the
+// operator producing the node's output.
 int LowerNode(const ConjunctiveQuery& query, const PlanNode* node,
               OpSchedule* schedule) {
+  const int32_t node_id = schedule->num_nodes++;
   int producer = -1;
   if (node->IsLeaf()) {
     ScheduledOp scan;
     scan.kind = OpKind::kScan;
-    scan.node = node;
+    scan.node_id = node_id;
     scan.atom_index = node->atom_index;
     if (node->atom_index >= 0 && node->atom_index < query.num_atoms()) {
       scan.out_attrs =
@@ -34,7 +36,7 @@ int LowerNode(const ConjunctiveQuery& query, const PlanNode* node,
       }
       ScheduledOp join;
       join.kind = OpKind::kJoin;
-      join.node = node;
+      join.node_id = node_id;
       join.left_input = producer;
       join.right_input = child;
       // Output schema exactly as PlanJoin derives it: all left attributes,
@@ -54,7 +56,7 @@ int LowerNode(const ConjunctiveQuery& query, const PlanNode* node,
   if (node->Projects()) {
     ScheduledOp project;
     project.kind = OpKind::kProject;
-    project.node = node;
+    project.node_id = node_id;
     project.left_input = producer;
     project.out_attrs = node->projected;
     producer = schedule->num_ops();

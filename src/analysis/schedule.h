@@ -27,8 +27,10 @@ enum class OpKind {
 /// strictly before operator i+1.
 struct ScheduledOp {
   OpKind kind = OpKind::kScan;
-  /// Logical node this operator belongs to.
-  const PlanNode* node = nullptr;
+  /// Pre-order id of the logical node this operator belongs to (root = 0,
+  /// node before its children, children left to right): the numbering of
+  /// PhysicalNode::node_id and of trace spans' node_id.
+  int32_t node_id = -1;
   /// Atom bound by a scan; -1 otherwise.
   int atom_index = -1;
   /// Schedule indices of the input operators (-1 = none). Joins have
@@ -48,6 +50,8 @@ struct OpSchedule {
   std::vector<ScheduledOp> ops;
   /// Index of the operator producing the query answer.
   int root_op = -1;
+  /// Number of plan nodes: node ids run 0..num_nodes-1.
+  int32_t num_nodes = 0;
 
   int num_ops() const { return static_cast<int>(ops.size()); }
 
@@ -57,9 +61,11 @@ struct OpSchedule {
 
 /// Lowers `plan` into its operator schedule. Purely symbolic (no database
 /// access): schemas are derived from atom attribute lists and node labels
-/// exactly as PhysicalPlan::Compile derives them. The plan need not be
-/// valid — malformed trees produce a schedule whose inconsistencies
-/// ValidateSchedule then reports.
+/// exactly as PhysicalPlan::Compile derives them, and each operator is
+/// stamped with its node's pre-order id. The plan need not be valid —
+/// malformed trees produce a schedule whose inconsistencies
+/// ValidateSchedule then reports. AnalyzePlan, which the other analyses
+/// read, and VerifyLogicalPlan are its callers.
 OpSchedule BuildSchedule(const ConjunctiveQuery& query, const Plan& plan);
 
 /// Checks the internal consistency of a schedule:

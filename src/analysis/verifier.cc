@@ -1,6 +1,8 @@
 #include "analysis/verifier.h"
 
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "analysis/physical_verifier.h"
 #include "analysis/plan_verifier.h"
@@ -43,8 +45,8 @@ PlanVerdict VerifyPlan(const ConjunctiveQuery& query, const Plan& plan,
     verdict.analysis.status = Status::InvalidArgument(kSkipped);
     return verdict;
   }
-  verdict.width = CrossCheckWidth(query, plan);
   verdict.analysis = AnalyzePlan(query, plan, db);
+  verdict.width = CrossCheckWidth(query, plan, verdict.analysis);
   return verdict;
 }
 
@@ -61,8 +63,12 @@ PlanVerdict VerifyCompiledPlan(const ConjunctiveQuery& query,
 void InstallPlanVerifier(bool enable) {
   PlanVerifierHooks hooks;
   hooks.logical = [](const ConjunctiveQuery& query, const Plan& plan,
-                     const Database& db) {
-    return VerifyPlan(query, plan, db).FirstError();
+                     const Database& db)
+      -> Result<std::vector<PlanNodeBound>> {
+    PlanVerdict verdict = VerifyPlan(query, plan, db);
+    Status first = verdict.FirstError();
+    if (!first.ok()) return first;
+    return std::move(verdict.analysis.per_node);
   };
   hooks.compiled = [](const ConjunctiveQuery& query, const Plan& plan,
                       const Database& db, const PhysicalPlan& physical) {
@@ -70,11 +76,6 @@ void InstallPlanVerifier(bool enable) {
     // lowering; re-checking only the compiled tree keeps compile-time
     // verification linear in plan size.
     return VerifyPhysicalPlan(query, plan, db, physical);
-  };
-  hooks.node_bounds = [](const ConjunctiveQuery& query, const Plan& plan,
-                         const Database& db,
-                         std::vector<PlanNodeBound>* bounds) {
-    return NodeBoundsPreOrder(query, plan, db, bounds);
   };
   hooks.morsel_accounting = [](const ConjunctiveQuery& query,
                                const Plan& plan, const Database& db,

@@ -16,13 +16,14 @@ namespace ppr {
 struct PlanVerdict {
   /// Logical well-formedness (analysis/plan_verifier.h).
   Status logical;
-  /// Width cross-check against the theory module (Theorems 1-2); only
-  /// run when `logical` passed.
+  /// Width cross-check of `analysis` against the theory module
+  /// (Theorems 1-2); only run when `logical` passed.
   Status width;
   /// Compiled-plan faithfulness (analysis/physical_verifier.h); OK when
   /// no physical plan was checked.
   Status physical;
-  /// Static width and size bounds; only populated when `logical` passed.
+  /// Static width and size bounds, per operator and per plan node; only
+  /// populated when `logical` passed.
   StaticAnalysis analysis;
 
   bool ok() const {
@@ -37,8 +38,8 @@ struct PlanVerdict {
   std::string ToString() const;
 };
 
-/// Runs the logical verifier, the width cross-check, and the static
-/// width/size analyzer over `plan`.
+/// Runs the logical verifier, then the static width/size analyzer over
+/// `plan` and the width cross-check of its result.
 PlanVerdict VerifyPlan(const ConjunctiveQuery& query, const Plan& plan,
                        const Database& db);
 
@@ -50,7 +51,8 @@ PlanVerdict VerifyCompiledPlan(const ConjunctiveQuery& query,
 /// Registers the analysis passes as exec's verification hooks
 /// (exec/verify_hook.h): every PhysicalPlan::Compile (ExplainPlan's too)
 /// while verification is enabled then proves the plan before touching
-/// data. `enable` additionally turns the verification flag on.
+/// data, and its `logical` tier hands on VerifyPlan's per-node bounds.
+/// `enable` additionally turns the verification flag on.
 void InstallPlanVerifier(bool enable = true);
 
 /// Unregisters the hooks and disables verification.

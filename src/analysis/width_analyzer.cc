@@ -8,10 +8,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include <unordered_map>
-
-#include "analysis/schedule.h"
-#include "common/check.h"
 #include "core/theory.h"
 #include "graph/tree_decomposition.h"
 #include "graph/treewidth.h"
@@ -126,16 +122,6 @@ double DomainCap(const std::vector<AttrId>& attrs, const DbStats& db) {
   return cap;
 }
 
-// Numbers the plan nodes pre-order (the numbering shared with
-// ExplainResult::nodes and compiled PhysicalNode ids).
-void MapPreOrder(const PlanNode* node, int32_t* next,
-                 std::unordered_map<const PlanNode*, int32_t>* index) {
-  (*index)[node] = (*next)++;
-  for (const auto& child : node->children) {
-    MapPreOrder(child.get(), next, index);
-  }
-}
-
 }  // namespace
 
 std::string StaticAnalysis::ToString() const {
@@ -144,9 +130,7 @@ std::string StaticAnalysis::ToString() const {
     out << "analysis failed: " << status.ToString();
     return out.str();
   }
-  out << "max_intermediate_arity=" << max_intermediate_arity
-      << " (decomposition width " << decomposition_width
-      << ", treewidth lower bound " << treewidth_lower_bound << ")\n"
+  out << "max_intermediate_arity=" << max_intermediate_arity << "\n"
       << "max_intermediate_rows<=" << max_intermediate_rows_bound
       << " tuples_produced<=" << tuples_produced_bound << "\n";
   return out.str();
@@ -170,6 +154,8 @@ StaticAnalysis AnalyzePlan(const ConjunctiveQuery& query, const Plan& plan,
   }
   const DbStats& dbs = *stats;
 
+  analysis.per_node.assign(static_cast<size_t>(schedule.num_nodes),
+                           PlanNodeBound{});
   // Per-op state: output row bound, duplicate-freeness, atoms below.
   std::vector<double> bounds(static_cast<size_t>(schedule.num_ops()), 0.0);
   std::vector<bool> dup_free(static_cast<size_t>(schedule.num_ops()), false);
@@ -222,62 +208,23 @@ StaticAnalysis AnalyzePlan(const ConjunctiveQuery& query, const Plan& plan,
       }
     }
     bounds[si] = bound;
-    analysis.per_op.push_back(OpBound{op.arity(), bound});
+    analysis.per_op.push_back(OpBound{op.kind, op.node_id, op.arity(), bound});
+    PlanNodeBound& node = analysis.per_node[static_cast<size_t>(op.node_id)];
+    node.arity_bound = std::max(node.arity_bound, op.arity());
+    node.rows_bound = std::max(node.rows_bound, bound);
     analysis.max_intermediate_arity =
         std::max(analysis.max_intermediate_arity, op.arity());
     analysis.max_intermediate_rows_bound =
         std::max(analysis.max_intermediate_rows_bound, bound);
     analysis.tuples_produced_bound += bound;
   }
-
-  analysis.decomposition_width = analysis.max_intermediate_arity - 1;
-  analysis.treewidth_lower_bound = MmdLowerBound(BuildJoinGraph(query));
   return analysis;
 }
 
-Status NodeBoundsPreOrder(const ConjunctiveQuery& query, const Plan& plan,
-                          const Database& db,
-                          std::vector<PlanNodeBound>* bounds) {
-  StaticAnalysis analysis = AnalyzePlan(query, plan, db);
+Status CrossCheckWidth(const ConjunctiveQuery& query, const Plan& plan,
+                       const StaticAnalysis& analysis) {
   if (!analysis.status.ok()) return analysis.status;
-
-  std::unordered_map<const PlanNode*, int32_t> index;
-  int32_t next = 0;
-  MapPreOrder(plan.root(), &next, &index);
-  bounds->assign(index.size(), PlanNodeBound{});
-
-  // The schedule aligns 1:1 with AnalyzePlan::per_op and each scheduled
-  // operator points at its logical node; fold the per-operator bounds to
-  // per-node maxima.
-  const OpSchedule schedule = BuildSchedule(query, plan);
-  PPR_CHECK(schedule.num_ops() ==
-            static_cast<int>(analysis.per_op.size()));
-  for (int i = 0; i < schedule.num_ops(); ++i) {
-    const ScheduledOp& op = schedule.ops[static_cast<size_t>(i)];
-    const OpBound& ob = analysis.per_op[static_cast<size_t>(i)];
-    auto it = index.find(op.node);
-    if (it == index.end()) {
-      return Status::Internal("scheduled operator points outside the plan");
-    }
-    PlanNodeBound& nb = (*bounds)[static_cast<size_t>(it->second)];
-    nb.arity_bound = std::max(nb.arity_bound, ob.arity);
-    nb.rows_bound = std::max(nb.rows_bound, ob.size_bound);
-  }
-  return Status::Ok();
-}
-
-Status CrossCheckWidth(const ConjunctiveQuery& query, const Plan& plan) {
-  if (plan.empty()) {
-    return Status::InvalidArgument("empty plan");
-  }
-  const OpSchedule schedule = BuildSchedule(query, plan);
-  Status valid = ValidateSchedule(query, schedule);
-  if (!valid.ok()) return valid;
-
-  int max_arity = 0;
-  for (const ScheduledOp& op : schedule.ops) {
-    max_arity = std::max(max_arity, op.arity());
-  }
+  const int max_arity = analysis.max_intermediate_arity;
   // The schedule's widest operator output is exactly the plan's join
   // width: fold-step schemas are unions of projected labels, monotone in
   // the fold, so the per-node maximum is the working label.
@@ -327,23 +274,6 @@ Status CrossCheckWidth(const ConjunctiveQuery& query, const Plan& plan) {
         "plan width beats the treewidth lower bound (" +
         std::to_string(max_arity - 1) + " < " + std::to_string(lb) +
         ") — Theorem 1 violated, the width analysis is wrong");
-  }
-  return Status::Ok();
-}
-
-Status CheckWidthGuarantee(const ConjunctiveQuery& query, const Plan& plan,
-                           int claimed_width) {
-  const OpSchedule schedule = BuildSchedule(query, plan);
-  Status valid = ValidateSchedule(query, schedule);
-  if (!valid.ok()) return valid;
-  int max_arity = 0;
-  for (const ScheduledOp& op : schedule.ops) {
-    max_arity = std::max(max_arity, op.arity());
-  }
-  if (max_arity > claimed_width) {
-    return Status::Internal("plan width " + std::to_string(max_arity) +
-                            " exceeds the claimed guarantee of " +
-                            std::to_string(claimed_width));
   }
   return Status::Ok();
 }

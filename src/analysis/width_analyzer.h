@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/schedule.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "core/plan.h"
@@ -15,6 +16,10 @@ namespace ppr {
 
 /// Static bound for one scheduled operator's output.
 struct OpBound {
+  OpKind kind = OpKind::kScan;
+  /// Pre-order id of the plan node the operator belongs to
+  /// (ScheduledOp::node_id).
+  int32_t node_id = -1;
   /// Exact arity of the operator's output relation.
   int arity = 0;
   /// Upper bound on the operator's output row count (see AnalyzePlan).
@@ -45,22 +50,24 @@ struct StaticAnalysis {
   /// Per-operator bounds, in schedule (budget-charge) order.
   std::vector<OpBound> per_op;
 
-  /// Width of the tree decomposition induced by the plan's working
-  /// labels (Algorithm 1) = max_intermediate_arity - 1 for a valid plan.
-  int decomposition_width = 0;
+  /// Per-node bounds, one per plan node in pre-order (the numbering of
+  /// PhysicalNode ids, trace spans and ExplainResult::nodes): each is the
+  /// max over the node's operators in `per_op` (its scan or fold joins
+  /// plus the optional trailing projection). A node with no operator (an
+  /// unprojected one-child node) keeps PlanNodeBound's defaults. An
+  /// infinite row bound stays +infinity; arity bounds are always finite
+  /// because arities are symbolic. The `logical` verifier hook hands
+  /// these on as EXPLAIN ANALYZE's predictions.
+  std::vector<PlanNodeBound> per_node;
 
-  /// Maximum-minimum-degree lower bound on the join graph's treewidth.
-  /// Theorem 1 gives best-achievable arity = tw + 1, so any valid plan
-  /// satisfies max_intermediate_arity >= treewidth_lower_bound + 1.
-  int treewidth_lower_bound = 0;
-
-  /// Human-readable summary (arity, bounds, width cross-check).
+  /// Human-readable summary (arity and row bounds).
   std::string ToString() const;
 };
 
 /// Computes, without executing the plan, the exact maximal intermediate
 /// arity and AGM-style size upper bounds from the stored relations'
-/// cardinalities.
+/// cardinalities: the one pass that lowers a plan to its operator
+/// schedule and bounds it, per operator and per node.
 ///
 /// Size bounds are sound for the engine's semantics: each operator's
 /// output is bounded by the minimum of (a) the product of its input
@@ -73,32 +80,15 @@ struct StaticAnalysis {
 StaticAnalysis AnalyzePlan(const ConjunctiveQuery& query, const Plan& plan,
                            const Database& db);
 
-/// Folds AnalyzePlan's per-operator bounds onto the plan nodes, in the
-/// pre-order numbering shared with ExplainResult::nodes, PhysicalNode
-/// ids, and trace spans (root = 0, node before its children, children
-/// left to right): each node's bound is the max over the operators the
-/// schedule attributes to it (its scan or fold joins plus the optional
-/// trailing projection). `bounds` gets exactly Plan::NumNodes entries.
-/// An infinite row bound stays +infinity; arity bounds are always finite
-/// because arities are symbolic. This is the `node_bounds` verifier hook
-/// (exec/verify_hook.h) backing the predicted side of EXPLAIN ANALYZE.
-Status NodeBoundsPreOrder(const ConjunctiveQuery& query, const Plan& plan,
-                          const Database& db,
-                          std::vector<PlanNodeBound>* bounds);
-
-/// Cross-checks the plan's static width against the theory module
-/// (Theorems 1-2): the schedule's max arity must equal the plan's join
-/// width, the plan's working labels must form a valid tree decomposition
-/// of the join graph (Algorithm 1) of width max arity - 1, and that width
-/// must respect the treewidth lower bound. Call only on plans that pass
+/// Cross-checks `analysis` (AnalyzePlan of the same plan) against the
+/// theory module (Theorems 1-2): the schedule's max arity must equal the
+/// plan's join width, the plan's working labels must form a valid tree
+/// decomposition of the join graph (Algorithm 1) of width max arity - 1,
+/// and that width must respect the MMD treewidth lower bound. Returns
+/// the analysis's status when it failed. Call only on plans that pass
 /// VerifyLogicalPlan (malformed labels would PPR_CHECK inside theory).
-Status CrossCheckWidth(const ConjunctiveQuery& query, const Plan& plan);
-
-/// Checks a strategy's width guarantee: the plan's static max
-/// intermediate arity must not exceed `claimed_width`. Strategies derived
-/// from a decomposition of width k promise arity <= k + 1 (Lemma 3).
-Status CheckWidthGuarantee(const ConjunctiveQuery& query, const Plan& plan,
-                           int claimed_width);
+Status CrossCheckWidth(const ConjunctiveQuery& query, const Plan& plan,
+                       const StaticAnalysis& analysis);
 
 }  // namespace ppr
 

@@ -40,12 +40,13 @@ struct NodeProfile {
   int64_t actual_bytes = 0;
   int actual_max_arity = 0;
 
-  // Static predictions from the width analyzer, which the compile's
-  // structural tier hands back (VerifierReport::node_bounds).
-  // predicted_arity_bound is -1 ("no prediction") when verification is
-  // off, no verifier is installed, or the analyzer attributed no operator
-  // to this node; predicted_rows_bound may be +infinity when the analyzer
-  // proved no finite row bound.
+  // Static predictions: the per-node bounds of the width analysis the
+  // compile's logical tier ran (StaticAnalysis::per_node, handed on as
+  // VerifierReport::node_bounds). predicted_arity_bound is -1 ("no
+  // prediction") when verification is off, no verifier is installed, or
+  // the analyzer attributed no operator to this node;
+  // predicted_rows_bound may be +infinity when the analyzer proved no
+  // finite row bound.
   int predicted_arity_bound = -1;
   double predicted_rows_bound = 0.0;
 
@@ -109,7 +110,8 @@ struct ExplainResult {
 /// With `analyze` set (EXPLAIN ANALYZE) every node is also annotated with
 /// measured time, bytes, and widest produced arity beside the width
 /// analyzer's static predictions (when plan verification is enabled and
-/// a verifier with a `node_bounds` hook is installed). A node whose
+/// a verifier is installed, the bounds its logical tier proved while
+/// compiling the plan). A node whose
 /// measured arity exceeds its predicted bound is flagged and the result
 /// status becomes Internal: the static proof was wrong. The analyze=false
 /// rendering is byte-identical whether or not process-wide tracing

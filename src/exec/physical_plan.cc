@@ -185,10 +185,13 @@ Result<PhysicalPlan> PhysicalPlan::Compile(const ConjunctiveQuery& query,
   const std::shared_ptr<const PlanVerifierHooks> hooks =
       GetPlanVerifierHooks();
   const bool verify = PlanVerificationEnabled();
+  std::vector<PlanNodeBound> bounds;
   if (verify && hooks->logical) {
-    Status verdict = hooks->logical(query, plan, db);
-    said.structural = verdict_of(verdict);
-    if (!verdict.ok()) return verdict;
+    Result<std::vector<PlanNodeBound>> verdict =
+        hooks->logical(query, plan, db);
+    said.structural = verdict_of(verdict.status());
+    if (!verdict.ok()) return verdict.status();
+    bounds = std::move(*verdict);
   }
   int32_t next_node_id = 0;
   PhysicalPlan compiled(CompileNode(query, plan.root(), db, &next_node_id),
@@ -198,11 +201,8 @@ Result<PhysicalPlan> PhysicalPlan::Compile(const ConjunctiveQuery& query,
     said.structural = verdict_of(verdict);
     if (!verdict.ok()) return verdict;
   }
-  // The width analyzer's per-node bounds, for a caller that shows them.
-  if (verify && hooks->node_bounds && report != nullptr) {
-    Status bounds = hooks->node_bounds(query, plan, db, &report->node_bounds);
-    if (!bounds.ok()) report->node_bounds.clear();
-  }
+  // The logical tier's per-node width bounds, for a caller that shows them.
+  said.node_bounds = std::move(bounds);
   // Third tier, independently gated: prove the plan (logical and
   // compiled) still *denotes the query* — the structural passes above
   // only prove the tree well-formed.

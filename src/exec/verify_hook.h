@@ -22,9 +22,10 @@ struct TraceSpan;
 
 /// Static bounds the width analyzer proves for one plan node, in the
 /// shared pre-order numbering (root = 0, node before its children,
-/// children left to right). EXPLAIN ANALYZE prints these beside the
-/// actuals and flags any run whose observed arity exceeds arity_bound —
-/// a violated bound means the analyzer, not the engine, is wrong.
+/// children left to right): StaticAnalysis::per_node. EXPLAIN ANALYZE
+/// prints these beside the actuals and flags any run whose observed
+/// arity exceeds arity_bound — a violated bound means the analyzer, not
+/// the engine, is wrong.
 struct PlanNodeBound {
   /// Max arity of any operator output while evaluating the node
   /// (kUnbounded when the analyzer proved nothing).
@@ -39,32 +40,30 @@ struct PlanNodeBound {
 /// Verification callbacks the static-analysis layer installs into the
 /// execution layer (exec cannot depend on analysis — analysis depends on
 /// exec for the physical plan types — so the wiring is a registration).
-/// PhysicalPlan::Compile is the one caller of `logical`, `compiled`,
-/// `node_bounds` and `semantic`: when verification is enabled it runs
-/// `logical` before and `compiled` after lowering and fails compilation
-/// on a non-OK verdict, and it hands a caller that asks what every tier
-/// said (VerifierReport). ExplainPlan compiles through it, so its
+/// PhysicalPlan::Compile is the one caller of `logical`, `compiled` and
+/// `semantic`: when verification is enabled it runs `logical` before and
+/// `compiled` after lowering and fails compilation on a non-OK verdict,
+/// and it hands a caller that asks what every tier said
+/// (VerifierReport). ExplainPlan compiles through it, so its
 /// `-- verifier:` line and the predicted side of EXPLAIN ANALYZE are the
 /// compile's.
 struct PlanVerifierHooks {
-  std::function<Status(const ConjunctiveQuery&, const Plan&,
-                       const Database&)>
+  /// Proves the logical plan and analyzes its width; on success returns
+  /// the width analyzer's bounds, one PlanNodeBound per plan node in
+  /// pre-order.
+  std::function<Result<std::vector<PlanNodeBound>>(
+      const ConjunctiveQuery&, const Plan&, const Database&)>
       logical;
   std::function<Status(const ConjunctiveQuery&, const Plan&, const Database&,
                        const PhysicalPlan&)>
       compiled;
-  /// Fills one PlanNodeBound per plan node, pre-order.
-  std::function<Status(const ConjunctiveQuery&, const Plan&, const Database&,
-                       std::vector<PlanNodeBound>*)>
-      node_bounds;
   /// Validates the per-operator morsel accounting of one run: its kernel
   /// spans (obs/trace.h, one per morsel, in execution order), its stats,
-  /// and the tuple budget it ran under. Re-derives the batch schemas from
-  /// the logical plan, checks each call's morsel ids, arities and rows
-  /// against them and the width analyzer's static bounds, and the span
-  /// rows against the budget charges. The morsel driver (src/runtime)
-  /// calls it after every morsel-driven run while verification is
-  /// enabled.
+  /// and the tuple budget it ran under. Checks each call's morsel ids,
+  /// and its arity and rows against the operators and static bounds the
+  /// width analyzer derives for its node, and the span rows against the
+  /// budget charges. The morsel driver (src/runtime) calls it after every
+  /// morsel-driven run while verification is enabled.
   std::function<Status(const ConjunctiveQuery&, const Plan&, const Database&,
                        const std::vector<TraceSpan>&, const ExecStats&,
                        Counter tuple_budget)>
@@ -88,9 +87,9 @@ struct VerifierReport {
   /// The structural tiers: `logical` before lowering, then `compiled`
   /// (the first failure, when one fails).
   std::string structural;
-  /// The width analyzer's bounds per plan node (`node_bounds`), once the
-  /// structural tiers passed; empty when they did not run or the
-  /// analyzer proved none.
+  /// The width analyzer's bounds per plan node, as the `logical` tier
+  /// returned them, once both structural tiers passed; empty when they
+  /// did not run.
   std::vector<PlanNodeBound> node_bounds;
   /// The semantic tier, and what it cost in wall ns (-1 when it did not
   /// run).

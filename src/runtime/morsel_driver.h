@@ -76,8 +76,9 @@ class MorselDriver {
   /// When `verify_ctx` is supplied and plan verification is enabled
   /// (PPR_VERIFY_PLANS / EnablePlanVerification) with a
   /// `morsel_accounting` hook installed, the run's kernel spans are
-  /// verified afterwards and a failed verdict replaces the result
-  /// status. A verified run records its spans into a private sink that
+  /// verified afterwards against one width analysis of the plan (its
+  /// operator schedule and per-node bounds; VerifyMorselSpans) and a
+  /// failed verdict replaces the result status. A verified run records its spans into a private sink that
   /// never overwrites, then merges them into `trace`, so the caller (and
   /// its flight dumps) see the same spans as an unverified run.
   ExecutionResult Run(const PhysicalPlan& plan,

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -154,6 +155,13 @@ TEST(ScheduleTest, LinearizesInBudgetChargeOrder) {
   EXPECT_EQ(schedule.ops[2].kind, OpKind::kJoin);
   EXPECT_EQ(schedule.ops[3].kind, OpKind::kProject);
   EXPECT_EQ(schedule.root_op, 3);
+  // Each operator carries its node's pre-order id: the leaves are nodes
+  // 1 and 2, the root's join and projection node 0.
+  EXPECT_EQ(schedule.num_nodes, 3);
+  EXPECT_EQ(schedule.ops[0].node_id, 1);
+  EXPECT_EQ(schedule.ops[1].node_id, 2);
+  EXPECT_EQ(schedule.ops[2].node_id, 0);
+  EXPECT_EQ(schedule.ops[3].node_id, 0);
   EXPECT_TRUE(ValidateSchedule(q, schedule).ok());
   // Rendering names every operator.
   EXPECT_NE(schedule.ToString(q).find("join"), std::string::npos);
@@ -374,22 +382,82 @@ TEST(WidthAnalyzerTest, CrossCheckAcceptsStrategiesAndTracksTheory) {
   ConjunctiveQuery q = KColorQuery(ConnectedRandomGraph(9, 14, rng));
   for (StrategyKind kind : AllStrategies()) {
     Plan plan = BuildStrategyPlan(kind, q, 1);
-    EXPECT_TRUE(CrossCheckWidth(q, plan).ok()) << StrategyName(kind);
+    EXPECT_TRUE(CrossCheckWidth(q, plan, AnalyzePlan(q, plan, db)).ok())
+        << StrategyName(kind);
   }
 }
 
 TEST(WidthAnalyzerTest, WidthGuaranteeFromDecomposition) {
   // Lemma 3: a plan built from a decomposition of width k has join width
-  // <= k + 1, and the analyzer proves it statically.
+  // <= k + 1, and the cross-check proves the analyzer's max arity equals
+  // that join width.
+  Database db = ThreeColorDb();
   Rng rng(17);
   ConjunctiveQuery q = KColorQuery(ConnectedRandomGraph(10, 16, rng));
   const Graph join_graph = BuildJoinGraph(q);
   EliminationOrder order = McsEliminationOrder(join_graph, {}, nullptr);
   Plan plan = TreewidthPlan(q, order);
   const int k = InducedWidth(join_graph, order);
-  EXPECT_TRUE(CheckWidthGuarantee(q, plan, k + 1).ok());
-  // An impossible claim is refuted.
-  EXPECT_FALSE(CheckWidthGuarantee(q, plan, 1).ok());
+  EXPECT_LE(plan.Width(), k + 1);
+  const StaticAnalysis analysis = AnalyzePlan(q, plan, db);
+  EXPECT_TRUE(CrossCheckWidth(q, plan, analysis).ok());
+  EXPECT_EQ(analysis.max_intermediate_arity, plan.Width());
+}
+
+// An analysis that does not match the plan is refuted, and a failed one
+// is passed on.
+TEST(WidthAnalyzerTest, CrossCheckRejectsAWrongAnalysis) {
+  Database db = ThreeColorDb();
+  ConjunctiveQuery q = PentagonQuery();
+  Plan plan = BucketEliminationPlanMcs(q, nullptr);
+  StaticAnalysis analysis = AnalyzePlan(q, plan, db);
+  ASSERT_TRUE(CrossCheckWidth(q, plan, analysis).ok());
+  analysis.max_intermediate_arity = 1;
+  Status s = CrossCheckWidth(q, plan, analysis);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("plan join width"), std::string::npos)
+      << s.ToString();
+
+  const StaticAnalysis failed = AnalyzePlan(q, plan, Database());
+  ASSERT_FALSE(failed.status.ok());
+  EXPECT_EQ(CrossCheckWidth(q, plan, failed).ToString(),
+            failed.status.ToString());
+}
+
+// per_op carries each operator's node, and per_node folds it onto the
+// plan's pre-order nodes: each node's bounds are the max over its
+// operators, and a leaf's scan or a node's last fold join emits the
+// node's working label, so that is its arity bound.
+TEST(WidthAnalyzerTest, PerNodeBoundsFoldPerOpBounds) {
+  Database db = ThreeColorDb();
+  ConjunctiveQuery q = KColorQuery(AugmentedLadder(4));
+  for (StrategyKind kind : AllStrategies()) {
+    SCOPED_TRACE(StrategyName(kind));
+    const Plan plan = BuildStrategyPlan(kind, q, 1);
+    const StaticAnalysis analysis = AnalyzePlan(q, plan, db);
+    ASSERT_TRUE(analysis.status.ok());
+    const std::vector<const PlanNode*> nodes = PreOrderNodes(plan);
+    ASSERT_EQ(analysis.per_node.size(), nodes.size());
+    std::vector<PlanNodeBound> folded(nodes.size());
+    for (const OpBound& op : analysis.per_op) {
+      ASSERT_GE(op.node_id, 0);
+      ASSERT_LT(static_cast<size_t>(op.node_id), folded.size());
+      PlanNodeBound& node = folded[static_cast<size_t>(op.node_id)];
+      node.arity_bound = std::max(node.arity_bound, op.arity);
+      node.rows_bound = std::max(node.rows_bound, op.size_bound);
+    }
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      const PlanNodeBound& bound = analysis.per_node[i];
+      EXPECT_EQ(bound.arity_bound, folded[i].arity_bound) << "node " << i;
+      EXPECT_EQ(bound.rows_bound, folded[i].rows_bound) << "node " << i;
+      if (nodes[i]->children.size() != 1) {
+        EXPECT_EQ(bound.arity_bound,
+                  static_cast<int>(nodes[i]->working.size()))
+            << "node " << i;
+      }
+    }
+    EXPECT_EQ(analysis.per_op.back().node_id, 0);
+  }
 }
 
 TEST(VerifierFacadeTest, VerdictAggregatesAndRenders) {

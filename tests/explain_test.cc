@@ -333,6 +333,50 @@ TEST(ExplainTest, ReportsTheCompiledRun) {
                                 /*budget=*/2000000);
 }
 
+// The predicted side of EXPLAIN ANALYZE is the width analysis the
+// compile's logical tier ran, handed on: every node's bounds are
+// AnalyzePlan's per_node. With verification off the compile runs no tier
+// and reports no bounds.
+TEST(ExplainTest, PredictionsAreTheLogicalTiersAnalysis) {
+  Database db = ThreeColorDb();
+  const std::vector<std::pair<ConjunctiveQuery, Counter>> cases = {
+      {PentagonQuery(), kCounterMax},
+      {KColorQuery(Complete(5)), kCounterMax},
+      {KColorQuery(AugmentedLadder(7)), 2000000}};
+  {
+    ScopedVerifier verifier;
+    for (const auto& [q, budget] : cases) {
+      for (StrategyKind kind : AllStrategies()) {
+        SCOPED_TRACE(StrategyName(kind));
+        const Plan plan = BuildStrategyPlan(kind, q, /*seed=*/0);
+        const StaticAnalysis analysis = AnalyzePlan(q, plan, db);
+        ASSERT_TRUE(analysis.status.ok());
+        const ExplainResult r = ExplainPlan(q, plan, db, 3.0, budget,
+                                            /*analyze=*/true);
+        EXPECT_EQ(r.verifier_verdict, "OK");
+        ASSERT_EQ(r.nodes.size(), analysis.per_node.size());
+        for (size_t i = 0; i < r.nodes.size(); ++i) {
+          EXPECT_EQ(r.nodes[i].predicted_arity_bound,
+                    analysis.per_node[i].arity_bound)
+              << "node " << i;
+          EXPECT_EQ(r.nodes[i].predicted_rows_bound,
+                    analysis.per_node[i].rows_bound)
+              << "node " << i;
+        }
+      }
+    }
+  }
+  ASSERT_FALSE(PlanVerificationEnabled());
+  const ConjunctiveQuery q = PentagonQuery();
+  VerifierReport report;
+  Result<PhysicalPlan> compiled =
+      PhysicalPlan::Compile(q, BucketEliminationPlanMcs(q, nullptr), db,
+                            JoinAlgorithm::kHash, &report);
+  ASSERT_TRUE(compiled.ok());
+  EXPECT_TRUE(report.structural.empty());
+  EXPECT_TRUE(report.node_bounds.empty());
+}
+
 TEST(ExplainTest, AnalyzeActualArityWithinPredictedBoundOnColoring) {
   ScopedVerifier verifier;
   Database db = ThreeColorDb();

@@ -371,13 +371,27 @@ TEST(MorselDriverTest, SpanVerifierRejectsTamperedSpans) {
     if (spans[i].morsel_id > 0 && spans[i + 1].morsel_id > 0) middle = i;
   }
   ASSERT_GT(middle, 0u) << "no call of three or more morsels";
-  // The first scan call, moved as a whole to the (internal) root.
-  size_t scan = spans.size();
-  for (size_t i = 0; i < spans.size() && scan == spans.size(); ++i) {
-    if (spans[i].op == TraceOp::kScan) scan = i;
-  }
+  // The first scan, join and projection calls (a call's first span is
+  // the first one of its operator), and a node that does not project.
+  const auto first_call = [&spans](TraceOp op) {
+    size_t i = 0;
+    while (i < spans.size() && spans[i].op != op) ++i;
+    return i;
+  };
+  const size_t scan = first_call(TraceOp::kScan);
+  const size_t join = first_call(TraceOp::kJoin);
+  const size_t project = first_call(TraceOp::kProject);
   ASSERT_LT(scan, spans.size());
+  ASSERT_LT(join, spans.size());
+  ASSERT_LT(project, spans.size());
   ASSERT_FALSE(c.plan.root()->IsLeaf());
+  const std::vector<const PlanNode*> nodes = PreOrderNodes(c.plan);
+  const auto plain = std::find_if(nodes.begin(), nodes.end(),
+                                  [](const PlanNode* n) {
+                                    return !n->Projects();
+                                  });
+  ASSERT_NE(plain, nodes.end());
+  const auto plain_id = static_cast<int32_t>(plain - nodes.begin());
 
   // An edit to a call's node or arity applies to all of its spans, so the
   // check under test rejects it, not the per-call consistency check.
@@ -432,6 +446,31 @@ TEST(MorselDriverTest, SpanVerifierRejectsTamperedSpans) {
                     });
                   }),
                   "scan on an internal node", "scan on a join node");
+  expect_rejected(tamper([&](std::vector<TraceSpan>& bad) {
+                    every_span_of_call(bad, join, [](TraceSpan& s) {
+                      s.arity_out = 99;
+                    });
+                  }),
+                  "join wider than the query", "matches no fold step");
+  expect_rejected(tamper([&](std::vector<TraceSpan>& bad) {
+                    every_span_of_call(bad, project, [](TraceSpan& s) {
+                      s.arity_out += 1;
+                    });
+                  }),
+                  "projection arity + 1", "projected-label arity");
+  expect_rejected(tamper([&](std::vector<TraceSpan>& bad) {
+                    every_span_of_call(bad, join, [&](TraceSpan& s) {
+                      s.node_id = spans[scan].node_id;
+                    });
+                  }),
+                  "join on a leaf", "join on a leaf node");
+  expect_rejected(tamper([&](std::vector<TraceSpan>& bad) {
+                    every_span_of_call(bad, project, [&](TraceSpan& s) {
+                      s.node_id = plain_id;
+                    });
+                  }),
+                  "projection on a non-projecting node",
+                  "projection on a non-projecting node");
   expect_rejected(tamper([](std::vector<TraceSpan>& bad) {
                     TraceSpan semijoin;
                     semijoin.op = TraceOp::kSemiJoin;

@@ -7,6 +7,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "core/plan.h"
 #include "graph/graph.h"
 
 namespace ppr {
@@ -33,6 +34,21 @@ inline Graph ConnectedRandomGraph(int num_vertices, int num_edges, Rng& rng) {
     if (u != v) g.AddEdge(u, v);
   }
   return g;
+}
+
+/// The plan's nodes in pre-order (root first, node before its children,
+/// children left to right): the numbering of PhysicalNode ids, trace
+/// spans' node ids and the width analyzer's per-node bounds.
+inline void AppendPreOrder(const PlanNode* node,
+                           std::vector<const PlanNode*>* nodes) {
+  nodes->push_back(node);
+  for (const auto& child : node->children) AppendPreOrder(child.get(), nodes);
+}
+
+inline std::vector<const PlanNode*> PreOrderNodes(const Plan& plan) {
+  std::vector<const PlanNode*> nodes;
+  if (!plan.empty()) AppendPreOrder(plan.root(), &nodes);
+  return nodes;
 }
 
 }  // namespace ppr
