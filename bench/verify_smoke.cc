@@ -10,10 +10,8 @@
 // the per-rewrite certificate each strategy emits) and proves the same
 // matrix. A final timing pass gates the cost of the tier when it is
 // *disabled* — the default configuration must not pay for the proof it
-// is not running. With an argument, writes the metrics registry
-// (certification counters and wall-ns histograms) to that path as the
-// BENCH_verify.json CI artifact. The structural sweep also counts the
-// plans it proved that carry a keyed projection, and fails at zero.
+// is not running. The structural sweep also counts the plans it proved
+// that carry a keyed projection, and fails at zero.
 
 #include <cstdio>
 #include <string>
@@ -189,7 +187,7 @@ double MedianMatrixCompileSeconds(const std::vector<Suite>& suites) {
   return Median(reps);
 }
 
-int Run(const std::string& metrics_path) {
+int Run() {
   int failures = 0;
   std::vector<Suite> suites = BuildSuites();
 
@@ -242,17 +240,6 @@ int Run(const std::string& metrics_path) {
     std::printf("FAIL  disabled verification costs more than 10%%\n");
   }
 
-  if (!metrics_path.empty()) {
-    Status wrote = WriteBenchMetrics(metrics_path);
-    if (!wrote.ok()) {
-      ++failures;
-      std::printf("FAIL  writing %s: %s\n", metrics_path.c_str(),
-                  wrote.message().c_str());
-    } else {
-      std::printf("\nmetrics -> %s\n", metrics_path.c_str());
-    }
-  }
-
   if (failures > 0) {
     std::printf("\nverify_smoke: %d verdict regression(s)\n", failures);
     return 1;
@@ -264,6 +251,4 @@ int Run(const std::string& metrics_path) {
 }  // namespace
 }  // namespace ppr
 
-int main(int argc, char** argv) {
-  return ppr::Run(argc > 1 ? argv[1] : "");
-}
+int main() { return ppr::Run(); }

@@ -4,7 +4,7 @@
 // Run it, then point tools at it:
 //
 //   ./pprd --port=7471 --workers=4 --quota-tokens=100 --quota-refill=50
-//   printf 'pi{} edge(X, Y)' | ... (see ServiceClient / bench_service)
+//   ./service_load --connect-port=7471   (bench/service_load.cc)
 //
 // The daemon prints exactly one line
 //

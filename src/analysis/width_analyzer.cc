@@ -50,6 +50,14 @@ int64_t DistinctColumnValues(const Relation& rel, int col) {
   return static_cast<int64_t>(values.size());
 }
 
+// The scans of one stored relation the bounds read, made once however
+// many atoms name it.
+struct StoredStats {
+  const Relation* rel = nullptr;
+  bool dup_free = true;
+  std::vector<double> column_distinct;
+};
+
 Result<DbStats> CollectDbStats(const ConjunctiveQuery& query,
                                const Database& db) {
   DbStats stats;
@@ -59,19 +67,36 @@ Result<DbStats> CollectDbStats(const ConjunctiveQuery& query,
   }
   stats.attr_domain.assign(static_cast<size_t>(max_attr + 1), kInf);
 
+  // A query names few distinct relations (a coloring query names one), so
+  // a linear search beats hashing the pointer.
+  std::vector<StoredStats> scanned;
   for (const Atom& atom : query.atoms()) {
     Result<const Relation*> stored = db.Get(atom.relation);
     if (!stored.ok()) return stored.status();
-    const Relation& rel = **stored;
-    stats.atom_rows.push_back(static_cast<double>(rel.size()));
-    stats.atom_dup_free.push_back(IsDuplicateFree(rel));
+    const Relation* rel = *stored;
+    if (rel->arity() != static_cast<int>(atom.args.size())) {
+      return Status::InvalidArgument("wrong arity for relation " +
+                                     atom.relation);
+    }
+    auto it = std::find_if(
+        scanned.begin(), scanned.end(),
+        [rel](const StoredStats& s) { return s.rel == rel; });
+    if (it == scanned.end()) {
+      StoredStats fresh{rel, IsDuplicateFree(*rel), {}};
+      for (int c = 0; c < rel->arity(); ++c) {
+        fresh.column_distinct.push_back(
+            static_cast<double>(DistinctColumnValues(*rel, c)));
+      }
+      it = scanned.insert(scanned.end(), std::move(fresh));
+    }
+    stats.atom_rows.push_back(static_cast<double>(rel->size()));
+    stats.atom_dup_free.push_back(it->dup_free);
     std::vector<AttrId> attrs = atom.DistinctAttrs();
     std::sort(attrs.begin(), attrs.end());
     stats.atom_attrs.push_back(std::move(attrs));
     for (size_t c = 0; c < atom.args.size(); ++c) {
       auto& dom = stats.attr_domain[static_cast<size_t>(atom.args[c])];
-      dom = std::min(dom, static_cast<double>(DistinctColumnValues(
-                              rel, static_cast<int>(c))));
+      dom = std::min(dom, it->column_distinct[c]);
     }
   }
   return stats;

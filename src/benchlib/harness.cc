@@ -7,24 +7,14 @@
 #include <sstream>
 
 #include "common/check.h"
-#include "common/mutex.h"
 #include "common/rng.h"
 #include "common/timer.h"
 #include "core/strategies.h"
 #include "exec/executor.h"
 #include "exec/physical_plan.h"
 #include "graph/elimination.h"
-#include "obs/exporters.h"
-#include "obs/metrics.h"
 
 namespace ppr {
-namespace {
-
-uint64_t SecondsToNs(double seconds) {
-  return seconds <= 0.0 ? 0 : static_cast<uint64_t>(seconds * 1e9);
-}
-
-}  // namespace
 
 std::vector<StrategyKind> AllStrategies() {
   return {StrategyKind::kStraightforward, StrategyKind::kEarlyProjection,
@@ -102,24 +92,7 @@ StrategyRun RunStrategy(StrategyKind kind, const ConjunctiveQuery& query,
   run.tuples_produced = result.stats.tuples_produced;
   run.max_intermediate_rows = result.stats.max_intermediate_rows;
   run.peak_bytes = result.stats.peak_bytes;
-
-  // Phase accounting for WriteBenchMetrics. Recorded after every timer
-  // has stopped, so the publication cost never leaks into the measured
-  // phases.
-  MutexLock lock(GlobalObsMutex());
-  MetricsRegistry& metrics = GlobalMetrics();
-  metrics.AddCounter("bench.runs", 1);
-  if (run.timed_out) metrics.AddCounter("bench.timeouts", 1);
-  metrics.RecordHistogram("bench.plan.ns", SecondsToNs(run.plan_seconds));
-  metrics.RecordHistogram("bench.compile.ns",
-                          SecondsToNs(run.compile_seconds));
-  metrics.RecordHistogram("bench.exec.ns", SecondsToNs(run.exec_seconds));
   return run;
-}
-
-Status WriteBenchMetrics(const std::string& path) {
-  MutexLock lock(GlobalObsMutex());
-  return WriteFileAtomicEnough(path, GlobalMetrics().ToJsonLines());
 }
 
 double Median(std::vector<double> values) {

@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "common/types.h"
 #include "core/plan.h"
 #include "core/rewrite_certificate.h"
@@ -55,20 +54,9 @@ struct StrategyRun {
 };
 
 /// Plans and executes `kind` on (query, db) under a tuple budget.
-///
-/// Each run also records its phase times into the global metrics
-/// registry (obs/metrics.h) as the `bench.plan.ns` / `bench.compile.ns`
-/// / `bench.exec.ns` histograms plus `bench.runs` / `bench.timeouts`
-/// counters, so a whole bench's phase distributions can be dumped with
-/// WriteBenchMetrics after the sweep.
 StrategyRun RunStrategy(StrategyKind kind, const ConjunctiveQuery& query,
                         const Database& db, Counter tuple_budget,
                         uint64_t seed);
-
-/// Writes the global metrics registry as JSONL to `path` (the
-/// `BENCH_*.json` companion artifact: per-phase time histograms from
-/// RunStrategy plus any `exec.*`/`op.*` metrics traced runs published).
-Status WriteBenchMetrics(const std::string& path);
 
 /// Median of `values`; timeouts should be encoded as +infinity by the
 /// caller. PPR_CHECK-fails on empty input. Even-sized inputs return the

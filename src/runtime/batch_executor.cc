@@ -69,8 +69,7 @@ struct BatchExecutor::WorkerState {
 };
 
 struct BatchExecutor::JobTelemetry {
-  /// FingerprintQueryStructure of the job's canonical structure; 0 on the
-  /// uncached path (which never canonicalizes).
+  /// FingerprintQueryStructure of the job's canonical structure.
   uint64_t fingerprint = 0;
   /// Plan::Width() of the logical plan the job executed; -1 if the job
   /// errored before a plan existed.
@@ -88,40 +87,18 @@ BatchExecutor::BatchExecutor(const Database& db, BatchOptions options)
                        ? ProcessEnv().default_threads
                        : ThreadPool::HardwareThreads();
   }
-  if (options_.use_plan_cache) {
-    if (options_.cache != nullptr) {
-      cache_ = options_.cache;
-    } else {
-      owned_cache_ = std::make_unique<PlanCache>(options_.cache_capacity);
-      cache_ = owned_cache_.get();
-    }
-    db_fingerprint_ = FingerprintDatabase(db_);
+  if (options_.cache != nullptr) {
+    cache_ = options_.cache;
+  } else {
+    owned_cache_ = std::make_unique<PlanCache>(options_.cache_capacity);
+    cache_ = owned_cache_.get();
   }
+  db_fingerprint_ = FingerprintDatabase(db_);
 }
 
 void BatchExecutor::ProcessJob(const BatchJob& job, WorkerState* worker,
                                ExecutionResult* slot,
                                JobTelemetry* telem) const {
-  TraceSink* trace = worker->trace.get();
-  if (cache_ == nullptr) {
-    // Uncached: plan + compile the original query, exactly as the
-    // single-threaded RunStrategy path does.
-    Plan plan = BuildStrategyPlan(job.strategy, job.query, job.seed);
-    if (telem != nullptr) {
-      telem->predicted_width = plan.Width();
-      telem->compiled_here = true;
-    }
-    Result<PhysicalPlan> compiled = PhysicalPlan::Compile(
-        job.query, plan, db_, options_.join_algorithm);
-    if (!compiled.ok()) {
-      *slot = ErrorResult(compiled.status());
-      return;
-    }
-    *slot = compiled->ExecuteShared(&worker->arena, job.tuple_budget, trace,
-                                    &worker->metrics);
-    return;
-  }
-
   const CanonicalQuery canon = CanonicalizeQuery(job.query);
   PlanCacheKey key;
   key.structure = canon.structure;
@@ -155,7 +132,8 @@ void BatchExecutor::ProcessJob(const BatchJob& job, WorkerState* worker,
   }
 
   ExecutionResult result = (*cached)->physical.ExecuteShared(
-      &worker->arena, job.tuple_budget, trace, &worker->metrics);
+      &worker->arena, job.tuple_budget, worker->trace.get(),
+      &worker->metrics);
   if (result.status.ok()) {
     result.output = RemapOutputFromCanonical(result.output, canon.from_canonical);
   }
@@ -178,8 +156,7 @@ BatchResult BatchExecutor::Run(const std::vector<BatchJob>& jobs) {
   BatchResult out;
   out.num_threads = num_threads_;
   out.results.resize(jobs.size());
-  const PlanCache::Stats cache_before =
-      cache_ != nullptr ? cache_->stats() : PlanCache::Stats{};
+  const PlanCache::Stats cache_before = cache_->stats();
 
   const bool tracing = GlobalTraceSinkIfEnabled() != nullptr;
   // The whole disabled-telemetry cost: this one branch, hoisted out of
@@ -218,12 +195,10 @@ BatchResult BatchExecutor::Run(const std::vector<BatchJob>& jobs) {
                                 r.stats.max_intermediate_rows);
     out.totals.NotePeakBytes(r.stats.peak_bytes);
   }
-  if (cache_ != nullptr) {
-    const PlanCache::Stats after = cache_->stats();
-    out.cache.hits = after.hits - cache_before.hits;
-    out.cache.misses = after.misses - cache_before.misses;
-    out.cache.evictions = after.evictions - cache_before.evictions;
-  }
+  const PlanCache::Stats cache_after = cache_->stats();
+  out.cache.hits = cache_after.hits - cache_before.hits;
+  out.cache.misses = cache_after.misses - cache_before.misses;
+  out.cache.evictions = cache_after.evictions - cache_before.evictions;
 
   const auto publish = [&](MetricsRegistry* target) {
     for (const WorkerState& w : workers) target->Merge(w.metrics);
@@ -238,11 +213,9 @@ BatchResult BatchExecutor::Run(const std::vector<BatchJob>& jobs) {
     }
     target->AddCounter("runtime.batch.timeouts", timeouts);
     target->RaiseMax("runtime.batch.threads", num_threads_);
-    if (cache_ != nullptr) {
-      target->AddCounter("runtime.cache.hits", out.cache.hits);
-      target->AddCounter("runtime.cache.misses", out.cache.misses);
-      target->AddCounter("runtime.cache.evictions", out.cache.evictions);
-    }
+    target->AddCounter("runtime.cache.hits", out.cache.hits);
+    target->AddCounter("runtime.cache.misses", out.cache.misses);
+    target->AddCounter("runtime.cache.evictions", out.cache.evictions);
   };
   // Touching the process-global registry or sink requires the obs
   // capability: two executors may Run() concurrently, and before this
@@ -292,9 +265,7 @@ BatchResult BatchExecutor::Run(const std::vector<BatchJob>& jobs) {
         rec.fingerprint = telem[i].fingerprint;
         rec.strategy = static_cast<int32_t>(jobs[i].strategy);
         rec.source = QuerySource::kBatch;
-        if (cache_ == nullptr) {
-          rec.cache_hit = false;
-        } else if (const GroupKey g = group_of(i); compiled.count(g) > 0) {
+        if (const GroupKey g = group_of(i); compiled.count(g) > 0) {
           rec.cache_hit = !miss_taken.insert(g).second;
         } else {
           rec.cache_hit = true;

@@ -17,8 +17,8 @@ namespace ppr {
 
 /// Rewrites a result relation computed over canonical attribute ids back
 /// to the original query's ids, with columns in ascending
-/// original-attribute order — exactly the schema an uncached execution
-/// of the original query would produce (root projected labels are
+/// original-attribute order — exactly the schema a direct execution of
+/// the original query produces (root projected labels are
 /// sorted). Shared by every consumer of cached canonical plans (batch
 /// executor, query service), which is what keeps their answers
 /// byte-identical.
@@ -41,12 +41,9 @@ struct BatchOptions {
   int num_threads = 1;
   JoinAlgorithm join_algorithm = JoinAlgorithm::kHash;
 
-  /// With the cache on, jobs are canonicalized and isomorphic instances
-  /// share one compiled plan (built for the *canonical* query, so the
-  /// shared plan is independent of which job compiles first). Off, every
-  /// job plans + compiles its own query exactly as RunStrategy would.
-  bool use_plan_cache = true;
-  /// Capacity of the internally owned cache (ignored with `cache` set).
+  /// Jobs are canonicalized, and isomorphic instances share one plan
+  /// compiled for the canonical query in the plan cache. Capacity of the
+  /// internally owned cache (ignored with `cache` set).
   size_t cache_capacity = 1024;
   /// External cache to share across batches/executors; null means the
   /// executor owns a private one.
@@ -67,8 +64,7 @@ struct BatchResult {
   /// byte-identical across runs and thread counts (each job's stats are
   /// deterministic, and so is the fold order).
   ExecStats totals;
-  /// Cache counter deltas for this batch (zeros when the cache is off).
-  /// Hits and misses are deterministic thanks to single-flight compiles.
+  /// Cache counter deltas for this batch. Hits and misses are deterministic thanks to single-flight compiles.
   PlanCache::Stats cache;
   /// Wall-clock for the whole batch (submit to drain).
   double seconds = 0.0;
@@ -104,7 +100,7 @@ class BatchExecutor {
   /// Runs all jobs to completion and drains worker shards.
   BatchResult Run(const std::vector<BatchJob>& jobs);
 
-  /// The cache in use (owned or external); null when caching is off.
+  /// The cache in use (owned or external).
   PlanCache* cache() { return cache_; }
 
   int num_threads() const { return num_threads_; }

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/physical_verifier.h"
@@ -142,6 +143,11 @@ TEST(LogicalVerifierTest, RejectsRelationAbsentFromCatalog) {
   Database bad_arity;
   bad_arity.Put("edge", Relation{Schema({0, 1, 2})});
   EXPECT_FALSE(VerifyLogicalPlan(q, plan, &bad_arity).ok());
+
+  // The analyzer reads per-column statistics of each atom's relation, so
+  // it refuses both catalogs too.
+  EXPECT_FALSE(AnalyzePlan(q, plan, empty_db).status.ok());
+  EXPECT_FALSE(AnalyzePlan(q, plan, bad_arity).status.ok());
 }
 
 TEST(ScheduleTest, LinearizesInBudgetChargeOrder) {
@@ -457,6 +463,61 @@ TEST(WidthAnalyzerTest, PerNodeBoundsFoldPerOpBounds) {
       }
     }
     EXPECT_EQ(analysis.per_op.back().node_id, 0);
+  }
+}
+
+// The size bounds read each stored relation's row count,
+// duplicate-freeness and per-column distinct counts. Pinned here for
+// queries whose atoms share relations: a 3-COLOR query whose 25 atoms
+// all name `edge`, and a query mixing `edge` with a 3-row `pair` that
+// holds a duplicate row, named twice (once with a repeated attribute).
+TEST(WidthAnalyzerTest, BoundsArePinnedWhenAtomsShareARelation) {
+  Database db = ThreeColorDb();
+  db.Put("pair", Relation{Schema({0, 1}), {{1, 1}, {1, 2}, {1, 1}}});
+  const ConjunctiveQuery coloring = KColorQuery(AugmentedLadder(3));
+  const ConjunctiveQuery mixed(
+      {Atom{"edge", {0, 1}}, Atom{"pair", {1, 2}}, Atom{"edge", {2, 3}},
+       Atom{"pair", {3, 3}}, Atom{"edge", {3, 0}}},
+      {0, 2});
+  struct Pinned {
+    const ConjunctiveQuery* query;
+    StrategyKind kind;
+    double tuples_produced_bound;
+    std::vector<std::pair<int, double>> per_node;  // (arity, rows) bounds
+  };
+  const std::vector<Pinned> pinned = {
+      {&coloring, StrategyKind::kStraightforward, 857007,
+       {{1, 3},      {12, 531441}, {11, 177147}, {10, 59049}, {10, 59049},
+        {9, 19683},  {8, 6561},    {7, 2187},    {6, 729},    {6, 729},
+        {5, 243},    {4, 81},      {3, 27},      {2, 6},      {2, 6},
+        {2, 6},      {2, 6},       {2, 6},       {2, 6},      {2, 6},
+        {2, 6},      {2, 6},       {2, 6},       {2, 6},      {2, 6},
+        {2, 6}}},
+      {&coloring, StrategyKind::kBucketElimination, 351,
+       {{1, 3},  {1, 3}, {2, 6}, {2, 6},  {2, 6}, {3, 27}, {2, 6},
+        {1, 3},  {2, 6}, {3, 27}, {2, 6}, {2, 6}, {1, 3},  {2, 6},
+        {3, 27}, {2, 6}, {1, 3}, {2, 6},  {3, 27}, {2, 6}, {2, 6},
+        {1, 3},  {2, 6}, {1, 3}, {2, 6}}},
+      {&mixed, StrategyKind::kStraightforward, 263,
+       {{2, 6}, {4, 162}, {4, 54}, {4, 18}, {3, 9}, {2, 3}, {2, 3}, {2, 2},
+        {1, 3}, {2, 3}}},
+      {&mixed, StrategyKind::kBucketElimination, 65,
+       {{2, 6}, {3, 9}, {2, 3}, {2, 3}, {3, 18}, {2, 2}, {1, 3}, {2, 3}}},
+  };
+  for (const Pinned& p : pinned) {
+    SCOPED_TRACE(std::string(p.query == &coloring ? "coloring " : "mixed ") +
+                 StrategyName(p.kind));
+    const StaticAnalysis analysis =
+        AnalyzePlan(*p.query, BuildStrategyPlan(p.kind, *p.query, 1), db);
+    ASSERT_TRUE(analysis.status.ok());
+    EXPECT_EQ(analysis.tuples_produced_bound, p.tuples_produced_bound);
+    ASSERT_EQ(analysis.per_node.size(), p.per_node.size());
+    for (size_t i = 0; i < p.per_node.size(); ++i) {
+      EXPECT_EQ(analysis.per_node[i].arity_bound, p.per_node[i].first)
+          << "node " << i;
+      EXPECT_EQ(analysis.per_node[i].rows_bound, p.per_node[i].second)
+          << "node " << i;
+    }
   }
 }
 

@@ -1,123 +1,41 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/strategies.h"
-#include "csp/csp.h"
-#include "encode/kcolor.h"
+#include "csp_oracle.h"
 #include "encode/reference.h"
+#include "encode/sat.h"
 #include "exec/executor.h"
-#include "graph/generators.h"
-#include "test_util.h"
 
 namespace ppr {
 namespace {
 
-TEST(CspTest, ValidateCatchesMalformedProblems) {
-  Csp csp;
-  csp.domains = {{1, 2}, {1, 2}};
-  EXPECT_TRUE(csp.Validate().ok());
-
-  csp.constraints.push_back(Constraint{{0, 5}, Relation{Schema({0, 5})}});
-  EXPECT_FALSE(csp.Validate().ok());  // variable 5 out of range
-
-  csp.constraints.back() = Constraint{{0, 0}, Relation{Schema({0, 1})}};
-  EXPECT_FALSE(csp.Validate().ok());  // repeated scope variable
-
-  csp.constraints.back() = Constraint{{0, 1}, Relation{Schema({0})}};
-  EXPECT_FALSE(csp.Validate().ok());  // arity mismatch
-}
-
-TEST(CspTest, IsSolutionChecksConstraintsAndDomains) {
-  Csp csp = ColoringCsp(Cycle(3), 3);
-  EXPECT_TRUE(csp.IsSolution({1, 2, 3}));
-  EXPECT_FALSE(csp.IsSolution({1, 1, 2}));  // monochromatic edge
-  EXPECT_FALSE(csp.IsSolution({1, 2, 9}));  // out of domain
-}
-
-TEST(ColoringCspTest, MatchesReferenceSolver) {
-  for (auto make : {+[] { return Cycle(5); }, +[] { return Complete(4); },
-                    +[] { return Ladder(4); }}) {
-    Graph g = make();
-    Csp csp = ColoringCsp(g, 3);
-    ASSERT_TRUE(csp.Validate().ok());
-    const auto solution = SolveCsp(csp);
-    EXPECT_EQ(solution.has_value(), IsKColorable(g, 3)) << g.ToString();
-    if (solution) {
-      EXPECT_TRUE(csp.IsSolution(*solution));
-    }
-  }
+// True when `assignment` (one 0/1 value per variable) satisfies every
+// clause of `cnf`.
+bool SatisfiesCnf(const Cnf& cnf, const std::vector<Value>& assignment) {
+  return std::all_of(
+      cnf.clauses.begin(), cnf.clauses.end(), [&](const auto& clause) {
+        return std::any_of(clause.begin(), clause.end(),
+                           [&](const Literal& lit) {
+                             return (assignment[static_cast<size_t>(
+                                         lit.var)] != 0) != lit.negated;
+                           });
+      });
 }
 
 TEST(CnfCspTest, MatchesDpll) {
   Rng rng(3);
   for (int i = 0; i < 10; ++i) {
     Cnf cnf = RandomKSat(6, rng.NextInt(4, 20), 3, rng);
-    Csp csp = CnfCsp(cnf);
-    ASSERT_TRUE(csp.Validate().ok());
-    const auto solution = SolveCsp(csp);
+    const auto solution = SolveCsp(CnfCsp(cnf));
     EXPECT_EQ(solution.has_value(), IsSatisfiable(cnf)) << cnf.ToString();
     if (solution) {
-      EXPECT_TRUE(csp.IsSolution(*solution));
+      EXPECT_TRUE(SatisfiesCnf(cnf, *solution)) << cnf.ToString();
     }
   }
-}
-
-TEST(CspToQueryTest, QueryNonemptinessEqualsSolvability) {
-  Rng rng(7);
-  for (int i = 0; i < 8; ++i) {
-    const int n = rng.NextInt(5, 9);
-    Graph g = ConnectedRandomGraph(n, rng.NextInt(n, 2 * n), rng);
-    Csp csp = ColoringCsp(g, 3);
-    CspAsQuery as_query = CspToQuery(csp);
-    ASSERT_TRUE(as_query.query.Validate(as_query.db).ok());
-
-    ExecutionResult r = ExecutePlan(
-        as_query.query, BucketEliminationPlanMcs(as_query.query, &rng),
-        as_query.db);
-    ASSERT_TRUE(r.status.ok());
-    EXPECT_EQ(r.nonempty(), SolveCsp(csp).has_value()) << g.ToString();
-  }
-}
-
-TEST(QueryToCspTest, RoundTripPreservesSolvability) {
-  Database db;
-  AddColoringRelations(3, &db);
-  Rng rng(11);
-  for (int i = 0; i < 8; ++i) {
-    const int n = rng.NextInt(5, 9);
-    Graph g = ConnectedRandomGraph(n, rng.NextInt(n, 2 * n), rng);
-    ConjunctiveQuery q = KColorQuery(g);
-
-    Result<Csp> csp = QueryToCsp(q, db);
-    ASSERT_TRUE(csp.ok());
-    ASSERT_TRUE(csp->Validate().ok());
-    EXPECT_EQ(SolveCsp(*csp).has_value(), IsKColorable(g, 3));
-    // Domains learned from the edge relation are the three colors.
-    for (int v = 0; v < g.num_vertices(); ++v) {
-      if (g.Degree(v) > 0) {
-        EXPECT_EQ(csp->domains[static_cast<size_t>(v)].size(), 3u);
-      }
-    }
-  }
-}
-
-TEST(QueryToCspTest, RejectsInvalidQuery) {
-  Database db;
-  ConjunctiveQuery q({Atom{"missing", {0}}}, {0});
-  EXPECT_FALSE(QueryToCsp(q, db).ok());
-}
-
-TEST(QueryToCspTest, RepeatedAttrBecomesUnaryConstraint) {
-  Database db;
-  db.Put("r", Relation{Schema({0, 1}), {{1, 1}, {1, 2}}});
-  ConjunctiveQuery q({Atom{"r", {5, 5}}}, {5});
-  Result<Csp> csp = QueryToCsp(q, db);
-  ASSERT_TRUE(csp.ok());
-  ASSERT_EQ(csp->constraints.size(), 1u);
-  EXPECT_EQ(csp->constraints[0].scope, (std::vector<int>{5}));
-  EXPECT_EQ(csp->constraints[0].allowed.size(), 1);  // only (1,1) survives
 }
 
 TEST(SolveCspTest, EmptyDomainMeansUnsolvable) {

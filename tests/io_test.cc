@@ -1,108 +1,14 @@
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
 #include "core/strategies.h"
 #include "encode/kcolor.h"
-#include "exec/executor.h"
 #include "graph/elimination.h"
 #include "graph/generators.h"
 #include "graph/tree_decomposition.h"
-#include "io/dimacs.h"
 #include "io/dot.h"
 
 namespace ppr {
 namespace {
-
-TEST(DimacsGraphTest, ParsesWellFormedInput) {
-  const std::string text =
-      "c a triangle\n"
-      "p edge 3 3\n"
-      "e 1 2\n"
-      "e 2 3\n"
-      "e 1 3\n";
-  Result<Graph> g = ParseDimacsGraph(text);
-  ASSERT_TRUE(g.ok()) << g.status().ToString();
-  EXPECT_EQ(g->num_vertices(), 3);
-  EXPECT_EQ(g->num_edges(), 3);
-  EXPECT_TRUE(g->HasEdge(0, 1));
-  EXPECT_TRUE(g->HasEdge(0, 2));
-}
-
-TEST(DimacsGraphTest, PreservesEdgeOrder) {
-  const std::string text = "p edge 4 2\ne 3 1\ne 2 4\n";
-  Result<Graph> g = ParseDimacsGraph(text);
-  ASSERT_TRUE(g.ok());
-  const auto& order = g->EdgesInInsertionOrder();
-  EXPECT_EQ(order[0], std::make_pair(2, 0));
-  EXPECT_EQ(order[1], std::make_pair(1, 3));
-}
-
-TEST(DimacsGraphTest, RejectsMalformedInput) {
-  EXPECT_FALSE(ParseDimacsGraph("").ok());                    // no header
-  EXPECT_FALSE(ParseDimacsGraph("p edge 2 1\n").ok());        // count short
-  EXPECT_FALSE(ParseDimacsGraph("p edge 2 1\ne 1 1\n").ok()); // self loop
-  EXPECT_FALSE(ParseDimacsGraph("p edge 2 1\ne 1 3\n").ok()); // out of range
-  EXPECT_FALSE(
-      ParseDimacsGraph("p edge 2 2\ne 1 2\ne 2 1\n").ok());   // duplicate
-  EXPECT_FALSE(ParseDimacsGraph("e 1 2\np edge 2 1\n").ok()); // edge first
-  EXPECT_FALSE(ParseDimacsGraph("p edge 2 1\nxyz\n").ok());   // junk line
-}
-
-TEST(DimacsGraphTest, RoundTrip) {
-  Rng rng(5);
-  Graph g = RandomGraph(12, 25, rng);
-  Result<Graph> back = ParseDimacsGraph(WriteDimacsGraph(g));
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->num_vertices(), g.num_vertices());
-  EXPECT_EQ(back->Edges(), g.Edges());
-  EXPECT_EQ(back->EdgesInInsertionOrder(), g.EdgesInInsertionOrder());
-}
-
-TEST(DimacsCnfTest, ParsesWellFormedInput) {
-  const std::string text =
-      "c tiny\n"
-      "p cnf 3 2\n"
-      "1 -2 3 0\n"
-      "-1 2 0\n";
-  Result<Cnf> cnf = ParseDimacsCnf(text);
-  ASSERT_TRUE(cnf.ok()) << cnf.status().ToString();
-  EXPECT_EQ(cnf->num_vars, 3);
-  ASSERT_EQ(cnf->num_clauses(), 2);
-  EXPECT_EQ(cnf->clauses[0][1].var, 1);
-  EXPECT_TRUE(cnf->clauses[0][1].negated);
-  EXPECT_FALSE(cnf->clauses[0][2].negated);
-}
-
-TEST(DimacsCnfTest, MultipleClausesPerLine) {
-  Result<Cnf> cnf = ParseDimacsCnf("p cnf 2 2\n1 0 -2 0\n");
-  ASSERT_TRUE(cnf.ok());
-  EXPECT_EQ(cnf->num_clauses(), 2);
-}
-
-TEST(DimacsCnfTest, RejectsMalformedInput) {
-  EXPECT_FALSE(ParseDimacsCnf("").ok());
-  EXPECT_FALSE(ParseDimacsCnf("p cnf 2 1\n1 2\n").ok());   // missing 0
-  EXPECT_FALSE(ParseDimacsCnf("p cnf 2 1\n3 0\n").ok());   // var range
-  EXPECT_FALSE(ParseDimacsCnf("p cnf 2 2\n1 0\n").ok());   // count short
-  EXPECT_FALSE(ParseDimacsCnf("p cnf 2 1\n1 -1 0\n").ok()); // repeated var
-}
-
-TEST(DimacsCnfTest, RoundTrip) {
-  Rng rng(7);
-  Cnf cnf = RandomKSat(8, 20, 3, rng);
-  Result<Cnf> back = ParseDimacsCnf(WriteDimacsCnf(cnf));
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->num_vars, cnf.num_vars);
-  ASSERT_EQ(back->num_clauses(), cnf.num_clauses());
-  for (int c = 0; c < cnf.num_clauses(); ++c) {
-    for (size_t i = 0; i < 3; ++i) {
-      EXPECT_EQ(back->clauses[static_cast<size_t>(c)][i].var,
-                cnf.clauses[static_cast<size_t>(c)][i].var);
-      EXPECT_EQ(back->clauses[static_cast<size_t>(c)][i].negated,
-                cnf.clauses[static_cast<size_t>(c)][i].negated);
-    }
-  }
-}
 
 TEST(DotTest, GraphExportContainsAllEdges) {
   Graph g = Cycle(4);
@@ -142,20 +48,6 @@ TEST(DotTest, PlanExportHighlightsProjections) {
     ++highlights;
   }
   EXPECT_EQ(highlights, 1u);
-}
-
-TEST(DimacsQueryPipelineTest, ParsedGraphRunsThroughTheEngine) {
-  // End to end: DIMACS text -> graph -> query -> bucket elimination.
-  const std::string text = "p edge 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n";
-  Result<Graph> g = ParseDimacsGraph(text);  // K4
-  ASSERT_TRUE(g.ok());
-  Database db;
-  AddColoringRelations(3, &db);
-  ConjunctiveQuery q = KColorQuery(*g);
-  ExecutionResult r =
-      ExecutePlan(q, BucketEliminationPlanMcs(q, nullptr), db);
-  ASSERT_TRUE(r.status.ok());
-  EXPECT_FALSE(r.nonempty());  // K4 is not 3-colorable
 }
 
 }  // namespace

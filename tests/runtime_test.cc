@@ -481,41 +481,13 @@ TEST(BatchExecutorTest, NonBooleanOutputsRemapToOriginalAttributes) {
     ASSERT_TRUE(oracle.status.ok());
     ASSERT_TRUE(batch.results[i].status.ok()) << "job " << i;
     // Cached plans run on canonical attribute ids; the remap must hand
-    // back exactly the relation an uncached run would produce.
+    // back exactly the relation a direct run of the query produces.
     EXPECT_TRUE(batch.results[i].output.SetEquals(oracle.output))
         << "job " << i;
   }
   // All 7 jobs share one structure: 1 miss, 6 hits.
   EXPECT_EQ(batch.cache.misses, 1);
   EXPECT_EQ(batch.cache.hits, 6);
-}
-
-TEST(BatchExecutorTest, UncachedModeMatchesCachedMode) {
-  Database db = ThreeColorDb();
-  ColorBatchSpec spec;
-  spec.num_bases = 3;
-  spec.copies_per_base = 3;
-  spec.num_vertices = 7;
-  spec.seed = 9;
-  std::vector<BatchJob> jobs = JobsFrom(IsomorphicColorBatch(spec),
-                                        StrategyKind::kBucketElimination);
-  BatchOptions cached;
-  cached.num_threads = 2;
-  BatchOptions uncached;
-  uncached.num_threads = 2;
-  uncached.use_plan_cache = false;
-  const BatchResult with_cache = BatchExecutor(db, cached).Run(jobs);
-  const BatchResult without = BatchExecutor(db, uncached).Run(jobs);
-  ASSERT_EQ(with_cache.num_jobs(), without.num_jobs());
-  for (int64_t i = 0; i < with_cache.num_jobs(); ++i) {
-    const size_t j = static_cast<size_t>(i);
-    ASSERT_TRUE(with_cache.results[j].status.ok());
-    ASSERT_TRUE(without.results[j].status.ok());
-    EXPECT_TRUE(
-        with_cache.results[j].output.SetEquals(without.results[j].output));
-  }
-  EXPECT_EQ(without.cache.hits, 0);
-  EXPECT_EQ(without.cache.misses, 0);
 }
 
 TEST(BatchExecutorTest, BudgetExhaustionIsPerJob) {

@@ -621,51 +621,78 @@ TEST(ServiceServerTest, TcpRoundTripMatchesInProcessExecution) {
   EXPECT_EQ(server.write_errors(), 0);
 }
 
+// Every request on concurrent TCP connections gets exactly one framed
+// reply. With open admission every answer is OK. Under overload (one
+// worker, a 2-deep queue, 2-token client quotas on a frozen clock, so no
+// token ever refills) the refusals reach the clients and nothing is
+// dropped.
 TEST(ServiceServerTest, ConcurrentConnectionsAllAnswered) {
-  const Database db = ThreeColorDb();
-  ServiceConfig config;
-  config.num_workers = 2;
-  QueryService service(db, config);
-  ServiceServer server(&service, ServerConfig{});
-  ASSERT_TRUE(server.Start().ok());
+  ServiceConfig open;
+  open.num_workers = 2;
+  ServiceConfig overload;
+  overload.num_workers = 1;
+  overload.queue_depth = 2;
+  overload.admission.quota_tokens = 2;
+  overload.admission.quota_refill_per_sec = 1.0;
+  overload.clock = [] { return uint64_t{1'000'000'000}; };
 
-  constexpr int kClients = 6;
-  constexpr int kPerClient = 10;
-  std::atomic<int64_t> ok_count{0};
-  std::atomic<int64_t> failures{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kClients);
-  for (int c = 0; c < kClients; ++c) {
-    threads.emplace_back([&server, &ok_count, &failures, c] {
-      Result<ServiceClient> client =
-          ServiceClient::Connect("127.0.0.1", server.port());
-      if (!client.ok()) {
-        failures.fetch_add(kPerClient);
-        return;
-      }
-      for (int i = 0; i < kPerClient; ++i) {
-        const Result<ServiceReply> reply = client->Call(MakeRequest(
-            "pi{X} edge(X, Y)",
-            static_cast<uint64_t>(c) << 32 | static_cast<uint64_t>(i),
-            static_cast<uint64_t>(c)));
-        if (reply.ok() && reply->ok()) {
-          ok_count.fetch_add(1);
-        } else {
-          failures.fetch_add(1);
+  for (const bool overloaded : {false, true}) {
+    SCOPED_TRACE(overloaded ? "overload" : "open admission");
+    const Database db = ThreeColorDb();
+    QueryService service(db, overloaded ? overload : open);
+    ServiceServer server(&service, ServerConfig{});
+    ASSERT_TRUE(server.Start().ok());
+
+    constexpr int kClients = 6;
+    constexpr int kPerClient = 10;
+    constexpr int64_t kRequests = kClients * kPerClient;
+    std::atomic<int64_t> ok_count{0};
+    std::atomic<int64_t> failures{0};  // calls that got no reply
+    std::vector<std::thread> threads;
+    threads.reserve(kClients);
+    for (int c = 0; c < kClients; ++c) {
+      threads.emplace_back([&server, &ok_count, &failures, c] {
+        Result<ServiceClient> client =
+            ServiceClient::Connect("127.0.0.1", server.port());
+        if (!client.ok()) {
+          failures.fetch_add(kPerClient);
+          return;
         }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  server.Stop();
+        for (int i = 0; i < kPerClient; ++i) {
+          const Result<ServiceReply> reply = client->Call(MakeRequest(
+              "pi{X} edge(X, Y)",
+              static_cast<uint64_t>(c) << 32 | static_cast<uint64_t>(i),
+              static_cast<uint64_t>(c)));
+          if (!reply.ok()) {
+            failures.fetch_add(1);
+          } else if (reply->ok()) {
+            ok_count.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    server.Stop();
 
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(ok_count.load(), kClients * kPerClient);
-  EXPECT_EQ(server.connections_accepted(), kClients);
-  EXPECT_EQ(server.write_errors(), 0);
-  const ServiceCounters counters = service.counters();
-  EXPECT_EQ(counters.requests, kClients * kPerClient);
-  EXPECT_EQ(counters.ok, kClients * kPerClient);
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_EQ(server.connections_accepted(), kClients);
+    EXPECT_EQ(server.write_errors(), 0);
+    const ServiceCounters counters = service.counters();
+    EXPECT_EQ(counters.requests, kRequests);
+    EXPECT_EQ(counters.errors, 0);
+    EXPECT_EQ(counters.ok, ok_count.load());
+    EXPECT_EQ(counters.requests,
+              counters.completed + counters.invalid +
+                  counters.rejected_bound + counters.shed_quota +
+                  counters.shed_bound + counters.shed_queue +
+                  counters.shed_draining);
+    if (overloaded) {
+      EXPECT_GT(counters.shed_total(), 0);
+      EXPECT_EQ(counters.ok + counters.shed_total(), kRequests);
+    } else {
+      EXPECT_EQ(counters.ok, kRequests);
+    }
+  }
 }
 
 // Open file descriptors of this process.
