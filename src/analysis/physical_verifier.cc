@@ -314,7 +314,7 @@ Status VerifyPhysicalPlan(const ConjunctiveQuery& query, const Plan& plan,
   return VerifyNode(query, plan.root(), physical.root(), db, &distinct);
 }
 
-Status VerifyMorselSpans(const ConjunctiveQuery& query, const Plan& plan,
+Status VerifyKernelSpans(const ConjunctiveQuery& query, const Plan& plan,
                          const Database& db,
                          const std::vector<TraceSpan>& spans,
                          const ExecStats& stats, Counter tuple_budget) {
@@ -324,38 +324,14 @@ Status VerifyMorselSpans(const ConjunctiveQuery& query, const Plan& plan,
   if (!analysis.status.ok()) return analysis.status;
 
   int64_t span_rows = 0;
-  for (const std::span<const TraceSpan> morsels : SplitKernelCalls(spans)) {
-    const TraceSpan& call = morsels.front();
-    const std::string where =
-        "kernel call at span " +
-        std::to_string(morsels.data() - spans.data()) + " (" +
-        TraceOpName(call.op) + ", node " + std::to_string(call.node_id) +
-        "): ";
-
-    // Morsels: ids 0..n-1 in order (a lone -1 for the sort-merge join),
-    // every one for the same operator at the same node and arity. A
-    // dropped, duplicated, or reordered morsel breaks the sequence.
-    int64_t call_rows = 0;
-    for (size_t s = 0; s < morsels.size(); ++s) {
-      const TraceSpan& span = morsels[s];
-      const int32_t due = call.morsel_id == -1 ? -1 : static_cast<int32_t>(s);
-      if (span.morsel_id != due) {
-        return Status::InvalidArgument(
-            where + "morsel id " + std::to_string(span.morsel_id) +
-            " where " + std::to_string(due) + " was due");
-      }
-      if (span.op != call.op || span.node_id != call.node_id ||
-          span.arity_out != call.arity_out) {
-        return Status::InvalidArgument(
-            where + "morsel " + std::to_string(span.morsel_id) +
-            " reports another operator, node, or arity");
-      }
-      if (span.rows_out < 0) {
-        return Status::InvalidArgument(where + "negative morsel row count");
-      }
-      call_rows += span.rows_out;
+  for (size_t s = 0; s < spans.size(); ++s) {
+    const TraceSpan& call = spans[s];
+    const std::string where = "kernel call at span " + std::to_string(s) +
+                              " (" + TraceOpName(call.op) + ", node " +
+                              std::to_string(call.node_id) + "): ";
+    if (call.rows_out < 0) {
+      return Status::InvalidArgument(where + "negative row count");
     }
-
     if (call.node_id < 0 ||
         static_cast<size_t>(call.node_id) >= analysis.per_node.size()) {
       return Status::InvalidArgument(where + "node id out of range");
@@ -432,12 +408,12 @@ Status VerifyMorselSpans(const ConjunctiveQuery& query, const Plan& plan,
     const double rows_bound =
         analysis.per_node[static_cast<size_t>(call.node_id)].rows_bound;
     if (std::isfinite(rows_bound) &&
-        static_cast<double>(call_rows) > rows_bound) {
+        static_cast<double>(call.rows_out) > rows_bound) {
       return Status::Internal(
-          where + "output rows " + std::to_string(call_rows) +
+          where + "output rows " + std::to_string(call.rows_out) +
           " exceed static bound " + std::to_string(rows_bound));
     }
-    span_rows += call_rows;
+    span_rows += call.rows_out;
   }
 
   // Every row a kernel produces, written or read unwritten by the next

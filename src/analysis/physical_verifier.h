@@ -46,21 +46,15 @@ namespace ppr {
 Status VerifyPhysicalPlan(const ConjunctiveQuery& query, const Plan& plan,
                           const Database& db, const PhysicalPlan& physical);
 
-/// Post-run verifier for morsel-driven execution: checks the kernel
-/// spans of one run (obs/trace.h; one span per morsel, in execution
-/// order) against the operator schedule and static bounds of one
-/// AnalyzePlan of the plan, and the run's budget charges. The span
-/// stream splits into kernel calls: a span with morsel_id 0, or the
-/// sort-merge join's -1, starts a call. Like VerifyPhysicalPlan it takes
+/// Post-run verifier for the kernel spans of one run (obs/trace.h; one
+/// span per kernel call, in execution order): checks them against the
+/// operator schedule and static bounds of one AnalyzePlan of the plan,
+/// and the run's budget charges. Like VerifyPhysicalPlan it takes
 /// nothing from the compiler — operator arities come from the schedule
 /// the analyzer derives from the logical labels, never from the compiled
-/// specs — so a kernel that partitioned, merged, or counted wrongly is
-/// caught rather than trusted. Returns the analysis's status when it
-/// fails. Rejects:
+/// specs — so a kernel that counted wrongly is caught rather than
+/// trusted. Returns the analysis's status when it fails. Rejects:
 ///  - a node id outside the plan's pre-order numbering;
-///  - morsel damage: a call whose morsel ids do not run 0..n-1 in order,
-///    or whose spans disagree on the operator or node (morsels dropped,
-///    duplicated, or recorded out of order);
 ///  - operator misplacement: a scan on a non-leaf, a join on a leaf, a
 ///    projection on a non-projecting node, or any semijoin (plans run
 ///    none);
@@ -70,7 +64,7 @@ Status VerifyPhysicalPlan(const ConjunctiveQuery& query, const Plan& plan,
 ///    output labels, projections the projected label);
 ///  - bound violations: a call's rows above its node's finite static row
 ///    bound (StaticAnalysis::per_node) — meaning the analyzer's proof is
-///    wrong;
+///    wrong — or a negative row count;
 ///  - row-accounting damage: span rows that do not add up to the tuples
 ///    the run charged against its budget (`stats.tuples_produced`). A
 ///    completed run (tuples_produced <= tuple_budget) must match
@@ -79,9 +73,8 @@ Status VerifyPhysicalPlan(const ConjunctiveQuery& query, const Plan& plan,
 ///
 /// Sound under budget truncation: a truncated run executes a prefix of
 /// the operators and materializes fewer rows, both of which still pass.
-/// This is the `morsel_accounting` hook (exec/verify_hook.h) the runtime
-/// morsel driver invokes after a verified run.
-Status VerifyMorselSpans(const ConjunctiveQuery& query, const Plan& plan,
+/// The tests run it over traced ExecuteShared runs.
+Status VerifyKernelSpans(const ConjunctiveQuery& query, const Plan& plan,
                          const Database& db,
                          const std::vector<TraceSpan>& spans,
                          const ExecStats& stats, Counter tuple_budget);

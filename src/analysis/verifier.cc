@@ -77,12 +77,6 @@ void InstallPlanVerifier(bool enable) {
     // verification linear in plan size.
     return VerifyPhysicalPlan(query, plan, db, physical);
   };
-  hooks.morsel_accounting = [](const ConjunctiveQuery& query,
-                               const Plan& plan, const Database& db,
-                               const std::vector<TraceSpan>& spans,
-                               const ExecStats& stats, Counter tuple_budget) {
-    return VerifyMorselSpans(query, plan, db, spans, stats, tuple_budget);
-  };
   // Semantic tier: fires only while EnableSemanticVerification /
   // PPR_VERIFY_SEMANTICS is on (exec gates it independently of `enable`).
   // The adapter passes re-entrant calls through — the equivalence proof

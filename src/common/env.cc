@@ -33,11 +33,6 @@ const EnvConfig& ProcessEnv() {
       const int n = std::atoi(env);
       if (n > 0) c.default_threads = n;
     }
-    if (const char* env = std::getenv("PPR_MORSEL_SIZE");
-        env != nullptr && env[0] != '\0') {
-      const long long n = std::atoll(env);
-      if (n > 0) c.morsel_rows = n;
-    }
     if (const char* env = std::getenv("PPR_QUERY_LOG");
         env != nullptr && env[0] != '\0') {
       c.query_log_path = env;

@@ -30,23 +30,15 @@ struct EnvConfig {
   /// PPR_VERIFY_PLANS; either tier can run alone.
   bool verify_semantics = false;
 
-  /// PPR_THREADS: default worker count for the batch runtime and the
-  /// thread-scaling bench harness; 0 means "unset" (callers pick their
-  /// own default, typically 1 or hardware_concurrency).
+  /// PPR_THREADS: default worker count for BatchExecutor and
+  /// QueryService (pprd's --workers=0); 0 means "unset", and both then
+  /// use the hardware thread count.
   int default_threads = 0;
-
-  /// PPR_MORSEL_SIZE: rows per morsel for the morsel driver
-  /// (src/runtime/morsel_driver.h) only; serial runs treat each kernel
-  /// input as one morsel. Defaults to 64K rows — a probe-side morsel of
-  /// that size keeps the gathered key columns L2-resident on common
-  /// hardware. The partition is a knob for performance only: results and
-  /// every merged statistic but peak_bytes are identical for any
-  /// positive value.
-  int64_t morsel_rows = 65536;
 
   /// PPR_QUERY_LOG: non-empty path enables the structured query log
   /// (obs/telemetry/query_log.h) with that file as the JSONL export
-  /// target, rewritten at every batch/morsel drain.
+  /// target, rewritten at every batch drain, and by the service every
+  /// few records and when it drains.
   std::string query_log_path;
 
   /// PPR_STATS_PORT: when set, the Prometheus exposition server

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
-#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -205,20 +204,17 @@ ExplainResult ExplainPlan(const ConjunctiveQuery& query, const Plan& plan,
   // id, made a scan call.
   std::vector<NodeCalls> calls(static_cast<size_t>(compiled->NumNodes()));
   int32_t last_reached = -1;
-  for (const std::span<const TraceSpan> morsels : SplitKernelCalls(spans)) {
-    const TraceSpan& first = morsels.front();
-    int64_t rows = 0;
-    for (const TraceSpan& span : morsels) rows += span.rows_out;
-    NodeCalls& call = calls[static_cast<size_t>(first.node_id)];
-    if (first.op == TraceOp::kJoin) {
-      call.last_join_rows = rows;
+  for (const TraceSpan& span : spans) {
+    NodeCalls& call = calls[static_cast<size_t>(span.node_id)];
+    if (span.op == TraceOp::kJoin) {
+      call.last_join_rows = span.rows_out;
       ++call.joins;
-    } else if (first.op == TraceOp::kProject) {
-      call.project_rows = rows;
+    } else if (span.op == TraceOp::kProject) {
+      call.project_rows = span.rows_out;
     } else {
-      call.scan_rows = rows;
+      call.scan_rows = span.rows_out;
     }
-    last_reached = std::max(last_reached, first.node_id);
+    last_reached = std::max(last_reached, span.node_id);
   }
   ProfileWalk walk{query, db, domain_size, calls, run.exhausted_node,
                    last_reached, &result.nodes};

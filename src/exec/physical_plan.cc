@@ -97,8 +97,7 @@ std::unique_ptr<PhysicalNode> CompileNode(const ConjunctiveQuery& query,
 // Bottom-up evaluation with the exact control flow of the seed
 // interpreter (executor.cc's EvalNode), so budget-exhaustion skip
 // behavior — and therefore every statistic — is preserved bit for bit.
-// kSortMerge joins run the sort-merge kernel (the Section-2 ablation),
-// which has no morsel partition.
+// kSortMerge joins run the sort-merge kernel (the Section-2 ablation).
 //
 // A hash fold step is counted first and written only when its rows are
 // read (CountedJoin, relational/batch_ops.h): the node's projection
@@ -109,13 +108,12 @@ std::unique_ptr<PhysicalNode> CompileNode(const ConjunctiveQuery& query,
 // the parent's first fold step reads; the node's fold steps then work in
 // that slot. Everything else reads the join written.
 Relation Exec(const PhysicalNode& node, JoinAlgorithm join_algorithm,
-              ExecContext& ctx, const MorselExec& mx,
-              std::optional<CountedJoin>* unwritten) {
+              ExecContext& ctx, std::optional<CountedJoin>* unwritten) {
   if (node.IsLeaf()) {
     ctx.set_trace_node(node.node_id);
-    Relation bound = ScanAtom(*node.stored, node.scan, ctx, mx);
+    Relation bound = ScanAtom(*node.stored, node.scan, ctx);
     if (node.has_project && !ctx.exhausted()) {
-      return ProjectColumns(bound, node.project, ctx, mx);
+      return ProjectColumns(bound, node.project, ctx);
     }
     return bound;
   }
@@ -123,10 +121,10 @@ Relation Exec(const PhysicalNode& node, JoinAlgorithm join_algorithm,
   const bool hash = join_algorithm == JoinAlgorithm::kHash;
   std::optional<CountedJoin> own;
   std::optional<CountedJoin>& join = unwritten != nullptr ? *unwritten : own;
-  Relation acc = Exec(*node.children.front(), join_algorithm, ctx, mx,
-                      hash ? &join : nullptr);
+  Relation acc =
+      Exec(*node.children.front(), join_algorithm, ctx, hash ? &join : nullptr);
   for (size_t i = 1; i < node.children.size() && !ctx.exhausted(); ++i) {
-    Relation next = Exec(*node.children[i], join_algorithm, ctx, mx, nullptr);
+    Relation next = Exec(*node.children[i], join_algorithm, ctx, nullptr);
     if (ctx.exhausted()) break;
     // Children retargeted the span attribution; point it back at this
     // node for the fold step's join (and the projection below).
@@ -135,9 +133,9 @@ Relation Exec(const PhysicalNode& node, JoinAlgorithm join_algorithm,
     if (!hash) {
       acc = SortMergeJoin(acc, next, ctx);
     } else if (join) {
-      *join = CountJoin(std::move(*join), std::move(next), spec, ctx, mx);
+      *join = CountJoin(std::move(*join), std::move(next), spec, ctx);
     } else {
-      join.emplace(std::move(acc), std::move(next), spec, ctx, mx);
+      join.emplace(std::move(acc), std::move(next), spec, ctx);
     }
   }
   if (ctx.exhausted()) {
@@ -147,9 +145,9 @@ Relation Exec(const PhysicalNode& node, JoinAlgorithm join_algorithm,
   }
   if (node.has_project) {
     ctx.set_trace_node(node.node_id);
-    if (!join) return ProjectColumns(acc, node.project, ctx, mx);
+    if (!join) return ProjectColumns(acc, node.project, ctx);
     Relation out =
-        ProjectColumns(std::move(*join), node.project, ctx, mx, node.keyed);
+        ProjectColumns(std::move(*join), node.project, ctx, node.keyed);
     join.reset();
     return out;
   }
@@ -239,15 +237,14 @@ ExecutionResult PhysicalPlan::Execute(Counter tuple_budget,
 ExecutionResult PhysicalPlan::ExecuteShared(ExecArena* arena,
                                             Counter tuple_budget,
                                             TraceSink* trace,
-                                            MetricsRegistry* metrics,
-                                            const MorselExec& mx) const {
+                                            MetricsRegistry* metrics) const {
   ExecutionResult result;
   if (arena != nullptr) arena->Reset();
   ExecContext ctx(tuple_budget, arena);
   const uint64_t span_mark = trace != nullptr ? trace->total_recorded() : 0;
   ctx.set_tracer(trace);
   WallTimer timer;
-  Relation output = Exec(*root_, join_algorithm_, ctx, mx, nullptr);
+  Relation output = Exec(*root_, join_algorithm_, ctx, nullptr);
   result.seconds = timer.ElapsedSeconds();
   result.stats = ctx.stats();
   if (metrics != nullptr) {

@@ -72,12 +72,10 @@ struct PhysicalNode {
 /// relational/batch_ops.h, with operator scratch bump-allocated from an
 /// arena whose blocks are recycled across operators *and* across runs.
 ///
-/// There is one plan walker and one const entry point, ExecuteShared().
-/// A serial run (the default MorselExec) runs every kernel call as one
-/// morsel on the calling thread; the morsel driver (src/runtime) passes
-/// its own MorselExec to split kernel inputs into morsels across a
-/// thread pool. Execute() is the convenience wrapper that adds the
-/// PPR_TRACE process-wide sink.
+/// There is one plan walker and one const entry point, ExecuteShared(),
+/// which runs every kernel call as one pass on the calling thread.
+/// Execute() is the convenience wrapper that adds the PPR_TRACE
+/// process-wide sink.
 ///
 /// The logical plan's semantics are untouched: Execute() performs the
 /// same operators in the same order with the same budget/statistics
@@ -130,19 +128,14 @@ class PhysicalPlan {
   /// when traced, span histograms) publish into `metrics` when non-null
   /// (never to GlobalMetrics()), and no trace artifacts are flushed.
   ///
-  /// `mx` decides how each kernel call is partitioned into morsels and
-  /// where they run; the default runs every call as one morsel inline.
-  /// The answer relation and every statistic but peak_bytes are the same
-  /// for any MorselExec; for a fixed morsel size peak_bytes is too,
-  /// whatever the worker count. The kernels' spans, when traced, are the
-  /// run's per-operator record (one per morsel, each call's recorded
-  /// when it ends, a counted join's when it is resolved), which the
-  /// morsel-accounting verifier hook and EXPLAIN read.
+  /// The kernels' spans, when traced, are the run's per-operator record
+  /// (one per kernel call, recorded when the call ends, a counted join's
+  /// when it is resolved), which EXPLAIN and the kernel-span verifier
+  /// (analysis/physical_verifier.h) read.
   ExecutionResult ExecuteShared(ExecArena* arena,
                                 Counter tuple_budget = kCounterMax,
                                 TraceSink* trace = nullptr,
-                                MetricsRegistry* metrics = nullptr,
-                                const MorselExec& mx = {}) const;
+                                MetricsRegistry* metrics = nullptr) const;
 
   /// Schema of the answer relation (the root's projected label).
   const Schema& output_schema() const { return root_->output_schema; }

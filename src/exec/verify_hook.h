@@ -9,7 +9,6 @@
 
 #include "common/annotations.h"
 #include "common/status.h"
-#include "common/types.h"
 #include "core/plan.h"
 #include "query/conjunctive_query.h"
 #include "relational/database.h"
@@ -17,8 +16,6 @@
 namespace ppr {
 
 class PhysicalPlan;
-struct ExecStats;
-struct TraceSpan;
 
 /// Static bounds the width analyzer proves for one plan node, in the
 /// shared pre-order numbering (root = 0, node before its children,
@@ -57,17 +54,6 @@ struct PlanVerifierHooks {
   std::function<Status(const ConjunctiveQuery&, const Plan&, const Database&,
                        const PhysicalPlan&)>
       compiled;
-  /// Validates the per-operator morsel accounting of one run: its kernel
-  /// spans (obs/trace.h, one per morsel, in execution order), its stats,
-  /// and the tuple budget it ran under. Checks each call's morsel ids,
-  /// and its arity and rows against the operators and static bounds the
-  /// width analyzer derives for its node, and the span rows against the
-  /// budget charges. The morsel driver (src/runtime) calls it after every
-  /// morsel-driven run while verification is enabled.
-  std::function<Status(const ConjunctiveQuery&, const Plan&, const Database&,
-                       const std::vector<TraceSpan>&, const ExecStats&,
-                       Counter tuple_budget)>
-      morsel_accounting;
   /// Semantic translation validation (analysis/semantic/certify.h): a
   /// third verifier tier beyond structural checks — extracts the
   /// conjunctive query the plan *denotes* and proves it Chandra–Merlin

@@ -22,8 +22,7 @@ std::string SpansToChromeTrace(const std::vector<TraceSpan>& spans) {
         << ",\"rows_out\":" << s.rows_out << ",\"arity_in\":" << s.arity_in
         << ",\"arity_out\":" << s.arity_out << ",\"bytes\":" << s.bytes
         << ",\"ht_build_rows\":" << s.ht_build_rows
-        << ",\"ht_probe_ops\":" << s.ht_probe_ops
-        << ",\"morsel\":" << s.morsel_id << "}}";
+        << ",\"ht_probe_ops\":" << s.ht_probe_ops << "}}";
   }
   out << "\n]}\n";
   return out.str();

@@ -17,8 +17,7 @@ void AppendSpanJson(std::ostringstream& out, const TraceSpan& s) {
       << ",\"rows_in\":" << s.rows_in << ",\"rows_out\":" << s.rows_out
       << ",\"arity_in\":" << s.arity_in << ",\"arity_out\":" << s.arity_out
       << ",\"bytes\":" << s.bytes << ",\"ht_build_rows\":" << s.ht_build_rows
-      << ",\"ht_probe_ops\":" << s.ht_probe_ops
-      << ",\"morsel\":" << s.morsel_id << "}";
+      << ",\"ht_probe_ops\":" << s.ht_probe_ops << "}";
 }
 
 }  // namespace

@@ -18,8 +18,8 @@ enum class FlightTrigger : uint8_t {
   /// The job exhausted its tuple budget (the deterministic timeout).
   kBudgetExhausted = 0,
   /// The job failed outright — structural-verifier or
-  /// semantic-certification rejection, compile error, morsel-accounting
-  /// failure (QueryOutcome::kFailed).
+  /// semantic-certification rejection, compile error, any other
+  /// execution error (QueryOutcome::kFailed).
   kFailure = 1,
   /// The job's wall time exceeded `latency_multiple` times the running
   /// median of its fingerprint bucket.
@@ -66,9 +66,10 @@ class FlightRecorder {
   /// Evaluates the triggers for `record` (medians come from `log`, which
   /// must already contain the record) and dumps a flight file when one
   /// fires and the dump budget allows. `spans`, when non-null, supplies
-  /// the trace ring to snapshot (the global sink at batch drains, the
-  /// run's private sink at morsel drains). Returns the fired trigger,
-  /// dumped or not.
+  /// the spans to snapshot, its last `max_spans`: the triggering
+  /// request's own span shard at service drains (QueryService), the
+  /// global sink at batch drains. Returns the fired trigger, dumped or
+  /// not.
   std::optional<FlightTrigger> Observe(const QueryRecord& record,
                                        const QueryLog& log,
                                        const TraceSink* spans);

@@ -16,7 +16,6 @@ namespace ppr {
 /// Which drain point produced a query record.
 enum class QuerySource : uint8_t {
   kBatch = 0,    // BatchExecutor::Run (inter-query parallelism)
-  kMorsel = 1,   // MorselDriver::Run (intra-query parallelism)
   kTool = 2,     // examples/tools recording runs by hand
   kService = 3,  // QueryService (the resident daemon, one record/request)
 };
@@ -29,8 +28,8 @@ enum class QueryOutcome : uint8_t {
   /// StatusCode::kResourceExhausted).
   kBudgetExhausted = 1,
   /// Any other non-OK status: compile errors, structural-verifier and
-  /// semantic-certification rejections, morsel-accounting failures. The
-  /// record's status_code/error carry the specifics.
+  /// semantic-certification rejections, execution errors. The record's
+  /// status_code/error carry the specifics.
   kFailed = 2,
 };
 const char* QueryOutcomeName(QueryOutcome outcome);
@@ -47,8 +46,9 @@ struct QueryRecord {
   /// structural key optimization decisions should be driven by. 0 when
   /// the job ran uncanonicalized (plan cache off, no query context).
   uint64_t fingerprint = 0;
-  /// StrategyKind ordinal (benchlib/harness.h); -1 when unknown (the
-  /// morsel driver executes pre-built plans).
+  /// StrategyKind ordinal (benchlib/harness.h); -1 when unknown (a
+  /// service request that asked for the server's default strategy and
+  /// was refused before the default was resolved).
   int32_t strategy = -1;
   QuerySource source = QuerySource::kBatch;
   /// Whether this job reused a cached compiled plan. Attributed

@@ -52,22 +52,6 @@ const char* TraceOpName(TraceOp op) {
   return "?";
 }
 
-std::vector<std::span<const TraceSpan>> SplitKernelCalls(
-    std::span<const TraceSpan> spans) {
-  std::vector<std::span<const TraceSpan>> calls;
-  size_t begin = 0;
-  while (begin < spans.size()) {
-    size_t end = begin + 1;
-    while (end < spans.size() && spans[end].morsel_id != 0 &&
-           spans[end].morsel_id != -1) {
-      ++end;
-    }
-    calls.push_back(spans.subspan(begin, end - begin));
-    begin = end;
-  }
-  return calls;
-}
-
 TraceSink::TraceSink(size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity),
       epoch_(std::chrono::steady_clock::now()) {

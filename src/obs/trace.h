@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -51,10 +50,7 @@ struct TraceSpan {
   int32_t arity_in = 0;
   int32_t arity_out = 0;
   /// Operator footprint: arena scratch high-water mark plus materialized
-  /// output bytes (the quantity ExecStats::NotePeakBytes maximizes). The
-  /// spans of one kernel call split it: each carries its morsel's scratch
-  /// and output slice, and morsel 0's also the shared build structures,
-  /// so the span of a one-morsel call carries the whole footprint.
+  /// output bytes (the quantity ExecStats::NotePeakBytes maximizes).
   int64_t bytes = 0;
   /// Rows inserted into the operator's hash structure (join build side,
   /// semijoin filter keys, projection dedup inserts).
@@ -64,21 +60,7 @@ struct TraceSpan {
   /// a projection or join makes into a counted join it reads unwritten).
   /// 0 for operators without a probe phase.
   int64_t ht_probe_ops = 0;
-  /// Morsel index of the span within its kernel call
-  /// (relational/batch_ops.h); 0 for a one-morsel call, which is every
-  /// call of a serial run. -1 for operators without a morsel partition
-  /// (the sort-merge join). A morsel's span covers its work in every
-  /// phase of the call (morsel 0's also the shared build), and one
-  /// call's spans are recorded in morsel-index order, so a span with
-  /// morsel_id 0 or -1 starts a new call.
-  int32_t morsel_id = -1;
 };
-
-/// Splits a run's spans, in recorded order, into kernel calls: the first
-/// span, or one with morsel_id 0 or -1, and every span after it up to the
-/// next such span. Each returned call views a contiguous slice of `spans`.
-std::vector<std::span<const TraceSpan>> SplitKernelCalls(
-    std::span<const TraceSpan> spans);
 
 /// Fixed-capacity ring buffer of spans. Recording never allocates once
 /// the buffer is full: the oldest span is overwritten and counted as

@@ -106,10 +106,9 @@ class FlatKeyIndex {
   }
 
   /// The key store: num_keys() rows of key_width() values in
-  /// first-insertion order. The projection kernel reads a morsel-local
-  /// index's keys straight out of here — morsel-local distinct keys in
-  /// first-occurrence order — so the global merge can reproduce the
-  /// one-morsel emit order exactly.
+  /// first-insertion order. The projection kernel hands its output rows
+  /// in as the store, so its output is its distinct keys in
+  /// first-occurrence order.
   const Value* key_data() const { return keys_; }
 
  private:

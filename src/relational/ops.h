@@ -18,16 +18,13 @@ namespace ppr {
 ///    PhysicalPlan (exec/physical_plan.h) builds them once per plan node.
 ///  - *Kernels* (HashJoin, ProjectColumns, SemiJoinFiltered, ScanAtom in
 ///    relational/batch_ops.h) execute a spec against relations. There is
-///    one kernel set: columnar, morsel-partitioned data movement over
-///    flat open-addressing hash tables (relational/flat_hash.h), with all
-///    scratch bump-allocated from ExecArenas. A MorselExec (also in
-///    batch_ops.h) says how a scan, join or projection call is
-///    partitioned and scheduled; the default runs the whole input as one
-///    morsel inline on the calling thread, which is how every serial
-///    caller runs. A semijoin call is always one morsel.
+///    one kernel set: columnar data movement over flat open-addressing
+///    hash tables (relational/flat_hash.h), one pass over the whole input
+///    per call on the calling thread, with all scratch bump-allocated
+///    from ExecArenas.
 ///
 /// The schema-level wrappers below (NaturalJoin, Project, SemiJoin,
-/// BindAtom) build the spec on the fly and invoke the kernel serially;
+/// BindAtom) build the spec on the fly and invoke the kernel;
 /// one-shot callers (semijoin pass, minibuckets, csp, tests) use those.
 /// Plan runs, EXPLAIN's included, go through compiled plans instead.
 

@@ -3,8 +3,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <vector>
 
 #include "common/check.h"
 
@@ -251,6 +253,13 @@ Result<ReplyHeader> DecodeReplyHeaderPayload(std::string_view payload) {
     if (!cur.ReadI32(&header.attrs[i])) {
       return Status::InvalidArgument("malformed reply header schema");
     }
+  }
+  // The attributes name the result's columns, and a client builds a
+  // Schema of them, which aborts on a repeated attribute.
+  std::vector<AttrId> sorted = header.attrs;
+  std::sort(sorted.begin(), sorted.end());
+  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+    return Status::InvalidArgument("reply header repeats an attribute");
   }
   if (!cur.ReadString(&header.message) || !cur.AtEnd()) {
     return Status::InvalidArgument("malformed reply header message");

@@ -154,6 +154,8 @@ Result<Frame> DecodeFrameBody(std::string_view body);
 /// Payload decoders (the `payload` of a decoded Frame).
 Result<ServiceRequest> DecodeRequestPayload(std::string_view payload,
                                             uint64_t request_id);
+/// A header whose attributes repeat one is malformed: they name the
+/// result's columns.
 Result<ReplyHeader> DecodeReplyHeaderPayload(std::string_view payload);
 Result<ReplyTrailer> DecodeTrailerPayload(std::string_view payload);
 /// Appends the batch's rows to `out`, which must already carry the

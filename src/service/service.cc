@@ -254,12 +254,15 @@ ServiceReply QueryService::Execute(const ServiceRequest& request) {
 
 void QueryService::WorkerLoop() {
   ExecArena arena;
-  // Worker-private trace shard, merged into the global sink per request
-  // under the obs capability (the ExecuteShared contract: spans never go
-  // to the process-wide sink directly).
-  const bool tracing = GlobalTraceSinkIfEnabled() != nullptr;
+  // Worker-private span shard, holding one request's spans at a time: it
+  // is merged into the global sink per request under the obs capability
+  // when tracing is on (the ExecuteShared contract: spans never go to the
+  // process-wide sink directly), and handed to the flight recorder, whose
+  // dumps then hold the spans of the request that triggered them.
+  const bool spans =
+      GlobalTraceSinkIfEnabled() != nullptr || FlightRecorderEnabled();
   std::unique_ptr<TraceSink> trace =
-      tracing ? std::make_unique<TraceSink>() : nullptr;
+      spans ? std::make_unique<TraceSink>() : nullptr;
   while (true) {
     std::optional<Task> task = queue_.Pop();
     if (!task.has_value()) return;
@@ -406,7 +409,7 @@ void QueryService::RecordOutcome(const ServiceReply& reply,
     if (FlightRecorder* flights =
             GlobalFlightRecorderIfEnabled();  // pprlint: allow(obs-lock)
         flights != nullptr) {
-      (void)flights->Observe(rec, *qlog, GlobalTraceSinkIfEnabled());
+      (void)flights->Observe(rec, *qlog, trace);
     }
   }
   if (records_since_flush_.fetch_add(1, std::memory_order_acq_rel) + 1 >=

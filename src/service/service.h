@@ -183,6 +183,9 @@ class QueryService {
                       const TraceSink* trace);
   /// Appends a query record (+ flight observation) for a finished or
   /// refused request and mirrors the event into the global registry.
+  /// `trace` is the request's own span shard (null when it ran nothing
+  /// or nobody reads spans): merged into the global sink when tracing is
+  /// on, and the spans a flight dump of this request holds.
   /// Called with GlobalObsMutex NOT held.
   void RecordOutcome(const ServiceReply& reply, uint64_t fingerprint,
                      int32_t strategy_ordinal, std::string_view event,

@@ -1,31 +1,24 @@
 // Property tests for the flat-hash operator kernels: on randomized
 // relations (including empty, nullary, and repeated-attribute inputs) the
 // hash-based operators, naive row-at-a-time references, and the
-// sort-merge join must all agree up to set equality, and a kernel's
-// output must not depend on its morsel partition.
+// sort-merge join must all agree up to set equality; budgeted calls stop
+// where a tuple-at-a-time loop would; and a counted join read unwritten
+// gives what reading it written gives.
 
 #include <gtest/gtest.h>
-#include <sys/resource.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
 #include <map>
-#include <memory>
 #include <set>
-#include <optional>
-#include <string>
 #include <tuple>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/rng.h"
 #include "obs/trace.h"
 #include "relational/batch_ops.h"
 #include "relational/exec_context.h"
 #include "relational/ops.h"
 #include "relational/sort_merge.h"
-#include "runtime/morsel_driver.h"
 
 namespace ppr {
 namespace {
@@ -239,131 +232,33 @@ TEST(FlatOpsPropertyTest, BindAtomAgreesWithReference) {
   }
 }
 
-// Exact (row-order, not just set) equality: a kernel's output must not
-// depend on how its input was split into morsels.
-void ExpectSameRows(const Relation& serial, const Relation& morsel,
-                    int trial) {
-  ASSERT_EQ(serial.arity(), morsel.arity()) << "trial " << trial;
-  ASSERT_EQ(serial.size(), morsel.size()) << "trial " << trial;
-  for (int64_t i = 0; i < serial.size(); ++i) {
-    for (int c = 0; c < serial.arity(); ++c) {
-      ASSERT_EQ(serial.at(i, c), morsel.at(i, c))
+// Exact (row-order, not just set) equality.
+void ExpectSameRows(const Relation& want, const Relation& got, int trial) {
+  ASSERT_EQ(want.arity(), got.arity()) << "trial " << trial;
+  ASSERT_EQ(want.size(), got.size()) << "trial " << trial;
+  for (int64_t i = 0; i < want.size(); ++i) {
+    for (int c = 0; c < want.arity(); ++c) {
+      ASSERT_EQ(want.at(i, c), got.at(i, c))
           << "trial " << trial << " row " << i << " col " << c;
     }
   }
 }
 
-// Every ExecStats field except peak_bytes must match the serial run's:
-// scratch accounting depends on the partition by design (shared build
-// plus per-morsel batches), but the work counters do not.
-void ExpectSameStatsExceptPeak(const ExecStats& serial, const ExecStats& morsel,
+// Every ExecStats field except peak_bytes, whose scratch accounting
+// depends on whether a join was read written or unwritten.
+void ExpectSameStatsExceptPeak(const ExecStats& want, const ExecStats& got,
                                int trial) {
-  EXPECT_EQ(serial.tuples_produced, morsel.tuples_produced)
+  EXPECT_EQ(want.tuples_produced, got.tuples_produced) << "trial " << trial;
+  EXPECT_EQ(want.num_joins, got.num_joins) << "trial " << trial;
+  EXPECT_EQ(want.num_projections, got.num_projections) << "trial " << trial;
+  EXPECT_EQ(want.num_semijoins, got.num_semijoins) << "trial " << trial;
+  EXPECT_EQ(want.max_intermediate_arity, got.max_intermediate_arity)
       << "trial " << trial;
-  EXPECT_EQ(serial.num_joins, morsel.num_joins) << "trial " << trial;
-  EXPECT_EQ(serial.num_projections, morsel.num_projections)
-      << "trial " << trial;
-  EXPECT_EQ(serial.num_semijoins, morsel.num_semijoins) << "trial " << trial;
-  EXPECT_EQ(serial.max_intermediate_arity, morsel.max_intermediate_arity)
-      << "trial " << trial;
-  EXPECT_EQ(serial.max_intermediate_rows, morsel.max_intermediate_rows)
+  EXPECT_EQ(want.max_intermediate_rows, got.max_intermediate_rows)
       << "trial " << trial;
 }
 
-// An inline MorselExec with tiny morsels, so 25-row random inputs still
-// exercise multi-morsel partitioning and in-order merges.
-MorselExec Morsels(int64_t rows) {
-  MorselExec mx;
-  mx.morsel_rows = rows;
-  return mx;
-}
-
-// The kernels under `mx`, with specs built from the input schemas (the
-// schema-level wrappers of ops.h always run as one morsel). The semijoin
-// kernel has no morsel partition, so the tests call its wrapper.
-Relation JoinIn(const Relation& left, const Relation& right, ExecContext& ctx,
-                const MorselExec& mx) {
-  return HashJoin(left, right, PlanJoin(left.schema(), right.schema()), ctx,
-                  mx);
-}
-
-Relation ProjectIn(const Relation& input, const std::vector<AttrId>& attrs,
-                   ExecContext& ctx, const MorselExec& mx) {
-  return ProjectColumns(input, PlanProject(input.schema(), attrs), ctx, mx);
-}
-
-Relation BindIn(const Relation& stored, const std::vector<AttrId>& args,
-                ExecContext& ctx, const MorselExec& mx) {
-  return ScanAtom(stored, PlanScan(stored.arity(), args), ctx, mx);
-}
-
-// The serial run (default MorselExec: one morsel per call) is the
-// reference; the naive Ref* oracles above check its answers.
-TEST(FlatOpsPropertyTest, MorselJoinIsSerialJoinExactly) {
-  Rng rng(505);
-  for (int trial = 0; trial < 200; ++trial) {
-    const Relation left = RandomRelation(RandomSchema(rng, 3), rng);
-    const Relation right = RandomRelation(RandomSchema(rng, 3), rng);
-    ExecContext serial_ctx;
-    const Relation serial_out = NaturalJoin(left, right, serial_ctx);
-    for (const int64_t morsel : {int64_t{1}, int64_t{3}, int64_t{1024}}) {
-      ExecContext morsel_ctx;
-      const Relation morsel_out =
-          JoinIn(left, right, morsel_ctx, Morsels(morsel));
-      ExpectSameRows(serial_out, morsel_out, trial);
-      ExpectSameStatsExceptPeak(serial_ctx.stats(), morsel_ctx.stats(),
-                                trial);
-    }
-  }
-}
-
-TEST(FlatOpsPropertyTest, MorselProjectIsSerialProjectExactly) {
-  Rng rng(606);
-  for (int trial = 0; trial < 200; ++trial) {
-    const Relation input = RandomRelation(RandomSchema(rng, 4), rng);
-    std::vector<AttrId> keep;
-    for (AttrId a : input.schema().attrs()) {
-      if (rng.NextBounded(2) == 0) keep.push_back(a);
-    }
-    ExecContext serial_ctx;
-    const Relation serial_out = Project(input, keep, serial_ctx);
-    for (const int64_t morsel : {int64_t{1}, int64_t{3}, int64_t{1024}}) {
-      ExecContext morsel_ctx;
-      const Relation morsel_out =
-          ProjectIn(input, keep, morsel_ctx, Morsels(morsel));
-      // Distinct-order preservation across morsel merges is part of the
-      // contract, so the comparison is exact, not SetEquals.
-      ExpectSameRows(serial_out, morsel_out, trial);
-      ExpectSameStatsExceptPeak(serial_ctx.stats(), morsel_ctx.stats(),
-                                trial);
-    }
-  }
-}
-
-TEST(FlatOpsPropertyTest, MorselBindAtomIsSerialBindAtomExactly) {
-  Rng rng(808);
-  for (int trial = 0; trial < 200; ++trial) {
-    const Relation stored = RandomRelation(RandomSchema(rng, 3), rng);
-    // Repeated attributes are the norm here: three ids over up-to-three
-    // columns, so the scan's equality-check path runs constantly.
-    std::vector<AttrId> args;
-    for (int c = 0; c < stored.arity(); ++c) {
-      args.push_back(static_cast<AttrId>(20 + rng.NextBounded(3)));
-    }
-    ExecContext serial_ctx;
-    const Relation serial_out = BindAtom(stored, args, serial_ctx);
-    for (const int64_t morsel : {int64_t{1}, int64_t{3}, int64_t{1024}}) {
-      ExecContext morsel_ctx;
-      const Relation morsel_out =
-          BindIn(stored, args, morsel_ctx, Morsels(morsel));
-      ExpectSameRows(serial_out, morsel_out, trial);
-      ExpectSameStatsExceptPeak(serial_ctx.stats(), morsel_ctx.stats(),
-                                trial);
-    }
-  }
-}
-
-TEST(FlatOpsPropertyTest, EmptyAndSingleRowEdgesAcrossMorselSizes) {
+TEST(FlatOpsPropertyTest, EmptyAndSingleRowEdges) {
   const Schema ab{std::vector<AttrId>{0, 1}};
   const Schema bc{std::vector<AttrId>{1, 2}};
   Relation empty_ab{ab};
@@ -373,109 +268,30 @@ TEST(FlatOpsPropertyTest, EmptyAndSingleRowEdgesAcrossMorselSizes) {
   Relation one_bc{bc};
   one_bc.AddTuple({2, 3});
 
-  ExecContext serial;
-  EXPECT_TRUE(SemiJoin(empty_ab, one_bc, serial).empty());
-  EXPECT_TRUE(SemiJoin(one_ab, empty_bc, serial).empty());
-  EXPECT_EQ(SemiJoin(one_ab, one_bc, serial).size(), 1);
+  ExecContext ctx;
+  EXPECT_TRUE(SemiJoin(empty_ab, one_bc, ctx).empty());
+  EXPECT_TRUE(SemiJoin(one_ab, empty_bc, ctx).empty());
+  EXPECT_EQ(SemiJoin(one_ab, one_bc, ctx).size(), 1);
 
-  for (const int64_t morsel : {int64_t{0}, int64_t{1}, int64_t{64}}) {
-    const MorselExec mx = Morsels(morsel);
-    ExecContext ctx;
-    EXPECT_TRUE(JoinIn(empty_ab, empty_bc, ctx, mx).empty());
-    EXPECT_TRUE(JoinIn(one_ab, empty_bc, ctx, mx).empty());
-    EXPECT_TRUE(JoinIn(empty_ab, one_bc, ctx, mx).empty());
-    const Relation joined = JoinIn(one_ab, one_bc, ctx, mx);
-    ASSERT_EQ(joined.size(), 1);
-    EXPECT_EQ(joined.at(0, 0), 1);
-    EXPECT_EQ(joined.at(0, 1), 2);
-    EXPECT_EQ(joined.at(0, 2), 3);
+  EXPECT_TRUE(NaturalJoin(empty_ab, empty_bc, ctx).empty());
+  EXPECT_TRUE(NaturalJoin(one_ab, empty_bc, ctx).empty());
+  EXPECT_TRUE(NaturalJoin(empty_ab, one_bc, ctx).empty());
+  const Relation joined = NaturalJoin(one_ab, one_bc, ctx);
+  ASSERT_EQ(joined.size(), 1);
+  EXPECT_EQ(joined.at(0, 0), 1);
+  EXPECT_EQ(joined.at(0, 1), 2);
+  EXPECT_EQ(joined.at(0, 2), 3);
 
-    EXPECT_TRUE(ProjectIn(empty_ab, {0}, ctx, mx).empty());
-    const Relation projected = ProjectIn(one_ab, {1}, ctx, mx);
-    ASSERT_EQ(projected.size(), 1);
-    EXPECT_EQ(projected.at(0, 0), 2);
+  EXPECT_TRUE(Project(empty_ab, {0}, ctx).empty());
+  const Relation projected = Project(one_ab, {1}, ctx);
+  ASSERT_EQ(projected.size(), 1);
+  EXPECT_EQ(projected.at(0, 0), 2);
 
-    EXPECT_TRUE(BindIn(empty_ab, {7, 7}, ctx, mx).empty());
-    // Repeated attribute on a single row: 1 != 2, so the binding fails.
-    EXPECT_TRUE(BindIn(one_ab, {7, 7}, ctx, mx).empty());
-    const Relation bound = BindIn(one_ab, {7, 8}, ctx, mx);
-    ASSERT_EQ(bound.size(), 1);
-  }
-}
-
-// The spans of one kernel call split it: one span per morsel, in morsel
-// order, whose rows_out add up to the output and whose bytes add up to
-// the call's footprint (its peak_bytes on a fresh context). Morsel 0's
-// span also carries the shared build, when `build_rows` is not -1.
-void ExpectSpansSplitCall(const TraceSink& sink, const ExecContext& ctx,
-                          const Relation& out, int64_t build_rows,
-                          int trial) {
-  const std::vector<TraceSpan> spans = sink.Snapshot();
-  ASSERT_FALSE(spans.empty()) << "trial " << trial;
-  int64_t rows = 0;
-  int64_t bytes = 0;
-  for (size_t m = 0; m < spans.size(); ++m) {
-    EXPECT_EQ(spans[m].morsel_id, static_cast<int32_t>(m))
-        << "trial " << trial;
-    rows += spans[m].rows_out;
-    bytes += spans[m].bytes;
-  }
-  EXPECT_EQ(rows, out.size()) << "trial " << trial;
-  EXPECT_EQ(bytes, static_cast<int64_t>(ctx.stats().peak_bytes))
-      << "trial " << trial;
-  if (build_rows >= 0) {
-    EXPECT_EQ(spans[0].ht_build_rows, build_rows) << "trial " << trial;
-  }
-}
-
-TEST(FlatOpsPropertyTest, MorselSpansSplitEachCall) {
-  Rng rng(909);
-  for (int trial = 0; trial < 200; ++trial) {
-    const Relation left = RandomRelation(RandomSchema(rng, 3), rng);
-    const Relation right = RandomRelation(RandomSchema(rng, 3), rng);
-    // Empty inputs record no span; nullary ones one span of their own.
-    if (left.empty() || right.empty() || left.arity() == 0 ||
-        right.arity() == 0) {
-      continue;
-    }
-    std::vector<AttrId> args;
-    for (int c = 0; c < left.arity(); ++c) {
-      args.push_back(static_cast<AttrId>(20 + rng.NextBounded(2)));
-    }
-    {
-      TraceSink sink;
-      ExecContext ctx;
-      ctx.set_tracer(&sink);
-      const Relation out = SemiJoin(left, right, ctx);
-      ExpectSpansSplitCall(sink, ctx, out, right.size(), trial);
-    }
-    for (const int64_t morsel : {int64_t{0}, int64_t{3}}) {
-      const MorselExec mx = Morsels(morsel);
-      {
-        TraceSink sink;
-        ExecContext ctx;
-        ctx.set_tracer(&sink);
-        const Relation out = JoinIn(left, right, ctx, mx);
-        ExpectSpansSplitCall(sink, ctx, out,
-                             std::min(left.size(), right.size()), trial);
-      }
-      {
-        TraceSink sink;
-        ExecContext ctx;
-        ctx.set_tracer(&sink);
-        const Relation out =
-            ProjectIn(left, {left.schema().attrs()[0]}, ctx, mx);
-        ExpectSpansSplitCall(sink, ctx, out, -1, trial);
-      }
-      {
-        TraceSink sink;
-        ExecContext ctx;
-        ctx.set_tracer(&sink);
-        const Relation out = BindIn(left, args, ctx, mx);
-        ExpectSpansSplitCall(sink, ctx, out, -1, trial);
-      }
-    }
-  }
+  EXPECT_TRUE(BindAtom(empty_ab, {7, 7}, ctx).empty());
+  // Repeated attribute on a single row: 1 != 2, so the binding fails.
+  EXPECT_TRUE(BindAtom(one_ab, {7, 7}, ctx).empty());
+  const Relation bound = BindAtom(one_ab, {7, 8}, ctx);
+  ASSERT_EQ(bound.size(), 1);
 }
 
 // One kernel call on a fresh, traced context whose budget leaves
@@ -501,12 +317,12 @@ BudgetedCall CallWithHeadroom(Counter headroom, const Kernel& kernel) {
 }
 
 // The exhausting-call contract of scan, join and semijoin, whose exact
-// output is `expected` (the unbudgeted serial run, itself checked against
-// `oracle`). For every headroom from 1 to one past the output size and
-// every morsel size: a call whose output reaches the headroom returns
-// nothing, yet charges and notes min(total, headroom) rows, as a
-// tuple-at-a-time loop that stopped there would; any other call returns
-// `expected` exactly. The spans add up to what was returned.
+// output is `expected` (the unbudgeted run, itself checked against
+// `oracle`). For every headroom from 1 to one past the output size: a
+// call whose output reaches the headroom returns nothing, yet charges
+// and notes min(total, headroom) rows, as a tuple-at-a-time loop that
+// stopped there would; any other call returns `expected` exactly. The
+// spans add up to what was returned.
 template <typename Kernel>
 void ExpectExhaustingCallContract(const Relation& expected,
                                   const Relation& oracle, const Kernel& kernel,
@@ -514,23 +330,17 @@ void ExpectExhaustingCallContract(const Relation& expected,
   ASSERT_TRUE(expected.SetEquals(oracle)) << "trial " << trial;
   const Counter total = oracle.size();
   ASSERT_EQ(expected.size(), total) << "trial " << trial;
-  for (const int64_t morsel : {int64_t{0}, int64_t{1}, int64_t{3},
-                               int64_t{1024}}) {
-    const MorselExec mx = Morsels(morsel);
-    for (Counter headroom = 1; headroom <= total + 1; ++headroom) {
-      const BudgetedCall call = CallWithHeadroom(
-          headroom, [&](ExecContext& ctx) { return kernel(ctx, mx); });
-      const bool exhausts = total >= headroom;
-      const Counter charged = std::min(total, headroom);
-      SCOPED_TRACE(::testing::Message()
-                   << "trial " << trial << " morsel " << morsel
-                   << " headroom " << headroom << " total " << total);
-      EXPECT_EQ(call.out.size(), exhausts ? 0 : total);
-      EXPECT_EQ(call.stats.tuples_produced, charged);
-      EXPECT_EQ(call.stats.max_intermediate_rows, charged);
-      EXPECT_EQ(call.span_rows, call.out.size());
-      if (!exhausts) ExpectSameRows(expected, call.out, trial);
-    }
+  for (Counter headroom = 1; headroom <= total + 1; ++headroom) {
+    const BudgetedCall call = CallWithHeadroom(headroom, kernel);
+    const bool exhausts = total >= headroom;
+    const Counter charged = std::min(total, headroom);
+    SCOPED_TRACE(::testing::Message() << "trial " << trial << " headroom "
+                                      << headroom << " total " << total);
+    EXPECT_EQ(call.out.size(), exhausts ? 0 : total);
+    EXPECT_EQ(call.stats.tuples_produced, charged);
+    EXPECT_EQ(call.stats.max_intermediate_rows, charged);
+    EXPECT_EQ(call.span_rows, call.out.size());
+    if (!exhausts) ExpectSameRows(expected, call.out, trial);
   }
 }
 
@@ -545,11 +355,11 @@ TEST(FlatOpsPropertyTest, ExhaustingScanReturnsNothing) {
       args.push_back(static_cast<AttrId>(
           trial % 2 == 1 ? 20 + rng.NextBounded(2) : 20 + c));
     }
-    ExecContext serial_ctx;
+    ExecContext plain;
     ExpectExhaustingCallContract(
-        BindAtom(stored, args, serial_ctx), RefBindAtom(stored, args),
-        [&](ExecContext& ctx, const MorselExec& mx) {
-          return ScanAtom(stored, PlanScan(stored.arity(), args), ctx, mx);
+        BindAtom(stored, args, plain), RefBindAtom(stored, args),
+        [&](ExecContext& ctx) {
+          return ScanAtom(stored, PlanScan(stored.arity(), args), ctx);
         },
         trial);
   }
@@ -561,12 +371,10 @@ TEST(FlatOpsPropertyTest, ExhaustingJoinReturnsNothing) {
     const Relation left = RandomRelation(RandomSchema(rng, 3), rng);
     const Relation right = RandomRelation(RandomSchema(rng, 3), rng);
     const JoinSpec spec = PlanJoin(left.schema(), right.schema());
-    ExecContext serial_ctx;
+    ExecContext plain;
     ExpectExhaustingCallContract(
-        NaturalJoin(left, right, serial_ctx), RefJoin(left, right),
-        [&](ExecContext& ctx, const MorselExec& mx) {
-          return HashJoin(left, right, spec, ctx, mx);
-        },
+        NaturalJoin(left, right, plain), RefJoin(left, right),
+        [&](ExecContext& ctx) { return HashJoin(left, right, spec, ctx); },
         trial);
   }
 }
@@ -577,10 +385,10 @@ TEST(FlatOpsPropertyTest, ExhaustingSemiJoinReturnsNothing) {
     const Relation left = RandomRelation(RandomSchema(rng, 3), rng);
     const Relation right = RandomRelation(RandomSchema(rng, 3), rng);
     const SemiJoinSpec spec = PlanSemiJoin(left.schema(), right.schema());
-    ExecContext serial_ctx;
+    ExecContext plain;
     ExpectExhaustingCallContract(
-        SemiJoin(left, right, serial_ctx), RefSemiJoin(left, right),
-        [&](ExecContext& ctx, const MorselExec& /*one morsel*/) {
+        SemiJoin(left, right, plain), RefSemiJoin(left, right),
+        [&](ExecContext& ctx) {
           return SemiJoinFiltered(left, right, spec, ctx);
         },
         trial);
@@ -589,7 +397,7 @@ TEST(FlatOpsPropertyTest, ExhaustingSemiJoinReturnsNothing) {
 
 // Projection cannot know its output size before it deduplicates: a
 // budget-truncated projection keeps the first-occurrence prefix of its
-// distinct keys, min(distinct, headroom) rows, at every morsel size.
+// distinct keys, min(distinct, headroom) rows.
 TEST(FlatOpsPropertyTest, TruncatedProjectionKeepsFirstOccurrencePrefix) {
   Rng rng(1004);
   for (int trial = 0; trial < 100; ++trial) {
@@ -601,35 +409,30 @@ TEST(FlatOpsPropertyTest, TruncatedProjectionKeepsFirstOccurrencePrefix) {
     const ProjectSpec spec = PlanProject(input.schema(), keep);
     const Relation oracle = RefProjectInOrder(input, keep);
     const Counter distinct = oracle.size();
-    for (const int64_t morsel : {int64_t{0}, int64_t{1}, int64_t{3},
-                                 int64_t{1024}}) {
-      const MorselExec mx = Morsels(morsel);
-      for (Counter headroom = 1; headroom <= distinct + 1; ++headroom) {
-        const BudgetedCall call = CallWithHeadroom(
-            headroom, [&](ExecContext& ctx) {
-              return ProjectColumns(input, spec, ctx, mx);
-            });
-        const Counter kept = std::min(distinct, headroom);
-        SCOPED_TRACE(::testing::Message()
-                     << "trial " << trial << " morsel " << morsel
-                     << " headroom " << headroom << " distinct " << distinct);
-        ASSERT_EQ(call.out.size(), kept);
-        for (int64_t i = 0; i < kept; ++i) {
-          for (int c = 0; c < oracle.arity(); ++c) {
-            ASSERT_EQ(call.out.at(i, c), oracle.at(i, c)) << "row " << i;
-          }
+    for (Counter headroom = 1; headroom <= distinct + 1; ++headroom) {
+      const BudgetedCall call =
+          CallWithHeadroom(headroom, [&](ExecContext& ctx) {
+            return ProjectColumns(input, spec, ctx);
+          });
+      const Counter kept = std::min(distinct, headroom);
+      SCOPED_TRACE(::testing::Message() << "trial " << trial << " headroom "
+                                        << headroom << " distinct "
+                                        << distinct);
+      ASSERT_EQ(call.out.size(), kept);
+      for (int64_t i = 0; i < kept; ++i) {
+        for (int c = 0; c < oracle.arity(); ++c) {
+          ASSERT_EQ(call.out.at(i, c), oracle.at(i, c)) << "row " << i;
         }
-        EXPECT_EQ(call.stats.tuples_produced, kept);
-        EXPECT_EQ(call.stats.max_intermediate_rows, kept);
-        EXPECT_EQ(call.span_rows, call.out.size());
       }
+      EXPECT_EQ(call.stats.tuples_produced, kept);
+      EXPECT_EQ(call.stats.max_intermediate_rows, kept);
+      EXPECT_EQ(call.span_rows, call.out.size());
     }
   }
 }
 
-// Nullary schemas hold at most the empty tuple, so the kernels handle
-// them inline as one morsel whatever the MorselExec asks for.
-TEST(FlatOpsPropertyTest, NullarySchemasRunAsOneMorsel) {
+// Nullary schemas hold at most the empty tuple.
+TEST(FlatOpsPropertyTest, NullarySchemasHoldAtMostTheEmptyTuple) {
   const Schema nullary{std::vector<AttrId>{}};
   Relation empty_n{nullary};
   Relation full_n{nullary};
@@ -638,69 +441,32 @@ TEST(FlatOpsPropertyTest, NullarySchemasRunAsOneMorsel) {
   unary.AddTuple({7});
   unary.AddTuple({9});
 
-  for (const int64_t morsel : {int64_t{0}, int64_t{1}}) {
-    const MorselExec mx = Morsels(morsel);
-    ExecContext ctx;
-    EXPECT_TRUE(JoinIn(full_n, full_n, ctx, mx).SetEquals(full_n));
-    EXPECT_TRUE(JoinIn(full_n, empty_n, ctx, mx).SetEquals(empty_n));
-    EXPECT_TRUE(JoinIn(unary, full_n, ctx, mx).SetEquals(unary));
-    EXPECT_TRUE(JoinIn(full_n, unary, ctx, mx).SetEquals(unary));
-    EXPECT_TRUE(JoinIn(unary, empty_n, ctx, mx).empty());
-    // Boolean projection: nonempty input yields the single empty tuple.
-    const Relation truth = ProjectIn(unary, {}, ctx, mx);
-    EXPECT_TRUE(truth.SetEquals(full_n));
-    EXPECT_TRUE(ProjectIn(Relation{Schema({3})}, {}, ctx, mx).empty());
-    EXPECT_TRUE(SemiJoin(unary, full_n, ctx).SetEquals(unary));
-    EXPECT_TRUE(SemiJoin(unary, empty_n, ctx).empty());
-    EXPECT_TRUE(SemiJoin(full_n, unary, ctx).SetEquals(full_n));
-    EXPECT_TRUE(SemiJoin(full_n, empty_n, ctx).empty());
-    EXPECT_TRUE(BindIn(full_n, {}, ctx, mx).SetEquals(full_n));
-    EXPECT_TRUE(BindIn(empty_n, {}, ctx, mx).empty());
+  ExecContext ctx;
+  EXPECT_TRUE(NaturalJoin(full_n, full_n, ctx).SetEquals(full_n));
+  EXPECT_TRUE(NaturalJoin(full_n, empty_n, ctx).SetEquals(empty_n));
+  EXPECT_TRUE(NaturalJoin(unary, full_n, ctx).SetEquals(unary));
+  EXPECT_TRUE(NaturalJoin(full_n, unary, ctx).SetEquals(unary));
+  EXPECT_TRUE(NaturalJoin(unary, empty_n, ctx).empty());
+  // Boolean projection: nonempty input yields the single empty tuple.
+  const Relation truth = Project(unary, {}, ctx);
+  EXPECT_TRUE(truth.SetEquals(full_n));
+  EXPECT_TRUE(Project(Relation{Schema({3})}, {}, ctx).empty());
+  EXPECT_TRUE(SemiJoin(unary, full_n, ctx).SetEquals(unary));
+  EXPECT_TRUE(SemiJoin(unary, empty_n, ctx).empty());
+  EXPECT_TRUE(SemiJoin(full_n, unary, ctx).SetEquals(full_n));
+  EXPECT_TRUE(SemiJoin(full_n, empty_n, ctx).empty());
+  EXPECT_TRUE(BindAtom(full_n, {}, ctx).SetEquals(full_n));
+  EXPECT_TRUE(BindAtom(empty_n, {}, ctx).empty());
 
-    // The one-tuple outputs still respect the budget: an exhausted
-    // context emits nothing more.
-    ExecContext spent(/*tuple_budget=*/0);
-    ASSERT_FALSE(spent.ChargeTuples(1));
-    EXPECT_TRUE(JoinIn(full_n, full_n, spent, mx).empty());
-    EXPECT_TRUE(SemiJoin(full_n, unary, spent).empty());
-    EXPECT_TRUE(BindIn(full_n, {}, spent, mx).empty());
-    EXPECT_EQ(spent.stats().tuples_produced, 1);
-  }
+  // The one-tuple outputs still respect the budget: an exhausted
+  // context emits nothing more.
+  ExecContext spent(/*tuple_budget=*/0);
+  ASSERT_FALSE(spent.ChargeTuples(1));
+  EXPECT_TRUE(NaturalJoin(full_n, full_n, spent).empty());
+  EXPECT_TRUE(SemiJoin(full_n, unary, spent).empty());
+  EXPECT_TRUE(BindAtom(full_n, {}, spent).empty());
+  EXPECT_EQ(spent.stats().tuples_produced, 1);
 }
-
-// The MorselExecs of the consumer grid: the serial configuration
-// (morsel size 0), then 1-, 3- and 1024-row morsels on 1, 2 and 4
-// worker threads.
-class ConsumerGrid {
- public:
-  struct Config {
-    int64_t morsel;
-    int workers;
-    MorselDriver* driver;  // null for the serial configuration
-  };
-
-  ConsumerGrid() {
-    configs_.push_back({0, 1, nullptr});
-    for (const int64_t morsel : {int64_t{1}, int64_t{3}, int64_t{1024}}) {
-      for (const int workers : {1, 2, 4}) {
-        drivers_.push_back(std::make_unique<MorselDriver>(
-            MorselDriverOptions{.num_threads = workers,
-                                .morsel_rows = morsel}));
-        configs_.push_back({morsel, workers, drivers_.back().get()});
-      }
-    }
-  }
-
-  const std::vector<Config>& configs() const { return configs_; }
-
-  static MorselExec ExecOf(const Config& c) {
-    return c.driver == nullptr ? MorselExec{} : c.driver->PrepareExec();
-  }
-
- private:
-  std::vector<std::unique_ptr<MorselDriver>> drivers_;
-  std::vector<Config> configs_;
-};
 
 // A pipeline run on a fresh traced context whose budget leaves
 // `headroom` rows (kCounterMax: unbudgeted).
@@ -724,105 +490,59 @@ PipelineRun RunPipeline(Counter headroom, const Pipeline& pipeline) {
   return run;
 }
 
-// One kernel call's spans, summed.
-struct CallSummary {
-  TraceOp op;
-  int64_t morsels;
-  int64_t rows_in;
-  int64_t rows_out;
-  int64_t probes;
-};
-
-std::vector<CallSummary> Calls(const std::vector<TraceSpan>& spans) {
-  std::vector<CallSummary> calls;
-  for (const TraceSpan& s : spans) {
-    if (s.morsel_id == 0) calls.push_back({s.op, 0, 0, 0, 0});
-    CallSummary& call = calls.back();
-    EXPECT_EQ(s.morsel_id, call.morsels);
-    EXPECT_EQ(s.op, call.op);
-    ++call.morsels;
-    call.rows_in += s.rows_in;
-    call.rows_out += s.rows_out;
-    call.probes += s.ht_probe_ops;
-  }
-  return calls;
-}
-
 // A join call that produced rows but never wrote them: writing probes
 // again, so a written join's probes outnumber its probe rows.
-bool Unwritten(const CallSummary& call) {
+bool Unwritten(const TraceSpan& call) {
   return call.op == TraceOp::kJoin && call.rows_out > 0 &&
-         call.probes == call.rows_in;
+         call.ht_probe_ops == call.rows_in;
 }
 
 // Every span field but the wall-clock ones.
 auto SpanFieldsOf(const std::vector<TraceSpan>& spans) {
   std::vector<std::tuple<TraceOp, int64_t, int64_t, int32_t, int32_t,
-                         int64_t, int64_t, int64_t, int32_t>>
+                         int64_t, int64_t, int64_t>>
       fields;
   for (const TraceSpan& s : spans) {
     fields.emplace_back(s.op, s.rows_in, s.rows_out, s.arity_in, s.arity_out,
-                        s.bytes, s.ht_build_rows, s.ht_probe_ops,
-                        s.morsel_id);
+                        s.bytes, s.ht_build_rows, s.ht_probe_ops);
   }
   return fields;
 }
 
-// The consumer contract: at every grid point the counted pipeline
-// returns the written one's rows, exhaustion and every stat but
-// peak_bytes; its spans are the same kernel calls with the same rows;
-// and on a completed call sequence the span rows add up to the charges
-// (an exhausting join charges rows it never writes). For a fixed morsel
-// size the whole run, peak_bytes and spans included, does not depend on
-// the worker count. Returns how many runs left a join unwritten for the
-// next call to read.
+// The consumer contract: at every headroom the counted pipeline returns
+// the written one's rows, exhaustion and every stat but peak_bytes; its
+// spans are the same kernel calls with the same rows; and on a completed
+// call sequence the span rows add up to the charges (an exhausting join
+// charges rows it never writes). Returns how many runs left a join
+// unwritten for the next call to read.
 template <typename Written, typename Counted>
-int ExpectConsumerContract(const ConsumerGrid& grid, Counter max_headroom,
-                           const Written& written, const Counted& counted,
-                           int trial) {
+int ExpectConsumerContract(Counter max_headroom, const Written& written,
+                           const Counted& counted, int trial) {
   int unwritten = 0;
   std::vector<Counter> headrooms;
   for (Counter h = 1; h <= max_headroom; ++h) headrooms.push_back(h);
   headrooms.push_back(kCounterMax);
   for (const Counter headroom : headrooms) {
-    std::optional<PipelineRun> one_worker;
-    for (const ConsumerGrid::Config& c : grid.configs()) {
-      SCOPED_TRACE(::testing::Message()
-                   << "trial " << trial << " headroom " << headroom
-                   << " morsel " << c.morsel << " workers " << c.workers);
-      const MorselExec mx = ConsumerGrid::ExecOf(c);
-      const PipelineRun want = RunPipeline(
-          headroom, [&](ExecContext& ctx) { return written(ctx, mx); });
-      const PipelineRun got = RunPipeline(
-          headroom, [&](ExecContext& ctx) { return counted(ctx, mx); });
-      EXPECT_EQ(want.exhausted, got.exhausted);
-      ExpectSameRows(want.out, got.out, trial);
-      ExpectSameStatsExceptPeak(want.stats, got.stats, trial);
-      const std::vector<CallSummary> want_calls = Calls(want.spans);
-      const std::vector<CallSummary> got_calls = Calls(got.spans);
-      EXPECT_EQ(want_calls.size(), got_calls.size());
-      if (want_calls.size() != got_calls.size()) return unwritten;
-      int64_t span_rows = 0;
-      for (size_t k = 0; k < got_calls.size(); ++k) {
-        EXPECT_EQ(want_calls[k].op, got_calls[k].op) << "call " << k;
-        EXPECT_EQ(want_calls[k].rows_out, got_calls[k].rows_out)
-            << "call " << k;
-        span_rows += got_calls[k].rows_out;
-        if (k + 1 < got_calls.size() && Unwritten(got_calls[k])) ++unwritten;
-      }
-      if (!got.exhausted) {
-        EXPECT_EQ(span_rows, got.stats.tuples_produced);
-      } else {
-        EXPECT_LE(span_rows, got.stats.tuples_produced);
-      }
-      if (c.workers == 1) {
-        one_worker = got;
-      } else {
-        ExpectSameRows(one_worker->out, got.out, trial);
-        EXPECT_EQ(one_worker->stats.peak_bytes, got.stats.peak_bytes);
-        ExpectSameStatsExceptPeak(one_worker->stats, got.stats, trial);
-        EXPECT_EQ(SpanFieldsOf(one_worker->spans), SpanFieldsOf(got.spans));
-      }
+    SCOPED_TRACE(::testing::Message()
+                 << "trial " << trial << " headroom " << headroom);
+    const PipelineRun want = RunPipeline(headroom, written);
+    const PipelineRun got = RunPipeline(headroom, counted);
+    EXPECT_EQ(want.exhausted, got.exhausted);
+    ExpectSameRows(want.out, got.out, trial);
+    ExpectSameStatsExceptPeak(want.stats, got.stats, trial);
+    EXPECT_EQ(want.spans.size(), got.spans.size());
+    if (want.spans.size() != got.spans.size()) return unwritten;
+    int64_t span_rows = 0;
+    for (size_t k = 0; k < got.spans.size(); ++k) {
+      EXPECT_EQ(want.spans[k].op, got.spans[k].op) << "call " << k;
+      EXPECT_EQ(want.spans[k].rows_out, got.spans[k].rows_out) << "call " << k;
+      span_rows += got.spans[k].rows_out;
+      if (k + 1 < got.spans.size() && Unwritten(got.spans[k])) ++unwritten;
+    }
+    if (!got.exhausted) {
+      EXPECT_EQ(span_rows, got.stats.tuples_produced);
+    } else {
+      EXPECT_LE(span_rows, got.stats.tuples_produced);
     }
   }
   return unwritten;
@@ -858,7 +578,6 @@ Schema Disjoint(const Schema& schema) {
 // projection of the written join: cross products, nullary and Boolean
 // projections, columns from one side only, and heavy duplication.
 TEST(FlatOpsPropertyTest, StreamedProjectionIsProjectionOfWrittenJoin) {
-  const ConsumerGrid grid;
   Rng rng(1101);
   int unwritten = 0;
   for (int trial = 0; trial < 24; ++trial) {
@@ -885,16 +604,16 @@ TEST(FlatOpsPropertyTest, StreamedProjectionIsProjectionOfWrittenJoin) {
     ExecContext plain;
     const Counter total = HashJoin(left, right, join_spec, plain).size();
     unwritten += ExpectConsumerContract(
-        grid, 2 * total + 1,
-        [&](ExecContext& ctx, const MorselExec& mx) {
-          const Relation joined = HashJoin(left, right, join_spec, ctx, mx);
+        2 * total + 1,
+        [&](ExecContext& ctx) {
+          const Relation joined = HashJoin(left, right, join_spec, ctx);
           if (ctx.exhausted()) return Relation{project_spec.out_schema};
-          return ProjectColumns(joined, project_spec, ctx, mx);
+          return ProjectColumns(joined, project_spec, ctx);
         },
-        [&](ExecContext& ctx, const MorselExec& mx) {
-          CountedJoin joined(left, right, join_spec, ctx, mx);
+        [&](ExecContext& ctx) {
+          CountedJoin joined(left, right, join_spec, ctx);
           if (ctx.exhausted()) return Relation{project_spec.out_schema};
-          return ProjectColumns(std::move(joined), project_spec, ctx, mx);
+          return ProjectColumns(std::move(joined), project_spec, ctx);
         },
         trial);
     if (HasFatalFailure()) return;
@@ -971,11 +690,10 @@ KeyedTrial MakeKeyedTrial(int trial, Rng& rng) {
 // A projection that keeps a distinct join input whole deduplicates once
 // per key group when that input is the probe side, and equals the
 // projection of the written join: rows, order, stats but peak_bytes and
-// per-call span rows, at every headroom, morsel size and worker count.
-// Its spans differ from the streamed dedup's, which shows the keyed path
-// ran; on a keyed build side they are the streamed dedup's.
+// per-call span rows, at every headroom. Its spans differ from the
+// streamed dedup's, which shows the keyed path ran; on a keyed build
+// side they are the streamed dedup's.
 TEST(FlatOpsPropertyTest, KeyedProjectionIsProjectionOfWrittenJoin) {
-  const ConsumerGrid grid;
   Rng rng(1103);
   int probe_keyed = 0;
   int keyed_ran = 0;
@@ -984,48 +702,37 @@ TEST(FlatOpsPropertyTest, KeyedProjectionIsProjectionOfWrittenJoin) {
     const JoinSpec join_spec = PlanJoin(t.left.schema(), t.right.schema());
     const ProjectSpec project_spec = PlanProject(join_spec.out_schema, t.keep);
     const auto counted = [&](KeyedSide keyed) {
-      return [&, keyed](ExecContext& ctx, const MorselExec& mx) {
-        CountedJoin joined(t.left, t.right, join_spec, ctx, mx);
+      return [&, keyed](ExecContext& ctx) {
+        CountedJoin joined(t.left, t.right, join_spec, ctx);
         if (ctx.exhausted()) return Relation{project_spec.out_schema};
-        return ProjectColumns(std::move(joined), project_spec, ctx, mx,
-                              keyed);
+        return ProjectColumns(std::move(joined), project_spec, ctx, keyed);
       };
     };
     ExecContext plain;
     const Counter total = HashJoin(t.left, t.right, join_spec, plain).size();
     ExpectConsumerContract(
-        grid, 2 * total + 1,
-        [&](ExecContext& ctx, const MorselExec& mx) {
-          const Relation joined =
-              HashJoin(t.left, t.right, join_spec, ctx, mx);
+        2 * total + 1,
+        [&](ExecContext& ctx) {
+          const Relation joined = HashJoin(t.left, t.right, join_spec, ctx);
           if (ctx.exhausted()) return Relation{project_spec.out_schema};
-          return ProjectColumns(joined, project_spec, ctx, mx);
+          return ProjectColumns(joined, project_spec, ctx);
         },
         counted(t.keyed), trial);
     if (HasFatalFailure()) return;
 
-    for (const ConsumerGrid::Config& c : grid.configs()) {
-      SCOPED_TRACE(::testing::Message() << "trial " << trial << " morsel "
-                                        << c.morsel << " workers "
-                                        << c.workers);
-      const MorselExec mx = ConsumerGrid::ExecOf(c);
-      const PipelineRun keyed = RunPipeline(kCounterMax, [&](ExecContext& ctx) {
-        return counted(t.keyed)(ctx, mx);
-      });
-      const PipelineRun streamed =
-          RunPipeline(kCounterMax, [&](ExecContext& ctx) {
-            return counted(KeyedSide::kNone)(ctx, mx);
-          });
-      const bool probe = (t.keyed == KeyedSide::kLeft) ==
-                         (t.left.size() > t.right.size());
-      if (!probe || total == 0 || t.keep.empty()) {
-        EXPECT_EQ(SpanFieldsOf(keyed.spans), SpanFieldsOf(streamed.spans));
-        continue;
-      }
-      ++probe_keyed;
-      if (SpanFieldsOf(keyed.spans) != SpanFieldsOf(streamed.spans)) {
-        ++keyed_ran;
-      }
+    SCOPED_TRACE(::testing::Message() << "trial " << trial);
+    const PipelineRun keyed = RunPipeline(kCounterMax, counted(t.keyed));
+    const PipelineRun streamed =
+        RunPipeline(kCounterMax, counted(KeyedSide::kNone));
+    const bool probe = (t.keyed == KeyedSide::kLeft) ==
+                       (t.left.size() > t.right.size());
+    if (!probe || total == 0 || t.keep.empty()) {
+      EXPECT_EQ(SpanFieldsOf(keyed.spans), SpanFieldsOf(streamed.spans));
+      continue;
+    }
+    ++probe_keyed;
+    if (SpanFieldsOf(keyed.spans) != SpanFieldsOf(streamed.spans)) {
+      ++keyed_ran;
     }
   }
   EXPECT_GT(probe_keyed, 0);
@@ -1036,7 +743,6 @@ TEST(FlatOpsPropertyTest, KeyedProjectionIsProjectionOfWrittenJoin) {
 // written P, below the gate, above it, and at the exhaustion boundary:
 // the third input is small, so P is the probe side.
 TEST(FlatOpsPropertyTest, JoinCountedThroughUnwrittenJoinIsJoinOfWrittenJoin) {
-  const ConsumerGrid grid;
   Rng rng(1102);
   int unwritten = 0;
   for (int trial = 0; trial < 60; ++trial) {
@@ -1054,16 +760,16 @@ TEST(FlatOpsPropertyTest, JoinCountedThroughUnwrittenJoinIsJoinOfWrittenJoin) {
     const Relation p = HashJoin(a, b, p_spec, plain);
     const Counter total = p.size() + HashJoin(p, c, j_spec, plain).size();
     unwritten += ExpectConsumerContract(
-        grid, total + 1,
-        [&](ExecContext& ctx, const MorselExec& mx) {
-          const Relation joined = HashJoin(a, b, p_spec, ctx, mx);
+        total + 1,
+        [&](ExecContext& ctx) {
+          const Relation joined = HashJoin(a, b, p_spec, ctx);
           if (ctx.exhausted()) return Relation{j_spec.out_schema};
-          return HashJoin(joined, c, j_spec, ctx, mx);
+          return HashJoin(joined, c, j_spec, ctx);
         },
-        [&](ExecContext& ctx, const MorselExec& mx) {
-          CountedJoin joined(a, b, p_spec, ctx, mx);
+        [&](ExecContext& ctx) {
+          CountedJoin joined(a, b, p_spec, ctx);
           if (ctx.exhausted()) return Relation{j_spec.out_schema};
-          CountedJoin next = CountJoin(std::move(joined), c, j_spec, ctx, mx);
+          CountedJoin next = CountJoin(std::move(joined), c, j_spec, ctx);
           if (ctx.exhausted()) return Relation{j_spec.out_schema};
           return std::move(next).Write();
         },
@@ -1071,67 +777,6 @@ TEST(FlatOpsPropertyTest, JoinCountedThroughUnwrittenJoinIsJoinOfWrittenJoin) {
     if (HasFatalFailure()) return;
   }
   EXPECT_GT(unwritten, 0) << "no join was counted through an unwritten one";
-}
-
-// Address-space size of this process in bytes (VmSize), or -1.
-int64_t AddressSpaceBytes() {
-  std::ifstream status("/proc/self/status");
-  std::string field;
-  while (status >> field) {
-    if (field == "VmSize:") {
-      int64_t kib = -1;
-      status >> kib;
-      return kib * 1024;
-    }
-  }
-  return -1;
-}
-
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-constexpr bool kShadowMemory = true;
-#elif defined(__has_feature)
-constexpr bool kShadowMemory = __has_feature(address_sanitizer) ||
-                               __has_feature(thread_sanitizer) ||
-                               __has_feature(memory_sanitizer);
-#else
-constexpr bool kShadowMemory = false;
-#endif
-
-// Runs `spec` over `input` in 1-row morsels with the address space
-// capped 512 MiB above what the process already maps, then exits: 0 when
-// the projection kept `distinct` rows.
-[[noreturn]] void ProjectInOneRowMorselsUnderCap(const Relation& input,
-                                                 const ProjectSpec& spec,
-                                                 int64_t distinct) {
-  const int64_t mapped = AddressSpaceBytes();
-  if (mapped < 0) std::_Exit(2);
-  rlimit limit;
-  limit.rlim_cur = static_cast<rlim_t>(mapped + (int64_t{512} << 20));
-  limit.rlim_max = limit.rlim_cur;
-  if (setrlimit(RLIMIT_AS, &limit) != 0) std::_Exit(3);
-  ExecContext ctx;
-  const Relation out = ProjectColumns(input, spec, ctx, Morsels(1));
-  std::_Exit(out.size() == distinct ? 0 : 1);
-}
-
-// A multi-morsel projection keeps every morsel-local index until its
-// merge. They must share the worker slots' arenas: with an arena per
-// morsel, each reserving a 64 KiB first block, 1-row morsels over 40K
-// rows reserved about 2.5 GiB. A forked child runs that call under a
-// cap that fits the shared arenas many times over.
-TEST(FlatOpsPropertyTest, OneRowMorselProjectionScratchIsBounded) {
-  if (kShadowMemory) {
-    GTEST_SKIP() << "sanitizer shadow memory does not fit an RLIMIT_AS cap";
-  }
-  constexpr int64_t kRows = 40000;
-  constexpr Value kDistinct = 97;
-  Relation input{Schema({0, 1})};
-  for (int64_t i = 0; i < kRows; ++i) {
-    input.AddTuple({static_cast<Value>(i), static_cast<Value>(i) % kDistinct});
-  }
-  const ProjectSpec spec = PlanProject(input.schema(), {1});
-  EXPECT_EXIT(ProjectInOneRowMorselsUnderCap(input, spec, kDistinct),
-              ::testing::ExitedWithCode(0), "");
 }
 
 TEST(FlatOpsPropertyTest, NullaryJoinCombinations) {

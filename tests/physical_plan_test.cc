@@ -1,22 +1,36 @@
 // Tests for the physical execution layer: strategy answers against an
-// independent bindings-based oracle, compile-once/execute-many reuse, and
-// exact tuple-budget boundaries for both join algorithms.
+// independent bindings-based oracle, compile-once/execute-many reuse,
+// exact tuple-budget boundaries for both join algorithms, and the kernel
+// spans of a run — one per kernel call, checked by the span verifier.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "analysis/physical_verifier.h"
+#include "analysis/verifier.h"
 #include "benchlib/harness.h"
 #include "common/rng.h"
 #include "core/plan.h"
 #include "core/strategies.h"
+#include "encode/kcolor.h"
 #include "exec/executor.h"
 #include "exec/physical_plan.h"
+#include "exec/verify_hook.h"
+#include "graph/generators.h"
+#include "obs/trace.h"
 #include "query/conjunctive_query.h"
+#include "query/parser.h"
+#include "relational/batch_ops.h"
+#include "test_util.h"
 
 namespace ppr {
 namespace {
@@ -287,6 +301,448 @@ TEST(PhysicalPlanTest, OutputSchemaMatchesTargetArity) {
   EXPECT_EQ(compiled->output_schema().arity(),
             static_cast<int>(q.free_vars().size()));
   EXPECT_GT(compiled->NumNodes(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Kernel spans
+
+Database ThreeColorDb() {
+  Database db;
+  AddColoringRelations(3, &db);
+  return db;
+}
+
+struct Compiled {
+  ConjunctiveQuery query;
+  Plan plan;
+  PhysicalPlan physical;
+};
+
+Compiled CompileFor(ConjunctiveQuery q, Plan plan, const Database& db) {
+  Result<PhysicalPlan> compiled = PhysicalPlan::Compile(q, plan, db);
+  PPR_CHECK(compiled.ok());
+  return Compiled{std::move(q), std::move(plan), std::move(*compiled)};
+}
+
+// A bucket-elimination plan over a random 3-coloring query, whose
+// projecting nodes stream their last join.
+Compiled CompileRandomColoring(const Database& db) {
+  Rng rng(21);
+  ConjunctiveQuery q = KColorQuery(ConnectedRandomGraph(8, 12, rng));
+  Plan plan = BucketEliminationPlanMcs(q, nullptr);
+  return CompileFor(std::move(q), std::move(plan), db);
+}
+
+Compiled CompilePentagon(const Database& db) {
+  ConjunctiveQuery q = PentagonQuery();
+  Plan plan = BucketEliminationPlanMcs(q, nullptr);
+  return CompileFor(std::move(q), std::move(plan), db);
+}
+
+// The straightforward chain of joins over the Boolean augmented ladder
+// of order 4 (101,883 tuples unbudgeted), run under half that budget: a
+// join exhausts it by counting through the unwritten join before it.
+Compiled CompileLadderChain(const Database& db) {
+  ConjunctiveQuery q = KColorQuery(AugmentedLadder(4));
+  Plan plan = StraightforwardPlan(q);
+  return CompileFor(std::move(q), std::move(plan), db);
+}
+constexpr Counter kLadderChainBudget = 50000;
+
+// Reordering over the Boolean augmented ladder of order 3 (4,797 tuples
+// unbudgeted): it joins each pendant edge as a cross product and projects
+// the pendant away at once, a projection that keeps its join's whole
+// distinct probe row and so deduplicates once per key group.
+Compiled CompileLadderReordering(const Database& db) {
+  ConjunctiveQuery q = KColorQuery(AugmentedLadder(3));
+  Plan plan = ReorderingPlan(q, nullptr);
+  return CompileFor(std::move(q), std::move(plan), db);
+}
+constexpr Counter kLadderReorderingBudget = 2400;
+
+// The same plan with every keyed projection cleared, which streams its
+// join through the dedup instead.
+PhysicalPlan Unkeyed(const Compiled& c, const Database& db) {
+  Result<PhysicalPlan> compiled = PhysicalPlan::Compile(c.query, c.plan, db);
+  PPR_CHECK(compiled.ok());
+  std::vector<PhysicalNode*> stack = {&compiled->mutable_root()};
+  while (!stack.empty()) {
+    PhysicalNode* node = stack.back();
+    stack.pop_back();
+    node->keyed = KeyedSide::kNone;
+    for (auto& child : node->children) stack.push_back(child.get());
+  }
+  return std::move(*compiled);
+}
+
+// A run of `plan` under `budget` with every span kept.
+struct TracedRun {
+  ExecutionResult result;
+  std::vector<TraceSpan> spans;
+};
+
+TracedRun RunTraced(const PhysicalPlan& plan, Counter budget) {
+  TraceSink sink(TraceSink::kUnbounded);
+  TracedRun run;
+  run.result = plan.ExecuteShared(nullptr, budget, &sink);
+  run.spans = sink.Snapshot();
+  return run;
+}
+
+// Whether a run's spans show a join call that produced rows but never
+// wrote them, read by the next call, an operator `reader`: writing
+// probes again, so a written join's probes outnumber its probe rows.
+bool UnwrittenJoinReadBy(const std::vector<TraceSpan>& spans,
+                         TraceOp reader) {
+  for (size_t k = 0; k + 1 < spans.size(); ++k) {
+    const TraceSpan& c = spans[k];
+    if (c.op == TraceOp::kJoin && spans[k + 1].op == reader &&
+        c.rows_out > 0 && c.ht_probe_ops == c.rows_in) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Every ExecStats field but peak_bytes.
+auto StatsTupleExceptPeak(const ExecStats& s) {
+  return std::tuple(s.tuples_produced, s.num_joins, s.num_projections,
+                    s.num_semijoins, s.max_intermediate_arity,
+                    s.max_intermediate_rows);
+}
+
+// Every span field but the wall-clock ones.
+auto SpanFields(const std::vector<TraceSpan>& spans) {
+  std::vector<std::tuple<TraceOp, int32_t, int64_t, int64_t, int32_t,
+                         int32_t, int64_t, int64_t, int64_t>>
+      fields;
+  for (const TraceSpan& s : spans) {
+    fields.emplace_back(s.op, s.node_id, s.rows_in, s.rows_out, s.arity_in,
+                        s.arity_out, s.bytes, s.ht_build_rows, s.ht_probe_ops);
+  }
+  return fields;
+}
+
+// Exact row-order equality, not set equality.
+void ExpectSameRows(const Relation& a, const Relation& b) {
+  ASSERT_EQ(a.arity(), b.arity());
+  ASSERT_EQ(a.size(), b.size());
+  for (int64_t i = 0; i < a.size(); ++i) {
+    for (int c = 0; c < a.arity(); ++c) {
+      ASSERT_EQ(a.at(i, c), b.at(i, c)) << "row " << i << " col " << c;
+    }
+  }
+}
+
+// RAII guard mirroring explain_test: installs the analysis verifier and
+// always restores the disabled default.
+class ScopedVerifier {
+ public:
+  ScopedVerifier() { InstallPlanVerifier(/*enable=*/true); }
+  ~ScopedVerifier() { EnablePlanVerification(false); }
+};
+
+// Each kernel call records exactly one span, and its `bytes` is the
+// call's footprint: for one call on a fresh context, the context's
+// peak_bytes. Over a whole run the spans are the run's kernel calls, one
+// per scan, join and projection the stats count, and the widest
+// footprint among them is the run's peak_bytes.
+TEST(KernelSpanTest, EachKernelCallRecordsOneSpanOfItsFootprint) {
+  const Database db = ThreeColorDb();
+  const Relation& edge = **db.Get("edge");
+  const AttrId x = 0, y = 1, z = 2;
+  ExecContext plain;
+  const Relation xy = BindAtom(edge, {x, y}, plain);
+  const Relation yz = BindAtom(edge, {y, z}, plain);
+  const JoinSpec join = PlanJoin(xy.schema(), yz.schema());
+
+  // Each call with the rows its hash structure takes in: a join's build
+  // side, a semijoin's filter keys, a projection's distinct keys.
+  struct Call {
+    std::string what;
+    Counter budget;
+    int64_t build_rows;
+    std::function<Relation(ExecContext&)> run;
+  };
+  const std::vector<Call> calls = {
+      {"scan", kCounterMax, 0,
+       [&](ExecContext& ctx) {
+         return ScanAtom(edge, PlanScan(2, {x, y}), ctx);
+       }},
+      {"scan with a repeated attribute", kCounterMax, 0,
+       [&](ExecContext& ctx) {
+         return ScanAtom(edge, PlanScan(2, {x, x}), ctx);
+       }},
+      {"join", kCounterMax, 6,
+       [&](ExecContext& ctx) { return HashJoin(xy, yz, join, ctx); }},
+      {"exhausting join", 3, 6,
+       [&](ExecContext& ctx) { return HashJoin(xy, yz, join, ctx); }},
+      {"projection", kCounterMax, 3,
+       [&](ExecContext& ctx) {
+         return ProjectColumns(xy, PlanProject(xy.schema(), {x}), ctx);
+       }},
+      {"semijoin", kCounterMax, 6,
+       [&](ExecContext& ctx) {
+         return SemiJoinFiltered(xy, yz, PlanSemiJoin(xy.schema(), yz.schema()),
+                                 ctx);
+       }},
+  };
+  for (const Call& call : calls) {
+    SCOPED_TRACE(call.what);
+    TraceSink sink(TraceSink::kUnbounded);
+    ExecContext ctx(call.budget);
+    ctx.set_tracer(&sink);
+    const Relation out = call.run(ctx);
+    const std::vector<TraceSpan> spans = sink.Snapshot();
+    ASSERT_EQ(spans.size(), 1u);
+    EXPECT_EQ(spans[0].rows_out, out.size());
+    EXPECT_EQ(spans[0].ht_build_rows, call.build_rows);
+    EXPECT_GT(spans[0].bytes, 0);
+    EXPECT_EQ(spans[0].bytes, static_cast<int64_t>(ctx.stats().peak_bytes));
+  }
+
+  // A counted join read unwritten ends with its count: one span for it,
+  // then one for the projection that streams it, deduplicating every
+  // pair or, keyed on the join's probe side (yz: the inputs tie, so the
+  // join builds on the left), once per key group.
+  for (const auto& [keep, keyed] :
+       {std::pair{std::vector<AttrId>{x, z}, KeyedSide::kNone},
+        std::pair{std::vector<AttrId>{y, z}, KeyedSide::kRight}}) {
+    TraceSink sink(TraceSink::kUnbounded);
+    ExecContext ctx;
+    ctx.set_tracer(&sink);
+    const Relation out =
+        ProjectColumns(CountedJoin(xy, yz, join, ctx),
+                       PlanProject(join.out_schema, keep), ctx, keyed);
+    const std::vector<TraceSpan> spans = sink.Snapshot();
+    ASSERT_EQ(spans.size(), 2u);
+    EXPECT_EQ(spans[0].op, TraceOp::kJoin);
+    EXPECT_EQ(spans[0].rows_out, 12);
+    EXPECT_EQ(spans[1].op, TraceOp::kProject);
+    EXPECT_EQ(spans[1].rows_out, out.size());
+    EXPECT_EQ(std::max(spans[0].bytes, spans[1].bytes),
+              static_cast<int64_t>(ctx.stats().peak_bytes));
+  }
+
+  Compiled coloring = CompileRandomColoring(db);
+  Compiled pentagon = CompilePentagon(db);
+  Compiled chain = CompileLadderChain(db);
+  Compiled reordering = CompileLadderReordering(db);
+  struct Run {
+    Compiled* c;
+    Counter budget;
+  };
+  for (const Run& k : {Run{&coloring, kCounterMax}, Run{&pentagon, kCounterMax},
+                       Run{&chain, kLadderChainBudget},
+                       Run{&reordering, kCounterMax},
+                       Run{&reordering, kLadderReorderingBudget}}) {
+    const TracedRun run = RunTraced(k.c->physical, k.budget);
+    const ExecStats& stats = run.result.stats;
+    int64_t scans = 0;
+    int64_t joins = 0;
+    int64_t projections = 0;
+    int64_t widest = 0;
+    for (const TraceSpan& span : run.spans) {
+      scans += span.op == TraceOp::kScan;
+      joins += span.op == TraceOp::kJoin;
+      projections += span.op == TraceOp::kProject;
+      widest = std::max(widest, span.bytes);
+    }
+    if (run.result.status.ok()) {
+      EXPECT_EQ(scans, static_cast<int64_t>(k.c->query.atoms().size()));
+    }
+    EXPECT_EQ(joins, stats.num_joins);
+    EXPECT_EQ(projections, stats.num_projections);
+    EXPECT_EQ(widest, static_cast<int64_t>(stats.peak_bytes));
+  }
+}
+
+// The verifier reads a run's kernel spans: it accepts a real run's and
+// rejects each kind of damage a kernel could do to them.
+TEST(KernelSpanTest, SpanVerifierRejectsTamperedSpans) {
+  const Database db = ThreeColorDb();
+  Compiled c = CompilePentagon(db);
+  const TracedRun r = RunTraced(c.physical, kCounterMax);
+  ASSERT_TRUE(r.result.status.ok());
+  const std::vector<TraceSpan>& spans = r.spans;
+  auto verify = [&](const std::vector<TraceSpan>& tampered) {
+    return VerifyKernelSpans(c.query, c.plan, db, tampered, r.result.stats,
+                             kCounterMax);
+  };
+  ASSERT_TRUE(verify(spans).ok()) << verify(spans).ToString();
+
+  // The first scan, join and projection calls, and a node that does not
+  // project.
+  const auto first_call = [&spans](TraceOp op) {
+    size_t i = 0;
+    while (i < spans.size() && spans[i].op != op) ++i;
+    return i;
+  };
+  const size_t scan = first_call(TraceOp::kScan);
+  const size_t join = first_call(TraceOp::kJoin);
+  const size_t project = first_call(TraceOp::kProject);
+  ASSERT_LT(scan, spans.size());
+  ASSERT_LT(join, spans.size());
+  ASSERT_LT(project, spans.size());
+  ASSERT_FALSE(c.plan.root()->IsLeaf());
+  const std::vector<const PlanNode*> nodes = PreOrderNodes(c.plan);
+  const auto plain = std::find_if(nodes.begin(), nodes.end(),
+                                  [](const PlanNode* n) {
+                                    return !n->Projects();
+                                  });
+  ASSERT_NE(plain, nodes.end());
+  const auto plain_id = static_cast<int32_t>(plain - nodes.begin());
+
+  auto tamper = [&](size_t at, const auto& edit) {
+    std::vector<TraceSpan> bad = spans;
+    edit(bad[at]);
+    return verify(bad);
+  };
+  auto expect_rejected = [](const Status& status, const std::string& what,
+                            const std::string& fragment) {
+    EXPECT_FALSE(status.ok()) << what;
+    EXPECT_NE(status.message().find(fragment), std::string::npos)
+        << what << ": " << status.ToString();
+  };
+
+  expect_rejected(tamper(0, [](TraceSpan& s) { s.rows_out += 1; }),
+                  "rows_out + 1", "rows");
+  expect_rejected(tamper(0, [](TraceSpan& s) { s.rows_out = -1; }),
+                  "negative rows_out", "negative row count");
+  expect_rejected(tamper(0, [](TraceSpan& s) { s.arity_out += 1; }),
+                  "arity_out + 1", "arity");
+  expect_rejected(tamper(0, [](TraceSpan& s) { s.node_id = 999; }),
+                  "node id 999", "node id out of range");
+  expect_rejected(tamper(scan, [](TraceSpan& s) { s.node_id = 0; }),
+                  "scan on an internal node", "scan on a join node");
+  expect_rejected(tamper(join, [](TraceSpan& s) { s.arity_out = 99; }),
+                  "join wider than the query", "matches no fold step");
+  expect_rejected(tamper(project, [](TraceSpan& s) { s.arity_out += 1; }),
+                  "projection arity + 1", "projected-label arity");
+  expect_rejected(
+      tamper(join, [&](TraceSpan& s) { s.node_id = spans[scan].node_id; }),
+      "join on a leaf", "join on a leaf node");
+  expect_rejected(tamper(project, [&](TraceSpan& s) { s.node_id = plain_id; }),
+                  "projection on a non-projecting node",
+                  "projection on a non-projecting node");
+  {
+    std::vector<TraceSpan> bad = spans;
+    TraceSpan semijoin;
+    semijoin.op = TraceOp::kSemiJoin;
+    semijoin.node_id = 0;
+    bad.push_back(semijoin);
+    expect_rejected(verify(bad), "semijoin span", "semijoin");
+  }
+
+  // The span rows must add up to the run's charges: exactly on a
+  // completed run, at most on a budget-exhausted one.
+  ExecStats fewer = r.result.stats;
+  fewer.tuples_produced -= 1;
+  EXPECT_FALSE(
+      VerifyKernelSpans(c.query, c.plan, db, spans, fewer, kCounterMax).ok());
+  EXPECT_FALSE(VerifyKernelSpans(c.query, c.plan, db, spans, fewer,
+                                 fewer.tuples_produced - 1)
+                   .ok());
+  ExecStats more = r.result.stats;
+  more.tuples_produced += 1;
+  EXPECT_FALSE(
+      VerifyKernelSpans(c.query, c.plan, db, spans, more, kCounterMax).ok());
+  EXPECT_TRUE(VerifyKernelSpans(c.query, c.plan, db, spans, more,
+                                more.tuples_produced - 1)
+                  .ok());
+}
+
+// Runs pass the span verifier, completed and budget-truncated alike. The
+// same holds for both consumers of a counted join: the pentagon's
+// projecting nodes stream their last join, and the ladder chain's budget
+// is exhausted by a join counting through an unwritten one; and for the
+// ladder reordering's keyed projections, which return the rows and every
+// stat but peak_bytes of the same plan with them cleared.
+TEST(KernelSpanTest, VerifiedRunsPassTheSpanVerifier) {
+  ScopedVerifier verifier;
+  const Database db = ThreeColorDb();
+  Compiled coloring = CompileRandomColoring(db);
+  const TracedRun full = RunTraced(coloring.physical, kCounterMax);
+  ASSERT_TRUE(full.result.status.ok());
+  EXPECT_TRUE(VerifyKernelSpans(coloring.query, coloring.plan, db, full.spans,
+                                full.result.stats, kCounterMax)
+                  .ok());
+  const Counter truncated_budget = full.result.stats.tuples_produced / 2;
+  const TracedRun truncated = RunTraced(coloring.physical, truncated_budget);
+  EXPECT_EQ(truncated.result.status.code(), StatusCode::kResourceExhausted);
+  const Status truncated_verdict =
+      VerifyKernelSpans(coloring.query, coloring.plan, db, truncated.spans,
+                        truncated.result.stats, truncated_budget);
+  EXPECT_TRUE(truncated_verdict.ok()) << truncated_verdict.ToString();
+
+  Compiled pentagon = CompilePentagon(db);
+  Compiled chain = CompileLadderChain(db);
+  Compiled reordering = CompileLadderReordering(db);
+  struct Case {
+    Compiled* c;
+    Counter budget;
+    StatusCode status;
+    TraceOp reader;
+  };
+  for (const Case& k :
+       {Case{&pentagon, kCounterMax, StatusCode::kOk, TraceOp::kProject},
+        Case{&chain, kLadderChainBudget, StatusCode::kResourceExhausted,
+             TraceOp::kJoin},
+        Case{&reordering, kCounterMax, StatusCode::kOk, TraceOp::kProject},
+        Case{&reordering, kLadderReorderingBudget,
+             StatusCode::kResourceExhausted, TraceOp::kProject}}) {
+    SCOPED_TRACE(::testing::Message() << "budget " << k.budget);
+    const TracedRun run = RunTraced(k.c->physical, k.budget);
+    EXPECT_EQ(run.result.status.code(), k.status)
+        << run.result.status.ToString();
+    EXPECT_TRUE(UnwrittenJoinReadBy(run.spans, k.reader));
+    const Status verdict = VerifyKernelSpans(
+        k.c->query, k.c->plan, db, run.spans, run.result.stats, k.budget);
+    EXPECT_TRUE(verdict.ok()) << verdict.ToString();
+    if (k.c == &reordering) {
+      // The keyed projections ran: with them cleared, the plan returns
+      // the same rows and stats through spans of its own.
+      const TracedRun streamed = RunTraced(Unkeyed(*k.c, db), k.budget);
+      EXPECT_EQ(streamed.result.status.code(), run.result.status.code());
+      ExpectSameRows(run.result.output, streamed.result.output);
+      EXPECT_EQ(StatsTupleExceptPeak(run.result.stats),
+                StatsTupleExceptPeak(streamed.result.stats));
+      EXPECT_NE(SpanFields(run.spans), SpanFields(streamed.spans));
+    }
+  }
+}
+
+// The sort-merge join records one span per call too, including a call
+// whose input is empty.
+TEST(KernelSpanTest, VerifiedSortMergeRunWithAnEmptyIntermediate) {
+  ScopedVerifier verifier;
+  Database db;
+  AddColoringRelations(2, &db);
+  // A triangle is not 2-colorable, so the third atom's join leaves an
+  // empty intermediate that the fourth atom's join then takes as input.
+  Result<ParsedQuery> parsed = ParseQuery(
+      "pi{} edge(X, Y) & edge(Y, Z) & edge(Z, X) & edge(X, W)");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const ConjunctiveQuery& q = parsed->query;
+  const Plan plan = StraightforwardPlan(q);
+  Result<PhysicalPlan> physical =
+      PhysicalPlan::Compile(q, plan, db, JoinAlgorithm::kSortMerge);
+  ASSERT_TRUE(physical.ok()) << physical.status().ToString();
+
+  const TracedRun r = RunTraced(*physical, kCounterMax);
+  ASSERT_TRUE(r.result.status.ok()) << r.result.status.ToString();
+  EXPECT_TRUE(r.result.output.empty());
+  // The empty-input join span still reports its arity.
+  bool saw_empty_input_join = false;
+  for (const TraceSpan& s : r.spans) {
+    if (s.op != TraceOp::kJoin) continue;
+    saw_empty_input_join |= s.rows_out == 0 && s.bytes == 0;
+    EXPECT_GT(s.arity_out, 0);
+  }
+  EXPECT_TRUE(saw_empty_input_join);
+  const Status verdict = VerifyKernelSpans(q, plan, db, r.spans,
+                                           r.result.stats, kCounterMax);
+  EXPECT_TRUE(verdict.ok()) << verdict.ToString();
 }
 
 }  // namespace

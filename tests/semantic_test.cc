@@ -298,12 +298,11 @@ TEST(SemanticHookTest, ExplainReportsVerdictAndCost) {
 TEST(SemanticHookTest, AllVerifierHookMembersAreInstalled) {
   // Every member of PlanVerifierHooks must be registered by
   // InstallPlanVerifier — tools/pprlint's hook-coverage rule points at
-  // this test. Members: logical, compiled, morsel_accounting, semantic.
+  // this test. Members: logical, compiled, semantic.
   ScopedSemanticVerifier scoped;
   std::shared_ptr<const PlanVerifierHooks> hooks = GetPlanVerifierHooks();
   EXPECT_TRUE(static_cast<bool>(hooks->logical));
   EXPECT_TRUE(static_cast<bool>(hooks->compiled));
-  EXPECT_TRUE(static_cast<bool>(hooks->morsel_accounting));
   EXPECT_TRUE(static_cast<bool>(hooks->semantic));
 }
 

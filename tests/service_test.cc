@@ -1,16 +1,25 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "benchlib/harness.h"
+#include "common/mutex.h"
 #include "encode/kcolor.h"
+#include "obs/obs_lock.h"
+#include "obs/telemetry/flight_recorder.h"
+#include "obs/telemetry/query_log.h"
+#include "obs/trace.h"
 #include "query/parser.h"
 #include "relational/database.h"
 #include "runtime/batch_executor.h"
@@ -19,6 +28,7 @@
 #include "service/protocol.h"
 #include "service/server.h"
 #include "service/service.h"
+#include "test_util.h"
 
 namespace ppr {
 namespace {
@@ -322,6 +332,82 @@ TEST(QueryServiceTest, TinyTupleBudgetIsBudgetExhausted) {
   EXPECT_EQ(service.counters().budget_exhausted, 1);
   // The admission charge was released despite the failed execution.
   EXPECT_DOUBLE_EQ(service.admission().inflight_bound(), 0.0);
+}
+
+// The flight recorder needs no tracing: with PPR_TRACE off, a
+// budget-exhausted request's dump holds that request's own spans, and
+// none of the request served before it, whose plan has more nodes.
+TEST(QueryServiceTest, FlightDumpHoldsTheTriggeringRequestsSpans) {
+  ASSERT_EQ(GlobalTraceSinkIfEnabled(), nullptr);
+  // The flight recorder, and the in-memory query log whose medians it
+  // reads, on for this test only.
+  struct FlightSession {
+    explicit FlightSession(std::string flight_dir)
+        : dir(std::move(flight_dir)) {
+      std::filesystem::remove_all(dir);
+      DisableQueryLog();
+      EnableQueryLog("");
+      FlightRecorderOptions options;
+      options.dir = dir;
+      EnableFlightRecorder(options);
+    }
+    ~FlightSession() {
+      DisableFlightRecorder();
+      DisableQueryLog();
+      std::filesystem::remove_all(dir);
+    }
+    std::string dir;
+  };
+  const FlightSession session(
+      (std::filesystem::temp_directory_path() / "ppr_service_flights")
+          .string());
+
+  const Database db = ThreeColorDb();
+  ServiceConfig config;
+  config.num_workers = 1;
+  std::string dump;
+  {
+    QueryService service(db, config);
+    const std::string wide =
+        "pi{X} edge(X, Y) & edge(Y, Z) & edge(Z, W) & edge(W, V)";
+    ServiceRequest first = MakeRequest(wide, 1);
+    first.strategy = static_cast<int32_t>(StrategyKind::kStraightforward);
+    ASSERT_TRUE(service.Execute(first).ok());
+    ServiceRequest exhausted =
+        MakeRequest("pi{X, Y} edge(X, Z) & edge(Z, Y)", 2);
+    exhausted.strategy = static_cast<int32_t>(StrategyKind::kStraightforward);
+    exhausted.tuple_budget = 1;
+    ASSERT_EQ(service.Execute(exhausted).status,
+              ServiceStatus::kBudgetExhausted);
+    MutexLock lock(GlobalObsMutex());
+    FlightRecorder* recorder = GlobalFlightRecorderIfEnabled();
+    ASSERT_NE(recorder, nullptr);
+    std::ifstream in(recorder->last_dump_path());
+    std::stringstream content;
+    content << in.rdbuf();
+    dump = content.str();
+  }
+
+  ASSERT_NE(dump.find("\"trigger\":\"budget_exhausted\""), std::string::npos)
+      << dump;
+  // The exhausted request's plan: a left-deep join of its two atoms.
+  Result<ParsedQuery> parsed = ParseQuery("pi{X, Y} edge(X, Z) & edge(Z, Y)");
+  ASSERT_TRUE(parsed.ok());
+  const size_t plan_nodes =
+      PreOrderNodes(BuildStrategyPlan(StrategyKind::kStraightforward,
+                                      parsed->query, 0))
+          .size();
+  const size_t spans_at = dump.find("\"spans\":[");
+  ASSERT_NE(spans_at, std::string::npos);
+  int spans = 0;
+  for (size_t at = dump.find("\"node\":", spans_at); at != std::string::npos;
+       at = dump.find("\"node\":", at + 1)) {
+    const long node = std::strtol(dump.c_str() + at + 7, nullptr, 10);
+    EXPECT_GE(node, 0) << dump;
+    EXPECT_LT(node, static_cast<long>(plan_nodes)) << dump;
+    ++spans;
+  }
+  EXPECT_GT(spans, 0) << dump;
 }
 
 TEST(QueryServiceTest, QuotaShedsWithInjectedClock) {

@@ -130,24 +130,7 @@ TEST(ChromeTraceGoldenTest, SingleSpanRendersAllArgs) {
       "{\"name\":\"join\",\"cat\":\"op\",\"ph\":\"X\",\"pid\":1,\"tid\":1,"
       "\"ts\":1.5,\"dur\":2.5,\"args\":{\"node\":2,\"rows_in\":10,"
       "\"rows_out\":4,\"arity_in\":3,\"arity_out\":2,\"bytes\":256,"
-      "\"ht_build_rows\":6,\"ht_probe_ops\":10,\"morsel\":-1}}\n"
-      "]}\n";
-  EXPECT_EQ(SpansToChromeTrace({s}), golden);
-}
-
-TEST(ChromeTraceGoldenTest, MorselSpanCarriesMorselId) {
-  TraceSpan s;
-  s.op = TraceOp::kScan;
-  s.node_id = 0;
-  s.start_ns = 1000;
-  s.duration_ns = 1000;
-  s.morsel_id = 3;
-  const std::string golden =
-      "{\"traceEvents\":[\n"
-      "{\"name\":\"scan\",\"cat\":\"op\",\"ph\":\"X\",\"pid\":1,\"tid\":1,"
-      "\"ts\":1,\"dur\":1,\"args\":{\"node\":0,\"rows_in\":0,"
-      "\"rows_out\":0,\"arity_in\":0,\"arity_out\":0,\"bytes\":0,"
-      "\"ht_build_rows\":0,\"ht_probe_ops\":0,\"morsel\":3}}\n"
+      "\"ht_build_rows\":6,\"ht_probe_ops\":10}}\n"
       "]}\n";
   EXPECT_EQ(SpansToChromeTrace({s}), golden);
 }
@@ -541,14 +524,14 @@ TEST(FlightRecorderTest, RenderFlightIsSelfContained) {
   FlightRecorder recorder(options);
   TraceSpan span;
   span.op = TraceOp::kProject;
-  span.morsel_id = 2;
+  span.ht_probe_ops = 2;
   const std::string doc = recorder.RenderFlight(
       /*flight_id=*/3, FlightTrigger::kLatencyOutlier, OkRecord(1, 999),
       /*median_wall_ns=*/100, {span});
   EXPECT_EQ(doc.find("{\"flight\":3,\"trigger\":\"latency_outlier\""), 0u);
   EXPECT_NE(doc.find("\"median_wall_ns\":100"), std::string::npos);
   EXPECT_NE(doc.find("\"op\":\"project\""), std::string::npos);
-  EXPECT_NE(doc.find("\"morsel\":2"), std::string::npos);
+  EXPECT_NE(doc.find("\"ht_probe_ops\":2}"), std::string::npos);
 }
 
 TEST(FlightRecorderTest, MaxDumpsBoundsDiskUsage) {
