@@ -81,12 +81,11 @@ std::vector<Workload> SatWorkloads() {
   return workloads;
 }
 
-// Whether a compiled subtree carries a keyed projection (one that keeps
-// a distinct join input whole and deduplicates once per key group).
-bool HasKeyedProjection(const PhysicalNode& node) {
-  if (node.keyed != KeyedSide::kNone) return true;
-  for (const auto& child : node.children) {
-    if (HasKeyedProjection(*child)) return true;
+// Whether a compiled plan carries a keyed projection (one that keeps a
+// distinct join input whole and deduplicates once per key group).
+bool HasKeyedProjection(const PhysicalPlan& plan) {
+  for (int32_t id = 0; id < plan.NumNodes(); ++id) {
+    if (plan.node(id).keyed != KeyedSide::kNone) return true;
   }
   return false;
 }
@@ -107,7 +106,7 @@ int RunWorkload(const Workload& workload, const Database& db, int* keyed) {
       verdict.physical = compiled.status();
     }
     if (verdict.ok()) {
-      const bool has_keyed = HasKeyedProjection(compiled->root());
+      const bool has_keyed = HasKeyedProjection(*compiled);
       *keyed += has_keyed ? 1 : 0;
       std::printf("OK    %-42s %-10s width=%d rows<=%.3g%s\n",
                   workload.name.c_str(), StrategyName(kind), plan.Width(),

@@ -12,10 +12,12 @@
 namespace ppr {
 namespace {
 
-bool SameAttrSet(std::vector<AttrId> a, std::vector<AttrId> b) {
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  return a == b;
+bool SameAttrSet(std::span<const AttrId> a, std::span<const AttrId> b) {
+  std::vector<AttrId> x(a.begin(), a.end());
+  std::vector<AttrId> y(b.begin(), b.end());
+  std::sort(x.begin(), x.end());
+  std::sort(y.begin(), y.end());
+  return x == y;
 }
 
 Status VerifyScan(const Atom& atom, const Relation& stored,
@@ -25,21 +27,23 @@ Status VerifyScan(const Atom& atom, const Relation& stored,
   if (static_cast<int>(atom.args.size()) != stored_arity) {
     return Status::InvalidArgument(where + "atom arity != stored arity");
   }
-  if (spec.out_schema.attrs() != atom.DistinctAttrs()) {
+  const std::vector<AttrId> distinct = atom.DistinctAttrs();
+  if (!std::equal(spec.out_attrs.begin(), spec.out_attrs.end(),
+                  distinct.begin(), distinct.end())) {
     return Status::InvalidArgument(
         where + "output schema is not the atom's distinct attributes");
   }
-  if (static_cast<int>(spec.source_cols.size()) != spec.out_schema.arity()) {
+  if (spec.source_cols.size() != spec.out_attrs.size()) {
     return Status::InvalidArgument(where +
                                    "source-column map length != out arity");
   }
-  for (int d = 0; d < spec.out_schema.arity(); ++d) {
-    const int c = spec.source_cols[static_cast<size_t>(d)];
+  for (size_t d = 0; d < spec.out_attrs.size(); ++d) {
+    const int c = spec.source_cols[d];
     if (c < 0 || c >= stored_arity) {
       return Status::InvalidArgument(where + "source column " +
                                      std::to_string(c) + " out of bounds");
     }
-    const AttrId attr = spec.out_schema.attr(d);
+    const AttrId attr = spec.out_attrs[d];
     if (atom.args[static_cast<size_t>(c)] != attr) {
       return Status::InvalidArgument(
           where + "source column does not bind its output attribute");
@@ -52,12 +56,15 @@ Status VerifyScan(const Atom& atom, const Relation& stored,
       }
     }
   }
-  if (spec.source_cols.size() + spec.equal_checks.size() !=
-      static_cast<size_t>(stored_arity)) {
+  if (spec.equal_checks.size() % 2 != 0 ||
+      spec.source_cols.size() + spec.equal_checks.size() / 2 !=
+          static_cast<size_t>(stored_arity)) {
     return Status::InvalidArgument(
         where + "source columns + equality checks != stored arity");
   }
-  for (const auto& [col, first] : spec.equal_checks) {
+  for (size_t k = 0; k < spec.equal_checks.size(); k += 2) {
+    const int col = spec.equal_checks[k];
+    const int first = spec.equal_checks[k + 1];
     if (col < 0 || col >= stored_arity || first < 0 || first >= stored_arity) {
       return Status::InvalidArgument(where +
                                      "equality-check column out of bounds");
@@ -73,70 +80,72 @@ Status VerifyScan(const Atom& atom, const Relation& stored,
   return Status::Ok();
 }
 
-Status VerifyJoin(const Schema& left, const Schema& right,
+Status VerifyJoin(std::span<const AttrId> left, std::span<const AttrId> right,
                   const JoinSpec& spec, int step) {
   const std::string where = "join step " + std::to_string(step) + ": ";
   if (spec.left_key_cols.size() != spec.right_key_cols.size()) {
     return Status::InvalidArgument(where +
                                    "build/probe key maps differ in length");
   }
+  const int left_arity = static_cast<int>(left.size());
+  const int right_arity = static_cast<int>(right.size());
   std::vector<AttrId> key_attrs;
   for (size_t j = 0; j < spec.left_key_cols.size(); ++j) {
     const int lk = spec.left_key_cols[j];
     const int rk = spec.right_key_cols[j];
-    if (lk < 0 || lk >= left.arity() || rk < 0 || rk >= right.arity()) {
+    if (lk < 0 || lk >= left_arity || rk < 0 || rk >= right_arity) {
       return Status::InvalidArgument(where + "key column out of bounds");
     }
-    if (left.attr(lk) != right.attr(rk)) {
+    if (left[static_cast<size_t>(lk)] != right[static_cast<size_t>(rk)]) {
       return Status::InvalidArgument(
           where + "key columns misaligned: position " + std::to_string(j) +
           " compares different attributes");
     }
-    key_attrs.push_back(left.attr(lk));
+    key_attrs.push_back(left[static_cast<size_t>(lk)]);
   }
   std::sort(key_attrs.begin(), key_attrs.end());
   if (std::adjacent_find(key_attrs.begin(), key_attrs.end()) !=
       key_attrs.end()) {
     return Status::InvalidArgument(where + "duplicate join key attribute");
   }
-  std::vector<AttrId> common = left.CommonAttrs(right);
+  std::vector<AttrId> common;
+  for (AttrId a : left) {
+    if (IndexOfAttr(right, a) >= 0) common.push_back(a);
+  }
   std::sort(common.begin(), common.end());
   if (key_attrs != common) {
     return Status::InvalidArgument(
         where + "join keys are not exactly the common attributes");
   }
 
-  if (spec.out_schema.arity() !=
-      left.arity() + static_cast<int>(spec.right_carry_cols.size())) {
+  if (spec.out_attrs.size() != left.size() + spec.right_carry_cols.size()) {
     return Status::InvalidArgument(
         where + "output arity != left arity + carried columns");
   }
-  for (int c = 0; c < left.arity(); ++c) {
-    if (spec.out_schema.attr(c) != left.attr(c)) {
-      return Status::InvalidArgument(
-          where + "output schema does not start with the left schema");
-    }
+  if (!std::equal(left.begin(), left.end(), spec.out_attrs.begin())) {
+    return Status::InvalidArgument(
+        where + "output schema does not start with the left schema");
   }
   for (size_t j = 0; j < spec.right_carry_cols.size(); ++j) {
     const int rc = spec.right_carry_cols[j];
-    if (rc < 0 || rc >= right.arity()) {
+    if (rc < 0 || rc >= right_arity) {
       return Status::InvalidArgument(where + "carry column out of bounds");
     }
-    const AttrId attr = right.attr(rc);
-    if (left.Contains(attr)) {
+    const AttrId attr = right[static_cast<size_t>(rc)];
+    if (IndexOfAttr(left, attr) >= 0) {
       return Status::InvalidArgument(
           where + "carried column duplicates a left attribute");
     }
-    if (spec.out_schema.attr(left.arity() + static_cast<int>(j)) != attr) {
+    if (spec.out_attrs[left.size() + j] != attr) {
       return Status::InvalidArgument(
           where + "copy map inconsistent with the output schema");
     }
   }
-  std::vector<AttrId> expected = left.attrs();
-  for (AttrId a : right.attrs()) {
-    if (!left.Contains(a)) expected.push_back(a);
+  std::vector<AttrId> expected(left.begin(), left.end());
+  for (AttrId a : right) {
+    if (IndexOfAttr(left, a) < 0) expected.push_back(a);
   }
-  if (!SameAttrSet(spec.out_schema.attrs(), expected)) {
+  if (!SameAttrSet(spec.out_attrs, expected)) {
     return Status::InvalidArgument(where +
                                    "output schema drops or invents an "
                                    "attribute of the joined inputs");
@@ -144,24 +153,24 @@ Status VerifyJoin(const Schema& left, const Schema& right,
   return Status::Ok();
 }
 
-Status VerifyProject(const Schema& input, const ProjectSpec& spec,
+Status VerifyProject(std::span<const AttrId> input, const ProjectSpec& spec,
                      const std::vector<AttrId>& projected_label) {
   const std::string where = "projection: ";
-  if (static_cast<int>(spec.cols.size()) != spec.out_schema.arity()) {
+  if (spec.cols.size() != spec.out_attrs.size()) {
     return Status::InvalidArgument(where + "mask length != output arity");
   }
-  for (int j = 0; j < spec.out_schema.arity(); ++j) {
-    const int c = spec.cols[static_cast<size_t>(j)];
-    if (c < 0 || c >= input.arity()) {
+  for (size_t j = 0; j < spec.out_attrs.size(); ++j) {
+    const int c = spec.cols[j];
+    if (c < 0 || c >= static_cast<int>(input.size())) {
       return Status::InvalidArgument(where + "mask column " +
                                      std::to_string(c) + " out of bounds");
     }
-    if (input.attr(c) != spec.out_schema.attr(j)) {
+    if (input[static_cast<size_t>(c)] != spec.out_attrs[j]) {
       return Status::InvalidArgument(
           where + "mask inconsistent with the output schema");
     }
   }
-  if (!SameAttrSet(spec.out_schema.attrs(), projected_label)) {
+  if (!SameAttrSet(spec.out_attrs, projected_label)) {
     return Status::InvalidArgument(
         where + "output schema != the node's projected label");
   }
@@ -224,10 +233,19 @@ Status VerifyProjectionFlags(const PlanNode* logical, const PhysicalNode& phys,
   return Status::Ok();
 }
 
+// Verifies node `id` of `physical` against `logical`, and sets `*next`
+// to the pre-order id after its subtree.
 Status VerifyNode(const ConjunctiveQuery& query, const PlanNode* logical,
-                  const PhysicalNode& phys, const Database& db,
-                  bool* distinct) {
-  Schema working;
+                  const PhysicalPlan& physical, int32_t id,
+                  const Database& db, bool* distinct, int32_t* next) {
+  if (id < 0 || id >= physical.NumNodes() ||
+      physical.node(id).node_id != id) {
+    return Status::InvalidArgument("node " + std::to_string(id) +
+                                   " is not at its pre-order index");
+  }
+  const PhysicalNode& phys = physical.node(id);
+  *next = id + 1;
+  std::span<const AttrId> working;
   std::vector<bool> child_distinct;
   if (logical->IsLeaf()) {
     if (!phys.IsLeaf() || phys.stored == nullptr) {
@@ -248,7 +266,7 @@ Status VerifyNode(const ConjunctiveQuery& query, const PlanNode* logical,
     }
     Status scan = VerifyScan(atom, *phys.stored, phys.scan);
     if (!scan.ok()) return scan;
-    working = phys.scan.out_schema;
+    working = phys.scan.out_attrs;
   } else {
     if (phys.IsLeaf() ||
         phys.children.size() != logical->children.size()) {
@@ -262,24 +280,31 @@ Status VerifyNode(const ConjunctiveQuery& query, const PlanNode* logical,
     }
     child_distinct.resize(phys.children.size());
     for (size_t i = 0; i < phys.children.size(); ++i) {
+      if (phys.children[i] != *next) {
+        return Status::InvalidArgument(
+            "child " + std::to_string(i) + " of node " + std::to_string(id) +
+            " is not the next subtree in pre-order");
+      }
       bool child_is_distinct = false;
-      Status child = VerifyNode(query, logical->children[i].get(),
-                                *phys.children[i], db, &child_is_distinct);
+      Status child =
+          VerifyNode(query, logical->children[i].get(), physical, *next, db,
+                     &child_is_distinct, next);
       if (!child.ok()) return child;
       child_distinct[i] = child_is_distinct;
     }
-    working = phys.children.front()->output_schema;
+    working = physical.output_attrs(phys.children.front());
     for (size_t i = 1; i < phys.children.size(); ++i) {
       const JoinSpec& spec = phys.joins[i - 1];
-      Status join = VerifyJoin(working, phys.children[i]->output_schema,
-                               spec, static_cast<int>(i));
+      Status join =
+          VerifyJoin(working, physical.output_attrs(phys.children[i]), spec,
+                     static_cast<int>(i));
       if (!join.ok()) return join;
-      working = spec.out_schema;
+      working = spec.out_attrs;
     }
   }
 
   // The fold result must realize the node's working label.
-  if (!SameAttrSet(working.attrs(), logical->working)) {
+  if (!SameAttrSet(working, logical->working)) {
     return Status::InvalidArgument(
         "compiled working schema != the node's working label");
   }
@@ -292,13 +317,6 @@ Status VerifyNode(const ConjunctiveQuery& query, const PlanNode* logical,
   if (phys.has_project) {
     Status project = VerifyProject(working, phys.project, logical->projected);
     if (!project.ok()) return project;
-    if (!(phys.output_schema == phys.project.out_schema)) {
-      return Status::InvalidArgument(
-          "node output schema != projection output schema");
-    }
-  } else if (!(phys.output_schema == working)) {
-    return Status::InvalidArgument(
-        "node output schema != compiled working schema");
   }
   return VerifyProjectionFlags(logical, phys, child_distinct, distinct);
 }
@@ -311,7 +329,15 @@ Status VerifyPhysicalPlan(const ConjunctiveQuery& query, const Plan& plan,
     return Status::InvalidArgument("empty logical plan");
   }
   bool distinct = false;
-  return VerifyNode(query, plan.root(), physical.root(), db, &distinct);
+  int32_t next = 0;
+  Status verdict =
+      VerifyNode(query, plan.root(), physical, 0, db, &distinct, &next);
+  if (verdict.ok() && next != physical.NumNodes()) {
+    return Status::InvalidArgument(
+        "compiled plan has " + std::to_string(physical.NumNodes()) +
+        " nodes, the logical plan " + std::to_string(next));
+  }
+  return verdict;
 }
 
 Status VerifyKernelSpans(const ConjunctiveQuery& query, const Plan& plan,

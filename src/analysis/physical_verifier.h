@@ -20,7 +20,8 @@ namespace ppr {
 /// in PlanScan/PlanJoin/PlanProject is caught rather than mirrored).
 /// Rejects:
 ///  - shape drift: physical tree shape differing from the logical plan,
-///    or joins.size() != children.size() - 1;
+///    joins.size() != children.size() - 1, or a node or child id that is
+///    not the node's pre-order index;
 ///  - scan damage: a stored pointer that is not the catalog relation the
 ///    atom names, source/equal-check column indices out of the stored
 ///    arity, an output schema that is not the atom's distinct attributes,

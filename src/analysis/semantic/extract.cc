@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -141,19 +142,15 @@ std::vector<AttrId> WalkLogical(const ConjunctiveQuery& query,
 // ---------------------------------------------------------------------
 // Compiled plans.
 
-AttrId MaxAttrOfSchema(const Schema& schema) {
+AttrId MaxAttrOfPhysical(const PhysicalPlan& physical) {
   AttrId max_attr = -1;
-  for (int c = 0; c < schema.arity(); ++c) {
-    max_attr = std::max(max_attr, schema.attr(c));
-  }
-  return max_attr;
-}
-
-AttrId MaxAttrOfPhysical(const PhysicalNode& node) {
-  AttrId max_attr = std::max(MaxAttrOfSchema(node.output_schema),
-                             MaxAttrOfSchema(node.scan.out_schema));
-  for (const auto& child : node.children) {
-    max_attr = std::max(max_attr, MaxAttrOfPhysical(*child));
+  for (int32_t id = 0; id < physical.NumNodes(); ++id) {
+    for (AttrId a : physical.output_attrs(id)) {
+      max_attr = std::max(max_attr, a);
+    }
+    for (AttrId a : physical.node(id).scan.out_attrs) {
+      max_attr = std::max(max_attr, a);
+    }
   }
   return max_attr;
 }
@@ -164,12 +161,11 @@ AttrId MaxAttrOfPhysical(const PhysicalNode& node) {
 Result<Atom> ReconstructAtom(const PhysicalNode& node,
                              const std::string& relation_name) {
   const ScanSpec& scan = node.scan;
-  const int arity = static_cast<int>(scan.source_cols.size()) >
-                            scan.out_schema.arity()
+  const int arity = scan.source_cols.size() > scan.out_attrs.size()
                         ? -1
                         : (node.stored != nullptr ? node.stored->arity() : -1);
-  if (arity < 0 ||
-      static_cast<int>(scan.source_cols.size()) != scan.out_schema.arity()) {
+  if (arity < 0 || scan.source_cols.size() != scan.out_attrs.size() ||
+      scan.equal_checks.size() % 2 != 0) {
     return Status::InvalidArgument(
         "extraction failed: leaf scan of '" + relation_name +
         "' has inconsistent column bindings");
@@ -184,10 +180,11 @@ Result<Atom> ReconstructAtom(const PhysicalNode& node,
           "extraction failed: leaf scan of '" + relation_name +
           "' binds out-of-range stored column " + std::to_string(col));
     }
-    atom.args[static_cast<size_t>(col)] =
-        scan.out_schema.attr(static_cast<int>(p));
+    atom.args[static_cast<size_t>(col)] = scan.out_attrs[p];
   }
-  for (const auto& [repeat_col, first_col] : scan.equal_checks) {
+  for (size_t k = 0; k < scan.equal_checks.size(); k += 2) {
+    const int repeat_col = scan.equal_checks[k];
+    const int first_col = scan.equal_checks[k + 1];
     if (repeat_col < 0 || repeat_col >= arity || first_col < 0 ||
         first_col >= arity ||
         atom.args[static_cast<size_t>(first_col)] == kNoAttr) {
@@ -210,9 +207,10 @@ Result<Atom> ReconstructAtom(const PhysicalNode& node,
 
 std::vector<AttrId> WalkPhysical(
     const std::map<const Relation*, std::string>& catalog,
-    const PhysicalNode& node, Extraction* ex) {
+    const PhysicalPlan& physical, int32_t id, Extraction* ex) {
   if (!ex->error.ok()) return {};
   const size_t begin = ex->atoms.size();
+  const PhysicalNode& node = physical.node(id);
 
   std::vector<AttrId> working;
   if (node.IsLeaf()) {
@@ -231,19 +229,17 @@ std::vector<AttrId> WalkPhysical(
     ex->atoms.push_back(*atom);
     working = SortedUnique(atom->args);
   } else {
-    for (const auto& child : node.children) {
-      std::vector<AttrId> visible = WalkPhysical(catalog, *child, ex);
+    for (int32_t child : node.children) {
+      std::vector<AttrId> visible = WalkPhysical(catalog, physical, child, ex);
       if (!ex->error.ok()) return {};
       working.insert(working.end(), visible.begin(), visible.end());
     }
     working = SortedUnique(std::move(working));
   }
 
-  std::vector<AttrId> visible;
-  for (int c = 0; c < node.output_schema.arity(); ++c) {
-    visible.push_back(node.output_schema.attr(c));
-  }
-  visible = SortedUnique(std::move(visible));
+  const std::span<const AttrId> output = physical.output_attrs(id);
+  std::vector<AttrId> visible =
+      SortedUnique(std::vector<AttrId>(output.begin(), output.end()));
   for (AttrId a : visible) {
     if (!std::binary_search(working.begin(), working.end(), a)) {
       ex->Fail("extraction failed: compiled node outputs x" +
@@ -285,8 +281,8 @@ Result<ExtractedQuery> ExtractCompiledQuery(const Database& db,
     if (rel.ok()) catalog.emplace(*rel, name);
   }
   Extraction ex;
-  ex.next_fresh = MaxAttrOfPhysical(physical.root()) + 1;
-  std::vector<AttrId> head = WalkPhysical(catalog, physical.root(), &ex);
+  ex.next_fresh = MaxAttrOfPhysical(physical) + 1;
+  std::vector<AttrId> head = WalkPhysical(catalog, physical, 0, &ex);
   return ex.Finish(head);
 }
 

@@ -2,6 +2,7 @@
 #define PPR_EXEC_PHYSICAL_PLAN_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,23 +27,17 @@ struct VerifierReport;
 /// pointers, scan bindings, join column maps, and projection masks are
 /// all resolved at compile time, so execution never touches schemas,
 /// attribute ids, or the catalog.
+///
+/// A compiled plan keeps its nodes in one array in pre-order, and every
+/// schema and column list of their specs in one SpecPool
+/// (relational/ops.h) that the specs view; the children and join specs a
+/// node names sit in the plan too. A node is valid only inside its plan.
 struct PhysicalNode {
   /// Pre-order index of the logical node this was lowered from (root = 0,
-  /// node before its children, children left to right) — the numbering
-  /// shared with ExplainResult::nodes and with trace spans' node_id.
+  /// node before its children, children left to right), which is its
+  /// index in the plan's node array — the numbering shared with
+  /// ExplainResult::nodes and with trace spans' node_id.
   int32_t node_id = -1;
-
-  /// Leaf: the stored relation captured from the database, plus the atom
-  /// binding (rename / repeated-attribute selection).
-  const Relation* stored = nullptr;
-  ScanSpec scan;
-
-  /// Internal: children are folded left to right; joins[i-1] holds the
-  /// precomputed column maps for (acc after children[0..i-1]) |><|
-  /// children[i]. The accumulated schema is static, so every fold step
-  /// compiles exactly once.
-  std::vector<std::unique_ptr<PhysicalNode>> children;
-  std::vector<JoinSpec> joins;
 
   /// Trailing projection for nodes whose projected label is a strict
   /// subset of the working label.
@@ -54,23 +49,36 @@ struct PhysicalNode {
   /// For a projecting node with a fold step: the input of its last join
   /// that is distinct and has every attribute in the projected label,
   /// which the projection then deduplicates once per key group when that
-  /// input is the join's probe side (relational/batch_ops.h). The flags
-  /// sit in padding, so compiled plans are no larger.
+  /// input is the join's probe side (relational/batch_ops.h).
   KeyedSide keyed = KeyedSide::kNone;
-  ProjectSpec project;
 
-  /// Schema of this node's output relation.
-  Schema output_schema;
+  /// Leaf: the stored relation captured from the database, plus the atom
+  /// binding (rename / repeated-attribute selection).
+  const Relation* stored = nullptr;
+  ScanSpec scan;
+
+  /// Internal: the node ids of the children, left to right. They are
+  /// folded left to right; joins[i-1] holds the precomputed column maps
+  /// for (acc after children[0..i-1]) |><| children[i]. The accumulated
+  /// schema is static, so every fold step compiles exactly once.
+  std::span<const int32_t> children;
+  std::span<const JoinSpec> joins;
+
+  ProjectSpec project;
 
   bool IsLeaf() const { return children.empty(); }
 };
 
 /// A plan compiled once against (query, plan, database) and executable
-/// many times. Compilation precomputes, per node, the output schema,
+/// many times. Compilation precomputes, per node, the scan binding,
 /// build/probe key columns, payload copy maps, and projection masks;
 /// execution is then pure data movement through the kernels of
 /// relational/batch_ops.h, with operator scratch bump-allocated from an
 /// arena whose blocks are recycled across operators *and* across runs.
+///
+/// The compiled plan is three heap blocks whatever its size: the node
+/// array, the join specs, and the pool of ints every spec views. Every
+/// plan-cache miss builds one and every eviction frees one.
 ///
 /// There is one plan walker and one const entry point, ExecuteShared(),
 /// which runs every kernel call as one pass on the calling thread.
@@ -137,24 +145,41 @@ class PhysicalPlan {
                                 TraceSink* trace = nullptr,
                                 MetricsRegistry* metrics = nullptr) const;
 
-  /// Schema of the answer relation (the root's projected label).
-  const Schema& output_schema() const { return root_->output_schema; }
-
   /// Number of physical nodes (same shape as the logical plan).
-  int NumNodes() const;
+  int NumNodes() const { return static_cast<int>(nodes_.size()); }
 
-  /// Root of the compiled node tree, for static analysis and explain
-  /// tooling. The mutable accessor exists for plan-mutation tests that
-  /// corrupt compiled plans to exercise the verifier.
-  const PhysicalNode& root() const { return *root_; }
-  PhysicalNode& mutable_root() { return *root_; }
+  /// Node `id`, for static analysis and explain tooling; the root is
+  /// node 0.
+  const PhysicalNode& node(int32_t id) const {
+    return nodes_[static_cast<size_t>(id)];
+  }
+
+  /// Attributes of node `id`'s output, which its last spec gives: the
+  /// projection's, else the last fold step's, else the scan's (or, for
+  /// an internal node with one child, that child's). The root's is the
+  /// answer relation's schema.
+  std::span<const AttrId> output_attrs(int32_t id = 0) const;
+
+  /// Mutable access for plan-mutation tests that corrupt compiled plans
+  /// to exercise the verifier: a node, and its join specs.
+  PhysicalNode& mutable_node(int32_t id) {
+    return nodes_[static_cast<size_t>(id)];
+  }
+  std::span<JoinSpec> mutable_joins(int32_t id);
 
  private:
-  PhysicalPlan(std::unique_ptr<PhysicalNode> root,
-               JoinAlgorithm join_algorithm)
-      : root_(std::move(root)), join_algorithm_(join_algorithm) {}
+  PhysicalPlan(std::vector<PhysicalNode> nodes, std::vector<JoinSpec> joins,
+               SpecPool pool, JoinAlgorithm join_algorithm)
+      : nodes_(std::move(nodes)),
+        joins_(std::move(joins)),
+        pool_(std::move(pool)),
+        join_algorithm_(join_algorithm) {}
 
-  std::unique_ptr<PhysicalNode> root_;
+  // Moving a plan moves these vectors' storage, which the nodes' and
+  // specs' views point into, so the views stay valid.
+  std::vector<PhysicalNode> nodes_;
+  std::vector<JoinSpec> joins_;
+  SpecPool pool_;
   JoinAlgorithm join_algorithm_;
   /// Scratch recycled across Execute() calls.
   ExecArena arena_;

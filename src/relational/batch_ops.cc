@@ -73,8 +73,9 @@ int64_t ChargeOutput(int64_t total, int arity, ExecContext& ctx) {
 
 // Whether a stored row satisfies the scan's repeated-attribute checks.
 bool PassesChecks(const Value* row, const ScanSpec& spec) {
-  for (const auto& [col, first] : spec.equal_checks) {
-    if (row[col] != row[first]) return false;
+  const std::span<const int> checks = spec.equal_checks;
+  for (size_t k = 0; k < checks.size(); k += 2) {
+    if (row[checks[k]] != row[checks[k + 1]]) return false;
   }
   return true;
 }
@@ -98,7 +99,7 @@ int64_t SelectScanRows(const Value* base, int in_arity, const ScanSpec& spec,
 // one strided loop per column.
 void EmitScanRows(const Value* base, int in_arity, const ScanSpec& spec,
                   const int32_t* sel, int64_t quota, Value* cursor) {
-  const int out_arity = spec.out_schema.arity();
+  const int out_arity = static_cast<int>(spec.out_attrs.size());
   const int* source = spec.source_cols.data();
   if (sel == nullptr) {
     for (int c = 0; c < out_arity; ++c) {
@@ -151,7 +152,7 @@ class JoinRows {
         left_arity(j.left_arity_),
         carry(j.spec_->right_carry_cols.data()),
         num_carry(static_cast<int>(j.spec_->right_carry_cols.size())),
-        out_arity(j.spec_->out_schema.arity()) {}
+        out_arity(static_cast<int>(j.spec_->out_attrs.size())) {}
 
   const Value* probe_row(int64_t i) const {
     return probe_base + i * probe_arity;
@@ -374,7 +375,7 @@ template <typename Rows>
 Relation ProjectRows(const Rows& input, const ProjectSpec& spec,
                      ExecContext& ctx) {
   ctx.stats().num_projections++;
-  Relation out{spec.out_schema};
+  Relation out{Schema(spec.out_attrs)};
   if (spec.cols.empty()) {
     // Boolean projection: nonempty input -> the single empty tuple.
     SpanRecorder rec(ctx.tracer(), TraceOp::kProject, ctx.trace_node());
@@ -475,7 +476,7 @@ GroupRepresentatives Representatives(const JoinRows& j, const PairKey& key,
 Relation ProjectKeyed(const JoinRows& j, const PairKey& key,
                       const ProjectSpec& spec, ExecContext& ctx) {
   ctx.stats().num_projections++;
-  Relation out{spec.out_schema};
+  Relation out{Schema(spec.out_attrs)};
   const int key_width = out.arity();
   ArenaScope scope(ctx.arena());
   SpanRecorder rec(ctx.tracer(), TraceOp::kProject, ctx.trace_node());
@@ -530,7 +531,7 @@ Relation ProjectKeyed(const JoinRows& j, const PairKey& key,
 
 Relation ScanAtom(const Relation& stored, const ScanSpec& spec,
                   ExecContext& ctx) {
-  Relation out{spec.out_schema};
+  Relation out{Schema(spec.out_attrs)};
   if (stored.empty()) {
     // No scratch for empty inputs, so peak_bytes stays an honest 0 on
     // runs against empty databases.
@@ -597,7 +598,7 @@ CountedJoin::CountedJoin(const Relation& left, const Relation& right,
       spec_(&spec),
       arena_(prebuilt == nullptr ? &ctx.arena() : nullptr),
       mark_(ctx.arena().Save()),
-      out_(spec.out_schema),
+      out_(Schema(spec.out_attrs)),
       build_left_(left.size() <= right.size()),
       left_base_(left.data()),
       right_base_(right.data()),
@@ -657,7 +658,7 @@ CountedJoin::CountedJoin(const Relation& left, const Relation& right,
 }
 
 CountedJoin::CountedJoin(const JoinSpec& spec, ExecContext& ctx)
-    : ctx_(&ctx), spec_(&spec), out_(spec.out_schema) {}
+    : ctx_(&ctx), spec_(&spec), out_(Schema(spec.out_attrs)) {}
 
 CountedJoin::CountedJoin(CountedJoin&& other) noexcept {
   *this = std::move(other);
@@ -767,7 +768,7 @@ CountedJoin CountJoin(CountedJoin&& left, Relation right,
     const int key_width = static_cast<int>(spec.left_key_cols.size());
     const PairKey key =
         MakePairKey(p, spec.left_key_cols.data(), key_width, ctx.arena());
-    const int out_arity = spec.out_schema.arity();
+    const int out_arity = static_cast<int>(spec.out_attrs.size());
     int64_t total = 0;
     Counter scratch = 0;
     {

@@ -1,7 +1,8 @@
 #ifndef PPR_RELATIONAL_OPS_H_
 #define PPR_RELATIONAL_OPS_H_
 
-#include <utility>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -12,10 +13,13 @@ namespace ppr {
 
 /// The relational operators come in two layers:
 ///
-///  - *Specs* (JoinSpec, ProjectSpec, SemiJoinSpec, ScanSpec) hold
-///    everything derivable from schemas alone: output schema, key column
-///    indices, payload copy maps, projection masks. A compiled
-///    PhysicalPlan (exec/physical_plan.h) builds them once per plan node.
+///  - *Specs* (JoinSpec, ProjectSpec, ScanSpec, SemiJoinSpec) hold
+///    everything derivable from schemas alone: output attributes, key
+///    column indices, payload copy maps, projection masks. A compiled
+///    PhysicalPlan (exec/physical_plan.h) plans them once per plan node.
+///    JoinSpec, ProjectSpec and ScanSpec are views: the planners append
+///    their attribute and column lists to a SpecPool, which a compiled
+///    plan shares among all of its specs.
 ///  - *Kernels* (HashJoin, ProjectColumns, SemiJoinFiltered, ScanAtom in
 ///    relational/batch_ops.h) execute a spec against relations. There is
 ///    one kernel set: columnar data movement over flat open-addressing
@@ -24,35 +28,47 @@ namespace ppr {
 ///    from ExecArenas.
 ///
 /// The schema-level wrappers below (NaturalJoin, Project, SemiJoin,
-/// BindAtom) build the spec on the fly and invoke the kernel;
-/// one-shot callers (semijoin pass, minibuckets, csp, tests) use those.
+/// BindAtom) plan the spec into a local pool and invoke the kernel;
+/// one-shot callers (semijoin pass, minibuckets, tests) use those.
 /// Plan runs, EXPLAIN's included, go through compiled plans instead.
+
+/// The ints that specs view: their output attributes and column lists.
+/// A planner appends a spec's lists and returns views of them, which stay
+/// valid while the pool keeps its storage. So a pool grows only while it
+/// is empty (the planners PPR_CHECK it): plan one spec into a fresh pool,
+/// or reserve the room for every spec beforehand, as Compile does.
+using SpecPool = std::vector<int32_t>;
 
 /// Precomputed column mappings of a natural join with output schema
 /// `left's attributes ++ right-only attributes`.
 struct JoinSpec {
-  Schema out_schema;
+  std::span<const AttrId> out_attrs;
   /// Indices of the shared attributes in each input (aligned pairwise).
-  std::vector<int> left_key_cols;
-  std::vector<int> right_key_cols;
+  std::span<const int> left_key_cols;
+  std::span<const int> right_key_cols;
   /// Right columns appended after the full left row.
-  std::vector<int> right_carry_cols;
+  std::span<const int> right_carry_cols;
 };
 
-/// Derives the join spec for two input schemas.
-JoinSpec PlanJoin(const Schema& left, const Schema& right);
+/// Derives the join spec for two input schemas, appending
+/// left.size() + 2 * right.size() ints to `pool`.
+JoinSpec PlanJoin(std::span<const AttrId> left, std::span<const AttrId> right,
+                  SpecPool& pool);
 
 /// Duplicate-eliminating projection: output columns `cols` of the input,
 /// in the requested attribute order.
 struct ProjectSpec {
-  Schema out_schema;
-  std::vector<int> cols;
+  std::span<const AttrId> out_attrs;
+  std::span<const int> cols;
 };
 
-/// Derives the projection spec; all `attrs` must exist in `input`.
-ProjectSpec PlanProject(const Schema& input, const std::vector<AttrId>& attrs);
+/// Derives the projection spec, appending 2 * attrs.size() ints to
+/// `pool`; `attrs` must be distinct and all exist in `input`.
+ProjectSpec PlanProject(std::span<const AttrId> input,
+                        const std::vector<AttrId>& attrs, SpecPool& pool);
 
-/// Key columns of a semijoin (output schema is the left schema).
+/// Key columns of a semijoin (output schema is the left schema). It is
+/// planned per call and owns its lists.
 struct SemiJoinSpec {
   std::vector<int> left_key_cols;
   std::vector<int> right_key_cols;
@@ -65,15 +81,18 @@ SemiJoinSpec PlanSemiJoin(const Schema& left, const Schema& right);
 /// folding repeated attributes into an equality selection.
 struct ScanSpec {
   /// Distinct attributes in first-occurrence order.
-  Schema out_schema;
+  std::span<const AttrId> out_attrs;
   /// Stored column providing each output column.
-  std::vector<int> source_cols;
-  /// Pairs (repeat column, first-occurrence column) that must be equal.
-  std::vector<std::pair<int, int>> equal_checks;
+  std::span<const int> source_cols;
+  /// (repeat column, first-occurrence column) pairs, flattened, whose
+  /// values must be equal.
+  std::span<const int> equal_checks;
 };
 
-/// Derives the scan spec; `args.size()` must equal the stored arity.
-ScanSpec PlanScan(int stored_arity, const std::vector<AttrId>& args);
+/// Derives the scan spec, appending 2 * args.size() ints to `pool`;
+/// `args.size()` must equal the stored arity.
+ScanSpec PlanScan(int stored_arity, const std::vector<AttrId>& args,
+                  SpecPool& pool);
 
 /// Natural join: combines tuples of `left` and `right` that agree on all
 /// common attributes. Output schema is left's attributes followed by

@@ -1,12 +1,17 @@
 #ifndef PPR_RELATIONAL_SCHEMA_H_
 #define PPR_RELATIONAL_SCHEMA_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/types.h"
 
 namespace ppr {
+
+/// Column index of `attr` in the attribute list `attrs`, or -1 when
+/// absent.
+int IndexOfAttr(std::span<const AttrId> attrs, AttrId attr);
 
 /// An ordered list of distinct attributes — the column layout of a relation.
 ///
@@ -19,6 +24,8 @@ class Schema {
 
   /// Constructs a schema from attributes. PPR_CHECK-fails on duplicates.
   explicit Schema(std::vector<AttrId> attrs);
+  explicit Schema(std::span<const AttrId> attrs)
+      : Schema(std::vector<AttrId>(attrs.begin(), attrs.end())) {}
 
   int arity() const { return static_cast<int>(attrs_.size()); }
   const std::vector<AttrId>& attrs() const { return attrs_; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "common/arena.h"
@@ -14,7 +15,7 @@ namespace {
 
 // Fills `order` with row indices of `rel` sorted lexicographically by the
 // values of `cols`. The index array is arena scratch owned by the caller.
-void SortRowOrder(const Relation& rel, const std::vector<int>& cols,
+void SortRowOrder(const Relation& rel, std::span<const int> cols,
                   std::span<int64_t> order) {
   std::iota(order.begin(), order.end(), int64_t{0});
   const Value* base = rel.data();
@@ -30,9 +31,8 @@ void SortRowOrder(const Relation& rel, const std::vector<int>& cols,
 }
 
 // -1 / 0 / +1 comparison of the key columns of two rows from two relations.
-int CompareKeys(const Relation& left, int64_t li, const std::vector<int>& lc,
-                const Relation& right, int64_t ri,
-                const std::vector<int>& rc) {
+int CompareKeys(const Relation& left, int64_t li, std::span<const int> lc,
+                const Relation& right, int64_t ri, std::span<const int> rc) {
   for (size_t k = 0; k < lc.size(); ++k) {
     const Value a = left.at(li, lc[k]);
     const Value b = right.at(ri, rc[k]);
@@ -52,12 +52,14 @@ Relation SortMergeJoin(const Relation& left, const Relation& right,
     rec.span().arity_in = std::max(left.arity(), right.arity());
   }
 
-  const JoinSpec spec = PlanJoin(left.schema(), right.schema());
-  const std::vector<int>& left_cols = spec.left_key_cols;
-  const std::vector<int>& right_cols = spec.right_key_cols;
-  const std::vector<int>& right_carry = spec.right_carry_cols;
+  SpecPool pool;
+  const JoinSpec spec =
+      PlanJoin(left.schema().attrs(), right.schema().attrs(), pool);
+  const std::span<const int> left_cols = spec.left_key_cols;
+  const std::span<const int> right_cols = spec.right_key_cols;
+  const std::span<const int> right_carry = spec.right_carry_cols;
 
-  Relation out{spec.out_schema};
+  Relation out{Schema(spec.out_attrs)};
   if (rec.enabled()) rec.span().arity_out = out.arity();
   if (left.empty() || right.empty()) {
     ctx.stats().NoteIntermediate(out.arity(), 0);

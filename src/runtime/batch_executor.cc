@@ -60,12 +60,28 @@ ExecutionResult ErrorResult(Status status) {
   return result;
 }
 
+// The spans with sequence numbers [begin, end) that `shard` still holds
+// (a worker's later jobs may have overwritten some), in a sink of their
+// own: a flight dump holds the spans of the job that triggered it.
+TraceSink SpansBetween(const TraceSink* shard, uint64_t begin, uint64_t end) {
+  if (shard == nullptr) return TraceSink(1);
+  const uint64_t first = std::max(begin, shard->dropped());
+  const uint64_t count = end > first ? end - first : 0;
+  TraceSink sink(std::max<size_t>(static_cast<size_t>(count), 1));
+  const std::vector<TraceSpan> spans = shard->SnapshotSince(first);
+  for (size_t i = 0; i < count; ++i) sink.Record(spans[i]);
+  return sink;
+}
+
 }  // namespace
 
 struct BatchExecutor::WorkerState {
   ExecArena arena;           // reused across this worker's jobs
   MetricsRegistry metrics;   // shard, merged at drain
-  std::unique_ptr<TraceSink> trace;  // shard, only when tracing is on
+  // Span shard, only when tracing or the flight recorder is on: merged
+  // into the global sink at drain when tracing, and read per job by the
+  // flight recorder.
+  std::unique_ptr<TraceSink> trace;
 };
 
 struct BatchExecutor::JobTelemetry {
@@ -77,6 +93,11 @@ struct BatchExecutor::JobTelemetry {
   /// Whether this call ran the plan-cache factory (scheduling-dependent
   /// raw material; the drain reattributes hits/misses deterministically).
   bool compiled_here = false;
+  /// The worker's span shard, when it has one, and the sequence numbers
+  /// [span_begin, span_end) of the spans this job recorded into it.
+  const TraceSink* trace = nullptr;
+  uint64_t span_begin = 0;
+  uint64_t span_end = 0;
 };
 
 BatchExecutor::BatchExecutor(const Database& db, BatchOptions options)
@@ -131,9 +152,16 @@ void BatchExecutor::ProcessJob(const BatchJob& job, WorkerState* worker,
     telem->predicted_width = static_cast<int32_t>((*cached)->plan_width);
   }
 
+  TraceSink* trace = worker->trace.get();
+  if (telem != nullptr && trace != nullptr) {
+    telem->trace = trace;
+    telem->span_begin = trace->total_recorded();
+  }
   ExecutionResult result = (*cached)->physical.ExecuteShared(
-      &worker->arena, job.tuple_budget, worker->trace.get(),
-      &worker->metrics);
+      &worker->arena, job.tuple_budget, trace, &worker->metrics);
+  if (telem != nullptr && trace != nullptr) {
+    telem->span_end = trace->total_recorded();
+  }
   if (result.status.ok()) {
     result.output = RemapOutputFromCanonical(result.output, canon.from_canonical);
   }
@@ -164,7 +192,7 @@ BatchResult BatchExecutor::Run(const std::vector<BatchJob>& jobs) {
   // skip every capture).
   const bool telemetry = GlobalQueryLogIfEnabled() != nullptr;
   std::vector<WorkerState> workers(static_cast<size_t>(num_threads_));
-  if (tracing) {
+  if (tracing || (telemetry && FlightRecorderEnabled())) {
     for (WorkerState& w : workers) w.trace = std::make_unique<TraceSink>();
   }
   std::vector<JobTelemetry> telem(telemetry ? jobs.size() : 0);
@@ -233,15 +261,13 @@ BatchResult BatchExecutor::Run(const std::vector<BatchJob>& jobs) {
     (void)FlushTraceArtifacts();
   }
 
-  // Query-log drain, after the trace merge so flight dumps can snapshot
-  // this batch's spans from the global sink. Single-threaded, input
-  // order — that (not the workers' interleaving) is what makes the
-  // exported JSONL byte-identical across worker counts.
+  // Query-log drain. Single-threaded, input order — that (not the
+  // workers' interleaving) is what makes the exported JSONL
+  // byte-identical across worker counts.
   if (telemetry) {
     if (QueryLog* qlog = GlobalQueryLogIfEnabled(); qlog != nullptr) {
       MutexLock lock(GlobalObsMutex());
       FlightRecorder* flights = GlobalFlightRecorderIfEnabled();
-      const TraceSink* sink = tracing ? GlobalTraceSinkIfEnabled() : nullptr;
 
       // Deterministic cache-hit reattribution: per-job compiled_here is
       // scheduling-dependent (any of a key's jobs may win the
@@ -281,7 +307,11 @@ BatchResult BatchExecutor::Run(const std::vector<BatchJob>& jobs) {
                                  ? telem[i].predicted_width - rec.max_arity
                                  : 0;
         rec.seq = qlog->Append(rec);
-        if (flights != nullptr) (void)flights->Observe(rec, *qlog, sink);
+        if (flights != nullptr) {
+          const TraceSink spans = SpansBetween(
+              telem[i].trace, telem[i].span_begin, telem[i].span_end);
+          (void)flights->Observe(rec, *qlog, &spans);
+        }
       }
       (void)FlushQueryLogArtifact();
     }

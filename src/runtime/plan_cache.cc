@@ -213,11 +213,24 @@ uint64_t HashPlanCacheKey(const PlanCacheKey& key) {
 }
 
 namespace {
-struct KeyHasher {
-  size_t operator()(const PlanCacheKey& key) const {
-    return static_cast<size_t>(HashPlanCacheKey(key));
+
+// A key held elsewhere, with its hash: the LRU slot's copy for a cached
+// entry, the compiling caller's argument for a compile in flight, the
+// caller's argument for a lookup. Maps hash a key once per call and
+// compare the full key only when the hashes agree.
+struct KeyRef {
+  const PlanCacheKey* key;
+  uint64_t hash;
+
+  bool operator==(const KeyRef& other) const { return *key == *other.key; }
+};
+
+struct KeyRefHasher {
+  size_t operator()(const KeyRef& ref) const {
+    return static_cast<size_t>(ref.hash);
   }
 };
+
 }  // namespace
 
 /// Single-flight slot: the first thread to miss owns the compile; every
@@ -231,17 +244,22 @@ struct PlanCache::InFlight {
 };
 
 struct PlanCache::Shard {
+  /// One cached entry: the entry's only copy of its key, with its hash.
+  struct Slot {
+    PlanCacheKey key;
+    uint64_t hash = 0;
+    std::shared_ptr<const CachedPlan> plan;
+  };
+  using Lru = std::list<Slot>;
+
   mutable Mutex mu;
   /// LRU list, most recently used first; `entries` indexes it by key.
-  std::list<std::pair<PlanCacheKey, std::shared_ptr<const CachedPlan>>> lru
+  Lru lru GUARDED_BY(mu);
+  std::unordered_map<KeyRef, Lru::iterator, KeyRefHasher> entries
       GUARDED_BY(mu);
-  std::unordered_map<
-      PlanCacheKey,
-      std::list<std::pair<PlanCacheKey,
-                          std::shared_ptr<const CachedPlan>>>::iterator,
-      KeyHasher>
-      entries GUARDED_BY(mu);
-  std::unordered_map<PlanCacheKey, std::shared_ptr<InFlight>, KeyHasher>
+  /// Compiles in flight, keyed by the compiling caller's argument, which
+  /// outlives the entry.
+  std::unordered_map<KeyRef, std::shared_ptr<InFlight>, KeyRefHasher>
       inflight GUARDED_BY(mu);
   int64_t hits GUARDED_BY(mu) = 0;
   int64_t misses GUARDED_BY(mu) = 0;
@@ -261,25 +279,21 @@ PlanCache::PlanCache(size_t capacity, int num_shards) {
 
 PlanCache::~PlanCache() = default;
 
-PlanCache::Shard& PlanCache::ShardFor(const PlanCacheKey& key) {
-  return *shards_[static_cast<size_t>(HashPlanCacheKey(key)) %
-                  shards_.size()];
-}
-
 Result<std::shared_ptr<const CachedPlan>> PlanCache::GetOrCompile(
     const PlanCacheKey& key, const Factory& factory, bool* compiled_here) {
   if (compiled_here != nullptr) *compiled_here = false;
-  Shard& shard = ShardFor(key);
+  const KeyRef ref{&key, HashPlanCacheKey(key)};
+  Shard& shard = *shards_[static_cast<size_t>(ref.hash) % shards_.size()];
   std::shared_ptr<InFlight> flight;
   bool owner = false;
   {
     MutexLock lock(shard.mu);
-    if (auto it = shard.entries.find(key); it != shard.entries.end()) {
+    if (auto it = shard.entries.find(ref); it != shard.entries.end()) {
       ++shard.hits;
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      return it->second->second;
+      return it->second->plan;
     }
-    if (auto it = shard.inflight.find(key); it != shard.inflight.end()) {
+    if (auto it = shard.inflight.find(ref); it != shard.inflight.end()) {
       // Someone else is compiling this key right now; reusing their
       // result is a hit (this thread runs no factory), which keeps the
       // counters deterministic under any interleaving.
@@ -288,7 +302,7 @@ Result<std::shared_ptr<const CachedPlan>> PlanCache::GetOrCompile(
     } else {
       ++shard.misses;
       flight = std::make_shared<InFlight>();
-      shard.inflight.emplace(key, flight);
+      shard.inflight.emplace(ref, flight);
       owner = true;
     }
   }
@@ -309,14 +323,20 @@ Result<std::shared_ptr<const CachedPlan>> PlanCache::GetOrCompile(
   if (built.ok()) {
     plan = std::make_shared<const CachedPlan>(std::move(built).value());
   }
+  // An evicted plan is destroyed after the shard lock is released.
+  std::shared_ptr<const CachedPlan> evicted;
   {
     MutexLock lock(shard.mu);
-    shard.inflight.erase(key);
+    shard.inflight.erase(ref);
     if (plan != nullptr) {
-      shard.lru.emplace_front(key, plan);
-      shard.entries[key] = shard.lru.begin();
-      while (shard.entries.size() > shard_capacity_) {
-        shard.entries.erase(shard.lru.back().first);
+      shard.lru.push_front({key, ref.hash, plan});
+      shard.entries.emplace(KeyRef{&shard.lru.front().key, ref.hash},
+                            shard.lru.begin());
+      // Each call adds one entry, so it evicts at most one.
+      if (shard.entries.size() > shard_capacity_) {
+        Shard::Slot& last = shard.lru.back();
+        shard.entries.erase(KeyRef{&last.key, last.hash});
+        evicted = std::move(last.plan);
         shard.lru.pop_back();
         ++shard.evictions;
       }

@@ -152,8 +152,6 @@ class PlanCache {
   struct InFlight;
   struct Shard;
 
-  Shard& ShardFor(const PlanCacheKey& key);
-
   size_t shard_capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };

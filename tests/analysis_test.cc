@@ -205,41 +205,40 @@ class PhysicalVerifierTest : public ::testing::Test {
   Plan plan_;
   PhysicalPlan compiled_;
 
-  // First internal physical node (joins nonempty), paired logical node.
-  static std::pair<PhysicalNode*, const PlanNode*> FirstJoin(
-      PhysicalNode& phys, const PlanNode* logical) {
-    if (!phys.joins.empty()) return {&phys, logical};
-    for (size_t i = 0; i < phys.children.size(); ++i) {
-      auto found =
-          FirstJoin(*phys.children[i], logical->children[i].get());
-      if (found.first != nullptr) return found;
+  // Pre-order id of the first node that `pick` accepts.
+  template <typename Pick>
+  int32_t First(Pick pick) const {
+    for (int32_t id = 0; id < compiled_.NumNodes(); ++id) {
+      if (pick(compiled_.node(id))) return id;
     }
-    return {nullptr, nullptr};
+    ADD_FAILURE() << "no such node";
+    return 0;
   }
-
-  static PhysicalNode* FirstProjection(PhysicalNode& phys) {
-    if (phys.has_project) return &phys;
-    for (auto& child : phys.children) {
-      PhysicalNode* found = FirstProjection(*child);
-      if (found != nullptr) return found;
-    }
-    return nullptr;
+  // The first internal node (joins nonempty), projecting node, and leaf.
+  int32_t FirstJoin() const {
+    return First([](const PhysicalNode& n) { return !n.joins.empty(); });
   }
-
-  static PhysicalNode* FirstLeaf(PhysicalNode& phys) {
-    if (phys.IsLeaf()) return &phys;
-    return FirstLeaf(*phys.children.front());
+  int32_t FirstProjection() const {
+    return First([](const PhysicalNode& n) { return n.has_project; });
+  }
+  int32_t FirstLeaf() const {
+    return First([](const PhysicalNode& n) { return n.IsLeaf(); });
   }
 };
+
+// Corruptions point a spec's view at an edited copy of its list, which
+// each test keeps alive while it verifies.
 
 TEST_F(PhysicalVerifierTest, AcceptsCompiledPlan) {
   EXPECT_TRUE(VerifyPhysicalPlan(query_, plan_, db_, compiled_).ok());
 }
 
 TEST_F(PhysicalVerifierTest, RejectsKeyMapOutOfBounds) {
-  auto [node, logical] = FirstJoin(compiled_.mutable_root(), plan_.root());
-  ASSERT_NE(node, nullptr);
-  node->joins[0].left_key_cols[0] = 99;
+  JoinSpec& spec = compiled_.mutable_joins(FirstJoin())[0];
+  std::vector<int> keys(spec.left_key_cols.begin(), spec.left_key_cols.end());
+  ASSERT_FALSE(keys.empty());
+  keys[0] = 99;
+  spec.left_key_cols = keys;
   Status s = VerifyPhysicalPlan(query_, plan_, db_, compiled_);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("key column out of bounds"), std::string::npos)
@@ -247,26 +246,30 @@ TEST_F(PhysicalVerifierTest, RejectsKeyMapOutOfBounds) {
 }
 
 TEST_F(PhysicalVerifierTest, RejectsDroppedJoinKey) {
-  auto [node, logical] = FirstJoin(compiled_.mutable_root(), plan_.root());
-  ASSERT_NE(node, nullptr);
-  ASSERT_FALSE(node->joins[0].left_key_cols.empty());
+  JoinSpec& spec = compiled_.mutable_joins(FirstJoin())[0];
+  ASSERT_FALSE(spec.left_key_cols.empty());
   // Forgetting a key turns the join into a partial cross product.
-  node->joins[0].left_key_cols.pop_back();
-  node->joins[0].right_key_cols.pop_back();
+  spec.left_key_cols = spec.left_key_cols.first(spec.left_key_cols.size() - 1);
+  spec.right_key_cols =
+      spec.right_key_cols.first(spec.right_key_cols.size() - 1);
   EXPECT_FALSE(VerifyPhysicalPlan(query_, plan_, db_, compiled_).ok());
 }
 
 TEST_F(PhysicalVerifierTest, RejectsMismatchedKeyMapLengths) {
-  auto [node, logical] = FirstJoin(compiled_.mutable_root(), plan_.root());
-  ASSERT_NE(node, nullptr);
-  node->joins[0].right_key_cols.push_back(0);
+  JoinSpec& spec = compiled_.mutable_joins(FirstJoin())[0];
+  std::vector<int> keys(spec.right_key_cols.begin(),
+                        spec.right_key_cols.end());
+  keys.push_back(0);
+  spec.right_key_cols = keys;
   EXPECT_FALSE(VerifyPhysicalPlan(query_, plan_, db_, compiled_).ok());
 }
 
 TEST_F(PhysicalVerifierTest, RejectsMaskOutOfBounds) {
-  PhysicalNode* node = FirstProjection(compiled_.mutable_root());
-  ASSERT_NE(node, nullptr);
-  node->project.cols[0] = 99;
+  ProjectSpec& spec = compiled_.mutable_node(FirstProjection()).project;
+  std::vector<int> cols(spec.cols.begin(), spec.cols.end());
+  ASSERT_FALSE(cols.empty());
+  cols[0] = 99;
+  spec.cols = cols;
   Status s = VerifyPhysicalPlan(query_, plan_, db_, compiled_);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("out of bounds"), std::string::npos)
@@ -274,26 +277,32 @@ TEST_F(PhysicalVerifierTest, RejectsMaskOutOfBounds) {
 }
 
 TEST_F(PhysicalVerifierTest, RejectsMaskSchemaMismatch) {
-  PhysicalNode* node = FirstProjection(compiled_.mutable_root());
-  ASSERT_NE(node, nullptr);
+  ProjectSpec& spec = compiled_.mutable_node(FirstProjection()).project;
   // Keep the mask in bounds but break its attribute correspondence.
-  node->project.out_schema = Schema({41});
+  const std::vector<AttrId> attrs = {41};
+  spec.out_attrs = attrs;
   EXPECT_FALSE(VerifyPhysicalPlan(query_, plan_, db_, compiled_).ok());
 }
 
 TEST_F(PhysicalVerifierTest, RejectsDroppedProjection) {
-  PhysicalNode* node = FirstProjection(compiled_.mutable_root());
-  ASSERT_NE(node, nullptr);
-  node->has_project = false;
-  node->output_schema = node->project.out_schema;
+  compiled_.mutable_node(FirstProjection()).has_project = false;
   EXPECT_FALSE(VerifyPhysicalPlan(query_, plan_, db_, compiled_).ok());
 }
 
-// A scan marked distinct could key a projection over a stored bag, which
-// would then return duplicate rows; a projection not marked distinct
-// only keys less. The verifier rejects both.
+// A child id off its pre-order index would make the walker run another
+// subtree in its place.
+TEST_F(PhysicalVerifierTest, RejectsChildOffPreOrder) {
+  PhysicalNode& node = compiled_.mutable_node(FirstJoin());
+  std::vector<int32_t> children(node.children.begin(), node.children.end());
+  std::swap(children.front(), children.back());
+  node.children = children;
+  Status s = VerifyPhysicalPlan(query_, plan_, db_, compiled_);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("pre-order"), std::string::npos) << s.ToString();
+}
+
 TEST_F(PhysicalVerifierTest, RejectsDistinctFlagsTheLabelsDoNotImply) {
-  PhysicalNode* leaf = FirstLeaf(compiled_.mutable_root());
+  PhysicalNode* leaf = &compiled_.mutable_node(FirstLeaf());
   ASSERT_FALSE(leaf->distinct);
   leaf->distinct = true;
   Status s = VerifyPhysicalPlan(query_, plan_, db_, compiled_);
@@ -302,8 +311,7 @@ TEST_F(PhysicalVerifierTest, RejectsDistinctFlagsTheLabelsDoNotImply) {
       << s.ToString();
   leaf->distinct = false;
 
-  PhysicalNode* projecting = FirstProjection(compiled_.mutable_root());
-  ASSERT_NE(projecting, nullptr);
+  PhysicalNode* projecting = &compiled_.mutable_node(FirstProjection());
   ASSERT_TRUE(projecting->distinct);
   projecting->distinct = false;
   EXPECT_FALSE(VerifyPhysicalPlan(query_, plan_, db_, compiled_).ok());
@@ -311,8 +319,7 @@ TEST_F(PhysicalVerifierTest, RejectsDistinctFlagsTheLabelsDoNotImply) {
 
 TEST_F(PhysicalVerifierTest, RejectsForeignStoredRelation) {
   db_.Put("other", ColoringEdgeRelation(3));
-  PhysicalNode* leaf = FirstLeaf(compiled_.mutable_root());
-  leaf->stored = *db_.Get("other");
+  compiled_.mutable_node(FirstLeaf()).stored = *db_.Get("other");
   Status s = VerifyPhysicalPlan(query_, plan_, db_, compiled_);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("catalog"), std::string::npos) << s.ToString();

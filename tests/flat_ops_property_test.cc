@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -57,8 +58,10 @@ Relation RandomRelation(const Schema& schema, Rng& rng) {
 // Naive nested-loop natural join, mirroring the documented contract:
 // left's attributes then right-only attributes.
 Relation RefJoin(const Relation& left, const Relation& right) {
-  const JoinSpec spec = PlanJoin(left.schema(), right.schema());
-  Relation out{spec.out_schema};
+  SpecPool pool;
+  const JoinSpec spec =
+      PlanJoin(left.schema().attrs(), right.schema().attrs(), pool);
+  Relation out{Schema(spec.out_attrs)};
   for (int64_t i = 0; i < left.size(); ++i) {
     for (int64_t j = 0; j < right.size(); ++j) {
       bool match = true;
@@ -81,14 +84,15 @@ Relation RefJoin(const Relation& left, const Relation& right) {
 
 // Naive distinct projection via an ordered set.
 Relation RefProject(const Relation& input, const std::vector<AttrId>& attrs) {
-  const ProjectSpec spec = PlanProject(input.schema(), attrs);
+  SpecPool pool;
+  const ProjectSpec spec = PlanProject(input.schema().attrs(), attrs, pool);
   std::set<std::vector<Value>> rows;
   for (int64_t i = 0; i < input.size(); ++i) {
     std::vector<Value> tuple;
     for (int c : spec.cols) tuple.push_back(input.at(i, c));
     rows.insert(std::move(tuple));
   }
-  Relation out{spec.out_schema};
+  Relation out{Schema(spec.out_attrs)};
   for (const auto& row : rows) out.AddTuple(row);
   return out;
 }
@@ -98,9 +102,10 @@ Relation RefProject(const Relation& input, const std::vector<AttrId>& attrs) {
 // projection keeps.
 Relation RefProjectInOrder(const Relation& input,
                            const std::vector<AttrId>& attrs) {
-  const ProjectSpec spec = PlanProject(input.schema(), attrs);
+  SpecPool pool;
+  const ProjectSpec spec = PlanProject(input.schema().attrs(), attrs, pool);
   std::set<std::vector<Value>> seen;
-  Relation out{spec.out_schema};
+  Relation out{Schema(spec.out_attrs)};
   for (int64_t i = 0; i < input.size(); ++i) {
     std::vector<Value> tuple;
     for (int c : spec.cols) tuple.push_back(input.at(i, c));
@@ -359,7 +364,8 @@ TEST(FlatOpsPropertyTest, ExhaustingScanReturnsNothing) {
     ExpectExhaustingCallContract(
         BindAtom(stored, args, plain), RefBindAtom(stored, args),
         [&](ExecContext& ctx) {
-          return ScanAtom(stored, PlanScan(stored.arity(), args), ctx);
+          SpecPool pool;
+          return ScanAtom(stored, PlanScan(stored.arity(), args, pool), ctx);
         },
         trial);
   }
@@ -370,7 +376,9 @@ TEST(FlatOpsPropertyTest, ExhaustingJoinReturnsNothing) {
   for (int trial = 0; trial < 60; ++trial) {
     const Relation left = RandomRelation(RandomSchema(rng, 3), rng);
     const Relation right = RandomRelation(RandomSchema(rng, 3), rng);
-    const JoinSpec spec = PlanJoin(left.schema(), right.schema());
+    SpecPool pool;
+    const JoinSpec spec =
+        PlanJoin(left.schema().attrs(), right.schema().attrs(), pool);
     ExecContext plain;
     ExpectExhaustingCallContract(
         NaturalJoin(left, right, plain), RefJoin(left, right),
@@ -406,7 +414,8 @@ TEST(FlatOpsPropertyTest, TruncatedProjectionKeepsFirstOccurrencePrefix) {
     for (AttrId a : input.schema().attrs()) {
       if (rng.NextBounded(2) == 0) keep.push_back(a);
     }
-    const ProjectSpec spec = PlanProject(input.schema(), keep);
+    SpecPool pool;
+    const ProjectSpec spec = PlanProject(input.schema().attrs(), keep, pool);
     const Relation oracle = RefProjectInOrder(input, keep);
     const Counter distinct = oracle.size();
     for (Counter headroom = 1; headroom <= distinct + 1; ++headroom) {
@@ -587,11 +596,13 @@ TEST(FlatOpsPropertyTest, StreamedProjectionIsProjectionOfWrittenJoin) {
         trial % 4 == 1 ? Disjoint(RandomSchema(rng, 2)) : RandomSchema(rng, 3);
     const Relation left = RandomRows(left_schema, 8, domain, rng);
     const Relation right = RandomRows(right_schema, 8, domain, rng);
-    const JoinSpec join_spec = PlanJoin(left.schema(), right.schema());
+    SpecPool join_pool;
+    const JoinSpec join_spec =
+        PlanJoin(left.schema().attrs(), right.schema().attrs(), join_pool);
     // Projected columns: none (Boolean), the left input's only, the
     // right-only ones only, or a random subset.
     std::vector<AttrId> keep;
-    const std::vector<AttrId>& out_attrs = join_spec.out_schema.attrs();
+    const std::span<const AttrId> out_attrs = join_spec.out_attrs;
     for (size_t c = 0; c < out_attrs.size(); ++c) {
       const bool from_left = static_cast<int>(c) < left.arity();
       const bool take = trial % 4 == 0   ? false
@@ -600,19 +611,22 @@ TEST(FlatOpsPropertyTest, StreamedProjectionIsProjectionOfWrittenJoin) {
                                          : rng.NextBounded(2) == 0;
       if (take) keep.push_back(out_attrs[c]);
     }
-    const ProjectSpec project_spec = PlanProject(join_spec.out_schema, keep);
+    SpecPool project_pool;
+    const ProjectSpec project_spec =
+        PlanProject(join_spec.out_attrs, keep, project_pool);
+    const Schema projected(project_spec.out_attrs);
     ExecContext plain;
     const Counter total = HashJoin(left, right, join_spec, plain).size();
     unwritten += ExpectConsumerContract(
         2 * total + 1,
         [&](ExecContext& ctx) {
           const Relation joined = HashJoin(left, right, join_spec, ctx);
-          if (ctx.exhausted()) return Relation{project_spec.out_schema};
+          if (ctx.exhausted()) return Relation{projected};
           return ProjectColumns(joined, project_spec, ctx);
         },
         [&](ExecContext& ctx) {
           CountedJoin joined(left, right, join_spec, ctx);
-          if (ctx.exhausted()) return Relation{project_spec.out_schema};
+          if (ctx.exhausted()) return Relation{projected};
           return ProjectColumns(std::move(joined), project_spec, ctx);
         },
         trial);
@@ -699,12 +713,17 @@ TEST(FlatOpsPropertyTest, KeyedProjectionIsProjectionOfWrittenJoin) {
   int keyed_ran = 0;
   for (int trial = 0; trial < 40; ++trial) {
     const KeyedTrial t = MakeKeyedTrial(trial, rng);
-    const JoinSpec join_spec = PlanJoin(t.left.schema(), t.right.schema());
-    const ProjectSpec project_spec = PlanProject(join_spec.out_schema, t.keep);
+    SpecPool join_pool;
+    SpecPool project_pool;
+    const JoinSpec join_spec =
+        PlanJoin(t.left.schema().attrs(), t.right.schema().attrs(), join_pool);
+    const ProjectSpec project_spec =
+        PlanProject(join_spec.out_attrs, t.keep, project_pool);
+    const Schema projected(project_spec.out_attrs);
     const auto counted = [&](KeyedSide keyed) {
       return [&, keyed](ExecContext& ctx) {
         CountedJoin joined(t.left, t.right, join_spec, ctx);
-        if (ctx.exhausted()) return Relation{project_spec.out_schema};
+        if (ctx.exhausted()) return Relation{projected};
         return ProjectColumns(std::move(joined), project_spec, ctx, keyed);
       };
     };
@@ -714,7 +733,7 @@ TEST(FlatOpsPropertyTest, KeyedProjectionIsProjectionOfWrittenJoin) {
         2 * total + 1,
         [&](ExecContext& ctx) {
           const Relation joined = HashJoin(t.left, t.right, join_spec, ctx);
-          if (ctx.exhausted()) return Relation{project_spec.out_schema};
+          if (ctx.exhausted()) return Relation{projected};
           return ProjectColumns(joined, project_spec, ctx);
         },
         counted(t.keyed), trial);
@@ -751,11 +770,16 @@ TEST(FlatOpsPropertyTest, JoinCountedThroughUnwrittenJoinIsJoinOfWrittenJoin) {
     const Relation b = RandomRows(
         trial % 4 == 1 ? Disjoint(RandomSchema(rng, 2)) : RandomSchema(rng, 3),
         7, domain, rng);
-    const JoinSpec p_spec = PlanJoin(a.schema(), b.schema());
+    SpecPool p_pool;
+    SpecPool j_pool;
+    const JoinSpec p_spec =
+        PlanJoin(a.schema().attrs(), b.schema().attrs(), p_pool);
     const Relation c = RandomRows(
         trial % 4 == 2 ? Disjoint(RandomSchema(rng, 2)) : RandomSchema(rng, 3),
         3, domain, rng);
-    const JoinSpec j_spec = PlanJoin(p_spec.out_schema, c.schema());
+    const JoinSpec j_spec =
+        PlanJoin(p_spec.out_attrs, c.schema().attrs(), j_pool);
+    const Schema joined_schema(j_spec.out_attrs);
     ExecContext plain;
     const Relation p = HashJoin(a, b, p_spec, plain);
     const Counter total = p.size() + HashJoin(p, c, j_spec, plain).size();
@@ -763,14 +787,14 @@ TEST(FlatOpsPropertyTest, JoinCountedThroughUnwrittenJoinIsJoinOfWrittenJoin) {
         total + 1,
         [&](ExecContext& ctx) {
           const Relation joined = HashJoin(a, b, p_spec, ctx);
-          if (ctx.exhausted()) return Relation{j_spec.out_schema};
+          if (ctx.exhausted()) return Relation{joined_schema};
           return HashJoin(joined, c, j_spec, ctx);
         },
         [&](ExecContext& ctx) {
           CountedJoin joined(a, b, p_spec, ctx);
-          if (ctx.exhausted()) return Relation{j_spec.out_schema};
+          if (ctx.exhausted()) return Relation{joined_schema};
           CountedJoin next = CountJoin(std::move(joined), c, j_spec, ctx);
-          if (ctx.exhausted()) return Relation{j_spec.out_schema};
+          if (ctx.exhausted()) return Relation{joined_schema};
           return std::move(next).Write();
         },
         trial);

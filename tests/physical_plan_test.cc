@@ -279,10 +279,11 @@ TEST(PhysicalPlanTest, OnlyDistinctInputsKeyAProjection) {
     ASSERT_TRUE(ValidatePlan(q, *plan).ok());
     Result<PhysicalPlan> compiled = PhysicalPlan::Compile(q, *plan, db);
     ASSERT_TRUE(compiled.ok());
-    const PhysicalNode& root = compiled->root();
-    EXPECT_EQ(root.children[0]->keyed, KeyedSide::kNone);
-    EXPECT_TRUE(root.children[0]->distinct);
-    EXPECT_FALSE(root.children[0]->children[0]->distinct);
+    const PhysicalNode& root = compiled->node(0);
+    const PhysicalNode& inner = compiled->node(root.children[0]);
+    EXPECT_EQ(inner.keyed, KeyedSide::kNone);
+    EXPECT_TRUE(inner.distinct);
+    EXPECT_FALSE(compiled->node(inner.children[0]).distinct);
     EXPECT_EQ(root.keyed, KeyedSide::kLeft);
     const ExecutionResult run = compiled->Execute();
     ASSERT_TRUE(run.status.ok());
@@ -298,8 +299,7 @@ TEST(PhysicalPlanTest, OutputSchemaMatchesTargetArity) {
   const Plan plan = BuildStrategyPlan(StrategyKind::kReordering, q, 14);
   Result<PhysicalPlan> compiled = PhysicalPlan::Compile(q, plan, db);
   ASSERT_TRUE(compiled.ok());
-  EXPECT_EQ(compiled->output_schema().arity(),
-            static_cast<int>(q.free_vars().size()));
+  EXPECT_EQ(compiled->output_attrs().size(), q.free_vars().size());
   EXPECT_GT(compiled->NumNodes(), 0);
 }
 
@@ -365,12 +365,8 @@ constexpr Counter kLadderReorderingBudget = 2400;
 PhysicalPlan Unkeyed(const Compiled& c, const Database& db) {
   Result<PhysicalPlan> compiled = PhysicalPlan::Compile(c.query, c.plan, db);
   PPR_CHECK(compiled.ok());
-  std::vector<PhysicalNode*> stack = {&compiled->mutable_root()};
-  while (!stack.empty()) {
-    PhysicalNode* node = stack.back();
-    stack.pop_back();
-    node->keyed = KeyedSide::kNone;
-    for (auto& child : node->children) stack.push_back(child.get());
+  for (int32_t id = 0; id < compiled->NumNodes(); ++id) {
+    compiled->mutable_node(id).keyed = KeyedSide::kNone;
   }
   return std::move(*compiled);
 }
@@ -454,7 +450,9 @@ TEST(KernelSpanTest, EachKernelCallRecordsOneSpanOfItsFootprint) {
   ExecContext plain;
   const Relation xy = BindAtom(edge, {x, y}, plain);
   const Relation yz = BindAtom(edge, {y, z}, plain);
-  const JoinSpec join = PlanJoin(xy.schema(), yz.schema());
+  SpecPool join_pool;
+  const JoinSpec join =
+      PlanJoin(xy.schema().attrs(), yz.schema().attrs(), join_pool);
 
   // Each call with the rows its hash structure takes in: a join's build
   // side, a semijoin's filter keys, a projection's distinct keys.
@@ -467,11 +465,13 @@ TEST(KernelSpanTest, EachKernelCallRecordsOneSpanOfItsFootprint) {
   const std::vector<Call> calls = {
       {"scan", kCounterMax, 0,
        [&](ExecContext& ctx) {
-         return ScanAtom(edge, PlanScan(2, {x, y}), ctx);
+         SpecPool pool;
+         return ScanAtom(edge, PlanScan(2, {x, y}, pool), ctx);
        }},
       {"scan with a repeated attribute", kCounterMax, 0,
        [&](ExecContext& ctx) {
-         return ScanAtom(edge, PlanScan(2, {x, x}), ctx);
+         SpecPool pool;
+         return ScanAtom(edge, PlanScan(2, {x, x}, pool), ctx);
        }},
       {"join", kCounterMax, 6,
        [&](ExecContext& ctx) { return HashJoin(xy, yz, join, ctx); }},
@@ -479,7 +479,9 @@ TEST(KernelSpanTest, EachKernelCallRecordsOneSpanOfItsFootprint) {
        [&](ExecContext& ctx) { return HashJoin(xy, yz, join, ctx); }},
       {"projection", kCounterMax, 3,
        [&](ExecContext& ctx) {
-         return ProjectColumns(xy, PlanProject(xy.schema(), {x}), ctx);
+         SpecPool pool;
+         return ProjectColumns(xy, PlanProject(xy.schema().attrs(), {x}, pool),
+                               ctx);
        }},
       {"semijoin", kCounterMax, 6,
        [&](ExecContext& ctx) {
@@ -511,9 +513,10 @@ TEST(KernelSpanTest, EachKernelCallRecordsOneSpanOfItsFootprint) {
     TraceSink sink(TraceSink::kUnbounded);
     ExecContext ctx;
     ctx.set_tracer(&sink);
+    SpecPool pool;
     const Relation out =
         ProjectColumns(CountedJoin(xy, yz, join, ctx),
-                       PlanProject(join.out_schema, keep), ctx, keyed);
+                       PlanProject(join.out_attrs, keep, pool), ctx, keyed);
     const std::vector<TraceSpan> spans = sink.Snapshot();
     ASSERT_EQ(spans.size(), 2u);
     EXPECT_EQ(spans[0].op, TraceOp::kJoin);

@@ -20,9 +20,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <iterator>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,11 +60,6 @@ Plan ClonePlan(const Plan& plan) { return Plan(CloneNode(*plan.root())); }
 void CollectNodes(PlanNode* node, std::vector<PlanNode*>* out) {
   out->push_back(node);
   for (auto& child : node->children) CollectNodes(child.get(), out);
-}
-
-void CollectPhysical(PhysicalNode* node, std::vector<PhysicalNode*>* out) {
-  out->push_back(node);
-  for (auto& child : node->children) CollectPhysical(child.get(), out);
 }
 
 // ---------------------------------------------------------------------
@@ -200,122 +197,158 @@ constexpr NamedLogicalMutator kLogicalMutators[] = {
 
 // ---------------------------------------------------------------------
 // Physical mutators: corrupt one compiled node's precomputed column maps.
+// A spec views its lists in the plan's pool, so a mutator points the view
+// at an edited copy, which `edits` keeps alive while the verifier runs.
 
-using PhysicalMutator = bool (*)(PhysicalPlan&, Rng&);
+using Edits = std::deque<std::vector<int>>;
+using PhysicalMutator = bool (*)(PhysicalPlan&, Rng&, Edits&);
 
-std::vector<PhysicalNode*> JoinNodes(PhysicalPlan& plan) {
-  std::vector<PhysicalNode*> nodes;
-  CollectPhysical(&plan.mutable_root(), &nodes);
-  std::vector<PhysicalNode*> joins;
-  for (PhysicalNode* node : nodes) {
-    if (!node->joins.empty()) joins.push_back(node);
-  }
-  return joins;
+// A copy of `view` for a mutator to edit and point the view at.
+std::vector<int>& EditedCopy(std::span<const int> view, Edits& edits) {
+  return edits.emplace_back(view.begin(), view.end());
 }
 
-std::vector<PhysicalNode*> ProjectNodes(PhysicalPlan& plan) {
-  std::vector<PhysicalNode*> nodes;
-  CollectPhysical(&plan.mutable_root(), &nodes);
-  std::vector<PhysicalNode*> projects;
-  for (PhysicalNode* node : nodes) {
-    if (node->has_project) projects.push_back(node);
+// Ids of the nodes `pick` accepts.
+template <typename Pick>
+std::vector<int32_t> NodesWhere(const PhysicalPlan& plan, Pick pick) {
+  std::vector<int32_t> ids;
+  for (int32_t id = 0; id < plan.NumNodes(); ++id) {
+    if (pick(plan.node(id))) ids.push_back(id);
   }
-  return projects;
+  return ids;
 }
 
-bool KeyColOutOfBounds(PhysicalPlan& plan, Rng& rng) {
-  std::vector<PhysicalNode*> joins = JoinNodes(plan);
-  if (joins.empty()) return false;
-  PhysicalNode* node = joins[rng.NextBounded(joins.size())];
-  JoinSpec& spec = node->joins[rng.NextBounded(node->joins.size())];
-  if (spec.left_key_cols.empty()) return false;
-  const size_t k = rng.NextBounded(spec.left_key_cols.size());
-  if (rng.NextBernoulli(0.5)) {
-    spec.left_key_cols[k] = 1000;
-  } else {
-    spec.right_key_cols[k] = 1000;
-  }
+// One fold step's spec of a random node with fold steps, or null.
+JoinSpec* RandomJoin(PhysicalPlan& plan, Rng& rng) {
+  const std::vector<int32_t> ids =
+      NodesWhere(plan, [](const PhysicalNode& n) { return !n.joins.empty(); });
+  if (ids.empty()) return nullptr;
+  const std::span<JoinSpec> joins =
+      plan.mutable_joins(ids[rng.NextBounded(ids.size())]);
+  return &joins[rng.NextBounded(joins.size())];
+}
+
+std::vector<int32_t> ProjectNodes(const PhysicalPlan& plan) {
+  return NodesWhere(plan, [](const PhysicalNode& n) { return n.has_project; });
+}
+
+bool KeyColOutOfBounds(PhysicalPlan& plan, Rng& rng, Edits& edits) {
+  JoinSpec* spec = RandomJoin(plan, rng);
+  if (spec == nullptr || spec->left_key_cols.empty()) return false;
+  const size_t k = rng.NextBounded(spec->left_key_cols.size());
+  std::span<const int>& keys =
+      rng.NextBernoulli(0.5) ? spec->left_key_cols : spec->right_key_cols;
+  std::vector<int>& edited = EditedCopy(keys, edits);
+  edited[k] = 1000;
+  keys = edited;
   return true;
 }
 
-bool DropJoinKeyPair(PhysicalPlan& plan, Rng& rng) {
-  std::vector<PhysicalNode*> joins = JoinNodes(plan);
-  if (joins.empty()) return false;
-  PhysicalNode* node = joins[rng.NextBounded(joins.size())];
-  JoinSpec& spec = node->joins[rng.NextBounded(node->joins.size())];
-  if (spec.left_key_cols.empty()) return false;
+bool DropJoinKeyPair(PhysicalPlan& plan, Rng& rng, Edits& /*edits*/) {
+  JoinSpec* spec = RandomJoin(plan, rng);
+  if (spec == nullptr || spec->left_key_cols.empty()) return false;
   // A forgotten key pair silently degrades the join toward a cross
   // product — the exact bug class the width bound guards against.
-  spec.left_key_cols.pop_back();
-  spec.right_key_cols.pop_back();
+  const size_t keys = spec->left_key_cols.size() - 1;
+  spec->left_key_cols = spec->left_key_cols.first(keys);
+  spec->right_key_cols = spec->right_key_cols.first(keys);
   return true;
 }
 
-bool MismatchedKeyMapLengths(PhysicalPlan& plan, Rng& rng) {
-  std::vector<PhysicalNode*> joins = JoinNodes(plan);
-  if (joins.empty()) return false;
-  PhysicalNode* node = joins[rng.NextBounded(joins.size())];
-  JoinSpec& spec = node->joins[rng.NextBounded(node->joins.size())];
-  spec.right_key_cols.push_back(0);
+bool MismatchedKeyMapLengths(PhysicalPlan& plan, Rng& rng, Edits& edits) {
+  JoinSpec* spec = RandomJoin(plan, rng);
+  if (spec == nullptr) return false;
+  std::vector<int>& edited = EditedCopy(spec->right_key_cols, edits);
+  edited.push_back(0);
+  spec->right_key_cols = edited;
   return true;
 }
 
-bool MaskColOutOfBounds(PhysicalPlan& plan, Rng& rng) {
-  std::vector<PhysicalNode*> projects = ProjectNodes(plan);
+bool MaskColOutOfBounds(PhysicalPlan& plan, Rng& rng, Edits& edits) {
+  std::vector<int32_t> projects = ProjectNodes(plan);
   if (projects.empty()) return false;
-  PhysicalNode* node = projects[rng.NextBounded(projects.size())];
-  if (node->project.cols.empty()) return false;
-  node->project.cols[rng.NextBounded(node->project.cols.size())] = 1000;
+  ProjectSpec& spec =
+      plan.mutable_node(projects[rng.NextBounded(projects.size())]).project;
+  if (spec.cols.empty()) return false;
+  std::vector<int>& edited = EditedCopy(spec.cols, edits);
+  edited[rng.NextBounded(edited.size())] = 1000;
+  spec.cols = edited;
   return true;
 }
 
-bool PermuteProjectionMask(PhysicalPlan& plan, Rng& rng) {
-  std::vector<PhysicalNode*> projects = ProjectNodes(plan);
-  std::vector<PhysicalNode*> candidates;
-  for (PhysicalNode* node : projects) {
-    if (node->project.cols.size() >= 2) candidates.push_back(node);
-  }
+bool PermuteProjectionMask(PhysicalPlan& plan, Rng& rng, Edits& edits) {
+  const std::vector<int32_t> candidates =
+      NodesWhere(plan, [](const PhysicalNode& n) {
+        return n.has_project && n.project.cols.size() >= 2;
+      });
   if (candidates.empty()) return false;
-  PhysicalNode* node = candidates[rng.NextBounded(candidates.size())];
+  ProjectSpec& spec =
+      plan.mutable_node(candidates[rng.NextBounded(candidates.size())])
+          .project;
   // Swapping two mask columns keeps every index in bounds but breaks the
-  // column-to-attribute correspondence with out_schema.
-  std::swap(node->project.cols.front(), node->project.cols.back());
+  // column-to-attribute correspondence with out_attrs.
+  std::vector<int>& edited = EditedCopy(spec.cols, edits);
+  std::swap(edited.front(), edited.back());
+  spec.cols = edited;
   return true;
 }
 
-bool DropProjection(PhysicalPlan& plan, Rng& rng) {
-  std::vector<PhysicalNode*> projects = ProjectNodes(plan);
+bool DropProjection(PhysicalPlan& plan, Rng& rng, Edits& /*edits*/) {
+  std::vector<int32_t> projects = ProjectNodes(plan);
   if (projects.empty()) return false;
-  PhysicalNode* node = projects[rng.NextBounded(projects.size())];
-  node->has_project = false;
+  plan.mutable_node(projects[rng.NextBounded(projects.size())]).has_project =
+      false;
   return true;
 }
 
-bool CorruptOutputSchema(PhysicalPlan& plan, Rng& rng) {
-  std::vector<PhysicalNode*> nodes;
-  CollectPhysical(&plan.mutable_root(), &nodes);
-  PhysicalNode* node = nodes[rng.NextBounded(nodes.size())];
-  std::vector<AttrId> attrs = node->output_schema.attrs();
+// A node's output schema is its last spec's output attributes: corrupts
+// one of them in a random node's projection, last fold step, or scan.
+bool CorruptSpecOutputAttrs(PhysicalPlan& plan, Rng& rng, Edits& edits) {
+  const auto id = static_cast<int32_t>(
+      rng.NextBounded(static_cast<uint64_t>(plan.NumNodes())));
+  PhysicalNode& node = plan.mutable_node(id);
+  std::span<const AttrId>& attrs =
+      node.has_project      ? node.project.out_attrs
+      : !node.joins.empty() ? plan.mutable_joins(id).back().out_attrs
+                            : node.scan.out_attrs;
   if (attrs.empty()) return false;
-  attrs[rng.NextBounded(attrs.size())] = 1000;
-  node->output_schema = Schema(std::move(attrs));
+  std::vector<int>& edited = EditedCopy(attrs, edits);
+  edited[rng.NextBounded(edited.size())] = 1000;
+  attrs = edited;
+  return true;
+}
+
+// A node's children are ids into the plan's node array; swapping two
+// makes the walker run the subtrees in another order than the fold's
+// specs were planned for.
+bool SwapChildIds(PhysicalPlan& plan, Rng& rng, Edits& edits) {
+  const std::vector<int32_t> candidates = NodesWhere(
+      plan, [](const PhysicalNode& n) { return n.children.size() >= 2; });
+  if (candidates.empty()) return false;
+  PhysicalNode& node =
+      plan.mutable_node(candidates[rng.NextBounded(candidates.size())]);
+  std::vector<int>& edited = EditedCopy(node.children, edits);
+  const size_t i = rng.NextBounded(edited.size() - 1);
+  std::swap(edited[i], edited[i + 1]);
+  node.children = edited;
   return true;
 }
 
 // A keyed side the labels do not imply makes the keyed projection return
 // duplicate rows (set wrongly) or dedup the slow way (cleared wrongly):
 // moves a projecting fold node's keyed side to one of the other two.
-bool ToggleKeyedSide(PhysicalPlan& plan, Rng& rng) {
-  std::vector<PhysicalNode*> candidates;
-  for (PhysicalNode* node : ProjectNodes(plan)) {
-    if (!node->joins.empty()) candidates.push_back(node);
-  }
+bool ToggleKeyedSide(PhysicalPlan& plan, Rng& rng, Edits& /*edits*/) {
+  const std::vector<int32_t> candidates =
+      NodesWhere(plan, [](const PhysicalNode& n) {
+        return n.has_project && !n.joins.empty();
+      });
   if (candidates.empty()) return false;
-  PhysicalNode* node = candidates[rng.NextBounded(candidates.size())];
+  PhysicalNode& node =
+      plan.mutable_node(candidates[rng.NextBounded(candidates.size())]);
   const KeyedSide sides[] = {KeyedSide::kNone, KeyedSide::kLeft,
                              KeyedSide::kRight};
-  const size_t current = static_cast<size_t>(node->keyed);
-  node->keyed = sides[(current + 1 + rng.NextBounded(2)) % 3];
+  const size_t current = static_cast<size_t>(node.keyed);
+  node.keyed = sides[(current + 1 + rng.NextBounded(2)) % 3];
   return true;
 }
 
@@ -331,7 +364,8 @@ constexpr NamedPhysicalMutator kPhysicalMutators[] = {
     {"mask-col-out-of-bounds", MaskColOutOfBounds},
     {"permute-projection-mask", PermuteProjectionMask},
     {"drop-projection", DropProjection},
-    {"corrupt-output-schema", CorruptOutputSchema},
+    {"corrupt-spec-output-attrs", CorruptSpecOutputAttrs},
+    {"swap-child-ids", SwapChildIds},
     {"toggle-keyed-side", ToggleKeyedSide},
 };
 
@@ -411,7 +445,8 @@ TEST(PlanMutationFuzzTest, PhysicalVerifierRejectsEveryCorruption) {
 
     const NamedPhysicalMutator& mutator =
         kPhysicalMutators[rng.NextBounded(std::size(kPhysicalMutators))];
-    if (!mutator.apply(*compiled, rng)) continue;
+    Edits edits;
+    if (!mutator.apply(*compiled, rng, edits)) continue;
     applied[mutator.name]++;
     const Status verdict = VerifyPhysicalPlan(w.query, plan, w.db, *compiled);
     if (!verdict.ok()) {

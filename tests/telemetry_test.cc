@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "benchlib/batch_workload.h"
+#include "benchlib/harness.h"
 #include "common/mutex.h"
 #include "encode/kcolor.h"
 #include "exec/verify_hook.h"
@@ -33,6 +34,7 @@
 #include "obs/trace.h"
 #include "relational/database.h"
 #include "runtime/batch_executor.h"
+#include "runtime/plan_cache.h"
 
 namespace ppr {
 namespace {
@@ -461,6 +463,46 @@ TEST(FlightRecorderTest, BudgetExhaustionProducesValidatedDump) {
   EXPECT_NE(dump.find("\"outcome\":\"budget_exhausted\""), std::string::npos);
   EXPECT_NE(dump.find("\"record\":{\"seq\":"), std::string::npos);
   EXPECT_NE(dump.find("\"spans\":["), std::string::npos);
+  std::filesystem::remove_all(dir);
+}
+
+// With tracing off, a batch job's dump holds that job's own spans: the
+// workers keep span shards for the flight recorder, and each job's dump
+// reads the spans it recorded into its worker's shard.
+TEST(FlightRecorderTest, BatchDumpHoldsTheJobsSpansWithTracingOff) {
+  ASSERT_FALSE(TracingEnabled());
+  const std::string dir = TempFlightDir("ppr_flights_batch_spans");
+  FlightRecorderOptions options;
+  options.dir = dir;
+  FlightSession session(options);
+
+  Database db;
+  AddColoringRelations(3, &db);
+  std::vector<BatchJob> jobs = ColorJobs();
+  jobs.resize(1);
+  jobs[0].tuple_budget = 1;
+  BatchExecutor executor(db, BatchOptions{});
+  const BatchResult result = executor.Run(jobs);
+  EXPECT_EQ(result.results[0].status.code(), StatusCode::kResourceExhausted);
+
+  const std::string dump = ReadLastDumpLocked();
+  ASSERT_FALSE(dump.empty());
+  EXPECT_NE(dump.find("\"trigger\":\"budget_exhausted\""), std::string::npos);
+  // The job ran the plan its canonical query compiles to.
+  const int nodes =
+      BuildStrategyPlan(jobs[0].strategy,
+                        CanonicalizeQuery(jobs[0].query).query, jobs[0].seed)
+          .NumNodes();
+  const std::regex node_field("\"node\":(-?[0-9]+)");
+  int spans = 0;
+  for (auto it = std::sregex_iterator(dump.begin(), dump.end(), node_field);
+       it != std::sregex_iterator(); ++it) {
+    const int node = std::stoi((*it)[1].str());
+    EXPECT_GE(node, 0);
+    EXPECT_LT(node, nodes);
+    ++spans;
+  }
+  EXPECT_GE(spans, 1) << dump;
   std::filesystem::remove_all(dir);
 }
 

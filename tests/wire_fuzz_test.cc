@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -268,6 +269,28 @@ TEST(WireFuzzTest, ReplyHeaderThatRepeatsAnAttributeIsRejected) {
   const Result<ReplyHeader> header = DecodeReplyHeaderPayload(decoded->payload);
   EXPECT_FALSE(header.ok());
   CheckStream(frame);
+}
+
+// A reply header may name millions of distinct attributes and still fit
+// a frame; the client's Schema of it checks them in O(n log n), where a
+// pairwise check took minutes at this size.
+TEST(WireFuzzTest, HugeReplyHeaderBuildsItsSchemaQuickly) {
+  ReplyHeader ok;
+  ok.status = ServiceStatus::kOk;
+  constexpr AttrId kAttrs = 1000000;
+  for (AttrId a = kAttrs; a > 0; --a) ok.attrs.push_back(a);
+  const std::string frame = EncodeReplyHeaderFrame(7, ok);
+  const Result<Frame> decoded =
+      DecodeFrameBody(std::string_view(frame).substr(4));
+  ASSERT_TRUE(decoded.ok());
+  Result<ReplyHeader> header = DecodeReplyHeaderPayload(decoded->payload);
+  ASSERT_TRUE(header.ok());
+  const auto start = std::chrono::steady_clock::now();
+  const Schema schema(std::move(header->attrs));
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(schema.arity(), kAttrs);
+  EXPECT_LT(took.count(), 2.0);
 }
 
 }  // namespace
