@@ -46,16 +46,6 @@ const EnvConfig& ProcessEnv() {
         env != nullptr && env[0] != '\0') {
       c.flight_dir = env;
     }
-    if (const char* env = std::getenv("PPR_FLIGHT_LATENCY_MULT");
-        env != nullptr && env[0] != '\0') {
-      const double mult = std::atof(env);
-      if (mult > 1.0) c.flight_latency_mult = mult;
-    }
-    if (const char* env = std::getenv("PPR_FLIGHT_SPANS");
-        env != nullptr && env[0] != '\0') {
-      const int n = std::atoi(env);
-      if (n > 0) c.flight_spans = n;
-    }
     // NOLINTEND(concurrency-mt-unsafe)
     return c;
   }();

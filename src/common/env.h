@@ -52,15 +52,6 @@ struct EnvConfig {
   /// collection even without PPR_QUERY_LOG (the recorder needs the
   /// log's running latency medians).
   std::string flight_dir;
-
-  /// PPR_FLIGHT_LATENCY_MULT: a job whose wall time exceeds this
-  /// multiple of the running median for its fingerprint bucket trips the
-  /// latency-outlier flight trigger.
-  double flight_latency_mult = 8.0;
-
-  /// PPR_FLIGHT_SPANS: how many trailing trace spans a flight dump
-  /// snapshots.
-  int flight_spans = 64;
 };
 
 /// The once-initialized environment snapshot. First call reads the

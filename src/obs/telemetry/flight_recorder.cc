@@ -98,8 +98,7 @@ std::optional<FlightTrigger> FlightRecorder::Observe(const QueryRecord& record,
   std::vector<TraceSpan> tail;
   if (spans != nullptr) {
     const uint64_t total = spans->total_recorded();
-    const uint64_t from =
-        total > options_.max_spans ? total - options_.max_spans : 0;
+    const uint64_t from = total > kFlightSpans ? total - kFlightSpans : 0;
     tail = spans->SnapshotSince(from);
   }
   const std::string doc =
@@ -137,8 +136,6 @@ struct GlobalFlightState {
     if (!env.flight_dir.empty()) {
       FlightRecorderOptions options;
       options.dir = env.flight_dir;
-      options.latency_multiple = env.flight_latency_mult;
-      options.max_spans = static_cast<size_t>(env.flight_spans);
       recorder = std::make_unique<FlightRecorder>(std::move(options));
       enabled.store(true, std::memory_order_relaxed);
     }

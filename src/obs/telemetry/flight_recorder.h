@@ -27,6 +27,9 @@ enum class FlightTrigger : uint8_t {
 };
 const char* FlightTriggerName(FlightTrigger trigger);
 
+/// Trailing trace spans snapshotted into each dump.
+inline constexpr size_t kFlightSpans = 64;
+
 struct FlightRecorderOptions {
   /// Directory flight-<id>.json dumps land in (created on demand).
   /// Empty disables dumping — Observe still classifies, nothing hits
@@ -37,8 +40,6 @@ struct FlightRecorderOptions {
   /// Latency trigger stays disarmed until the record's fingerprint
   /// bucket has at least this many OK samples — a cold median is noise.
   uint64_t min_latency_samples = 16;
-  /// Trailing trace spans snapshotted into each dump.
-  size_t max_spans = 64;
   /// Hard cap on dumps per recorder — a pathological workload must not
   /// fill the disk with flights.
   int64_t max_dumps = 256;
@@ -66,10 +67,9 @@ class FlightRecorder {
   /// Evaluates the triggers for `record` (medians come from `log`, which
   /// must already contain the record) and dumps a flight file when one
   /// fires and the dump budget allows. `spans`, when non-null, supplies
-  /// the spans to snapshot, its last `max_spans`: the triggering
-  /// request's own span shard at service drains (QueryService), the
-  /// global sink at batch drains. Returns the fired trigger, dumped or
-  /// not.
+  /// the spans to snapshot, its last kFlightSpans: the spans the
+  /// triggering request (QueryService) or job (BatchExecutor) recorded.
+  /// Returns the fired trigger, dumped or not.
   std::optional<FlightTrigger> Observe(const QueryRecord& record,
                                        const QueryLog& log,
                                        const TraceSink* spans);
@@ -94,10 +94,9 @@ class FlightRecorder {
   std::string last_dump_path_ GUARDED_BY(mu_);
 };
 
-/// Process-wide recorder, gated like the query log: starts enabled when
-/// the environment sets PPR_FLIGHT_DIR (with PPR_FLIGHT_LATENCY_MULT /
-/// PPR_FLIGHT_SPANS overriding the defaults); toggled programmatically
-/// by EnableFlightRecorder/DisableFlightRecorder.
+/// Process-wide recorder, gated like the query log: starts enabled, with
+/// the default options, when the environment sets PPR_FLIGHT_DIR;
+/// toggled programmatically by EnableFlightRecorder/DisableFlightRecorder.
 void EnableFlightRecorder(FlightRecorderOptions options)
     EXCLUDES(GlobalObsMutex());
 void DisableFlightRecorder() EXCLUDES(GlobalObsMutex());

@@ -6,59 +6,17 @@
 #include <utility>
 
 #include "common/arena.h"
-#include "common/check.h"
-#include "common/env.h"
 #include "common/mutex.h"
 #include "common/timer.h"
-#include "exec/physical_plan.h"
-#include "exec/verify_hook.h"
 #include "obs/exporters.h"
 #include "obs/telemetry/flight_recorder.h"
 #include "obs/telemetry/query_log.h"
-#include "obs/telemetry/stats_server.h"
 #include "obs/trace.h"
 #include "runtime/thread_pool.h"
 
 namespace ppr {
 
-Relation RemapOutputFromCanonical(const Relation& output,
-                                  const std::vector<AttrId>& from_canonical) {
-  const Schema& schema = output.schema();
-  const int arity = schema.arity();
-  if (arity == 0) return output;  // nullary: only the nonempty bit matters
-
-  std::vector<std::pair<AttrId, int>> cols;  // (original attr, source col)
-  cols.reserve(static_cast<size_t>(arity));
-  for (int c = 0; c < arity; ++c) {
-    const AttrId canonical = schema.attr(c);
-    PPR_CHECK(canonical >= 0 &&
-              static_cast<size_t>(canonical) < from_canonical.size());
-    cols.emplace_back(from_canonical[static_cast<size_t>(canonical)], c);
-  }
-  std::sort(cols.begin(), cols.end());
-
-  std::vector<AttrId> attrs;
-  attrs.reserve(cols.size());
-  for (const auto& [attr, col] : cols) attrs.push_back(attr);
-  Relation remapped{Schema(std::move(attrs))};
-  remapped.Reserve(output.size());
-  std::vector<Value> row(static_cast<size_t>(arity));
-  for (int64_t i = 0; i < output.size(); ++i) {
-    for (int c = 0; c < arity; ++c) {
-      row[static_cast<size_t>(c)] = output.at(i, cols[static_cast<size_t>(c)].second);
-    }
-    remapped.AppendRaw(row.data());
-  }
-  return remapped;
-}
-
 namespace {
-
-ExecutionResult ErrorResult(Status status) {
-  ExecutionResult result;
-  result.status = std::move(status);
-  return result;
-}
 
 // The spans with sequence numbers [begin, end) that `shard` still holds
 // (a worker's later jobs may have overwritten some), in a sink of their
@@ -101,55 +59,35 @@ struct BatchExecutor::JobTelemetry {
 };
 
 BatchExecutor::BatchExecutor(const Database& db, BatchOptions options)
-    : db_(db), options_(options) {
-  num_threads_ = options_.num_threads;
-  if (num_threads_ <= 0) {
-    num_threads_ = ProcessEnv().default_threads > 0
-                       ? ProcessEnv().default_threads
-                       : ThreadPool::HardwareThreads();
-  }
+    : db_(db),
+      options_(options),
+      num_threads_(ResolveWorkerCount(options.num_threads)),
+      db_fingerprint_(FingerprintDatabase(db)) {
   if (options_.cache != nullptr) {
     cache_ = options_.cache;
   } else {
-    owned_cache_ = std::make_unique<PlanCache>(options_.cache_capacity);
+    owned_cache_ = std::make_unique<PlanCache>();
     cache_ = owned_cache_.get();
   }
-  db_fingerprint_ = FingerprintDatabase(db_);
 }
 
 void BatchExecutor::ProcessJob(const BatchJob& job, WorkerState* worker,
                                ExecutionResult* slot,
                                JobTelemetry* telem) const {
-  const CanonicalQuery canon = CanonicalizeQuery(job.query);
-  PlanCacheKey key;
-  key.structure = canon.structure;
-  key.strategy = job.strategy;
-  key.seed = job.seed;
-  key.join_algorithm = options_.join_algorithm;
-  key.db = &db_;
-  key.db_fingerprint = db_fingerprint_;
+  const ResolvedPlan resolved =
+      ResolvePlan(cache_, db_, db_fingerprint_, job.query, job.strategy,
+                  job.seed);
   if (telem != nullptr) {
-    telem->fingerprint = FingerprintQueryStructure(canon.structure);
+    telem->fingerprint = resolved.fingerprint;
+    telem->compiled_here = resolved.compiled_here;
   }
-
-  Result<std::shared_ptr<const CachedPlan>> cached = cache_->GetOrCompile(
-      key,
-      [this, &canon, &job]() -> Result<CachedPlan> {
-        Plan plan =
-            BuildStrategyPlan(job.strategy, canon.query, job.seed);
-        const int width = plan.Width();
-        Result<PhysicalPlan> compiled = PhysicalPlan::Compile(
-            canon.query, plan, db_, options_.join_algorithm);
-        if (!compiled.ok()) return compiled.status();
-        return CachedPlan{canon.query, std::move(*compiled), width};
-      },
-      telem != nullptr ? &telem->compiled_here : nullptr);
-  if (!cached.ok()) {
-    *slot = ErrorResult(cached.status());
+  if (resolved.entry == nullptr) {
+    slot->status = resolved.status;
     return;
   }
   if (telem != nullptr) {
-    telem->predicted_width = static_cast<int32_t>((*cached)->plan_width);
+    telem->predicted_width =
+        static_cast<int32_t>(resolved.entry->plan_width);
   }
 
   TraceSink* trace = worker->trace.get();
@@ -157,29 +95,20 @@ void BatchExecutor::ProcessJob(const BatchJob& job, WorkerState* worker,
     telem->trace = trace;
     telem->span_begin = trace->total_recorded();
   }
-  ExecutionResult result = (*cached)->physical.ExecuteShared(
+  ExecutionResult result = resolved.entry->physical.ExecuteShared(
       &worker->arena, job.tuple_budget, trace, &worker->metrics);
   if (telem != nullptr && trace != nullptr) {
     telem->span_end = trace->total_recorded();
   }
   if (result.status.ok()) {
-    result.output = RemapOutputFromCanonical(result.output, canon.from_canonical);
+    result.output =
+        RemapOutputFromCanonical(result.output, resolved.from_canonical);
   }
   *slot = std::move(result);
 }
 
 BatchResult BatchExecutor::Run(const std::vector<BatchJob>& jobs) {
-  // Force every lazily-initialized process-wide singleton on this thread
-  // before any worker exists: the env snapshot, the trace gate, the
-  // verifier hooks/gate, and the telemetry gates. Workers then only ever
-  // read them.
-  (void)ProcessEnv();
-  (void)TracingEnabled();
-  (void)PlanVerificationEnabled();
-  (void)GetPlanVerifierHooks();
-  (void)QueryLogEnabled();
-  (void)FlightRecorderEnabled();
-  (void)StartStatsServerFromEnv();
+  InitProcessState();
 
   BatchResult out;
   out.num_threads = num_threads_;

@@ -15,16 +15,6 @@
 
 namespace ppr {
 
-/// Rewrites a result relation computed over canonical attribute ids back
-/// to the original query's ids, with columns in ascending
-/// original-attribute order — exactly the schema a direct execution of
-/// the original query produces (root projected labels are
-/// sorted). Shared by every consumer of cached canonical plans (batch
-/// executor, query service), which is what keeps their answers
-/// byte-identical.
-Relation RemapOutputFromCanonical(const Relation& output,
-                                  const std::vector<AttrId>& from_canonical);
-
 /// One unit of batch work: evaluate `query` against the executor's
 /// database with the plan `strategy` builds (seeded tie-breaks via
 /// `seed`), under `tuple_budget`.
@@ -36,17 +26,13 @@ struct BatchJob {
 };
 
 struct BatchOptions {
-  /// Worker count; >= 1, or 0 to auto-pick (PPR_THREADS when set,
-  /// otherwise the hardware thread count).
+  /// Worker count; >= 1, or 0 to auto-pick (ResolveWorkerCount).
   int num_threads = 1;
-  JoinAlgorithm join_algorithm = JoinAlgorithm::kHash;
 
-  /// Jobs are canonicalized, and isomorphic instances share one plan
-  /// compiled for the canonical query in the plan cache. Capacity of the
-  /// internally owned cache (ignored with `cache` set).
-  size_t cache_capacity = 1024;
-  /// External cache to share across batches/executors; null means the
-  /// executor owns a private one.
+  /// Jobs resolve through the plan cache (ResolvePlan), so isomorphic
+  /// instances share one plan compiled for the canonical query. An
+  /// external cache to share across batches/executors; null means the
+  /// executor owns a private one of the default capacity.
   PlanCache* cache = nullptr;
 
   /// Registry the per-worker metric shards merge into at drain; null
@@ -84,9 +70,9 @@ struct BatchResult {
 /// is enabled — a TraceSink shard. The hot path is lock-free except for
 /// the task-queue pop and at most one plan-cache shard lock per job;
 /// shards merge into the global registry/sink once, at batch drain, on
-/// the calling thread. Process-wide env state (PPR_TRACE,
-/// PPR_VERIFY_PLANS) is forced to initialize before workers spawn, so
-/// worker threads never read the environment.
+/// the calling thread. Process-wide state (InitProcessState) is forced to
+/// initialize before workers spawn, so worker threads never read the
+/// environment.
 ///
 /// Determinism: results arrive in input order; a job's output, stats, and
 /// status never depend on worker count or interleaving (cached plans are

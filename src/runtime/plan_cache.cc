@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "analysis/width_analyzer.h"
 #include "common/check.h"
 #include "common/mutex.h"
 
@@ -183,6 +184,37 @@ CanonicalQuery CanonicalizeQuery(const ConjunctiveQuery& query) {
   canon.query = ConjunctiveQuery(std::move(catoms), std::move(cfree));
   canon.structure = std::move(structure);
   return canon;
+}
+
+Relation RemapOutputFromCanonical(const Relation& output,
+                                  const std::vector<AttrId>& from_canonical) {
+  const Schema& schema = output.schema();
+  const int arity = schema.arity();
+  if (arity == 0) return output;  // nullary: only the nonempty bit matters
+
+  std::vector<std::pair<AttrId, int>> cols;  // (original attr, source col)
+  cols.reserve(static_cast<size_t>(arity));
+  for (int c = 0; c < arity; ++c) {
+    const AttrId canonical = schema.attr(c);
+    PPR_CHECK(canonical >= 0 &&
+              static_cast<size_t>(canonical) < from_canonical.size());
+    cols.emplace_back(from_canonical[static_cast<size_t>(canonical)], c);
+  }
+  std::sort(cols.begin(), cols.end());
+
+  std::vector<AttrId> attrs;
+  attrs.reserve(cols.size());
+  for (const auto& [attr, col] : cols) attrs.push_back(attr);
+  Relation remapped{Schema(std::move(attrs))};
+  remapped.Reserve(output.size());
+  std::vector<Value> row(static_cast<size_t>(arity));
+  for (int64_t i = 0; i < output.size(); ++i) {
+    for (int c = 0; c < arity; ++c) {
+      row[static_cast<size_t>(c)] = output.at(i, cols[static_cast<size_t>(c)].second);
+    }
+    remapped.AppendRaw(row.data());
+  }
+  return remapped;
 }
 
 uint64_t FingerprintDatabase(const Database& db) {
@@ -384,6 +416,48 @@ void PlanCache::Clear() {
     s.entries.clear();
     s.lru.clear();
   }
+}
+
+ResolvedPlan ResolvePlan(PlanCache* cache, const Database& db,
+                         uint64_t db_fingerprint,
+                         const ConjunctiveQuery& query, StrategyKind strategy,
+                         uint64_t seed) {
+  CanonicalQuery canon = CanonicalizeQuery(query);
+  PlanCacheKey key;
+  key.structure = std::move(canon.structure);
+  key.strategy = strategy;
+  key.seed = seed;
+  key.db = &db;
+  key.db_fingerprint = db_fingerprint;
+
+  ResolvedPlan resolved;
+  resolved.from_canonical = std::move(canon.from_canonical);
+  Result<std::shared_ptr<const CachedPlan>> entry = cache->GetOrCompile(
+      key,
+      [&]() -> Result<CachedPlan> {
+        const Plan plan = BuildStrategyPlan(strategy, canon.query, seed);
+        // The admission bound rides in the entry, so a cache hit admits
+        // without analyzing again.
+        const StaticAnalysis analysis = AnalyzePlan(canon.query, plan, db);
+        Result<PhysicalPlan> compiled =
+            PhysicalPlan::Compile(canon.query, plan, db);
+        if (!compiled.ok()) return compiled.status();
+        CachedPlan built{{}, std::move(*compiled), plan.Width()};
+        if (analysis.status.ok()) {
+          built.tuples_bound = analysis.tuples_produced_bound;
+        }
+        built.fingerprint = FingerprintQueryStructure(key.structure);
+        return built;
+      },
+      &resolved.compiled_here);
+  if (!entry.ok()) {
+    resolved.status = entry.status();
+    resolved.fingerprint = FingerprintQueryStructure(key.structure);
+    return resolved;
+  }
+  resolved.entry = std::move(*entry);
+  resolved.fingerprint = resolved.entry->fingerprint;
+  return resolved;
 }
 
 }  // namespace ppr

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,6 +44,15 @@ struct CanonicalQuery {
 /// and amortized away by every cache hit it enables.
 CanonicalQuery CanonicalizeQuery(const ConjunctiveQuery& query);
 
+/// Rewrites a result relation computed over canonical attribute ids back
+/// to the original query's ids, with columns in ascending
+/// original-attribute order — exactly the schema a direct execution of
+/// the original query produces (root projected labels are sorted). Every
+/// front end runs cached canonical plans through it, which is what keeps
+/// their answers byte-identical.
+Relation RemapOutputFromCanonical(const Relation& output,
+                                  const std::vector<AttrId>& from_canonical);
+
 /// Hash of a CanonicalQuery::structure encoding — the 64-bit structural
 /// fingerprint the query log records per job (obs/telemetry/query_log.h).
 /// Deterministic across runs and platforms (fixed-constant SplitMix64
@@ -66,6 +76,7 @@ struct PlanCacheKey {
   std::string structure;  // CanonicalQuery::structure
   StrategyKind strategy = StrategyKind::kStraightforward;
   uint64_t seed = 0;
+  /// Every entry ResolvePlan builds joins by hashing.
   JoinAlgorithm join_algorithm = JoinAlgorithm::kHash;
   const Database* db = nullptr;
   uint64_t db_fingerprint = 0;
@@ -75,20 +86,25 @@ struct PlanCacheKey {
 
 uint64_t HashPlanCacheKey(const PlanCacheKey& key);
 
-/// One cached compilation: the canonical query it was compiled for and
-/// the shared physical plan. Immutable after construction; workers run it
-/// via PhysicalPlan::ExecuteShared (const) with their own arenas.
+/// One cache entry: what a request reads to run a query of the key's
+/// structure. Immutable after construction; workers run it via
+/// PhysicalPlan::ExecuteShared (const) with their own arenas.
 struct CachedPlan {
+  /// Empty in every entry ResolvePlan builds, and read by nothing; it
+  /// stays declared because perfbench's serve replay builds entries by
+  /// position.
   ConjunctiveQuery query;
   PhysicalPlan physical;
   /// Static join width of the logical plan the physical plan was lowered
-  /// from (for bench/explain reporting without keeping the logical tree).
+  /// from (the predicted width replies and query records carry).
   int plan_width = 0;
-  /// AnalyzePlan's tuples_produced_bound for the plan, when the factory
-  /// computed it (the query service's admission controller gates on it);
-  /// negative means "not analyzed". +infinity is a valid value: the
-  /// analyzer could not bound the plan.
-  double tuples_bound = -1.0;
+  /// AnalyzePlan's tuples_produced_bound for the plan: what the query
+  /// service's admission controller charges. +infinity when the analyzer
+  /// cannot bound the plan.
+  double tuples_bound = std::numeric_limits<double>::infinity();
+  /// FingerprintQueryStructure of the key's structure, so a cache hit
+  /// reads it instead of hashing the structure a second time.
+  uint64_t fingerprint = 0;
 };
 
 /// Sharded LRU cache of compiled plans keyed by structural fingerprint,
@@ -123,7 +139,7 @@ class PlanCache {
 
   /// Builds a CachedPlan on a miss. Runs without any cache lock held;
   /// must be pure given the key (same key -> same plan), which holds for
-  /// BuildStrategyPlan + PhysicalPlan::Compile on the canonical query.
+  /// ResolvePlan's factory on the canonical query.
   using Factory = std::function<Result<CachedPlan>()>;
 
   /// Returns the cached plan for `key`, compiling it via `factory` on the
@@ -133,7 +149,7 @@ class PlanCache {
   /// non-null, is set to whether *this* call ran the factory — per-call
   /// raw material for telemetry (which job actually compiled depends on
   /// scheduling, so the query log reattributes deterministically at
-  /// drain; see BatchExecutor).
+  /// drain; see BatchExecutor). Front ends call it through ResolvePlan.
   Result<std::shared_ptr<const CachedPlan>> GetOrCompile(
       const PlanCacheKey& key, const Factory& factory,
       bool* compiled_here = nullptr);
@@ -155,6 +171,33 @@ class PlanCache {
   size_t shard_capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
+
+/// What ResolvePlan hands a front end for one query.
+struct ResolvedPlan {
+  /// The entry the query runs; null when building it failed (`status`).
+  std::shared_ptr<const CachedPlan> entry;
+  Status status;
+  /// canonical attribute id -> the query's own, for
+  /// RemapOutputFromCanonical.
+  std::vector<AttrId> from_canonical;
+  /// FingerprintQueryStructure of the query's canonical structure: the
+  /// entry's, or hashed afresh when no entry was built.
+  uint64_t fingerprint = 0;
+  /// Whether this call built the entry (ran the cache's factory).
+  bool compiled_here = false;
+};
+
+/// The one step from a query to its plan-cache entry, shared by every
+/// front end (QueryService, BatchExecutor): canonicalizes `query`, keys
+/// it by its canonical structure, `strategy`, `seed`, hash joins and the
+/// catalog (`db` and its FingerprintDatabase), and on a miss builds the
+/// entry from the canonical query: the strategy's plan, AnalyzePlan's
+/// tuple bound, and the compiled physical plan. `db` must outlive the
+/// cache's entries.
+ResolvedPlan ResolvePlan(PlanCache* cache, const Database& db,
+                         uint64_t db_fingerprint,
+                         const ConjunctiveQuery& query, StrategyKind strategy,
+                         uint64_t seed);
 
 }  // namespace ppr
 

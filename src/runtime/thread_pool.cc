@@ -4,6 +4,12 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/env.h"
+#include "exec/verify_hook.h"
+#include "obs/telemetry/flight_recorder.h"
+#include "obs/telemetry/query_log.h"
+#include "obs/telemetry/stats_server.h"
+#include "obs/trace.h"
 
 namespace ppr {
 
@@ -51,6 +57,22 @@ void ThreadPool::WorkerLoop(int worker_index) {
     }
     all_done_.NotifyAll();
   }
+}
+
+int ResolveWorkerCount(int requested) {
+  if (requested > 0) return requested;
+  const int env = ProcessEnv().default_threads;
+  return env > 0 ? env : ThreadPool::HardwareThreads();
+}
+
+void InitProcessState() {
+  (void)ProcessEnv();
+  (void)TracingEnabled();
+  (void)PlanVerificationEnabled();
+  (void)GetPlanVerifierHooks();
+  (void)QueryLogEnabled();
+  (void)FlightRecorderEnabled();
+  (void)StartStatsServerFromEnv();
 }
 
 }  // namespace ppr

@@ -43,8 +43,7 @@ class ThreadPool {
   /// Blocks until all tasks submitted so far have completed.
   void Wait() EXCLUDES(mu_);
 
-  /// Number of hardware threads, never less than 1 (the value behind
-  /// "num_threads = 0 means auto" knobs upstack).
+  /// Number of hardware threads, never less than 1.
   static int HardwareThreads();
 
  private:
@@ -58,6 +57,18 @@ class ThreadPool {
   int64_t submitted_ GUARDED_BY(mu_) = 0;
   int64_t completed_ GUARDED_BY(mu_) = 0;
 };
+
+/// Worker start-up, shared by the front ends (BatchExecutor,
+/// QueryService). The worker count a front end runs: `requested` when
+/// positive, else PPR_THREADS when set, else HardwareThreads().
+int ResolveWorkerCount(int requested);
+
+/// Forces every lazily initialized process-wide singleton on the calling
+/// thread: the environment snapshot, the trace gate, the verifier hooks
+/// and their gate, the query-log and flight-recorder gates, and the stats
+/// server. A front end calls it before any of its workers exists, so
+/// workers only ever read them.
+void InitProcessState();
 
 }  // namespace ppr
 

@@ -27,11 +27,9 @@ AdmitDecision AdmissionController::Admit(uint64_t client_id,
     if (!(tuple_bound <= config_.max_inflight_tuple_bound)) {
       // NaN/inf predictions land here too: an unbounded static cost can
       // never provably fit the headroom.
-      ++counters_.rejected_bound;
       return AdmitDecision::kRejectBound;
     }
     if (inflight_bound_ + tuple_bound > config_.max_inflight_tuple_bound) {
-      ++counters_.shed_bound;
       return AdmitDecision::kShedBound;
     }
   }
@@ -50,15 +48,11 @@ AdmitDecision AdmissionController::Admit(uint64_t client_id,
           burst, bucket.tokens + elapsed_s * config_.quota_refill_per_sec);
     }
     bucket.last_refill_ns = now_ns;
-    if (bucket.tokens < 1.0) {
-      ++counters_.shed_quota;
-      return AdmitDecision::kShedQuota;
-    }
+    if (bucket.tokens < 1.0) return AdmitDecision::kShedQuota;
     bucket.tokens -= 1.0;
   }
 
   if (config_.max_inflight_tuple_bound > 0.0) inflight_bound_ += tuple_bound;
-  ++counters_.admitted;
   return AdmitDecision::kAdmit;
 }
 
@@ -66,11 +60,6 @@ void AdmissionController::Release(double tuple_bound) {
   if (config_.max_inflight_tuple_bound <= 0.0) return;
   MutexLock lock(mu_);
   inflight_bound_ = std::max(0.0, inflight_bound_ - tuple_bound);
-}
-
-AdmissionController::Counters AdmissionController::counters() const {
-  MutexLock lock(mu_);
-  return counters_;
 }
 
 double AdmissionController::inflight_bound() const {

@@ -57,14 +57,6 @@ class AdmissionController {
     double max_inflight_tuple_bound = 0.0;
   };
 
-  /// Deterministic admission counters (exported to /metrics).
-  struct Counters {
-    int64_t admitted = 0;
-    int64_t shed_quota = 0;
-    int64_t shed_bound = 0;
-    int64_t rejected_bound = 0;
-  };
-
   explicit AdmissionController(Config config) : config_(config) {}
 
   AdmissionController(const AdmissionController&) = delete;
@@ -83,8 +75,6 @@ class AdmissionController {
   /// kDeadlineExceeded).
   void Release(double tuple_bound) EXCLUDES(mu_);
 
-  Counters counters() const EXCLUDES(mu_);
-
   /// Sum of in-flight admitted tuple bounds right now.
   double inflight_bound() const EXCLUDES(mu_);
 
@@ -100,7 +90,6 @@ class AdmissionController {
   mutable Mutex mu_;
   std::unordered_map<uint64_t, Bucket> buckets_ GUARDED_BY(mu_);
   double inflight_bound_ GUARDED_BY(mu_) = 0.0;
-  Counters counters_ GUARDED_BY(mu_);
 };
 
 }  // namespace ppr

@@ -2,23 +2,16 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <optional>
 #include <utility>
 
-#include "analysis/width_analyzer.h"
-#include "common/env.h"
-#include "exec/physical_plan.h"
-#include "exec/verify_hook.h"
 #include "obs/exporters.h"
 #include "obs/metrics.h"
 #include "obs/obs_lock.h"
 #include "obs/telemetry/flight_recorder.h"
 #include "obs/telemetry/query_log.h"
-#include "obs/telemetry/stats_server.h"
 #include "obs/trace.h"
 #include "query/parser.h"
-#include "runtime/batch_executor.h"
 #include "runtime/thread_pool.h"
 
 namespace ppr {
@@ -29,11 +22,12 @@ namespace {
 /// so flushing every record would rewrite the JSONL file per query.
 constexpr uint64_t kFlushEvery = 64;
 
-int ResolveWorkers(int requested) {
-  if (requested > 0) return requested;
-  const int env = ProcessEnv().default_threads;
-  if (env > 0) return env;
-  return ThreadPool::HardwareThreads();
+/// The facts a reply carries once its plan is resolved: whether the
+/// entry was a cache hit, and the plan's predicted width.
+void NoteResolved(const ResolvedPlan& resolved, ServiceReply* reply) {
+  if (resolved.entry == nullptr) return;
+  reply->cache_hit = !resolved.compiled_here;
+  reply->predicted_width = static_cast<int32_t>(resolved.entry->plan_width);
 }
 
 }  // namespace
@@ -41,23 +35,12 @@ int ResolveWorkers(int requested) {
 QueryService::QueryService(const Database& db, ServiceConfig config)
     : db_(db),
       config_(std::move(config)),
-      num_workers_(ResolveWorkers(config_.num_workers)),
+      num_workers_(ResolveWorkerCount(config_.num_workers)),
       db_fingerprint_(FingerprintDatabase(db)),
       admission_(config_.admission),
       cache_(config_.cache_capacity > 0 ? config_.cache_capacity : 1024),
       queue_(config_.queue_depth > 0 ? config_.queue_depth : 1) {
-  // Force every lazily-initialized process-wide singleton on this thread
-  // before any worker exists (the BatchExecutor::Run discipline): the env
-  // snapshot, the trace/telemetry gates, the verifier hooks, and the
-  // stats server. Workers then only ever read them.
-  (void)ProcessEnv();
-  (void)TracingEnabled();
-  (void)PlanVerificationEnabled();
-  (void)GetPlanVerifierHooks();
-  (void)QueryLogEnabled();
-  (void)FlightRecorderEnabled();
-  (void)StartStatsServerFromEnv();
-
+  InitProcessState();
   workers_.reserve(static_cast<size_t>(num_workers_));
   for (int i = 0; i < num_workers_; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -82,8 +65,9 @@ void QueryService::Submit(const ServiceRequest& request, ReplyFn done) {
 
   if (draining_.load(std::memory_order_acquire)) {
     Refuse(ServiceStatus::kShuttingDown,
-           Status::Unavailable("service is draining"), 0, request.strategy,
-           &ServiceCounters::shed_draining, "service.shed.draining", done);
+           Status::Unavailable("service is draining"), nullptr,
+           request.strategy, &ServiceCounters::shed_draining,
+           "service.shed.draining", done);
     return;
   }
 
@@ -93,74 +77,46 @@ void QueryService::Submit(const ServiceRequest& request, ReplyFn done) {
       Refuse(ServiceStatus::kInvalid,
              Status::InvalidArgument("unknown strategy ordinal " +
                                      std::to_string(request.strategy)),
-             0, request.strategy, &ServiceCounters::invalid, "service.invalid",
-             done);
+             nullptr, request.strategy, &ServiceCounters::invalid,
+             "service.invalid", done);
       return;
     }
     strategy = static_cast<StrategyKind>(request.strategy);
   }
   const int32_t ordinal = static_cast<int32_t>(strategy);
 
-  // Front-end work on the calling thread: parse, validate, canonicalize,
-  // and fetch the compiled plan (single-flight compile on a miss).
+  // Front-end work on the calling thread: parse, validate, and resolve
+  // the plan (single-flight compile on a miss).
   Result<ParsedQuery> parsed = ParseQuery(request.query_text);
   if (!parsed.ok()) {
-    Refuse(ServiceStatus::kInvalid, parsed.status(), 0, ordinal,
+    Refuse(ServiceStatus::kInvalid, parsed.status(), nullptr, ordinal,
            &ServiceCounters::invalid, "service.invalid", done);
     return;
   }
   if (Status valid = parsed->query.Validate(db_); !valid.ok()) {
-    Refuse(ServiceStatus::kInvalid, std::move(valid), 0, ordinal,
+    Refuse(ServiceStatus::kInvalid, std::move(valid), nullptr, ordinal,
            &ServiceCounters::invalid, "service.invalid", done);
     return;
   }
 
-  CanonicalQuery canon = CanonicalizeQuery(parsed->query);
-  const uint64_t fingerprint = FingerprintQueryStructure(canon.structure);
-  PlanCacheKey key;
-  key.structure = canon.structure;
-  key.strategy = strategy;
-  key.seed = request.seed;
-  key.join_algorithm = JoinAlgorithm::kHash;
-  key.db = &db_;
-  key.db_fingerprint = db_fingerprint_;
-
-  bool compiled_here = false;
-  Result<std::shared_ptr<const CachedPlan>> cached = cache_.GetOrCompile(
-      key,
-      [this, &canon, strategy, &request]() -> Result<CachedPlan> {
-        Plan plan = BuildStrategyPlan(strategy, canon.query, request.seed);
-        const int width = plan.Width();
-        // Planning-time admission evidence: the analyzer's static row
-        // bound rides in the cache entry, so warm-cache requests admit
-        // without re-analyzing.
-        const StaticAnalysis analysis = AnalyzePlan(canon.query, plan, db_);
-        Result<PhysicalPlan> compiled =
-            PhysicalPlan::Compile(canon.query, plan, db_, JoinAlgorithm::kHash);
-        if (!compiled.ok()) return compiled.status();
-        CachedPlan out{canon.query, std::move(*compiled), width};
-        out.tuples_bound = analysis.status.ok()
-                               ? analysis.tuples_produced_bound
-                               : std::numeric_limits<double>::infinity();
-        return out;
-      },
-      &compiled_here);
-  if (!cached.ok()) {
-    Refuse(ServiceStatus::kError, cached.status(), fingerprint, ordinal,
+  Task task;
+  task.plan = ResolvePlan(&cache_, db_, db_fingerprint_, parsed->query,
+                          strategy, request.seed);
+  const ResolvedPlan& resolved = task.plan;
+  if (resolved.entry == nullptr) {
+    Refuse(ServiceStatus::kError, resolved.status, &resolved, ordinal,
            &ServiceCounters::errors, "service.errors", done);
     return;
   }
 
-  const double bound = (*cached)->tuples_bound >= 0.0
-                           ? (*cached)->tuples_bound
-                           : std::numeric_limits<double>::infinity();
+  const double bound = resolved.entry->tuples_bound;
   switch (admission_.Admit(request.client_id, bound, Now())) {
     case AdmitDecision::kAdmit:
       break;
     case AdmitDecision::kShedQuota:
       Refuse(ServiceStatus::kOverloaded,
              Status::Unavailable("client quota exhausted, retry after backoff"),
-             fingerprint, ordinal, &ServiceCounters::shed_quota,
+             &resolved, ordinal, &ServiceCounters::shed_quota,
              "service.shed.quota", done);
       return;
     case AdmitDecision::kShedBound:
@@ -168,7 +124,7 @@ void QueryService::Submit(const ServiceRequest& request, ReplyFn done) {
              Status::Unavailable(
                  "predicted tuple bound " + std::to_string(bound) +
                  " does not fit the currently available admission headroom"),
-             fingerprint, ordinal, &ServiceCounters::shed_bound,
+             &resolved, ordinal, &ServiceCounters::shed_bound,
              "service.shed.bound", done);
       return;
     case AdmitDecision::kRejectBound:
@@ -178,16 +134,12 @@ void QueryService::Submit(const ServiceRequest& request, ReplyFn done) {
                  " exceeds the configured admission headroom " +
                  std::to_string(admission_.config().max_inflight_tuple_bound) +
                  "; this query cannot be admitted under this configuration"),
-             fingerprint, ordinal, &ServiceCounters::rejected_bound,
+             &resolved, ordinal, &ServiceCounters::rejected_bound,
              "service.rejected_bound", done);
       return;
   }
 
-  Task task;
-  task.request_id = request.request_id;
-  task.client_id = request.client_id;
   task.strategy = strategy;
-  task.seed = request.seed;
   task.budget = config_.max_tuple_budget;
   if (request.tuple_budget > 0 &&
       request.tuple_budget <
@@ -197,14 +149,11 @@ void QueryService::Submit(const ServiceRequest& request, ReplyFn done) {
   task.deadline_ms =
       request.deadline_ms > 0 ? request.deadline_ms : config_.default_deadline_ms;
   task.arrival_ns = Now();
-  task.fingerprint = fingerprint;
-  task.admitted_bound = bound;
-  task.plan = *cached;
-  task.from_canonical = canon.from_canonical;
-  task.cache_hit = !compiled_here;
   task.done = done;  // copy: Submit keeps `done` for the shed paths below
 
   inflight_.fetch_add(1, std::memory_order_acq_rel);
+  // TryPush moves the task only when it succeeds, so `resolved` is still
+  // its plan on the shed paths below.
   const QueuePushOutcome pushed = queue_.TryPush(task);
   if (pushed == QueuePushOutcome::kOk) {
     {
@@ -222,13 +171,13 @@ void QueryService::Submit(const ServiceRequest& request, ReplyFn done) {
   admission_.Release(bound);
   if (pushed == QueuePushOutcome::kClosed) {
     Refuse(ServiceStatus::kShuttingDown,
-           Status::Unavailable("service is draining"), fingerprint, ordinal,
+           Status::Unavailable("service is draining"), &resolved, ordinal,
            &ServiceCounters::shed_draining, "service.shed.draining", done);
   } else {
     Refuse(ServiceStatus::kOverloaded,
            Status::Unavailable("admission queue full (capacity " +
                                std::to_string(queue_.capacity()) + ")"),
-           fingerprint, ordinal, &ServiceCounters::shed_queue,
+           &resolved, ordinal, &ServiceCounters::shed_queue,
            "service.shed.queue", done);
   }
 }
@@ -274,10 +223,9 @@ void QueryService::WorkerLoop() {
 void QueryService::ProcessTask(Task* task, ExecArena* arena,
                                TraceSink* trace) {
   const uint64_t now = Now();
+  const CachedPlan& entry = *task->plan.entry;
   ServiceReply reply;
-  reply.cache_hit = task->cache_hit;
-  reply.predicted_width =
-      task->plan != nullptr ? static_cast<int32_t>(task->plan->plan_width) : -1;
+  NoteResolved(task->plan, &reply);
   reply.queue_ns =
       now >= task->arrival_ns ? static_cast<int64_t>(now - task->arrival_ns)
                               : 0;
@@ -286,7 +234,7 @@ void QueryService::ProcessTask(Task* task, ExecArena* arena,
   // deadline is answered without burning any execution work on it.
   if (task->deadline_ms > 0 &&
       reply.queue_ns > static_cast<int64_t>(task->deadline_ms) * 1000000) {
-    admission_.Release(task->admitted_bound);
+    admission_.Release(entry.tuples_bound);
     reply.status = ServiceStatus::kDeadlineExceeded;
     reply.detail = Status::Unavailable(
         "deadline of " + std::to_string(task->deadline_ms) +
@@ -297,9 +245,9 @@ void QueryService::ProcessTask(Task* task, ExecArena* arena,
   }
 
   MetricsRegistry run;
-  const ExecutionResult result = task->plan->physical.ExecuteShared(
-      arena, task->budget, trace, &run);
-  admission_.Release(task->admitted_bound);
+  const ExecutionResult result =
+      entry.physical.ExecuteShared(arena, task->budget, trace, &run);
+  admission_.Release(entry.tuples_bound);
 
   reply.wall_ns = static_cast<int64_t>(result.seconds * 1e9);
   reply.stats = result.stats;
@@ -309,7 +257,7 @@ void QueryService::ProcessTask(Task* task, ExecArena* arena,
     reply.status = ServiceStatus::kOk;
     reply.detail = Status::Ok();
     reply.output =
-        RemapOutputFromCanonical(result.output, task->from_canonical);
+        RemapOutputFromCanonical(result.output, task->plan.from_canonical);
     counter = &ServiceCounters::ok;
     event = "service.ok";
   } else if (result.status.code() == StatusCode::kResourceExhausted) {
@@ -335,14 +283,15 @@ void QueryService::FinishAdmitted(Task* task, const ServiceReply& reply,
     ++(counters_.*counter);
   }
   inflight_.fetch_sub(1, std::memory_order_acq_rel);
-  RecordOutcome(reply, task->fingerprint,
+  RecordOutcome(reply, task->plan.fingerprint,
                 static_cast<int32_t>(task->strategy), event,
                 /*admitted=*/true, run, trace);
   task->done(reply);
 }
 
 void QueryService::Refuse(ServiceStatus status, Status detail,
-                          uint64_t fingerprint, int32_t strategy_ordinal,
+                          const ResolvedPlan* resolved,
+                          int32_t strategy_ordinal,
                           int64_t ServiceCounters::*counter,
                           std::string_view event, const ReplyFn& done) {
   {
@@ -352,8 +301,10 @@ void QueryService::Refuse(ServiceStatus status, Status detail,
   ServiceReply reply;
   reply.status = status;
   reply.detail = std::move(detail);
-  RecordOutcome(reply, fingerprint, strategy_ordinal, event,
-                /*admitted=*/false, nullptr, nullptr);
+  if (resolved != nullptr) NoteResolved(*resolved, &reply);
+  RecordOutcome(reply, resolved != nullptr ? resolved->fingerprint : 0,
+                strategy_ordinal, event, /*admitted=*/false, nullptr,
+                nullptr);
   done(reply);
 }
 

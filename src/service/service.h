@@ -27,7 +27,7 @@ namespace ppr {
 /// Configuration of one resident query service.
 struct ServiceConfig {
   /// Worker threads executing admitted requests; 0 auto-picks
-  /// (PPR_THREADS when set, otherwise the hardware thread count).
+  /// (ResolveWorkerCount).
   int num_workers = 1;
   /// Capacity of the bounded admission queue between the front end and
   /// the workers. A full queue sheds (fast kOverloaded), never blocks
@@ -89,19 +89,22 @@ struct ServiceCounters {
   int64_t shed_total() const { return shed_quota + shed_bound + shed_queue; }
 };
 
-/// The resident query service: parse → fingerprint → PlanCache →
-/// execute, behind admission control and a bounded queue.
+/// The resident query service: parse → ResolvePlan → execute, behind
+/// admission control and a bounded queue.
 ///
 /// Life of a request (Submit):
 ///
 ///   1. Front-end work on the *calling* thread: parse the query text,
-///      validate it against the catalog, canonicalize, and fetch the
-///      compiled plan from the plan cache (single-flight compile on a
-///      miss — planning cost, not execution cost; repeated query shapes
-///      hit the cache and skip it entirely).
-///   2. Admission: the width analyzer's tuples_produced_bound for the
-///      cached plan feeds the AdmissionController — reject (bound can
-///      never fit), shed (quota/headroom/queue-full), or admit.
+///      validate it against the catalog, and resolve its plan-cache
+///      entry (ResolvePlan, the step BatchExecutor shares: canonicalize,
+///      then a single-flight plan, analyze and compile on a miss —
+///      planning cost, not execution cost; repeated query shapes hit the
+///      cache and skip it entirely). The entry carries the structure's
+///      fingerprint, so a hit hashes the structure once.
+///   2. Admission: the entry's tuple bound (AnalyzePlan's
+///      tuples_produced_bound) feeds the AdmissionController — reject
+///      (bound can never fit), shed (quota/headroom/queue-full), or
+///      admit.
 ///   3. Admitted requests enter the BoundedQueue; a worker pops, checks
 ///      the deadline, executes with a worker-private arena, remaps the
 ///      canonical output back, and completes the reply.
@@ -114,7 +117,9 @@ struct ServiceCounters {
 ///
 /// Shedding is never silent: every shed/rejected/drained request gets a
 /// reply, a service.* counter, and (when the flight recorder is armed) a
-/// flight dump capturing the overload evidence.
+/// flight dump capturing the overload evidence. A refusal after step 1
+/// carries what was resolved: the fingerprint, the cache hit and the
+/// predicted width.
 ///
 /// Drain(): stop admitting (new submits answer kShuttingDown), let the
 /// workers finish everything already admitted, join them, then flush
@@ -151,18 +156,12 @@ class QueryService {
 
  private:
   struct Task {
-    uint64_t request_id = 0;
-    uint64_t client_id = 0;
     StrategyKind strategy = StrategyKind::kBucketElimination;
-    uint64_t seed = 0;
     Counter budget = kCounterMax;
     uint32_t deadline_ms = 0;
     uint64_t arrival_ns = 0;
-    uint64_t fingerprint = 0;
-    double admitted_bound = 0.0;
-    std::shared_ptr<const CachedPlan> plan;
-    std::vector<AttrId> from_canonical;
-    bool cache_hit = false;
+    /// The admitted plan; admission charged its entry's tuple bound.
+    ResolvedPlan plan;
     ReplyFn done;
   };
 
@@ -171,10 +170,14 @@ class QueryService {
   void ProcessTask(Task* task, ExecArena* arena, TraceSink* trace);
   /// Refusal path: count (`counter` picks the ServiceCounters field,
   /// `event` the mirrored service.* metric), record, and deliver a
-  /// no-execution reply on the current thread.
-  void Refuse(ServiceStatus status, Status detail, uint64_t fingerprint,
-              int32_t strategy_ordinal, int64_t ServiceCounters::*counter,
-              std::string_view event, const ReplyFn& done);
+  /// no-execution reply on the current thread. `resolved` is the
+  /// request's resolved plan, null when it was refused before
+  /// resolution; its fingerprint, cache hit and predicted width go into
+  /// the reply and the record.
+  void Refuse(ServiceStatus status, Status detail,
+              const ResolvedPlan* resolved, int32_t strategy_ordinal,
+              int64_t ServiceCounters::*counter, std::string_view event,
+              const ReplyFn& done);
   /// Terminal bookkeeping for an admitted task (counters, inflight,
   /// record) and reply delivery.
   void FinishAdmitted(Task* task, const ServiceReply& reply,

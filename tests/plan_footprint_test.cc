@@ -1,8 +1,9 @@
-// The heap a compiled plan holds. A resident daemon spends its memory on
-// cached plans, and every plan-cache miss builds one and every eviction
-// frees one, so a compiled plan is a few heap blocks however many nodes
-// it has: its pre-order node array, its join specs, and the one pool of
-// ints that all of its specs view (exec/physical_plan.h).
+// The heap a compiled plan and its plan-cache entry hold. A resident
+// daemon spends its memory on cached plans, and every plan-cache miss
+// builds one and every eviction frees one, so a compiled plan is a few
+// heap blocks however many nodes it has: its pre-order node array, its
+// join specs, and the one pool of ints that all of its specs view
+// (exec/physical_plan.h). Its entry adds only what a request reads.
 //
 // This binary replaces the global operator new and delete to count the
 // blocks it holds and the bytes they requested.
@@ -81,9 +82,15 @@ struct Heap {
   }
 };
 
-// A serve-like plan: bucket elimination over the canonical 3-COLOR query
-// of a fixed random graph with 12 vertices and density 1.3, the shape of
-// the queries the benchmark's serve workloads send.
+// A 3-COLOR query of a random graph with 12 vertices and density 1.3,
+// the shape of the queries the benchmark's serve workloads send.
+ConjunctiveQuery ServeQuery(uint64_t seed) {
+  Rng rng(seed);
+  return KColorQuery(RandomGraphWithDensity(12, 1.3, rng));
+}
+
+// A serve-like plan: bucket elimination over the canonical form of the
+// serve query of seed 1.
 struct ServeLike {
   Database db;
   ConjunctiveQuery query;
@@ -91,9 +98,7 @@ struct ServeLike {
 
   ServeLike() {
     AddColoringRelations(3, &db);
-    Rng rng(1);
-    query = CanonicalizeQuery(KColorQuery(RandomGraphWithDensity(12, 1.3, rng)))
-                .query;
+    query = CanonicalizeQuery(ServeQuery(1)).query;
     plan = BuildStrategyPlan(StrategyKind::kBucketElimination, query, 0);
   }
 
@@ -127,6 +132,37 @@ TEST(PlanFootprintTest, CompiledPlanIsAFewBlocks) {
   // Destroying the plan frees what it held, and compiling left nothing.
   EXPECT_EQ(after.blocks, 0);
   EXPECT_EQ(after.bytes, 0);
+}
+
+// A serve-like cache entry, built by the resolve step every front end
+// shares, holds its cached plan (one block for the entry, three for the
+// compiled plan) and the cache's slot for it (the key's structure string,
+// its LRU node and its index node): no copy of the query.
+TEST(PlanFootprintTest, CacheEntryHoldsOnlyWhatARequestReads) {
+  Database db;
+  AddColoringRelations(3, &db);
+  const uint64_t db_fingerprint = FingerprintDatabase(db);
+  PlanCache cache(/*capacity=*/16, /*num_shards=*/1);
+  // A first entry initializes the process-wide state resolving reads and
+  // the cache's tables.
+  (void)ResolvePlan(&cache, db, db_fingerprint, ServeQuery(2),
+                    StrategyKind::kBucketElimination, 0);
+  const ConjunctiveQuery query = ServeQuery(1);
+  const Heap before = Heap::Now();
+  {
+    const ResolvedPlan resolved = ResolvePlan(
+        &cache, db, db_fingerprint, query, StrategyKind::kBucketElimination, 0);
+    ASSERT_NE(resolved.entry, nullptr);
+    ASSERT_TRUE(resolved.compiled_here);
+    EXPECT_TRUE(resolved.entry->query.atoms().empty());
+  }
+  const Heap held = Heap::Now() - before;
+  std::printf("serve-like cache entry: %lld heap blocks, %lld bytes\n",
+              static_cast<long long>(held.blocks),
+              static_cast<long long>(held.bytes));
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_LE(held.blocks, 7);
+  EXPECT_LE(held.bytes, 6000);
 }
 
 TEST(PlanFootprintTest, MovedPlanExecutesToTheSameAnswer) {

@@ -79,6 +79,10 @@ class RuleFiringTest(unittest.TestCase):
         self.assertIn("ghost_field", texts)
         self.assertIn("stale_key", texts)
 
+    def test_one_resolve_fires(self):
+        self.assert_single("one-resolve", "src/core/violations.cc",
+                           "GetOrCompile")
+
     def test_obs_lock_flags_unlocked_and_post_declaration_touches(self):
         hits = by_rule(self.findings, "obs-lock")
         texts = "\n".join(h[3] for h in hits)
@@ -115,6 +119,11 @@ class SilenceTest(unittest.TestCase):
     def test_obs_lock_window_is_accepted(self):
         self.assertNotIn("fx.locked", self.texts)
 
+    def test_resolve_step_and_declaration_may_name_get_or_compile(self):
+        files = {f[0] for f in by_rule(self.findings, "one-resolve")}
+        self.assertNotIn("src/runtime/plan_cache.cc", files)
+        self.assertNotIn("src/runtime/plan_cache.h", files)
+
 
 class RuleFilterTest(unittest.TestCase):
     """`--rule` filtering and the registry."""
@@ -129,7 +138,7 @@ class RuleFilterTest(unittest.TestCase):
         self.assertEqual(sorted(names), sorted(set(names)))
         self.assertEqual(set(names), {
             "raw-sync", "raw-getenv", "naked-new",
-            "hook-coverage", "telemetry-sync", "obs-lock",
+            "hook-coverage", "telemetry-sync", "obs-lock", "one-resolve",
         })
 
 

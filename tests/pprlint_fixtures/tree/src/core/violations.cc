@@ -15,4 +15,9 @@ const char* ReadHome() { return getenv("FX_HOME"); }  // seeded: raw-getenv
 
 int* LeakyAlloc() { return new int(7); }  // seeded: naked-new
 
+template <typename Cache>
+int OwnFactory(Cache* cache) {
+  return cache->GetOrCompile(1, [] { return 2; });  // seeded: one-resolve
+}
+
 }  // namespace fx

@@ -8,6 +8,7 @@
 #include <tuple>
 #include <vector>
 
+#include "analysis/width_analyzer.h"
 #include "benchlib/batch_workload.h"
 #include "benchlib/harness.h"
 #include "common/rng.h"
@@ -528,6 +529,39 @@ TEST(BatchExecutorTest, SharedExternalCacheCarriesAcrossBatches) {
   // Everything was compiled by the first batch.
   EXPECT_EQ(second.cache.misses, 0);
   EXPECT_EQ(second.cache.hits, static_cast<int64_t>(jobs.size()));
+}
+
+// The batch resolves its jobs through the service's step, so the
+// entries it builds carry the admission bound and the fingerprint too.
+TEST(BatchExecutorTest, EntriesCarryTheAnalyzerBoundAndTheFingerprint) {
+  Database db = ThreeColorDb();
+  Rng rng(5);
+  const ConjunctiveQuery query =
+      KColorQuery(RandomGraphWithDensity(8, 1.5, rng));
+  PlanCache cache(16, 2);
+  BatchOptions options;
+  options.cache = &cache;
+  BatchExecutor executor(db, options);
+  const BatchResult batch =
+      executor.Run(JobsFrom({query}, StrategyKind::kBucketElimination));
+  ASSERT_TRUE(batch.results[0].status.ok());
+
+  // Resolving the job's query again finds the entry the batch built.
+  const ResolvedPlan resolved =
+      ResolvePlan(&cache, db, FingerprintDatabase(db), query,
+                  StrategyKind::kBucketElimination, /*seed=*/3);
+  ASSERT_NE(resolved.entry, nullptr);
+  EXPECT_FALSE(resolved.compiled_here);
+  const CanonicalQuery canon = CanonicalizeQuery(query);
+  const StaticAnalysis analysis = AnalyzePlan(
+      canon.query,
+      BuildStrategyPlan(StrategyKind::kBucketElimination, canon.query, 3),
+      db);
+  ASSERT_TRUE(analysis.status.ok());
+  EXPECT_EQ(resolved.entry->tuples_bound, analysis.tuples_produced_bound);
+  EXPECT_EQ(resolved.entry->fingerprint,
+            FingerprintQueryStructure(canon.structure));
+  EXPECT_EQ(resolved.fingerprint, resolved.entry->fingerprint);
 }
 
 TEST(BatchExecutorTest, HitRateExceedsHalfOnTwoHundredIsomorphicJobs) {

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <regex>
@@ -536,6 +537,13 @@ TEST(FlightRecorderTest, SeededVerifierFailureProducesValidatedDump) {
   ASSERT_FALSE(dump.empty());
   EXPECT_NE(dump.find("\"trigger\":\"failure\""), std::string::npos);
   EXPECT_NE(dump.find("seeded verifier failure"), std::string::npos);
+  // The failed compile cached no entry, yet its record still names the
+  // query's structure.
+  const std::string key = "\"fingerprint\":\"";
+  const size_t at = dump.find(key);
+  ASSERT_NE(at, std::string::npos) << dump;
+  EXPECT_NE(std::strtoull(dump.c_str() + at + key.size(), nullptr, 16), 0u)
+      << dump;
   std::filesystem::remove_all(dir);
 }
 
