@@ -6,12 +6,13 @@
 // known-good plans.
 //
 // A second sweep turns on the semantic tier (PPR_VERIFY_SEMANTICS
-// semantics: Chandra–Merlin certification of every compiled plan, plus
-// the per-rewrite certificate each strategy emits) and proves the same
-// matrix. A final timing pass gates the cost of the tier when it is
-// *disabled* — the default configuration must not pay for the proof it
-// is not running. The structural sweep also counts the plans it proved
-// that carry a keyed projection, and fails at zero.
+// semantics: Chandra–Merlin certification of every plan CompileVerified
+// compiles, plus the per-rewrite certificate each strategy emits) and
+// proves the same matrix. A final timing pass gates the cost of the
+// verified compile when every tier is *disabled* — the default
+// configuration must not pay for the proof it is not running. The
+// structural sweep also counts the plans it proved that carry a keyed
+// projection, and fails at zero.
 
 #include <cstdio>
 #include <string>
@@ -20,6 +21,7 @@
 
 #include "analysis/semantic/certificate_checker.h"
 #include "analysis/verifier.h"
+#include "analysis/width_analyzer.h"
 #include "benchlib/harness.h"
 #include "common/rng.h"
 #include "common/timer.h"
@@ -28,7 +30,6 @@
 #include "encode/sat.h"
 #include "exec/executor.h"
 #include "exec/physical_plan.h"
-#include "exec/verify_hook.h"
 #include "graph/generators.h"
 #include "query/conjunctive_query.h"
 #include "relational/database.h"
@@ -121,7 +122,7 @@ int RunWorkload(const Workload& workload, const Database& db, int* keyed) {
   return failures;
 }
 
-// Semantic sweep: with the third verifier tier enabled, Compile itself
+// Semantic sweep: with the third verifier tier enabled, CompileVerified
 // certifies each plan (logical and lowered) against the query by the
 // canonical-database equivalence check, and the strategy's rewrite
 // certificate is validated step by step. Returns the failure count.
@@ -135,8 +136,8 @@ int RunSemanticWorkload(const Workload& workload, const Database& db) {
                                          &certificate);
     const Status cert_verdict =
         CheckRewriteCertificate(workload.query, plan, certificate);
-    Result<PhysicalPlan> compiled =
-        PhysicalPlan::Compile(workload.query, plan, db);
+    Result<PhysicalPlan> compiled = CompileVerified(
+        workload.query, plan, db, AnalyzePlan(workload.query, plan, db));
     const double seconds = timer.ElapsedSeconds();
     if (cert_verdict.ok() && compiled.ok()) {
       std::printf("OK    %-42s %-10s semantics+certificate %.3gs\n",
@@ -165,21 +166,39 @@ std::vector<Suite> BuildSuites() {
   return suites;
 }
 
-// Median wall time of compiling the full strategy matrix once, in the
-// process's *current* verification configuration.
-double MedianMatrixCompileSeconds(const std::vector<Suite>& suites) {
+// One cell of the strategy matrix, planned and analyzed once, so the
+// overhead gate times compilation alone.
+struct MatrixPlan {
+  const ConjunctiveQuery* query;
+  const Database* db;
+  Plan plan;
+  StaticAnalysis analysis;
+};
+
+std::vector<MatrixPlan> BuildMatrix(const std::vector<Suite>& suites) {
+  std::vector<MatrixPlan> matrix;
+  for (const Suite& suite : suites) {
+    for (const Workload& workload : suite.workloads) {
+      for (StrategyKind kind : AllStrategies()) {
+        Plan plan = BuildStrategyPlan(kind, workload.query, 1);
+        StaticAnalysis analysis = AnalyzePlan(workload.query, plan, suite.db);
+        matrix.push_back({&workload.query, &suite.db, std::move(plan),
+                          std::move(analysis)});
+      }
+    }
+  }
+  return matrix;
+}
+
+// Median wall time of compiling the whole matrix once through `compile`.
+template <typename CompileFn>
+double MedianMatrixCompileSeconds(const std::vector<MatrixPlan>& matrix,
+                                  CompileFn compile) {
   std::vector<double> reps;
   for (int rep = 0; rep < 5; ++rep) {
     WallTimer timer;
-    for (const Suite& suite : suites) {
-      for (const Workload& workload : suite.workloads) {
-        for (StrategyKind kind : AllStrategies()) {
-          const Plan plan = BuildStrategyPlan(kind, workload.query, 1);
-          Result<PhysicalPlan> compiled =
-              PhysicalPlan::Compile(workload.query, plan, suite.db);
-          if (!compiled.ok()) return -1.0;
-        }
-      }
+    for (const MatrixPlan& cell : matrix) {
+      if (!compile(cell).ok()) return -1.0;
     }
     reps.push_back(timer.ElapsedSeconds());
   }
@@ -210,31 +229,38 @@ int Run() {
   }
 
   std::printf("\n== semantic sweep (PPR_VERIFY_SEMANTICS) ==\n");
-  InstallPlanVerifier(/*enable=*/false);
   EnableSemanticVerification(true);
   for (const Suite& suite : suites) {
     for (const Workload& workload : suite.workloads) {
       failures += RunSemanticWorkload(workload, suite.db);
     }
   }
-  EnableSemanticVerification(false);
 
-  // Disabled-path overhead gate: with the hooks installed but every
-  // tier off (the default configuration), compilation may cost at most
-  // 10% more than with no hooks registered at all — the tier's gate is
-  // one relaxed atomic load, and this keeps it that way. A small
-  // absolute allowance keeps scheduler noise from failing CI on a
-  // sub-millisecond baseline.
-  const double installed = MedianMatrixCompileSeconds(suites);
-  UninstallPlanVerifier();
-  const double baseline = MedianMatrixCompileSeconds(suites);
+  // Disabled-path overhead gate: with every tier off (the default
+  // configuration), the verified compile may cost at most 10% more than
+  // PhysicalPlan::Compile on the same plans — each tier's gate is one
+  // atomic load, and this keeps it that way. A small absolute allowance
+  // keeps scheduler noise from failing CI on a sub-millisecond baseline.
+  EnablePlanVerification(false);
+  EnableSemanticVerification(false);
+  const std::vector<MatrixPlan> matrix = BuildMatrix(suites);
+  const double verified =
+      MedianMatrixCompileSeconds(matrix, [](const MatrixPlan& cell) {
+        return CompileVerified(*cell.query, cell.plan, *cell.db,
+                               cell.analysis);
+      });
+  const double baseline =
+      MedianMatrixCompileSeconds(matrix, [](const MatrixPlan& cell) {
+        return PhysicalPlan::Compile(*cell.query, cell.plan, *cell.db);
+      });
   std::printf("\n== disabled-path overhead ==\n");
-  std::printf("baseline %.4gs, hooks installed (all tiers off) %.4gs\n",
-              baseline, installed);
-  if (baseline < 0 || installed < 0) {
+  std::printf("PhysicalPlan::Compile %.4gs, CompileVerified (all tiers off) "
+              "%.4gs\n",
+              baseline, verified);
+  if (baseline < 0 || verified < 0) {
     ++failures;
     std::printf("FAIL  overhead probe: compilation failed\n");
-  } else if (installed > baseline * 1.10 + 0.05) {
+  } else if (verified > baseline * 1.10 + 0.05) {
     ++failures;
     std::printf("FAIL  disabled verification costs more than 10%%\n");
   }

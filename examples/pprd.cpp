@@ -41,7 +41,6 @@
 #include <cstring>
 #include <string>
 
-#include "analysis/verifier.h"
 #include "encode/kcolor.h"
 #include "relational/database.h"
 #include "service/server.h"
@@ -92,10 +91,6 @@ int main(int argc, char** argv) {
   sigaddset(&signals, SIGINT);
   sigaddset(&signals, SIGTERM);
   pthread_sigmask(SIG_BLOCK, &signals, nullptr);
-
-  // The verifier gates were read from the environment; their hooks must
-  // be in place before the service compiles anything.
-  InstallPlanVerifierFromEnv();
 
   Database db;
   AddColoringRelations(static_cast<int>(FlagValue(argc, argv, "colors", 3)),

@@ -15,18 +15,23 @@
 // p50/p90/p99 lines on every histogram). --query-log=PATH enables the
 // telemetry query log and exports one structured record per executed
 // (query, strategy) job to PATH; render it with `tools/pprstat log PATH`.
+//
+// PPR_VERIFY_PLANS / PPR_VERIFY_SEMANTICS prove every plan it compiles
+// (structurally / semantically) before it runs: the strategy runs resolve
+// through the plan cache and --emit=explain through ExplainPlan, and both
+// compile through CompileVerified. A rejection is that strategy's error
+// and shows on the EXPLAIN verifier line.
 
 #include <cstdio>
 #include <cstring>
 #include <string>
 
-#include "analysis/verifier.h"
+#include "analysis/explain.h"
 #include "benchlib/figures.h"
 #include "benchlib/harness.h"
 #include "encode/kcolor.h"
 #include "encode/sat.h"
 #include "exec/executor.h"
-#include "exec/explain.h"
 #include "io/dot.h"
 #include "obs/metrics.h"
 #include "obs/telemetry/query_log.h"
@@ -59,11 +64,6 @@ bool HasFlag(int argc, char** argv, const char* name) {
 
 int main(int argc, char** argv) {
   using namespace ppr;
-
-  // PPR_VERIFY_PLANS / PPR_VERIFY_SEMANTICS prove every compiled plan
-  // (structurally / semantically) before it runs; failures surface as
-  // compile errors and on the EXPLAIN verifier line.
-  InstallPlanVerifierFromEnv();
 
   const std::string text = FlagValue(
       argc, argv, "query", "pi{X} edge(X,Y) & edge(Y,Z) & edge(X,Z)");

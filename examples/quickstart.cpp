@@ -6,21 +6,21 @@
 // relation, and prints answers plus work counters.
 //
 //   ./examples/quickstart
+//
+// Each plan compiles through CompileVerified, so PPR_VERIFY_PLANS=1 /
+// PPR_VERIFY_SEMANTICS=1 prove every plan before it runs.
 
 #include <cstdio>
 
 #include "analysis/verifier.h"
+#include "analysis/width_analyzer.h"
 #include "benchlib/harness.h"
 #include "encode/kcolor.h"
-#include "exec/executor.h"
+#include "exec/physical_plan.h"
 #include "sql/sql_generator.h"
 
 int main() {
   using namespace ppr;
-
-  // PPR_VERIFY_PLANS / PPR_VERIFY_SEMANTICS prove every compiled plan
-  // (structurally / semantically) before it runs.
-  InstallPlanVerifierFromEnv();
 
   // 1. The database: one binary relation with the 6 pairs of distinct
   //    colors (Section 2).
@@ -42,7 +42,14 @@ int main() {
                 plan.ToString(query).c_str());
     std::printf("join width: %d\n", plan.Width());
 
-    ExecutionResult result = ExecutePlan(query, plan, db);
+    Result<PhysicalPlan> compiled =
+        CompileVerified(query, plan, db, AnalyzePlan(query, plan, db));
+    if (!compiled.ok()) {
+      std::printf("compilation failed: %s\n\n",
+                  compiled.status().ToString().c_str());
+      continue;
+    }
+    ExecutionResult result = compiled->Execute();
     if (!result.status.ok()) {
       std::printf("execution failed: %s\n\n", result.status.ToString().c_str());
       continue;

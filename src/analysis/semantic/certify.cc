@@ -13,16 +13,6 @@
 namespace ppr {
 namespace {
 
-thread_local bool tls_certifying = false;
-
-/// Scoped flag so the canonical-database evaluations inside AreEquivalent
-/// (which compile plans and would re-fire the semantic hook) are passed
-/// through by CertifyForVerifierHook.
-struct CertificationScope {
-  CertificationScope() { tls_certifying = true; }
-  ~CertificationScope() { tls_certifying = false; }
-};
-
 uint64_t NowNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -53,7 +43,6 @@ CertificationReport CertifyExtracted(const ConjunctiveQuery& query,
         "): " + extracted.status().message());
   } else {
     report.split_vars = extracted->split_vars;
-    CertificationScope scope;
     Result<bool> equivalent = AreEquivalent(query, extracted->query);
     if (!equivalent.ok()) {
       report.verdict = Status::InvalidArgument(
@@ -88,17 +77,6 @@ CertificationReport CertifyCompiledPlan(const ConjunctiveQuery& query,
                                         const PhysicalPlan& physical) {
   return CertifyExtracted(query, ExtractCompiledQuery(db, physical),
                           "compiled plan");
-}
-
-bool CertificationInProgress() { return tls_certifying; }
-
-Status CertifyForVerifierHook(const ConjunctiveQuery& query, const Plan& plan,
-                              const Database& db,
-                              const PhysicalPlan& physical) {
-  if (tls_certifying) return Status::Ok();
-  CertificationReport logical = CertifyPlan(query, plan);
-  if (!logical.ok()) return logical.verdict;
-  return CertifyCompiledPlan(query, db, physical).verdict;
 }
 
 }  // namespace ppr

@@ -42,22 +42,6 @@ CertificationReport CertifyCompiledPlan(const ConjunctiveQuery& query,
                                         const Database& db,
                                         const PhysicalPlan& physical);
 
-/// True while the current thread is inside a certification. The
-/// equivalence proof evaluates queries over canonical databases, which
-/// compiles plans, which would fire the semantic verifier hook again —
-/// the hook adapter consults this flag and passes the inner compile
-/// through unexamined instead of recursing forever.
-bool CertificationInProgress();
-
-/// Hook-adapter entry point (registered by InstallPlanVerifier as the
-/// `semantic` member of exec/verify_hook.h): certifies the logical plan,
-/// then the compiled plan. Returns OK without doing anything when called
-/// re-entrantly from inside a certification's own canonical-database
-/// evaluation.
-Status CertifyForVerifierHook(const ConjunctiveQuery& query, const Plan& plan,
-                              const Database& db,
-                              const PhysicalPlan& physical);
-
 }  // namespace ppr
 
 #endif  // PPR_ANALYSIS_SEMANTIC_CERTIFY_H_

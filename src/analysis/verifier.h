@@ -1,6 +1,7 @@
 #ifndef PPR_ANALYSIS_VERIFIER_H_
 #define PPR_ANALYSIS_VERIFIER_H_
 
+#include <cstdint>
 #include <string>
 
 #include "analysis/width_analyzer.h"
@@ -48,21 +49,59 @@ PlanVerdict VerifyCompiledPlan(const ConjunctiveQuery& query,
                                const Plan& plan, const Database& db,
                                const PhysicalPlan& physical);
 
-/// Registers the analysis passes as exec's verification hooks
-/// (exec/verify_hook.h): every PhysicalPlan::Compile (ExplainPlan's too)
-/// while verification is enabled then proves the plan before touching
-/// data, and its `logical` tier hands on VerifyPlan's per-node bounds.
-/// `enable` additionally turns the verification flag on.
-void InstallPlanVerifier(bool enable = true);
+/// Debug gate for the structural tiers of CompileVerified. Starts ON
+/// when the environment sets PPR_VERIFY_PLANS to anything but "0", OFF
+/// otherwise; toggled programmatically by tests and tools (an atomic, so
+/// toggling while worker threads compile is a stale read at worst, never
+/// a torn one).
+void EnablePlanVerification(bool on);
+bool PlanVerificationEnabled();
 
-/// Unregisters the hooks and disables verification.
-void UninstallPlanVerifier();
+/// Independent gate for the semantic tier. Starts ON when the environment
+/// sets PPR_VERIFY_SEMANTICS to anything but "0"; toggled like
+/// EnablePlanVerification. The tier runs whenever this gate is on,
+/// whatever the structural gate says: semantic certification is
+/// meaningful (and much stronger) on its own.
+void EnableSemanticVerification(bool on);
+bool SemanticVerificationEnabled();
 
-/// Installs the hooks iff the process environment requests a tier
-/// (PPR_VERIFY_PLANS / PPR_VERIFY_SEMANTICS), leaving the env-seeded
-/// gates as they are. Entry point for examples and tools, so setting
-/// the variable on any run-book binary actually verifies.
-void InstallPlanVerifierFromEnv();
+/// What the verifier tiers said about one CompileVerified call, for a
+/// caller that shows it (EXPLAIN). A verdict is "OK" or the tier's
+/// failure, and empty when the tier did not run.
+struct VerifierReport {
+  /// The structural tiers: the logical tier and the width cross-check
+  /// before lowering, then the physical tier (the first failure, when
+  /// one fails).
+  std::string structural;
+  /// The semantic tier, and what it cost in wall ns (-1 when it did not
+  /// run).
+  std::string semantic;
+  int64_t semantic_ns = -1;
+};
+
+/// The verified compile: PhysicalPlan::Compile with hash joins, wrapped
+/// in every enabled verifier tier. It fails with the first rejection: a
+/// plan the logical tier rejects is never lowered, and a plan any tier
+/// rejects is never returned. `analysis` is AnalyzePlan of the same
+/// (query, plan, db), which every caller already holds for its own use
+/// (an admission bound, EXPLAIN's predictions), so a verified compile
+/// analyzes nothing itself.
+///
+/// With PlanVerificationEnabled(): VerifyLogicalPlan, then
+/// CrossCheckWidth over `analysis` (failing on its status too, as
+/// VerifyPlan does) before lowering, and VerifyPhysicalPlan after. With
+/// SemanticVerificationEnabled(): CertifyPlan, then CertifyCompiledPlan
+/// (analysis/semantic/certify.h). With both gates off it is
+/// PhysicalPlan::Compile. `report`, when non-null, receives what each
+/// tier said.
+///
+/// ResolvePlan, ExplainPlan and quickstart compile through this;
+/// ExecutePlan, RunStrategy and perfbench do not (pprlint's
+/// verified-compile rule names the callers of PhysicalPlan::Compile).
+Result<PhysicalPlan> CompileVerified(const ConjunctiveQuery& query,
+                                     const Plan& plan, const Database& db,
+                                     const StaticAnalysis& analysis,
+                                     VerifierReport* report = nullptr);
 
 }  // namespace ppr
 

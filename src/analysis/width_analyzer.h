@@ -8,11 +8,27 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "core/plan.h"
-#include "exec/verify_hook.h"
 #include "query/conjunctive_query.h"
 #include "relational/database.h"
 
 namespace ppr {
+
+/// Static bounds the width analyzer proves for one plan node, in the
+/// shared pre-order numbering (root = 0, node before its children,
+/// children left to right): StaticAnalysis::per_node. EXPLAIN ANALYZE
+/// prints these beside the actuals and flags any run whose observed
+/// arity exceeds arity_bound — a violated bound means the analyzer, not
+/// the engine, is wrong.
+struct PlanNodeBound {
+  /// Max arity of any operator output while evaluating the node
+  /// (kUnbounded when the analyzer proved nothing).
+  int arity_bound = kUnbounded;
+  /// Upper bound on any operator's output rows at the node; +infinity
+  /// when unbounded.
+  double rows_bound = 0.0;
+
+  static constexpr int kUnbounded = -1;
+};
 
 /// Static bound for one scheduled operator's output.
 struct OpBound {
@@ -56,8 +72,8 @@ struct StaticAnalysis {
   /// plus the optional trailing projection). A node with no operator (an
   /// unprojected one-child node) keeps PlanNodeBound's defaults. An
   /// infinite row bound stays +infinity; arity bounds are always finite
-  /// because arities are symbolic. The `logical` verifier hook hands
-  /// these on as EXPLAIN ANALYZE's predictions.
+  /// because arities are symbolic. EXPLAIN ANALYZE prints these as its
+  /// predictions (analysis/explain.h).
   std::vector<PlanNodeBound> per_node;
 
   /// Human-readable summary (arity and row bounds).

@@ -11,7 +11,7 @@ namespace ppr {
 /// environment, so every PPR_* variable is captured into this struct the
 /// first time ProcessEnv() runs — BatchExecutor forces that from the
 /// submitting thread before any worker starts, and the lazy consumers
-/// (obs/trace.cc, exec/verify_hook.cc) read the struct instead of calling
+/// (obs/trace.cc, analysis/verifier.cc) read the struct instead of calling
 /// getenv themselves.
 struct EnvConfig {
   /// PPR_TRACE: non-empty value enables process-wide tracing with that
@@ -19,15 +19,16 @@ struct EnvConfig {
   bool trace_enabled = false;
   std::string trace_path;
 
-  /// PPR_VERIFY_PLANS: set (and not "0") runs the installed static plan
-  /// verifier hooks inside PhysicalPlan::Compile (exec/verify_hook.h).
+  /// PPR_VERIFY_PLANS: set (and not "0") turns on the structural verifier
+  /// tiers of CompileVerified (analysis/verifier.h), which ResolvePlan
+  /// (pprd, BatchExecutor), ExplainPlan and quickstart compile through.
   bool verify_plans = false;
 
   /// PPR_VERIFY_SEMANTICS: set (and not "0") additionally runs the
   /// semantic certification tier — plan→query extraction plus a
   /// Chandra–Merlin equivalence proof (analysis/semantic/certify.h) —
-  /// inside PhysicalPlan::Compile (ExplainPlan's too). Independent of
-  /// PPR_VERIFY_PLANS; either tier can run alone.
+  /// inside CompileVerified. Independent of PPR_VERIFY_PLANS; either
+  /// tier can run alone.
   bool verify_semantics = false;
 
   /// PPR_THREADS: default worker count for BatchExecutor and

@@ -31,7 +31,7 @@ namespace ppr {
 //                                QueryService::mu_, ServiceServer::mu_,
 //                                per-connection write_mu, ThreadPool::mu_,
 //                                BoundedQueue::mu_, PlanCache shard/in-flight
-//                                mutexes, verifier-hook state. These are
+//                                mutexes. These are
 //                                never nested with EACH OTHER (every
 //                                holder's scope closes before the next
 //                                acquisition); they sit below the obs

@@ -9,7 +9,6 @@
 #include "common/check.h"
 #include "common/mutex.h"
 #include "common/timer.h"
-#include "exec/verify_hook.h"
 #include "obs/exporters.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -225,31 +224,11 @@ Relation Exec(std::span<const PhysicalNode> nodes, int32_t id,
 Result<PhysicalPlan> PhysicalPlan::Compile(const ConjunctiveQuery& query,
                                            const Plan& plan,
                                            const Database& db,
-                                           JoinAlgorithm join_algorithm,
-                                           VerifierReport* report) {
+                                           JoinAlgorithm join_algorithm) {
   if (plan.empty()) return Status::InvalidArgument("empty plan");
   Status valid = query.Validate(db);
   if (!valid.ok()) return valid;
 
-  // Debug-mode static analysis (exec/verify_hook.h): prove the logical
-  // plan well-formed before lowering and the compiled plan faithful to it
-  // after, failing compilation instead of executing a corrupt plan.
-  VerifierReport unreported;
-  VerifierReport& said = report != nullptr ? *report : unreported;
-  const auto verdict_of = [](const Status& verdict) {
-    return verdict.ok() ? std::string("OK") : verdict.ToString();
-  };
-  const std::shared_ptr<const PlanVerifierHooks> hooks =
-      GetPlanVerifierHooks();
-  const bool verify = PlanVerificationEnabled();
-  std::vector<PlanNodeBound> bounds;
-  if (verify && hooks->logical) {
-    Result<std::vector<PlanNodeBound>> verdict =
-        hooks->logical(query, plan, db);
-    said.structural = verdict_of(verdict.status());
-    if (!verdict.ok()) return verdict.status();
-    bounds = std::move(*verdict);
-  }
   // Lower into arrays sized for the whole plan, so nothing moves under
   // the views the lowering takes, then keep the pool at its exact size:
   // cached plans are what a resident daemon spends its memory on.
@@ -277,26 +256,8 @@ Result<PhysicalPlan> PhysicalPlan::Compile(const ConjunctiveQuery& query,
     Rebase(spec.right_key_cols, bound, pool);
     Rebase(spec.right_carry_cols, bound, pool);
   }
-  PhysicalPlan compiled(std::move(nodes), std::move(joins), std::move(pool),
-                        join_algorithm);
-  if (verify && hooks->compiled) {
-    Status verdict = hooks->compiled(query, plan, db, compiled);
-    said.structural = verdict_of(verdict);
-    if (!verdict.ok()) return verdict;
-  }
-  // The logical tier's per-node width bounds, for a caller that shows them.
-  said.node_bounds = std::move(bounds);
-  // Third tier, independently gated: prove the plan (logical and
-  // compiled) still *denotes the query* — the structural passes above
-  // only prove the tree well-formed.
-  if (SemanticVerificationEnabled() && hooks->semantic) {
-    WallTimer timer;
-    Status verdict = hooks->semantic(query, plan, db, compiled);
-    said.semantic_ns = static_cast<int64_t>(timer.ElapsedSeconds() * 1e9);
-    said.semantic = verdict_of(verdict);
-    if (!verdict.ok()) return verdict;
-  }
-  return compiled;
+  return PhysicalPlan(std::move(nodes), std::move(joins), std::move(pool),
+                      join_algorithm);
 }
 
 ExecutionResult PhysicalPlan::Execute(Counter tuple_budget,

@@ -21,7 +21,6 @@ namespace ppr {
 
 class MetricsRegistry;
 class TraceSink;
-struct VerifierReport;
 
 /// One logical plan node lowered to physical form: stored-relation
 /// pointers, scan bindings, join column maps, and projection masks are
@@ -102,13 +101,11 @@ class PhysicalPlan {
 
   /// Compiles `plan` for `query` against `db`. Fails with InvalidArgument
   /// on an empty plan and propagates query/database validation errors.
-  /// Runs every enabled verifier tier (exec/verify_hook.h) and fails with
-  /// the first rejection; `report`, when non-null, receives what each
-  /// tier said.
+  /// It only lowers: the verified compile is CompileVerified
+  /// (analysis/verifier.h), which wraps this in the verifier tiers.
   static Result<PhysicalPlan> Compile(
       const ConjunctiveQuery& query, const Plan& plan, const Database& db,
-      JoinAlgorithm join_algorithm = JoinAlgorithm::kHash,
-      VerifierReport* report = nullptr);
+      JoinAlgorithm join_algorithm = JoinAlgorithm::kHash);
 
   /// Runs the compiled plan serially under `tuple_budget`. Scratch
   /// memory from prior runs is reused, so steady-state executions make no

@@ -162,7 +162,7 @@ class SpanRecorder {
 };
 
 /// Process-wide tracing, gated by the PPR_TRACE environment variable
-/// following the PPR_VERIFY_PLANS pattern (exec/verify_hook.h): when the
+/// following the PPR_VERIFY_PLANS pattern (analysis/verifier.h): when the
 /// environment sets PPR_TRACE to a non-empty path, tracing starts ON with
 /// that file as the export target. EnableTracing/DisableTracing toggle it
 /// programmatically (tests, tools); they take GlobalObsMutex() internally

@@ -86,9 +86,6 @@ class BatchExecutor {
   /// Runs all jobs to completion and drains worker shards.
   BatchResult Run(const std::vector<BatchJob>& jobs);
 
-  /// The cache in use (owned or external).
-  PlanCache* cache() { return cache_; }
-
   int num_threads() const { return num_threads_; }
 
  private:

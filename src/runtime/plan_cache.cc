@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "analysis/verifier.h"
 #include "analysis/width_analyzer.h"
 #include "common/check.h"
 #include "common/mutex.h"
@@ -437,10 +438,11 @@ ResolvedPlan ResolvePlan(PlanCache* cache, const Database& db,
       [&]() -> Result<CachedPlan> {
         const Plan plan = BuildStrategyPlan(strategy, canon.query, seed);
         // The admission bound rides in the entry, so a cache hit admits
-        // without analyzing again.
+        // without analyzing again; the verified compile's structural tier
+        // checks this same analysis instead of making its own.
         const StaticAnalysis analysis = AnalyzePlan(canon.query, plan, db);
         Result<PhysicalPlan> compiled =
-            PhysicalPlan::Compile(canon.query, plan, db);
+            CompileVerified(canon.query, plan, db, analysis);
         if (!compiled.ok()) return compiled.status();
         CachedPlan built{{}, std::move(*compiled), plan.Width()};
         if (analysis.status.ok()) {

@@ -192,8 +192,9 @@ struct ResolvedPlan {
 /// it by its canonical structure, `strategy`, `seed`, hash joins and the
 /// catalog (`db` and its FingerprintDatabase), and on a miss builds the
 /// entry from the canonical query: the strategy's plan, AnalyzePlan's
-/// tuple bound, and the compiled physical plan. `db` must outlive the
-/// cache's entries.
+/// tuple bound, and the physical plan CompileVerified builds over that
+/// same analysis (so a miss analyzes once, verified or not). `db` must
+/// outlive the cache's entries.
 ResolvedPlan ResolvePlan(PlanCache* cache, const Database& db,
                          uint64_t db_fingerprint,
                          const ConjunctiveQuery& query, StrategyKind strategy,

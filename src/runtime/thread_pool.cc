@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <utility>
 
+#include "analysis/verifier.h"
 #include "common/check.h"
 #include "common/env.h"
-#include "exec/verify_hook.h"
 #include "obs/telemetry/flight_recorder.h"
 #include "obs/telemetry/query_log.h"
 #include "obs/telemetry/stats_server.h"
@@ -69,7 +69,7 @@ void InitProcessState() {
   (void)ProcessEnv();
   (void)TracingEnabled();
   (void)PlanVerificationEnabled();
-  (void)GetPlanVerifierHooks();
+  (void)SemanticVerificationEnabled();
   (void)QueryLogEnabled();
   (void)FlightRecorderEnabled();
   (void)StartStatsServerFromEnv();

@@ -64,8 +64,8 @@ class ThreadPool {
 int ResolveWorkerCount(int requested);
 
 /// Forces every lazily initialized process-wide singleton on the calling
-/// thread: the environment snapshot, the trace gate, the verifier hooks
-/// and their gate, the query-log and flight-recorder gates, and the stats
+/// thread: the environment snapshot, the trace gate, the two verifier
+/// gates, the query-log and flight-recorder gates, and the stats
 /// server. A front end calls it before any of its workers exists, so
 /// workers only ever read them.
 void InitProcessState();

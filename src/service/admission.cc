@@ -5,16 +5,6 @@
 
 namespace ppr {
 
-const char* AdmitDecisionName(AdmitDecision decision) {
-  switch (decision) {
-    case AdmitDecision::kAdmit: return "admit";
-    case AdmitDecision::kShedQuota: return "shed_quota";
-    case AdmitDecision::kShedBound: return "shed_bound";
-    case AdmitDecision::kRejectBound: return "reject_bound";
-  }
-  return "unknown";
-}
-
 AdmitDecision AdmissionController::Admit(uint64_t client_id,
                                          double tuple_bound,
                                          uint64_t now_ns) {

@@ -22,7 +22,6 @@ enum class AdmitDecision : uint8_t {
   /// permanent for this (query, strategy) under this configuration.
   kRejectBound = 3,
 };
-const char* AdmitDecisionName(AdmitDecision decision);
 
 /// Admission control for the resident query service: decides, from a
 /// request's client identity and the width analyzer's static row bound,

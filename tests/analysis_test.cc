@@ -1,8 +1,8 @@
 // Tests for the static-analysis layer: logical/physical verifiers accept
 // every strategy plan and reject each corruption class; the width
 // analyzer's static max-arity prediction matches executed statistics and
-// its size bounds are sound; verification hooks gate compilation and
-// surface verdicts in explain.
+// its size bounds are sound; the verified compile's gates decide whether
+// its tiers run, and explain surfaces their verdicts.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/explain.h"
 #include "analysis/physical_verifier.h"
 #include "analysis/plan_verifier.h"
 #include "analysis/schedule.h"
@@ -23,9 +24,7 @@
 #include "encode/kcolor.h"
 #include "encode/sat.h"
 #include "exec/executor.h"
-#include "exec/explain.h"
 #include "exec/physical_plan.h"
-#include "exec/verify_hook.h"
 #include "graph/elimination.h"
 #include "graph/generators.h"
 #include "test_util.h"
@@ -546,37 +545,81 @@ TEST(VerifierFacadeTest, VerdictAggregatesAndRenders) {
   EXPECT_FALSE(bad.FirstError().ok());
 }
 
-class HookTest : public ::testing::Test {
+// Turns the structural gate on for one test and always restores the
+// default, so no test leaks the process-wide gate.
+class CompileVerifiedTest : public ::testing::Test {
  protected:
-  void TearDown() override { UninstallPlanVerifier(); }
+  void SetUp() override { EnablePlanVerification(true); }
+  void TearDown() override { EnablePlanVerification(false); }
 };
 
-TEST_F(HookTest, CompileRejectsCorruptPlansWhenInstalled) {
+TEST_F(CompileVerifiedTest, RejectsCorruptPlansWhenGated) {
   Database db = ThreeColorDb();
   ConjunctiveQuery q = PathQuery();
   Plan corrupt = PathPlan();
   corrupt.mutable_root()->projected = {0, 1};  // root != target schema
 
-  // Without the verifier the compiler happily lowers the corrupt tree.
+  // Unverified, the compiler happily lowers the corrupt tree.
   EXPECT_TRUE(PhysicalPlan::Compile(q, corrupt, db).ok());
 
-  InstallPlanVerifier();
-  EXPECT_FALSE(PhysicalPlan::Compile(q, corrupt, db).ok());
+  VerifierReport report;
+  EXPECT_FALSE(
+      CompileVerified(q, corrupt, db, AnalyzePlan(q, corrupt, db), &report)
+          .ok());
+  EXPECT_FALSE(report.structural.empty());
+  EXPECT_NE(report.structural, "OK");
   // Valid plans still compile and execute.
   Plan plan = PathPlan();
-  Result<PhysicalPlan> compiled = PhysicalPlan::Compile(q, plan, db);
+  Result<PhysicalPlan> compiled =
+      CompileVerified(q, plan, db, AnalyzePlan(q, plan, db), &report);
   ASSERT_TRUE(compiled.ok());
+  EXPECT_EQ(report.structural, "OK");
   EXPECT_TRUE(compiled->Execute().status.ok());
 
-  // The flag gates the hook without uninstalling it.
+  // The gate decides: off, the corrupt tree is lowered.
   EnablePlanVerification(false);
-  EXPECT_TRUE(PhysicalPlan::Compile(q, corrupt, db).ok());
+  VerifierReport ungated;
+  EXPECT_TRUE(
+      CompileVerified(q, corrupt, db, AnalyzePlan(q, corrupt, db), &ungated)
+          .ok());
+  EXPECT_TRUE(ungated.structural.empty());
 }
 
-TEST_F(HookTest, ExplainSurfacesVerdict) {
+// The structural tier cross-checks the analysis it is handed against the
+// plan, not one it computes itself: an analysis whose widest arity
+// disagrees with the plan's join width is rejected, and a failed one is
+// passed on.
+TEST_F(CompileVerifiedTest, ChecksTheAnalysisItIsGiven) {
   Database db = ThreeColorDb();
   ConjunctiveQuery q = PentagonQuery();
-  InstallPlanVerifier();
+  Plan plan = BucketEliminationPlanMcs(q, nullptr);
+  StaticAnalysis analysis = AnalyzePlan(q, plan, db);
+  ASSERT_TRUE(CompileVerified(q, plan, db, analysis).ok());
+
+  analysis.max_intermediate_arity = plan.Width() + 1;
+  VerifierReport report;
+  Result<PhysicalPlan> rejected =
+      CompileVerified(q, plan, db, analysis, &report);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_NE(rejected.status().message().find("plan join width"),
+            std::string::npos)
+      << rejected.status().ToString();
+  EXPECT_EQ(report.structural, rejected.status().ToString());
+
+  StaticAnalysis failed;
+  failed.status = Status::Internal("seeded analysis failure");
+  Result<PhysicalPlan> passed_on = CompileVerified(q, plan, db, failed);
+  ASSERT_FALSE(passed_on.ok());
+  EXPECT_EQ(passed_on.status().ToString(), failed.status.ToString());
+
+  // Ungated, nothing reads the analysis.
+  EnablePlanVerification(false);
+  EXPECT_TRUE(CompileVerified(q, plan, db, analysis).ok());
+}
+
+TEST_F(CompileVerifiedTest, ExplainSurfacesVerdict) {
+  Database db = ThreeColorDb();
+  ConjunctiveQuery q = PentagonQuery();
   ExplainResult good = ExplainPlan(q, BucketEliminationPlanMcs(q, nullptr),
                                    db, 3.0);
   ASSERT_TRUE(good.status.ok());

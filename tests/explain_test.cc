@@ -5,16 +5,16 @@
 #include <utility>
 #include <vector>
 
-#include "common/rng.h"
+#include "analysis/explain.h"
 #include "analysis/verifier.h"
+#include "analysis/width_analyzer.h"
 #include "benchlib/harness.h"
+#include "common/rng.h"
 #include "core/strategies.h"
 #include "encode/kcolor.h"
 #include "encode/sat.h"
 #include "exec/executor.h"
-#include "exec/explain.h"
 #include "exec/physical_plan.h"
-#include "exec/verify_hook.h"
 #include "graph/generators.h"
 #include "obs/trace.h"
 #include "test_util.h"
@@ -201,11 +201,12 @@ TEST(ExplainTest, SummaryLineGolden) {
   EXPECT_EQ(rendered.rfind(expected), rendered.size() - expected.size());
 }
 
-// RAII guard: installs the analysis verifier for one test and always
-// restores the disabled default so tests cannot leak global state.
+// RAII guard: sets the structural verifier gate (on by default) for one
+// scope and always restores the disabled default so tests cannot leak
+// global state.
 class ScopedVerifier {
  public:
-  ScopedVerifier() { InstallPlanVerifier(/*enable=*/true); }
+  explicit ScopedVerifier(bool on = true) { EnablePlanVerification(on); }
   ~ScopedVerifier() { EnablePlanVerification(false); }
 };
 
@@ -333,18 +334,19 @@ TEST(ExplainTest, ReportsTheCompiledRun) {
                                 /*budget=*/2000000);
 }
 
-// The predicted side of EXPLAIN ANALYZE is the width analysis the
-// compile's logical tier ran, handed on: every node's bounds are
-// AnalyzePlan's per_node. With verification off the compile runs no tier
-// and reports no bounds.
+// The predicted side of EXPLAIN ANALYZE is the width analysis of the
+// plan, which the structural tier checks when its gate is on: every
+// node's bounds are AnalyzePlan's per_node, with the gate on and with it
+// off. Only the verdict line depends on the gate.
 TEST(ExplainTest, PredictionsAreTheLogicalTiersAnalysis) {
   Database db = ThreeColorDb();
   const std::vector<std::pair<ConjunctiveQuery, Counter>> cases = {
       {PentagonQuery(), kCounterMax},
       {KColorQuery(Complete(5)), kCounterMax},
       {KColorQuery(AugmentedLadder(7)), 2000000}};
-  {
-    ScopedVerifier verifier;
+  for (const bool gated : {true, false}) {
+    SCOPED_TRACE(gated ? "structural gate on" : "structural gate off");
+    ScopedVerifier gate(gated);
     for (const auto& [q, budget] : cases) {
       for (StrategyKind kind : AllStrategies()) {
         SCOPED_TRACE(StrategyName(kind));
@@ -353,7 +355,7 @@ TEST(ExplainTest, PredictionsAreTheLogicalTiersAnalysis) {
         ASSERT_TRUE(analysis.status.ok());
         const ExplainResult r = ExplainPlan(q, plan, db, 3.0, budget,
                                             /*analyze=*/true);
-        EXPECT_EQ(r.verifier_verdict, "OK");
+        EXPECT_EQ(r.verifier_verdict, gated ? "OK" : "");
         ASSERT_EQ(r.nodes.size(), analysis.per_node.size());
         for (size_t i = 0; i < r.nodes.size(); ++i) {
           EXPECT_EQ(r.nodes[i].predicted_arity_bound,
@@ -366,15 +368,6 @@ TEST(ExplainTest, PredictionsAreTheLogicalTiersAnalysis) {
       }
     }
   }
-  ASSERT_FALSE(PlanVerificationEnabled());
-  const ConjunctiveQuery q = PentagonQuery();
-  VerifierReport report;
-  Result<PhysicalPlan> compiled =
-      PhysicalPlan::Compile(q, BucketEliminationPlanMcs(q, nullptr), db,
-                            JoinAlgorithm::kHash, &report);
-  ASSERT_TRUE(compiled.ok());
-  EXPECT_TRUE(report.structural.empty());
-  EXPECT_TRUE(report.node_bounds.empty());
 }
 
 TEST(ExplainTest, AnalyzeActualArityWithinPredictedBoundOnColoring) {

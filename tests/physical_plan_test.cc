@@ -24,7 +24,6 @@
 #include "encode/kcolor.h"
 #include "exec/executor.h"
 #include "exec/physical_plan.h"
-#include "exec/verify_hook.h"
 #include "graph/generators.h"
 #include "obs/trace.h"
 #include "query/conjunctive_query.h"
@@ -430,14 +429,6 @@ void ExpectSameRows(const Relation& a, const Relation& b) {
   }
 }
 
-// RAII guard mirroring explain_test: installs the analysis verifier and
-// always restores the disabled default.
-class ScopedVerifier {
- public:
-  ScopedVerifier() { InstallPlanVerifier(/*enable=*/true); }
-  ~ScopedVerifier() { EnablePlanVerification(false); }
-};
-
 // Each kernel call records exactly one span, and its `bytes` is the
 // call's footprint: for one call on a fresh context, the context's
 // peak_bytes. Over a whole run the spans are the run's kernel calls, one
@@ -662,9 +653,16 @@ TEST(KernelSpanTest, SpanVerifierRejectsTamperedSpans) {
 // ladder reordering's keyed projections, which return the rows and every
 // stat but peak_bytes of the same plan with them cleared.
 TEST(KernelSpanTest, VerifiedRunsPassTheSpanVerifier) {
-  ScopedVerifier verifier;
   const Database db = ThreeColorDb();
   Compiled coloring = CompileRandomColoring(db);
+  Compiled pentagon = CompilePentagon(db);
+  Compiled chain = CompileLadderChain(db);
+  Compiled reordering = CompileLadderReordering(db);
+  for (const Compiled* c : {&coloring, &pentagon, &chain, &reordering}) {
+    const PlanVerdict verdict =
+        VerifyCompiledPlan(c->query, c->plan, db, c->physical);
+    EXPECT_TRUE(verdict.ok()) << verdict.ToString();
+  }
   const TracedRun full = RunTraced(coloring.physical, kCounterMax);
   ASSERT_TRUE(full.result.status.ok());
   EXPECT_TRUE(VerifyKernelSpans(coloring.query, coloring.plan, db, full.spans,
@@ -678,9 +676,6 @@ TEST(KernelSpanTest, VerifiedRunsPassTheSpanVerifier) {
                         truncated.result.stats, truncated_budget);
   EXPECT_TRUE(truncated_verdict.ok()) << truncated_verdict.ToString();
 
-  Compiled pentagon = CompilePentagon(db);
-  Compiled chain = CompileLadderChain(db);
-  Compiled reordering = CompileLadderReordering(db);
   struct Case {
     Compiled* c;
     Counter budget;
@@ -718,7 +713,6 @@ TEST(KernelSpanTest, VerifiedRunsPassTheSpanVerifier) {
 // The sort-merge join records one span per call too, including a call
 // whose input is empty.
 TEST(KernelSpanTest, VerifiedSortMergeRunWithAnEmptyIntermediate) {
-  ScopedVerifier verifier;
   Database db;
   AddColoringRelations(2, &db);
   // A triangle is not 2-colorable, so the third atom's join leaves an
@@ -731,6 +725,9 @@ TEST(KernelSpanTest, VerifiedSortMergeRunWithAnEmptyIntermediate) {
   Result<PhysicalPlan> physical =
       PhysicalPlan::Compile(q, plan, db, JoinAlgorithm::kSortMerge);
   ASSERT_TRUE(physical.ok()) << physical.status().ToString();
+  const PlanVerdict compiled_verdict =
+      VerifyCompiledPlan(q, plan, db, *physical);
+  EXPECT_TRUE(compiled_verdict.ok()) << compiled_verdict.ToString();
 
   const TracedRun r = RunTraced(*physical, kCounterMax);
   ASSERT_TRUE(r.result.status.ok()) << r.result.status.ToString();

@@ -30,6 +30,7 @@
 
 #include "analysis/physical_verifier.h"
 #include "analysis/plan_verifier.h"
+#include "analysis/width_analyzer.h"
 #include "analysis/semantic/certify.h"
 #include "benchlib/harness.h"
 #include "common/rng.h"
@@ -413,6 +414,10 @@ TEST(PlanMutationFuzzTest, LogicalVerifierRejectsEveryCorruption) {
     Plan mutant = ClonePlan(pristine);
     if (!mutator.apply(w.query, mutant, rng)) continue;
     applied[mutator.name]++;
+    // ExplainPlan analyzes a caller's plan before the logical tier has
+    // accepted it, so the analyzer must return on every mutant, with any
+    // status.
+    (void)AnalyzePlan(w.query, mutant, w.db);
     const Status verdict = VerifyLogicalPlan(w.query, mutant, &w.db);
     if (!verdict.ok()) {
       rejected[mutator.name]++;

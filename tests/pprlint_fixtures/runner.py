@@ -2,8 +2,8 @@
 """Unit tests for the pprlint rule engine, run against the seeded
 fixture tree in tests/pprlint_fixtures/tree/.
 
-The fixture tree is a miniature repo layout (src/, tests/) with exactly
-one seeded violation per rule plus the cases that must stay silent:
+The fixture tree is a miniature repo layout (src/) with exactly one
+seeded violation per rule plus the cases that must stay silent:
 exempt paths, `pprlint: allow(...)` markers, rule mentions inside
 comments and string literals, and — for obs-lock — functions annotated
 REQUIRES(GlobalObsMutex()). The tests pin both directions: every rule
@@ -67,11 +67,6 @@ class RuleFiringTest(unittest.TestCase):
         # allow(raw-sync) on a naked-new line suppresses nothing.
         self.assertIn("g_wrong_marker", texts)
 
-    def test_hook_coverage_flags_untested_member_only(self):
-        hits = by_rule(self.findings, "hook-coverage")
-        self.assertEqual(len(hits), 1, hits)
-        self.assertIn("on_result", hits[0][3])
-
     def test_telemetry_sync_flags_both_directions(self):
         hits = by_rule(self.findings, "telemetry-sync")
         texts = "\n".join(h[3] for h in hits)
@@ -82,6 +77,10 @@ class RuleFiringTest(unittest.TestCase):
     def test_one_resolve_fires(self):
         self.assert_single("one-resolve", "src/core/violations.cc",
                            "GetOrCompile")
+
+    def test_verified_compile_fires(self):
+        self.assert_single("verified-compile", "src/core/violations.cc",
+                           "PhysicalPlan::Compile(1, 2, 3)")
 
     def test_obs_lock_flags_unlocked_and_post_declaration_touches(self):
         hits = by_rule(self.findings, "obs-lock")
@@ -124,6 +123,10 @@ class SilenceTest(unittest.TestCase):
         self.assertNotIn("src/runtime/plan_cache.cc", files)
         self.assertNotIn("src/runtime/plan_cache.h", files)
 
+    def test_verified_compile_may_call_physical_compile(self):
+        files = {f[0] for f in by_rule(self.findings, "verified-compile")}
+        self.assertNotIn("src/analysis/verifier.cc", files)
+
 
 class RuleFilterTest(unittest.TestCase):
     """`--rule` filtering and the registry."""
@@ -137,8 +140,8 @@ class RuleFilterTest(unittest.TestCase):
         names = [rule.name for rule in pprlint.RULES]
         self.assertEqual(sorted(names), sorted(set(names)))
         self.assertEqual(set(names), {
-            "raw-sync", "raw-getenv", "naked-new",
-            "hook-coverage", "telemetry-sync", "obs-lock", "one-resolve",
+            "raw-sync", "raw-getenv", "naked-new", "telemetry-sync",
+            "obs-lock", "one-resolve", "verified-compile",
         })
 
 

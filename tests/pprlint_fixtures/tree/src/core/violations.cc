@@ -7,7 +7,7 @@
 namespace fx {
 
 // std::mutex in this comment must not count.
-const char* kDecoy = "std::mutex getenv( new";
+const char* kDecoy = "std::mutex getenv( new PhysicalPlan::Compile(";
 
 std::mutex g_raw_mutex;  // seeded: raw-sync
 
@@ -18,6 +18,11 @@ int* LeakyAlloc() { return new int(7); }  // seeded: naked-new
 template <typename Cache>
 int OwnFactory(Cache* cache) {
   return cache->GetOrCompile(1, [] { return 2; });  // seeded: one-resolve
+}
+
+template <typename PhysicalPlan>
+auto Unverified() {
+  return PhysicalPlan::Compile(1, 2, 3);  // seeded: verified-compile
 }
 
 }  // namespace fx

@@ -8,14 +8,17 @@
 #include <tuple>
 #include <vector>
 
+#include "analysis/verifier.h"
 #include "analysis/width_analyzer.h"
 #include "benchlib/batch_workload.h"
 #include "benchlib/harness.h"
+#include "common/mutex.h"
 #include "common/rng.h"
 #include "encode/kcolor.h"
 #include "exec/executor.h"
 #include "graph/generators.h"
 #include "obs/metrics.h"
+#include "obs/obs_lock.h"
 #include "query/conjunctive_query.h"
 #include "relational/database.h"
 #include "runtime/batch_executor.h"
@@ -562,6 +565,32 @@ TEST(BatchExecutorTest, EntriesCarryTheAnalyzerBoundAndTheFingerprint) {
   EXPECT_EQ(resolved.entry->fingerprint,
             FingerprintQueryStructure(canon.structure));
   EXPECT_EQ(resolved.fingerprint, resolved.entry->fingerprint);
+}
+
+// A miss compiles through the verified compile, so the PPR_VERIFY_* gates
+// reach every front end: with the semantic gate on, a miss certifies the
+// logical and the compiled plan, and a hit certifies nothing.
+TEST(ResolvePlanTest, MissesCompileThroughTheVerifiedCompile) {
+  Database db = ThreeColorDb();
+  PlanCache cache(16, 2);
+  const auto certifications = [] {
+    MutexLock lock(GlobalObsMutex());
+    return GlobalMetrics().Snapshot().counter(
+        "analysis.semantic.certifications");
+  };
+  const auto resolve = [&] {
+    return ResolvePlan(&cache, db, FingerprintDatabase(db), PentagonQuery(),
+                       StrategyKind::kBucketElimination, /*seed=*/0);
+  };
+  const int64_t before = certifications();
+  EnableSemanticVerification(true);
+  const ResolvedPlan miss = resolve();
+  const ResolvedPlan hit = resolve();
+  EnableSemanticVerification(false);
+  ASSERT_TRUE(miss.status.ok()) << miss.status.ToString();
+  EXPECT_TRUE(miss.compiled_here);
+  EXPECT_FALSE(hit.compiled_here);
+  EXPECT_EQ(certifications() - before, 2);
 }
 
 TEST(BatchExecutorTest, HitRateExceedsHalfOnTwoHundredIsomorphicJobs) {

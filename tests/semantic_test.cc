@@ -10,19 +10,19 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/explain.h"
 #include "analysis/semantic/certificate_checker.h"
 #include "analysis/semantic/certify.h"
 #include "analysis/semantic/extract.h"
 #include "analysis/verifier.h"
+#include "analysis/width_analyzer.h"
 #include "benchlib/harness.h"
 #include "common/mutex.h"
 #include "common/rng.h"
 #include "core/strategies.h"
 #include "encode/kcolor.h"
 #include "encode/sat.h"
-#include "exec/explain.h"
 #include "exec/physical_plan.h"
-#include "exec/verify_hook.h"
 #include "graph/generators.h"
 #include "minimize/minimize.h"
 #include "obs/metrics.h"
@@ -32,15 +32,11 @@
 namespace ppr {
 namespace {
 
-/// Installs the full verifier with the semantic tier on, and restores the
-/// uninstalled default on scope exit so the global hook state never leaks
-/// between tests.
+/// Turns the semantic tier's gate on, and restores the disabled default on
+/// scope exit so the process-wide gate never leaks between tests.
 struct ScopedSemanticVerifier {
-  ScopedSemanticVerifier() {
-    InstallPlanVerifier(/*enable=*/false);
-    EnableSemanticVerification(true);
-  }
-  ~ScopedSemanticVerifier() { UninstallPlanVerifier(); }
+  ScopedSemanticVerifier() { EnableSemanticVerification(true); }
+  ~ScopedSemanticVerifier() { EnableSemanticVerification(false); }
 };
 
 template <typename... Nodes>
@@ -256,33 +252,38 @@ TEST(CertifyTest, PublishesAnalysisMetrics) {
 }
 
 // ---------------------------------------------------------------------
-// The verifier tier: hooks, gating, compile/explain integration.
+// The verifier tier: gating, compile/explain integration.
 
-TEST(SemanticHookTest, CompileRunsTheSemanticTier) {
+TEST(SemanticTierTest, CompileRunsTheSemanticTier) {
   ScopedSemanticVerifier scoped;
   ConjunctiveQuery q = PathQuery();
   Database db = PathDatabase();
   Plan good = EarlyProjectionPlan(q);
-  Result<PhysicalPlan> compiled = PhysicalPlan::Compile(q, good, db);
+  VerifierReport report;
+  Result<PhysicalPlan> compiled =
+      CompileVerified(q, good, db, AnalyzePlan(q, good, db), &report);
   EXPECT_TRUE(compiled.ok()) << compiled.status().message();
+  EXPECT_EQ(report.semantic, "OK");
+  EXPECT_GE(report.semantic_ns, 0);
 
   // A structurally valid plan for the wrong query must fail compilation
   // with a semantic (not structural) error — and only while the gate is
   // on.
   ConjunctiveQuery q_prime({Atom{"r", {0, 1}}, Atom{"r", {0, 2}}}, {0, 2});
   Plan wrong = EarlyProjectionPlan(q_prime);
-  Result<PhysicalPlan> rejected = PhysicalPlan::Compile(q, wrong, db);
+  const StaticAnalysis analysis = AnalyzePlan(q, wrong, db);
+  Result<PhysicalPlan> rejected = CompileVerified(q, wrong, db, analysis);
   ASSERT_FALSE(rejected.ok());
   EXPECT_NE(rejected.status().message().find("semantic certification failed"),
             std::string::npos)
       << rejected.status().message();
 
   EnableSemanticVerification(false);
-  Result<PhysicalPlan> ungated = PhysicalPlan::Compile(q, wrong, db);
+  Result<PhysicalPlan> ungated = CompileVerified(q, wrong, db, analysis);
   EXPECT_TRUE(ungated.ok());
 }
 
-TEST(SemanticHookTest, ExplainReportsVerdictAndCost) {
+TEST(SemanticTierTest, ExplainReportsVerdictAndCost) {
   ScopedSemanticVerifier scoped;
   ConjunctiveQuery q = PathQuery();
   Database db = PathDatabase();
@@ -295,29 +296,16 @@ TEST(SemanticHookTest, ExplainReportsVerdictAndCost) {
       << r.ToString();
 }
 
-TEST(SemanticHookTest, AllVerifierHookMembersAreInstalled) {
-  // Every member of PlanVerifierHooks must be registered by
-  // InstallPlanVerifier — tools/pprlint's hook-coverage rule points at
-  // this test. Members: logical, compiled, semantic.
-  ScopedSemanticVerifier scoped;
-  std::shared_ptr<const PlanVerifierHooks> hooks = GetPlanVerifierHooks();
-  EXPECT_TRUE(static_cast<bool>(hooks->logical));
-  EXPECT_TRUE(static_cast<bool>(hooks->compiled));
-  EXPECT_TRUE(static_cast<bool>(hooks->semantic));
-}
-
-TEST(SemanticHookTest, ReentrantCertificationTerminates) {
-  // The equivalence proof executes plans over canonical databases, which
-  // compiles plans, which fires the semantic hook again: the guard must
-  // pass the inner compile through. Success of any certification with
-  // the hook installed and enabled is the regression signal (without the
-  // guard this recurses without bound).
+TEST(SemanticTierTest, ReentrantCertificationTerminates) {
+  // The equivalence proof executes plans over canonical databases through
+  // ExecutePlan, which compiles without verifying, so a certification
+  // with the gate on never certifies its own inner runs. Success is the
+  // regression signal: a verified inner compile would recurse without
+  // bound.
   ScopedSemanticVerifier scoped;
   ConjunctiveQuery q = PathQuery();
-  EXPECT_FALSE(CertificationInProgress());
   CertificationReport report = CertifyPlan(q, EarlyProjectionPlan(q));
   EXPECT_TRUE(report.ok()) << report.verdict.message();
-  EXPECT_FALSE(CertificationInProgress());
 }
 
 // ---------------------------------------------------------------------

@@ -21,11 +21,12 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/plan_verifier.h"
+#include "analysis/verifier.h"
 #include "benchlib/batch_workload.h"
 #include "benchlib/harness.h"
 #include "common/mutex.h"
 #include "encode/kcolor.h"
-#include "exec/verify_hook.h"
 #include "obs/exporters.h"
 #include "obs/metrics.h"
 #include "obs/telemetry/flight_recorder.h"
@@ -513,30 +514,28 @@ TEST(FlightRecorderTest, SeededVerifierFailureProducesValidatedDump) {
   options.dir = dir;
   FlightSession session(options);
 
-  // Seed a verifier that rejects every compiled plan.
-  PlanVerifierHooks hooks;
-  hooks.compiled = [](const ConjunctiveQuery&, const Plan&, const Database&,
-                      const PhysicalPlan&) {
-    return Status::Internal("seeded verifier failure");
-  };
-  SetPlanVerifierHooks(hooks);
-  EnablePlanVerification(true);
-
+  // A job over a relation the catalog lacks: with the structural gate on,
+  // the logical tier rejects its plan before it is lowered.
   Database db;
   AddColoringRelations(3, &db);
-  std::vector<BatchJob> jobs = ColorJobs();
-  jobs.resize(1);
+  BatchJob job;
+  job.query =
+      ConjunctiveQuery({Atom{"edge", {0, 1}}, Atom{"unstored", {1, 2}}}, {0});
+  job.strategy = StrategyKind::kBucketElimination;
+  const Status rejection = VerifyLogicalPlan(
+      job.query, BuildStrategyPlan(job.strategy, job.query, job.seed), &db);
+  ASSERT_FALSE(rejection.ok());
+
+  EnablePlanVerification(true);
   BatchExecutor executor(db, BatchOptions{});
-  const BatchResult result = executor.Run(jobs);
-
+  const BatchResult result = executor.Run({job});
   EnablePlanVerification(false);
-  ClearPlanVerifierHooks();
 
-  ASSERT_FALSE(result.results[0].status.ok());
+  EXPECT_EQ(result.results[0].status.ToString(), rejection.ToString());
   const std::string dump = ReadLastDumpLocked();
   ASSERT_FALSE(dump.empty());
   EXPECT_NE(dump.find("\"trigger\":\"failure\""), std::string::npos);
-  EXPECT_NE(dump.find("seeded verifier failure"), std::string::npos);
+  EXPECT_NE(dump.find(rejection.message()), std::string::npos) << dump;
   // The failed compile cached no entry, yet its record still names the
   // query's structure.
   const std::string key = "\"fingerprint\":\"";
