@@ -6,6 +6,7 @@
 #include "common/rng.h"
 #include "core/strategies.h"
 #include "exec/physical_plan.h"
+#include "obs/metrics.h"
 #include "obs/telemetry/query_log.h"
 #include "obs/trace.h"
 #include "query/conjunctive_query.h"
@@ -114,9 +115,10 @@ void BM_CompiledPlanExecute(benchmark::State& state) {
   ConjunctiveQuery query({{"R", {0, 1}}, {"S", {1, 2}}}, {0, 2});
   const Plan plan = EarlyProjectionPlan(query);
   auto compiled = PhysicalPlan::Compile(query, plan, db);
+  ExecArena arena;
   int64_t produced = 0;
   for (auto _ : state) {
-    ExecutionResult result = compiled->Execute();
+    ExecutionResult result = compiled->ExecuteShared(&arena);
     produced += static_cast<int64_t>(result.stats.tuples_produced);
     benchmark::DoNotOptimize(result);
   }
@@ -124,8 +126,9 @@ void BM_CompiledPlanExecute(benchmark::State& state) {
 }
 BENCHMARK(BM_CompiledPlanExecute)->Range(1 << 8, 1 << 13);
 
-// Same workload with per-operator span recording into an explicit sink:
-// the enabled-path cost of the trace layer. Comparing against
+// Same workload with per-operator span recording into an explicit sink,
+// publishing each run's stats and span histograms into a registry: the
+// enabled-path cost of the trace layer. Comparing against
 // BM_CompiledPlanExecute (whose null sink costs one branch per operator)
 // is the overhead check the observability layer is held to.
 void BM_CompiledPlanExecuteTraced(benchmark::State& state) {
@@ -136,10 +139,13 @@ void BM_CompiledPlanExecuteTraced(benchmark::State& state) {
   ConjunctiveQuery query({{"R", {0, 1}}, {"S", {1, 2}}}, {0, 2});
   const Plan plan = EarlyProjectionPlan(query);
   auto compiled = PhysicalPlan::Compile(query, plan, db);
+  ExecArena arena;
   TraceSink sink;
+  MetricsRegistry metrics;
   int64_t produced = 0;
   for (auto _ : state) {
-    ExecutionResult result = compiled->Execute(kCounterMax, &sink);
+    ExecutionResult result =
+        compiled->ExecuteShared(&arena, kCounterMax, &sink, &metrics);
     produced += static_cast<int64_t>(result.stats.tuples_produced);
     benchmark::DoNotOptimize(result);
   }

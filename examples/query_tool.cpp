@@ -12,9 +12,11 @@
 //
 // --metrics prints, after each strategy's execution, the metrics that
 // run contributed (its registry delta, as JSONL — including the
-// p50/p90/p99 lines on every histogram). --query-log=PATH enables the
-// telemetry query log and exports one structured record per executed
-// (query, strategy) job to PATH; render it with `tools/pprstat log PATH`.
+// p50/p90/p99 lines on every histogram, and the semantic tier's
+// analysis.semantic.* entries when PPR_VERIFY_SEMANTICS is set).
+// --query-log=PATH enables the telemetry query log and exports one
+// structured record per executed (query, strategy) job to PATH; render
+// it with `tools/pprstat log PATH`.
 //
 // PPR_VERIFY_PLANS / PPR_VERIFY_SEMANTICS prove every plan it compiles
 // (structurally / semantically) before it runs: the strategy runs resolve
@@ -24,11 +26,13 @@
 
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <string>
 
 #include "analysis/explain.h"
 #include "benchlib/figures.h"
 #include "benchlib/harness.h"
+#include "common/mutex.h"
 #include "encode/kcolor.h"
 #include "encode/sat.h"
 #include "exec/executor.h"
@@ -108,11 +112,17 @@ int main(int argc, char** argv) {
   // telemetry pipeline sees them: --query-log records populate at the
   // batch drain exactly as in the runtime, and --metrics reads each
   // run's contribution from a private registry the drain merges into.
+  // The semantic tier publishes its certifications into GlobalMetrics()
+  // only, so their share is read from a delta of that registry.
   MetricsRegistry run_metrics;
   BatchOptions batch_options;
   batch_options.num_threads = 1;
   batch_options.metrics = &run_metrics;
   BatchExecutor executor(db, batch_options);
+  const auto global_metrics = [] {
+    MutexLock lock(GlobalObsMutex());
+    return GlobalMetrics().Snapshot();
+  };
 
   std::printf("\n%-16s %-6s %-10s %-9s %s\n", "strategy", "width",
               "tuples", "seconds", "answer");
@@ -123,6 +133,7 @@ int main(int argc, char** argv) {
     job.strategy = kind;
     job.tuple_budget = 100'000'000;
     run_metrics.Clear();
+    const MetricsSnapshot before = global_metrics();
     BatchResult batch = executor.Run({job});
     const ExecutionResult& r = batch.results[0];
     if (!r.status.ok()) {
@@ -136,6 +147,14 @@ int main(int argc, char** argv) {
                   static_cast<long long>(r.output.size()));
     }
     if (show_metrics) {
+      MetricsSnapshot semantic = DeltaSince(before, global_metrics());
+      const auto other = [](const auto& entry) {
+        return !entry.first.starts_with("analysis.semantic.");
+      };
+      std::erase_if(semantic.counters, other);
+      std::erase_if(semantic.maxes, other);
+      std::erase_if(semantic.histograms, other);
+      run_metrics.Merge(semantic);
       std::printf("-- metrics delta (%s) --\n%s", StrategyName(kind),
                   run_metrics.ToJsonLines().c_str());
     }

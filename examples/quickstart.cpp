@@ -16,6 +16,7 @@
 #include "analysis/width_analyzer.h"
 #include "benchlib/harness.h"
 #include "encode/kcolor.h"
+#include "exec/executor.h"
 #include "exec/physical_plan.h"
 #include "sql/sql_generator.h"
 
@@ -49,7 +50,7 @@ int main() {
                   compiled.status().ToString().c_str());
       continue;
     }
-    ExecutionResult result = compiled->Execute();
+    ExecutionResult result = ExecuteCompiled(*compiled);
     if (!result.status.ok()) {
       std::printf("execution failed: %s\n\n", result.status.ToString().c_str());
       continue;

@@ -41,9 +41,9 @@ namespace ppr {
 ///    distinct with every attribute in the projected label. A wrongly
 ///    set flag makes the keyed projection return duplicate rows.
 ///
-/// OK means Execute() performs exactly the logical plan's operators: all
-/// raw column accesses are in bounds and every operator's output schema
-/// matches the logical label it implements.
+/// OK means a run of the plan performs exactly the logical plan's
+/// operators: all raw column accesses are in bounds and every operator's
+/// output schema matches the logical label it implements.
 Status VerifyPhysicalPlan(const ConjunctiveQuery& query, const Plan& plan,
                           const Database& db, const PhysicalPlan& physical);
 

@@ -1,9 +1,6 @@
 #include "analysis/plan_verifier.h"
 
-#include <algorithm>
 #include <string>
-
-#include "analysis/schedule.h"
 
 namespace ppr {
 namespace {
@@ -58,8 +55,7 @@ Status CheckAttrIds(const ConjunctiveQuery& query, const Plan& plan) {
 
 }  // namespace
 
-Status VerifyLogicalPlan(const ConjunctiveQuery& query, const Plan& plan,
-                         const Database* db) {
+Status VerifyLogicalPlan(const ConjunctiveQuery& query, const Plan& plan) {
   if (plan.empty()) {
     return Status::InvalidArgument("empty plan");
   }
@@ -70,20 +66,7 @@ Status VerifyLogicalPlan(const ConjunctiveQuery& query, const Plan& plan,
   // Core structural + safety invariants: atom coverage, label consistency,
   // root = target schema, and the projection-pushing legality condition
   // (no attribute dropped while atoms outside the subtree still need it).
-  Status structural = ValidatePlan(query, plan);
-  if (!structural.ok()) return structural;
-
-  // Operator-schedule invariants: budget-charge points in order, linear
-  // consumption of intermediates, per-operator schema consistency.
-  Status schedule = ValidateSchedule(query, BuildSchedule(query, plan));
-  if (!schedule.ok()) return schedule;
-
-  // Catalog: every atom's relation must exist with matching arity.
-  if (db != nullptr) {
-    Status catalog = query.Validate(*db);
-    if (!catalog.ok()) return catalog;
-  }
-  return Status::Ok();
+  return ValidatePlan(query, plan);
 }
 
 }  // namespace ppr

@@ -4,7 +4,6 @@
 #include "common/status.h"
 #include "core/plan.h"
 #include "query/conjunctive_query.h"
-#include "relational/database.h"
 
 namespace ppr {
 
@@ -17,17 +16,15 @@ namespace ppr {
 ///    labels, a root that does not produce the target schema;
 ///  - unbound variables: a label attribute no atom below the node binds;
 ///  - premature projection: dropping an attribute that a later join (an
-///    atom outside the subtree) or the target schema still needs;
-///  - schedule damage: budget-charge points out of order or an
-///    intermediate consumed more than once (via ValidateSchedule);
-///  - catalog mismatches (when `db` is non-null): an atom referencing a
-///    relation absent from the database, or present with a different
-///    arity.
+///    atom outside the subtree) or the target schema still needs.
 ///
 /// OK means every operator the executor will run is type-correct and the
-/// answer equals the query's answer on any database instance.
-Status VerifyLogicalPlan(const ConjunctiveQuery& query, const Plan& plan,
-                         const Database* db = nullptr);
+/// answer equals the query's answer on any database instance. The
+/// operator schedule and the catalog are AnalyzePlan's to check
+/// (analysis/width_analyzer.h): it validates the schedule it builds and
+/// reads every atom's relation, and the verified compile fails on its
+/// status (analysis/verifier.h).
+Status VerifyLogicalPlan(const ConjunctiveQuery& query, const Plan& plan);
 
 }  // namespace ppr
 

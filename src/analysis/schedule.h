@@ -19,7 +19,7 @@ enum class OpKind {
 };
 
 /// One operator of the linearized execution schedule. The schedule is the
-/// exact operator sequence PhysicalPlan::Execute runs (post-order over the
+/// exact operator sequence a compiled plan runs (post-order over the
 /// plan; per internal node: children left to right interleaved with fold
 /// joins, then the optional projection), with symbolic schemas derived the
 /// same way the compiler derives them. Index in the schedule is the
@@ -65,7 +65,7 @@ struct OpSchedule {
 /// stamped with its node's pre-order id. The plan need not be valid —
 /// malformed trees produce a schedule whose inconsistencies
 /// ValidateSchedule then reports. AnalyzePlan, which the other analyses
-/// read, and VerifyLogicalPlan are its callers.
+/// read, is its one caller outside tests.
 OpSchedule BuildSchedule(const ConjunctiveQuery& query, const Plan& plan);
 
 /// Checks the internal consistency of a schedule:

@@ -53,7 +53,7 @@ std::string PlanVerdict::ToString() const {
 PlanVerdict VerifyPlan(const ConjunctiveQuery& query, const Plan& plan,
                        const Database& db) {
   PlanVerdict verdict;
-  verdict.logical = VerifyLogicalPlan(query, plan, &db);
+  verdict.logical = VerifyLogicalPlan(query, plan);
   if (!verdict.logical.ok()) {
     // The deeper passes assume a well-formed tree (theory conversions
     // PPR_CHECK on malformed labels), so they do not run.
@@ -103,7 +103,7 @@ Result<PhysicalPlan> CompileVerified(const ConjunctiveQuery& query,
     // The width cross-check assumes a well-formed tree (theory
     // conversions PPR_CHECK on malformed labels), so it runs only on a
     // plan the logical tier accepted.
-    Status verdict = VerifyLogicalPlan(query, plan, &db);
+    Status verdict = VerifyLogicalPlan(query, plan);
     if (verdict.ok()) verdict = CrossCheckWidth(query, plan, analysis);
     said.structural = VerdictOf(verdict);
     if (!verdict.ok()) return verdict;

@@ -89,7 +89,8 @@ struct VerifierReport {
 ///
 /// With PlanVerificationEnabled(): VerifyLogicalPlan, then
 /// CrossCheckWidth over `analysis` (failing on its status too, as
-/// VerifyPlan does) before lowering, and VerifyPhysicalPlan after. With
+/// VerifyPlan does, which is where schedule damage and catalog
+/// mismatches surface) before lowering, and VerifyPhysicalPlan after. With
 /// SemanticVerificationEnabled(): CertifyPlan, then CertifyCompiledPlan
 /// (analysis/semantic/certify.h). With both gates off it is
 /// PhysicalPlan::Compile. `report`, when non-null, receives what each

@@ -84,7 +84,7 @@ StrategyRun RunStrategy(StrategyKind kind, const ConjunctiveQuery& query,
   run.compile_seconds = compile_timer.ElapsedSeconds();
   PPR_CHECK(compiled.ok());
 
-  ExecutionResult result = compiled->Execute(tuple_budget);
+  ExecutionResult result = ExecuteCompiled(*compiled, tuple_budget);
   run.exec_seconds = result.seconds;
   run.timed_out = result.status.code() == StatusCode::kResourceExhausted;
   PPR_CHECK(run.timed_out || result.status.ok());

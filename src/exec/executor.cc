@@ -4,6 +4,9 @@
 
 #include "core/strategies.h"
 #include "exec/physical_plan.h"
+#include "obs/exporters.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace ppr {
 
@@ -24,7 +27,18 @@ ExecutionResult ExecutePlanWithOptions(const ConjunctiveQuery& query,
     result.status = compiled.status();
     return result;
   }
-  return compiled->Execute(options.tuple_budget, options.trace);
+  return ExecuteCompiled(*compiled, options.tuple_budget);
+}
+
+ExecutionResult ExecuteCompiled(const PhysicalPlan& plan,
+                                Counter tuple_budget) {
+  if (!TracingEnabled()) return plan.ExecuteShared(nullptr, tuple_budget);
+  TraceSink trace;
+  MetricsRegistry run_metrics;
+  ExecutionResult result =
+      plan.ExecuteShared(nullptr, tuple_budget, &trace, &run_metrics);
+  PublishRun(run_metrics, trace);
+  return result;
 }
 
 ExecutionResult ExecuteStraightforward(const ConjunctiveQuery& query,

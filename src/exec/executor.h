@@ -11,7 +11,7 @@
 
 namespace ppr {
 
-class TraceSink;
+class PhysicalPlan;
 
 /// Which join operator the executor uses at every internal node. The
 /// paper fixed hash joins ("hash joins proved most efficient in our
@@ -26,10 +26,6 @@ struct ExecutionOptions {
   /// Bound on total tuples produced (the deterministic timeout).
   Counter tuple_budget = kCounterMax;
   JoinAlgorithm join_algorithm = JoinAlgorithm::kHash;
-  /// Span sink for per-operator tracing (obs/trace.h). Null defers to
-  /// the process-wide PPR_TRACE sink; with both absent operators pay one
-  /// branch each.
-  TraceSink* trace = nullptr;
 };
 
 /// Outcome of executing one plan.
@@ -58,8 +54,9 @@ struct ExecutionResult {
 /// projected label is a strict subset of the working label.
 ///
 /// Implemented by compiling to a PhysicalPlan (exec/physical_plan.h) and
-/// executing it once; callers that run the same plan repeatedly should
-/// compile once themselves and call PhysicalPlan::Execute per run.
+/// running it once with ExecuteCompiled; callers that run the same plan
+/// repeatedly should compile once themselves and call
+/// PhysicalPlan::ExecuteShared per run with an arena they reuse.
 ///
 /// `tuple_budget` bounds total tuples produced across all operators; when
 /// exceeded the result carries RESOURCE_EXHAUSTED (the deterministic
@@ -72,6 +69,16 @@ ExecutionResult ExecutePlan(const ConjunctiveQuery& query, const Plan& plan,
 ExecutionResult ExecutePlanWithOptions(const ConjunctiveQuery& query,
                                        const Plan& plan, const Database& db,
                                        const ExecutionOptions& options);
+
+/// Runs a compiled plan once: PhysicalPlan::ExecuteShared with a per-run
+/// arena, honouring PPR_TRACE. Untraced, the run touches no process-wide
+/// state. With tracing enabled (obs/trace.h) it records into a private
+/// sink and registry and then publishes them with PublishRun
+/// (obs/exporters.h), so concurrent one-shot runs (the semantic tier
+/// certifies on every worker that misses the plan cache) publish under
+/// GlobalObsMutex() like the batch and service drains do.
+ExecutionResult ExecuteCompiled(const PhysicalPlan& plan,
+                                Counter tuple_budget = kCounterMax);
 
 /// Convenience oracle: evaluates the query with the straightforward plan
 /// (no reordering, single final projection). Reference answer for tests.

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/mutex.h"
 #include "common/timer.h"
 #include "obs/exporters.h"
 #include "obs/metrics.h"
@@ -258,26 +257,6 @@ Result<PhysicalPlan> PhysicalPlan::Compile(const ConjunctiveQuery& query,
   }
   return PhysicalPlan(std::move(nodes), std::move(joins), std::move(pool),
                       join_algorithm);
-}
-
-ExecutionResult PhysicalPlan::Execute(Counter tuple_budget,
-                                      TraceSink* trace) {
-  TraceSink* sink = trace != nullptr ? trace : GlobalTraceSinkIfEnabled();
-  MetricsRegistry* metrics = nullptr;
-  if (sink != nullptr) {
-    // Publishing into the global registry during the run is safe under
-    // Execute's documented single-threaded contract; the capability only
-    // covers obtaining the reference (serialized against drains).
-    MutexLock lock(GlobalObsMutex());
-    metrics = &GlobalMetrics();
-  }
-  ExecutionResult result =
-      ExecuteShared(&arena_, tuple_budget, sink, metrics);
-  if (sink != nullptr && sink == GlobalTraceSinkIfEnabled()) {
-    MutexLock lock(GlobalObsMutex());
-    (void)FlushTraceArtifacts();
-  }
-  return result;
 }
 
 ExecutionResult PhysicalPlan::ExecuteShared(ExecArena* arena,

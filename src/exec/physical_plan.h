@@ -73,21 +73,23 @@ struct PhysicalNode {
 /// build/probe key columns, payload copy maps, and projection masks;
 /// execution is then pure data movement through the kernels of
 /// relational/batch_ops.h, with operator scratch bump-allocated from an
-/// arena whose blocks are recycled across operators *and* across runs.
+/// arena the caller owns, whose blocks are recycled across operators
+/// *and* across the runs that reuse it.
 ///
 /// The compiled plan is three heap blocks whatever its size: the node
 /// array, the join specs, and the pool of ints every spec views. Every
 /// plan-cache miss builds one and every eviction frees one.
 ///
-/// There is one plan walker and one const entry point, ExecuteShared(),
-/// which runs every kernel call as one pass on the calling thread.
-/// Execute() is the convenience wrapper that adds the PPR_TRACE
-/// process-wide sink.
+/// There is one plan walker and one way to run it, the const
+/// ExecuteShared(), which runs every kernel call as one pass on the
+/// calling thread and touches no process-wide state. A one-shot run that
+/// honours PPR_TRACE goes through ExecuteCompiled (exec/executor.h),
+/// which publishes the run under the obs capability afterwards.
 ///
-/// The logical plan's semantics are untouched: Execute() performs the
-/// same operators in the same order with the same budget/statistics
-/// behavior as the seed interpreter, so tuples_produced,
-/// max_intermediate_arity, and the answer relation are identical.
+/// The logical plan's semantics are untouched: a run performs the same
+/// operators in the same order with the same budget/statistics behavior
+/// as the seed interpreter, so tuples_produced, max_intermediate_arity,
+/// and the answer relation are identical.
 ///
 /// The database must outlive the physical plan (leaves capture pointers
 /// to its stored relations); re-Put-ing a relation invalidates compiled
@@ -107,26 +109,14 @@ class PhysicalPlan {
       const ConjunctiveQuery& query, const Plan& plan, const Database& db,
       JoinAlgorithm join_algorithm = JoinAlgorithm::kHash);
 
-  /// Runs the compiled plan serially under `tuple_budget`. Scratch
-  /// memory from prior runs is reused, so steady-state executions make no
-  /// heap allocations outside the output relations.
-  ///
-  /// Operator spans are recorded into `trace` when non-null, otherwise
-  /// into the process-wide sink when PPR_TRACE is enabled
-  /// (obs/trace.h); with both absent the kernels pay one branch each and
-  /// the run leaves no other observability residue. Traced runs also
-  /// publish their ExecStats and per-span histograms to GlobalMetrics(),
-  /// and refresh the PPR_TRACE artifacts when the global sink was used.
-  ExecutionResult Execute(Counter tuple_budget = kCounterMax,
-                          TraceSink* trace = nullptr);
-
-  /// Const execution for a plan shared across threads (the plan cache of
-  /// src/runtime hands one compiled plan to many workers). The caller
-  /// supplies the scratch arena — each worker owns its own, reused across
-  /// jobs and Reset() here per run; nullptr falls back to a private
-  /// per-run arena. Nothing in the plan is mutated, so any number of
-  /// threads may ExecuteShared the same plan concurrently as long as each
-  /// passes its own arena/trace/metrics.
+  /// Runs the compiled plan serially under `tuple_budget`. The caller
+  /// supplies the scratch arena: it is Reset() here per run, so a caller
+  /// that reuses one across runs (each worker of src/runtime owns its
+  /// own) makes no heap allocations outside the output relations in
+  /// steady state; nullptr falls back to a private per-run arena.
+  /// Nothing in the plan is mutated, so any number of threads may run
+  /// the same plan concurrently (the plan cache hands one compiled plan
+  /// to many workers) as long as each passes its own arena/trace/metrics.
   ///
   /// Observability stays explicit and thread-local: spans go to `trace`
   /// when non-null (never to the process-wide sink), per-run stats (and,
@@ -178,8 +168,6 @@ class PhysicalPlan {
   std::vector<JoinSpec> joins_;
   SpecPool pool_;
   JoinAlgorithm join_algorithm_;
-  /// Scratch recycled across Execute() calls.
-  ExecArena arena_;
 };
 
 }  // namespace ppr

@@ -1,9 +1,10 @@
 #include "exec/semijoin_pass.h"
 
+#include <optional>
 #include <string>
 
 #include "common/check.h"
-#include "common/mutex.h"
+#include "obs/exporters.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "relational/batch_ops.h"
@@ -19,8 +20,12 @@ SemijoinPassResult SemijoinReduce(const ConjunctiveQuery& query,
   const int m = query.num_atoms();
   PPR_CHECK(m > 0);
 
+  // Traced, the pass records into a private sink and publishes it with
+  // its stats at the end (PublishRun), as ExecuteCompiled does.
+  std::optional<TraceSink> trace;
+  if (TracingEnabled()) trace.emplace();
   ExecContext ctx;
-  ctx.set_tracer(GlobalTraceSinkIfEnabled());
+  ctx.set_tracer(trace.has_value() ? &*trace : nullptr);
 
   // Materialize each atom as its own relation over the atom's attributes.
   std::vector<Relation> relations;
@@ -67,9 +72,10 @@ SemijoinPassResult SemijoinReduce(const ConjunctiveQuery& query,
   // The kernel counts its own invocations now (ExecStats::num_semijoins);
   // report the same number so the two views cannot drift.
   out.semijoins_performed = ctx.stats().num_semijoins;
-  if (ctx.tracer() != nullptr) {
-    MutexLock lock(GlobalObsMutex());
-    ctx.stats().PublishTo(&GlobalMetrics());
+  if (trace.has_value()) {
+    MetricsRegistry run_metrics;
+    ctx.stats().PublishTo(&run_metrics);
+    PublishRun(run_metrics, *trace);
   }
 
   // Rewrite the query so atom i reads its reduced relation; attribute

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/mutex.h"
+
 namespace ppr {
 
 std::string SpansToChromeTrace(const std::vector<TraceSpan>& spans) {
@@ -55,13 +57,19 @@ void PublishSpanMetrics(const std::vector<TraceSpan>& spans,
 }
 
 Status FlushTraceArtifacts() {
-  TraceSink* sink = GlobalTraceSinkIfEnabled();
-  if (sink == nullptr) return Status::Ok();
-  Status trace_status =
-      WriteFileAtomicEnough(TracePath(), SpansToChromeTrace(sink->Snapshot()));
+  if (!TracingEnabled()) return Status::Ok();
+  Status trace_status = WriteFileAtomicEnough(
+      TracePath(), SpansToChromeTrace(GlobalTraceSink().Snapshot()));
   if (!trace_status.ok()) return trace_status;
   return WriteFileAtomicEnough(TracePath() + ".metrics.jsonl",
                                GlobalMetrics().ToJsonLines());
+}
+
+void PublishRun(const MetricsRegistry& run, const TraceSink& trace) {
+  MutexLock lock(GlobalObsMutex());
+  GlobalMetrics().Merge(run);
+  if (TracingEnabled()) MergeIntoGlobalSink(trace);
+  (void)FlushTraceArtifacts();
 }
 
 }  // namespace ppr

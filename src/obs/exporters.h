@@ -35,6 +35,14 @@ void PublishSpanMetrics(const std::vector<TraceSpan>& spans,
 /// sink and registry, so the caller holds the obs capability.
 Status FlushTraceArtifacts() REQUIRES(GlobalObsMutex());
 
+/// Publishes one traced run that recorded into a private registry and
+/// sink: under GlobalObsMutex(), merges `run` into GlobalMetrics(), folds
+/// `trace` into the global sink (unless tracing was disabled meanwhile),
+/// and rewrites the trace artifacts. The one-shot runs (ExecuteCompiled,
+/// SemijoinReduce) call it once after each traced run.
+void PublishRun(const MetricsRegistry& run, const TraceSink& trace)
+    EXCLUDES(GlobalObsMutex());
+
 }  // namespace ppr
 
 #endif  // PPR_OBS_EXPORTERS_H_

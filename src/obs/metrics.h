@@ -99,11 +99,11 @@ MetricsSnapshot DeltaSince(const MetricsSnapshot& before,
 /// ExecStatsFromDelta reconstructs an ExecStats from two snapshots.
 ///
 /// Threading contract: a registry instance is single-threaded — it takes
-/// no locks and the engine's hot paths must stay lock-free. Concurrent
-/// components (src/runtime) give every worker its own registry *shard*
-/// and fold the shards into a target registry with Merge() from a single
-/// thread at batch drain; the process-wide GlobalMetrics() registry is
-/// only ever touched from that draining (or otherwise single) thread.
+/// no locks and the engine's hot paths must stay lock-free. Every run
+/// publishes into a registry of its own (a worker's shard in src/runtime
+/// and src/service, a one-shot run's own in ExecuteCompiled), which is
+/// folded into a target registry with Merge(); the process-wide
+/// GlobalMetrics() registry is only ever touched under GlobalObsMutex().
 /// Lookups are by string so this is for run-level accounting, never
 /// per-tuple paths (operators record spans, and spans publish here once
 /// per run).
@@ -147,12 +147,10 @@ class MetricsRegistry {
 
 /// Process-wide registry the execution layer publishes run metrics into
 /// while tracing is enabled; exported next to the Chrome trace as JSONL.
-/// Callers hold GlobalObsMutex() (obs_lock.h) to obtain the reference:
-/// that serializes the drain/publish paths — concurrent batch drains
-/// used to race each other here. The single-threaded traced-Execute
-/// path additionally writes through the escaped reference during its
-/// run, which is safe under that API's documented non-thread-safe
-/// contract (the analysis cannot see thread confinement).
+/// Callers hold GlobalObsMutex() (obs_lock.h) for as long as they use
+/// the reference: that serializes the drain/publish paths (batch
+/// drains, service requests, traced one-shot runs), which run
+/// concurrently.
 MetricsRegistry& GlobalMetrics() REQUIRES(GlobalObsMutex());
 
 /// Renders a snapshot with the same JSONL schema as

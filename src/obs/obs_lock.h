@@ -5,20 +5,16 @@
 
 namespace ppr {
 
-/// The process-wide observability capability. Everything that mutates
-/// global observability state — merging worker shards into the global
-/// registry or trace sink, flushing trace artifacts, swapping the trace
-/// configuration — REQUIRES (or internally takes) this mutex, so two
-/// BatchExecutor::Run drains, or a drain racing a test's
-/// EnableTracing/DisableTracing, serialize instead of corrupting the
-/// shared state. All uses are cold drain/config paths; per-operator
-/// recording stays lock-free on thread-confined shards.
-///
-/// What the capability cannot cover (documented thread-confinement): the
-/// single-threaded PhysicalPlan::Execute records into the global sink
-/// and registry *during* a traced run without the lock. That is safe
-/// under Execute's documented non-thread-safe contract; concurrent
-/// components use ExecuteShared with private shards instead.
+/// The process-wide observability capability. Everything that reads or
+/// mutates global observability state — merging a run's private shards
+/// into the global registry or trace sink, reading the global sink,
+/// flushing trace artifacts, swapping the trace configuration — REQUIRES
+/// (or internally takes) this mutex, so two BatchExecutor::Run drains,
+/// two one-shot runs (ExecuteCompiled) on different threads, or a drain
+/// racing a test's EnableTracing/DisableTracing, serialize instead of
+/// corrupting the shared state. All uses are cold drain/config paths;
+/// per-operator recording stays lock-free on thread-confined shards,
+/// and no run records into the global state directly.
 Mutex& GlobalObsMutex();
 
 }  // namespace ppr

@@ -64,8 +64,6 @@ const char* QuerySourceName(QuerySource source) {
   switch (source) {
     case QuerySource::kBatch:
       return "batch";
-    case QuerySource::kTool:
-      return "tool";
     case QuerySource::kService:
       return "service";
   }

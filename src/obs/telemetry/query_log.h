@@ -16,7 +16,6 @@ namespace ppr {
 /// Which drain point produced a query record.
 enum class QuerySource : uint8_t {
   kBatch = 0,    // BatchExecutor::Run (inter-query parallelism)
-  kTool = 2,     // examples/tools recording runs by hand
   kService = 3,  // QueryService (the resident daemon, one record/request)
 };
 const char* QuerySourceName(QuerySource source);

@@ -14,11 +14,7 @@ struct GlobalTraceState {
   /// reader is a defined (if momentarily stale) load, not a torn one.
   std::atomic<bool> enabled{false};
   std::string path GUARDED_BY(GlobalObsMutex());
-  /// Not GUARDED_BY: the traced single-threaded Execute path records
-  /// into it lock-free (see GlobalTraceSinkIfEnabled in trace.h);
-  /// drain-side mutation goes through MergeIntoGlobalSink/DisableTracing
-  /// which hold GlobalObsMutex().
-  TraceSink sink;
+  TraceSink sink GUARDED_BY(GlobalObsMutex());
 
   // Seeded from the once-read ProcessEnv() snapshot (common/env.h)
   // instead of a getenv call here, so enabling state can be derived on a
@@ -123,11 +119,7 @@ bool TracingEnabled() {
 
 const std::string& TracePath() { return TraceState().path; }
 
-TraceSink* GlobalTraceSinkIfEnabled() {
-  GlobalTraceState& state = TraceState();
-  return state.enabled.load(std::memory_order_acquire) ? &state.sink
-                                                       : nullptr;
-}
+const TraceSink& GlobalTraceSink() { return TraceState().sink; }
 
 void MergeIntoGlobalSink(const TraceSink& shard) {
   TraceState().sink.Merge(shard);

@@ -67,11 +67,12 @@ struct TraceSpan {
 /// dropped.
 ///
 /// Threading contract: a sink instance is single-threaded — Record()
-/// takes no locks, keeping the kernels' enabled path cheap. Concurrent
-/// components (src/runtime) attach a private sink *shard* to each
-/// worker's ExecContext and fold the shards into the process-wide sink
-/// with Merge() from a single thread at batch drain; the global sink is
-/// only ever touched from that draining (or otherwise single) thread.
+/// takes no locks, keeping the kernels' enabled path cheap. Every run
+/// records into a private sink (a worker's shard in src/runtime and
+/// src/service, a one-shot run's own in ExecuteCompiled), and the sinks
+/// are folded into the process-wide one with MergeIntoGlobalSink, which
+/// requires GlobalObsMutex(); nothing records into the global sink
+/// directly.
 class TraceSink {
  public:
   static constexpr size_t kDefaultCapacity = 8192;
@@ -178,18 +179,16 @@ bool TracingEnabled();
 /// rebinds it), hence the REQUIRES.
 const std::string& TracePath() REQUIRES(GlobalObsMutex());
 
-/// The global sink executions record into while tracing is enabled;
-/// nullptr when disabled. The null return is the branch operators pay.
-/// Lock-free: recording through the returned pointer is thread-confined
-/// to the single-threaded traced-Execute contract, which the analysis
-/// cannot see — concurrent components record into private shards and
-/// fold them in via MergeIntoGlobalSink() instead.
-TraceSink* GlobalTraceSinkIfEnabled();
+/// The process-wide sink whose spans the PPR_TRACE artifact exports
+/// (FlushTraceArtifacts); empty while tracing is disabled. Read-only, and
+/// only under the obs capability: runs fill it through
+/// MergeIntoGlobalSink.
+const TraceSink& GlobalTraceSink() REQUIRES(GlobalObsMutex());
 
-/// Folds a worker shard into the global sink. The drain-side entry point
+/// Folds a private sink into the global sink. The drain-side entry point
 /// of the sharded design: requiring the obs capability here is what
-/// makes two concurrent BatchExecutor drains serialize instead of
-/// corrupting the global ring (a race the annotations surfaced).
+/// makes two concurrent drains or one-shot runs serialize instead of
+/// corrupting the global ring.
 void MergeIntoGlobalSink(const TraceSink& shard) REQUIRES(GlobalObsMutex());
 
 }  // namespace ppr

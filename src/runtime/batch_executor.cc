@@ -115,7 +115,7 @@ BatchResult BatchExecutor::Run(const std::vector<BatchJob>& jobs) {
   out.results.resize(jobs.size());
   const PlanCache::Stats cache_before = cache_->stats();
 
-  const bool tracing = GlobalTraceSinkIfEnabled() != nullptr;
+  const bool tracing = TracingEnabled();
   // The whole disabled-telemetry cost: this one branch, hoisted out of
   // the per-job path entirely (workers see a null telemetry slot and
   // skip every capture).

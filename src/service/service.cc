@@ -208,8 +208,7 @@ void QueryService::WorkerLoop() {
   // when tracing is on (the ExecuteShared contract: spans never go to the
   // process-wide sink directly), and handed to the flight recorder, whose
   // dumps then hold the spans of the request that triggered them.
-  const bool spans =
-      GlobalTraceSinkIfEnabled() != nullptr || FlightRecorderEnabled();
+  const bool spans = TracingEnabled() || FlightRecorderEnabled();
   std::unique_ptr<TraceSink> trace =
       spans ? std::make_unique<TraceSink>() : nullptr;
   while (true) {
@@ -317,7 +316,7 @@ void QueryService::RecordOutcome(const ServiceReply& reply,
   MutexLock lock(GlobalObsMutex());
   MetricsRegistry& global = GlobalMetrics();
   if (run != nullptr) global.Merge(*run);
-  if (trace != nullptr && GlobalTraceSinkIfEnabled() != nullptr) {
+  if (trace != nullptr && TracingEnabled()) {
     MergeIntoGlobalSink(*trace);
   }
   global.AddCounter("service.requests", 1);
@@ -387,7 +386,7 @@ void QueryService::Drain() {
   }
   MutexLock obs(GlobalObsMutex());
   if (GlobalQueryLogIfEnabled() != nullptr) (void)FlushQueryLogArtifact();
-  if (GlobalTraceSinkIfEnabled() != nullptr) (void)FlushTraceArtifacts();
+  if (TracingEnabled()) (void)FlushTraceArtifacts();
 }
 
 ServiceCounters QueryService::counters() const {

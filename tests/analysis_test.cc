@@ -54,13 +54,12 @@ Plan PathPlan() {
 }
 
 TEST(LogicalVerifierTest, AcceptsAllStrategyPlans) {
-  Database db = ThreeColorDb();
   Rng rng(7);
   for (int n : {6, 9, 12}) {
     ConjunctiveQuery q = KColorQuery(ConnectedRandomGraph(n, n + 4, rng));
     for (StrategyKind kind : AllStrategies()) {
       Plan plan = BuildStrategyPlan(kind, q, 3);
-      EXPECT_TRUE(VerifyLogicalPlan(q, plan, &db).ok())
+      EXPECT_TRUE(VerifyLogicalPlan(q, plan).ok())
           << StrategyName(kind) << " on n=" << n;
     }
   }
@@ -131,22 +130,34 @@ TEST(LogicalVerifierTest, RejectsWrongRootSchema) {
   EXPECT_FALSE(VerifyLogicalPlan(q, plan).ok());
 }
 
+// The logical tier checks the tree, not the catalog. The analyzer reads
+// per-column statistics of each atom's relation, so it refuses a relation
+// absent from the catalog or present with the wrong arity, and the
+// verified compile fails on the analysis's status.
 TEST(LogicalVerifierTest, RejectsRelationAbsentFromCatalog) {
   ConjunctiveQuery q = PathQuery();
   Plan plan = PathPlan();
   Database empty_db;
-  EXPECT_TRUE(VerifyLogicalPlan(q, plan).ok());  // no catalog: structural ok
-  EXPECT_FALSE(VerifyLogicalPlan(q, plan, &empty_db).ok());
+  EXPECT_TRUE(VerifyLogicalPlan(q, plan).ok());  // structurally ok
 
   // Relation present but with the wrong arity.
   Database bad_arity;
   bad_arity.Put("edge", Relation{Schema({0, 1, 2})});
-  EXPECT_FALSE(VerifyLogicalPlan(q, plan, &bad_arity).ok());
 
-  // The analyzer reads per-column statistics of each atom's relation, so
-  // it refuses both catalogs too.
   EXPECT_FALSE(AnalyzePlan(q, plan, empty_db).status.ok());
   EXPECT_FALSE(AnalyzePlan(q, plan, bad_arity).status.ok());
+
+  EnablePlanVerification(true);
+  for (const Database* db : {&empty_db, &bad_arity}) {
+    const StaticAnalysis analysis = AnalyzePlan(q, plan, *db);
+    VerifierReport report;
+    Result<PhysicalPlan> compiled =
+        CompileVerified(q, plan, *db, analysis, &report);
+    ASSERT_FALSE(compiled.ok());
+    EXPECT_EQ(compiled.status().ToString(), analysis.status.ToString());
+    EXPECT_EQ(report.structural, compiled.status().ToString());
+  }
+  EnablePlanVerification(false);
 }
 
 TEST(ScheduleTest, LinearizesInBudgetChargeOrder) {
@@ -574,7 +585,7 @@ TEST_F(CompileVerifiedTest, RejectsCorruptPlansWhenGated) {
       CompileVerified(q, plan, db, AnalyzePlan(q, plan, db), &report);
   ASSERT_TRUE(compiled.ok());
   EXPECT_EQ(report.structural, "OK");
-  EXPECT_TRUE(compiled->Execute().status.ok());
+  EXPECT_TRUE(ExecuteCompiled(*compiled).status.ok());
 
   // The gate decides: off, the corrupt tree is lowered.
   EnablePlanVerification(false);
@@ -646,13 +657,15 @@ TEST(PeakBytesRegressionTest, EmptyDatabaseReportsZeroPeakBytes) {
     Plan plan = BuildStrategyPlan(kind, q, 1);
     Result<PhysicalPlan> compiled = PhysicalPlan::Compile(q, plan, db);
     ASSERT_TRUE(compiled.ok());
-    ExecutionResult run = compiled->Execute();
+    ExecArena arena;
+    ExecutionResult run = compiled->ExecuteShared(&arena);
     ASSERT_TRUE(run.status.ok());
     EXPECT_TRUE(run.output.empty());
     EXPECT_EQ(run.stats.peak_bytes, 0) << StrategyName(kind);
-    // Still zero on re-execution of the compiled plan (no stale arena
-    // high-water mark leaking through).
-    EXPECT_EQ(compiled->Execute().stats.peak_bytes, 0) << StrategyName(kind);
+    // Still zero on re-execution of the compiled plan in the same arena
+    // (no stale arena high-water mark leaking through).
+    EXPECT_EQ(compiled->ExecuteShared(&arena).stats.peak_bytes, 0)
+        << StrategyName(kind);
   }
   ExplainResult explain = ExplainPlan(q, StraightforwardPlan(q), db, 3.0);
   ASSERT_TRUE(explain.status.ok());

@@ -234,9 +234,9 @@ TEST(ExportersTest, PublishSpanMetricsFillsHistograms) {
 TEST(TracingGateTest, DisabledByDefaultAndTogglable) {
   // The test environment must not set PPR_TRACE (the build never does).
   ASSERT_FALSE(TracingEnabled());
-  EXPECT_EQ(GlobalTraceSinkIfEnabled(), nullptr);
   {
     MutexLock lock(GlobalObsMutex());
+    EXPECT_EQ(GlobalTraceSink().total_recorded(), 0u);
     EXPECT_TRUE(FlushTraceArtifacts().ok());  // no-op when disabled
   }
 
@@ -247,10 +247,23 @@ TEST(TracingGateTest, DisabledByDefaultAndTogglable) {
     MutexLock lock(GlobalObsMutex());
     EXPECT_EQ(TracePath(), path);
   }
-  ASSERT_NE(GlobalTraceSinkIfEnabled(), nullptr);
+  // A traced one-shot run folds its private sink into the global one.
+  ConjunctiveQuery q = PentagonQuery();
+  Database db;
+  AddColoringRelations(3, &db);
+  ASSERT_TRUE(ExecutePlan(q, EarlyProjectionPlan(q), db).status.ok());
+  {
+    MutexLock lock(GlobalObsMutex());
+    EXPECT_GT(GlobalTraceSink().total_recorded(), 0u);
+  }
   DisableTracing();
   EXPECT_FALSE(TracingEnabled());
-  EXPECT_EQ(GlobalTraceSinkIfEnabled(), nullptr);
+  {
+    MutexLock lock(GlobalObsMutex());
+    EXPECT_EQ(GlobalTraceSink().total_recorded(), 0u);
+  }
+  std::remove(path.c_str());
+  std::remove((path + ".metrics.jsonl").c_str());
 }
 
 class TracedExecutionTest : public ::testing::Test {
@@ -259,22 +272,35 @@ class TracedExecutionTest : public ::testing::Test {
   Database db_;
 };
 
-TEST_F(TracedExecutionTest, ExplicitSinkCollectsSpansWithNodeIds) {
+TEST_F(TracedExecutionTest, GlobalSinkCollectsSpansWithNodeIds) {
   ConjunctiveQuery q = PentagonQuery();
   Plan plan = BucketEliminationPlanMcs(q, nullptr);
   Result<PhysicalPlan> compiled = PhysicalPlan::Compile(q, plan, db_);
   ASSERT_TRUE(compiled.ok());
 
+  const std::string path = ::testing::TempDir() + "ppr_obs_test_spans.json";
+  EnableTracing(path);
+  uint64_t mark = 0;
   MetricsSnapshot before;
   {
     MutexLock lock(GlobalObsMutex());
     GlobalMetrics().Clear();
+    mark = GlobalTraceSink().total_recorded();
     before = GlobalMetrics().Snapshot();
   }
-  TraceSink sink;
-  ExecutionResult traced = compiled->Execute(kCounterMax, &sink);
+  ExecutionResult traced = ExecuteCompiled(*compiled);
+  std::vector<TraceSpan> spans;
+  MetricsSnapshot after;
+  {
+    MutexLock lock(GlobalObsMutex());
+    spans = GlobalTraceSink().SnapshotSince(mark);
+    after = GlobalMetrics().Snapshot();
+  }
+  DisableTracing();
+  std::remove(path.c_str());
+  std::remove((path + ".metrics.jsonl").c_str());
+
   ASSERT_TRUE(traced.status.ok());
-  const std::vector<TraceSpan> spans = sink.Snapshot();
   ASSERT_FALSE(spans.empty());
   for (const TraceSpan& span : spans) {
     EXPECT_GE(span.node_id, 0);
@@ -291,11 +317,6 @@ TEST_F(TracedExecutionTest, ExplicitSinkCollectsSpansWithNodeIds) {
 
   // The traced run published its stats: the registry delta reconstructs
   // exactly the run's ExecStats (the "view" contract).
-  MetricsSnapshot after;
-  {
-    MutexLock lock(GlobalObsMutex());
-    after = GlobalMetrics().Snapshot();
-  }
   const MetricsSnapshot delta = DeltaSince(before, after);
   const ExecStats back = ExecStatsFromDelta(delta);
   EXPECT_EQ(back.tuples_produced, traced.stats.tuples_produced);
@@ -312,11 +333,14 @@ TEST_F(TracedExecutionTest, UntracedRunMatchesTracedRunExactly) {
   Result<PhysicalPlan> compiled = PhysicalPlan::Compile(q, plan, db_);
   ASSERT_TRUE(compiled.ok());
 
-  ExecutionResult plain = compiled->Execute();
+  ExecutionResult plain = compiled->ExecuteShared(nullptr);
   TraceSink sink;
-  ExecutionResult traced = compiled->Execute(kCounterMax, &sink);
+  MetricsRegistry registry;
+  ExecutionResult traced =
+      compiled->ExecuteShared(nullptr, kCounterMax, &sink, &registry);
   ASSERT_TRUE(plain.status.ok());
   ASSERT_TRUE(traced.status.ok());
+  EXPECT_GT(sink.total_recorded(), 0u);
   EXPECT_EQ(plain.output.size(), traced.output.size());
   EXPECT_EQ(plain.stats.tuples_produced, traced.stats.tuples_produced);
   EXPECT_EQ(plain.stats.num_joins, traced.stats.num_joins);
@@ -336,7 +360,7 @@ TEST_F(TracedExecutionTest, EnvGatedFlushWritesBothArtifacts) {
   DisableTracing();
   ASSERT_TRUE(r.status.ok());
 
-  // Execute() flushed the artifacts on its way out.
+  // ExecuteCompiled flushed the artifacts on its way out.
   std::FILE* trace = std::fopen(path.c_str(), "r");
   ASSERT_NE(trace, nullptr);
   std::fclose(trace);

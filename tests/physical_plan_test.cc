@@ -165,12 +165,13 @@ TEST(PhysicalPlanTest, CompiledPlanIsReusableAcrossRuns) {
   Result<PhysicalPlan> compiled = PhysicalPlan::Compile(q, plan, db);
   ASSERT_TRUE(compiled.ok());
 
-  const ExecutionResult first = compiled->Execute();
+  ExecArena arena;
+  const ExecutionResult first = compiled->ExecuteShared(&arena);
   ASSERT_TRUE(first.status.ok());
   // Repeated executions recycle the arena; results and stats must not
   // drift run over run.
   for (int i = 0; i < 3; ++i) {
-    const ExecutionResult again = compiled->Execute();
+    const ExecutionResult again = compiled->ExecuteShared(&arena);
     ASSERT_TRUE(again.status.ok());
     EXPECT_TRUE(again.output.SetEquals(first.output));
     EXPECT_EQ(again.stats.tuples_produced, first.stats.tuples_produced);
@@ -179,9 +180,9 @@ TEST(PhysicalPlanTest, CompiledPlanIsReusableAcrossRuns) {
   // A budgeted run on the same compiled plan, then an unbudgeted one:
   // truncation must not corrupt later executions.
   const ExecutionResult truncated =
-      compiled->Execute(first.stats.tuples_produced - 1);
+      compiled->ExecuteShared(&arena, first.stats.tuples_produced - 1);
   EXPECT_EQ(truncated.status.code(), StatusCode::kResourceExhausted);
-  const ExecutionResult after = compiled->Execute();
+  const ExecutionResult after = compiled->ExecuteShared(&arena);
   ASSERT_TRUE(after.status.ok());
   EXPECT_TRUE(after.output.SetEquals(first.output));
 }
@@ -284,7 +285,7 @@ TEST(PhysicalPlanTest, OnlyDistinctInputsKeyAProjection) {
     EXPECT_TRUE(inner.distinct);
     EXPECT_FALSE(compiled->node(inner.children[0]).distinct);
     EXPECT_EQ(root.keyed, KeyedSide::kLeft);
-    const ExecutionResult run = compiled->Execute();
+    const ExecutionResult run = compiled->ExecuteShared(nullptr);
     ASSERT_TRUE(run.status.ok());
     // SetEquals ignores duplicate rows; the row count does not.
     EXPECT_EQ(run.output.size(), oracle.size());

@@ -137,7 +137,9 @@ TEST(PlanFootprintTest, CompiledPlanIsAFewBlocks) {
 // A serve-like cache entry, built by the resolve step every front end
 // shares, holds its cached plan (one block for the entry, three for the
 // compiled plan) and the cache's slot for it (the key's structure string,
-// its LRU node and its index node): no copy of the query.
+// its LRU node and its index node): no copy of the query, and no scratch
+// arena (a run's caller brings its own). The byte bound fails if the plan
+// carries an 80-byte arena again (5,911 bytes with g++ 12).
 TEST(PlanFootprintTest, CacheEntryHoldsOnlyWhatARequestReads) {
   Database db;
   AddColoringRelations(3, &db);
@@ -162,7 +164,7 @@ TEST(PlanFootprintTest, CacheEntryHoldsOnlyWhatARequestReads) {
               static_cast<long long>(held.bytes));
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_LE(held.blocks, 7);
-  EXPECT_LE(held.bytes, 6000);
+  EXPECT_LE(held.bytes, 5880);
 }
 
 TEST(PlanFootprintTest, MovedPlanExecutesToTheSameAnswer) {

@@ -406,7 +406,7 @@ TEST(PlanMutationFuzzTest, LogicalVerifierRejectsEveryCorruption) {
     Workload w = RandomWorkload(rng);
     const Plan pristine =
         BuildStrategyPlan(RandomStrategy(rng), w.query, rng.NextU64());
-    ASSERT_TRUE(VerifyLogicalPlan(w.query, pristine, &w.db).ok())
+    ASSERT_TRUE(VerifyLogicalPlan(w.query, pristine).ok())
         << "pristine plan rejected on trial " << trial;
 
     const NamedLogicalMutator& mutator =
@@ -418,7 +418,7 @@ TEST(PlanMutationFuzzTest, LogicalVerifierRejectsEveryCorruption) {
     // accepted it, so the analyzer must return on every mutant, with any
     // status.
     (void)AnalyzePlan(w.query, mutant, w.db);
-    const Status verdict = VerifyLogicalPlan(w.query, mutant, &w.db);
+    const Status verdict = VerifyLogicalPlan(w.query, mutant);
     if (!verdict.ok()) {
       rejected[mutator.name]++;
     } else {
@@ -573,7 +573,7 @@ TEST(SemanticMutationFuzzTest, CertifierIsSoundOnWrongQueryPlans) {
 
     const Plan plan =
         BuildStrategyPlan(RandomStrategy(rng), mutated, rng.NextU64());
-    ASSERT_TRUE(VerifyLogicalPlan(mutated, plan, &w.db).ok())
+    ASSERT_TRUE(VerifyLogicalPlan(mutated, plan).ok())
         << "plan for mutated query rejected structurally on trial " << trial;
     applied[mutator.name]++;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -19,6 +20,7 @@
 #include "graph/generators.h"
 #include "obs/metrics.h"
 #include "obs/obs_lock.h"
+#include "obs/trace.h"
 #include "query/conjunctive_query.h"
 #include "relational/database.h"
 #include "runtime/batch_executor.h"
@@ -591,6 +593,48 @@ TEST(ResolvePlanTest, MissesCompileThroughTheVerifiedCompile) {
   EXPECT_TRUE(miss.compiled_here);
   EXPECT_FALSE(hit.compiled_here);
   EXPECT_EQ(certifications() - before, 2);
+}
+
+// With PPR_TRACE and the semantic gate both on, misses certify on several
+// workers at once, and a certification runs its canonical databases
+// one-shot. Those runs once recorded into the process-wide trace sink and
+// registry without the obs lock, so concurrent misses corrupted one trace
+// ring (heap-corruption aborts in release builds, races under tsan). A
+// one-shot run records into a private sink and publishes it under
+// GlobalObsMutex(), so every certification is counted.
+TEST(BatchExecutorTest, TracedCertifiedMissesPublishUnderTheLock) {
+  Database db = ThreeColorDb();
+  Rng rng(7);
+  std::vector<ConjunctiveQuery> queries;
+  for (int i = 0; i < 16; ++i) {
+    queries.push_back(KColorQuery(RandomGraphWithDensity(8, 1.3, rng)));
+  }
+  const std::vector<BatchJob> jobs =
+      JobsFrom(queries, StrategyKind::kBucketElimination, 2'000'000);
+  const auto certifications = [] {
+    MutexLock lock(GlobalObsMutex());
+    return GlobalMetrics().counter("analysis.semantic.certifications");
+  };
+  const std::string path =
+      ::testing::TempDir() + "ppr_runtime_traced_certified.json";
+  ASSERT_FALSE(TracingEnabled());
+  const bool semantics = SemanticVerificationEnabled();
+  const int64_t before = certifications();
+  EnableTracing(path);
+  EnableSemanticVerification(true);
+  BatchOptions options;
+  options.num_threads = 4;
+  const BatchResult batch = BatchExecutor(db, options).Run(jobs);
+  EnableSemanticVerification(semantics);
+  DisableTracing();
+  std::remove(path.c_str());
+  std::remove((path + ".metrics.jsonl").c_str());
+
+  for (const ExecutionResult& r : batch.results) {
+    EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+  }
+  EXPECT_GT(batch.cache.misses, 0);
+  EXPECT_EQ(certifications() - before, 2 * batch.cache.misses);
 }
 
 TEST(BatchExecutorTest, HitRateExceedsHalfOnTwoHundredIsomorphicJobs) {

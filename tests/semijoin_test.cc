@@ -134,12 +134,11 @@ TEST(SemijoinPassTest, ReportedCountMatchesKernelSpansWhenTraced) {
   const std::string path =
       ::testing::TempDir() + "ppr_semijoin_trace.json";
   EnableTracing(path);
-  TraceSink* sink = GlobalTraceSinkIfEnabled();
-  ASSERT_NE(sink, nullptr);
-  const uint64_t mark = sink->total_recorded();
+  uint64_t mark = 0;
   MetricsSnapshot before;
   {
     MutexLock lock(GlobalObsMutex());
+    mark = GlobalTraceSink().total_recorded();
     before = GlobalMetrics().Snapshot();
   }
 
@@ -147,12 +146,12 @@ TEST(SemijoinPassTest, ReportedCountMatchesKernelSpansWhenTraced) {
   ASSERT_TRUE(result.status.ok());
 
   Counter spans = 0;
-  for (const TraceSpan& span : sink->SnapshotSince(mark)) {
-    if (span.op == TraceOp::kSemiJoin) ++spans;
-  }
   MetricsSnapshot after;
   {
     MutexLock lock(GlobalObsMutex());
+    for (const TraceSpan& span : GlobalTraceSink().SnapshotSince(mark)) {
+      if (span.op == TraceOp::kSemiJoin) ++spans;
+    }
     after = GlobalMetrics().Snapshot();
   }
   const MetricsSnapshot delta = DeltaSince(before, after);

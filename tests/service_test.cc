@@ -329,7 +329,7 @@ TEST(QueryServiceTest, TinyTupleBudgetIsBudgetExhausted) {
 // budget-exhausted request's dump holds that request's own spans, and
 // none of the request served before it, whose plan has more nodes.
 TEST(QueryServiceTest, FlightDumpHoldsTheTriggeringRequestsSpans) {
-  ASSERT_EQ(GlobalTraceSinkIfEnabled(), nullptr);
+  ASSERT_FALSE(TracingEnabled());
   // The flight recorder, and the in-memory query log whose medians it
   // reads, on for this test only.
   struct FlightSession {

@@ -21,8 +21,8 @@
 #include <thread>
 #include <vector>
 
-#include "analysis/plan_verifier.h"
 #include "analysis/verifier.h"
+#include "analysis/width_analyzer.h"
 #include "benchlib/batch_workload.h"
 #include "benchlib/harness.h"
 #include "common/mutex.h"
@@ -515,15 +515,17 @@ TEST(FlightRecorderTest, SeededVerifierFailureProducesValidatedDump) {
   FlightSession session(options);
 
   // A job over a relation the catalog lacks: with the structural gate on,
-  // the logical tier rejects its plan before it is lowered.
+  // the verified compile fails on the analysis's status before lowering.
   Database db;
   AddColoringRelations(3, &db);
   BatchJob job;
   job.query =
       ConjunctiveQuery({Atom{"edge", {0, 1}}, Atom{"unstored", {1, 2}}}, {0});
   job.strategy = StrategyKind::kBucketElimination;
-  const Status rejection = VerifyLogicalPlan(
-      job.query, BuildStrategyPlan(job.strategy, job.query, job.seed), &db);
+  const Status rejection =
+      AnalyzePlan(job.query,
+                  BuildStrategyPlan(job.strategy, job.query, job.seed), db)
+          .status;
   ASSERT_FALSE(rejection.ok());
 
   EnablePlanVerification(true);
