@@ -1,34 +1,33 @@
-// Verifier smoke run: prove every plan the five paper strategies produce
-// on the 3-COLOR and 3-SAT generator families, both before and after
-// lowering. Exits nonzero on the first verdict regression, so CI catches
-// a strategy (or a compiler change) that starts emitting plans the
-// static analysis rejects — or a verifier change that starts rejecting
+// Verifier smoke run: compile every plan the five paper strategies
+// produce on the 3-COLOR and 3-SAT generator families through
+// CompileVerified, the verified compile that pprd, BatchExecutor and
+// EXPLAIN use. Exits nonzero on the first verdict regression, so CI
+// catches a strategy (or a compiler change) that starts emitting plans a
+// verifier tier rejects, or a verifier change that starts rejecting
 // known-good plans.
 //
-// A second sweep turns on the semantic tier (PPR_VERIFY_SEMANTICS
-// semantics: Chandra–Merlin certification of every plan CompileVerified
-// compiles, plus the per-rewrite certificate each strategy emits) and
-// proves the same matrix. A final timing pass gates the cost of the
-// verified compile when every tier is *disabled* — the default
-// configuration must not pay for the proof it is not running. The
-// structural sweep also counts the plans it proved that carry a keyed
-// projection, and fails at zero.
+// The matrix is proved twice: first with the structural gate on
+// (PPR_VERIFY_PLANS: the logical tier and the width cross-check before
+// lowering, the physical tier after), then with the semantic gate on
+// (PPR_VERIFY_SEMANTICS: Chandra–Merlin certification of the logical and
+// the compiled plan). The structural sweep counts the plans it proved
+// that carry a keyed projection, and fails at zero. A final timing pass
+// gates the cost of the verified compile when every tier is *disabled*:
+// the default configuration must not pay for the proof it is not
+// running.
 
 #include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "analysis/semantic/certificate_checker.h"
 #include "analysis/verifier.h"
 #include "analysis/width_analyzer.h"
 #include "benchlib/harness.h"
 #include "common/rng.h"
 #include "common/timer.h"
-#include "core/rewrite_certificate.h"
 #include "encode/kcolor.h"
 #include "encode/sat.h"
-#include "exec/executor.h"
 #include "exec/physical_plan.h"
 #include "graph/generators.h"
 #include "query/conjunctive_query.h"
@@ -91,63 +90,48 @@ bool HasKeyedProjection(const PhysicalPlan& plan) {
   return false;
 }
 
-// Verifies all strategies on one workload; returns the failure count and
-// adds to `keyed` the verified plans that carry a keyed projection.
-int RunWorkload(const Workload& workload, const Database& db, int* keyed) {
+// Which verifier gate a sweep turns on.
+enum class Tier { kStructural, kSemantic };
+
+const char* TierName(Tier tier) {
+  return tier == Tier::kStructural ? "structural (PPR_VERIFY_PLANS)"
+                                   : "semantic (PPR_VERIFY_SEMANTICS)";
+}
+
+// Compiles every strategy's plan of one workload through CompileVerified
+// with only `tier`'s gate on; returns the failure count and adds to
+// `keyed` the proved plans that carry a keyed projection. A compile the
+// tier did not report on counts as a failure, so a gate that stops
+// switching its tier on cannot pass the sweep.
+int RunWorkload(Tier tier, const Workload& workload, const Database& db,
+                int* keyed) {
   int failures = 0;
   for (StrategyKind kind : AllStrategies()) {
     const Plan plan = BuildStrategyPlan(kind, workload.query, 1);
+    const StaticAnalysis analysis = AnalyzePlan(workload.query, plan, db);
+    VerifierReport report;
     Result<PhysicalPlan> compiled =
-        PhysicalPlan::Compile(workload.query, plan, db);
-    PlanVerdict verdict;
-    if (compiled.ok()) {
-      verdict = VerifyCompiledPlan(workload.query, plan, db, *compiled);
-    } else {
-      verdict = VerifyPlan(workload.query, plan, db);
-      verdict.physical = compiled.status();
-    }
-    if (verdict.ok()) {
-      const bool has_keyed = HasKeyedProjection(*compiled);
-      *keyed += has_keyed ? 1 : 0;
-      std::printf("OK    %-42s %-10s width=%d rows<=%.3g%s\n",
-                  workload.name.c_str(), StrategyName(kind), plan.Width(),
-                  verdict.analysis.max_intermediate_rows_bound,
-                  has_keyed ? " keyed" : "");
-    } else {
+        CompileVerified(workload.query, plan, db, analysis, &report);
+    const std::string& verdict =
+        tier == Tier::kStructural ? report.structural : report.semantic;
+    if (!compiled.ok() || verdict != "OK") {
       ++failures;
-      std::printf("FAIL  %-42s %-10s\n%s\n", workload.name.c_str(),
-                  StrategyName(kind), verdict.ToString().c_str());
-    }
-  }
-  return failures;
-}
-
-// Semantic sweep: with the third verifier tier enabled, CompileVerified
-// certifies each plan (logical and lowered) against the query by the
-// canonical-database equivalence check, and the strategy's rewrite
-// certificate is validated step by step. Returns the failure count.
-int RunSemanticWorkload(const Workload& workload, const Database& db) {
-  int failures = 0;
-  for (StrategyKind kind : AllStrategies()) {
-    RewriteCertificate certificate;
-    WallTimer timer;
-    const Plan plan =
-        BuildStrategyPlanWithCertificate(kind, workload.query, 1,
-                                         &certificate);
-    const Status cert_verdict =
-        CheckRewriteCertificate(workload.query, plan, certificate);
-    Result<PhysicalPlan> compiled = CompileVerified(
-        workload.query, plan, db, AnalyzePlan(workload.query, plan, db));
-    const double seconds = timer.ElapsedSeconds();
-    if (cert_verdict.ok() && compiled.ok()) {
-      std::printf("OK    %-42s %-10s semantics+certificate %.3gs\n",
-                  workload.name.c_str(), StrategyName(kind), seconds);
-    } else {
-      ++failures;
-      const Status& bad = cert_verdict.ok() ? compiled.status() : cert_verdict;
       std::printf("FAIL  %-42s %-10s %s\n", workload.name.c_str(),
-                  StrategyName(kind), bad.message().c_str());
+                  StrategyName(kind),
+                  compiled.ok() ? "the tier did not run"
+                                : compiled.status().ToString().c_str());
+      continue;
     }
+    const bool has_keyed = HasKeyedProjection(*compiled);
+    *keyed += has_keyed ? 1 : 0;
+    std::printf("OK    %-42s %-10s width=%d rows<=%.3g", workload.name.c_str(),
+                StrategyName(kind), plan.Width(),
+                analysis.max_intermediate_rows_bound);
+    if (tier == Tier::kSemantic) {
+      std::printf(" semantics %.3gs",
+                  static_cast<double>(report.semantic_ns) * 1e-9);
+    }
+    std::printf("%s\n", has_keyed ? " keyed" : "");
   }
   return failures;
 }
@@ -209,31 +193,30 @@ int Run() {
   int failures = 0;
   std::vector<Suite> suites = BuildSuites();
 
-  std::printf("== structural sweep ==\n");
-  int plans = 0;
-  int keyed = 0;
-  for (const Suite& suite : suites) {
-    for (const Workload& workload : suite.workloads) {
-      failures += RunWorkload(workload, suite.db, &keyed);
-      plans += static_cast<int>(AllStrategies().size());
+  for (Tier tier : {Tier::kStructural, Tier::kSemantic}) {
+    std::printf("== %s sweep ==\n", TierName(tier));
+    EnablePlanVerification(tier == Tier::kStructural);
+    EnableSemanticVerification(tier == Tier::kSemantic);
+    int plans = 0;
+    int keyed = 0;
+    for (const Suite& suite : suites) {
+      for (const Workload& workload : suite.workloads) {
+        failures += RunWorkload(tier, workload, suite.db, &keyed);
+        plans += static_cast<int>(AllStrategies().size());
+      }
     }
-  }
-  // The physical verifier re-derives every keyed flag from the labels, so
-  // each of these plans had its keyed projections proved; none at all
-  // would mean the sweep no longer reaches the keyed path.
-  std::printf("\n%d of %d plans proved with a keyed projection\n", keyed,
-              plans);
-  if (keyed == 0) {
-    ++failures;
-    std::printf("FAIL  no plan carries a keyed projection\n");
-  }
-
-  std::printf("\n== semantic sweep (PPR_VERIFY_SEMANTICS) ==\n");
-  EnableSemanticVerification(true);
-  for (const Suite& suite : suites) {
-    for (const Workload& workload : suite.workloads) {
-      failures += RunSemanticWorkload(workload, suite.db);
+    if (tier == Tier::kStructural) {
+      // The physical tier re-derives every keyed flag from the labels, so
+      // each of these plans had its keyed projections proved; none at all
+      // would mean the sweep no longer reaches the keyed path.
+      std::printf("\n%d of %d plans proved with a keyed projection\n",
+                  keyed, plans);
+      if (keyed == 0) {
+        ++failures;
+        std::printf("FAIL  no plan carries a keyed projection\n");
+      }
     }
+    std::printf("\n");
   }
 
   // Disabled-path overhead gate: with every tier off (the default
@@ -253,7 +236,7 @@ int Run() {
       MedianMatrixCompileSeconds(matrix, [](const MatrixPlan& cell) {
         return PhysicalPlan::Compile(*cell.query, cell.plan, *cell.db);
       });
-  std::printf("\n== disabled-path overhead ==\n");
+  std::printf("== disabled-path overhead ==\n");
   std::printf("PhysicalPlan::Compile %.4gs, CompileVerified (all tiers off) "
               "%.4gs\n",
               baseline, verified);

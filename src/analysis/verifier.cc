@@ -1,7 +1,7 @@
 #include "analysis/verifier.h"
 
 #include <atomic>
-#include <sstream>
+#include <string>
 
 #include "analysis/physical_verifier.h"
 #include "analysis/plan_verifier.h"
@@ -11,8 +11,6 @@
 
 namespace ppr {
 namespace {
-
-constexpr char kSkipped[] = "skipped: logical verification failed";
 
 // The verification gates, seeded from the once-read ProcessEnv() snapshot
 // (common/env.h), so compiles on worker threads never read the
@@ -32,49 +30,6 @@ std::string VerdictOf(const Status& verdict) {
 }
 
 }  // namespace
-
-Status PlanVerdict::FirstError() const {
-  if (!logical.ok()) return logical;
-  if (!width.ok()) return width;
-  if (!physical.ok()) return physical;
-  if (!analysis.status.ok()) return analysis.status;
-  return Status::Ok();
-}
-
-std::string PlanVerdict::ToString() const {
-  std::ostringstream out;
-  out << "logical:  " << logical.ToString() << "\n"
-      << "width:    " << width.ToString() << "\n"
-      << "physical: " << physical.ToString() << "\n";
-  if (analysis.status.ok()) out << analysis.ToString();
-  return out.str();
-}
-
-PlanVerdict VerifyPlan(const ConjunctiveQuery& query, const Plan& plan,
-                       const Database& db) {
-  PlanVerdict verdict;
-  verdict.logical = VerifyLogicalPlan(query, plan);
-  if (!verdict.logical.ok()) {
-    // The deeper passes assume a well-formed tree (theory conversions
-    // PPR_CHECK on malformed labels), so they do not run.
-    verdict.width = Status::InvalidArgument(kSkipped);
-    verdict.analysis.status = Status::InvalidArgument(kSkipped);
-    return verdict;
-  }
-  verdict.analysis = AnalyzePlan(query, plan, db);
-  verdict.width = CrossCheckWidth(query, plan, verdict.analysis);
-  return verdict;
-}
-
-PlanVerdict VerifyCompiledPlan(const ConjunctiveQuery& query,
-                               const Plan& plan, const Database& db,
-                               const PhysicalPlan& physical) {
-  PlanVerdict verdict = VerifyPlan(query, plan, db);
-  if (verdict.logical.ok()) {
-    verdict.physical = VerifyPhysicalPlan(query, plan, db, physical);
-  }
-  return verdict;
-}
 
 void EnablePlanVerification(bool on) {
   Gates().plans.store(on, std::memory_order_release);

@@ -13,42 +13,6 @@
 
 namespace ppr {
 
-/// Combined verdict of the static-analysis passes over one plan.
-struct PlanVerdict {
-  /// Logical well-formedness (analysis/plan_verifier.h).
-  Status logical;
-  /// Width cross-check of `analysis` against the theory module
-  /// (Theorems 1-2); only run when `logical` passed.
-  Status width;
-  /// Compiled-plan faithfulness (analysis/physical_verifier.h); OK when
-  /// no physical plan was checked.
-  Status physical;
-  /// Static width and size bounds, per operator and per plan node; only
-  /// populated when `logical` passed.
-  StaticAnalysis analysis;
-
-  bool ok() const {
-    return logical.ok() && width.ok() && physical.ok() &&
-           analysis.status.ok();
-  }
-
-  /// The first failing status, or OK.
-  Status FirstError() const;
-
-  /// Multi-line report: one line per pass plus the analysis summary.
-  std::string ToString() const;
-};
-
-/// Runs the logical verifier, then the static width/size analyzer over
-/// `plan` and the width cross-check of its result.
-PlanVerdict VerifyPlan(const ConjunctiveQuery& query, const Plan& plan,
-                       const Database& db);
-
-/// VerifyPlan plus the physical verifier over an already-compiled plan.
-PlanVerdict VerifyCompiledPlan(const ConjunctiveQuery& query,
-                               const Plan& plan, const Database& db,
-                               const PhysicalPlan& physical);
-
 /// Debug gate for the structural tiers of CompileVerified. Starts ON
 /// when the environment sets PPR_VERIFY_PLANS to anything but "0", OFF
 /// otherwise; toggled programmatically by tests and tools (an atomic, so
@@ -88,9 +52,9 @@ struct VerifierReport {
 /// analyzes nothing itself.
 ///
 /// With PlanVerificationEnabled(): VerifyLogicalPlan, then
-/// CrossCheckWidth over `analysis` (failing on its status too, as
-/// VerifyPlan does, which is where schedule damage and catalog
-/// mismatches surface) before lowering, and VerifyPhysicalPlan after. With
+/// CrossCheckWidth over `analysis` (failing on its status too, which is
+/// where schedule damage and catalog mismatches surface) before
+/// lowering, and VerifyPhysicalPlan after. With
 /// SemanticVerificationEnabled(): CertifyPlan, then CertifyCompiledPlan
 /// (analysis/semantic/certify.h). With both gates off it is
 /// PhysicalPlan::Compile. `report`, when non-null, receives what each

@@ -40,28 +40,21 @@ const char* StrategyName(StrategyKind kind) {
 
 Plan BuildStrategyPlan(StrategyKind kind, const ConjunctiveQuery& query,
                        uint64_t seed) {
-  return BuildStrategyPlanWithCertificate(kind, query, seed, nullptr);
-}
-
-Plan BuildStrategyPlanWithCertificate(StrategyKind kind,
-                                      const ConjunctiveQuery& query,
-                                      uint64_t seed,
-                                      RewriteCertificate* certificate) {
   Rng rng(seed);
   switch (kind) {
     case StrategyKind::kStraightforward:
-      return StraightforwardPlan(query, certificate);
+      return StraightforwardPlan(query);
     case StrategyKind::kEarlyProjection:
-      return EarlyProjectionPlan(query, certificate);
+      return EarlyProjectionPlan(query);
     case StrategyKind::kReordering:
-      return ReorderingPlan(query, &rng, certificate);
+      return ReorderingPlan(query, &rng);
     case StrategyKind::kBucketElimination:
-      return BucketEliminationPlanMcs(query, &rng, certificate);
+      return BucketEliminationPlanMcs(query, &rng);
     case StrategyKind::kTreewidth: {
       const Graph join_graph = BuildJoinGraph(query);
       const EliminationOrder order =
           McsEliminationOrder(join_graph, query.free_vars(), &rng);
-      return TreewidthPlan(query, order, certificate);
+      return TreewidthPlan(query, order);
     }
   }
   PPR_CHECK(false);

@@ -6,7 +6,6 @@
 
 #include "common/types.h"
 #include "core/plan.h"
-#include "core/rewrite_certificate.h"
 #include "query/conjunctive_query.h"
 #include "relational/database.h"
 
@@ -31,14 +30,6 @@ const char* StrategyName(StrategyKind kind);
 /// `seed` so runs are reproducible.
 Plan BuildStrategyPlan(StrategyKind kind, const ConjunctiveQuery& query,
                        uint64_t seed);
-
-/// BuildStrategyPlan, additionally filling `certificate` with the
-/// strategy's rewrite trace (core/rewrite_certificate.h) for the
-/// semantic certificate checker. Same plans, same seeding.
-Plan BuildStrategyPlanWithCertificate(StrategyKind kind,
-                                      const ConjunctiveQuery& query,
-                                      uint64_t seed,
-                                      RewriteCertificate* certificate);
 
 /// One measured run of a strategy on a query.
 struct StrategyRun {

@@ -90,8 +90,12 @@ void CollectLeaves(const PlanNode* node, std::vector<int>* atoms) {
   for (const auto& child : node->children) CollectLeaves(child.get(), atoms);
 }
 
+// Validates the subtree rooted at `node`, whose pre-order node id (the
+// id EXPLAIN and trace spans use) is `*next_id`, and advances `*next_id`
+// past the subtree.
 Status ValidateRec(const ConjunctiveQuery& query, const PlanNode* node,
-                   const std::vector<int>& atom_occurrences) {
+                   int* next_id) {
+  const int id = (*next_id)++;
   if (!IsSortedUnique(node->working) || !IsSortedUnique(node->projected)) {
     return Status::InvalidArgument("labels must be sorted and duplicate-free");
   }
@@ -122,34 +126,36 @@ Status ValidateRec(const ConjunctiveQuery& query, const PlanNode* node,
   }
 
   // Safety of the projection: attributes dropped here must be dead —
-  // their atom occurrences must all lie inside this subtree, and they must
-  // not be free variables.
+  // no atom outside this subtree may use them, and they must not be free
+  // variables.
   std::vector<int> inside_atoms;
   CollectLeaves(node, &inside_atoms);
-  std::vector<int> inside_occurrences(atom_occurrences.size(), 0);
-  for (int ai : inside_atoms) {
-    for (AttrId a :
-         query.atoms()[static_cast<size_t>(ai)].DistinctAttrs()) {
-      inside_occurrences[static_cast<size_t>(a)]++;
-    }
-  }
+  std::vector<uint8_t> inside(static_cast<size_t>(query.num_atoms()), 0);
+  for (int ai : inside_atoms) inside[static_cast<size_t>(ai)] = 1;
   for (AttrId a : node->working) {
-    const bool dropped = !std::binary_search(node->projected.begin(),
-                                             node->projected.end(), a);
-    if (!dropped) continue;
+    if (std::binary_search(node->projected.begin(), node->projected.end(),
+                           a)) {
+      continue;
+    }
+    const std::string var = "x" + std::to_string(a);
     if (std::find(query.free_vars().begin(), query.free_vars().end(), a) !=
         query.free_vars().end()) {
-      return Status::InvalidArgument("plan projects out a free variable");
+      return Status::InvalidArgument("plan projects out free variable " +
+                                     var + " at node " + std::to_string(id));
     }
-    if (inside_occurrences[static_cast<size_t>(a)] !=
-        atom_occurrences[static_cast<size_t>(a)]) {
-      return Status::InvalidArgument(
-          "unsafe projection: attribute still occurs outside the subtree");
+    for (int ai = 0; ai < query.num_atoms(); ++ai) {
+      if (!inside[static_cast<size_t>(ai)] &&
+          query.atoms()[static_cast<size_t>(ai)].UsesAttr(a)) {
+        return Status::InvalidArgument(
+            "unsafe projection: node " + std::to_string(id) + " drops " +
+            var + ", which atom " + std::to_string(ai) +
+            " outside its subtree still uses");
+      }
     }
   }
 
   for (const auto& child : node->children) {
-    Status s = ValidateRec(query, child.get(), atom_occurrences);
+    Status s = ValidateRec(query, child.get(), next_id);
     if (!s.ok()) return s;
   }
   return Status::Ok();
@@ -227,19 +233,8 @@ Status ValidatePlan(const ConjunctiveQuery& query, const Plan& plan) {
     return Status::InvalidArgument("root projected label != target schema");
   }
 
-  // Per-attribute atom occurrence counts (for the safety check).
-  AttrId max_attr = -1;
-  for (const Atom& atom : query.atoms()) {
-    for (AttrId a : atom.args) max_attr = std::max(max_attr, a);
-  }
-  std::vector<int> occurrences(static_cast<size_t>(max_attr + 1), 0);
-  for (const Atom& atom : query.atoms()) {
-    for (AttrId a : atom.DistinctAttrs()) {
-      occurrences[static_cast<size_t>(a)]++;
-    }
-  }
-
-  return ValidateRec(query, plan.root(), occurrences);
+  int next_id = 0;
+  return ValidateRec(query, plan.root(), &next_id);
 }
 
 }  // namespace ppr

@@ -90,6 +90,10 @@ std::unique_ptr<PlanNode> MakeJoin(
 ///  - safety: an attribute dropped at a node (in L_w \ L_p) must not occur
 ///    in any atom outside that node's subtree nor in the target schema —
 ///    this is exactly the legality condition for projection pushing.
+/// A safety rejection names the node by its pre-order id (root 0, the id
+/// EXPLAIN and trace spans use) and the dropped variable: "plan projects
+/// out free variable xV at node N", or "unsafe projection: node N drops
+/// xV, which atom A outside its subtree still uses".
 Status ValidatePlan(const ConjunctiveQuery& query, const Plan& plan);
 
 }  // namespace ppr

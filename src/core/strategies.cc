@@ -35,28 +35,9 @@ bool IsFree(const ConjunctiveQuery& query, AttrId a) {
          query.free_vars().end();
 }
 
-/// Fills `certificate` (when requested) with the trace of the rewrite
-/// that produced `plan`: the strategy's name, the pre-order leaf
-/// sequence (which for left-deep strategies is exactly the chosen atom
-/// permutation), the bucket numbering when one was used, and one
-/// projection step per dropped variable with its last-occurrence
-/// witness. The checker never trusts this emission — it re-derives every
-/// condition from (query, plan, certificate).
-void EmitCertificate(const char* strategy, const ConjunctiveQuery& query,
-                     const Plan& plan, std::vector<AttrId> elimination_order,
-                     RewriteCertificate* certificate) {
-  if (certificate == nullptr) return;
-  certificate->strategy = strategy;
-  certificate->atom_order = PreOrderLeafAtoms(plan);
-  certificate->elimination_order = std::move(elimination_order);
-  certificate->steps =
-      DeriveProjectionSteps(query, plan, certificate->atom_order);
-}
-
 }  // namespace
 
-Plan StraightforwardPlan(const ConjunctiveQuery& query,
-                         RewriteCertificate* certificate) {
+Plan StraightforwardPlan(const ConjunctiveQuery& query) {
   PPR_CHECK(query.num_atoms() > 0);
   std::unique_ptr<PlanNode> node = MakeLeaf(query, 0);
   for (int i = 1; i < query.num_atoms(); ++i) {
@@ -80,21 +61,17 @@ Plan StraightforwardPlan(const ConjunctiveQuery& query,
   // Single final projection onto the target schema (the outer SELECT).
   std::vector<std::unique_ptr<PlanNode>> root_children;
   root_children.push_back(std::move(node));
-  Plan plan(MakeJoin(std::move(root_children), SortedFreeVars(query)));
-  EmitCertificate("straightforward", query, plan, {}, certificate);
-  return plan;
+  return Plan(MakeJoin(std::move(root_children), SortedFreeVars(query)));
 }
 
-Plan EarlyProjectionPlan(const ConjunctiveQuery& query,
-                         RewriteCertificate* certificate) {
+Plan EarlyProjectionPlan(const ConjunctiveQuery& query) {
   std::vector<int> perm(static_cast<size_t>(query.num_atoms()));
   for (int i = 0; i < query.num_atoms(); ++i) perm[static_cast<size_t>(i)] = i;
-  return EarlyProjectionPlanWithOrder(query, perm, certificate);
+  return EarlyProjectionPlanWithOrder(query, perm);
 }
 
 Plan EarlyProjectionPlanWithOrder(const ConjunctiveQuery& query,
-                                  const std::vector<int>& perm,
-                                  RewriteCertificate* certificate) {
+                                  const std::vector<int>& perm) {
   const int m = query.num_atoms();
   PPR_CHECK(m > 0);
   PPR_CHECK(static_cast<int>(perm.size()) == m);
@@ -152,9 +129,7 @@ Plan EarlyProjectionPlanWithOrder(const ConjunctiveQuery& query,
     root_children.push_back(std::move(node));
     node = MakeJoin(std::move(root_children), target);
   }
-  Plan plan(std::move(node));
-  EmitCertificate("early", query, plan, {}, certificate);
-  return plan;
+  return Plan(std::move(node));
 }
 
 std::vector<int> GreedyReorder(const ConjunctiveQuery& query, Rng* rng) {
@@ -204,17 +179,12 @@ std::vector<int> GreedyReorder(const ConjunctiveQuery& query, Rng* rng) {
   return order;
 }
 
-Plan ReorderingPlan(const ConjunctiveQuery& query, Rng* rng,
-                    RewriteCertificate* certificate) {
-  Plan plan = EarlyProjectionPlanWithOrder(query, GreedyReorder(query, rng),
-                                           certificate);
-  if (certificate != nullptr) certificate->strategy = "reorder";
-  return plan;
+Plan ReorderingPlan(const ConjunctiveQuery& query, Rng* rng) {
+  return EarlyProjectionPlanWithOrder(query, GreedyReorder(query, rng));
 }
 
 Plan BucketEliminationPlan(const ConjunctiveQuery& query,
-                           const std::vector<AttrId>& numbering,
-                           RewriteCertificate* certificate) {
+                           const std::vector<AttrId>& numbering) {
   const int m = query.num_atoms();
   PPR_CHECK(m > 0);
   const int n = static_cast<int>(numbering.size());
@@ -301,28 +271,22 @@ Plan BucketEliminationPlan(const ConjunctiveQuery& query,
   } else {
     root = MakeJoin(std::move(leftovers), target);
   }
-  Plan plan(std::move(root));
-  EmitCertificate("bucket", query, plan, numbering, certificate);
-  return plan;
+  return Plan(std::move(root));
 }
 
-Plan BucketEliminationPlanMcs(const ConjunctiveQuery& query, Rng* rng,
-                              RewriteCertificate* certificate) {
+Plan BucketEliminationPlanMcs(const ConjunctiveQuery& query, Rng* rng) {
   const Graph join_graph = BuildJoinGraph(query);
   const std::vector<int> numbering =
       MaxCardinalityNumbering(join_graph, query.free_vars(), rng);
   std::vector<AttrId> attrs(numbering.begin(), numbering.end());
-  return BucketEliminationPlan(query, attrs, certificate);
+  return BucketEliminationPlan(query, attrs);
 }
 
 Plan TreewidthPlan(const ConjunctiveQuery& query,
-                   const EliminationOrder& order,
-                   RewriteCertificate* certificate) {
+                   const EliminationOrder& order) {
   const Graph join_graph = BuildJoinGraph(query);
   const TreeDecomposition td = DecompositionFromOrder(join_graph, order);
-  Plan plan = PlanFromTreeDecomposition(query, td);
-  EmitCertificate("treewidth", query, plan, {}, certificate);
-  return plan;
+  return PlanFromTreeDecomposition(query, td);
 }
 
 }  // namespace ppr

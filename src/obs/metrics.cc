@@ -32,6 +32,24 @@ void AppendHistogramJson(std::ostringstream& out, const std::string& name,
   out << "]}\n";
 }
 
+// The largest value recorded in the window whose histogram is `delta`,
+// when the whole history's max went from `before_max` to `after_max`. A
+// max that rose was recorded in the window, so it is exact; otherwise the
+// upper bound of the window's highest non-empty bucket, the window's sum
+// and `after_max` each bound it from above.
+uint64_t WindowMax(const Log2Histogram& delta, uint64_t before_max,
+                   uint64_t after_max) {
+  if (delta.count == 0) return 0;
+  if (after_max > before_max) return after_max;
+  uint64_t bound = std::min(delta.sum, after_max);
+  for (int b = Log2Histogram::kNumBuckets - 1; b >= 0; --b) {
+    if (delta.buckets[static_cast<size_t>(b)] != 0) {
+      return std::min(bound, Log2Histogram::BucketUpperBound(b));
+    }
+  }
+  return bound;
+}
+
 }  // namespace
 
 double Log2Histogram::Quantile(double q) const {
@@ -91,6 +109,7 @@ MetricsSnapshot DeltaSince(const MetricsSnapshot& before,
       }
       d.count -= b->count;
       d.sum -= b->sum;
+      d.max = WindowMax(d, b->max, hist.max);
     }
     delta.histograms[name] = d;
   }

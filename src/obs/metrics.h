@@ -88,7 +88,10 @@ struct MetricsSnapshot {
 
 /// Difference `after - before` (counters and histogram buckets subtract;
 /// max gauges keep `after`'s value, a high-water mark has no meaningful
-/// delta). Names absent from `before` are treated as zero.
+/// delta). Names absent from `before` are treated as zero. A histogram's
+/// max is its window's: exact when the window raised `after`'s max,
+/// otherwise the least of the window's highest bucket bound, its sum and
+/// `after`'s max, and 0 for an empty window.
 MetricsSnapshot DeltaSince(const MetricsSnapshot& before,
                            const MetricsSnapshot& after);
 

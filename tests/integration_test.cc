@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "benchlib/harness.h"
 #include "common/rng.h"
@@ -111,6 +112,41 @@ TEST(TimeoutScalingTest, WeakStrategiesTimeOutWhereBucketSurvives) {
   EXPECT_TRUE(sf.timed_out);
   EXPECT_FALSE(be.timed_out);
   EXPECT_TRUE(be.nonempty);
+}
+
+// Fig. 7 at order 10, as `fig7_ladder --min-order=10 --max-order=10`
+// runs it (seed 0, 2M budget): the tuple counts of both panels, and the
+// figure's ranking bucket < early < reorder < straightforward.
+TEST(FigureShapeTest, Fig7LadderOrder10) {
+  Database db;
+  AddColoringRelations(3, &db);
+  const Graph g = Ladder(10);
+  Rng rng(17);
+  struct Panel {
+    const char* name;
+    ConjunctiveQuery query;
+    std::vector<Counter> tuples;  // straightforward, early, reorder, bucket
+  };
+  const std::vector<Panel> panels = {
+      {"Boolean", KColorQuery(g), {531'585, 1'503, 147'069, 699}},
+      {"non-Boolean", KColorQueryNonBoolean(g, 0.2, rng),
+       {531'624, 11'727, 174'780, 783}},
+  };
+  const std::vector<StrategyKind> kinds = {
+      StrategyKind::kStraightforward, StrategyKind::kEarlyProjection,
+      StrategyKind::kReordering, StrategyKind::kBucketElimination};
+  for (const Panel& panel : panels) {
+    std::vector<Counter> tuples;
+    for (StrategyKind kind : kinds) {
+      const StrategyRun run = RunStrategy(kind, panel.query, db, 2'000'000, 0);
+      EXPECT_FALSE(run.timed_out) << panel.name << " " << StrategyName(kind);
+      tuples.push_back(run.tuples_produced);
+    }
+    EXPECT_EQ(tuples, panel.tuples) << panel.name;
+    EXPECT_LT(tuples[3], tuples[1]) << panel.name;
+    EXPECT_LT(tuples[1], tuples[2]) << panel.name;
+    EXPECT_LT(tuples[2], tuples[0]) << panel.name;
+  }
 }
 
 TEST(NonBooleanTest, TwentyPercentFreeVariablesEndToEnd) {

@@ -167,6 +167,35 @@ TEST(MetricsRegistryTest, SnapshotDeltaSemantics) {
   EXPECT_EQ(delta.histogram("h")->count, 1u);
 }
 
+// A delta histogram's max is its window's, not the process-wide high-water
+// mark: a window below an earlier maximum reports a bound that its own
+// observations allow, and a window that sets a new maximum reports it
+// exactly.
+TEST(MetricsRegistryTest, DeltaHistogramMaxBelongsToItsWindow) {
+  MetricsRegistry reg;
+  reg.RecordHistogram("ns", 56'760);
+  const MetricsSnapshot first = reg.Snapshot();
+  reg.RecordHistogram("ns", 16'000);
+  reg.RecordHistogram("ns", 17'379);
+  const MetricsSnapshot second = reg.Snapshot();
+  const MetricsSnapshot below = DeltaSince(first, second);
+  const Log2Histogram* window = below.histogram("ns");
+  ASSERT_NE(window, nullptr);
+  EXPECT_EQ(window->count, 2u);
+  EXPECT_LE(window->max, window->sum);
+  EXPECT_GE(window->max, 17'379u);
+  EXPECT_LE(window->Quantile(1.0), static_cast<double>(window->max));
+
+  reg.RecordHistogram("ns", 60'679);
+  const MetricsSnapshot above = DeltaSince(second, reg.Snapshot());
+  ASSERT_NE(above.histogram("ns"), nullptr);
+  EXPECT_EQ(above.histogram("ns")->max, 60'679u);
+
+  const MetricsSnapshot empty = DeltaSince(second, second);
+  ASSERT_NE(empty.histogram("ns"), nullptr);
+  EXPECT_EQ(empty.histogram("ns")->max, 0u);
+}
+
 TEST(MetricsRegistryTest, JsonLinesContainEveryMetric) {
   MetricsRegistry reg;
   reg.AddCounter("exec.runs", 1);

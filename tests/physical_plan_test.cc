@@ -16,7 +16,8 @@
 #include <vector>
 
 #include "analysis/physical_verifier.h"
-#include "analysis/verifier.h"
+#include "analysis/plan_verifier.h"
+#include "analysis/width_analyzer.h"
 #include "benchlib/harness.h"
 #include "common/rng.h"
 #include "core/plan.h"
@@ -371,6 +372,20 @@ PhysicalPlan Unkeyed(const Compiled& c, const Database& db) {
   return std::move(*compiled);
 }
 
+// The structural verifier tiers over one compiled plan, called one by
+// one as CompileVerified calls them (which the sort-merge case cannot use,
+// since it always compiles hash joins): the logical tier, the width
+// cross-check of the plan's analysis, then the physical tier.
+Status VerifyStructure(const ConjunctiveQuery& q, const Plan& plan,
+                       const Database& db, const PhysicalPlan& physical) {
+  Status verdict = VerifyLogicalPlan(q, plan);
+  if (verdict.ok()) {
+    verdict = CrossCheckWidth(q, plan, AnalyzePlan(q, plan, db));
+  }
+  if (verdict.ok()) verdict = VerifyPhysicalPlan(q, plan, db, physical);
+  return verdict;
+}
+
 // A run of `plan` under `budget` with every span kept.
 struct TracedRun {
   ExecutionResult result;
@@ -660,8 +675,8 @@ TEST(KernelSpanTest, VerifiedRunsPassTheSpanVerifier) {
   Compiled chain = CompileLadderChain(db);
   Compiled reordering = CompileLadderReordering(db);
   for (const Compiled* c : {&coloring, &pentagon, &chain, &reordering}) {
-    const PlanVerdict verdict =
-        VerifyCompiledPlan(c->query, c->plan, db, c->physical);
+    const Status verdict =
+        VerifyStructure(c->query, c->plan, db, c->physical);
     EXPECT_TRUE(verdict.ok()) << verdict.ToString();
   }
   const TracedRun full = RunTraced(coloring.physical, kCounterMax);
@@ -726,8 +741,7 @@ TEST(KernelSpanTest, VerifiedSortMergeRunWithAnEmptyIntermediate) {
   Result<PhysicalPlan> physical =
       PhysicalPlan::Compile(q, plan, db, JoinAlgorithm::kSortMerge);
   ASSERT_TRUE(physical.ok()) << physical.status().ToString();
-  const PlanVerdict compiled_verdict =
-      VerifyCompiledPlan(q, plan, db, *physical);
+  const Status compiled_verdict = VerifyStructure(q, plan, db, *physical);
   EXPECT_TRUE(compiled_verdict.ok()) << compiled_verdict.ToString();
 
   const TracedRun r = RunTraced(*physical, kCounterMax);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/plan.h"
 #include "encode/kcolor.h"
 
@@ -132,6 +135,25 @@ TEST(ValidatePlanTest, RejectsProjectingFreeVariable) {
   // Root cannot even restore {0,1}; working is {0}. Build root over {0}:
   Plan plan(MakeJoin(std::move(outer), {0}));
   EXPECT_FALSE(ValidatePlan(q, plan).ok());
+
+  // That root is also the wrong schema. Here another atom carries the
+  // dropped x2 to the root, so the root is right and only the
+  // free-variable check can reject the plan:
+  // pi_{x0,x2} edge(x0,x1) |><| edge(x1,x2) |><| edge(x0,x2).
+  ConjunctiveQuery triangle({Atom{"edge", {0, 1}}, Atom{"edge", {1, 2}},
+                             Atom{"edge", {0, 2}}},
+                            {0, 2});
+  std::vector<std::unique_ptr<PlanNode>> below;
+  below.push_back(MakeLeaf(triangle, 1));
+  std::vector<std::unique_ptr<PlanNode>> children;
+  children.push_back(MakeLeaf(triangle, 0));
+  children.push_back(MakeJoin(std::move(below), {1}));  // node 2 drops x2
+  children.push_back(MakeLeaf(triangle, 2));
+  Plan restored(MakeJoin(std::move(children), {0, 2}));
+  const Status s = ValidatePlan(triangle, restored);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("free variable x2 at node 2"), std::string::npos)
+      << s.ToString();
 }
 
 TEST(ValidatePlanTest, RejectsEmptyPlan) {

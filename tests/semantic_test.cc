@@ -1,7 +1,6 @@
 // Semantic translation validation (analysis/semantic/): plan→query
 // extraction, Chandra–Merlin certification of logical and compiled
-// plans, the PPR_VERIFY_SEMANTICS verifier tier, and the independent
-// rewrite-certificate checker.
+// plans, and the PPR_VERIFY_SEMANTICS verifier tier.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 #include <vector>
 
 #include "analysis/explain.h"
-#include "analysis/semantic/certificate_checker.h"
 #include "analysis/semantic/certify.h"
 #include "analysis/semantic/extract.h"
 #include "analysis/verifier.h"
@@ -306,165 +304,6 @@ TEST(SemanticTierTest, ReentrantCertificationTerminates) {
   ConjunctiveQuery q = PathQuery();
   CertificationReport report = CertifyPlan(q, EarlyProjectionPlan(q));
   EXPECT_TRUE(report.ok()) << report.verdict.message();
-}
-
-// ---------------------------------------------------------------------
-// Rewrite certificates.
-
-TEST(CertificateTest, AllStrategiesEmitCheckableCertificates) {
-  Rng rng(41);
-  Graph g = ConnectedRandomGraph(6, 9, rng);
-  ConjunctiveQuery q = KColorQuery(g);
-  for (StrategyKind kind : AllStrategies()) {
-    RewriteCertificate cert;
-    Plan plan = BuildStrategyPlanWithCertificate(kind, q, 17, &cert);
-    EXPECT_FALSE(cert.empty()) << StrategyName(kind);
-    EXPECT_EQ(cert.strategy, StrategyName(kind));
-    Status verdict = CheckRewriteCertificate(q, plan, cert);
-    EXPECT_TRUE(verdict.ok())
-        << StrategyName(kind) << ": " << verdict.message();
-  }
-}
-
-TEST(CertificateTest, BucketCertificateCarriesTheNumbering) {
-  ConjunctiveQuery q = PathQuery();
-  RewriteCertificate cert;
-  Plan plan = BuildStrategyPlanWithCertificate(
-      StrategyKind::kBucketElimination, q, 1, &cert);
-  EXPECT_FALSE(cert.elimination_order.empty());
-  EXPECT_TRUE(CheckRewriteCertificate(q, plan, cert).ok());
-}
-
-TEST(CertificateTest, CorruptionsArePinpointed) {
-  ConjunctiveQuery q = PathQuery();
-  RewriteCertificate pristine;
-  Plan plan = BuildStrategyPlanWithCertificate(
-      StrategyKind::kEarlyProjection, q, 1, &pristine);
-  ASSERT_FALSE(pristine.steps.empty());
-  ASSERT_TRUE(CheckRewriteCertificate(q, plan, pristine).ok());
-
-  {
-    // Wrong witness: the step no longer names the last occurrence.
-    RewriteCertificate cert = pristine;
-    cert.steps[0].witness_atom = (cert.steps[0].witness_atom + 1) % 2;
-    Status verdict = CheckRewriteCertificate(q, plan, cert);
-    ASSERT_FALSE(verdict.ok());
-    EXPECT_NE(verdict.message().find("witness"), std::string::npos)
-        << verdict.message();
-    EXPECT_NE(verdict.message().find("step (x"), std::string::npos)
-        << verdict.message();
-  }
-  {
-    // Missing step: the plan performs a projection the trace omits.
-    RewriteCertificate cert = pristine;
-    cert.steps.pop_back();
-    Status verdict = CheckRewriteCertificate(q, plan, cert);
-    ASSERT_FALSE(verdict.ok());
-    EXPECT_NE(verdict.message().find("records no such step"),
-              std::string::npos)
-        << verdict.message();
-  }
-  {
-    // Fabricated step: claims a projection the plan never performs.
-    RewriteCertificate cert = pristine;
-    cert.steps.push_back(ProjectionStep{/*var=*/0, /*node_id=*/0,
-                                        /*witness_atom=*/1});
-    Status verdict = CheckRewriteCertificate(q, plan, cert);
-    ASSERT_FALSE(verdict.ok());
-    EXPECT_NE(verdict.message().find("does not perform"), std::string::npos)
-        << verdict.message();
-  }
-  {
-    // Permuted atom order: the trace describes a different join order.
-    RewriteCertificate cert = pristine;
-    std::swap(cert.atom_order[0], cert.atom_order[1]);
-    Status verdict = CheckRewriteCertificate(q, plan, cert);
-    ASSERT_FALSE(verdict.ok());
-  }
-  {
-    // Empty certificate.
-    Status verdict = CheckRewriteCertificate(q, plan, RewriteCertificate{});
-    ASSERT_FALSE(verdict.ok());
-  }
-}
-
-TEST(CertificateTest, FreeVariableProjectionIsUnsafe) {
-  // Hand-corrupt the plan to drop free variable x2 below the root, then
-  // derive a matching (but unsafe) certificate: the checker must call
-  // out the free-variable drop, naming the step.
-  ConjunctiveQuery q = PathQuery();
-  auto right = MakeJoin(MakeChildren(MakeLeaf(q, 1)), {1});
-  auto root = MakeJoin(MakeChildren(MakeLeaf(q, 0), std::move(right)),
-                       {0, 1});
-  Plan plan(std::move(root));
-  RewriteCertificate cert;
-  cert.strategy = "corrupt";
-  cert.atom_order = PreOrderLeafAtoms(plan);
-  cert.steps = DeriveProjectionSteps(q, plan, cert.atom_order);
-  Status verdict = CheckRewriteCertificate(q, plan, cert);
-  ASSERT_FALSE(verdict.ok());
-  EXPECT_NE(verdict.message().find("free variable"), std::string::npos)
-      << verdict.message();
-}
-
-TEST(CertificateTest, BadEliminationOrderRejected) {
-  ConjunctiveQuery q = PathQuery();
-  RewriteCertificate cert;
-  Plan plan = BuildStrategyPlanWithCertificate(
-      StrategyKind::kBucketElimination, q, 1, &cert);
-  ASSERT_TRUE(CheckRewriteCertificate(q, plan, cert).ok());
-  {
-    // A bound variable numbered before a free one: free variables must
-    // be eliminated last (Section 5).
-    RewriteCertificate bad = cert;
-    std::vector<AttrId> order;
-    order.push_back(1);  // bound
-    for (AttrId a : bad.elimination_order) {
-      if (a != 1) order.push_back(a);
-    }
-    bad.elimination_order = std::move(order);
-    Status verdict = CheckRewriteCertificate(q, plan, bad);
-    ASSERT_FALSE(verdict.ok());
-    EXPECT_NE(verdict.message().find("free"), std::string::npos)
-        << verdict.message();
-  }
-  {
-    // An attribute of the query missing from the numbering.
-    RewriteCertificate bad = cert;
-    std::vector<AttrId> order;
-    for (AttrId a : bad.elimination_order) {
-      if (a != 1) order.push_back(a);
-    }
-    bad.elimination_order = std::move(order);
-    Status verdict = CheckRewriteCertificate(q, plan, bad);
-    ASSERT_FALSE(verdict.ok());
-    EXPECT_NE(verdict.message().find("omits"), std::string::npos)
-        << verdict.message();
-  }
-}
-
-TEST(CertificateTest, CheckerPublishesCounters) {
-  MetricsSnapshot before;
-  {
-    MutexLock lock(GlobalObsMutex());
-    before = GlobalMetrics().Snapshot();
-  }
-  ConjunctiveQuery q = PathQuery();
-  RewriteCertificate cert;
-  Plan plan = BuildStrategyPlanWithCertificate(
-      StrategyKind::kEarlyProjection, q, 1, &cert);
-  EXPECT_TRUE(CheckRewriteCertificate(q, plan, cert).ok());
-  RewriteCertificate bad = cert;
-  std::swap(bad.atom_order[0], bad.atom_order[1]);
-  EXPECT_FALSE(CheckRewriteCertificate(q, plan, bad).ok());
-  MetricsSnapshot after;
-  {
-    MutexLock lock(GlobalObsMutex());
-    after = GlobalMetrics().Snapshot();
-  }
-  MetricsSnapshot delta = DeltaSince(before, after);
-  EXPECT_EQ(delta.counter("analysis.semantic.certificate_checks.passed"), 1);
-  EXPECT_EQ(delta.counter("analysis.semantic.certificate_checks.failed"), 1);
 }
 
 }  // namespace
