@@ -154,6 +154,13 @@ class CAPABILITY("mutex") Mutex {
 #endif
     return acquired;
   }
+  /// TryLock and Unlock without the lock-order bookkeeping, for an atexit
+  /// handler: exit() destroys the calling thread's thread_locals, the
+  /// held-lock stack among them, before it runs the handlers.
+  bool TryLockAtExit() TRY_ACQUIRE(true) { return mu_.try_lock(); }
+  void UnlockAtExit() RELEASE() {
+    mu_.unlock();  // pprlint: allow(raw-sync)
+  }
 
   /// Static-analysis escape hatch: tells the analysis this thread holds
   /// the mutex when ownership arrived some way it cannot see (e.g.

@@ -161,13 +161,15 @@ void Rebase(std::span<const T>& view, const SpecPool& from,
 // kSortMerge joins run the sort-merge kernel (the Section-2 ablation).
 //
 // A hash fold step is counted first and written only when its rows are
-// read (CountedJoin, relational/batch_ops.h): the node's projection
-// streams its last one (once per key group when the node keys the side
-// that join probes), and the next fold step may count through it. A
-// node whose output is an unprojected join leaves it unwritten in
+// read (CountedJoin, relational/batch_ops.h): each fold step counts
+// through the chain of unwritten steps before it (CountJoin), which
+// writes a step first only when that is cheaper than enumerating it
+// again, and the node's projection streams the chain's top (once per
+// key group when the node keys the side the top probes). A node whose
+// output is an unprojected join leaves its chain unwritten in
 // `*unwritten` when that is non-null — for the first child, whose output
-// the parent's first fold step reads; the node's fold steps then work in
-// that slot. Everything else reads the join written.
+// the parent's first fold step reads; the node's fold steps then extend
+// that chain. Everything else reads the join written.
 Relation Exec(std::span<const PhysicalNode> nodes, int32_t id,
               JoinAlgorithm join_algorithm, ExecContext& ctx,
               std::optional<CountedJoin>* unwritten) {
@@ -196,7 +198,7 @@ Relation Exec(std::span<const PhysicalNode> nodes, int32_t id,
     if (!hash) {
       acc = SortMergeJoin(acc, next, ctx);
     } else if (join) {
-      *join = CountJoin(std::move(*join), std::move(next), spec, ctx);
+      CountJoin(*join, std::move(next), spec, ctx);
     } else {
       join.emplace(std::move(acc), std::move(next), spec, ctx);
     }

@@ -69,7 +69,6 @@ void PublishRun(const MetricsRegistry& run, const TraceSink& trace) {
   MutexLock lock(GlobalObsMutex());
   GlobalMetrics().Merge(run);
   if (TracingEnabled()) MergeIntoGlobalSink(trace);
-  (void)FlushTraceArtifacts();
 }
 
 }  // namespace ppr

@@ -30,16 +30,17 @@ void PublishSpanMetrics(const std::vector<TraceSpan>& spans,
 /// Rewrites the global trace artifacts from the global sink and registry:
 /// the Chrome trace at TracePath() and the metrics JSONL at
 /// TracePath() + ".metrics.jsonl". No-op (OK) when tracing is disabled.
-/// Called by the execution layer after every traced run, so the files are
-/// always consistent with everything traced so far. Reads the global
-/// sink and registry, so the caller holds the obs capability.
+/// Called where a process finishes its traced work: the service and
+/// batch drains, DisableTracing, and once at exit (obs/trace.h). Reads
+/// the global sink and registry, so the caller holds the obs capability.
 Status FlushTraceArtifacts() REQUIRES(GlobalObsMutex());
 
 /// Publishes one traced run that recorded into a private registry and
-/// sink: under GlobalObsMutex(), merges `run` into GlobalMetrics(), folds
-/// `trace` into the global sink (unless tracing was disabled meanwhile),
-/// and rewrites the trace artifacts. The one-shot runs (ExecuteCompiled,
-/// SemijoinReduce) call it once after each traced run.
+/// sink: under GlobalObsMutex(), merges `run` into GlobalMetrics() and
+/// folds `trace` into the global sink (unless tracing was disabled
+/// meanwhile). It writes no artifact: a one-shot run (ExecuteCompiled,
+/// SemijoinReduce) calls it after each traced run, and the semantic tier
+/// runs several per plan-cache miss.
 void PublishRun(const MetricsRegistry& run, const TraceSink& trace)
     EXCLUDES(GlobalObsMutex());
 

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 
 #include "common/check.h"
 #include "common/env.h"
+#include "obs/exporters.h"
+#include "obs/metrics.h"
 
 namespace ppr {
 namespace {
@@ -27,8 +30,38 @@ struct GlobalTraceState {
   }
 };
 
+// Writes the trace artifacts at exit, unless another thread holds the
+// obs lock: exit must not wait on it. The lock-order stack is gone by
+// now (Mutex::TryLockAtExit).
+void FlushTraceArtifactsAtExit() {
+  if (!GlobalObsMutex().TryLockAtExit()) return;
+  (void)FlushTraceArtifacts();
+  GlobalObsMutex().UnlockAtExit();
+}
+
+// Registers FlushTraceArtifactsAtExit. The lock and the registry it
+// reads are constructed here first, so the handler runs before either is
+// destroyed. Constructing the registry reads and writes none of its data
+// (a function-local static's initialization is thread-safe by itself),
+// and taking the obs lock here would deadlock a first TraceState() call
+// made under it, hence no analysis.
+bool RegisterExitFlush() NO_THREAD_SAFETY_ANALYSIS {
+  (void)GlobalObsMutex();
+  (void)GlobalMetrics();
+  return std::atexit(FlushTraceArtifactsAtExit) == 0;
+}
+
+// Registers the exit flush once; called after the trace state exists.
+bool FlushAtExit() {
+  static const bool registered = RegisterExitFlush();
+  return registered;
+}
+
 GlobalTraceState& TraceState() {
   static GlobalTraceState state;
+  static const bool flush_at_exit =
+      state.enabled.load(std::memory_order_relaxed) && FlushAtExit();
+  (void)flush_at_exit;
   return state;
 }
 
@@ -100,6 +133,7 @@ void TraceSink::Clear() {
 void EnableTracing(const std::string& path) {
   PPR_CHECK(!path.empty());
   GlobalTraceState& state = TraceState();
+  FlushAtExit();
   MutexLock lock(GlobalObsMutex());
   state.path = path;
   state.enabled.store(true, std::memory_order_release);
@@ -108,6 +142,7 @@ void EnableTracing(const std::string& path) {
 void DisableTracing() {
   GlobalTraceState& state = TraceState();
   MutexLock lock(GlobalObsMutex());
+  (void)FlushTraceArtifacts();
   state.enabled.store(false, std::memory_order_release);
   state.path.clear();
   state.sink.Clear();

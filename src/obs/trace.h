@@ -169,6 +169,12 @@ class SpanRecorder {
 /// programmatically (tests, tools); they take GlobalObsMutex() internally
 /// to swap the configuration, and the enabled gate itself is an atomic,
 /// so a toggle racing a concurrent drain can no longer tear the state.
+/// DisableTracing writes the artifacts (FlushTraceArtifacts) before it
+/// clears the sink. Turning tracing on also registers a handler that
+/// writes them once when the process exits, for one-shot tools that
+/// never drain: it runs before the obs singletons are destroyed, and it
+/// skips the write rather than wait when another thread holds the obs
+/// lock.
 void EnableTracing(const std::string& path) EXCLUDES(GlobalObsMutex());
 void DisableTracing() EXCLUDES(GlobalObsMutex());
 bool TracingEnabled();

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
+#include <iterator>
+#include <memory>
+#include <span>
 #include <utility>
 
 #include "common/check.h"
@@ -131,142 +133,275 @@ void EmitNullary(TraceOp op, Relation& out, ExecContext& ctx) {
 
 }  // namespace
 
-// The column layout of one counted hash join: the build-side index, the
-// probe side (the larger input), and where each output column comes
-// from.
-class JoinRows {
- public:
-  explicit JoinRows(const CountedJoin& j)
-      : index(*j.index_),
-        build_left(j.build_left_),
-        probe_base(j.build_left_ ? j.right_base_ : j.left_base_),
-        probe_arity(j.build_left_ ? j.right_arity_ : j.left_arity_),
-        probe_rows(j.probe_rows_),
-        rows(j.rows_),
-        probe_key(j.build_left_ ? j.spec_->right_key_cols.data()
-                                : j.spec_->left_key_cols.data()),
-        key_width(static_cast<int>(j.spec_->left_key_cols.size())),
-        key(j.probe_key_),
-        build_base(j.build_left_ ? j.left_base_ : j.right_base_),
-        build_arity(j.build_left_ ? j.left_arity_ : j.right_arity_),
-        left_arity(j.left_arity_),
-        carry(j.spec_->right_carry_cols.data()),
-        num_carry(static_cast<int>(j.spec_->right_carry_cols.size())),
-        out_arity(static_cast<int>(j.spec_->out_attrs.size())) {}
+// Where an output column of a chain level comes from: column `col` of
+// the row in slot `slot`, where slot 0 holds a row of the chain's base
+// and slot j a build row of level j.
+struct Source {
+  int slot;
+  int col;
+};
 
-  const Value* probe_row(int64_t i) const {
-    return probe_base + i * probe_arity;
-  }
-  const Value* build_row(int64_t b) const {
-    return build_base + b * build_arity;
-  }
+// One level of a counted chain: a hash join that builds on a written
+// input and probes the level below it (level 1: the chain's base, and
+// its build side may be the join's left input). It sits in the context
+// arena and owns its build input when the chain does.
+struct ChainLevel {
+  ChainLevel(const Relation& build, const JoinSpec& spec, bool build_left,
+             ExecArena& arena)
+      : spec(spec),
+        build_left(build_left),
+        build(build.data()),
+        build_arity(build.arity()),
+        index(build, build_left ? spec.left_key_cols : spec.right_key_cols,
+              arena) {}
 
-  // The id of the key group matching `row` of the probe side, or -1, its
-  // key assembled in place in the join's key scratch — no gathered or
-  // packed copy of the probe keys.
-  int64_t FindGroup(const Value* row) const {
-    for (int c = 0; c < key_width; ++c) key[c] = row[probe_key[c]];
-    return index.FindGroup(key);
-  }
+  const Value* build_row(int64_t b) const { return build + b * build_arity; }
 
-  // The build rows matching `row` of the probe side (FindGroup).
-  std::span<const int64_t> Probe(const Value* row) const {
-    const int64_t g = FindGroup(row);
-    if (g < 0) return {};
-    return index.Group(g);
-  }
-
-  // Output column k comes from the probe row (else the build row), from
-  // its column SourceColumn(k).
-  bool FromProbe(int k) const { return (k < left_arity) != build_left; }
-  int SourceColumn(int k) const {
-    return k < left_arity ? k : carry[k - left_arity];
-  }
-
-  const JoinIndex& index;
-  bool build_left;
-  const Value* probe_base;
-  int probe_arity;
-  int64_t probe_rows;
-  // Rows the join counted and keeps.
-  int64_t rows;
-  const int* probe_key;
-  int key_width;
-  Value* key;
-  const Value* build_base;
+  const JoinSpec& spec;
+  const bool build_left;
+  const Value* build;
   int build_arity;
-  int left_arity;
-  const int* carry;
-  int num_carry;
-  int out_arity;
+  JoinIndex index;
+  Relation owned;
+  ChainLevel* below = nullptr;
+  // The level's depth, which is its build rows' slot.
+  int slot = 1;
+  // Sources of the probe key's columns, and scratch to assemble it in.
+  int key_width = 0;
+  Source* key = nullptr;
+  Value* key_scratch = nullptr;
+  // Rows counted and kept.
+  int64_t rows = 0;
 };
 
 namespace {
 
-// Output rows of the join.
-int64_t CountJoinRows(const JoinRows& j) {
-  int64_t total = 0;
-  for (int64_t i = 0; i < j.probe_rows; ++i) {
-    total += static_cast<int64_t>(j.Probe(j.probe_row(i)).size());
+// Where output column `c` of `level` comes from: a column the level
+// carries from its right input, or a column of its left input, which is
+// the level below (level 1: the base's row, or the build row when it
+// builds on the left).
+Source SourceOf(const ChainLevel* level, int c) {
+  for (;;) {
+    const std::span<const int> carry = level->spec.right_carry_cols;
+    const int left_arity =
+        static_cast<int>(level->spec.out_attrs.size() - carry.size());
+    if (c >= left_arity) {
+      return {level->build_left ? 0 : level->slot, carry[c - left_arity]};
+    }
+    if (level->below == nullptr) return {level->build_left ? 1 : 0, c};
+    level = level->below;
   }
-  return total;
 }
 
-// Writes the first `quota` output rows of the join to `cursor`, in
-// probe-row then build-row order, and returns the number of probe rows
-// probed. The caller sized `quota` from CountJoinRows.
-int64_t EmitJoinRows(const JoinRows& j, int64_t quota, Value* cursor) {
-  const int left_arity = j.left_arity;
-  const int out_arity = j.out_arity;
-  const int num_carry = j.num_carry;
-  const int* carry = j.carry;
-  int64_t emitted = 0;
-  int64_t i = 0;
-  for (; i < j.probe_rows && emitted < quota; ++i) {
-    const Value* probe_row = j.probe_row(i);
-    const std::span<const int64_t> matches = j.Probe(probe_row);
-    if (j.build_left) {
-      // Probe side is the right input: its carry columns repeat across
-      // every match of this probe row.
-      for (int64_t b : matches) {
-        const Value* left_row = j.build_row(b);
-        for (int c = 0; c < left_arity; ++c) cursor[c] = left_row[c];
-        for (int c = 0; c < num_carry; ++c) {
-          cursor[left_arity + c] = probe_row[carry[c]];
-        }
-        cursor += out_arity;
-        if (++emitted == quota) break;
+// A level over `below` (null: the chain's base) that indexes `build`,
+// with the sources of its probe key derived from the rows it probes.
+ChainLevel* NewLevel(const Relation& build, const JoinSpec& spec,
+                     bool build_left, ChainLevel* below, ExecArena& arena) {
+  void* at = arena.Allocate(sizeof(ChainLevel));
+  ChainLevel& level = *std::construct_at(static_cast<ChainLevel*>(at), build,
+                                         spec, build_left, arena);
+  level.below = below;
+  level.slot = below == nullptr ? 1 : below->slot + 1;
+  const std::span<const int> probe_key =
+      build_left ? spec.right_key_cols : spec.left_key_cols;
+  level.key_width = static_cast<int>(probe_key.size());
+  const int64_t width = std::max(level.key_width, 1);
+  level.key = arena.AllocSpan<Source>(width).data();
+  level.key_scratch = arena.AllocSpan<Value>(width).data();
+  for (int c = 0; c < level.key_width; ++c) {
+    level.key[c] = below == nullptr ? Source{0, probe_key[c]}
+                                    : SourceOf(below, probe_key[c]);
+  }
+  return &level;
+}
+
+// Destroys `level` and the levels below it, freeing the inputs they own.
+void DestroyLevels(ChainLevel* level) {
+  while (level != nullptr) {
+    ChainLevel* below = level->below;
+    std::destroy_at(level);
+    level = below;
+  }
+}
+
+}  // namespace
+
+// A counted chain's rows, enumerated without writing them: a depth-first
+// walk from each base row through the levels' key groups, which meets
+// the rows in the order a fold of written joins writes them. The walk's
+// state comes from `arena`.
+class ChainRows {
+ public:
+  ChainRows(const CountedJoin& j, ExecArena& arena)
+      : top(*j.top_),
+        depth(j.depth_),
+        rows(arena.AllocSpan<const Value*>(j.depth_ + 1).data()),
+        base_(j.base_),
+        base_arity_(j.base_arity_),
+        base_rows_(j.base_rows_),
+        step_(arena.AllocSpan<Step>(j.depth_ + 1).data()) {
+    for (const ChainLevel* l = &top; l != nullptr; l = l->below) {
+      const std::span<const int> carry = l->spec.right_carry_cols;
+      step_[l->slot] = {l, nullptr, nullptr, l->build_left ? 0 : l->slot,
+                        static_cast<int>(carry.size()), carry.data()};
+    }
+    const ChainLevel& first = *step_[1].level;
+    left_slot_ = first.build_left ? 1 : 0;
+    left_arity_ = static_cast<int>(first.spec.out_attrs.size() -
+                                   first.spec.right_carry_cols.size());
+  }
+  ChainRows(const ChainRows&) = delete;
+  ChainRows& operator=(const ChainRows&) = delete;
+
+  // Visits each row the top level probes (the base's rows under level
+  // 1), in written order, with rows[0, depth) set; stops when visit()
+  // returns false, and then returns false. The walk goes depth first
+  // from each base row; level depth - 1's rows are the matches of its
+  // key group, visited in one loop. Each visit probes the top once:
+  // `probes` counts those and the walk's own.
+  template <typename Visit>
+  bool ForEachProbeRow(Visit&& visit) {
+    // Locals, so that no store of the visit reloads them.
+    const int last = depth - 1;
+    const ChainLevel& inner = *step_[std::max(last, 1)].level;
+    const Value* const base = base_;
+    const int64_t arity = base_arity_;
+    const int64_t base_rows = base_rows_;
+    int64_t walked = 0;
+    const auto done = [&](bool all) {
+      probes += walked;
+      return all;
+    };
+    if (last == 0) {
+      // The top probes the base: one loop over its rows.
+      for (int64_t i = 0; i < base_rows; ++i) {
+        rows[0] = base + i * arity;
+        ++walked;
+        if (!visit()) return done(false);
       }
-    } else {
-      for (int64_t b : matches) {
-        const Value* right_row = j.build_row(b);
-        for (int c = 0; c < left_arity; ++c) cursor[c] = probe_row[c];
-        for (int c = 0; c < num_carry; ++c) {
-          cursor[left_arity + c] = right_row[carry[c]];
-        }
-        cursor += out_arity;
-        if (++emitted == quota) break;
+      return done(true);
+    }
+    int64_t i = 0;
+    for (int j = 0;;) {
+      // The next row of level j (0: the base), or back to the level below.
+      if (j == 0) {
+        if (i == base_rows) return done(true);
+        rows[0] = base + i++ * arity;
+      } else if (Step& step = step_[j]; step.next == step.end) {
+        --j;
+        continue;
+      } else {
+        rows[j] = step.level->build_row(*step.next++);
+      }
+      ++walked;
+      if (j + 1 < last) {
+        // Start level j + 1's matches for the rows below it.
+        Step& next = step_[++j];
+        const int64_t g = FindGroup(*next.level);
+        const std::span<const int64_t> group =
+            g < 0 ? std::span<const int64_t>{} : next.level->index.Group(g);
+        next.next = group.data();
+        next.end = group.data() + group.size();
+        continue;
+      }
+      const int64_t g = FindGroup(inner);
+      if (g < 0) continue;
+      for (const int64_t b : inner.index.Group(g)) {
+        rows[last] = inner.build_row(b);
+        ++walked;
+        if (!visit()) return done(false);
       }
     }
   }
-  return i;
-}
 
-// A key over some of a counted join's output columns, assembled from a
-// (probe row, build row) pair instead of a written output row: (key
-// column, source column) pairs for the columns the probe row supplies,
-// then for those the build row supplies. Derived once per call into
-// arena memory.
+  // Visits each row of the top level, rows[depth] its build row.
+  template <typename Visit>
+  bool ForEachRow(Visit&& visit) {
+    return ForEachProbeRow([&] {
+      const int64_t g = FindGroup(top);
+      if (g < 0) return true;
+      for (const int64_t b : top.index.Group(g)) {
+        rows[depth] = top.build_row(b);
+        if (!visit()) return false;
+      }
+      return true;
+    });
+  }
+
+  // The id of the key group of `level` matching the rows it probes, or
+  // -1, its key assembled in the level's key scratch.
+  int64_t FindGroup(const ChainLevel& level) const {
+    const Source* const source = level.key;
+    const int width = level.key_width;
+    Value* const key = level.key_scratch;
+    for (int c = 0; c < width; ++c) {
+      key[c] = rows[source[c].slot][source[c].col];
+    }
+    return level.index.FindGroup(key);
+  }
+
+  // Writes the row of level `m` that rows[0, m] make up: level 1's left
+  // input, then the columns each level carries from its right input.
+  void WriteRow(int m, Value* out) const {
+    const Value* const left = rows[left_slot_];
+    const int left_arity = left_arity_;
+    for (int c = 0; c < left_arity; ++c) out[c] = left[c];
+    out += left_arity;
+    for (int j = 1; j <= m; ++j) {
+      const Value* const right = rows[step_[j].right_slot];
+      const int count = step_[j].carry_count;
+      const int* const cols = step_[j].carry;
+      for (int c = 0; c < count; ++c) out[c] = right[cols[c]];
+      out += count;
+    }
+  }
+
+  const ChainLevel& top;
+  const int depth;
+  // rows[s]: the current row of slot s.
+  const Value** const rows;
+  // Probes of the walks so far.
+  int64_t probes = 0;
+
+ private:
+  // Level j's walk: its level, its remaining matches (next up to end),
+  // and the columns it carries from the row in `right_slot`, its right
+  // input.
+  struct Step {
+    const ChainLevel* level;
+    const int64_t* next;
+    const int64_t* end;
+    int right_slot;
+    int carry_count;
+    const int* carry;
+  };
+
+  const Value* const base_;
+  const int base_arity_;
+  const int64_t base_rows_;
+  Step* const step_;
+  int left_slot_ = 0;
+  int left_arity_ = 0;
+};
+
+namespace {
+
+// A key over some of the top level's output columns, assembled from the
+// rows a top-level row is made of instead of a written row: (key column,
+// slot, source column) for the columns the rows below the top supply,
+// then (key column, source column) for those the top's build row
+// supplies. Derived once per call into arena memory.
 struct PairKey {
-  const int* probe_pairs;
+  const int* probe_cols;
   int num_probe;
   const int* build_pairs;
   int num_build;
 
-  void Assemble(const Value* probe_row, const Value* build_row,
+  void Assemble(const Value* const* rows, const Value* build_row,
                 Value* key) const {
     for (int p = 0; p < num_probe; ++p) {
-      key[probe_pairs[2 * p]] = probe_row[probe_pairs[2 * p + 1]];
+      const int* col = probe_cols + 3 * p;
+      key[col[0]] = rows[col[1]][col[2]];
     }
     AssembleBuild(build_row, key);
   }
@@ -279,26 +414,22 @@ struct PairKey {
   }
 };
 
-// The PairKey of output columns `cols` (`width` of them) of join `j`.
-PairKey MakePairKey(const JoinRows& j, const int* cols, int width,
+// The PairKey of output columns `cols` (`width` of them) of the chain's
+// top level.
+PairKey MakePairKey(const ChainRows& j, const int* cols, int width,
                     ExecArena& arena) {
-  int* pairs = arena.AllocSpan<int>(2 * std::max(width, 1)).data();
-  int num_probe = 0;
+  int* probe_cols = arena.AllocSpan<int>(5 * std::max(width, 1)).data();
+  int* build_pairs = probe_cols + 3 * width;
+  PairKey key{probe_cols, 0, build_pairs, 0};
   for (int c = 0; c < width; ++c) {
-    if (!j.FromProbe(cols[c])) continue;
-    pairs[2 * num_probe] = c;
-    pairs[2 * num_probe + 1] = j.SourceColumn(cols[c]);
-    ++num_probe;
+    const Source s = SourceOf(&j.top, cols[c]);
+    int* to = s.slot == j.depth ? build_pairs + 2 * key.num_build++
+                                : probe_cols + 3 * key.num_probe++;
+    *to++ = c;
+    if (s.slot != j.depth) *to++ = s.slot;
+    *to = s.col;
   }
-  int* build_pairs = pairs + 2 * num_probe;
-  int num_build = 0;
-  for (int c = 0; c < width; ++c) {
-    if (j.FromProbe(cols[c])) continue;
-    build_pairs[2 * num_build] = c;
-    build_pairs[2 * num_build + 1] = j.SourceColumn(cols[c]);
-    ++num_build;
-  }
-  return {pairs, num_probe, build_pairs, num_build};
+  return key;
 }
 
 // The rows a projection deduplicates: a written relation's.
@@ -337,35 +468,31 @@ class RelationRows {
   const int* cols_;
 };
 
-// A counted join's unwritten rows: the probe side is probed again, and
-// the projected key of every match is assembled in the order the join
-// would have written the rows.
+// A counted join's unwritten rows: the chain is enumerated again, and
+// the projected key of every row of its top level is assembled in the
+// order a fold of written joins would have written the rows.
 class JoinPairRows {
  public:
-  JoinPairRows(const JoinRows& join, const PairKey& key)
+  JoinPairRows(ChainRows& join, const PairKey& key)
       : join_(join), key_(key) {}
 
-  int64_t rows() const { return join_.rows; }
-  int arity() const { return join_.out_arity; }
+  int64_t rows() const { return join_.top.rows; }
+  int arity() const { return std::ssize(join_.top.spec.out_attrs); }
 
-  // As RelationRows::Insert.
+  // As RelationRows::Insert; the lookups include the walk's probes.
   int64_t Insert(int64_t cap, FlatKeyIndex& seen) const {
-    int64_t lookups = 0;
-    for (int64_t i = 0; i < join_.probe_rows && seen.num_keys() < cap; ++i) {
-      const Value* probe_row = join_.probe_row(i);
-      ++lookups;
-      for (const int64_t b : join_.Probe(probe_row)) {
-        if (seen.num_keys() == cap) break;
-        key_.Assemble(probe_row, join_.build_row(b), seen.next_key());
-        seen.InsertNext();
-        ++lookups;
-      }
-    }
-    return lookups;
+    int64_t inserts = 0;
+    join_.ForEachRow([&] {
+      key_.Assemble(join_.rows, join_.rows[join_.depth], seen.next_key());
+      seen.InsertNext();
+      ++inserts;
+      return seen.num_keys() < cap;
+    });
+    return join_.probes + inserts;
   }
 
  private:
-  const JoinRows& join_;
+  ChainRows& join_;
   const PairKey& key_;
 };
 
@@ -437,11 +564,12 @@ struct GroupRepresentatives {
   int64_t count(int64_t g) const { return offsets[g + 1] - offsets[g]; }
 };
 
-// Walks join `j`'s key groups once, deduplicating (group id, build-row
-// share of `key`) in one index whose scratch comes from `arena`.
-GroupRepresentatives Representatives(const JoinRows& j, const PairKey& key,
-                                     ExecArena& arena) {
-  const JoinIndex& index = j.index;
+// Walks level `top`'s key groups once, deduplicating (group id,
+// build-row share of `key`) in one index whose scratch comes from
+// `arena`.
+GroupRepresentatives Representatives(const ChainLevel& top,
+                                     const PairKey& key, ExecArena& arena) {
+  const JoinIndex& index = top.index;
   const int64_t build_rows = index.num_rows();
   const int64_t groups = index.num_groups();
   const int width = 1 + key.num_build;
@@ -452,7 +580,7 @@ GroupRepresentatives Representatives(const JoinRows& j, const PairKey& key,
   offsets[0] = 0;
   for (int64_t g = 0; g < groups; ++g) {
     for (const int64_t b : index.Group(g)) {
-      const Value* row = j.build_row(b);
+      const Value* row = top.build_row(b);
       Value* share = seen.next_key();
       share[0] = static_cast<Value>(g);
       for (int p = 0; p < key.num_build; ++p) {
@@ -466,61 +594,62 @@ GroupRepresentatives Representatives(const JoinRows& j, const PairKey& key,
   return {offsets, rows.first(static_cast<size_t>(seen.num_keys()))};
 }
 
-// The projection of counted join `j` when its probe rows are pairwise
-// distinct and the projection keeps every probe attribute (KeyedSide):
-// keys of different probe rows never collide, so a probe row's distinct
-// keys are its group's representatives, met in the order the dedup
-// would first meet them. It counts the probe rows' keys, then writes the
-// first min(distinct, headroom) into an output sized exactly, with no
-// index over the output.
-Relation ProjectKeyed(const JoinRows& j, const PairKey& key,
+// The projection of the chain's top level when the rows it probes are
+// pairwise distinct and the projection keeps every attribute of them
+// (KeyedSide): keys of different probe rows never collide, so a probe
+// row's distinct keys are its group's representatives, met in the order
+// the dedup would first meet them. It counts the probe rows' keys, then
+// writes the first min(distinct, headroom) into an output sized exactly,
+// with no index over the output.
+Relation ProjectKeyed(ChainRows& j, const PairKey& key,
                       const ProjectSpec& spec, ExecContext& ctx) {
   ctx.stats().num_projections++;
   Relation out{Schema(spec.out_attrs)};
   const int key_width = out.arity();
   ArenaScope scope(ctx.arena());
   SpanRecorder rec(ctx.tracer(), TraceOp::kProject, ctx.trace_node());
-  const GroupRepresentatives reps = Representatives(j, key, ctx.arena());
+  const ChainLevel& top = j.top;
+  const GroupRepresentatives reps = Representatives(top, key, ctx.arena());
 
   int64_t keys = 0;
-  for (int64_t i = 0; i < j.probe_rows; ++i) {
-    const int64_t g = j.FindGroup(j.probe_row(i));
+  j.ForEachProbeRow([&] {
+    const int64_t g = j.FindGroup(top);
     if (g >= 0) keys += reps.count(g);
-  }
+    return true;
+  });
 
   const int64_t kept = ClampToHeadroom(keys, ctx);
   Value* cursor = out.GrowRows(kept);
   int64_t written = 0;
-  int64_t i = 0;
-  for (; i < j.probe_rows && written < kept; ++i) {
-    const Value* row = j.probe_row(i);
-    const int64_t g = j.FindGroup(row);
-    if (g < 0) continue;
+  if (kept > 0) j.ForEachProbeRow([&] {
+    const int64_t g = j.FindGroup(top);
+    if (g < 0) return true;
     // A group has a representative at least; the keys after its first
     // share their probe columns with the key before them.
     const int64_t n = std::min(reps.count(g), kept - written);
     const int64_t* rep = reps.rows.data() + reps.offsets[g];
-    key.Assemble(row, j.build_row(rep[0]), cursor);
+    key.Assemble(j.rows, top.build_row(rep[0]), cursor);
     for (int64_t r = 1; r < n; ++r) {
       std::copy(cursor, cursor + key_width, cursor + key_width);
       cursor += key_width;
-      key.AssembleBuild(j.build_row(rep[r]), cursor);
+      key.AssembleBuild(top.build_row(rep[r]), cursor);
     }
     cursor += key_width;
     written += n;
-  }
+    return written < kept;
+  });
   if (kept > 0) ctx.ChargeTuples(kept);
 
   const Counter footprint =
       static_cast<Counter>(scope.bytes_allocated()) + out.byte_size();
   if (rec.enabled()) {
-    rec.span().rows_in = j.rows;
+    rec.span().rows_in = top.rows;
     rec.span().rows_out = kept;
-    rec.span().arity_in = j.out_arity;
+    rec.span().arity_in = std::ssize(top.spec.out_attrs);
     rec.span().arity_out = key_width;
     rec.span().bytes = footprint;
     rec.span().ht_build_rows = static_cast<int64_t>(reps.rows.size());
-    rec.span().ht_probe_ops = j.probe_rows + i + j.index.num_rows();
+    rec.span().ht_probe_ops = j.probes + top.index.num_rows();
   }
   ctx.stats().NotePeakBytes(footprint);
   ctx.stats().NoteIntermediate(key_width, kept);
@@ -582,29 +711,14 @@ Relation ScanAtom(const Relation& stored, const ScanSpec& spec,
   return out;
 }
 
-struct CountedJoin::Prebuilt {
-  std::optional<JoinIndex> index;
-  // Scratch bytes of the index.
-  Counter bytes = 0;
-  // The call's work so far: the build and any counting through the
-  // unwritten join.
-  TraceSpan time;
-};
 
 CountedJoin::CountedJoin(const Relation& left, const Relation& right,
                          const JoinSpec& spec, ExecContext& ctx,
-                         const Prebuilt* prebuilt)
+                         std::nullptr_t)
     : ctx_(&ctx),
-      spec_(&spec),
-      arena_(prebuilt == nullptr ? &ctx.arena() : nullptr),
+      arena_(&ctx.arena()),
       mark_(ctx.arena().Save()),
       out_(Schema(spec.out_attrs)),
-      build_left_(left.size() <= right.size()),
-      left_base_(left.data()),
-      right_base_(right.data()),
-      left_arity_(left.arity()),
-      right_arity_(right.arity()),
-      probe_rows_(build_left_ ? right.size() : left.size()),
       span_(OpenSpan(TraceOp::kJoin, ctx)) {
   ctx.stats().num_joins++;
   if (left.empty() || right.empty()) {
@@ -618,47 +732,31 @@ CountedJoin::CountedJoin(const Relation& left, const Relation& right,
     return;
   }
   open_ = true;
-  const Relation& build = build_left_ ? left : right;
-  const int key_width = static_cast<int>(spec.left_key_cols.size());
-  if (prebuilt != nullptr) {
-    // The index was built, and maybe counted through, as this call's
-    // work.
-    PPR_DCHECK(!build_left_);
-    index_.emplace(*prebuilt->index);
-    scratch_bytes_ = prebuilt->bytes;
-    span_.start_ns = prebuilt->time.start_ns;
-    span_.duration_ns = prebuilt->time.duration_ns;
-  }
+  const bool build_left = left.size() <= right.size();
+  const Relation& probe = build_left ? right : left;
+  const Relation& build = build_left ? left : right;
+  base_ = probe.data();
+  base_arity_ = probe.arity();
+  base_rows_ = probe.size();
   {
+    // The count sizes the output exactly, so a write needs no realloc
+    // copies or capacity checks. The call charges its rows now, written
+    // or not; one that exhausts the budget keeps none and is resolved.
     SpanTimer timer(ctx.tracer(), span_);
-    if (prebuilt == nullptr) {
-      index_.emplace(build,
-                     build_left_ ? spec.left_key_cols : spec.right_key_cols,
-                     ctx.arena());
-    }
-    probe_key_ = ctx.arena().AllocSpan<Value>(std::max(key_width, 1)).data();
-    // The index's bytes (a prebuilt one's sit below mark_) and the key's.
-    scratch_bytes_ +=
+    top_ = NewLevel(build, spec, build_left, nullptr, ctx.arena());
+    depth_ = 1;
+    const int64_t total = CountTop(span_);
+    scratch_bytes_ =
         static_cast<Counter>(ctx.arena().bytes_in_use() - mark_.used);
-    // A hash + find per probe row costs far less than the emit work it
-    // sizes, and the exact size removes realloc copies and per-emit
-    // capacity checks from the emit loop. The call charges its rows now,
-    // written or not; one that exhausts the budget keeps none, and one
-    // that keeps none is resolved.
-    const JoinRows join(*this);
-    rows_ = ChargeOutput(CountJoinRows(join), join.out_arity, ctx);
+    rows_ = top_->rows = ChargeOutput(total, out_.arity(), ctx);
   }
-  span_.rows_in = probe_rows_;
+  span_.rows_in = probe.size();
   span_.rows_out = rows_;
   span_.arity_in = std::max(left.arity(), right.arity());
   span_.arity_out = out_.arity();
   span_.ht_build_rows = build.size();
-  span_.ht_probe_ops = probe_rows_;
   if (rows_ == 0) Close(0);
 }
-
-CountedJoin::CountedJoin(const JoinSpec& spec, ExecContext& ctx)
-    : ctx_(&ctx), spec_(&spec), out_(Schema(spec.out_attrs)) {}
 
 CountedJoin::CountedJoin(CountedJoin&& other) noexcept {
   *this = std::move(other);
@@ -669,20 +767,15 @@ CountedJoin& CountedJoin::operator=(CountedJoin&& other) noexcept {
   Close(0);
   Release();
   ctx_ = other.ctx_;
-  spec_ = other.spec_;
   arena_ = std::exchange(other.arena_, nullptr);
   mark_ = other.mark_;
-  owned_left_ = std::move(other.owned_left_);
-  owned_right_ = std::move(other.owned_right_);
+  owned_base_ = std::move(other.owned_base_);
+  base_ = other.base_;
+  base_arity_ = other.base_arity_;
+  base_rows_ = other.base_rows_;
   out_ = std::move(other.out_);
-  build_left_ = other.build_left_;
-  left_base_ = other.left_base_;
-  right_base_ = other.right_base_;
-  left_arity_ = other.left_arity_;
-  right_arity_ = other.right_arity_;
-  probe_rows_ = other.probe_rows_;
-  index_ = std::move(other.index_);
-  probe_key_ = other.probe_key_;
+  top_ = std::exchange(other.top_, nullptr);
+  depth_ = other.depth_;
   rows_ = other.rows_;
   scratch_bytes_ = other.scratch_bytes_;
   span_ = other.span_;
@@ -707,18 +800,102 @@ void CountedJoin::Close(int64_t out_bytes) {
 }
 
 void CountedJoin::Release() {
+  DestroyLevels(std::exchange(top_, nullptr));
   if (arena_ == nullptr) return;
   arena_->Restore(mark_);
   arena_ = nullptr;
 }
 
+int64_t CountedJoin::CountTop(TraceSpan& span) {
+  const ChainLevel& top = *top_;
+  if (top.key_width == 0) {
+    // A cross product: every row it probes matches every build row.
+    const int64_t probed = depth_ == 1 ? base_rows_ : top.below->rows;
+    return probed * top.index.num_rows();
+  }
+  int64_t total = 0;
+  ArenaScope walk(*arena_);
+  ChainRows chain(*this, *arena_);
+  const Counter headroom = ctx_->budget_headroom();
+  chain.ForEachProbeRow([&] {
+    const int64_t g = chain.FindGroup(top);
+    if (g >= 0) total += std::ssize(top.index.Group(g));
+    return static_cast<Counter>(total) < headroom;
+  });
+  span.ht_probe_ops += chain.probes;
+  return total;
+}
+
+void CountedJoin::Extend(Relation right, const JoinSpec& spec) {
+  ExecContext& ctx = *ctx_;
+  ChainLevel& below = *top_;
+  TraceSpan span = OpenSpan(TraceOp::kJoin, ctx);
+  span.rows_in = below.rows;
+  span.arity_in = std::max<int>(std::ssize(below.spec.out_attrs),
+                                right.arity());
+  span.ht_build_rows = right.size();
+  const size_t start = ctx.arena().bytes_in_use();
+  int64_t total = 0;
+  {
+    SpanTimer timer(ctx.tracer(), span);
+    top_ = NewLevel(right, spec, false, &below, ctx.arena());
+    ++depth_;
+    total = CountTop(span);
+  }
+  top_->owned = std::move(right);
+  // The call of the level below ends with this count.
+  Close(0);
+  ctx.stats().num_joins++;
+  open_ = true;
+  span_ = span;
+  scratch_bytes_ = static_cast<Counter>(ctx.arena().bytes_in_use() - start);
+  out_ = Relation(Schema(spec.out_attrs));
+  rows_ = top_->rows = ChargeOutput(total, out_.arity(), ctx);
+  span_.rows_out = rows_;
+  span_.arity_out = out_.arity();
+  if (rows_ == 0) Close(0);
+}
+
 Relation CountedJoin::Write() && {
   if (!open_) return std::move(out_);
   {
-    // Re-probe and materialize into the output the count sized.
+    // Enumerate the rows again and write them into the output the count
+    // sized.
     SpanTimer timer(ctx_->tracer(), span_);
-    span_.ht_probe_ops +=
-        EmitJoinRows(JoinRows(*this), rows_, out_.GrowRows(rows_));
+    const ChainLevel& top = *top_;
+    const std::span<const int> carry = top.spec.right_carry_cols;
+    const int arity = out_.arity();
+    const int left_arity = arity - static_cast<int>(carry.size());
+    const int depth = depth_;
+    Value* cursor = out_.GrowRows(rows_);
+    Value* const end = cursor + rows_ * arity;
+    ArenaScope walk(*arena_);
+    ChainRows chain(*this, *arena_);
+    // Each row the top probes is the base's, or the level below's, which
+    // is written once into `below` for all of its matches. The loop's
+    // bounds are locals, so that no store of a row reloads them.
+    Value* const below =
+        depth > 1 ? arena_->AllocSpan<Value>(left_arity).data() : nullptr;
+    chain.ForEachProbeRow([&] {
+      const int64_t g = chain.FindGroup(top);
+      if (g < 0) return true;
+      const Value* probe = chain.rows[0];
+      if (depth > 1) {
+        chain.WriteRow(depth - 1, below);
+        probe = below;
+      }
+      for (const int64_t b : top.index.Group(g)) {
+        const Value* left = top.build_left ? top.build_row(b) : probe;
+        const Value* right = top.build_left ? probe : top.build_row(b);
+        for (int c = 0; c < left_arity; ++c) cursor[c] = left[c];
+        for (size_t c = 0; c < carry.size(); ++c) {
+          cursor[left_arity + c] = right[carry[c]];
+        }
+        cursor += arity;
+      }
+      return cursor != end;
+    });
+    span_.ht_probe_ops += chain.probes;
   }
   Close(out_.byte_size());
   return std::move(out_);
@@ -728,98 +905,29 @@ CountedJoin::CountedJoin(Relation left, Relation right, const JoinSpec& spec,
                          ExecContext& ctx)
     : CountedJoin(left, right, spec, ctx, nullptr) {
   // Moving a relation keeps its rows where they are.
-  owned_left_ = std::move(left);
-  owned_right_ = std::move(right);
+  if (top_ == nullptr) return;
+  const bool build_left = top_->build_left;
+  owned_base_ = std::move(build_left ? right : left);
+  top_->owned = std::move(build_left ? left : right);
 }
 
-CountedJoin CountJoin(CountedJoin&& left, Relation right,
-                      const JoinSpec& spec, ExecContext& ctx) {
-  // This join can exhaust the budget only if |P| times the largest group
-  // of its index reaches the headroom; |right| bounds that group.
-  const auto may_exhaust = [&](int64_t group) {
-    return static_cast<Counter>(left.rows()) * group >= ctx.budget_headroom();
-  };
-  if (!left.streamable() || left.rows() <= right.size() ||
-      !may_exhaust(right.size())) {
-    // P is this join's build side, or the join cannot exhaust: P is read
-    // as it stands, as HashJoin reads its inputs.
-    Relation rows = std::move(left).Write();
-    left.Release();
-    return CountedJoin(std::move(rows), std::move(right), spec, ctx);
+void CountJoin(CountedJoin& chain, Relation right, const JoinSpec& spec,
+               ExecContext& ctx) {
+  // P is read written when it resolved, when it is this join's build side
+  // (no larger than `right`), or when |P| x |right| stays below the
+  // headroom: this count cannot exhaust the budget then, so some call
+  // reads P again, and a copied row costs less than the probes that
+  // enumerate it. This join then counts over the written P, the base of a
+  // new chain.
+  const int64_t rows = chain.rows();
+  if (!chain.streamable() || rows <= right.size() ||
+      static_cast<Counter>(rows) * right.size() < ctx.budget_headroom()) {
+    Relation written = std::move(chain).Write();
+    chain.Release();
+    chain = CountedJoin(std::move(written), std::move(right), spec, ctx);
+    return;
   }
-
-  // Build this join's index over `right` (its build side, the smaller
-  // input) above P's scratch, timed as this call's work.
-  const JoinRows p(left);
-  TraceSink* const sink = ctx.tracer();
-  CountedJoin::Prebuilt pre{std::nullopt, 0, OpenSpan(TraceOp::kJoin, ctx)};
-  {
-    const size_t before = ctx.arena().bytes_in_use();
-    SpanTimer timer(sink, pre.time);
-    pre.index.emplace(right, spec.right_key_cols, ctx.arena());
-    pre.bytes = static_cast<Counter>(ctx.arena().bytes_in_use() - before);
-  }
-
-  if (may_exhaust(pre.index->max_group())) {
-    // Count the output through P's (probe row, build row) pairs, probing
-    // P with its own key scratch; the count stops once it reaches the
-    // headroom, which decides the call.
-    const Counter headroom = ctx.budget_headroom();
-    const int key_width = static_cast<int>(spec.left_key_cols.size());
-    const PairKey key =
-        MakePairKey(p, spec.left_key_cols.data(), key_width, ctx.arena());
-    const int out_arity = static_cast<int>(spec.out_attrs.size());
-    int64_t total = 0;
-    Counter scratch = 0;
-    {
-      SpanTimer timer(sink, pre.time);
-      ArenaScope scope(ctx.arena());
-      Value* j_key =
-          ctx.arena().AllocSpan<Value>(std::max(key_width, 1)).data();
-      scratch = static_cast<Counter>(scope.bytes_allocated());
-      int64_t pairs = 0;
-      for (int64_t i = 0; i < p.probe_rows && total < headroom; ++i) {
-        const Value* row = p.probe_row(i);
-        for (const int64_t b : p.Probe(row)) {
-          key.Assemble(row, p.build_row(b), j_key);
-          total += static_cast<int64_t>(pre.index->Probe(j_key).size());
-          ++pairs;
-        }
-      }
-      pre.time.ht_probe_ops = pairs;
-    }
-    if (static_cast<Counter>(total) >= headroom) {
-      // Exhausts, as HashJoin over the written P would: P's call ends with
-      // its count, this one charges and notes min(total, headroom) rows,
-      // and neither writes anything. Its span is the count through P.
-      left.Close(0);
-      ctx.stats().num_joins++;
-      ChargeOutput(total, out_arity, ctx);
-      const Counter footprint = pre.bytes + scratch;
-      if (sink != nullptr) {
-        pre.time.rows_in = p.rows;
-        pre.time.arity_in = std::max(p.out_arity, right.arity());
-        pre.time.arity_out = out_arity;
-        pre.time.bytes = footprint;
-        pre.time.ht_build_rows = right.size();
-        sink->Record(pre.time);
-      }
-      ctx.stats().NotePeakBytes(footprint);
-      left.Release();
-      return CountedJoin(spec, ctx);
-    }
-  }
-
-  // It does not exhaust: write P and count over it with the index built
-  // above, which sits on P's scratch, so this call takes over P's
-  // checkpoint.
-  Relation rows = std::move(left).Write();
-  CountedJoin join(rows, right, spec, ctx, &pre);
-  join.owned_left_ = std::move(rows);
-  join.owned_right_ = std::move(right);
-  join.arena_ = std::exchange(left.arena_, nullptr);
-  join.mark_ = left.mark_;
-  return join;
+  chain.Extend(std::move(right), spec);
 }
 
 Relation HashJoin(const Relation& left, const Relation& right,
@@ -838,18 +946,19 @@ Relation ProjectColumns(CountedJoin&& input, const ProjectSpec& spec,
     return ProjectColumns(std::move(input).Write(), spec, ctx);
   }
   // The join's call ends with its count: its span and footprint go on
-  // record as they stand, and the projection's span times the probes
-  // that stream its rows, which reuse the join's key scratch. The key
-  // map sits on the join's scratch and is released with it; the
-  // projection's own scratch is released first.
+  // record as they stand, and the projection's span times the walk that
+  // streams its rows. The walk's scratch and the key map sit on the
+  // chain's scratch and are released with it; the projection's own
+  // scratch is released first.
   input.Close(0);
-  const JoinRows join(input);
+  ChainRows join(input, ctx.arena());
   const PairKey key = MakePairKey(join, spec.cols.data(),
                                   static_cast<int>(spec.cols.size()),
                                   ctx.arena());
   // A Boolean projection keeps at most the empty tuple and reads no row.
-  const KeyedSide probe =
-      join.build_left ? KeyedSide::kRight : KeyedSide::kLeft;
+  const KeyedSide probe = join.depth == 1 && join.top.build_left
+                              ? KeyedSide::kRight
+                              : KeyedSide::kLeft;
   Relation out = keyed == probe && !spec.cols.empty()
                      ? ProjectKeyed(join, key, spec, ctx)
                      : ProjectRows(JoinPairRows(join, key), spec, ctx);

@@ -1,8 +1,8 @@
 #ifndef PPR_RELATIONAL_BATCH_OPS_H_
 #define PPR_RELATIONAL_BATCH_OPS_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 
 #include "common/arena.h"
 #include "common/types.h"
@@ -21,8 +21,9 @@ namespace ppr {
 /// consumer either writes it (CountedJoin::Write, which is HashJoin) or
 /// reads it unwritten — a projection deduplicating straight from the
 /// probe (once per key group when the plan says the probe side is keyed,
-/// see KeyedSide), or the next join counting through it when it may
-/// exhaust the budget.
+/// see KeyedSide), or the next fold step counting through it. A fold step
+/// over a counted join stays counted, so a left-deep fold is a chain of
+/// unwritten joins over one written base (CountJoin).
 ///
 /// Scan and join run in two steps, with every key assembled in place
 /// from its row: a count pass, then a copy pass into an output sized
@@ -51,9 +52,11 @@ namespace ppr {
 /// The spans are the kernels' only per-call record: their rows_out add
 /// up to the rows the run produced, written or read unwritten, which the
 /// kernel-span verifier (analysis/physical_verifier.h) checks. A counted
-/// join's span records its count, and its time adds up the join's build,
-/// count and write; work a consumer does on its unwritten rows is timed
-/// in the consumer's span.
+/// join's span records its count and is recorded when the next call
+/// reads it; its time adds up the join's build and count, and its write
+/// when Write() is what reads it. Work a reader does enumerating the
+/// unwritten chain below it again is timed, and its probes are counted,
+/// in the reader's span.
 
 /// Scan kernel: instantiates a stored relation under an atom binding.
 Relation ScanAtom(const Relation& stored, const ScanSpec& spec,
@@ -65,6 +68,9 @@ Relation ScanAtom(const Relation& stored, const ScanSpec& spec,
 /// the plan knows it (exec/physical_plan.h derives it per node).
 enum class KeyedSide : uint8_t { kNone, kLeft, kRight };
 
+/// One fold step of a chain of counted joins (defined in batch_ops.cc).
+struct ChainLevel;
+
 /// Hash join, counting half: builds the index over the smaller input,
 /// counts the probe side's matches, then charges and notes the exact
 /// output as HashJoin does, all in the constructor. The rows stay
@@ -73,20 +79,25 @@ enum class KeyedSide : uint8_t { kNone, kLeft, kRight };
 ///  - Write() copies them into an output sized exactly, which is
 ///    HashJoin;
 ///  - ProjectColumns(CountedJoin&&, ...) deduplicates the projected key
-///    of every (probe row, build row) pair straight from the inputs;
-///  - CountJoin(CountedJoin&&, ...) counts the next fold step's output
-///    through those pairs when it may exhaust the budget, and writes
-///    this join only when it does not.
+///    of every row straight from the rows it is made of;
+///  - CountJoin(CountedJoin&, ...) counts the next fold step through
+///    them, and the object then stands for that step.
+///
+/// The object is a chain: a written base (the first join's probe side,
+/// or the last level written) and levels 1..d of joins, each probing
+/// the level below it (level 1 the base) and building on a written
+/// input. Its rows are level d's, enumerated from the base through the
+/// levels' indexes whenever they are read.
 ///
 /// A join whose rows nobody reads is never written: its span says what
 /// it produced (rows_out is the rows charged and kept, written or not)
 /// and its footprint is its scratch. An exhausting call, or one
 /// with an empty or nullary input, resolves at once; rows() is then what
-/// it returns. The index and the probe-key scratch live in the context
-/// arena from the count until the consumer resolves the call, above the
-/// checkpoint taken when counting started, and the destructor restores
-/// that checkpoint (recording the call's span first if no consumer did).
-/// The object owns its inputs; the spec must outlive it.
+/// it returns. The levels' indexes live in the context arena from their
+/// count until the chain is resolved, above the checkpoint taken when
+/// its first level was counted, and the destructor restores that
+/// checkpoint (recording the top level's span first if no consumer did).
+/// The object owns its inputs; the specs must outlive it.
 class CountedJoin {
  public:
   /// Counts the join of two written inputs, which it owns from then on.
@@ -103,82 +114,79 @@ class CountedJoin {
   /// exhausted the budget.
   int64_t rows() const { return rows_; }
 
-  /// Writes the counted rows, in probe-row then build-row order, and
-  /// closes the call.
+  /// Writes the counted rows, in probe-row then build-row order at every
+  /// level, and closes the call.
   Relation Write() &&;
 
  private:
-  friend class JoinRows;
-  friend CountedJoin CountJoin(CountedJoin&&, Relation, const JoinSpec&,
-                               ExecContext&);
+  friend class ChainRows;
+  friend void CountJoin(CountedJoin&, Relation, const JoinSpec&,
+                        ExecContext&);
   friend Relation HashJoin(const Relation&, const Relation&, const JoinSpec&,
                            ExecContext&);
   friend Relation ProjectColumns(CountedJoin&&, const ProjectSpec&,
                                  ExecContext&, KeyedSide);
 
-  // An index built, and maybe counted through, before the probe side was
-  // written (CountJoin over a counted join).
-  struct Prebuilt;
-
   // Counts the join of `left` and `right`, which must outlive the object
-  // (or be moved into owned_left_ / owned_right_). With `prebuilt`, its
-  // index over `right` is reused and its time is this call's; the
-  // caller hands the object a checkpoint to restore.
+  // (or be moved into owned_base_ and the level it builds).
   CountedJoin(const Relation& left, const Relation& right,
-              const JoinSpec& spec, ExecContext& ctx,
-              const Prebuilt* prebuilt);
-  // A call that resolved elsewhere, keeping nothing.
-  CountedJoin(const JoinSpec& spec, ExecContext& ctx);
+              const JoinSpec& spec, ExecContext& ctx, std::nullptr_t);
 
   // Whether the rows are still unwritten, so a consumer can stream them.
   bool streamable() const { return open_; }
-  // Records the call's span and footprint (scratch plus `out_bytes`).
+  // Counts the next fold step through the top level, over the written
+  // `right`, and makes it the top (CountJoin).
+  void Extend(Relation right, const JoinSpec& spec);
+  // Counts the top level through the chain, stopping once the count
+  // reaches the headroom; a cross product is counted from its inputs'
+  // sizes. Adds the probes to `span`; returns the count.
+  int64_t CountTop(TraceSpan& span);
+  // Records the top level's span and footprint (scratch plus
+  // `out_bytes`).
   void Close(int64_t out_bytes);
-  // Restores the arena checkpoint the call's scratch began at.
+  // Frees the levels and restores the arena checkpoint the chain's
+  // scratch began at.
   void Release();
 
   ExecContext* ctx_ = nullptr;
-  const JoinSpec* spec_ = nullptr;
-  // The arena holding the call's scratch from mark_ on; null once the
-  // scratch is released or another call took the checkpoint over.
+  // The arena holding the chain's scratch from mark_ on; null once it is
+  // released.
   ExecArena* arena_ = nullptr;
   ExecArena::Checkpoint mark_;
-  // Inputs handed over with the call (their rows do not move with them).
-  Relation owned_left_;
-  Relation owned_right_;
+  // The chain's base: its rows (owned_base_ when the chain owns them).
+  Relation owned_base_;
+  const Value* base_ = nullptr;
+  int base_arity_ = 0;
+  int64_t base_rows_ = 0;
   // Whole output of a call that resolved while counting, then the
-  // written rows.
+  // written rows; empty with the top's schema while the rows are open.
   Relation out_;
-  bool build_left_ = false;
-  const Value* left_base_ = nullptr;
-  const Value* right_base_ = nullptr;
-  int left_arity_ = 0;
-  int right_arity_ = 0;
-  int64_t probe_rows_ = 0;
-  std::optional<JoinIndex> index_;
-  // Scratch for one probe row's key, in the arena; a consumer reading
-  // the rows unwritten probes with it too.
-  Value* probe_key_ = nullptr;
+  ChainLevel* top_ = nullptr;
+  int depth_ = 0;
   int64_t rows_ = 0;
-  // The index's and the probe key's bytes.
+  // The top level's scratch bytes.
   Counter scratch_bytes_ = 0;
-  // The call's span, recorded when the call closes.
+  // The top level's span, recorded when its call closes.
   TraceSpan span_;
   // Counted with rows to keep, and not yet written or closed.
   bool open_ = false;
 };
 
-/// Counts a join whose left input is a counted, unwritten join P. When P
-/// is this join's probe side and |P| times the largest group of this
-/// join's index reaches budget_headroom(), the output is counted through
-/// P's (probe row, build row) pairs; if that total reaches the headroom
-/// this join charges and notes min(total, headroom) rows as an
-/// exhausting HashJoin does, and P is never written. Otherwise P is
-/// written and this join counts over it, reusing its index. Either way P
-/// is resolved, and the rows, every stat but peak_bytes, the exhaustion
-/// point and each call's span rows equal CountedJoin(P.Write(), right)'s.
-CountedJoin CountJoin(CountedJoin&& left, Relation right,
-                      const JoinSpec& spec, ExecContext& ctx);
+/// Counts a join whose left input is a counted, unwritten join P, the top
+/// level of `chain`, which then stands for this join. P is written, and
+/// this join counts over it as the base of a new chain, when P resolved,
+/// when it is this join's build side (no larger than `right`), or when
+/// the exact counts say that writing it costs less than enumerating it
+/// again: when |P| x |right| stays below budget_headroom(), so that this
+/// count cannot exhaust the budget and some call reads P again (a copied
+/// row costs less than the probes that enumerate it). Otherwise the join
+/// becomes the chain's next level: its output is counted through P's
+/// rows, enumerated from the chain's base, and P is never written.
+/// Either way P's call ends, and the rows, every stat but peak_bytes, the
+/// exhaustion point and each call's span rows equal
+/// CountedJoin(P.Write(), right)'s.
+void CountJoin(CountedJoin& chain, Relation right, const JoinSpec& spec,
+               ExecContext& ctx);
 
 /// Hash-join kernel: a CountedJoin, then Write(). The build-side index
 /// (the smaller input) is constructed once, the larger input is probed
@@ -195,9 +203,9 @@ Relation ProjectColumns(const Relation& input, const ProjectSpec& spec,
                         ExecContext& ctx);
 
 /// The same projection over a counted join's unwritten rows: the join's
-/// probe side is probed again, and every match's projected key is
-/// assembled, from the probe row and the build row, straight into the
-/// dedup index.
+/// probe side is enumerated again (through the chain below it), and
+/// every match's projected key is assembled, from the rows it is made
+/// of, straight into the dedup index.
 ///
 /// When `keyed` names the join's probe side (and the projection keeps
 /// some column), keys of different probe rows never collide, so the

@@ -192,10 +192,7 @@ class JoinIndex {
     offsets_ = arena.AllocSpan<int64_t>(groups + 1);
     std::fill(offsets_.begin(), offsets_.end(), int64_t{0});
     for (int64_t i = 0; i < n; ++i) offsets_[group_of[i] + 1]++;
-    for (int64_t g = 0; g < groups; ++g) {
-      max_group_ = std::max(max_group_, offsets_[g + 1]);
-      offsets_[g + 1] += offsets_[g];
-    }
+    for (int64_t g = 0; g < groups; ++g) offsets_[g + 1] += offsets_[g];
 
     rows_ = arena.AllocSpan<int64_t>(n);
     std::span<int64_t> fill = arena.AllocSpan<int64_t>(groups);
@@ -228,14 +225,10 @@ class JoinIndex {
   /// Build rows indexed (the build side's size).
   int64_t num_rows() const { return static_cast<int64_t>(rows_.size()); }
 
-  /// Build rows sharing the most common key: no probe row matches more.
-  int64_t max_group() const { return max_group_; }
-
  private:
   FlatKeyIndex index_;
   std::span<int64_t> offsets_;
   std::span<int64_t> rows_;
-  int64_t max_group_ = 0;
 };
 
 }  // namespace ppr

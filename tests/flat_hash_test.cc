@@ -124,27 +124,6 @@ TEST(FlatKeyIndexTest, ZeroWidthKeysMapToOneId) {
   const std::span<const int64_t> rows = join.Probe(&no_key);
   EXPECT_EQ(std::vector<int64_t>(rows.begin(), rows.end()),
             (std::vector<int64_t>{0, 1, 2}));
-  EXPECT_EQ(join.max_group(), 3);
-}
-
-// max_group() is the largest number of build rows sharing a key: no
-// probe row can match more, which bounds a join's output by
-// probe rows x max_group() before any probe.
-TEST(JoinIndexTest, MaxGroupIsTheLargestKeyGroup) {
-  ExecArena arena;
-  Relation build{Schema({0, 1})};
-  for (const auto& [a, b] : std::vector<std::pair<Value, Value>>{
-           {1, 7}, {2, 7}, {1, 8}, {3, 9}, {1, 9}, {2, 9}}) {
-    build.AddTuple({a, b});
-  }
-  const int first[] = {0};
-  EXPECT_EQ(JoinIndex(build, first, arena).max_group(), 3);
-  const int second[] = {1};
-  EXPECT_EQ(JoinIndex(build, second, arena).max_group(), 3);
-  const int both[] = {0, 1};
-  EXPECT_EQ(JoinIndex(build, both, arena).max_group(), 1);
-  const Relation empty{Schema({0, 1})};
-  EXPECT_EQ(JoinIndex(empty, first, arena).max_group(), 0);
 }
 
 }  // namespace

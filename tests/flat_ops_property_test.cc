@@ -499,11 +499,15 @@ PipelineRun RunPipeline(Counter headroom, const Pipeline& pipeline) {
   return run;
 }
 
-// A join call that produced rows but never wrote them: writing probes
-// again, so a written join's probes outnumber its probe rows.
+// A join call that produced rows but never wrote them: it probed each
+// probe row once (writing probes again), or its footprint cannot hold
+// its rows (a level counted through a chain also counts the probes of
+// enumerating the levels below it).
 bool Unwritten(const TraceSpan& call) {
   return call.op == TraceOp::kJoin && call.rows_out > 0 &&
-         call.ht_probe_ops == call.rows_in;
+         (call.ht_probe_ops == call.rows_in ||
+          call.bytes < call.rows_out * call.arity_out *
+                           static_cast<int64_t>(sizeof(Value)));
 }
 
 // Every span field but the wall-clock ones.
@@ -793,14 +797,191 @@ TEST(FlatOpsPropertyTest, JoinCountedThroughUnwrittenJoinIsJoinOfWrittenJoin) {
         [&](ExecContext& ctx) {
           CountedJoin joined(a, b, p_spec, ctx);
           if (ctx.exhausted()) return Relation{joined_schema};
-          CountedJoin next = CountJoin(std::move(joined), c, j_spec, ctx);
+          CountJoin(joined, c, j_spec, ctx);
           if (ctx.exhausted()) return Relation{joined_schema};
-          return std::move(next).Write();
+          return std::move(joined).Write();
         },
         trial);
     if (HasFatalFailure()) return;
   }
   EXPECT_GT(unwritten, 0) << "no join was counted through an unwritten one";
+}
+
+// A left-deep fold of `joins` joins: inputs[0] joined with inputs[1], then
+// each further input. Every input holds distinct rows over a fresh
+// attribute and one or two attributes of the fold so far (now and then
+// none: a cross product), so the fold's rows are distinct too. The specs
+// view the pools, which move with the trial.
+struct FoldTrial {
+  std::vector<Relation> inputs;
+  std::vector<SpecPool> pools;
+  std::vector<JoinSpec> specs;
+};
+
+// `n` distinct rows of the (at most binary) `schema` over values 1..3,
+// in random order.
+Relation DistinctRows(const Schema& schema, int n, Rng& rng) {
+  std::vector<std::vector<Value>> all = {{}};
+  for (int c = 0; c < schema.arity(); ++c) {
+    std::vector<std::vector<Value>> longer;
+    for (const auto& row : all) {
+      for (Value v = 1; v <= 3; ++v) {
+        longer.push_back(row);
+        longer.back().push_back(v);
+      }
+    }
+    all = std::move(longer);
+  }
+  for (size_t i = all.size(); i > 1; --i) {
+    std::swap(all[i - 1], all[static_cast<size_t>(rng.NextBounded(i))]);
+  }
+  Relation rel{schema};
+  for (int i = 0; i < n && i < static_cast<int>(all.size()); ++i) {
+    rel.AddTuple(all[static_cast<size_t>(i)]);
+  }
+  return rel;
+}
+
+FoldTrial MakeFoldTrial(int joins, Rng& rng) {
+  FoldTrial t;
+  t.pools.resize(static_cast<size_t>(joins));
+  std::vector<AttrId> attrs = {0, 1};
+  const int base_rows = 5 + static_cast<int>(rng.NextBounded(5));
+  t.inputs.push_back(DistinctRows(Schema(attrs), base_rows, rng));
+  for (int k = 0; k < joins; ++k) {
+    const AttrId fresh = static_cast<AttrId>(attrs.size());
+    const auto old = [&] {
+      return attrs[static_cast<size_t>(rng.NextBounded(attrs.size()))];
+    };
+    std::vector<AttrId> in;
+    int rows = 0;
+    switch (rng.NextBounded(5)) {
+      case 0:  // a cross product
+        in = {fresh};
+        rows = 1 + static_cast<int>(rng.NextBounded(2));
+        break;
+      case 1: {  // a filter
+        const AttrId a = old();
+        AttrId b = old();
+        while (b == a) b = old();
+        in = {a, b};
+        rows = 4 + static_cast<int>(rng.NextBounded(5));
+        break;
+      }
+      default:
+        in = {old(), fresh};
+        rows = 2 + static_cast<int>(rng.NextBounded(4));
+    }
+    t.inputs.push_back(DistinctRows(Schema(in), rows, rng));
+    t.specs.push_back(PlanJoin(attrs, in, t.pools[static_cast<size_t>(k)]));
+    attrs.assign(t.specs.back().out_attrs.begin(),
+                 t.specs.back().out_attrs.end());
+  }
+  return t;
+}
+
+// The reader of a fold's last join.
+enum class FoldReader { kWrite, kStream, kKeyed, kCount };
+
+// A chain of 1..8 counted joins (CountJoin over CountedJoin) equals the
+// fold of written HashJoins at every headroom, for each reader of its
+// top level: Write(), the streamed projection, the keyed projection (it
+// keeps every attribute of the level below the top, distinct rows), and
+// the next count, which counts through the chain. The consumer contract
+// checks rows, row order, every stat but peak_bytes — so the calls made
+// up to the exhausting one — and per-call span rows. Levels are left
+// unwritten or written first (for a build side, or because writing them
+// is cheaper than enumerating them again) as their counts decide.
+TEST(FlatOpsPropertyTest, CountedChainIsFoldOfWrittenJoins) {
+  Rng rng(1104);
+  for (const FoldReader reader : {FoldReader::kWrite, FoldReader::kStream,
+                                  FoldReader::kKeyed, FoldReader::kCount}) {
+    int unwritten = 0;
+    for (int depth = 1; depth <= 8; ++depth) {
+      for (int trial = 0; trial < 3; ++trial) {
+        // The next count reads a chain of `depth` joins with one more.
+        const int joins = depth + (reader == FoldReader::kCount ? 1 : 0);
+        // A fold whose last join keeps some rows, of at most 300 tuples.
+        FoldTrial t;
+        Counter total = 0;
+        for (bool kept = false; !kept || total > 300;) {
+          t = MakeFoldTrial(joins, rng);
+          ExecContext plain;
+          Relation fold = t.inputs[0];
+          total = 0;
+          for (int k = 0; k < joins; ++k) {
+            fold = HashJoin(fold, t.inputs[k + 1], t.specs[k], plain);
+            total += fold.size();
+          }
+          kept = !fold.empty();
+        }
+        const JoinSpec& top = t.specs[static_cast<size_t>(depth - 1)];
+        const std::span<const AttrId> out = top.out_attrs;
+        const size_t left = out.size() - top.right_carry_cols.size();
+        std::vector<AttrId> keep;
+        for (size_t c = 0; c < out.size(); ++c) {
+          const bool take = reader == FoldReader::kKeyed && c < left;
+          if (take || rng.NextBounded(2) == 0) keep.push_back(out[c]);
+        }
+        SpecPool project_pool;
+        const ProjectSpec project = PlanProject(out, keep, project_pool);
+        const Schema last(t.specs.back().out_attrs);
+        const Schema projected(project.out_attrs);
+        const auto read_written = [&](Relation rows, ExecContext& ctx) {
+          switch (reader) {
+            case FoldReader::kWrite:
+              return rows;
+            case FoldReader::kStream:
+            case FoldReader::kKeyed:
+              return ProjectColumns(rows, project, ctx);
+            case FoldReader::kCount:
+              HashJoin(rows, t.inputs.back(), t.specs.back(), ctx);
+              return Relation{last};
+          }
+          return rows;
+        };
+        const auto read_counted = [&](CountedJoin chain, ExecContext& ctx) {
+          switch (reader) {
+            case FoldReader::kWrite:
+              return std::move(chain).Write();
+            case FoldReader::kStream:
+              return ProjectColumns(std::move(chain), project, ctx);
+            case FoldReader::kKeyed:
+              return ProjectColumns(std::move(chain), project, ctx,
+                                    KeyedSide::kLeft);
+            case FoldReader::kCount:
+              CountJoin(chain, t.inputs.back(), t.specs.back(), ctx);
+              return Relation{last};
+          }
+          return Relation{last};
+        };
+        const Schema done = reader == FoldReader::kWrite ? Schema(out)
+                            : reader == FoldReader::kCount ? last
+                                                           : projected;
+        unwritten += ExpectConsumerContract(
+            total + 1,
+            [&](ExecContext& ctx) {
+              Relation acc = t.inputs[0];
+              for (int k = 0; k < depth; ++k) {
+                acc = HashJoin(acc, t.inputs[k + 1], t.specs[k], ctx);
+                if (ctx.exhausted()) return Relation{done};
+              }
+              return read_written(std::move(acc), ctx);
+            },
+            [&](ExecContext& ctx) {
+              CountedJoin chain(t.inputs[0], t.inputs[1], t.specs[0], ctx);
+              for (int k = 1; k < depth && !ctx.exhausted(); ++k) {
+                CountJoin(chain, t.inputs[k + 1], t.specs[k], ctx);
+              }
+              if (ctx.exhausted()) return Relation{done};
+              return read_counted(std::move(chain), ctx);
+            },
+            depth * 10 + trial);
+        if (HasFatalFailure()) return;
+      }
+    }
+    EXPECT_GT(unwritten, 0) << "reader " << static_cast<int>(reader);
+  }
 }
 
 TEST(FlatOpsPropertyTest, NullaryJoinCombinations) {

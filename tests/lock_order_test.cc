@@ -8,9 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <string>
 #include <thread>
 
 #include "common/mutex.h"
+#include "obs/obs_lock.h"
+#include "obs/trace.h"
 
 namespace ppr {
 namespace {
@@ -88,6 +94,24 @@ TEST(LockOrderDeathTest, DoubleAcquisitionAborts) {
         mu.Lock();
       },
       "double acquisition");
+}
+
+// exit() destroys the exiting thread's thread_locals, the held-lock
+// stack among them, before it runs the atexit handlers, so the handler
+// that writes the trace artifacts at exit must not touch that stack. Its
+// stale buffer is one lock old here; an ASan build reports the write.
+TEST(LockOrderDeathTest, TraceFlushAtExitLeavesTheHeldStackAlone) {
+  const std::string path = ::testing::TempDir() + "lock_order_exit.json";
+  std::remove(path.c_str());
+  EXPECT_EXIT(
+      {
+        EnableTracing(path);
+        { MutexLock lock(GlobalObsMutex()); }
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
+  EXPECT_TRUE(std::ifstream(path).good()) << path;
+  std::remove(path.c_str());
 }
 
 #else  // !PPR_DEBUG_LOCK_ORDER

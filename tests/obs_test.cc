@@ -389,7 +389,7 @@ TEST_F(TracedExecutionTest, EnvGatedFlushWritesBothArtifacts) {
   DisableTracing();
   ASSERT_TRUE(r.status.ok());
 
-  // ExecuteCompiled flushed the artifacts on its way out.
+  // DisableTracing wrote the artifacts before it cleared the sink.
   std::FILE* trace = std::fopen(path.c_str(), "r");
   ASSERT_NE(trace, nullptr);
   std::fclose(trace);
@@ -397,6 +397,40 @@ TEST_F(TracedExecutionTest, EnvGatedFlushWritesBothArtifacts) {
   std::FILE* metrics = std::fopen(metrics_path.c_str(), "r");
   ASSERT_NE(metrics, nullptr);
   std::fclose(metrics);
+  std::remove(path.c_str());
+  std::remove(metrics_path.c_str());
+}
+
+// A traced one-shot run publishes its spans and metrics but writes no
+// artifact: the semantic tier runs several per plan-cache miss, and
+// rewriting the files after each one held the obs lock for the whole
+// render. The artifacts appear when tracing is turned off (or at exit).
+TEST_F(TracedExecutionTest, OneShotRunsLeaveTheArtifactsToDisableTracing) {
+  const std::string path =
+      ::testing::TempDir() + "ppr_obs_test_no_flush_per_run.json";
+  const std::string metrics_path = path + ".metrics.jsonl";
+  std::remove(path.c_str());
+  std::remove(metrics_path.c_str());
+  const auto exists = [](const std::string& file) {
+    std::FILE* f = std::fopen(file.c_str(), "r");
+    if (f != nullptr) std::fclose(f);
+    return f != nullptr;
+  };
+  EnableTracing(path);
+  ConjunctiveQuery q = PentagonQuery();
+  const Plan plan = EarlyProjectionPlan(q);
+  for (int run = 0; run < 20; ++run) {
+    ASSERT_TRUE(ExecutePlan(q, plan, db_).status.ok());
+  }
+  {
+    MutexLock lock(GlobalObsMutex());
+    EXPECT_GT(GlobalTraceSink().total_recorded(), 0u);
+  }
+  EXPECT_FALSE(exists(path));
+  EXPECT_FALSE(exists(metrics_path));
+  DisableTracing();
+  EXPECT_TRUE(exists(path));
+  EXPECT_TRUE(exists(metrics_path));
   std::remove(path.c_str());
   std::remove(metrics_path.c_str());
 }

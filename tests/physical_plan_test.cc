@@ -159,6 +159,67 @@ TEST(PhysicalPlanTest, HashAndSortMergeAgreeOnAnswerAndStats) {
   }
 }
 
+// The sort-merge join writes every fold step and shares no code with the
+// hash join's counted chains, so it is an oracle for them at every budget
+// boundary: for each cumulative span count c of the unbudgeted hash run,
+// both algorithms stop at the same node with the same stats under budgets
+// c - 1, c and c + 1, and return the same answers when they complete.
+TEST(PhysicalPlanTest, HashAndSortMergeAgreeAtEveryBudgetBoundary) {
+  Database db;
+  AddColoringRelations(3, &db);
+  int budgets = 0;
+  for (const int order : {3, 4}) {
+    Rng rng(2);
+    const std::vector<ConjunctiveQuery> queries = {
+        KColorQuery(AugmentedLadder(order)),
+        KColorQueryNonBoolean(AugmentedLadder(order), 0.2, rng)};
+    for (const ConjunctiveQuery& q : queries) {
+      for (StrategyKind kind :
+           {StrategyKind::kStraightforward, StrategyKind::kEarlyProjection,
+            StrategyKind::kReordering, StrategyKind::kBucketElimination}) {
+        SCOPED_TRACE(::testing::Message() << "order " << order << " "
+                                          << StrategyName(kind) << " free "
+                                          << q.free_vars().size());
+        const Plan plan = BuildStrategyPlan(kind, q, /*seed=*/0);
+        Result<PhysicalPlan> hash = PhysicalPlan::Compile(q, plan, db);
+        Result<PhysicalPlan> merge =
+            PhysicalPlan::Compile(q, plan, db, JoinAlgorithm::kSortMerge);
+        ASSERT_TRUE(hash.ok() && merge.ok());
+        TraceSink sink(TraceSink::kUnbounded);
+        ASSERT_TRUE(
+            hash->ExecuteShared(nullptr, kCounterMax, &sink).status.ok());
+        std::set<Counter> boundaries;
+        Counter c = 0;
+        for (const TraceSpan& span : sink.Snapshot()) {
+          c += span.rows_out;
+          for (const Counter b : {c - 1, c, c + 1}) {
+            if (b >= 0) boundaries.insert(b);
+          }
+        }
+        for (const Counter budget : boundaries) {
+          SCOPED_TRACE(::testing::Message() << "budget " << budget);
+          const ExecutionResult h = hash->ExecuteShared(nullptr, budget);
+          const ExecutionResult s = merge->ExecuteShared(nullptr, budget);
+          ++budgets;
+          ASSERT_EQ(h.status.code(), s.status.code());
+          EXPECT_EQ(h.exhausted_node, s.exhausted_node);
+          EXPECT_EQ(h.stats.tuples_produced, s.stats.tuples_produced);
+          EXPECT_EQ(h.stats.num_joins, s.stats.num_joins);
+          EXPECT_EQ(h.stats.num_projections, s.stats.num_projections);
+          EXPECT_EQ(h.stats.max_intermediate_arity,
+                    s.stats.max_intermediate_arity);
+          EXPECT_EQ(h.stats.max_intermediate_rows,
+                    s.stats.max_intermediate_rows);
+          if (h.status.ok()) {
+            EXPECT_TRUE(h.output.SetEquals(s.output));
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(budgets, 1000);
+}
+
 TEST(PhysicalPlanTest, CompiledPlanIsReusableAcrossRuns) {
   const Database db = CycleDb(9);
   const ConjunctiveQuery q = CycleQuery();
@@ -342,7 +403,8 @@ Compiled CompilePentagon(const Database& db) {
 
 // The straightforward chain of joins over the Boolean augmented ladder
 // of order 4 (101,883 tuples unbudgeted), run under half that budget: a
-// join exhausts it by counting through the unwritten join before it.
+// join exhausts it by counting through the three unwritten joins before
+// it, enumerated from the last join written.
 Compiled CompileLadderChain(const Database& db) {
   ConjunctiveQuery q = KColorQuery(AugmentedLadder(4));
   Plan plan = StraightforwardPlan(q);
@@ -401,14 +463,20 @@ TracedRun RunTraced(const PhysicalPlan& plan, Counter budget) {
 }
 
 // Whether a run's spans show a join call that produced rows but never
-// wrote them, read by the next call, an operator `reader`: writing
-// probes again, so a written join's probes outnumber its probe rows.
+// wrote them, read by the next call, an operator `reader`. Writing
+// probes again, so a written join over written inputs probes more than
+// its probe rows; a level counted through a chain also counts the
+// probes of enumerating the levels below it, but its footprint cannot
+// hold its rows.
 bool UnwrittenJoinReadBy(const std::vector<TraceSpan>& spans,
                          TraceOp reader) {
   for (size_t k = 0; k + 1 < spans.size(); ++k) {
     const TraceSpan& c = spans[k];
     if (c.op == TraceOp::kJoin && spans[k + 1].op == reader &&
-        c.rows_out > 0 && c.ht_probe_ops == c.rows_in) {
+        c.rows_out > 0 &&
+        (c.ht_probe_ops == c.rows_in ||
+         c.bytes < c.rows_out * c.arity_out *
+                       static_cast<int64_t>(sizeof(Value)))) {
       return true;
     }
   }
@@ -664,8 +732,9 @@ TEST(KernelSpanTest, SpanVerifierRejectsTamperedSpans) {
 
 // Runs pass the span verifier, completed and budget-truncated alike. The
 // same holds for both consumers of a counted join: the pentagon's
-// projecting nodes stream their last join, and the ladder chain's budget
-// is exhausted by a join counting through an unwritten one; and for the
+// projecting nodes stream their last join, the ladder chain's root
+// streams its top, and under its budget a join exhausts it by counting
+// through a chain of unwritten ones; and for the
 // ladder reordering's keyed projections, which return the rows and every
 // stat but peak_bytes of the same plan with them cleared.
 TEST(KernelSpanTest, VerifiedRunsPassTheSpanVerifier) {
@@ -700,6 +769,7 @@ TEST(KernelSpanTest, VerifiedRunsPassTheSpanVerifier) {
   };
   for (const Case& k :
        {Case{&pentagon, kCounterMax, StatusCode::kOk, TraceOp::kProject},
+        Case{&chain, kCounterMax, StatusCode::kOk, TraceOp::kProject},
         Case{&chain, kLadderChainBudget, StatusCode::kResourceExhausted,
              TraceOp::kJoin},
         Case{&reordering, kCounterMax, StatusCode::kOk, TraceOp::kProject},

@@ -123,9 +123,11 @@ struct BudgetGolden {
 constexpr Counter kFig8Budget = 2000000;
 
 // A budget-bound straightforward run must not write a join nobody reads:
-// its widest join on these instances is 39.8 MB when written. Its peak,
-// 18,911,568 bytes, is the join the next fold step reads written.
-constexpr Counter kBudgetBoundPeakBytes = Counter{24} << 20;
+// its widest join on these instances is 39.8 MB when written. Nor does
+// it write the joins the chain counts through once the next count may
+// exhaust the budget (18.9 MB when the spine was written): its peak,
+// 11,944,528 bytes, is the last level written before its next count.
+constexpr Counter kBudgetBoundPeakBytes = Counter{12} << 20;
 
 // Nor may a budget-bound reordering run write its widest join (55.3 MB)
 // or deduplicate a keyed projection through an index over every join row
